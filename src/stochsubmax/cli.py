@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import greedy, lattice, oracle, policy, rounding
-from .errors import EnumerationLimitError, NoCompactPolytopeError
+from .errors import EnumerationLimitError, InvalidInputError, NoCompactPolytopeError
 from .lp import build_slot_program, program_dump
 from .model import Instance, load_instance, validate_instance
 
@@ -37,6 +37,8 @@ def _load(path: str) -> Instance:
         return load_instance(path)
     except OSError as exc:
         raise IoFailure(f"cannot read instance file: {exc}") from exc
+    except InvalidInputError as exc:
+        raise DomainFailure(f"invalid instance file: {exc}") from exc
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"malformed instance file: {exc}") from exc
 

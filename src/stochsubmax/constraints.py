@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import EnumerationLimitError, NoCompactPolytopeError
+from .errors import EnumerationLimitError, NoCompactPolytopeError, json_int
 
 MEMBERSHIP_TOL = 1e-9
 HULL_GUARD_N = 10
@@ -186,11 +186,18 @@ def outer_to_json(outer: OuterConstraint) -> dict:
 def outer_from_json(doc: dict, n: int) -> OuterConstraint:
     kind = doc.get("kind")
     if kind == "cardinality":
-        return cardinality(n, int(doc["k"]))
+        return cardinality(n, json_int(doc["k"], "outer.k"))
     if kind == "partition":
-        blocks = [[int(i) - 1 for i in b] for b in doc["blocks"]]
-        return partition(n, blocks, doc["caps"])
+        blocks = [
+            [json_int(i, f"outer.blocks[{r}][{j}]") - 1 for j, i in enumerate(b)]
+            for r, b in enumerate(doc["blocks"])
+        ]
+        caps = [json_int(c, f"outer.caps[{r}]") for r, c in enumerate(doc["caps"])]
+        return partition(n, blocks, caps)
     if kind == "explicit":
-        maximal = [[int(i) - 1 for i in m] for m in doc["maximal"]]
+        maximal = [
+            [json_int(i, f"outer.maximal[{r}][{j}]") - 1 for j, i in enumerate(m)]
+            for r, m in enumerate(doc["maximal"])
+        ]
         return explicit(n, maximal)
     raise ValueError(f"unknown outer constraint kind {kind!r}")

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the JSON field checks that raise :class:`InvalidInputError`."""
 
 
 class EnumerationLimitError(Exception):
@@ -22,3 +22,27 @@ class LpStallError(Exception):
         )
         self.iterations = iterations
         self.objective = objective
+
+
+class InvalidInputError(ValueError):
+    """Raised when an input document holds a value of the wrong kind.
+
+    Such values are rejected rather than coerced: a cost of 1.7 is an error,
+    never a cost of 1.
+    """
+
+
+def json_int(value, field: str) -> int:
+    """``value`` as an int if it is integral (5 or 5.0); ``field`` names it in the error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidInputError(f"{field} must be an integer, got {value!r}")
+
+
+def json_number(value, field: str):
+    """``value`` unchanged if it is a JSON number; ``field`` names it in the error."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise InvalidInputError(f"{field} must be a number, got {value!r}")

@@ -10,6 +10,7 @@ exhaustively at desk scale by :func:`check_monotone` and
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,12 @@ def meet(u, v) -> np.ndarray:
     if u.shape != v.shape:
         raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
     return np.minimum(u, v)
+
+
+def _check_weights(values, name: str):
+    # NaN fails every comparison, so the chained test also rejects it
+    if not all(0 <= w < math.inf for w in values):
+        raise ValueError(f"{name} must be finite and nonnegative")
 
 
 class UtilityOracle:
@@ -73,8 +80,7 @@ class WeightedModular(UtilityOracle):
     family = FAMILY_MODULAR
 
     def __post_init__(self):
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        _check_weights(self.weights, "weights")
 
     @property
     def n(self) -> int:
@@ -104,11 +110,10 @@ class ConcaveOverModular(UtilityOracle):
     family = FAMILY_CONCAVE
 
     def __post_init__(self):
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        _check_weights(self.weights, "weights")
         if self.curve not in ("cap", "sqrt"):
             raise ValueError(f"unknown curve {self.curve!r}")
-        if self.curve == "cap" and (self.theta is None or self.theta < 0):
+        if self.curve == "cap" and (self.theta is None or not self.theta >= 0):
             raise ValueError("curve 'cap' requires theta >= 0")
 
     @property
@@ -147,10 +152,9 @@ class ThresholdCoverage(UtilityOracle):
     family = FAMILY_COVERAGE
 
     def __post_init__(self):
-        if any(r < 0 or int(r) != r for r in self.rates):
+        if any(not 0 <= r < math.inf or int(r) != r for r in self.rates):
             raise ValueError("rates must be nonnegative integers")
-        if any(w < 0 for w in self.element_weights):
-            raise ValueError("element weights must be nonnegative")
+        _check_weights(self.element_weights, "element weights")
 
     @property
     def n(self) -> int:

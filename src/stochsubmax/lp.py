@@ -11,6 +11,18 @@ instance and outer constraint:
 All row coefficients are nonnegative and x = 0 is feasible, so the simplex
 starts from the slack basis and needs no phase 1. Bland's least-index rule is
 used for both entering and leaving choices (termination over speed).
+
+Each pivot solves the basis twice with ``np.linalg.solve``: once for the duals
+y, once for the entering column w. Pricing is one matrix-vector product: the
+reduced costs c - A^T y of every column, times a sign vector (+1 for a
+nonbasic variable at its lower bound, -1 at its upper bound, 0 for a basic
+one). The entering variable is the least index whose signed reduced cost
+exceeds ``PIVOT_TOL``. The ratio test runs on the basic values and w as
+arrays. Every step within 1e-12 of the shortest one ties, and the least
+variable index among the tied ones leaves; a bound flip of the entering
+variable counts as the entering variable's index. This gives the same pivot
+sequence, and the same vertex bit for bit, as pricing one column at a time in
+index order.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ import numpy as np
 
 from .constraints import OuterConstraint, polytope_inequalities
 from .errors import LpStallError
-from .model import Instance, expected_truncated_cost
+from .model import Instance
 
 ROW_TOL = 1e-9
 PIVOT_TOL = 1e-9
@@ -63,46 +75,35 @@ def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgra
     ]
     var_index = {v: j for j, v in enumerate(variables)}
     nv = len(variables)
+    item_of_var = np.array([i for i, _ in variables], dtype=np.int64)
+    slot_of_var = np.array([t for _, t in variables], dtype=np.int64)
+    scheduled = np.flatnonzero(slots > 0)
+    times = np.arange(1, instance.budget + 1)
 
-    labels: list[tuple] = []
-    coeffs: list[np.ndarray] = []
-    bounds: list[float] = []
+    # E[min(cost_i, t)] for every item and time, summed state by state in order
+    truncated = np.zeros((instance.n, instance.budget))
+    for state in range(instance.B):
+        truncated = truncated + instance.prob_matrix[:, state, None] * np.minimum(
+            instance.cost_matrix[:, state, None], times
+        )
 
-    for i in range(instance.n):
-        if slots[i] == 0:
-            continue
-        row = np.zeros(nv)
-        for t in range(1, int(slots[i]) + 1):
-            row[var_index[(i, t)]] = 1.0
-        labels.append(("item-cap", i))
-        coeffs.append(row)
-        bounds.append(1.0)
-
-    for r, (a, b) in enumerate(ineqs):
-        row = np.zeros(nv)
-        for (i, t), j in var_index.items():
-            row[j] = a[i]
-        labels.append(("outer", r))
-        coeffs.append(row)
-        bounds.append(float(b))
-
-    for t in range(1, instance.budget + 1):
-        row = np.zeros(nv)
-        for i in range(instance.n):
-            if slots[i] == 0:
-                continue
-            etc = expected_truncated_cost(instance.items[i], t)
-            for tp in range(1, min(t, int(slots[i])) + 1):
-                row[var_index[(i, tp)]] = etc
-        labels.append(("time", t))
-        coeffs.append(row)
-        bounds.append(2.0 * t)
+    cap_rows = (item_of_var == scheduled[:, None]).astype(float)
+    outer_rows = np.array([a[item_of_var] for a, _ in ineqs]).reshape(len(ineqs), nv)
+    time_rows = np.where(slot_of_var <= times[:, None], truncated[item_of_var].T, 0.0)
+    labels = (
+        [("item-cap", int(i)) for i in scheduled]
+        + [("outer", r) for r in range(len(ineqs))]
+        + [("time", int(t)) for t in times]
+    )
+    bounds = np.concatenate(
+        [np.ones(len(scheduled)), [float(b) for _, b in ineqs], 2.0 * times]
+    )
 
     return SlotProgram(
         variables=tuple(variables),
         row_labels=tuple(labels),
-        row_coeffs=np.array(coeffs).reshape(len(labels), nv),
-        row_bounds=np.array(bounds, dtype=float),
+        row_coeffs=np.vstack([cap_rows, outer_rows, time_rows]),
+        row_bounds=bounds,
         var_index=var_index,
     )
 
@@ -166,72 +167,63 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000):
     b = np.maximum(b, 0.0)
 
     total = nv + m
-    A_full = np.hstack([A, np.eye(m)])
+    A_fullT = np.vstack([A.T, np.eye(m)])  # one contiguous row per variable
     c_full = np.concatenate([obj, np.zeros(m)])
     up_full = np.concatenate([upper, np.full(m, np.inf)])
+    bounded = np.isfinite(up_full)
 
-    basis = list(range(nv, total))
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
-    at_upper = np.zeros(total, dtype=bool)
+    basis = np.arange(nv, total)
+    # +1 nonbasic at its lower bound, -1 nonbasic at its upper bound, 0 basic
+    sign = np.ones(total)
+    sign[basis] = 0.0
     x = np.zeros(total)
     x[basis] = b
 
     for it in range(1, max_iters + 1):
-        B = A_full[:, basis]
+        BT = A_fullT[basis]
         try:
-            y = np.linalg.solve(B.T, c_full[basis])
+            y = np.linalg.solve(BT, c_full[basis])
         except np.linalg.LinAlgError:
             raise LpStallError(it, float(c_full @ x)) from None
 
-        entering = -1
-        direction = 0
-        for j in range(total):  # Bland: least-index eligible entering variable
-            if in_basis[j]:
-                continue
-            d = c_full[j] - float(y @ A_full[:, j])
-            if not at_upper[j] and d > PIVOT_TOL:
-                entering, direction = j, 1
-                break
-            if at_upper[j] and d < -PIVOT_TOL:
-                entering, direction = j, -1
-                break
-        if entering < 0:
+        # Bland: the least-index variable whose reduced cost improves along its free direction
+        eligible = sign * (c_full - A_fullT @ y) > PIVOT_TOL
+        entering = int(eligible.argmax())
+        if not eligible[entering]:
             return x[:nv].copy(), float(c_full @ x), it - 1
+        direction = int(sign[entering])
 
-        w = np.linalg.solve(B, A_full[:, entering])
-        # moving the entering variable by direction*step changes basic values by -direction*step*w
-        candidates = []
-        if np.isfinite(up_full[entering]):
-            candidates.append((up_full[entering], entering, -1, "flip"))
-        for pos, bi in enumerate(basis):
-            rate = -direction * w[pos]
-            if rate < -PIVOT_TOL:
-                candidates.append((x[bi] / -rate, bi, pos, "lower"))
-            elif rate > PIVOT_TOL and np.isfinite(up_full[bi]):
-                candidates.append(((up_full[bi] - x[bi]) / rate, bi, pos, "upper"))
-        if not candidates:
+        w = np.linalg.solve(BT.T, A_fullT[entering])
+        # moving the entering variable by direction*step changes basic values by
+        # -direction*step*w; a basic variable bounds the step where it falls to 0
+        # or rises to a finite upper bound
+        xb = x[basis]
+        rate = -direction * w
+        falls = rate < -PIVOT_TOL
+        limits = falls | ((rate > PIVOT_TOL) & bounded[basis])
+        room = np.where(falls, xb, up_full[basis] - xb)
+        ratio = np.divide(room, np.abs(rate), out=np.full(m, np.inf), where=limits)
+        flip = up_full[entering]  # the entering variable's own bound, inf if none
+        step = min(ratio.min(), flip)
+        if step == np.inf:
             raise LpStallError(it, float(c_full @ x))
-        step = min(c[0] for c in candidates)
         step = max(step, 0.0)
-        chosen = min(
-            (c for c in candidates if c[0] <= step + 1e-12), key=lambda c: c[1]
-        )
+        # ties within 1e-12 go to the least variable index, a flip counting as the entering one
+        tied = np.flatnonzero(ratio <= step + 1e-12)
+        pos = tied[np.argmin(basis[tied])] if tied.size else -1
+        leaving = int(basis[pos]) if tied.size else total
 
         x[entering] += direction * step
-        for pos, bi in enumerate(basis):
-            x[bi] -= direction * step * w[pos]
+        x[basis] -= (direction * step) * w
 
-        kind = chosen[3]
-        if kind == "flip":
-            at_upper[entering] = direction > 0
-            x[entering] = up_full[entering] if direction > 0 else 0.0
+        if flip <= step + 1e-12 and entering < leaving:
+            sign[entering] = -direction
+            x[entering] = flip if direction > 0 else 0.0
         else:
-            leaving, pos = chosen[1], chosen[2]
-            x[leaving] = up_full[leaving] if kind == "upper" else 0.0
-            at_upper[leaving] = kind == "upper"
-            in_basis[leaving] = False
-            in_basis[entering] = True
+            to_upper = not falls[pos]
+            x[leaving] = up_full[leaving] if to_upper else 0.0
+            sign[leaving] = -1.0 if to_upper else 1.0
+            sign[entering] = 0.0
             basis[pos] = entering
 
     raise LpStallError(max_iters, float(c_full @ x))

@@ -14,6 +14,7 @@ item ids inside the JSON are 1-based, in-memory arrays are 0-based.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import lattice
 from .constraints import OuterConstraint, outer_from_json, outer_to_json, validate_outer
+from .errors import json_int, json_number
 from .lattice import UtilityOracle
 from .seeds import derive_rng
 
@@ -91,11 +93,14 @@ def validate_instance(instance: Instance) -> list[str]:
         if len(item.costs) != instance.B:
             out.append(f"{label}: expected {instance.B} state costs")
             continue
-        if any(p < 0 for p in item.probs):
-            out.append(f"{label}: negative state probability")
-        total = sum(item.probs)
-        if abs(total - 1.0) > PROB_TOL:
-            out.append(f"{label}: distribution sums to {total!r}")
+        if not all(math.isfinite(p) for p in item.probs):
+            out.append(f"{label}: non-finite state probability")
+        else:
+            if any(p < 0 for p in item.probs):
+                out.append(f"{label}: negative state probability")
+            total = sum(item.probs)
+            if abs(total - 1.0) > PROB_TOL:
+                out.append(f"{label}: distribution sums to {total!r}")
         if any(not isinstance(c, (int, np.integer)) or c < 1 for c in item.costs):
             out.append(f"{label}: state costs must be integers >= 1")
         elif any(a > b for a, b in zip(item.costs, item.costs[1:])):
@@ -175,16 +180,24 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
+    """Parse an instance document; non-integral counts, costs or ids raise ``InvalidInputError``."""
     doc = json.loads(text)
     items = tuple(
-        ItemModel(probs=tuple(it["probs"]), costs=tuple(int(c) for c in it["costs"]))
-        for it in doc["items"]
+        ItemModel(
+            probs=tuple(
+                json_number(p, f"items[{i}].probs[{s}]") for s, p in enumerate(it["probs"])
+            ),
+            costs=tuple(
+                json_int(c, f"items[{i}].costs[{s}]") for s, c in enumerate(it["costs"])
+            ),
+        )
+        for i, it in enumerate(doc["items"])
     )
-    n = int(doc["n"])
+    n = json_int(doc["n"], "n")
     return Instance(
         n=n,
-        B=int(doc["B"]),
-        budget=int(doc["budget"]),
+        B=json_int(doc["B"], "B"),
+        budget=json_int(doc["budget"], "budget"),
         items=items,
         outer=outer_from_json(doc["outer"], n),
         utility=lattice.make_utility(doc["utility"], n),

@@ -184,3 +184,29 @@ def test_partition_instance_pipeline(tmp_path):
         "--solution", str(out / "solution.json"),
         "--runs", "1000", "--out", str(tmp_path / "sim"),
     ]) == 0
+
+
+@pytest.mark.parametrize("field,value", [("cost", 1.7), ("budget", 5.9)])
+def test_non_integral_input_exits_1(pair_file, tmp_path, capsys, field, value):
+    doc = json.loads(pair_file.read_text())
+    if field == "cost":
+        doc["items"][0]["costs"][0] = value
+    else:
+        doc["budget"] = value
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--instance", str(path)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
+    assert not (out / "solution.json").exists()
+
+
+def test_nan_probability_exits_1(pair_file, tmp_path, capsys):
+    doc = json.loads(pair_file.read_text())
+    doc["items"][1]["probs"][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--instance", str(path)]) == 1
+    assert "non-finite state probability" in capsys.readouterr().out
+    assert main(["solve", "--instance", str(path), "--out", str(tmp_path / "o")]) == 1

@@ -196,3 +196,19 @@ def test_make_utility_validates():
         WeightedModular(weights=(-1.0,))
     with pytest.raises(ValueError):
         ConcaveOverModular(weights=(1.0,), curve="cap")
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_weights_rejected(bad):
+    from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
+
+    with pytest.raises(ValueError, match="finite"):
+        WeightedModular(weights=(1.0, bad))
+    with pytest.raises(ValueError, match="finite"):
+        ConcaveOverModular(weights=(bad, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        ThresholdCoverage(rates=(1, 2), element_weights=(0.5, bad))
+    with pytest.raises(ValueError):
+        ThresholdCoverage(rates=(1, bad), element_weights=(0.5, 1.0))
+    with pytest.raises(ValueError):
+        ConcaveOverModular(weights=(1.0, 1.0), curve="cap", theta=float("nan"))

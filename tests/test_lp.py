@@ -2,11 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from stochsubmax import constraints
 from stochsubmax.errors import LpStallError
-from stochsubmax.generators import single_item_instance, symmetric_pair_instance
+from stochsubmax.generators import (
+    random_instance,
+    single_item_instance,
+    symmetric_pair_instance,
+)
+from stochsubmax.lattice import WeightedModular
 from stochsubmax.lp import build_slot_program, program_dump, simplex_max, solve_lp
+from stochsubmax.model import Instance, ItemModel, expected_truncated_cost
 
 
 def test_pair_instance_rows():
@@ -169,3 +178,221 @@ def test_explicit_outer_refused_by_builder():
     )
     with pytest.raises(NoCompactPolytopeError):
         build_slot_program(inst, inst.outer)
+
+
+def pinned_program(seed, n, budget, kind):
+    """Seeded slot program with a per-item objective, as one greedy step builds it."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for _ in range(n):
+        p = rng.uniform(0.1, 1.0, size=3)
+        p = p / p.sum()
+        costs = sorted(int(c) for c in rng.integers(1, budget // 2 + 1, size=3))
+        items.append(ItemModel(probs=tuple(float(v) for v in p), costs=tuple(costs)))
+    if kind == "cardinality":
+        outer = constraints.cardinality(n, n // 3)
+    else:
+        outer = constraints.partition(n, [range(b, n, 3) for b in range(3)], [2, 1, 2])
+    weights = tuple(float(w) for w in np.round(rng.uniform(0.5, 2.0, size=n), 3))
+    inst = Instance(
+        n=n, B=3, budget=budget, items=tuple(items), outer=outer,
+        utility=WeightedModular(weights=weights),
+    )
+    prog = build_slot_program(inst, outer)
+    item_of_var = np.array([i for i, _ in prog.variables])
+    return prog, np.asarray(weights)[item_of_var]
+
+
+# Bland's rule fixes the pivot sequence, so these pins hold for any
+# implementation of it: pivot count, the exact support (float dust included)
+# and the vertex to 1e-12.
+PINNED_VERTICES = [
+    ((11, 12, 10, "cardinality"), (23, 74), 66, {
+        0: 0.5351266623970532, 3: 0.4648733376029468, 6: 0.464873337602946,
+        7: 0.5351266623970529, 44: 0.33388861844969653, 45: 0.6661113815503029,
+        61: 1.0, 62: 3.469446951953614e-17,
+    }),
+    ((12, 16, 12, "partition"), (31, 106), 53, {
+        0: 0.1486796922436382, 7: 0.8513203077563614, 8: 0.012197693612913188,
+        11: 0.12019270516469367, 12: 0.4073238903457149, 13: 0.4602857108766785,
+        21: 0.5688488466415405, 22: 0.07141105749681756, 23: 0.15639881019991492,
+        73: 1.0, 86: 4.118380256959176e-17, 92: 0.06693248184018026,
+        98: 0.9330675181598195, 100: 0.20334128566172754,
+    }),
+    ((13, 20, 14, "cardinality"), (35, 157), 112, {
+        0: 0.40215583566533497, 5: 0.43442796735817724, 6: 0.1634161969764871,
+        7: 0.13281990613933742, 9: 0.1841873886085842, 10: 0.30874899327857397,
+        11: 0.3742437119735047, 35: 0.35082459993749965, 36: 0.6491754000625007,
+        52: 1.0, 62: 0.4953684985848247, 108: 0.4650242581953268,
+        109: 0.037038726525810174, 116: 0.002568516694037851, 133: 1.0,
+        134: 9.47629293835595e-17,
+    }),
+]
+
+
+@pytest.mark.parametrize("args,shape,pivots,support", PINNED_VERTICES)
+def test_bland_vertex_pinned(args, shape, pivots, support):
+    prog, obj = pinned_program(*args)
+    assert prog.row_coeffs.shape == shape
+    x, val, iters = simplex_max(obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj)))
+    assert iters == pivots
+    assert np.nonzero(x)[0].tolist() == sorted(support)
+    np.testing.assert_allclose(x[sorted(support)], [support[j] for j in sorted(support)],
+                               rtol=0, atol=1e-12)
+    assert val == pytest.approx(float(obj @ x), abs=1e-12)
+
+
+@st.composite
+def bounded_lps(draw):
+    """Small LPs with integer data: mixed finite and infinite upper bounds,
+    negative objective and row entries, and zero right-hand sides, so that
+    ratio steps tie and bound flips and leave-at-upper pivots occur."""
+    nv = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    ints = lambda lo, hi, k: st.lists(st.integers(lo, hi), min_size=k, max_size=k)
+    A = np.array(draw(ints(-2, 3, m * nv)), dtype=float).reshape(m, nv)
+    b = np.array(draw(ints(0, 4, m)), dtype=float)
+    c = np.array(draw(ints(-3, 4, nv)), dtype=float)
+    caps = draw(st.lists(st.one_of(st.integers(1, 3), st.none()), min_size=nv, max_size=nv))
+    upper = np.array([np.inf if u is None else float(u) for u in caps])
+    return c, A, b, upper
+
+
+@settings(max_examples=300)
+@given(bounded_lps())
+def test_against_highs_with_mixed_bounds(lp):
+    c, A, b, upper = lp
+    # HiGHS presolve can report an unbounded program as infeasible; x = 0 is feasible here
+    ref = linprog(-c, A_ub=A, b_ub=b, bounds=[(0, None if np.isinf(u) else u) for u in upper],
+                  method="highs", options={"presolve": False})
+    if ref.status == 3:  # unbounded: no ratio-test candidate
+        with pytest.raises(LpStallError):
+            simplex_max(c, A, b, upper)
+        return
+    assert ref.success
+    x, val, _ = simplex_max(c, A, b, upper)
+    assert val == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+    assert np.all(A @ x <= b + 1e-9)
+    assert np.all(x >= -1e-12) and np.all(x <= upper + 1e-12)
+
+
+def reference_simplex_max(obj, A, b, upper):
+    """Bland's rule one column at a time, in index order: the reference for ``simplex_max``."""
+    m, nv = A.shape
+    total = nv + m
+    A_full = np.hstack([A, np.eye(m)])
+    c_full = np.concatenate([obj, np.zeros(m)])
+    up_full = np.concatenate([upper, np.full(m, np.inf)])
+    basis = list(range(nv, total))
+    in_basis = np.zeros(total, dtype=bool)
+    in_basis[basis] = True
+    at_upper = np.zeros(total, dtype=bool)
+    x = np.zeros(total)
+    x[basis] = b
+    for it in range(1, 20001):
+        B = A_full[:, basis]
+        try:
+            y = np.linalg.solve(B.T, c_full[basis])
+        except np.linalg.LinAlgError:
+            raise LpStallError(it, float(c_full @ x)) from None
+        entering, direction = -1, 0
+        for j in range(total):
+            if in_basis[j]:
+                continue
+            d = c_full[j] - float(y @ A_full[:, j])
+            if not at_upper[j] and d > 1e-9:
+                entering, direction = j, 1
+                break
+            if at_upper[j] and d < -1e-9:
+                entering, direction = j, -1
+                break
+        if entering < 0:
+            return x[:nv].copy(), float(c_full @ x), it - 1
+        w = np.linalg.solve(B, A_full[:, entering])
+        candidates = []
+        if np.isfinite(up_full[entering]):
+            candidates.append((up_full[entering], entering, -1, "flip"))
+        for pos, bi in enumerate(basis):
+            rate = -direction * w[pos]
+            if rate < -1e-9:
+                candidates.append((x[bi] / -rate, bi, pos, "lower"))
+            elif rate > 1e-9 and np.isfinite(up_full[bi]):
+                candidates.append(((up_full[bi] - x[bi]) / rate, bi, pos, "upper"))
+        if not candidates:
+            raise LpStallError(it, float(c_full @ x))
+        step = max(min(c[0] for c in candidates), 0.0)
+        _, leaving, pos, kind = min(
+            (c for c in candidates if c[0] <= step + 1e-12), key=lambda c: c[1]
+        )
+        x[entering] += direction * step
+        for p, bi in enumerate(basis):
+            x[bi] -= direction * step * w[p]
+        if kind == "flip":
+            at_upper[entering] = direction > 0
+            x[entering] = up_full[entering] if direction > 0 else 0.0
+        else:
+            x[leaving] = up_full[leaving] if kind == "upper" else 0.0
+            at_upper[leaving] = kind == "upper"
+            in_basis[leaving] = False
+            in_basis[entering] = True
+            basis[pos] = entering
+    raise LpStallError(20000, float(c_full @ x))
+
+
+def _outcome(fn, *args):
+    try:
+        x, val, iters = fn(*args)
+    except LpStallError:
+        return "stall"
+    return x.tobytes(), val, iters
+
+
+@settings(max_examples=300)
+@given(bounded_lps())
+def test_matches_column_by_column_reference(lp):
+    assert _outcome(simplex_max, *lp) == _outcome(reference_simplex_max, *lp)
+
+
+@pytest.mark.parametrize("args", [p[0] for p in PINNED_VERTICES])
+def test_slot_program_matches_reference_bitwise(args):
+    prog, obj = pinned_program(*args)
+    ones = np.ones(len(obj))
+    assert (_outcome(simplex_max, obj, prog.row_coeffs, prog.row_bounds, ones)
+            == _outcome(reference_simplex_max, obj, prog.row_coeffs, prog.row_bounds, ones))
+
+
+def reference_rows(instance, outer):
+    """The slot program's rows built entry by entry: the reference for ``build_slot_program``."""
+    slots = instance.slot_counts
+    var_index = {
+        (i, t): j
+        for j, (i, t) in enumerate(
+            (i, t) for i in range(instance.n) for t in range(1, int(slots[i]) + 1)
+        )
+    }
+    rows = []
+    for i in range(instance.n):
+        if slots[i]:
+            row = np.zeros(len(var_index))
+            for t in range(1, int(slots[i]) + 1):
+                row[var_index[(i, t)]] = 1.0
+            rows.append(row)
+    for a, _ in constraints.polytope_inequalities(outer):
+        rows.append(np.array([a[i] for i, _ in var_index], dtype=float))
+    for t in range(1, instance.budget + 1):
+        row = np.zeros(len(var_index))
+        for (i, tp), j in var_index.items():
+            if tp <= t:
+                row[j] = expected_truncated_cost(instance.items[i], t)
+        rows.append(row)
+    return np.array(rows).reshape(len(rows), len(var_index))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_slot_rows_match_reference_bitwise(seed):
+    # random_instance leaves some items without a slot, and B reaches 5
+    inst = random_instance(seed, n_max=9, B_max=5, budget_max=14,
+                           kinds=("cardinality", "partition"))
+    prog = build_slot_program(inst, inst.outer)
+    assert prog.row_coeffs.tobytes() == reference_rows(inst, inst.outer).tobytes()
+    assert prog.row_coeffs.shape == (len(prog.row_labels), len(prog.variables))

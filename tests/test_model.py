@@ -163,3 +163,71 @@ def test_random_instances_serialize_for_every_outer_kind():
         seen.add(inst.outer.kind)
         assert instance_from_json(instance_to_json(inst)) == inst
         seed += 1
+
+
+def _pair_doc():
+    from stochsubmax.generators import symmetric_pair_instance
+
+    return json.loads(instance_to_json(symmetric_pair_instance()))
+
+
+def _set(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("path,value,field", [
+    (("items", 0, "costs", 0), 1.7, "items[0].costs[0]"),
+    (("items", 1, "costs", 1), "2", "items[1].costs[1]"),
+    (("budget",), 5.9, "budget"),
+    (("budget",), True, "budget"),
+    (("n",), 2.5, "n"),
+    (("B",), 2.2, "B"),
+    (("outer", "k"), 1.5, "outer.k"),
+])
+def test_from_json_rejects_non_integral_values(path, value, field):
+    text = _set(_pair_doc(), path, value)
+    with pytest.raises(ValueError, match=field.replace("[", r"\[").replace(".", r"\.")):
+        instance_from_json(text)
+
+
+@pytest.mark.parametrize("outer,field", [
+    ({"kind": "partition", "blocks": [[1, 2.5]], "caps": [1]}, r"outer\.blocks\[0\]\[1\]"),
+    ({"kind": "partition", "blocks": [[1, 2]], "caps": [1.5]}, r"outer\.caps\[0\]"),
+    ({"kind": "explicit", "maximal": [[1], [2.0001]]}, r"outer\.maximal\[1\]\[0\]"),
+])
+def test_from_json_rejects_non_integral_outer_entries(outer, field):
+    doc = _pair_doc()
+    doc["outer"] = outer
+    with pytest.raises(ValueError, match=field):
+        instance_from_json(json.dumps(doc))
+
+
+def test_from_json_rejects_non_numeric_probability():
+    text = _set(_pair_doc(), ("items", 0, "probs", 1), "0.5")
+    with pytest.raises(ValueError, match=r"items\[0\]\.probs\[1\]"):
+        instance_from_json(text)
+
+
+def test_from_json_accepts_integral_floats():
+    inst = instance_from_json(_set(_pair_doc(), ("budget",), 5.0))
+    assert inst.budget == 5 and type(inst.budget) is int
+    assert validate_instance(inst) == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_probability_flagged(bad):
+    inst = build([ItemModel(probs=(bad, 0.5), costs=(1, 2))])
+    assert any("non-finite state probability" in m for m in validate_instance(inst))
+
+
+def test_nan_probability_from_json_flagged():
+    inst = instance_from_json(
+        instance_to_json(build([ItemModel(probs=(0.5, 0.5), costs=(1, 2))]))
+        .replace("0.5,", "NaN,", 1)
+    )
+    assert np.isnan(inst.items[0].probs[0])
+    assert any("non-finite" in m for m in validate_instance(inst))
