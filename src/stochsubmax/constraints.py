@@ -7,7 +7,10 @@ description of their convex hull; the explicit kind is oracle-only and answers
 fractional membership questions by solving a small convex-combination LP at
 desk scale.
 
-Item ids are 0-based in memory. JSON descriptors use 1-based ids.
+Item ids are 0-based in memory. JSON descriptors use 1-based ids. The
+constructors take ids, bounds and capacities as integral values (3, 3.0 or a
+numpy integer) and raise ``InvalidInputError`` naming the argument for any
+other value, such as 1.7.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import EnumerationLimitError, NoCompactPolytopeError, json_int
+from .errors import EnumerationLimitError, NoCompactPolytopeError, as_int
 
 MEMBERSHIP_TOL = 1e-9
 HULL_GUARD_N = 10
@@ -34,22 +37,29 @@ class OuterConstraint:
     maximal: tuple[frozenset, ...] | None = None
 
 
+def _ints(values, field: str) -> list[int]:
+    """``values`` as ints; entry j is named ``field[j]`` in the error."""
+    return [v if type(v) is int else as_int(v, f"{field}[{j}]") for j, v in enumerate(values)]
+
+
 def cardinality(n: int, k: int) -> OuterConstraint:
-    return OuterConstraint(kind="cardinality", n=n, k=int(k))
+    return OuterConstraint(kind="cardinality", n=n, k=as_int(k, "k"))
 
 
 def partition(n: int, blocks, caps) -> OuterConstraint:
     return OuterConstraint(
         kind="partition",
         n=n,
-        blocks=tuple(tuple(int(i) for i in sorted(b)) for b in blocks),
-        caps=tuple(int(c) for c in caps),
+        blocks=tuple(tuple(sorted(_ints(b, f"blocks[{r}]"))) for r, b in enumerate(blocks)),
+        caps=tuple(_ints(caps, "caps")),
     )
 
 
 def explicit(n: int, maximal) -> OuterConstraint:
     return OuterConstraint(
-        kind="explicit", n=n, maximal=tuple(frozenset(int(i) for i in m) for m in maximal)
+        kind="explicit",
+        n=n,
+        maximal=tuple(frozenset(_ints(m, f"maximal[{r}]")) for r, m in enumerate(maximal)),
     )
 
 
@@ -95,6 +105,21 @@ def is_independent(outer: OuterConstraint, items) -> bool:
     if outer.kind == "explicit":
         return any(s.issubset(m) for m in outer.maximal)
     raise ValueError(f"unknown outer constraint kind {outer.kind!r}")
+
+
+def independent_rows(outer: OuterConstraint, mask) -> np.ndarray:
+    """Membership oracle over a block: is row r of the (R, n) boolean ``mask`` allowed?
+
+    Cardinality and partition count every row against the hull inequalities at
+    once; explicit families ask :func:`is_independent` row by row.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if outer.kind == "explicit":
+        return np.array([is_independent(outer, np.flatnonzero(row)) for row in mask], dtype=bool)
+    rows = polytope_inequalities(outer)
+    a = np.array([coeffs for coeffs, _ in rows]).reshape(len(rows), outer.n)
+    bounds = np.array([bound for _, bound in rows])
+    return np.all(mask @ a.T <= bounds, axis=1)
 
 
 def polytope_inequalities(outer: OuterConstraint) -> list[tuple[np.ndarray, float]]:
@@ -186,17 +211,17 @@ def outer_to_json(outer: OuterConstraint) -> dict:
 def outer_from_json(doc: dict, n: int) -> OuterConstraint:
     kind = doc.get("kind")
     if kind == "cardinality":
-        return cardinality(n, json_int(doc["k"], "outer.k"))
+        return cardinality(n, as_int(doc["k"], "outer.k"))
     if kind == "partition":
         blocks = [
-            [json_int(i, f"outer.blocks[{r}][{j}]") - 1 for j, i in enumerate(b)]
+            [as_int(i, f"outer.blocks[{r}][{j}]") - 1 for j, i in enumerate(b)]
             for r, b in enumerate(doc["blocks"])
         ]
-        caps = [json_int(c, f"outer.caps[{r}]") for r, c in enumerate(doc["caps"])]
+        caps = [as_int(c, f"outer.caps[{r}]") for r, c in enumerate(doc["caps"])]
         return partition(n, blocks, caps)
     if kind == "explicit":
         maximal = [
-            [json_int(i, f"outer.maximal[{r}][{j}]") - 1 for j, i in enumerate(m)]
+            [as_int(i, f"outer.maximal[{r}][{j}]") - 1 for j, i in enumerate(m)]
             for r, m in enumerate(doc["maximal"])
         ]
         return explicit(n, maximal)

@@ -1,4 +1,6 @@
-"""Shared exception types, and the JSON field checks that raise :class:`InvalidInputError`."""
+"""Shared exception types, and the field checks that raise :class:`InvalidInputError`."""
+
+import numpy as np
 
 
 class EnumerationLimitError(Exception):
@@ -25,18 +27,18 @@ class LpStallError(Exception):
 
 
 class InvalidInputError(ValueError):
-    """Raised when an input document holds a value of the wrong kind.
+    """Raised when an input document or argument holds a value of the wrong kind.
 
     Such values are rejected rather than coerced: a cost of 1.7 is an error,
     never a cost of 1.
     """
 
 
-def json_int(value, field: str) -> int:
-    """``value`` as an int if it is integral (5 or 5.0); ``field`` names it in the error."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
+def as_int(value, field: str) -> int:
+    """``value`` as an int if it is integral (5, 5.0 or a numpy integer); ``field`` names it in the error."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise InvalidInputError(f"{field} must be an integer, got {value!r}")
 

@@ -21,11 +21,14 @@ import numpy as np
 from .constraints import OuterConstraint, polytope_inequalities
 from .lp import build_slot_program, solve_lp
 from .model import Instance, expected_truncated_cost, sample_realization_batch
-from .parallel import map_blocks, split_blocks
+from .parallel import combine_mean_se, map_blocks, split_blocks
 from .seeds import derive_rng, stream_entropy
 
 MARGINAL_TOL = 1e-9
 CERT_TOL = 1e-7
+# LP values at or below this are float dust on basic variables that are 0 in
+# exact arithmetic; they are dropped from solutions
+ENTRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,34 @@ class SlotSolution:
                 out.append(np.cumsum(np.asarray(vs) / total))
         return tuple(out)
 
-    def sample_slot(self, item: int, rng: np.random.Generator) -> int:
-        """Draw a start slot for ``item`` with probability value/marginal."""
+    def slot_at(self, item: int, u: float) -> int:
+        """Inverse-CDF start slot of ``item`` at the uniform ``u``: slot t has probability value/marginal."""
         ts, _ = self.slot_lists[item]
         if not ts:
             raise ValueError(f"item {item} has no slot mass")
-        pos = int(np.searchsorted(self.slot_cum[item], rng.random(), side="right"))
+        pos = int(np.searchsorted(self.slot_cum[item], u, side="right"))
         return ts[min(pos, len(ts) - 1)]
+
+    def sample_slot(self, item: int, rng: np.random.Generator) -> int:
+        """Draw a start slot for ``item`` with probability value/marginal."""
+        return self.slot_at(item, rng.random())
+
+    def sample_slots(self, u, mask=None) -> np.ndarray:
+        """:meth:`slot_at` on a block: column i of the (R, n) uniforms ``u`` draws item i's slots.
+
+        Items with no slot mass get slot 0; a ``mask`` entry set on such an item
+        raises, as :meth:`slot_at` does.
+        """
+        u = np.asarray(u, dtype=float)
+        out = np.zeros(u.shape, dtype=np.int64)
+        for i, (ts, _) in enumerate(self.slot_lists):
+            if not ts:
+                if mask is not None and np.any(mask[:, i]):
+                    raise ValueError(f"item {i} has no slot mass")
+                continue
+            pos = np.searchsorted(self.slot_cum[i], u[:, i], side="right")
+            out[:, i] = np.asarray(ts)[np.minimum(pos, len(ts) - 1)]
+        return out
 
 
 @dataclass(frozen=True)
@@ -124,17 +148,18 @@ def estimate_marginal_gains(
     """
     x = np.clip(np.asarray(marginals, dtype=float), 0.0, 1.0)
     fn = functools.partial(_gain_block, instance, f, x, seed)
-    partials = map_blocks(fn, split_blocks(samples), workers)
-    count = sum(p[0] for p in partials)
-    total = sum((p[1] for p in partials), np.zeros(instance.n))
-    sumsq = sum((p[2] for p in partials), np.zeros(instance.n))
-    mean = total / count
-    if count > 1:
-        var = np.maximum(0.0, (sumsq - count * mean * mean) / (count - 1))
-        se = np.sqrt(var / count)
-    else:
-        se = np.zeros(instance.n)
-    return mean, se
+    return combine_mean_se(map_blocks(fn, split_blocks(samples), workers))
+
+
+def solution_entries(variables, x, n: int):
+    """Entries (item, slot, value) of the values above ENTRY_TOL, and the marginals they sum to."""
+    entries = tuple(
+        (int(i), int(t), float(v)) for (i, t), v in zip(variables, x) if v > ENTRY_TOL
+    )
+    marginals = np.zeros(n)
+    for i, _, v in entries:
+        marginals[i] += v
+    return entries, marginals
 
 
 def run_continuous_greedy(
@@ -182,11 +207,7 @@ def run_continuous_greedy(
         x[item_of_var == i] /= marginals[i]
         marginals[i] = 1.0
 
-    entries = tuple(
-        (int(i), int(t), float(v))
-        for (i, t), v in zip(program.variables, x)
-        if v > 0.0
-    )
+    entries, marginals = solution_entries(program.variables, x, instance.n)
     return SlotSolution(
         n=instance.n,
         budget=instance.budget,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lattice
 from .constraints import OuterConstraint, outer_from_json, outer_to_json, validate_outer
-from .errors import json_int, json_number
+from .errors import as_int, json_number
 from .lattice import UtilityOracle
 from .seeds import derive_rng
 
@@ -139,13 +139,16 @@ def sample_realization_rng(instance: Instance, rng: np.random.Generator) -> np.n
 def sample_realization_batch(
     instance: Instance, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """(count, n) matrix of independent realizations, one per row."""
+    """(count, n) matrix of independent realizations, one per row.
+
+    Entry (r, i) is 1 plus the number of the first B - 1 cumulative
+    probabilities of item i at or below its uniform: the inverse CDF that
+    :func:`sample_realization_rng` computes with ``searchsorted``.
+    """
     u = rng.random((count, instance.n))
-    cum = instance.state_cum_probs
-    states = np.empty((count, instance.n), dtype=np.int64)
-    for i in range(instance.n):
-        states[:, i] = 1 + np.searchsorted(cum[i], u[:, i], side="right")
-    np.minimum(states, instance.B, out=states)
+    states = np.ones((count, instance.n), dtype=np.int64)
+    for s in range(instance.B - 1):
+        states += instance.state_cum_probs[:, s] <= u
     return states
 
 
@@ -188,16 +191,16 @@ def instance_from_json(text: str) -> Instance:
                 json_number(p, f"items[{i}].probs[{s}]") for s, p in enumerate(it["probs"])
             ),
             costs=tuple(
-                json_int(c, f"items[{i}].costs[{s}]") for s, c in enumerate(it["costs"])
+                as_int(c, f"items[{i}].costs[{s}]") for s, c in enumerate(it["costs"])
             ),
         )
         for i, it in enumerate(doc["items"])
     )
-    n = json_int(doc["n"], "n")
+    n = as_int(doc["n"], "n")
     return Instance(
         n=n,
-        B=json_int(doc["B"], "B"),
-        budget=json_int(doc["budget"], "budget"),
+        B=as_int(doc["B"], "B"),
+        budget=as_int(doc["budget"], "budget"),
         items=items,
         outer=outer_from_json(doc["outer"], n),
         utility=lattice.make_utility(doc["utility"], n),

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 BLOCK_SIZE = 4096
 
 
@@ -34,8 +36,12 @@ def map_blocks(fn, blocks, workers: int = 1) -> list:
         return list(pool.map(fn, blocks))
 
 
-def combine_mean_se(partials) -> tuple[float, float]:
-    """Combine (count, sum, sum-of-squares) partials into (mean, standard error)."""
+def combine_mean_se(partials):
+    """Combine (count, sum, sum-of-squares, ...) partials into (mean, standard error).
+
+    The sums are floats or equal-shape arrays; arrays give one mean and one
+    standard error per entry. Entries past the third are ignored.
+    """
     count = sum(p[0] for p in partials)
     total = sum(p[1] for p in partials)
     sumsq = sum(p[2] for p in partials)
@@ -43,6 +49,10 @@ def combine_mean_se(partials) -> tuple[float, float]:
         raise ValueError("no samples")
     mean = total / count
     if count == 1:
-        return mean, 0.0
-    var = max(0.0, (sumsq - count * mean * mean) / (count - 1))
-    return mean, (var / count) ** 0.5
+        se = np.zeros_like(mean)
+    else:
+        var = np.maximum(0.0, (sumsq - count * mean * mean) / (count - 1))
+        se = np.sqrt(var / count)
+    if np.ndim(mean) == 0:
+        return float(mean), float(se)
+    return mean, se

@@ -10,6 +10,11 @@ budget: spent <= slot <= budget - worst cost of the item being selected.
 
 States of unselected items are never read; every trace carries the reveal log
 so tests can audit that boundary.
+
+:func:`execute` runs one traced policy run. Simulation and the coupled
+dominance check run whole blocks of runs at once with :func:`run_policy_batch`,
+which takes the draws of :func:`rounding.draw_block` and returns the same
+sampled, kept, slot, selected and read sets as the traced path on those draws.
 """
 
 from __future__ import annotations
@@ -20,11 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import OuterConstraint, is_independent
+# is_independent stays a module name: bench/tracing.py counts calls through it
+from .constraints import OuterConstraint, independent_rows, is_independent  # noqa: F401
 from .greedy import SlotSolution, certify_solution
-from .model import Instance, sample_realization_batch
-from .parallel import map_blocks, split_blocks
-from .rounding import BalancedCrs, schedule_keep_set, support
+from .model import Instance
+from .parallel import combine_mean_se, map_blocks, split_blocks
+from .rounding import (
+    BalancedCrs,
+    BlockDraws,
+    crs_keep_batch,
+    draw_block,
+    schedule_keep_batch,
+)
 from .seeds import derive_rng
 
 
@@ -95,14 +107,16 @@ def _gate_scan(instance: Instance, kept, times: dict, reveal: RevealLog):
     return tuple(order), tuple(records), tuple(spent_history), tuple(selected)
 
 
-def _run_policy(instance, f, outer, crs, sol, states, rng):
+def _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities, u_slot):
+    """One traced run on explicit draws: the row layout of :func:`rounding.draw_block`.
+
+    Every item has a slot uniform, used only if the item is kept, so this is
+    the scalar reference for :func:`run_policy_batch` on identical draws.
+    """
     reveal = RevealLog(states)
-    sampled = sorted(
-        int(i) for i in np.nonzero(rng.random(instance.n) < sol.marginals)[0]
-    )
-    priorities = rng.random(instance.n)
+    sampled = [int(i) for i in np.nonzero(u_sample < sol.marginals)[0]]
     kept = sorted(crs.keep(outer, sampled, priorities))
-    times = {i: sol.sample_slot(i, rng) for i in kept}
+    times = {i: sol.slot_at(i, u_slot[i]) for i in kept}
     order, records, spent_history, selected = _gate_scan(instance, kept, times, reveal)
     final = np.zeros(instance.n, dtype=np.int64)
     for item, _, passed, state, _ in records:
@@ -120,6 +134,70 @@ def _run_policy(instance, f, outer, crs, sol, states, rng):
         utility=utility,
         reads=tuple(reveal.reads),
     )
+
+
+@dataclass(frozen=True)
+class GateScan:
+    """Outcome of :func:`gate_scan_batch` on a block of R runs."""
+
+    selected: np.ndarray  # (R, n) bool
+    reads: np.ndarray  # (R, n) bool: where a state was read
+    revealed: np.ndarray  # (R, n) the states read, 0 elsewhere
+    spent: np.ndarray  # (R,) total realized cost
+
+
+def gate_scan_batch(instance: Instance, states, kept, times) -> GateScan:
+    """:func:`_gate_scan` on every row of a block at once.
+
+    Step j visits each row's j-th kept item in (start slot, index) order and
+    selects it iff spent <= its slot, so the loop runs at most max-kept steps.
+    States are read only by one masked gather per step, at gate-passed positions.
+    """
+    kept, times, states = np.asarray(kept, dtype=bool), np.asarray(times), np.asarray(states)
+    rows, n = kept.shape
+    key = np.where(kept, times * n + np.arange(n), np.iinfo(np.int64).max)
+    order = np.argsort(key, axis=1, kind="stable")
+    count = kept.sum(axis=1)
+    row_ids = np.arange(rows)
+    # flat views: entry (r, i) is at r * n + i
+    slot_of, state_of = times.reshape(-1), states.reshape(-1)
+    selected = np.zeros(rows * n, dtype=bool)
+    reads = np.zeros(rows * n, dtype=bool)
+    revealed = np.zeros(rows * n, dtype=np.int64)
+    spent = np.zeros(rows, dtype=np.int64)
+    for j in range(int(count.max(initial=0))):
+        r = row_ids[count > j]  # rows that still have a j-th kept item
+        at = r * n + order[r, j]
+        passed = spent[r] <= slot_of[at]
+        r, at = r[passed], at[passed]
+        selected[at] = True
+        state = state_of[at]
+        reads[at] = True
+        revealed[at] = state
+        spent[r] += instance.cost_matrix[at % n, state - 1]
+    shape = (rows, n)
+    return GateScan(selected.reshape(shape), reads.reshape(shape), revealed.reshape(shape), spent)
+
+
+@dataclass(frozen=True)
+class BlockRun:
+    """Batched policy runs of one block: sampled, kept, slots, gate scan and utilities."""
+
+    sampled: np.ndarray  # (R, n) bool
+    kept: np.ndarray  # (R, n) bool
+    slots: np.ndarray  # (R, n) start slots, 0 for items without slot mass
+    scan: GateScan
+    utility: np.ndarray  # (R,)
+
+
+def run_policy_batch(instance, f, outer, crs, sol, draws: BlockDraws) -> BlockRun:
+    """The policy on every row of ``draws``: sample, resolve, draw slots, gate scan."""
+    sampled = draws.u_sample < sol.marginals
+    kept = crs_keep_batch(crs, outer, sampled, draws.priorities)
+    slots = sol.sample_slots(draws.u_slot, sampled)
+    scan = gate_scan_batch(instance, draws.states, kept, slots)
+    utility = np.asarray(f.value_batch(scan.revealed), dtype=float)
+    return BlockRun(sampled, kept, slots, scan, utility)
 
 
 def execute(
@@ -150,7 +228,8 @@ def execute(
     states = np.asarray(realization, dtype=np.int64)
     if states.shape != (instance.n,) or np.any(states < 1) or np.any(states > instance.B):
         raise ValueError("realization must assign each item a state in 1..B")
-    return _run_policy(instance, f, outer, crs, sol, states, derive_rng(seed, "policy"))
+    u_sample, priorities, u_slot = derive_rng(seed, "policy").random((3, instance.n))
+    return _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities, u_slot)
 
 
 @dataclass(frozen=True)
@@ -164,24 +243,20 @@ class SimulationSummary:
 
 
 def _simulate_block(instance, f, outer, crs, sol, seed, block):
+    """Utility sums and violation counts of one block of runs."""
     b, size = block
-    rng = derive_rng(seed, "simulate", b)
-    states = sample_realization_batch(instance, rng, size)
-    total = 0.0
-    sumsq = 0.0
-    inner_v = outer_v = adapt_v = 0
-    for r in range(size):
-        trace = _run_policy(instance, f, outer, crs, sol, states[r], rng)
-        u = trace.utility
-        total += u
-        sumsq += u * u
-        if trace.total_cost > instance.budget:
-            inner_v += 1
-        if not is_independent(outer, trace.selected):
-            outer_v += 1
-        if list(trace.reads) != list(trace.selected):
-            adapt_v += 1
-    return size, total, sumsq, inner_v, outer_v, adapt_v
+    run = run_policy_batch(
+        instance, f, outer, crs, sol, draw_block(instance, derive_rng(seed, "simulate", b), size)
+    )
+    scan = run.scan
+    return (
+        size,
+        float(run.utility.sum()),
+        float(run.utility @ run.utility),
+        int(np.count_nonzero(scan.spent > instance.budget)),
+        int(np.count_nonzero(~independent_rows(outer, scan.selected))),
+        int(np.count_nonzero(np.any(scan.reads != scan.selected, axis=1))),
+    )
 
 
 def simulate_batch(
@@ -194,22 +269,23 @@ def simulate_batch(
     seed: int,
     workers: int = 1,
 ) -> SimulationSummary:
-    """Run the policy many times and tally utility plus constraint violations."""
+    """Run the policy many times and tally utility plus constraint violations.
+
+    A run violates the inner budget if it spends more than the budget, the outer
+    family if its selected set is not in it, and adaptivity if the set of items
+    whose states it read differs from its selected set.
+    """
     if runs < 2:
         raise ValueError("need at least 2 runs")
     instance.require_valid()
     check_solution_shape(instance, sol)
     fn = functools.partial(_simulate_block, instance, f, outer, crs, sol, seed)
     partials = map_blocks(fn, split_blocks(runs), workers)
-    count = sum(p[0] for p in partials)
-    total = sum(p[1] for p in partials)
-    sumsq = sum(p[2] for p in partials)
-    mean = total / count
-    var = max(0.0, (sumsq - count * mean * mean) / (count - 1))
+    mean, se = combine_mean_se(partials)
     return SimulationSummary(
-        runs=count,
+        runs=sum(p[0] for p in partials),
         mean_utility=mean,
-        se=(var / count) ** 0.5,
+        se=se,
         inner_violations=sum(p[3] for p in partials),
         outer_violations=sum(p[4] for p in partials),
         adaptivity_violations=sum(p[5] for p in partials),
@@ -253,51 +329,35 @@ def coupled_dominance_check(
     """
     instance.require_valid()
     check_solution_shape(instance, sol)
-    rng = derive_rng(seed, "dominance")
     violations = []
-    for trial in range(trials):
-        states = sample_realization_batch(instance, rng, 1)[0]
-        sampled = sorted(
-            int(i) for i in np.nonzero(rng.random(instance.n) < sol.marginals)[0]
-        )
-        v = np.zeros(instance.n, dtype=np.int64)
-        v[sampled] = states[sampled]
-        priorities = rng.random(instance.n)
-        kept = crs.keep(outer, sampled, priorities)
-        times = {i: sol.sample_slot(i, rng) for i in sampled}
-
-        reveal = RevealLog(states)
-        _, records, _, selected = _gate_scan(
-            instance, sorted(kept), {i: times[i] for i in kept}, reveal
-        )
-        policy_vec = np.zeros(instance.n, dtype=np.int64)
-        for item, _, passed, state, _ in records:
-            if passed:
-                policy_vec[item] = state
-        policy_utility = float(f.value(policy_vec))
-
-        sched = schedule_keep_set(instance, v, times)
-        pruned = np.zeros(instance.n, dtype=np.int64)
-        for i in kept & sched:
-            pruned[i] = v[i]
-        pruned_utility = float(f.value(pruned))
-
-        covered = bool(np.all((pruned == 0) | (policy_vec == pruned)))
-        if not covered or policy_utility < pruned_utility - 1e-12:
+    start = 0
+    for b, size in split_blocks(trials):
+        d = draw_block(instance, derive_rng(seed, "dominance", b), size)
+        run = run_policy_batch(instance, f, outer, crs, sol, d)
+        v = np.where(run.sampled, d.states, 0)
+        sched = schedule_keep_batch(instance, v, run.slots)
+        pruned = np.where(run.kept & sched, v, 0)
+        pruned_utility = np.asarray(f.value_batch(pruned), dtype=float)
+        policy_vec = run.scan.revealed
+        covered = np.all((pruned == 0) | (policy_vec == pruned), axis=1)
+        bad = ~covered | (run.utility < pruned_utility - 1e-12)
+        for r in np.flatnonzero(bad):
+            sampled = np.flatnonzero(run.sampled[r])
             violations.append(
                 {
-                    "trial": trial,
-                    "realization": [int(s) for s in states],
-                    "sampled": [i + 1 for i in sampled],
-                    "kept": sorted(i + 1 for i in kept),
-                    "times": {i + 1: int(times[i]) for i in sampled},
-                    "selected": [i + 1 for i in selected],
-                    "policy_vector": [int(s) for s in policy_vec],
-                    "pruned_vector": [int(s) for s in pruned],
-                    "policy_utility": policy_utility,
-                    "pruned_utility": pruned_utility,
+                    "trial": start + int(r),
+                    "realization": [int(s) for s in d.states[r]],
+                    "sampled": [int(i) + 1 for i in sampled],
+                    "kept": [int(i) + 1 for i in np.flatnonzero(run.kept[r])],
+                    "times": {int(i) + 1: int(run.slots[r, i]) for i in sampled},
+                    "selected": [int(i) + 1 for i in np.flatnonzero(run.scan.selected[r])],
+                    "policy_vector": [int(s) for s in policy_vec[r]],
+                    "pruned_vector": [int(s) for s in pruned[r]],
+                    "policy_utility": float(run.utility[r]),
+                    "pruned_utility": float(pruned_utility[r]),
                 }
             )
+        start += size
     return DominanceReport(trials=trials, violations=tuple(violations))
 
 

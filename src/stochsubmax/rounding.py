@@ -19,6 +19,10 @@ zeroes coordinates (output(i) is v(i) or 0):
 
 Empirical keep rates of all of the above are estimated per item (set level)
 or per (item, state) pair (state level) with binomial standard errors.
+
+The estimators run a block of R trials at a time through batched forms of the
+maps (:func:`crs_keep_batch`, :func:`schedule_keep_batch`) on (R, n) arrays
+drawn by :func:`draw_block`; the set-based functions stay as the reference.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .constraints import OuterConstraint, in_scaled_polytope, is_independent
+from .constraints import OuterConstraint, in_scaled_polytope, independent_rows, is_independent
+from .extensions import check_marginals
 from .greedy import SlotSolution
-from .model import Instance
+from .model import Instance, sample_realization_batch
 from .parallel import map_blocks, split_blocks
 from .seeds import derive_rng, stream_entropy
 
@@ -85,6 +90,42 @@ def greedy_keep(outer: OuterConstraint, members, priorities) -> set:
     for i in sorted(members, key=lambda i: (priorities[i], i)):
         if is_independent(outer, kept | {i}):
             kept.add(i)
+    return kept
+
+
+def _least_priority(sampled: np.ndarray, priorities: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's (at most) k sampled items of least (priority, index)."""
+    order = np.argsort(np.where(sampled, priorities, np.inf), axis=1, kind="stable")
+    least = np.zeros_like(sampled)
+    np.put_along_axis(least, order[:, :k], True, axis=1)
+    return least & sampled
+
+
+def crs_keep_batch(crs: BalancedCrs, outer: OuterConstraint, sampled, priorities) -> np.ndarray:
+    """``crs.keep`` on every row of a block: the (R, n) mask of kept items.
+
+    Row r resolves the item set ``sampled[r]`` with ``priorities[r]``. The
+    priority scheme keeps, under cardinality, the k sampled items of least
+    (priority, index), and under a partition the same within each block, which
+    is what :func:`greedy_keep` keeps; explicit families run
+    :func:`greedy_keep` row by row.
+    """
+    sampled = np.asarray(sampled, dtype=bool)
+    if crs.kind == "identity":
+        if not np.all(independent_rows(outer, sampled)):
+            raise ValueError("identity scheme got a set outside the outer family")
+        return sampled.copy()
+    if outer.kind == "cardinality":
+        return _least_priority(sampled, priorities, outer.k)
+    if outer.kind == "partition":
+        kept = sampled.copy()
+        for block, cap in zip(outer.blocks, outer.caps):
+            cols = list(block)
+            kept[:, cols] = _least_priority(sampled[:, cols], priorities[:, cols], cap)
+        return kept
+    kept = np.zeros_like(sampled)
+    for r, row in enumerate(sampled):
+        kept[r, sorted(greedy_keep(outer, np.flatnonzero(row), priorities[r]))] = True
     return kept
 
 
@@ -179,6 +220,43 @@ def schedule_keep_set(instance: Instance, v, times: dict) -> set:
     return kept
 
 
+def schedule_keep_batch(instance: Instance, v, times) -> np.ndarray:
+    """:func:`schedule_keep_set` on every row of a block: the (R, n) mask of kept items.
+
+    ``v`` is an (R, n) state matrix (0 off the support) and ``times`` the (R, n)
+    start slots, read only on the support. With c the realized costs and C[r, t]
+    the row's total support cost at slots 1..t, item i is kept iff
+    C[r, times[r, i]] - c[r, i] <= times[r, i]. Memory is O(R * (n + budget)).
+    """
+    v = np.asarray(v)
+    rows, n = v.shape
+    on = v > 0
+    width = instance.budget + 1
+    cost = np.where(on, instance.cost_matrix[np.arange(n), np.maximum(v, 1) - 1], 0)
+    t = np.where(on, times, 0)
+    cells = np.arange(rows)[:, None] * width + t
+    hist = np.bincount(cells[on], weights=cost[on], minlength=rows * width)
+    cum = np.cumsum(hist.reshape(rows, width), axis=1)
+    return on & (np.take_along_axis(cum, t, axis=1) - cost <= t)
+
+
+@dataclass(frozen=True)
+class BlockDraws:
+    """The random arrays of one block of R trials, each (R, n), drawn in field order."""
+
+    states: np.ndarray  # realized states 1..B
+    u_sample: np.ndarray  # item i is sampled iff u_sample[:, i] < its marginal
+    priorities: np.ndarray  # priority-scheme priorities
+    u_slot: np.ndarray  # inverse-CDF uniforms of the start-slot draws
+
+
+def draw_block(instance: Instance, rng: np.random.Generator, size: int) -> BlockDraws:
+    """States, sample uniforms, priorities and slot uniforms of ``size`` trials, in that order."""
+    states = sample_realization_batch(instance, rng, size)
+    u_sample, priorities, u_slot = rng.random((3, size, instance.n))
+    return BlockDraws(states, u_sample, priorities, u_slot)
+
+
 def _schedule_keep(instance, sol, v, rng) -> tuple[set, dict]:
     sup = support(v)
     bad = [i for i in sup if sol.marginals[i] <= 0]
@@ -242,19 +320,13 @@ def _binomial_rows(mapping, cond, kept, states: bool) -> list[CrsEstimate]:
 
 
 def _gamma_block(crs, outer, y, seed, block):
+    """Kept and sampled counts of one block; draws the sample uniforms, then the priorities."""
     b, size = block
     rng = derive_rng(seed, "keep-rate", b)
-    n = outer.n
-    cond = np.zeros((n, 1), dtype=np.int64)
-    kept_counts = np.zeros((n, 1), dtype=np.int64)
-    for _ in range(size):
-        members = np.nonzero(rng.random(n) < y)[0]
-        kept = crs.resolve(outer, members, rng)
-        for i in members:
-            cond[i, 0] += 1
-            if i in kept:
-                kept_counts[i, 0] += 1
-    return cond, kept_counts
+    u_sample, priorities = rng.random((2, size, outer.n))
+    sampled = u_sample < y
+    kept = crs_keep_batch(crs, outer, sampled, priorities)
+    return sampled.sum(axis=0)[:, None], kept.sum(axis=0)[:, None]
 
 
 def estimate_set_keep_rate(
@@ -283,28 +355,29 @@ def estimate_set_keep_rate(
 
 
 def _alpha_block(mapping, instance, outer, crs, sol, seed, block):
+    """Per (item, state) sampled and kept counts of one block (layout of :func:`draw_block`).
+
+    The thinned vector is the realized state where the item is sampled, else 0;
+    ``combined`` uses the priorities and the slot uniforms, which are independent.
+    """
     b, size = block
-    rng = derive_rng(seed, f"keep-{mapping}", b)
-    dist = thinned_distribution(instance, sol.marginals)
+    d = draw_block(instance, derive_rng(seed, f"keep-{mapping}", b), size)
+    sampled = d.u_sample < sol.marginals
+    v = np.where(sampled, d.states, 0)
+    if mapping == "outer":
+        keep = crs_keep_batch(crs, outer, sampled, d.priorities)
+    elif mapping == "schedule":
+        keep = schedule_keep_batch(instance, v, sol.sample_slots(d.u_slot, sampled))
+    elif mapping == "combined":
+        keep = crs_keep_batch(crs, outer, sampled, d.priorities) & schedule_keep_batch(
+            instance, v, sol.sample_slots(d.u_slot, sampled)
+        )
+    else:
+        raise ValueError(f"unknown mapping {mapping!r}")
     n, width = instance.n, instance.B + 1
-    cond = np.zeros((n, width), dtype=np.int64)
-    kept = np.zeros((n, width), dtype=np.int64)
-    for _ in range(size):
-        v = dist.sample(rng)
-        if mapping == "outer":
-            keep = _outer_keep(outer, crs, v, rng)
-        elif mapping == "schedule":
-            keep, _ = _schedule_keep(instance, sol, v, rng)
-        elif mapping == "combined":
-            keep_a = _outer_keep(outer, crs, v, rng)
-            keep_b, _ = _schedule_keep(instance, sol, v, rng)
-            keep = keep_a & keep_b
-        else:
-            raise ValueError(f"unknown mapping {mapping!r}")
-        for i in support(v):
-            cond[i, v[i]] += 1
-            if i in keep:
-                kept[i, v[i]] += 1
+    cells = np.arange(n) * width + v
+    cond = np.bincount(cells[sampled], minlength=n * width).reshape(n, width)
+    kept = np.bincount(cells[sampled & keep], minlength=n * width).reshape(n, width)
     return cond, kept
 
 
@@ -321,6 +394,7 @@ def estimate_state_keep_rates(
     """Per (item, state) empirical Pr[coordinate survives | coordinate sampled]."""
     if mapping not in MAPPINGS:
         raise ValueError(f"mapping must be one of {MAPPINGS}")
+    check_marginals(instance, sol.marginals)
     fn = functools.partial(
         _alpha_block, mapping, instance, outer, crs, sol, stream_entropy(seed, mapping)
     )

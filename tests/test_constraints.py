@@ -10,6 +10,7 @@ from stochsubmax.constraints import (
     explicit,
     feasible_sets,
     in_scaled_polytope,
+    independent_rows,
     is_independent,
     outer_from_json,
     outer_to_json,
@@ -17,7 +18,11 @@ from stochsubmax.constraints import (
     polytope_inequalities,
     validate_outer,
 )
-from stochsubmax.errors import EnumerationLimitError, NoCompactPolytopeError
+from stochsubmax.errors import (
+    EnumerationLimitError,
+    InvalidInputError,
+    NoCompactPolytopeError,
+)
 
 
 def test_cardinality_membership():
@@ -144,3 +149,31 @@ def test_json_round_trip():
         explicit(3, [[0, 1], [2]]),
     ):
         assert outer_from_json(outer_to_json(outer), 3) == outer
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: cardinality(3, 1.7), "k"),
+    (lambda: cardinality(3, "2"), "k"),
+    (lambda: partition(3, [[0, 1.5], [2]], [1, 1]), r"blocks\[0\]\[1\]"),
+    (lambda: partition(3, [[0, 1], [2]], [1, 0.5]), r"caps\[1\]"),
+    (lambda: partition(3, [[0, 1], [2]], [True, 1]), r"caps\[0\]"),
+    (lambda: explicit(3, [[0], [1, np.float64(2.2)]]), r"maximal\[1\]\[1\]"),
+])
+def test_constructors_reject_non_integral_values(build, field):
+    with pytest.raises(InvalidInputError, match=field):
+        build()
+
+
+def test_constructors_accept_integral_floats_and_numpy_ints():
+    assert cardinality(3, 2.0).k == 2 and type(cardinality(3, np.int64(2)).k) is int
+    outer = partition(3, [np.array([1, 0]), [2.0]], [np.int32(1), 1.0])
+    assert outer.blocks == ((0, 1), (2,)) and outer.caps == (1, 1)
+    assert all(type(c) is int for c in outer.caps)
+    assert explicit(3, [[np.int64(0), 2.0]]).maximal == (frozenset({0, 2}),)
+
+
+def test_independent_rows_counts_blocks():
+    outer = partition(4, [[0, 1], [2, 3]], [1, 2])
+    mask = np.array([[1, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 0]], dtype=bool)
+    assert independent_rows(outer, mask).tolist() == [False, True, True]
+    assert independent_rows(cardinality(4, 0), mask).tolist() == [False, False, True]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochsubmax.extensions import expected_set_value_exact, multilinear_exact
-from stochsubmax.generators import single_item_instance
+from stochsubmax.generators import partition_demo_instance, single_item_instance
 from stochsubmax.greedy import (
     SlotSolution,
     certify_solution,
@@ -12,6 +12,7 @@ from stochsubmax.greedy import (
     solution_to_json,
 )
 from stochsubmax.lattice import WeightedModular
+from stochsubmax.parallel import combine_mean_se
 
 
 def test_gains_at_origin_match_exact_marginals(pair_instance):
@@ -154,3 +155,33 @@ def test_sample_slot_distribution(pair_instance):
         freq = float(np.mean(draws == t))
         se = np.sqrt(max(p * (1 - p), 1e-12) / len(draws))
         assert abs(freq - p) <= 4 * se + 1e-9
+
+
+def test_gains_bit_identical_on_pinned_instance():
+    # solutions follow the gains, so their reduction must not move a bit;
+    # 9000 samples span three blocks
+    inst = partition_demo_instance()
+    gains, ses = estimate_marginal_gains(
+        inst, inst.utility, np.full(inst.n, 0.3), samples=9000, seed=4
+    )
+    assert [float(g).hex() for g in gains] == [
+        "0x1.a7daf18063b46p-1", "0x1.30ec884baf1b9p+0", "0x1.7426aeebdf18dp-1",
+    ]
+    assert [float(s).hex() for s in ses] == [
+        "0x1.217d0e0e6b20ap-8", "0x1.39552798935e6p-8", "0x1.121bd84187a99p-8",
+    ]
+
+
+def test_combine_mean_se_arrays_match_scalars():
+    rng = np.random.default_rng(2)
+    partials = []
+    for size in (5, 9, 1):
+        x = rng.random((size, 3))
+        partials.append((size, x.sum(axis=0), (x * x).sum(axis=0)))
+    mean, se = combine_mean_se(partials)
+    for j in range(3):
+        m, s = combine_mean_se([(c, t[j], q[j]) for c, t, q in partials])
+        assert (mean[j], se[j]) == (m, s)
+        assert type(m) is float and type(s) is float
+    one_mean, one_se = combine_mean_se([partials[2]])
+    assert np.array_equal(one_mean, partials[2][1]) and not one_se.any()

@@ -13,6 +13,12 @@ from stochsubmax.generators import (
     single_item_instance,
     symmetric_pair_instance,
 )
+from stochsubmax.greedy import (
+    ENTRY_TOL,
+    certify_solution,
+    run_continuous_greedy,
+    solution_entries,
+)
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.lp import build_slot_program, program_dump, simplex_max, solve_lp
 from stochsubmax.model import Instance, ItemModel, expected_truncated_cost
@@ -180,8 +186,8 @@ def test_explicit_outer_refused_by_builder():
         build_slot_program(inst, inst.outer)
 
 
-def pinned_program(seed, n, budget, kind):
-    """Seeded slot program with a per-item objective, as one greedy step builds it."""
+def pinned_instance(seed, n, budget, kind):
+    """Seeded instance behind a pinned program, with its modular weights."""
     rng = np.random.default_rng(seed)
     items = []
     for _ in range(n):
@@ -194,13 +200,18 @@ def pinned_program(seed, n, budget, kind):
     else:
         outer = constraints.partition(n, [range(b, n, 3) for b in range(3)], [2, 1, 2])
     weights = tuple(float(w) for w in np.round(rng.uniform(0.5, 2.0, size=n), 3))
-    inst = Instance(
+    return Instance(
         n=n, B=3, budget=budget, items=tuple(items), outer=outer,
         utility=WeightedModular(weights=weights),
     )
-    prog = build_slot_program(inst, outer)
+
+
+def pinned_program(seed, n, budget, kind):
+    """Seeded slot program with a per-item objective, as one greedy step builds it."""
+    inst = pinned_instance(seed, n, budget, kind)
+    prog = build_slot_program(inst, inst.outer)
     item_of_var = np.array([i for i, _ in prog.variables])
-    return prog, np.asarray(weights)[item_of_var]
+    return prog, np.asarray(inst.utility.weights)[item_of_var]
 
 
 # Bland's rule fixes the pivot sequence, so these pins hold for any
@@ -242,6 +253,30 @@ def test_bland_vertex_pinned(args, shape, pivots, support):
     assert val == pytest.approx(float(obj @ x), abs=1e-12)
 
 
+@pytest.mark.parametrize("args,shape,pivots,support", PINNED_VERTICES)
+def test_solution_entries_drop_vertex_dust(args, shape, pivots, support):
+    prog, obj = pinned_program(*args)
+    x, _, _ = simplex_max(obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj)))
+    entries, marginals = solution_entries(prog.variables, x, args[1])
+    kept = [j for j in sorted(support) if support[j] > ENTRY_TOL]
+    assert len(kept) < len(support)  # each pinned vertex carries dust
+    assert entries == tuple((*prog.variables[j], float(x[j])) for j in kept)
+    expected = np.zeros(args[1])
+    for i, _, v in entries:
+        expected[i] += v
+    assert np.array_equal(marginals, expected)
+
+
+@pytest.mark.parametrize("args", [p[0] for p in PINNED_VERTICES])
+def test_greedy_returns_no_entry_at_or_below_tolerance(args):
+    inst = pinned_instance(*args)
+    sol = run_continuous_greedy(
+        inst, inst.utility, inst.outer, stop_scale=0.25, steps=4, grad_samples=200, seed=1
+    )
+    assert sol.entries and all(v > ENTRY_TOL for _, _, v in sol.entries)
+    assert certify_solution(inst, inst.outer, sol, 0.25).passed
+
+
 @st.composite
 def bounded_lps(draw):
     """Small LPs with integer data: mixed finite and infinite upper bounds,
@@ -258,17 +293,30 @@ def bounded_lps(draw):
     return c, A, b, upper
 
 
+def has_improving_ray(c, A, upper):
+    """Is there d >= 0 with A d <= 0 and c.d > 0, zero where the upper bound is finite?
+
+    x = 0 is feasible (b >= 0), so such a ray means the program is unbounded.
+    """
+    ray = linprog(-c, A_ub=A, b_ub=np.zeros(len(A)), method="highs",
+                  bounds=[(0, 1.0 if np.isinf(u) else 0.0) for u in upper])
+    assert ray.success
+    return -ray.fun > 1e-9
+
+
 @settings(max_examples=300)
 @given(bounded_lps())
 def test_against_highs_with_mixed_bounds(lp):
     c, A, b, upper = lp
-    # HiGHS presolve can report an unbounded program as infeasible; x = 0 is feasible here
-    ref = linprog(-c, A_ub=A, b_ub=b, bounds=[(0, None if np.isinf(u) else u) for u in upper],
-                  method="highs", options={"presolve": False})
-    if ref.status == 3:  # unbounded: no ratio-test candidate
+    # unboundedness is decided by the ray program above: HiGHS without presolve
+    # can end an unbounded program with model status Unknown, and with presolve
+    # it can report one as infeasible
+    if has_improving_ray(c, A, upper):  # no ratio-test candidate
         with pytest.raises(LpStallError):
             simplex_max(c, A, b, upper)
         return
+    ref = linprog(-c, A_ub=A, b_ub=b, bounds=[(0, None if np.isinf(u) else u) for u in upper],
+                  method="highs", options={"presolve": False})
     assert ref.success
     x, val, _ = simplex_max(c, A, b, upper)
     assert val == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)

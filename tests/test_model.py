@@ -16,6 +16,7 @@ from stochsubmax.model import (
     instance_to_json,
     masked_states,
     sample_realization,
+    sample_realization_batch,
     validate_instance,
 )
 
@@ -109,6 +110,36 @@ def test_sampling_frequency(pair_instance):
     freq = np.mean(draws == 1)
     se = np.sqrt(0.25 / len(draws))
     assert abs(freq - 0.5) < 3 * se
+
+
+def test_batch_sampling_matches_per_item_searchsorted():
+    # the row-by-row inverse CDF the batch sampler replaces; zero-probability
+    # states tie cumulative entries and uniforms may hit one exactly
+    items = [
+        ItemModel(probs=(0.25, 0.0, 0.75), costs=(1, 2, 3)),
+        ItemModel(probs=(0.0, 0.5, 0.5), costs=(1, 1, 2)),
+        ItemModel(probs=(1.0, 0.0, 0.0), costs=(1, 1, 1)),
+    ]
+    inst = build(items)
+    u = np.random.default_rng(3).random((5000, 3))
+    u[:4] = [[0.25, 0.5, 1.0 - 1e-16], [0.0, 0.0, 0.0], [0.25, 0.5, 0.5], [0.3, 0.7, 0.1]]
+    states = sample_realization_batch(inst, _FixedUniforms(u), 5000)
+    cum = inst.state_cum_probs
+    expected = np.stack(
+        [1 + np.searchsorted(cum[i], u[:, i], side="right") for i in range(3)], axis=1
+    )
+    assert_array_equal(states, np.minimum(expected, 3))
+
+
+class _FixedUniforms:
+    """Generator stand-in whose ``random`` returns a fixed array."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
 
 
 def test_sampling_rejects_invalid():

@@ -7,7 +7,7 @@ from stochsubmax import constraints
 from stochsubmax.generators import random_instance, single_item_instance
 from stochsubmax.greedy import SlotSolution, run_continuous_greedy
 from stochsubmax.lattice import WeightedModular
-from stochsubmax.model import sample_realization
+from stochsubmax.model import Instance, ItemModel, sample_realization
 from stochsubmax.policy import (
     RevealLog,
     _gate_scan,
@@ -198,6 +198,24 @@ def test_dominance_across_random_instances():
             inst, inst.utility, inst.outer, crs, sol, trials=800, seed=k
         )
         assert report.passed, report.violations[:1]
+
+
+def test_dominance_under_contention():
+    # k = 1 with mass on all three items: some trials sample two items and the
+    # scheme drops one, which the pruned vector must drop too
+    items = (ItemModel(probs=(0.5, 0.5), costs=(1, 2)),) * 3
+    inst = Instance(n=3, B=2, budget=5, items=items, outer=constraints.cardinality(3, 1),
+                    utility=WeightedModular(weights=(1.0, 1.0, 1.0)))
+    sol = SlotSolution(
+        n=3, budget=5, entries=tuple((i, t, 0.1) for i in range(3) for t in (1, 2)),
+        marginals=np.full(3, 0.2), stop_scale=0.25, steps=1, grad_samples=1, seed=0,
+    )
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    report = coupled_dominance_check(inst, inst.utility, inst.outer, crs, sol,
+                                     trials=3000, seed=4)
+    assert report.passed, report.violations[:1]
+    runs = simulate_batch(inst, inst.utility, inst.outer, crs, sol, runs=3000, seed=4)
+    assert runs.outer_violations == 0 and runs.inner_violations == 0
 
 
 def test_trace_json_export(pair_instance):

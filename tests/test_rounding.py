@@ -343,3 +343,10 @@ def test_thinned_distribution_rejects_bad_marginals(pair_instance):
         thinned_distribution(pair_instance, [1.5, 0.2])
     with pytest.raises(ValueError):
         thinned_distribution(pair_instance, [0.5])
+
+
+def test_state_keep_rates_reject_bad_marginals(pair_instance):
+    bad = flat_solution(pair_instance, [1.5, 0.2])
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    with pytest.raises(ValueError, match="marginals"):
+        estimate_state_keep_rates("outer", pair_instance, pair_instance.outer, crs, bad, 10, 0)
