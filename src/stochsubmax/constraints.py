@@ -39,7 +39,7 @@ class OuterConstraint:
 
 def _ints(values, field: str) -> list[int]:
     """``values`` as ints; entry j is named ``field[j]`` in the error."""
-    return [v if type(v) is int else as_int(v, f"{field}[{j}]") for j, v in enumerate(values)]
+    return [as_int(v, f"{field}[{j}]") for j, v in enumerate(values)]
 
 
 def cardinality(n: int, k: int) -> OuterConstraint:

@@ -78,17 +78,17 @@ class SlotSolution:
         """Draw a start slot for ``item`` with probability value/marginal."""
         return self.slot_at(item, rng.random())
 
-    def sample_slots(self, u, mask=None) -> np.ndarray:
+    def sample_slots(self, u, mask) -> np.ndarray:
         """:meth:`slot_at` on a block: column i of the (R, n) uniforms ``u`` draws item i's slots.
 
-        Items with no slot mass get slot 0; a ``mask`` entry set on such an item
-        raises, as :meth:`slot_at` does.
+        Items with no slot mass get slot 0; an entry of the (R, n) ``mask`` set
+        on such an item raises, as :meth:`slot_at` does.
         """
         u = np.asarray(u, dtype=float)
         out = np.zeros(u.shape, dtype=np.int64)
         for i, (ts, _) in enumerate(self.slot_lists):
             if not ts:
-                if mask is not None and np.any(mask[:, i]):
+                if np.any(mask[:, i]):
                     raise ValueError(f"item {i} has no slot mass")
                 continue
             pos = np.searchsorted(self.slot_cum[i], u[:, i], side="right")

@@ -136,22 +136,15 @@ def _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities, u_sl
     )
 
 
-@dataclass(frozen=True)
-class GateScan:
-    """Outcome of :func:`gate_scan_batch` on a block of R runs."""
-
-    selected: np.ndarray  # (R, n) bool
-    reads: np.ndarray  # (R, n) bool: where a state was read
-    revealed: np.ndarray  # (R, n) the states read, 0 elsewhere
-    spent: np.ndarray  # (R,) total realized cost
-
-
-def gate_scan_batch(instance: Instance, states, kept, times) -> GateScan:
+def gate_scan_batch(instance: Instance, states, kept, times):
     """:func:`_gate_scan` on every row of a block at once.
 
     Step j visits each row's j-th kept item in (start slot, index) order and
     selects it iff spent <= its slot, so the loop runs at most max-kept steps.
-    States are read only by one masked gather per step, at gate-passed positions.
+    States are read only through ``read``, one masked gather per step at
+    gate-passed positions, which is the only place the read mask is set.
+    Returns (R, n) ``selected``, ``reads`` and ``revealed`` (the states read, 0
+    elsewhere) and the (R,) ``spent``.
     """
     kept, times, states = np.asarray(kept, dtype=bool), np.asarray(times), np.asarray(states)
     rows, n = kept.shape
@@ -165,18 +158,22 @@ def gate_scan_batch(instance: Instance, states, kept, times) -> GateScan:
     reads = np.zeros(rows * n, dtype=bool)
     revealed = np.zeros(rows * n, dtype=np.int64)
     spent = np.zeros(rows, dtype=np.int64)
+
+    def read(at):
+        state = state_of[at]
+        reads[at] = True
+        revealed[at] = state
+        return state
+
     for j in range(int(count.max(initial=0))):
         r = row_ids[count > j]  # rows that still have a j-th kept item
         at = r * n + order[r, j]
         passed = spent[r] <= slot_of[at]
         r, at = r[passed], at[passed]
         selected[at] = True
-        state = state_of[at]
-        reads[at] = True
-        revealed[at] = state
-        spent[r] += instance.cost_matrix[at % n, state - 1]
+        spent[r] += instance.cost_matrix[at % n, read(at) - 1]
     shape = (rows, n)
-    return GateScan(selected.reshape(shape), reads.reshape(shape), revealed.reshape(shape), spent)
+    return selected.reshape(shape), reads.reshape(shape), revealed.reshape(shape), spent
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,10 @@ class BlockRun:
     sampled: np.ndarray  # (R, n) bool
     kept: np.ndarray  # (R, n) bool
     slots: np.ndarray  # (R, n) start slots, 0 for items without slot mass
-    scan: GateScan
+    selected: np.ndarray  # (R, n) bool
+    reads: np.ndarray  # (R, n) bool: where a state was read
+    revealed: np.ndarray  # (R, n) the states read, 0 elsewhere
+    spent: np.ndarray  # (R,) total realized cost
     utility: np.ndarray  # (R,)
 
 
@@ -195,9 +195,9 @@ def run_policy_batch(instance, f, outer, crs, sol, draws: BlockDraws) -> BlockRu
     sampled = draws.u_sample < sol.marginals
     kept = crs_keep_batch(crs, outer, sampled, draws.priorities)
     slots = sol.sample_slots(draws.u_slot, sampled)
-    scan = gate_scan_batch(instance, draws.states, kept, slots)
-    utility = np.asarray(f.value_batch(scan.revealed), dtype=float)
-    return BlockRun(sampled, kept, slots, scan, utility)
+    selected, reads, revealed, spent = gate_scan_batch(instance, draws.states, kept, slots)
+    utility = np.asarray(f.value_batch(revealed), dtype=float)
+    return BlockRun(sampled, kept, slots, selected, reads, revealed, spent, utility)
 
 
 def execute(
@@ -248,14 +248,13 @@ def _simulate_block(instance, f, outer, crs, sol, seed, block):
     run = run_policy_batch(
         instance, f, outer, crs, sol, draw_block(instance, derive_rng(seed, "simulate", b), size)
     )
-    scan = run.scan
     return (
         size,
         float(run.utility.sum()),
         float(run.utility @ run.utility),
-        int(np.count_nonzero(scan.spent > instance.budget)),
-        int(np.count_nonzero(~independent_rows(outer, scan.selected))),
-        int(np.count_nonzero(np.any(scan.reads != scan.selected, axis=1))),
+        int(np.count_nonzero(run.spent > instance.budget)),
+        int(np.count_nonzero(~independent_rows(outer, run.selected))),
+        int(np.count_nonzero(np.any(run.reads != run.selected, axis=1))),
     )
 
 
@@ -273,7 +272,10 @@ def simulate_batch(
 
     A run violates the inner budget if it spends more than the budget, the outer
     family if its selected set is not in it, and adaptivity if the set of items
-    whose states it read differs from its selected set.
+    whose states it read differs from its selected set. The batched gate scan
+    marks a read only where it gathers a state, so the last tally reads 0 unless
+    that gather moves; tests/test_kernel.py checks the read mask against the
+    scalar path's :class:`RevealLog` on identical draws.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs")
@@ -338,7 +340,7 @@ def coupled_dominance_check(
         sched = schedule_keep_batch(instance, v, run.slots)
         pruned = np.where(run.kept & sched, v, 0)
         pruned_utility = np.asarray(f.value_batch(pruned), dtype=float)
-        policy_vec = run.scan.revealed
+        policy_vec = run.revealed
         covered = np.all((pruned == 0) | (policy_vec == pruned), axis=1)
         bad = ~covered | (run.utility < pruned_utility - 1e-12)
         for r in np.flatnonzero(bad):
@@ -350,7 +352,7 @@ def coupled_dominance_check(
                     "sampled": [int(i) + 1 for i in sampled],
                     "kept": [int(i) + 1 for i in np.flatnonzero(run.kept[r])],
                     "times": {int(i) + 1: int(run.slots[r, i]) for i in sampled},
-                    "selected": [int(i) + 1 for i in np.flatnonzero(run.scan.selected[r])],
+                    "selected": [int(i) + 1 for i in np.flatnonzero(run.selected[r])],
                     "policy_vector": [int(s) for s in policy_vec[r]],
                     "pruned_vector": [int(s) for s in pruned[r]],
                     "policy_utility": float(run.utility[r]),

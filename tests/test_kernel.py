@@ -107,9 +107,9 @@ def test_batch_matches_scalar_policy_on_identical_draws(case):
         assert tuple(np.flatnonzero(run.sampled[r])) == tr.sampled
         assert tuple(np.flatnonzero(run.kept[r])) == tr.kept
         assert {i: int(run.slots[r, i]) for i in tr.kept} == tr.start_times
-        assert tuple(np.flatnonzero(run.scan.selected[r])) == tuple(sorted(tr.selected))
-        assert tuple(np.flatnonzero(run.scan.reads[r])) == tuple(sorted(tr.reads))
-        assert int(run.scan.spent[r]) == tr.total_cost
+        assert tuple(np.flatnonzero(run.selected[r])) == tuple(sorted(tr.selected))
+        assert tuple(np.flatnonzero(run.reads[r])) == tuple(sorted(tr.reads))
+        assert int(run.spent[r]) == tr.total_cost
         assert float(run.utility[r]) == tr.utility
 
 
@@ -134,12 +134,12 @@ def test_batch_edge_cases_match_scalar():
         for r in range(64):
             tr = _run_policy(inst, inst.utility, outer, crs, sol, d.states[r],
                              d.u_sample[r], d.priorities[r], d.u_slot[r])
-            assert tuple(np.flatnonzero(run.scan.selected[r])) == tuple(sorted(tr.selected))
-            assert int(run.scan.spent[r]) == tr.total_cost
+            assert tuple(np.flatnonzero(run.selected[r])) == tuple(sorted(tr.selected))
+            assert int(run.spent[r]) == tr.total_cost
         if outer.k == 0:
-            assert not run.kept.any() and not run.scan.selected.any()
+            assert not run.kept.any() and not run.selected.any()
         else:
-            assert run.scan.selected.any() and np.all(run.scan.spent <= 3)
+            assert run.selected.any() and np.all(run.spent <= 3)
 
 
 def test_sample_slots_rejects_masked_item_without_mass():
@@ -148,7 +148,7 @@ def test_sample_slots_rejects_masked_item_without_mass():
         stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
     u = np.full((2, 2), 0.3)
-    assert sol.sample_slots(u).tolist() == [[1, 0], [1, 0]]
+    assert sol.sample_slots(u, np.zeros((2, 2), dtype=bool)).tolist() == [[1, 0], [1, 0]]
     with pytest.raises(ValueError, match="item 1 has no slot mass"):
         sol.sample_slots(u, np.array([[True, False], [False, True]]))
 
