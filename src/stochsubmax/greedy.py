@@ -123,18 +123,11 @@ def _gain_block(instance, f, x, seed, block):
     coins = rng.random((size, instance.n)) < x
     states = sample_realization_batch(instance, rng, size)
     base = np.where(coins, states, 0)
-    sums = np.zeros(instance.n)
-    sumsqs = np.zeros(instance.n)
-    for i in range(instance.n):
-        with_i = base.copy()
-        with_i[:, i] = states[:, i]
-        without_i = base.copy()
-        without_i[:, i] = 0
-        gains = np.asarray(f.value_batch(with_i), dtype=float) - np.asarray(
-            f.value_batch(without_i), dtype=float
-        )
-        sums[i] = gains.sum()
-        sumsqs[i] = (gains * gains).sum()
+    # row i holds item i's gains in contiguous memory, so each row sum adds in
+    # the same order as a sum over that item's own gain vector
+    gains = np.ascontiguousarray(f.gains_batch(base, states, coins).T)
+    sums = gains.sum(axis=1)
+    sumsqs = np.multiply(gains, gains, out=gains).sum(axis=1)
     return size, sums, sumsqs
 
 
@@ -143,8 +136,11 @@ def estimate_marginal_gains(
 ):
     """Per-item expected gain of adding the item to a random set drawn from the marginals.
 
-    Returns (gains, standard errors), each an (n,) array. The estimate is a
-    deterministic function of (inputs, seed, workerCount).
+    Each block draws a base set and a realization, and ``f.gains_batch`` gives
+    every item's gain on every row. Returns (gains, standard errors), each an
+    (n,) array. Block b draws from the stream (seed, "gain", b) and blocks are
+    reduced in block order, so the estimate is a deterministic function of
+    (inputs, seed) and does not depend on the worker count.
     """
     x = np.clip(np.asarray(marginals, dtype=float), 0.0, 1.0)
     fn = functools.partial(_gain_block, instance, f, x, seed)

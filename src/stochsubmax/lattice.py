@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,13 @@ class UtilityOracle:
     Subclasses are immutable after construction and safe to evaluate from
     multiple workers concurrently. ``value_batch`` evaluates a (N, n) array of
     state vectors row by row and must agree with ``value`` exactly.
+
+    ``gains_batch(base, top, on)`` returns every item's marginal gain on every
+    row: the (R, n) array ``f(base with i at top[:, i]) - f(base with i at 0)``.
+    ``base`` holds ``top`` where the (R, n) mask ``on`` is set and 0 elsewhere.
+    The result is the transpose of a new C-contiguous (n, R) array, so item
+    i's gains ``out.T[i]`` lie in contiguous memory. An override must equal
+    the default bit for bit.
     """
 
     family: str = ""
@@ -63,6 +71,26 @@ class UtilityOracle:
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def gains_batch(self, base, top, on) -> np.ndarray:
+        """Every item's gain on every row from n + 1 ``value_batch`` calls.
+
+        One of the two vectors of each gain is the base row itself, so ``f(base)``
+        is evaluated once and each item adds one evaluation of the base with
+        its column flipped: to 0 where ``on``, to ``top`` elsewhere.
+        """
+        base = np.asarray(base)
+        on = np.asarray(on, dtype=bool)
+        at_base = np.asarray(self.value_batch(base), dtype=float)
+        flipped = base.copy()
+        out = np.empty((base.shape[1], base.shape[0]))
+        for i in range(base.shape[1]):
+            flipped[:, i] = np.where(on[:, i], 0, top[:, i])
+            at_flip = np.asarray(self.value_batch(flipped), dtype=float)
+            np.subtract(at_base, at_flip, out=out[i], where=on[:, i])
+            np.subtract(at_flip, at_base, out=out[i], where=~on[:, i])
+            flipped[:, i] = base[:, i]
+        return out.T
 
     @property
     def n(self) -> int:
@@ -160,19 +188,45 @@ class ThresholdCoverage(UtilityOracle):
     def n(self) -> int:
         return len(self.rates)
 
+    @cached_property
     def _prefix(self) -> np.ndarray:
+        """Covered weight by prefix length: entry l is the weight of the first l elements."""
         w = np.asarray(self.element_weights, dtype=float)
         return np.concatenate([[0.0], np.cumsum(w)])
 
+    def _lengths(self, states) -> np.ndarray:
+        lengths = np.asarray(states) * np.asarray(self.rates)
+        return np.minimum(lengths, len(self.element_weights), out=lengths)
+
     def value(self, u) -> float:
-        m = len(self.element_weights)
-        lengths = np.minimum(np.asarray(u) * np.asarray(self.rates), m)
-        return float(self._prefix()[int(lengths.max(initial=0))])
+        return float(self._prefix[int(self._lengths(u).max(initial=0))])
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
-        m = len(self.element_weights)
-        lengths = np.minimum(np.asarray(states) * np.asarray(self.rates), m)
-        return self._prefix()[lengths.max(axis=1)]
+        return self._prefix[self._lengths(states).max(axis=1)]
+
+    def gains_batch(self, base, top, on) -> np.ndarray:
+        """Closed form in O(R n): the value is the weight of the longest prefix.
+
+        Without item i a row covers ``longest_other``, its longest prefix over
+        the other items: the row's longest, or its second longest at the item
+        that attains the longest. So item i gains
+        ``prefix[max(longest_other, len_i)] - prefix[longest_other]``, the
+        same two table entries that the default subtracts.
+        """
+        other = self._lengths(base)
+        rows = np.arange(other.shape[0])
+        first = other.argmax(axis=1)
+        longest = other[rows, first]
+        other[rows, first] = 0
+        second = other.max(axis=1)
+        other[:] = longest[:, None]
+        other[rows, first] = second
+        own = self._lengths(top)
+        np.maximum(own, other, out=own)
+        gains = np.empty(own.shape[::-1]).T
+        gains[:] = self._prefix[own]
+        gains -= self._prefix[other]
+        return gains
 
     def params(self) -> dict:
         return {"rates": list(self.rates), "element_weights": list(self.element_weights)}

@@ -3,7 +3,8 @@
 Work is split into fixed-size blocks; block b always consumes the random
 stream (seed, label, b), so results do not depend on how blocks are assigned
 to workers. Per-block partials are reduced in block-index order, which makes
-every estimate a deterministic function of (inputs, seed, workerCount).
+every estimate a deterministic function of (inputs, seed), independent of the
+worker count.
 """
 
 from __future__ import annotations

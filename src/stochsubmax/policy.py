@@ -306,6 +306,8 @@ def estimate_policy_value(
 class DominanceReport:
     trials: int
     violations: tuple[dict, ...]
+    # trials in which the scheme dropped a sampled item
+    dropped: int
 
     @property
     def passed(self) -> bool:
@@ -332,10 +334,11 @@ def coupled_dominance_check(
     instance.require_valid()
     check_solution_shape(instance, sol)
     violations = []
-    start = 0
+    dropped = start = 0
     for b, size in split_blocks(trials):
         d = draw_block(instance, derive_rng(seed, "dominance", b), size)
         run = run_policy_batch(instance, f, outer, crs, sol, d)
+        dropped += int(np.any(run.sampled != run.kept, axis=1).sum())
         v = np.where(run.sampled, d.states, 0)
         sched = schedule_keep_batch(instance, v, run.slots)
         pruned = np.where(run.kept & sched, v, 0)
@@ -360,7 +363,7 @@ def coupled_dominance_check(
                 }
             )
         start += size
-    return DominanceReport(trials=trials, violations=tuple(violations))
+    return DominanceReport(trials=trials, violations=tuple(violations), dropped=dropped)
 
 
 def trace_to_json(trace: PolicyTrace) -> str:

@@ -232,14 +232,41 @@ def test_criterion_4_crs_constants():
     )
 
 
+def contended_instances():
+    """Instances whose outer bound binds: cardinality 1, and a partition with cap 1 per block.
+
+    Their items are identical, so the estimated gains tie up to sampling noise
+    and the greedy spreads its mass over several items of one bound; the
+    scheme must then drop sampled items.
+    """
+    pair = ItemModel(probs=(0.5, 0.5), costs=(1, 2))
+    triple = ItemModel(probs=(0.2, 0.5, 0.3), costs=(1, 2, 3))
+    return [
+        Instance(
+            n=4, B=2, budget=6, items=(pair,) * 4,
+            outer=constraints.cardinality(4, 1),
+            utility=WeightedModular(weights=(1.0,) * 4),
+        ),
+        Instance(
+            n=6, B=3, budget=8, items=(triple,) * 6,
+            outer=constraints.partition(6, [[0, 1, 2], [3, 4, 5]], [1, 1]),
+            utility=ConcaveOverModular(weights=(1.0,) * 6, curve="cap", theta=3.0),
+        ),
+    ]
+
+
 def test_criterion_5_coupled_dominance():
     t0 = time.time()
     total = violations = 0
-    for k in range(5):
-        inst = random_instance(
+    dropped = []
+    random_set = [
+        random_instance(
             30_000 + k, n_max=5, B_max=3, budget_max=10,
             kinds=("cardinality", "partition"),
         )
+        for k in range(5)
+    ]
+    for k, inst in enumerate(random_set + contended_instances()):
         sol, cert = solve(inst, steps=12, grad_samples=400, seed=k)
         assert cert.passed
         crs = BalancedCrs(kind="priority", scale=SCALE)
@@ -248,11 +275,15 @@ def test_criterion_5_coupled_dominance():
         )
         total += rep.trials
         violations += len(rep.violations)
+        dropped.append(rep.dropped)
     assert total >= 10_000
+    # the contended instances must exercise the scheme's drops
+    assert all(d > 0 for d in dropped[len(random_set):]), dropped
     report(
         "5 (coupled dominance)",
         violations == 0,
-        f"{total} coupled trials, {violations} violations, {time.time() - t0:.1f}s",
+        f"{total} coupled trials, {violations} violations, "
+        f"trials with a dropped item per instance {dropped}, {time.time() - t0:.1f}s",
     )
 
 

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from stochsubmax.extensions import expected_set_value_exact, multilinear_exact
-from stochsubmax.generators import partition_demo_instance, single_item_instance
+from stochsubmax.generators import (
+    partition_demo_instance,
+    random_instance,
+    single_item_instance,
+)
 from stochsubmax.greedy import (
     SlotSolution,
     certify_solution,
@@ -169,6 +173,52 @@ def test_gains_bit_identical_on_pinned_instance():
     ]
     assert [float(s).hex() for s in ses] == [
         "0x1.217d0e0e6b20ap-8", "0x1.39552798935e6p-8", "0x1.121bd84187a99p-8",
+    ]
+
+
+def test_coverage_gains_bit_identical_on_pinned_instance():
+    # rates up to 3 over 5 elements at B = 3, so many lengths are capped at m;
+    # 6000 samples span two blocks
+    inst = random_instance(1, families=("coverage",))
+    gains, ses = estimate_marginal_gains(
+        inst, inst.utility, np.linspace(0.1, 0.8, inst.n), samples=6000, seed=7
+    )
+    assert [float(g).hex() for g in gains] == [
+        "0x1.0f2d52d7cc938p-7", "0x1.282af2ab3c11cp-3", "0x1.f2b3f90805cf8p-4",
+        "0x1.2fc16f59e359ap-3", "0x1.833bf0298191fp-3", "0x1.965881a1554fdp-4",
+        "0x1.3fa3fcc9ea9a5p-3", "0x1.caa2eef48696ep-2",
+    ]
+    assert [float(s).hex() for s in ses] == [
+        "0x1.a692b2cac04b2p-10", "0x1.faae1a1a45f8ap-8", "0x1.bfd230227e2dep-8",
+        "0x1.06a78afbacc35p-7", "0x1.2676fc68df5bap-7", "0x1.b3a53d0244958p-8",
+        "0x1.10cc49209a25cp-7", "0x1.bf8d8f00680a8p-7",
+    ]
+
+
+def test_gains_independent_of_worker_count():
+    inst = random_instance(1, families=("coverage",))
+    x = np.linspace(0.1, 0.8, inst.n)
+    # fill the cached prefix table first, so the workers receive it pickled
+    inst.utility.value_batch(np.zeros((1, inst.n), dtype=int))
+    one = estimate_marginal_gains(inst, inst.utility, x, samples=9000, seed=7)
+    two = estimate_marginal_gains(inst, inst.utility, x, samples=9000, seed=7, workers=2)
+    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+
+
+def test_modular_gains_bit_identical_on_pinned_instance():
+    inst = random_instance(1, families=("modular",))
+    gains, ses = estimate_marginal_gains(
+        inst, inst.utility, np.linspace(0.1, 0.8, inst.n), samples=6000, seed=7
+    )
+    assert [float(g).hex() for g in gains] == [
+        "0x1.c3da10c9c374ap+0", "0x1.26fcc71ec64d1p+1", "0x1.0af51ac9afe1dp+2",
+        "0x1.abe4287aba221p+1", "0x1.7bfefbf401c51p+1", "0x1.fa6b8305d95ddp+0",
+        "0x1.915e5dcafe074p+1", "0x1.8a203fc9d2d5bp+1",
+    ]
+    assert [float(s).hex() for s in ses] == [
+        "0x1.242ad97b1811ap-7", "0x1.80ea536441880p-7", "0x1.457162c3c69b5p-6",
+        "0x1.35d97918c1369p-6", "0x1.fb49978069923p-7", "0x1.8be295e243db7p-7",
+        "0x1.30b3a89663f18p-6", "0x1.b4a9e81fddc37p-7",
     ]
 
 

@@ -8,6 +8,7 @@ from stochsubmax.errors import EnumerationLimitError
 from stochsubmax.lattice import (
     ConcaveOverModular,
     ThresholdCoverage,
+    UtilityOracle,
     WeightedModular,
     check_lattice_submodular,
     check_monotone,
@@ -167,6 +168,93 @@ def test_batch_matches_single(rows):
     batch = f.value_batch(np.array(rows))
     singles = [f.value(np.array(r)) for r in rows]
     assert np.allclose(batch, singles)
+
+
+def gains_by_pairs(f, base, top):
+    """Reference gains: two ``value_batch`` calls per item, on full copies of the base."""
+    out = np.empty(base.shape)
+    for i in range(base.shape[1]):
+        with_i = base.copy()
+        with_i[:, i] = top[:, i]
+        without_i = base.copy()
+        without_i[:, i] = 0
+        out[:, i] = f.value_batch(with_i) - f.value_batch(without_i)
+    return out
+
+
+@st.composite
+def gain_blocks(draw):
+    """(top, on) over 1..5 items and B in 1..3, each row all off, all on, or mixed."""
+    n = draw(st.integers(1, 5))
+    B = draw(st.integers(1, 3))
+    R = draw(st.integers(1, 6))
+    top = np.array(draw(st.lists(
+        st.lists(st.integers(1, B), min_size=n, max_size=n), min_size=R, max_size=R
+    )))
+    on = []
+    for _ in range(R):
+        mode = draw(st.sampled_from(("off", "on", "mixed")))
+        if mode == "mixed":
+            on.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            on.append([mode == "on"] * n)
+    return top, np.array(on, dtype=bool)
+
+
+def check_gains(f, top, on):
+    base = np.where(on, top, 0)
+    generic = UtilityOracle.gains_batch(f, base, top, on)
+    assert generic.T.flags.c_contiguous
+    assert_array_equal(generic, gains_by_pairs(f, base, top))
+    return base, generic
+
+
+@given(gain_blocks(), st.data())
+@settings(max_examples=300)
+def test_coverage_gains_match_generic_and_pairs(block, data):
+    # small rates over few elements: many tied longest prefixes, rate-0 items,
+    # and lengths capped at the ground size
+    top, on = block
+    n = top.shape[1]
+    rates = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    m = data.draw(st.integers(1, 6))
+    weights = data.draw(st.lists(st.sampled_from((0.0, 0.1, 0.7, 1.3)), min_size=m, max_size=m))
+    f = ThresholdCoverage(rates=tuple(rates), element_weights=tuple(weights))
+    base, generic = check_gains(f, top, on)
+    closed = f.gains_batch(base, top, on)
+    assert closed.T.flags.c_contiguous
+    assert_array_equal(closed, generic)
+
+
+@given(gain_blocks(), st.data())
+@settings(max_examples=200)
+def test_generic_gains_match_pairs(block, data):
+    top, on = block
+    n = top.shape[1]
+    weights = tuple(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    f = data.draw(st.sampled_from((
+        WeightedModular(weights=weights),
+        ConcaveOverModular(weights=weights, curve="sqrt"),
+        ConcaveOverModular(weights=weights, curve="cap", theta=1.5),
+    )))
+    check_gains(f, top, on)
+
+
+def test_coverage_gains_edge_rows():
+    # one item at B = 1 on a single row; then items 0 and 1 tied for the longest
+    # prefix, so neither gains while the other is on, and a rate-0 item
+    f = ThresholdCoverage(rates=(2,), element_weights=(1.0, 0.5, 0.25))
+    top = np.array([[1]])
+    for on in (np.array([[False]]), np.array([[True]])):
+        assert_array_equal(f.gains_batch(np.where(on, top, 0), top, on), [[1.5]])
+    f = ThresholdCoverage(rates=(1, 1, 0), element_weights=(1.0, 2.0))
+    top = np.array([[2, 2, 2]])
+    on = np.ones((1, 3), dtype=bool)
+    assert_array_equal(f.gains_batch(top, top, on), [[0.0, 0.0, 0.0]])
+    on[0, 1] = False
+    assert_array_equal(f.gains_batch(np.where(on, top, 0), top, on), [[3.0, 0.0, 0.0]])
+    on[0, 0] = False
+    assert_array_equal(f.gains_batch(np.where(on, top, 0), top, on), [[3.0, 3.0, 0.0]])
 
 
 def test_enumeration_guard_refuses():

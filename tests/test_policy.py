@@ -214,6 +214,7 @@ def test_dominance_under_contention():
     report = coupled_dominance_check(inst, inst.utility, inst.outer, crs, sol,
                                      trials=3000, seed=4)
     assert report.passed, report.violations[:1]
+    assert report.dropped > 0
     runs = simulate_batch(inst, inst.utility, inst.outer, crs, sol, runs=3000, seed=4)
     assert runs.outer_violations == 0 and runs.inner_violations == 0
 
