@@ -16,7 +16,12 @@ from .constraints import (
     partition,
     polytope_inequalities,
 )
-from .errors import EnumerationLimitError, LpStallError, NoCompactPolytopeError
+from .errors import (
+    EnumerationLimitError,
+    LpCertificateError,
+    LpStallError,
+    NoCompactPolytopeError,
+)
 from .extensions import (
     expected_set_value_exact,
     expected_set_value_mc,
@@ -43,7 +48,14 @@ from .lattice import (
     make_utility,
     meet,
 )
-from .lp import SlotProgram, build_slot_program, program_dump, simplex_max, solve_lp
+from .lp import (
+    SlotProgram,
+    build_slot_program,
+    certify_optimal,
+    program_dump,
+    simplex_max,
+    solve_lp,
+)
 from .model import (
     Instance,
     ItemModel,

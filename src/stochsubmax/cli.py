@@ -17,7 +17,12 @@ import sys
 from pathlib import Path
 
 from . import greedy, lattice, oracle, policy, rounding
-from .errors import EnumerationLimitError, InvalidInputError, NoCompactPolytopeError
+from .errors import (
+    EnumerationLimitError,
+    InvalidInputError,
+    LpStallError,
+    NoCompactPolytopeError,
+)
 from .lp import build_slot_program, program_dump
 from .model import Instance, load_instance, validate_instance
 
@@ -289,7 +294,7 @@ def main(argv=None) -> int:
     except IoFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainFailure, ValueError) as exc:
+    except (DomainFailure, ValueError, LpStallError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
 

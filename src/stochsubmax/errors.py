@@ -26,6 +26,28 @@ class LpStallError(Exception):
         self.objective = objective
 
 
+class LpCertificateError(LpStallError):
+    """Raised when a simplex answer fails its primal or optimality check.
+
+    ``check`` is the failed check ("row", "bound", "basis", "dual sign",
+    "reduced cost" or "duality gap"), ``at`` names the row, column or basis at
+    fault and ``amount`` is the size of the violation or gap found there.
+    ``iterations`` is None: the check does not see the pivots.
+    """
+
+    def __init__(self, check: str, at, amount: float, objective: float):
+        Exception.__init__(
+            self,
+            f"LP answer fails its {check} check at {at}: {amount:.6g} "
+            f"(objective {objective:.6g})",
+        )
+        self.iterations = None
+        self.objective = objective
+        self.check = check
+        self.at = at
+        self.amount = amount
+
+
 class InvalidInputError(ValueError):
     """Raised when an input document or argument holds a value of the wrong kind.
 

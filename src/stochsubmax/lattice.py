@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, InvalidInputError, as_int
 
 ENUM_GUARD = 10**6
 
@@ -180,8 +180,11 @@ class ThresholdCoverage(UtilityOracle):
     family = FAMILY_COVERAGE
 
     def __post_init__(self):
-        if any(not 0 <= r < math.inf or int(r) != r for r in self.rates):
-            raise ValueError("rates must be nonnegative integers")
+        # integral floats such as 2.0 load as 2, so the rates can index the prefix table
+        rates = tuple(as_int(r, f"rates[{i}]") for i, r in enumerate(self.rates))
+        if any(r < 0 for r in rates):
+            raise InvalidInputError(f"rates must be nonnegative, got {self.rates!r}")
+        object.__setattr__(self, "rates", rates)
         _check_weights(self.element_weights, "element weights")
 
     @property

@@ -1,4 +1,4 @@
-"""Time-indexed relaxation rows and a dense bounded-variable simplex.
+"""Time-indexed relaxation rows, a dense bounded-variable simplex, and its certificate.
 
 Variables are start-slot indicators x(i, t), one per item i and feasible start
 slot t in {1, ..., budget - worst cost of i}. The row set is fixed by the
@@ -12,17 +12,26 @@ All row coefficients are nonnegative and x = 0 is feasible, so the simplex
 starts from the slack basis and needs no phase 1. Bland's least-index rule is
 used for both entering and leaving choices (termination over speed).
 
-Each pivot solves the basis twice with ``np.linalg.solve``: once for the duals
-y, once for the entering column w. Pricing is one matrix-vector product: the
-reduced costs c - A^T y of every column, times a sign vector (+1 for a
-nonbasic variable at its lower bound, -1 at its upper bound, 0 for a basic
-one). The entering variable is the least index whose signed reduced cost
-exceeds ``PIVOT_TOL``. The ratio test runs on the basic values and w as
-arrays. Every step within 1e-12 of the shortest one ties, and the least
-variable index among the tied ones leaves; a bound flip of the entering
-variable counts as the entering variable's index. This gives the same pivot
-sequence, and the same vertex bit for bit, as pricing one column at a time in
-index order.
+Each pivot works on an explicit inverse ``Binv`` of the basis matrix (the
+revised simplex). It starts as the identity, because the start basis is all
+slacks. A basis change updates it in place by one rank-1 (eta) update, a
+bound flip leaves it unchanged, and every ``REFACTOR`` basis changes it is
+rebuilt from the basis columns, which sheds the rounding the updates
+accumulate. The duals are y = c_B Binv and the entering column is
+w = Binv a. Pricing is one matrix-vector product: the reduced costs
+c - A^T y of every column, times a sign vector (+1 for a nonbasic variable at
+its lower bound, -1 at its upper bound, 0 for a basic one). The entering
+variable is the least index whose signed reduced cost exceeds ``PIVOT_TOL``.
+The ratio test runs on the basic values and w as arrays. Every step within
+1e-12 of the shortest one ties, and the least variable index among the tied
+ones leaves; a bound flip of the entering variable counts as the entering
+variable's index.
+
+This is the pivot sequence of pricing one column at a time in index order
+with two fresh dense solves per pivot, up to rounding: a near-tie can fall
+the other way, and vertices agree to about 1e-12 rather than bit for bit.
+:func:`solve_lp` therefore checks every answer, rows and box as well as
+optimality by LP duality, with :func:`certify_optimal`.
 """
 
 from __future__ import annotations
@@ -30,13 +39,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .constraints import OuterConstraint, polytope_inequalities
-from .errors import LpStallError
+from .errors import LpCertificateError, LpStallError
 from .model import Instance
 
 ROW_TOL = 1e-9
 PIVOT_TOL = 1e-9
+CERT_TOL = 1e-9
+# basis changes between two rebuilds of the basis inverse from the basis itself
+REFACTOR = 64
 
 
 @dataclass(frozen=True)
@@ -129,7 +142,11 @@ def program_dump(program: SlotProgram, objective=None) -> str:
 
 
 def solve_lp(program: SlotProgram, objective=None) -> LpSolution:
-    """Maximize the objective over the program rows and [0, 1] box."""
+    """Maximize the objective over the program rows and [0, 1] box, certified by duality.
+
+    Raises :class:`LpCertificateError` (an :class:`LpStallError`) naming the
+    row or column at fault if the answer fails :func:`certify_optimal`.
+    """
     if objective is None:
         objective = program.objective
     if objective is None:
@@ -138,13 +155,81 @@ def solve_lp(program: SlotProgram, objective=None) -> LpSolution:
     nv = len(program.variables)
     if obj.shape != (nv,):
         raise ValueError(f"objective must have {nv} coefficients")
-    values, value, iters = simplex_max(
-        obj, program.row_coeffs, program.row_bounds, np.ones(nv)
+    upper = np.ones(nv)
+    values, value, iters, basis = _bland(obj, program.row_coeffs, program.row_bounds, upper)
+    certify_optimal(
+        obj, program.row_coeffs, program.row_bounds, upper, values, basis,
+        variables=program.variables, row_labels=program.row_labels,
     )
-    lhs = program.row_coeffs @ values
-    if np.any(lhs > program.row_bounds + ROW_TOL):
-        raise LpStallError(iters, value)
     return LpSolution(values=values, objective=value, iterations=iters)
+
+
+def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None) -> float:
+    """Certify that ``x`` maximizes obj.x over A x <= b, 0 <= x <= upper; return the duality gap.
+
+    ``basis`` holds the basic indices of the final simplex basis, structural
+    columns first and then one slack per row (index nv + row). The duals y
+    come from one fresh solve on that basis. Any y >= 0 whose reduced costs
+    d = obj - A^T y are at most 0 on the columns without an upper bound gives
+    the upper bound ``b.y + sum over bounded j of upper_j * max(d_j, 0)`` on
+    every feasible point, so no error in the simplex arithmetic can make a
+    wrong ``x`` pass. Checks, in order: the rows (within ``ROW_TOL``) and the
+    box, the dual signs (``y >= -CERT_TOL``), the reduced costs on unbounded
+    columns (``<= CERT_TOL``), and the gap (``<= CERT_TOL * max(1, |obj.x|)``).
+
+    Raises :class:`LpCertificateError` naming the row or column at fault and
+    the size of the violation there: the most violated one, or for the gap
+    the row or column of its largest complementary-slackness term.
+    ``variables`` and ``row_labels`` name columns and rows; indices are used
+    without them.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    obj = np.asarray(obj, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    basis = np.asarray(basis, dtype=np.int64)
+    m, nv = len(b), len(obj)
+    value = float(obj @ x)
+    row = (lambda r: row_labels[r]) if row_labels is not None else (lambda r: f"row {r}")
+    col = (lambda j: variables[j]) if variables is not None else (lambda j: f"column {j}")
+
+    def check(name, excess, at, limit):
+        """Fail at the largest entry of ``excess`` if it exceeds ``limit``."""
+        if excess.size:
+            j = int(excess.argmax())
+            if excess[j] > limit:
+                raise LpCertificateError(name, at(j), float(excess[j]), value)
+
+    slack = b - A @ x
+    check("row", -slack, row, ROW_TOL)
+    check("bound", np.maximum(-x, x - upper), col, ROW_TOL)
+
+    structural = basis < nv
+    BT = np.zeros((m, m))  # the basis columns as rows: structural ones, then unit slacks
+    BT[structural] = A.T[basis[structural]]
+    BT[np.flatnonzero(~structural), basis[~structural] - nv] = 1.0
+    try:
+        y = np.linalg.solve(BT, np.concatenate([obj, np.zeros(m)])[basis])
+    except np.linalg.LinAlgError:
+        raise LpCertificateError("basis", "the final basis (singular)", np.nan, value) from None
+    check("dual sign", -y, row, CERT_TOL)
+    y = np.maximum(y, 0.0)
+    d = obj - A.T @ y
+    bounded = np.isfinite(upper)
+    check("reduced cost", np.where(bounded, -np.inf, d), col, CERT_TOL)
+
+    caps = np.where(bounded, upper, 0.0)
+    gap = float(b @ y + caps @ np.maximum(d, 0.0)) - value
+    if gap > CERT_TOL * max(1.0, abs(value)):
+        # the same gap term by term: y.(b - A x) + sum_j (caps_j max(d_j, 0) - d_j x_j)
+        rows = y * slack
+        cols = caps * np.maximum(d, 0.0) - d * x
+        if rows.max(initial=-np.inf) >= cols.max(initial=-np.inf):
+            at = row(int(rows.argmax()))
+        else:
+            at = col(int(cols.argmax()))
+        raise LpCertificateError("duality gap", at, gap, value)
+    return gap
 
 
 def simplex_max(obj, A, b, upper, max_iters: int = 20000):
@@ -152,6 +237,12 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000):
 
     Requires b >= 0 (x = 0 must be feasible). Returns (x, objective, iterations).
     """
+    x, value, iters, _ = _bland(obj, A, b, upper, max_iters)
+    return x, value, iters
+
+
+def _bland(obj, A, b, upper, max_iters: int = 20000):
+    """``simplex_max`` that also returns the final basis (indices into columns, then slacks)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     obj = np.asarray(obj, dtype=float)
@@ -161,7 +252,7 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000):
         x = np.where(obj > 0, np.where(np.isfinite(upper), upper, np.inf), 0.0)
         if np.any(np.isinf(x)):
             raise LpStallError(0, float("inf"))
-        return x, float(obj @ x), 0
+        return x, float(obj @ x), 0, np.zeros(0, dtype=np.int64)
     if np.any(b < -ROW_TOL):
         raise ValueError("right-hand side must be nonnegative (x=0 feasible)")
     b = np.maximum(b, 0.0)
@@ -173,6 +264,8 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000):
     bounded = np.isfinite(up_full)
 
     basis = np.arange(nv, total)
+    Binv = np.eye(m)  # inverse of the slack basis
+    changes = 0
     # +1 nonbasic at its lower bound, -1 nonbasic at its upper bound, 0 basic
     sign = np.ones(total)
     sign[basis] = 0.0
@@ -180,20 +273,15 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000):
     x[basis] = b
 
     for it in range(1, max_iters + 1):
-        BT = A_fullT[basis]
-        try:
-            y = np.linalg.solve(BT, c_full[basis])
-        except np.linalg.LinAlgError:
-            raise LpStallError(it, float(c_full @ x)) from None
-
+        y = c_full[basis] @ Binv
         # Bland: the least-index variable whose reduced cost improves along its free direction
         eligible = sign * (c_full - A_fullT @ y) > PIVOT_TOL
         entering = int(eligible.argmax())
         if not eligible[entering]:
-            return x[:nv].copy(), float(c_full @ x), it - 1
+            return x[:nv].copy(), float(c_full @ x), it - 1, basis
         direction = int(sign[entering])
 
-        w = np.linalg.solve(BT.T, A_fullT[entering])
+        w = Binv @ A_fullT[entering]
         # moving the entering variable by direction*step changes basic values by
         # -direction*step*w; a basic variable bounds the step where it falls to 0
         # or rises to a finite upper bound
@@ -219,11 +307,23 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000):
         if flip <= step + 1e-12 and entering < leaving:
             sign[entering] = -direction
             x[entering] = flip if direction > 0 else 0.0
+            continue
+        to_upper = not falls[pos]
+        x[leaving] = up_full[leaving] if to_upper else 0.0
+        sign[leaving] = -1.0 if to_upper else 1.0
+        sign[entering] = 0.0
+        basis[pos] = entering
+        changes += 1
+        if changes % REFACTOR == 0:
+            try:
+                Binv = np.linalg.inv(A_fullT[basis]).T
+            except np.linalg.LinAlgError:
+                raise LpStallError(it, float(c_full @ x)) from None
         else:
-            to_upper = not falls[pos]
-            x[leaving] = up_full[leaving] if to_upper else 0.0
-            sign[leaving] = -1.0 if to_upper else 1.0
-            sign[entering] = 0.0
-            basis[pos] = entering
+            # eta update, Binv -= outer(w, pivot) in place: the entering column
+            # becomes the unit vector at pos
+            pivot = Binv[pos] / w[pos]
+            Binv = dger(-1.0, pivot, w, a=Binv.T, overwrite_a=True).T
+            Binv[pos] = pivot
 
     raise LpStallError(max_iters, float(c_full @ x))

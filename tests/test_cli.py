@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from stochsubmax import constraints
+from stochsubmax import constraints, lp
 from stochsubmax.cli import main
 from stochsubmax.generators import (
     partition_demo_instance,
@@ -81,6 +82,18 @@ def test_solve_refuses_explicit_outer(tmp_path):
     path = tmp_path / "explicit.json"
     save_instance(inst, path)
     assert main(["solve", "--instance", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_solve_reports_lp_certificate_failure(pair_file, tmp_path, monkeypatch, capsys):
+    # a simplex that stops at the origin: feasible, but the duality gap names a column
+    def origin(obj, A, b, upper):
+        return np.zeros(len(obj)), 0.0, 0, np.arange(len(obj), len(obj) + len(b))
+
+    monkeypatch.setattr(lp, "_bland", origin)
+    rc = main(["solve", "--instance", str(pair_file), "--steps", "2",
+               "--grad-samples", "100", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "fails its duality gap check at (" in capsys.readouterr().err
 
 
 def test_simulate_outputs_csvs(pair_file, tmp_path):

@@ -300,3 +300,37 @@ def test_non_finite_weights_rejected(bad):
         ThresholdCoverage(rates=(1, bad), element_weights=(0.5, 1.0))
     with pytest.raises(ValueError):
         ConcaveOverModular(weights=(1.0, 1.0), curve="cap", theta=float("nan"))
+
+
+def test_coverage_integral_float_rates_load_as_ints():
+    exact = ThresholdCoverage(rates=(2, 1), element_weights=(1.0, 0.5, 0.25))
+    f = ThresholdCoverage(rates=(2.0, np.float64(1.0)), element_weights=(1.0, 0.5, 0.25))
+    assert f.rates == (2, 1) and all(type(r) is int for r in f.rates)
+    states = np.array([[1, 1], [0, 1], [1, 0], [0, 0], [3, 2]])
+    on = states > 0
+    assert f.value([1, 1]) == exact.value([1, 1]) == 1.5
+    assert_array_equal(f.value_batch(states), exact.value_batch(states))
+    assert_array_equal(f.gains_batch(states, np.maximum(states, 1), on),
+                       exact.gains_batch(states, np.maximum(states, 1), on))
+
+
+def test_coverage_fractional_rate_rejected_naming_rates():
+    from stochsubmax.errors import InvalidInputError
+
+    with pytest.raises(InvalidInputError, match=r"rates\[0\]"):
+        ThresholdCoverage(rates=(1.5, 1), element_weights=(1.0, 0.5))
+    with pytest.raises(InvalidInputError, match="rates"):
+        ThresholdCoverage(rates=(1, -1), element_weights=(1.0, 0.5))
+
+
+def test_coverage_rates_from_json_descriptor():
+    import json
+
+    from stochsubmax.errors import InvalidInputError
+
+    doc = '{"family": "weighted-coverage-by-threshold", "params": {"rates": [2.0, 1.0], "element_weights": [1.0, 0.5, 0.25]}}'
+    f = make_utility(json.loads(doc), 2)
+    assert f.rates == (2, 1)
+    assert_array_equal(f.value_batch(np.array([[1, 1], [0, 2]])), [1.5, 1.5])
+    with pytest.raises(InvalidInputError, match=r"rates\[1\]"):
+        make_utility(json.loads(doc.replace("1.0], \"element", "1.5], \"element")), 2)

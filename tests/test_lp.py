@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from stochsubmax import constraints
-from stochsubmax.errors import LpStallError
+from stochsubmax import lp as lp_module
+from stochsubmax.errors import LpCertificateError, LpStallError
 from stochsubmax.generators import (
     random_instance,
     single_item_instance,
@@ -20,7 +21,15 @@ from stochsubmax.greedy import (
     solution_entries,
 )
 from stochsubmax.lattice import WeightedModular
-from stochsubmax.lp import build_slot_program, program_dump, simplex_max, solve_lp
+from stochsubmax.lp import (
+    CERT_TOL,
+    _bland,
+    build_slot_program,
+    certify_optimal,
+    program_dump,
+    simplex_max,
+    solve_lp,
+)
 from stochsubmax.model import Instance, ItemModel, expected_truncated_cost
 
 
@@ -215,8 +224,9 @@ def pinned_program(seed, n, budget, kind):
 
 
 # Bland's rule fixes the pivot sequence, so these pins hold for any
-# implementation of it: pivot count, the exact support (float dust included)
-# and the vertex to 1e-12.
+# implementation of it: the pivot count, the support above ENTRY_TOL and the
+# vertex to 1e-12. The supports were recorded from the dense-solve path and
+# include its float dust.
 PINNED_VERTICES = [
     ((11, 12, 10, "cardinality"), (23, 74), 66, {
         0: 0.5351266623970532, 3: 0.4648733376029468, 6: 0.464873337602946,
@@ -245,12 +255,16 @@ PINNED_VERTICES = [
 def test_bland_vertex_pinned(args, shape, pivots, support):
     prog, obj = pinned_program(*args)
     assert prog.row_coeffs.shape == shape
-    x, val, iters = simplex_max(obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj)))
+    lp = (obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj)))
+    x, val, iters, basis = _bland(*lp)
     assert iters == pivots
-    assert np.nonzero(x)[0].tolist() == sorted(support)
-    np.testing.assert_allclose(x[sorted(support)], [support[j] for j in sorted(support)],
-                               rtol=0, atol=1e-12)
-    assert val == pytest.approx(float(obj @ x), abs=1e-12)
+    assert np.flatnonzero(x > ENTRY_TOL).tolist() == [j for j in sorted(support)
+                                                       if support[j] > ENTRY_TOL]
+    pinned = np.zeros(len(obj))
+    pinned[list(support)] = list(support.values())
+    assert np.abs(x - pinned).max() <= 1e-12
+    assert abs(val - float(obj @ pinned)) <= 1e-12
+    certify_optimal(*lp, x, basis)
 
 
 @pytest.mark.parametrize("args,shape,pivots,support", PINNED_VERTICES)
@@ -387,26 +401,132 @@ def reference_simplex_max(obj, A, b, upper):
     raise LpStallError(20000, float(c_full @ x))
 
 
-def _outcome(fn, *args):
+def assert_matches_reference(lp):
+    """``simplex_max`` agrees with the dense-solve reference, and its answer is certified.
+
+    Both stall, or both stop after the same number of pivots at vertices
+    within 1e-12 of each other, with equal objectives to 1e-12 and the same
+    support above ENTRY_TOL.
+    """
     try:
-        x, val, iters = fn(*args)
+        ref_x, ref_val, ref_iters = reference_simplex_max(*lp)
     except LpStallError:
-        return "stall"
-    return x.tobytes(), val, iters
+        with pytest.raises(LpStallError):
+            simplex_max(*lp)
+        return
+    x, val, iters, basis = _bland(*lp)
+    assert iters == ref_iters
+    assert np.abs(x - ref_x).max() <= 1e-12
+    assert abs(val - ref_val) <= 1e-12
+    assert np.array_equal(np.flatnonzero(x > ENTRY_TOL), np.flatnonzero(ref_x > ENTRY_TOL))
+    certify_optimal(*lp, x, basis)
 
 
 @settings(max_examples=300)
 @given(bounded_lps())
 def test_matches_column_by_column_reference(lp):
-    assert _outcome(simplex_max, *lp) == _outcome(reference_simplex_max, *lp)
+    assert_matches_reference(lp)
 
 
 @pytest.mark.parametrize("args", [p[0] for p in PINNED_VERTICES])
-def test_slot_program_matches_reference_bitwise(args):
+def test_slot_program_matches_reference(args):
     prog, obj = pinned_program(*args)
-    ones = np.ones(len(obj))
-    assert (_outcome(simplex_max, obj, prog.row_coeffs, prog.row_bounds, ones)
-            == _outcome(reference_simplex_max, obj, prog.row_coeffs, prog.row_bounds, ones))
+    assert_matches_reference((obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj))))
+
+
+def test_long_program_matches_reference(monkeypatch):
+    # a solve-large-sized program: n = 40, budget = 30, 771 variables over 71
+    # rows, whose 287 pivots rebuild the basis inverse 4 times
+    rebuilds = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        rebuilds.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    prog, obj = pinned_program(14, 40, 30, "cardinality")
+    assert prog.row_coeffs.shape == (71, 771)
+    assert_matches_reference((obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj))))
+    assert len(rebuilds) >= 3
+
+
+@settings(max_examples=300)
+@given(bounded_lps())
+def test_certificate_accepts_vertex_and_rejects_half_of_it(lp):
+    try:
+        x, val, _, basis = _bland(*lp)
+    except LpStallError:
+        return
+    assert certify_optimal(*lp, x, basis) <= CERT_TOL * max(1.0, abs(val))
+    if val > 1e-6:
+        # x / 2 is feasible (b >= 0) and worse by val / 2
+        with pytest.raises(LpCertificateError) as err:
+            certify_optimal(*lp, x / 2, basis)
+        assert err.value.check == "duality gap"
+        assert err.value.amount >= val / 2 - 1e-9
+
+
+def test_certificate_rejects_suboptimal_vertex():
+    # max 2 x0 + x1 subject to x0 + x1 <= 1 at the vertex x = (0, 1): the bound x0 <= 1
+    # prices x0's reduced cost 1, so the gap is 1, all of it at column 0
+    lp = (np.array([2.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2))
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(*lp, np.array([0.0, 1.0]), [1])
+    assert (err.value.check, err.value.at) == ("duality gap", "column 0")
+    assert err.value.amount == pytest.approx(1.0)
+    x, _, _, basis = _bland(*lp)
+    assert certify_optimal(*lp, x, basis) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_certificate_rejects_duals_infeasible_on_unbounded_column():
+    # the same vertex when x0 has no upper bound: its reduced cost 1 has no bound to price it
+    lp = (np.array([2.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.array([np.inf, 1.0]))
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(*lp, np.array([0.0, 1.0]), [1])
+    assert (err.value.check, err.value.at, err.value.amount) == ("reduced cost", "column 0", 1.0)
+
+
+def test_certificate_rejects_negative_dual():
+    # max x1 subject to x0 + x1 <= 1 (row 0) and x0 <= 1 (row 1) on the basis {x0, x1}
+    # at x = (0, 1): the duals are (1, -1)
+    lp = (np.array([0.0, 1.0]), np.array([[1.0, 1.0], [1.0, 0.0]]), np.ones(2),
+          np.full(2, np.inf))
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(*lp, np.array([0.0, 1.0]), [0, 1], row_labels=("cap", "other"))
+    assert (err.value.check, err.value.at, err.value.amount) == ("dual sign", "other", 1.0)
+
+
+def test_solve_lp_names_worst_violated_row(monkeypatch):
+    inst = symmetric_pair_instance()
+    prog = build_slot_program(inst, inst.outer)
+    nv, m = prog.row_coeffs.shape[1], len(prog.row_bounds)
+    x = np.ones(nv)  # every start slot at once
+    excess = prog.row_coeffs @ x - prog.row_bounds
+    monkeypatch.setattr(lp_module, "_bland",
+                        lambda *a: (x, float(nv), 1, np.arange(nv, nv + m)))
+    with pytest.raises(LpStallError) as err:  # existing handlers still catch it
+        solve_lp(prog, np.ones(nv))
+    assert isinstance(err.value, LpCertificateError)
+    worst = int(excess.argmax())
+    assert (err.value.check, err.value.at) == ("row", prog.row_labels[worst])
+    assert err.value.amount == excess[worst]
+    assert str(prog.row_labels[worst]) in str(err.value)
+
+
+def test_solve_lp_names_column_of_duality_gap(monkeypatch):
+    # the origin on the slack basis is feasible but not optimal: every column
+    # has reduced cost 1 and the largest gap term is the first column's
+    inst = symmetric_pair_instance()
+    prog = build_slot_program(inst, inst.outer)
+    nv, m = prog.row_coeffs.shape[1], len(prog.row_bounds)
+    monkeypatch.setattr(lp_module, "_bland",
+                        lambda *a: (np.zeros(nv), 0.0, 0, np.arange(nv, nv + m)))
+    with pytest.raises(LpCertificateError) as err:
+        solve_lp(prog, np.ones(nv))
+    assert (err.value.check, err.value.at) == ("duality gap", prog.variables[0])
+    assert err.value.amount == pytest.approx(nv)
+    assert str(prog.variables[0]) in str(err.value)
 
 
 def reference_rows(instance, outer):
