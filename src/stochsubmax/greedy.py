@@ -7,6 +7,14 @@ along the optimal vertex. After T steps the accumulated solution satisfies
 every outer row at scale l and every time row at scale l (the directions are
 feasible for the unscaled rows and the steps sum to l), which is exactly what
 :func:`certify_solution` checks.
+
+The LP rows, right-hand side and box are the same at every step and only the
+objective changes, so each step's simplex starts from the previous step's
+final basis, which is still primal feasible. The first step starts from the
+slack basis, and so does any step whose start the simplex cannot use. Every
+answer is certified by LP duality either way. Items without a start slot get
+no variables; with no variables at all the greedy estimates no gains and
+solves no LP.
 """
 
 from __future__ import annotations
@@ -179,16 +187,18 @@ def run_continuous_greedy(
     delta = stop_scale / steps
     x = np.zeros(nv)
     item_of_var = np.array([i for i, _ in program.variables], dtype=np.int64)
+    start = None
 
     for k in range(steps):
-        marginals = np.zeros(instance.n)
-        np.add.at(marginals, item_of_var, x)
-        gains, _ = estimate_marginal_gains(
-            instance, f, marginals, grad_samples, stream_entropy(seed, "step", k), workers
-        )
-        objective = gains[item_of_var] if nv else np.zeros(0)
-        direction = solve_lp(program, objective).values if nv else np.zeros(0)
-        x = x + delta * direction
+        if nv:
+            marginals = np.zeros(instance.n)
+            np.add.at(marginals, item_of_var, x)
+            gains, _ = estimate_marginal_gains(
+                instance, f, marginals, grad_samples, stream_entropy(seed, "step", k), workers
+            )
+            lp = solve_lp(program, gains[item_of_var], start)
+            start = (lp.basis, lp.sign)
+            x = x + delta * lp.values
         if history is not None:
             snap = np.zeros(instance.n)
             np.add.at(snap, item_of_var, x)

@@ -8,16 +8,23 @@ instance and outer constraint:
   * per outer inequality (a, b): sum_i a_i * sum_t x(i, t) <= b
   * per time t in {1..budget}: sum_i E[min(cost_i, t)] * sum_{t' <= t} x(i, t') <= 2t
 
-All row coefficients are nonnegative and x = 0 is feasible, so the simplex
+All row coefficients are nonnegative and x = 0 is feasible, so a cold solve
 starts from the slack basis and needs no phase 1. Bland's least-index rule is
 used for both entering and leaving choices (termination over speed).
 
+A solve may instead start from the final basis and bound signs of an earlier
+solve over the same rows, right-hand side and box. Only the objective can
+differ, so that basis is still primal feasible and phase 2 starts there: the
+continuous greedy changes nothing but the objective from step to step. A
+start whose basis is singular, or whose basic values leave the box by more
+than ``ROW_TOL``, is dropped for the slack basis.
+
 Each pivot works on an explicit inverse ``Binv`` of the basis matrix (the
-revised simplex). It starts as the identity, because the start basis is all
-slacks. A basis change updates it in place by one rank-1 (eta) update, a
-bound flip leaves it unchanged, and every ``REFACTOR`` basis changes it is
-rebuilt from the basis columns, which sheds the rounding the updates
-accumulate. The duals are y = c_B Binv and the entering column is
+revised simplex). It starts as the identity on the slack basis, or as the
+inverse of the start basis. A basis change updates it in place by one rank-1
+(eta) update, a bound flip leaves it unchanged, and every ``REFACTOR`` basis
+changes it is rebuilt from the basis columns, which sheds the rounding the
+updates accumulate. The duals are y = c_B Binv and the entering column is
 w = Binv a. Pricing is one matrix-vector product: the reduced costs
 c - A^T y of every column, times a sign vector (+1 for a nonbasic variable at
 its lower bound, -1 at its upper bound, 0 for a basic one). The entering
@@ -69,9 +76,20 @@ class SlotProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A simplex answer: the vertex, its objective, the pivots taken and the final basis.
+
+    ``basis`` holds the basic indices, structural columns first and then one
+    slack per row (index nv + row). ``sign`` has one entry per column and
+    slack: +1 for a nonbasic variable at its lower bound, -1 at its upper
+    bound, 0 for a basic one. ``(basis, sign)`` is a start for a later solve
+    over the same rows, right-hand side and box.
+    """
+
     values: np.ndarray
     objective: float
     iterations: int
+    basis: np.ndarray
+    sign: np.ndarray
 
 
 def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgram:
@@ -141,11 +159,14 @@ def program_dump(program: SlotProgram, objective=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def solve_lp(program: SlotProgram, objective=None) -> LpSolution:
+def solve_lp(program: SlotProgram, objective=None, start=None) -> LpSolution:
     """Maximize the objective over the program rows and [0, 1] box, certified by duality.
 
-    Raises :class:`LpCertificateError` (an :class:`LpStallError`) naming the
-    row or column at fault if the answer fails :func:`certify_optimal`.
+    ``start`` is the ``(basis, sign)`` of an earlier answer over the same
+    program, as :func:`simplex_max` takes it. Raises
+    :class:`LpCertificateError` (an :class:`LpStallError`) naming the row or
+    column at fault if the answer fails :func:`certify_optimal`, whatever the
+    start.
     """
     if objective is None:
         objective = program.objective
@@ -156,12 +177,12 @@ def solve_lp(program: SlotProgram, objective=None) -> LpSolution:
     if obj.shape != (nv,):
         raise ValueError(f"objective must have {nv} coefficients")
     upper = np.ones(nv)
-    values, value, iters, basis = _bland(obj, program.row_coeffs, program.row_bounds, upper)
+    sol = simplex_max(obj, program.row_coeffs, program.row_bounds, upper, start=start)
     certify_optimal(
-        obj, program.row_coeffs, program.row_bounds, upper, values, basis,
+        obj, program.row_coeffs, program.row_bounds, upper, sol.values, sol.basis,
         variables=program.variables, row_labels=program.row_labels,
     )
-    return LpSolution(values=values, objective=value, iterations=iters)
+    return sol
 
 
 def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None) -> float:
@@ -232,27 +253,32 @@ def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None)
     return gap
 
 
-def simplex_max(obj, A, b, upper, max_iters: int = 20000):
+def simplex_max(obj, A, b, upper, start=None, max_iters: int = 20000) -> LpSolution:
     """Bounded-variable primal simplex for max c.x, A x <= b, 0 <= x <= upper.
 
-    Requires b >= 0 (x = 0 must be feasible). Returns (x, objective, iterations).
+    Requires b >= 0, so that x = 0 on the slack basis is feasible. ``start``
+    is an optional ``(basis, sign)`` pair, as an earlier :class:`LpSolution`
+    over the same A, b and upper holds them; phase 2 then starts from that
+    basis, with each nonbasic variable at the bound its sign names. A start of
+    the wrong shape, or with a repeated or out-of-range index or a sign that
+    does not match its basis, raises ``ValueError``. A singular start basis,
+    or one whose basic values leave [0, upper] by more than ``ROW_TOL``, is
+    dropped and the solve starts from the slack basis.
     """
-    x, value, iters, _ = _bland(obj, A, b, upper, max_iters)
-    return x, value, iters
-
-
-def _bland(obj, A, b, upper, max_iters: int = 20000):
-    """``simplex_max`` that also returns the final basis (indices into columns, then slacks)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     obj = np.asarray(obj, dtype=float)
     upper = np.asarray(upper, dtype=float)
     m, nv = A.shape if A.size else (0, len(obj))
+    up_full = np.concatenate([upper, np.full(m, np.inf)])
+    if start is not None:
+        start = _checked_start(start, up_full, m)
     if m == 0:
         x = np.where(obj > 0, np.where(np.isfinite(upper), upper, np.inf), 0.0)
         if np.any(np.isinf(x)):
             raise LpStallError(0, float("inf"))
-        return x, float(obj @ x), 0, np.zeros(0, dtype=np.int64)
+        return LpSolution(x, float(obj @ x), 0, np.zeros(0, dtype=np.int64),
+                          np.where(obj > 0, -1.0, 1.0))
     if np.any(b < -ROW_TOL):
         raise ValueError("right-hand side must be nonnegative (x=0 feasible)")
     b = np.maximum(b, 0.0)
@@ -260,17 +286,21 @@ def _bland(obj, A, b, upper, max_iters: int = 20000):
     total = nv + m
     A_fullT = np.vstack([A.T, np.eye(m)])  # one contiguous row per variable
     c_full = np.concatenate([obj, np.zeros(m)])
-    up_full = np.concatenate([upper, np.full(m, np.inf)])
     bounded = np.isfinite(up_full)
 
-    basis = np.arange(nv, total)
-    Binv = np.eye(m)  # inverse of the slack basis
+    warm = None if start is None else _start_point(A_fullT, b, up_full, *start)
+    if warm is not None:
+        basis, sign = start
+        x, Binv = warm
+    else:
+        basis = np.arange(nv, total)
+        # +1 nonbasic at its lower bound, -1 nonbasic at its upper bound, 0 basic
+        sign = np.ones(total)
+        sign[basis] = 0.0
+        x = np.zeros(total)
+        x[basis] = b
+        Binv = np.eye(m)  # inverse of the slack basis
     changes = 0
-    # +1 nonbasic at its lower bound, -1 nonbasic at its upper bound, 0 basic
-    sign = np.ones(total)
-    sign[basis] = 0.0
-    x = np.zeros(total)
-    x[basis] = b
 
     for it in range(1, max_iters + 1):
         y = c_full[basis] @ Binv
@@ -278,7 +308,7 @@ def _bland(obj, A, b, upper, max_iters: int = 20000):
         eligible = sign * (c_full - A_fullT @ y) > PIVOT_TOL
         entering = int(eligible.argmax())
         if not eligible[entering]:
-            return x[:nv].copy(), float(c_full @ x), it - 1, basis
+            return LpSolution(x[:nv].copy(), float(c_full @ x), it - 1, basis, sign)
         direction = int(sign[entering])
 
         w = Binv @ A_fullT[entering]
@@ -327,3 +357,37 @@ def _bland(obj, A, b, upper, max_iters: int = 20000):
             Binv[pos] = pivot
 
     raise LpStallError(max_iters, float(c_full @ x))
+
+
+def _checked_start(start, up_full, m):
+    """Copies of a start's basis and sign as arrays; raises ``ValueError`` if it is malformed."""
+    basis, sign = start
+    basis = np.asarray(basis)
+    sign = np.array(sign, dtype=float)
+    total = len(up_full)
+    if basis.shape != (m,) or sign.shape != (total,):
+        raise ValueError(f"a start needs {m} basic indices and {total} signs")
+    if m and (basis.dtype.kind not in "iu" or basis.min() < 0 or basis.max() >= total):
+        raise ValueError(f"start basis indices must be integers in 0..{total - 1}")
+    nonbasic = np.ones(total, dtype=bool)
+    nonbasic[basis] = False
+    if np.count_nonzero(nonbasic) != total - m:
+        raise ValueError("start basis repeats an index")
+    if not (np.abs(sign) == nonbasic).all() or (sign[~np.isfinite(up_full)] < 0).any():
+        raise ValueError("start signs must be 0 on the basis and +1 or -1 off it, "
+                         "with -1 only on a variable with an upper bound")
+    return basis.astype(np.int64), sign
+
+
+def _start_point(A_fullT, b, up_full, basis, sign):
+    """(x, Binv) at a checked start, or None if its basis is singular or infeasible."""
+    try:
+        Binv = np.linalg.inv(A_fullT[basis]).T
+    except np.linalg.LinAlgError:
+        return None
+    x = np.where(sign < 0, up_full, 0.0)
+    xb = Binv @ (b - x @ A_fullT)
+    if not ((xb >= -ROW_TOL) & (xb <= up_full[basis] + ROW_TOL)).all():  # NaN fails too
+        return None
+    x[basis] = xb
+    return x, Binv

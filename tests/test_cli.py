@@ -1,9 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stochsubmax import constraints, lp
+from stochsubmax import constraints, greedy, lp
 from stochsubmax.cli import main
 from stochsubmax.generators import (
     partition_demo_instance,
@@ -86,10 +91,12 @@ def test_solve_refuses_explicit_outer(tmp_path):
 
 def test_solve_reports_lp_certificate_failure(pair_file, tmp_path, monkeypatch, capsys):
     # a simplex that stops at the origin: feasible, but the duality gap names a column
-    def origin(obj, A, b, upper):
-        return np.zeros(len(obj)), 0.0, 0, np.arange(len(obj), len(obj) + len(b))
+    def origin(obj, A, b, upper, start=None):
+        nv, m = len(obj), len(b)
+        return lp.LpSolution(np.zeros(nv), 0.0, 0, np.arange(nv, nv + m),
+                             np.r_[np.ones(nv), np.zeros(m)])
 
-    monkeypatch.setattr(lp, "_bland", origin)
+    monkeypatch.setattr(lp, "simplex_max", origin)
     rc = main(["solve", "--instance", str(pair_file), "--steps", "2",
                "--grad-samples", "100", "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -223,3 +230,53 @@ def test_nan_probability_exits_1(pair_file, tmp_path, capsys):
     assert main(["validate", "--instance", str(path)]) == 1
     assert "non-finite state probability" in capsys.readouterr().out
     assert main(["solve", "--instance", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+EDGE_CASES = ("B = 1", "k = 0", "no item has a slot", "a top cost equals the budget")
+
+
+@st.composite
+def edge_instances(draw, case):
+    """Small modular instances with the edge feature ``case``; item 0 has a slot unless none does."""
+    n = draw(st.integers(2, 4))
+    B = 1 if case == "B = 1" else draw(st.integers(1, 3))
+    budget = draw(st.integers(2, 6))
+    if case == "no item has a slot":
+        tops = [draw(st.integers(budget, budget + 2)) for _ in range(n)]
+    else:
+        tops = [draw(st.integers(1, budget - 1)) for _ in range(n)]
+    if case == "a top cost equals the budget":
+        for i in draw(st.sets(st.integers(1, n - 1), min_size=1)):
+            tops[i] = budget
+    items = []
+    for top in tops:
+        costs = sorted(draw(st.lists(st.integers(1, top), min_size=B, max_size=B)))
+        weights = draw(st.lists(st.integers(1, 4), min_size=B, max_size=B))
+        items.append(ItemModel(probs=tuple(w / sum(weights) for w in weights),
+                               costs=(*costs[:-1], top)))
+    k = 0 if case == "k = 0" else draw(st.integers(1, n))
+    utility = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return Instance(n=n, B=B, budget=budget, items=tuple(items),
+                    outer=constraints.cardinality(n, k),
+                    utility=WeightedModular(weights=tuple(float(w) for w in utility)))
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_edge_cases_certify_and_simulate_without_violations(case, data):
+    inst = data.draw(edge_instances(case))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(greedy, "solve_lp", wraps=greedy.solve_lp) as lp_calls:
+        tmp = Path(tmp)
+        save_instance(inst, tmp / "inst.json")
+        assert main(["solve", "--instance", str(tmp / "inst.json"), "--steps", "4",
+                     "--grad-samples", "100", "--out", str(tmp / "o")]) == 0
+        assert json.loads((tmp / "o" / "certification.json").read_text())["passed"]
+        # with no variables at all the greedy solves no LP
+        assert lp_calls.call_count == (0 if case == "no item has a slot" else 4)
+        assert main(["simulate", "--instance", str(tmp / "inst.json"),
+                     "--solution", str(tmp / "o" / "solution.json"),
+                     "--runs", "300", "--out", str(tmp / "sim")]) == 0
+        fields = (tmp / "sim" / "summary.csv").read_text().splitlines()[1].split(",")
+    assert fields[0] == "300" and fields[3:] == ["0", "0", "0"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stochsubmax import constraints, greedy
 from stochsubmax.extensions import expected_set_value_exact, multilinear_exact
 from stochsubmax.generators import (
     partition_demo_instance,
@@ -15,7 +16,8 @@ from stochsubmax.greedy import (
     solution_from_json,
     solution_to_json,
 )
-from stochsubmax.lattice import WeightedModular
+from stochsubmax.lattice import ConcaveOverModular, WeightedModular
+from stochsubmax.model import Instance, ItemModel
 from stochsubmax.parallel import combine_mean_se
 
 
@@ -235,3 +237,56 @@ def test_combine_mean_se_arrays_match_scalars():
         assert type(m) is float and type(s) is float
     one_mean, one_se = combine_mean_se([partials[2]])
     assert np.array_equal(one_mean, partials[2][1]) and not one_se.any()
+
+
+def warm_against_cold(monkeypatch, inst, **kwargs):
+    """Run the greedy, checking each warm LP step against a cold solve; return pivot totals."""
+    solve_lp = greedy.solve_lp
+    totals = {"warm": 0, "cold": 0, "starts": 0}
+
+    def checked(program, objective, start=None):
+        warm = solve_lp(program, objective, start)
+        cold = solve_lp(program, objective)
+        assert abs(warm.objective - cold.objective) <= 1e-12
+        totals["warm"] += warm.iterations
+        totals["cold"] += cold.iterations
+        totals["starts"] += start is not None
+        return warm
+
+    monkeypatch.setattr(greedy, "solve_lp", checked)
+    run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, seed=3, **kwargs)
+    assert totals["starts"] == kwargs["steps"] - 1  # every step after the first is warm
+    return totals
+
+
+def desk_random_instance(seed):
+    return random_instance(seed, n_max=5, B_max=3, budget_max=10,
+                           kinds=("cardinality", "partition"), all_schedulable=True)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_warm_steps_match_cold_solves_on_desk_instances(monkeypatch, seed):
+    warm_against_cold(monkeypatch, desk_random_instance(seed), steps=25, grad_samples=300)
+
+
+def test_warm_steps_match_cold_solves_at_n40(monkeypatch):
+    # a 40-item, budget-30 program with a cardinality row and concave utility
+    rng = np.random.default_rng(40)
+    items = []
+    for _ in range(40):
+        p = rng.uniform(0.1, 1.0, size=3)
+        costs = sorted(int(c) for c in rng.integers(1, 16, size=3))
+        items.append(ItemModel(probs=tuple(float(v) for v in p / p.sum()), costs=tuple(costs)))
+    weights = tuple(float(w) for w in np.round(rng.uniform(0.5, 2.0, size=40), 3))
+    inst = Instance(n=40, B=3, budget=30, items=tuple(items),
+                    outer=constraints.cardinality(40, 10),
+                    utility=ConcaveOverModular(weights=weights, curve="sqrt"))
+    totals = warm_against_cold(monkeypatch, inst, steps=12, grad_samples=200)
+    assert totals["warm"] < totals["cold"] / 3
+
+
+def test_warm_pivots_pinned_on_desk_instance(monkeypatch):
+    # Bland's rule and seeded gains make both totals repeat exactly
+    totals = warm_against_cold(monkeypatch, desk_random_instance(4), steps=25,
+                               grad_samples=1500)
+    assert (totals["warm"], totals["cold"]) == (4, 100)

@@ -23,7 +23,7 @@ from stochsubmax.greedy import (
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.lp import (
     CERT_TOL,
-    _bland,
+    LpSolution,
     build_slot_program,
     certify_optimal,
     program_dump,
@@ -63,17 +63,17 @@ def test_single_item_outer_row_duplicates_cap():
 
 
 def test_trivial_lp():
-    x, val, _ = simplex_max(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.array([1.0]))
-    assert val == pytest.approx(1.0)
-    assert x[0] == pytest.approx(1.0)
+    sol = simplex_max(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.array([1.0]))
+    assert sol.objective == pytest.approx(1.0)
+    assert sol.values[0] == pytest.approx(1.0)
 
 
 def test_cardinality_row_binds():
     # max x1 + x2 subject to x1 + x2 <= 1, box [0, 1]
-    x, val, _ = simplex_max(
+    sol = simplex_max(
         np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2)
     )
-    assert val == pytest.approx(1.0)
+    assert sol.objective == pytest.approx(1.0)
 
 
 def grid_oracle(prog, objective, resolution=8):
@@ -134,19 +134,19 @@ def test_against_scipy_on_random_problems():
         A = rng.uniform(0, 2, size=(m, nv))
         b = rng.uniform(0.5, 4, size=m)
         c = rng.uniform(-1, 2, size=nv)
-        x, val, _ = simplex_max(c, A, b, np.ones(nv))
+        sol = simplex_max(c, A, b, np.ones(nv))
         ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0, 1), method="highs")
         assert ref.success
-        assert val == pytest.approx(-ref.fun, abs=1e-7)
-        assert np.all(A @ x <= b + 1e-9)
+        assert sol.objective == pytest.approx(-ref.fun, abs=1e-7)
+        assert np.all(A @ sol.values <= b + 1e-9)
 
 
 def test_negative_objective_keeps_variables_at_zero():
-    x, val, _ = simplex_max(
+    sol = simplex_max(
         np.array([-1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([2.0]), np.ones(2)
     )
-    assert val == pytest.approx(2.0)
-    assert x[0] == pytest.approx(0.0)
+    assert sol.objective == pytest.approx(2.0)
+    assert sol.values[0] == pytest.approx(0.0)
 
 
 def test_infeasible_origin_rejected():
@@ -256,21 +256,22 @@ def test_bland_vertex_pinned(args, shape, pivots, support):
     prog, obj = pinned_program(*args)
     assert prog.row_coeffs.shape == shape
     lp = (obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj)))
-    x, val, iters, basis = _bland(*lp)
-    assert iters == pivots
-    assert np.flatnonzero(x > ENTRY_TOL).tolist() == [j for j in sorted(support)
-                                                       if support[j] > ENTRY_TOL]
+    sol = simplex_max(*lp)
+    assert sol.iterations == pivots
+    assert np.flatnonzero(sol.values > ENTRY_TOL).tolist() == [
+        j for j in sorted(support) if support[j] > ENTRY_TOL
+    ]
     pinned = np.zeros(len(obj))
     pinned[list(support)] = list(support.values())
-    assert np.abs(x - pinned).max() <= 1e-12
-    assert abs(val - float(obj @ pinned)) <= 1e-12
-    certify_optimal(*lp, x, basis)
+    assert np.abs(sol.values - pinned).max() <= 1e-12
+    assert abs(sol.objective - float(obj @ pinned)) <= 1e-12
+    certify_optimal(*lp, sol.values, sol.basis)
 
 
 @pytest.mark.parametrize("args,shape,pivots,support", PINNED_VERTICES)
 def test_solution_entries_drop_vertex_dust(args, shape, pivots, support):
     prog, obj = pinned_program(*args)
-    x, _, _ = simplex_max(obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj)))
+    x = simplex_max(obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj))).values
     entries, marginals = solution_entries(prog.variables, x, args[1])
     kept = [j for j in sorted(support) if support[j] > ENTRY_TOL]
     assert len(kept) < len(support)  # each pinned vertex carries dust
@@ -332,14 +333,18 @@ def test_against_highs_with_mixed_bounds(lp):
     ref = linprog(-c, A_ub=A, b_ub=b, bounds=[(0, None if np.isinf(u) else u) for u in upper],
                   method="highs", options={"presolve": False})
     assert ref.success
-    x, val, _ = simplex_max(c, A, b, upper)
-    assert val == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
-    assert np.all(A @ x <= b + 1e-9)
-    assert np.all(x >= -1e-12) and np.all(x <= upper + 1e-12)
+    sol = simplex_max(c, A, b, upper)
+    assert sol.objective == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+    assert np.all(A @ sol.values <= b + 1e-9)
+    assert np.all(sol.values >= -1e-12) and np.all(sol.values <= upper + 1e-12)
 
 
-def reference_simplex_max(obj, A, b, upper):
-    """Bland's rule one column at a time, in index order: the reference for ``simplex_max``."""
+def reference_simplex_max(obj, A, b, upper, path=None):
+    """Bland's rule one column at a time, in index order: the reference for ``simplex_max``.
+
+    A ``path`` list receives the ``(basis, sign)`` start at each basis visited,
+    the final one included.
+    """
     m, nv = A.shape
     total = nv + m
     A_full = np.hstack([A, np.eye(m)])
@@ -352,6 +357,8 @@ def reference_simplex_max(obj, A, b, upper):
     x = np.zeros(total)
     x[basis] = b
     for it in range(1, 20001):
+        if path is not None:
+            path.append((np.array(basis), np.where(in_basis, 0.0, np.where(at_upper, -1.0, 1.0))))
         B = A_full[:, basis]
         try:
             y = np.linalg.solve(B.T, c_full[basis])
@@ -414,12 +421,13 @@ def assert_matches_reference(lp):
         with pytest.raises(LpStallError):
             simplex_max(*lp)
         return
-    x, val, iters, basis = _bland(*lp)
-    assert iters == ref_iters
-    assert np.abs(x - ref_x).max() <= 1e-12
-    assert abs(val - ref_val) <= 1e-12
-    assert np.array_equal(np.flatnonzero(x > ENTRY_TOL), np.flatnonzero(ref_x > ENTRY_TOL))
-    certify_optimal(*lp, x, basis)
+    sol = simplex_max(*lp)
+    assert sol.iterations == ref_iters
+    assert np.abs(sol.values - ref_x).max() <= 1e-12
+    assert abs(sol.objective - ref_val) <= 1e-12
+    assert np.array_equal(np.flatnonzero(sol.values > ENTRY_TOL),
+                          np.flatnonzero(ref_x > ENTRY_TOL))
+    certify_optimal(*lp, sol.values, sol.basis)
 
 
 @settings(max_examples=300)
@@ -451,18 +459,112 @@ def test_long_program_matches_reference(monkeypatch):
     assert len(rebuilds) >= 3
 
 
+def pinned_lp():
+    """The first pinned program as (obj, A, b, upper)."""
+    prog, obj = pinned_program(*PINNED_VERTICES[0][0])
+    return obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj))
+
+
+def test_warm_start_from_every_basis_on_the_cold_path():
+    # Bland's rule picks each pivot from the current basis alone, so a start at
+    # the k-th basis of the cold path takes the remaining pivots of that path
+    lp = pinned_lp()
+    path = []
+    reference_simplex_max(*lp, path=path)
+    cold = simplex_max(*lp)
+    assert len(path) == cold.iterations + 1 == 67
+    for k, start in enumerate(path):
+        warm = simplex_max(*lp, start=start)
+        assert warm.iterations == cold.iterations - k
+        assert abs(warm.objective - cold.objective) <= 1e-12
+        certify_optimal(*lp, warm.values, warm.basis)
+
+
+def test_warm_start_from_final_bases_of_other_objectives():
+    obj, A, b, upper = pinned_lp()
+    cold = simplex_max(obj, A, b, upper)
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        other = simplex_max(rng.uniform(-1, 2, size=len(obj)), A, b, upper)
+        assert np.any(other.sign < 0)  # some columns start at their upper bound
+        warm = simplex_max(obj, A, b, upper, start=(other.basis, other.sign))
+        assert warm.iterations < cold.iterations
+        assert abs(warm.objective - cold.objective) <= 1e-12
+        certify_optimal(obj, A, b, upper, warm.values, warm.basis)
+
+
+@settings(max_examples=300)
+@given(bounded_lps(), st.data())
+def test_warm_start_matches_cold_on_a_new_objective(lp, data):
+    c, A, b, upper = lp
+    c2 = np.array(data.draw(st.lists(st.integers(-3, 4), min_size=len(c), max_size=len(c))),
+                  dtype=float)
+    try:
+        first = simplex_max(*lp)
+    except LpStallError:
+        return
+    start = (first.basis, first.sign)
+    try:
+        cold = simplex_max(c2, A, b, upper)
+    except LpStallError:
+        with pytest.raises(LpStallError):
+            simplex_max(c2, A, b, upper, start=start)
+        return
+    warm = simplex_max(c2, A, b, upper, start=start)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+    certify_optimal(c2, A, b, upper, warm.values, warm.basis)
+
+
+# max x0 + 2 x1 subject to x0 + x1 <= 1 (row 0) and x0 + x1 <= 1.5 (row 1) in
+# the unit box; variables 0, 1 are the columns and 2, 3 the slacks
+SMALL_LP = (np.array([1.0, 2.0]), np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.5]),
+            np.ones(2))
+
+
+@pytest.mark.parametrize("start", [
+    ([0], [0.0, 1.0, 1.0, 1.0]),  # one basic index for two rows
+    ([0, 2], [0.0, 1.0, 0.0]),  # three signs for four variables
+    ([2, 2], [1.0, 1.0, 0.0, 1.0]),  # repeated index
+    ([2, 4], [1.0, 1.0, 0.0, 1.0]),  # index past the last slack
+    ([-1, 2], [1.0, 1.0, 0.0, 1.0]),  # negative index
+    ([2.0, 3.0], [1.0, 1.0, 0.0, 0.0]),  # float indices
+    ([2, 3], [1.0, 0.0, 0.0, 0.0]),  # a nonbasic variable with sign 0
+    ([2, 3], [1.0, 1.0, 1.0, 0.0]),  # a basic variable with a sign
+    ([2, 3], [2.0, 1.0, 0.0, 0.0]),  # a sign other than +1 or -1
+    ([0, 2], [0.0, 1.0, 0.0, -1.0]),  # an unbounded slack at its upper bound
+    ("ab", [1.0, 1.0, 0.0, 0.0]),
+])
+def test_malformed_start_raises(start):
+    with pytest.raises(ValueError):
+        simplex_max(*SMALL_LP, start=start)
+
+
+@pytest.mark.parametrize("start", [
+    ([0, 1], [0.0, 0.0, 1.0, 1.0]),  # columns 0 and 1 make a singular basis
+    ([0, 2], [0.0, 1.0, 0.0, 1.0]),  # row 1 puts x0 at 1.5, above its bound
+    ([2, 3], [-1.0, -1.0, 0.0, 0.0]),  # both columns at 1 leave row 0 at slack -1
+])
+def test_unusable_start_falls_back_to_cold(start):
+    cold = simplex_max(*SMALL_LP)
+    warm = simplex_max(*SMALL_LP, start=start)
+    assert warm.iterations == cold.iterations > 0
+    assert np.array_equal(warm.values, cold.values) and warm.objective == cold.objective
+    assert np.array_equal(warm.basis, cold.basis) and np.array_equal(warm.sign, cold.sign)
+
+
 @settings(max_examples=300)
 @given(bounded_lps())
 def test_certificate_accepts_vertex_and_rejects_half_of_it(lp):
     try:
-        x, val, _, basis = _bland(*lp)
+        sol = simplex_max(*lp)
     except LpStallError:
         return
-    assert certify_optimal(*lp, x, basis) <= CERT_TOL * max(1.0, abs(val))
+    val = sol.objective
+    assert certify_optimal(*lp, sol.values, sol.basis) <= CERT_TOL * max(1.0, abs(val))
     if val > 1e-6:
         # x / 2 is feasible (b >= 0) and worse by val / 2
         with pytest.raises(LpCertificateError) as err:
-            certify_optimal(*lp, x / 2, basis)
+            certify_optimal(*lp, sol.values / 2, sol.basis)
         assert err.value.check == "duality gap"
         assert err.value.amount >= val / 2 - 1e-9
 
@@ -475,8 +577,8 @@ def test_certificate_rejects_suboptimal_vertex():
         certify_optimal(*lp, np.array([0.0, 1.0]), [1])
     assert (err.value.check, err.value.at) == ("duality gap", "column 0")
     assert err.value.amount == pytest.approx(1.0)
-    x, _, _, basis = _bland(*lp)
-    assert certify_optimal(*lp, x, basis) == pytest.approx(0.0, abs=1e-12)
+    sol = simplex_max(*lp)
+    assert certify_optimal(*lp, sol.values, sol.basis) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_certificate_rejects_duals_infeasible_on_unbounded_column():
@@ -503,8 +605,8 @@ def test_solve_lp_names_worst_violated_row(monkeypatch):
     nv, m = prog.row_coeffs.shape[1], len(prog.row_bounds)
     x = np.ones(nv)  # every start slot at once
     excess = prog.row_coeffs @ x - prog.row_bounds
-    monkeypatch.setattr(lp_module, "_bland",
-                        lambda *a: (x, float(nv), 1, np.arange(nv, nv + m)))
+    monkeypatch.setattr(lp_module, "simplex_max", lambda *a, start=None: LpSolution(
+        x, float(nv), 1, np.arange(nv, nv + m), np.r_[-np.ones(nv), np.zeros(m)]))
     with pytest.raises(LpStallError) as err:  # existing handlers still catch it
         solve_lp(prog, np.ones(nv))
     assert isinstance(err.value, LpCertificateError)
@@ -520,8 +622,8 @@ def test_solve_lp_names_column_of_duality_gap(monkeypatch):
     inst = symmetric_pair_instance()
     prog = build_slot_program(inst, inst.outer)
     nv, m = prog.row_coeffs.shape[1], len(prog.row_bounds)
-    monkeypatch.setattr(lp_module, "_bland",
-                        lambda *a: (np.zeros(nv), 0.0, 0, np.arange(nv, nv + m)))
+    monkeypatch.setattr(lp_module, "simplex_max", lambda *a, start=None: LpSolution(
+        np.zeros(nv), 0.0, 0, np.arange(nv, nv + m), np.r_[np.ones(nv), np.zeros(m)]))
     with pytest.raises(LpCertificateError) as err:
         solve_lp(prog, np.ones(nv))
     assert (err.value.check, err.value.at) == ("duality gap", prog.variables[0])
