@@ -11,6 +11,7 @@ failed verdict, size guards), 2 I/O failure (unreadable or malformed files).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -142,6 +143,8 @@ def cmd_simulate(args) -> int:
         sol = greedy.load_solution(args.solution)
     except OSError as exc:
         raise IoFailure(f"cannot read solution file: {exc}") from exc
+    except InvalidInputError as exc:
+        raise DomainFailure(f"invalid solution file: {exc}") from exc
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"malformed solution file: {exc}") from exc
     report = greedy.certify_solution(instance, instance.outer, sol, sol.stop_scale)
@@ -270,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the continuous phase and certify it")
     common(p, solver=True)
     p.add_argument("--out", default="out")
-    p.add_argument("--dump-lp", action="store_true")
+    p.add_argument("--dump-lp", action="store_true",
+                   help="also write lp.txt: the slot program's rows over each "
+                        "item's latest start slot, one per line")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("simulate", help="simulate the policy on a solved instance")
@@ -286,8 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process: :func:`main` may run many times in one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_config(args)
         return args.fn(args)

@@ -8,6 +8,16 @@ every outer row at scale l and every time row at scale l (the directions are
 feasible for the unscaled rows and the steps sum to l), which is exactly what
 :func:`certify_solution` checks.
 
+Each step's objective gives every start slot of an item the same coefficient,
+the item's estimated gain, so the LP is solved over one column per item, its
+latest start slot (:func:`lp.build_slot_program`). Every column of an item has
+the same objective, item-cap and outer coefficients and box, and the latest
+slot's column is entrywise no larger in the time rows; moving an item's mass to
+that slot keeps every row feasible at the same objective, so each step's
+vertex is an optimal direction of the full time-indexed program and the
+accumulated solution carries the full program's guarantee. Its entries hold
+one slot per item; :class:`SlotSolution` still takes any number.
+
 The LP rows, right-hand side and box are the same at every step and only the
 objective changes, so each step's simplex starts from the previous step's
 final basis, which is still primal feasible. The first step starts from the
@@ -27,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .constraints import OuterConstraint, polytope_inequalities
+from .errors import InvalidInputError, as_int, json_number
 from .lp import build_slot_program, solve_lp
 from .model import Instance, expected_truncated_cost, sample_realization_batch
 from .parallel import combine_mean_se, map_blocks, split_blocks
@@ -297,24 +308,34 @@ def solution_to_json(sol: SlotSolution) -> str:
 
 
 def solution_from_json(text: str) -> SlotSolution:
+    """Parse a solution document; integer fields must be integral, never truncated.
+
+    Raises :class:`InvalidInputError` naming the field for a non-integral
+    count, seed, item or slot, a non-numeric scale or value, or an item
+    outside 1..n.
+    """
     doc = json.loads(text)
     meta = doc["meta"]
-    n = int(meta["n"])
-    entries = tuple(
-        (int(e["i"]) - 1, int(e["t"]), float(e["value"])) for e in doc["x"]
-    )
+    n = as_int(meta["n"], "meta.n")
+    entries = []
+    for j, e in enumerate(doc["x"]):
+        i = as_int(e["i"], f"x[{j}].i")
+        if not 1 <= i <= n:
+            raise InvalidInputError(f"x[{j}].i must lie in 1..{n}, got {i}")
+        t = as_int(e["t"], f"x[{j}].t")
+        entries.append((i - 1, t, float(json_number(e["value"], f"x[{j}].value"))))
     marginals = np.zeros(n)
     for i, _, v in entries:
         marginals[i] += v
     return SlotSolution(
         n=n,
-        budget=int(meta["budget"]),
-        entries=entries,
+        budget=as_int(meta["budget"], "meta.budget"),
+        entries=tuple(entries),
         marginals=marginals,
-        stop_scale=float(meta["l"]),
-        steps=int(meta["T"]),
-        grad_samples=int(meta.get("grad_samples", 0)),
-        seed=int(meta["seed"]),
+        stop_scale=float(json_number(meta["l"], "meta.l")),
+        steps=as_int(meta["T"], "meta.T"),
+        grad_samples=as_int(meta.get("grad_samples", 0), "meta.grad_samples"),
+        seed=as_int(meta["seed"], "meta.seed"),
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochsubmax import constraints, greedy, lp
+from stochsubmax import cli, constraints, greedy, lp
 from stochsubmax.cli import main
 from stochsubmax.generators import (
     partition_demo_instance,
@@ -230,6 +230,71 @@ def test_nan_probability_exits_1(pair_file, tmp_path, capsys):
     assert main(["validate", "--instance", str(path)]) == 1
     assert "non-finite state probability" in capsys.readouterr().out
     assert main(["solve", "--instance", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.fixture
+def solved_pair(pair_file, tmp_path):
+    """The pair instance file and the path of a solution solved on it."""
+    assert main(["solve", "--instance", str(pair_file), "--steps", "4",
+                 "--grad-samples", "100", "--out", str(tmp_path / "o")]) == 0
+    return pair_file, tmp_path / "o" / "solution.json"
+
+
+@pytest.mark.parametrize("key,value", [("t", 2.5), ("i", 1.5), ("t", "3"), ("i", 9)])
+def test_simulate_rejects_invalid_solution_entry_with_exit_1(solved_pair, tmp_path, capsys,
+                                                             key, value):
+    pair_file, solution = solved_pair
+    doc = json.loads(solution.read_text())
+    doc["x"][0][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--instance", str(pair_file), "--solution", str(bad),
+                 "--runs", "100", "--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid solution file" in err and "x[0]." + key in err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_rejects_non_integral_meta_with_exit_1(solved_pair, tmp_path, capsys):
+    pair_file, solution = solved_pair
+    doc = json.loads(solution.read_text())
+    doc["meta"]["n"] = 2.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--instance", str(pair_file), "--solution", str(bad),
+                 "--runs", "100", "--out", str(tmp_path / "sim")]) == 1
+    assert "meta.n must be an integer" in capsys.readouterr().err
+
+
+def test_simulate_malformed_or_missing_solution_exits_2(solved_pair, tmp_path):
+    pair_file, solution = solved_pair
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(solution.read_text()[:40], encoding="utf-8")
+    no_meta = tmp_path / "no_meta.json"
+    no_meta.write_text(json.dumps({"x": []}), encoding="utf-8")
+    for path in (truncated, no_meta, tmp_path / "nope.json"):
+        assert main(["simulate", "--instance", str(pair_file), "--solution", str(path),
+                     "--runs", "100", "--out", str(tmp_path / "sim")]) == 2
+
+
+def test_main_builds_its_parser_once(pair_file, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    try:
+        assert main(["solve", "--instance", str(pair_file), "--beta", "1.5"]) == 1
+        assert main(["validate", "--instance", str(pair_file)]) == 0
+        assert main(["validate", "--instance", str(pair_file)]) == 0
+        assert len(built) == 1
+        # a reused parser leaves no option of one call in the next
+        first = cli._parser().parse_args(["solve", "--instance", "a", "--dump-lp", "--seed", "3"])
+        second = cli._parser().parse_args(["solve", "--instance", "b"])
+        assert (first.dump_lp, first.seed) == (True, 3)
+        assert (second.dump_lp, second.seed, second.instance) == (False, 0, "b")
+    finally:
+        cli._parser.cache_clear()
 
 
 EDGE_CASES = ("B = 1", "k = 0", "no item has a slot", "a top cost equals the budget")

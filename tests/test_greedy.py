@@ -1,7 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from stochsubmax import constraints, greedy
+from stochsubmax.errors import InvalidInputError
 from stochsubmax.extensions import expected_set_value_exact, multilinear_exact
 from stochsubmax.generators import (
     partition_demo_instance,
@@ -133,6 +137,53 @@ def test_solution_json_round_trip(partition_instance):
     assert again.grad_samples == sol.grad_samples
     assert np.allclose(again.marginals, sol.marginals, atol=1e-12)
     assert solution_to_json(again) == text
+
+
+SOLUTION_DOC = {
+    "meta": {"l": 0.25, "T": 4, "seed": 1, "grad_samples": 100, "n": 2, "budget": 5},
+    "x": [{"i": 1, "t": 3, "value": 0.125}, {"i": 2, "t": 3, "value": 0.25}],
+}
+
+
+def solution_doc_with(path, value):
+    """A copy of SOLUTION_DOC with the field at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(SOLUTION_DOC))
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc)
+
+
+def test_solution_loader_accepts_integral_floats():
+    sol = solution_from_json(solution_doc_with(("meta", "T"), 4.0))
+    assert sol.steps == 4 and type(sol.steps) is int
+    sol = solution_from_json(solution_doc_with(("x", 0, "t"), 3.0))
+    assert sol.entries == ((0, 3, 0.125), (1, 3, 0.25))
+    assert all(type(t) is int for _, t, _ in sol.entries)
+    assert np.array_equal(sol.marginals, [0.125, 0.25])
+
+
+@pytest.mark.parametrize("path,value,field", [
+    (("meta", "n"), 2.5, "meta.n"),
+    (("meta", "budget"), 5.5, "meta.budget"),
+    (("meta", "T"), 3.9, "meta.T"),
+    (("meta", "seed"), 1.5, "meta.seed"),
+    (("meta", "grad_samples"), 100.5, "meta.grad_samples"),
+    (("meta", "T"), True, "meta.T"),
+    (("meta", "seed"), "1", "meta.seed"),
+    (("x", 0, "i"), 1.5, "x[0].i"),
+    (("x", 1, "t"), 2.5, "x[1].t"),
+    (("x", 1, "t"), "3", "x[1].t"),
+    (("x", 0, "value"), "0.125", "x[0].value"),
+    (("meta", "l"), None, "meta.l"),
+    (("x", 1, "i"), 3, "x[1].i"),
+    (("x", 0, "i"), 0, "x[0].i"),
+])
+def test_solution_loader_rejects_bad_fields(path, value, field):
+    with pytest.raises(InvalidInputError, match=re.escape(field)):
+        solution_from_json(solution_doc_with(path, value))
 
 
 def test_run_rejects_bad_parameters(pair_instance):
@@ -286,7 +337,8 @@ def test_warm_steps_match_cold_solves_at_n40(monkeypatch):
 
 
 def test_warm_pivots_pinned_on_desk_instance(monkeypatch):
-    # Bland's rule and seeded gains make both totals repeat exactly
+    # Bland's rule and seeded gains make both totals repeat exactly; the program
+    # has one latest-slot column per item
     totals = warm_against_cold(monkeypatch, desk_random_instance(4), steps=25,
                                grad_samples=1500)
-    assert (totals["warm"], totals["cold"]) == (4, 100)
+    assert (totals["warm"], totals["cold"]) == (3, 75)

@@ -16,6 +16,7 @@ from stochsubmax.generators import (
 )
 from stochsubmax.greedy import (
     ENTRY_TOL,
+    SlotSolution,
     certify_solution,
     run_continuous_greedy,
     solution_entries,
@@ -23,7 +24,9 @@ from stochsubmax.greedy import (
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.lp import (
     CERT_TOL,
+    ROW_TOL,
     LpSolution,
+    SlotProgram,
     build_slot_program,
     certify_optimal,
     program_dump,
@@ -33,23 +36,57 @@ from stochsubmax.lp import (
 from stochsubmax.model import Instance, ItemModel, expected_truncated_cost
 
 
+def full_slot_program(instance, outer):
+    """The full time-indexed program, one column per item and feasible start slot,
+    built entry by entry: the reference for ``build_slot_program``, which keeps
+    only each item's latest-slot column, and the source of full programs for the
+    solver tests."""
+    slots = instance.slot_counts
+    variables = tuple((i, t) for i in range(instance.n) for t in range(1, int(slots[i]) + 1))
+    ineqs = constraints.polytope_inequalities(outer)
+    rows, labels = [], []
+    for i in range(instance.n):
+        if slots[i]:
+            rows.append([1.0 if vi == i else 0.0 for vi, _ in variables])
+            labels.append(("item-cap", i))
+    for r, (a, _) in enumerate(ineqs):
+        rows.append([float(a[i]) for i, _ in variables])
+        labels.append(("outer", r))
+    for t in range(1, instance.budget + 1):
+        rows.append([expected_truncated_cost(instance.items[i], t) if tp <= t else 0.0
+                     for i, tp in variables])
+        labels.append(("time", t))
+    bounds = [1.0] * int(np.count_nonzero(slots)) + [float(b) for _, b in ineqs]
+    bounds += [2.0 * t for t in range(1, instance.budget + 1)]
+    return SlotProgram(
+        variables=variables,
+        row_labels=tuple(labels),
+        row_coeffs=np.array(rows, dtype=float).reshape(len(rows), len(variables)),
+        row_bounds=np.array(bounds),
+        var_index={v: j for j, v in enumerate(variables)},
+    )
+
+
 def test_pair_instance_rows():
+    # both items have costs 1 or 2 and budget 5, so each keeps the one column of
+    # its latest start slot 3, which enters only the time rows t >= 3
     inst = symmetric_pair_instance()
     prog = build_slot_program(inst, inst.outer)
-    assert prog.variables == ((0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3))
+    assert prog.variables == ((0, 3), (1, 3))
     rows = dict(zip(prog.row_labels, zip(prog.row_coeffs, prog.row_bounds)))
 
-    coeffs, bound = rows[("time", 1)]
-    assert bound == 2.0
-    assert list(coeffs) == [1.0, 0, 0, 1.0, 0, 0]
+    for t in (1, 2):
+        coeffs, bound = rows[("time", t)]
+        assert bound == 2.0 * t
+        assert list(coeffs) == [0.0, 0.0]
 
-    coeffs, bound = rows[("time", 2)]
-    assert bound == 4.0
-    assert list(coeffs) == [1.5, 1.5, 0, 1.5, 1.5, 0]
+    coeffs, bound = rows[("time", 3)]
+    assert bound == 6.0
+    assert list(coeffs) == [1.5, 1.5]
 
     coeffs, bound = rows[("outer", 0)]
     assert bound == 2.0
-    assert list(coeffs) == [1.0] * 6
+    assert list(coeffs) == [1.0] * 2
 
 
 def test_single_item_outer_row_duplicates_cap():
@@ -216,9 +253,9 @@ def pinned_instance(seed, n, budget, kind):
 
 
 def pinned_program(seed, n, budget, kind):
-    """Seeded slot program with a per-item objective, as one greedy step builds it."""
+    """Seeded full slot program with a per-item objective, as one greedy step prices it."""
     inst = pinned_instance(seed, n, budget, kind)
-    prog = build_slot_program(inst, inst.outer)
+    prog = full_slot_program(inst, inst.outer)
     item_of_var = np.array([i for i, _ in prog.variables])
     return prog, np.asarray(inst.utility.weights)[item_of_var]
 
@@ -569,6 +606,24 @@ def test_certificate_accepts_vertex_and_rejects_half_of_it(lp):
         assert err.value.amount >= val / 2 - 1e-9
 
 
+@pytest.mark.parametrize("cap,gains,value", [
+    (0, [1e-9] * 5, 0.0),
+    (1, [0.0, 1.0, 1e-9, 0.0, 0.0], 1.0),
+    (2, [1e-10, 1e-9, 1e-9, 0.5, 1e-9], 0.5 + 1e-9),
+])
+def test_reduced_costs_within_pivot_tol_still_certify(cap, gains, value):
+    # no column prices above PIVOT_TOL at the stop Bland's rule alone makes, yet
+    # their reduced costs add up to more duality gap than the certificate allows:
+    # the simplex pivots on until its duals certify the vertex
+    item = ItemModel(probs=(1.0,), costs=(1,))
+    inst = Instance(n=5, B=1, budget=2, items=(item,) * 5,
+                    outer=constraints.partition(5, [range(5)], [cap]),
+                    utility=WeightedModular(weights=(1.0,) * 5))
+    prog = build_slot_program(inst, inst.outer)
+    sol = solve_lp(prog, np.array(gains))  # certified
+    assert sol.objective == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
 def test_certificate_rejects_suboptimal_vertex():
     # max 2 x0 + x1 subject to x0 + x1 <= 1 at the vertex x = (0, 1): the bound x0 <= 1
     # prices x0's reduced cost 1, so the gap is 1, all of it at column 0
@@ -601,7 +656,7 @@ def test_certificate_rejects_negative_dual():
 
 def test_solve_lp_names_worst_violated_row(monkeypatch):
     inst = symmetric_pair_instance()
-    prog = build_slot_program(inst, inst.outer)
+    prog = full_slot_program(inst, inst.outer)
     nv, m = prog.row_coeffs.shape[1], len(prog.row_bounds)
     x = np.ones(nv)  # every start slot at once
     excess = prog.row_coeffs @ x - prog.row_bounds
@@ -620,7 +675,7 @@ def test_solve_lp_names_column_of_duality_gap(monkeypatch):
     # the origin on the slack basis is feasible but not optimal: every column
     # has reduced cost 1 and the largest gap term is the first column's
     inst = symmetric_pair_instance()
-    prog = build_slot_program(inst, inst.outer)
+    prog = full_slot_program(inst, inst.outer)
     nv, m = prog.row_coeffs.shape[1], len(prog.row_bounds)
     monkeypatch.setattr(lp_module, "simplex_max", lambda *a, start=None: LpSolution(
         np.zeros(nv), 0.0, 0, np.arange(nv, nv + m), np.r_[np.ones(nv), np.zeros(m)]))
@@ -631,38 +686,81 @@ def test_solve_lp_names_column_of_duality_gap(monkeypatch):
     assert str(prog.variables[0]) in str(err.value)
 
 
-def reference_rows(instance, outer):
-    """The slot program's rows built entry by entry: the reference for ``build_slot_program``."""
-    slots = instance.slot_counts
-    var_index = {
-        (i, t): j
-        for j, (i, t) in enumerate(
-            (i, t) for i in range(instance.n) for t in range(1, int(slots[i]) + 1)
-        )
-    }
-    rows = []
-    for i in range(instance.n):
-        if slots[i]:
-            row = np.zeros(len(var_index))
-            for t in range(1, int(slots[i]) + 1):
-                row[var_index[(i, t)]] = 1.0
-            rows.append(row)
-    for a, _ in constraints.polytope_inequalities(outer):
-        rows.append(np.array([a[i] for i, _ in var_index], dtype=float))
-    for t in range(1, instance.budget + 1):
-        row = np.zeros(len(var_index))
-        for (i, tp), j in var_index.items():
-            if tp <= t:
-                row[j] = expected_truncated_cost(instance.items[i], t)
-        rows.append(row)
-    return np.array(rows).reshape(len(rows), len(var_index))
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_slot_rows_match_reference_bitwise(seed):
     # random_instance leaves some items without a slot, and B reaches 5
     inst = random_instance(seed, n_max=9, B_max=5, budget_max=14,
                            kinds=("cardinality", "partition"))
     prog = build_slot_program(inst, inst.outer)
-    assert prog.row_coeffs.tobytes() == reference_rows(inst, inst.outer).tobytes()
+    full = full_slot_program(inst, inst.outer)
+    latest = [j for j, (i, t) in enumerate(full.variables) if t == inst.slot_counts[i]]
+    assert prog.variables == tuple(full.variables[j] for j in latest)
+    assert prog.var_index == {v: j for j, v in enumerate(prog.variables)}
+    assert prog.row_labels == full.row_labels
+    assert prog.row_coeffs.tobytes() == full.row_coeffs[:, latest].tobytes()
+    assert prog.row_bounds.tobytes() == full.row_bounds.tobytes()
     assert prog.row_coeffs.shape == (len(prog.row_labels), len(prog.variables))
+
+
+DOMINANCE_CASES = ["B = 1", "a top cost equals the budget", "mixed"]
+
+
+@st.composite
+def dominance_instances(draw, kind, case):
+    """Small cardinality or partition instances; item 0 always has a start slot."""
+    n = draw(st.integers(1, 7))
+    B = 1 if case == "B = 1" else draw(st.integers(1, 3))
+    budget = draw(st.integers(2, 8))
+    tops = [draw(st.integers(1, budget - 1))] + [
+        draw(st.integers(1, budget + 1)) for _ in range(n - 1)
+    ]
+    if case == "a top cost equals the budget":
+        tops += [budget]  # an extra item with no start slot
+        n += 1
+    items = []
+    for top in tops:
+        costs = sorted(draw(st.lists(st.integers(1, top), min_size=B, max_size=B)))
+        weights = draw(st.lists(st.integers(1, 4), min_size=B, max_size=B))
+        items.append(ItemModel(probs=tuple(w / sum(weights) for w in weights),
+                               costs=(*costs[:-1], top)))
+    if kind == "cardinality":
+        outer = constraints.cardinality(n, draw(st.integers(0, n)))
+    else:
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+        caps = draw(st.lists(st.integers(0, 3), min_size=len(blocks), max_size=len(blocks)))
+        outer = constraints.partition(n, blocks, caps)
+    return Instance(n=n, B=B, budget=budget, items=tuple(items), outer=outer,
+                    utility=WeightedModular(weights=(1.0,) * n))
+
+
+@pytest.mark.parametrize("case", DOMINANCE_CASES)
+@pytest.mark.parametrize("kind", ["cardinality", "partition"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_latest_slot_program_keeps_the_full_optimum(kind, case, data):
+    inst = data.draw(dominance_instances(kind, case))
+    gains = np.array(data.draw(st.lists(
+        st.floats(-2.0, 4.0, allow_nan=False), min_size=inst.n, max_size=inst.n)))
+    full = full_slot_program(inst, inst.outer)
+    reduced = build_slot_program(inst, inst.outer)
+    full_items = np.array([i for i, _ in full.variables])
+    reduced_items = np.array([i for i, _ in reduced.variables])
+    # solve_lp certifies both answers by duality
+    best = solve_lp(full, gains[full_items])
+    ours = solve_lp(reduced, gains[reduced_items])
+    assert abs(ours.objective - best.objective) <= 1e-9 * max(1.0, abs(best.objective))
+
+    # the full optimum's mass moved to each item's latest slot
+    mass = np.zeros(inst.n)
+    np.add.at(mass, full_items, best.values)
+    moved = mass[reduced_items]
+    assert np.all(reduced.row_coeffs @ moved <= reduced.row_bounds + ROW_TOL)
+    assert np.all(moved >= -ROW_TOL) and np.all(moved <= 1.0 + ROW_TOL)
+    assert abs(float(gains[reduced_items] @ moved) - best.objective) <= 1e-9 * max(
+        1.0, abs(best.objective))
+    entries, marginals = solution_entries(reduced.variables, moved, inst.n)
+    sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, marginals=marginals,
+                       stop_scale=1.0, steps=1, grad_samples=0, seed=0)
+    report = certify_solution(inst, inst.outer, sol, 1.0)
+    assert report.passed, report.failures()
