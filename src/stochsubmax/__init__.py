@@ -87,11 +87,6 @@ from .rounding import (
     closed_form_keep_rate,
     estimate_set_keep_rate,
     estimate_state_keep_rates,
-    prune_by_outer,
-    prune_by_schedule,
-    prune_combined,
-    resolve_set,
-    sample_thinned_realization,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

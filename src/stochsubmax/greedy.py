@@ -85,23 +85,12 @@ class SlotSolution:
                 out.append(np.cumsum(np.asarray(vs) / total))
         return tuple(out)
 
-    def slot_at(self, item: int, u: float) -> int:
-        """Inverse-CDF start slot of ``item`` at the uniform ``u``: slot t has probability value/marginal."""
-        ts, _ = self.slot_lists[item]
-        if not ts:
-            raise ValueError(f"item {item} has no slot mass")
-        pos = int(np.searchsorted(self.slot_cum[item], u, side="right"))
-        return ts[min(pos, len(ts) - 1)]
-
-    def sample_slot(self, item: int, rng: np.random.Generator) -> int:
-        """Draw a start slot for ``item`` with probability value/marginal."""
-        return self.slot_at(item, rng.random())
-
     def sample_slots(self, u, mask) -> np.ndarray:
-        """:meth:`slot_at` on a block: column i of the (R, n) uniforms ``u`` draws item i's slots.
+        """Inverse-CDF start slots of a block: column i of the (R, n) ``u`` draws item i's.
 
-        Items with no slot mass get slot 0; an entry of the (R, n) ``mask`` set
-        on such an item raises, as :meth:`slot_at` does.
+        Slot t of item i has probability value / marginal. Items with no slot
+        mass get slot 0; an entry of the (R, n) ``mask`` set on such an item
+        raises.
         """
         u = np.asarray(u, dtype=float)
         out = np.zeros(u.shape, dtype=np.int64)

@@ -153,7 +153,7 @@ def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgra
 
 
 def program_dump(program: SlotProgram, objective=None) -> str:
-    """Plain-text dump, one constraint row per line."""
+    """Plain-text dump, one constraint row per line, items named by 1-based ids."""
     names = [f"x({i + 1},{t})" for i, t in program.variables]
     lines = []
     if objective is None:
@@ -163,9 +163,10 @@ def program_dump(program: SlotProgram, objective=None) -> str:
             f"{c:g}*{nm}" for c, nm in zip(objective, names) if c != 0
         )
         lines.append(f"max: {terms or '0'}")
-    for label, row, bound in zip(
+    for (kind, at), row, bound in zip(
         program.row_labels, program.row_coeffs, program.row_bounds
     ):
+        label = (kind, at + 1) if kind == "item-cap" else (kind, at)
         terms = " + ".join(f"{c:g}*{nm}" for c, nm in zip(row, names) if c != 0)
         lines.append(f"{label}: {terms or '0'} <= {bound:g}")
     lines.append("bounds: 0 <= x <= 1")
@@ -282,7 +283,7 @@ def simplex_max(obj, A, b, upper, start=None, max_iters: int = 20000) -> LpSolut
     b = np.asarray(b, dtype=float)
     obj = np.asarray(obj, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    m, nv = A.shape if A.size else (0, len(obj))
+    m, nv = len(b), len(obj)
     up_full = np.concatenate([upper, np.full(m, np.inf)])
     if start is not None:
         start = _checked_start(start, up_full, m)

@@ -8,19 +8,18 @@ the cost spent so far is at most its start slot; only then is its state
 revealed and its realized cost added. Selection therefore never overshoots the
 budget: spent <= slot <= budget - worst cost of the item being selected.
 
-States of unselected items are never read; every trace carries the reveal log
-so tests can audit that boundary.
+States of unselected items are never read; every run carries the mask of
+states read so tests can audit that boundary.
 
-:func:`execute` runs one traced policy run. Simulation and the coupled
-dominance check run whole blocks of runs at once with :func:`run_policy_batch`,
-which takes the draws of :func:`rounding.draw_block` and returns the same
-sampled, kept, slot, selected and read sets as the traced path on those draws.
+Every run goes through one kernel, :func:`run_policy_batch`, which resolves a
+whole block of runs on the draws of :func:`rounding.draw_block`. Simulation and
+the coupled dominance check call it on blocks of many runs; :func:`execute` is
+one run of it against a given realization, returned as a :class:`PolicyTrace`.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,33 +41,15 @@ from .seeds import derive_rng
 
 @dataclass(frozen=True)
 class PolicyTrace:
-    """Full record of one policy run."""
+    """One policy run; ``selected`` and ``reads`` are in gate-scan order, other sets by index."""
 
     sampled: tuple[int, ...]
     kept: tuple[int, ...]
-    start_times: dict
-    order: tuple[int, ...]
-    records: tuple  # (item, start_time, gate_passed, state | None, cost | None)
-    spent_history: tuple[int, ...]
+    start_times: dict  # kept item -> start slot
     selected: tuple[int, ...]
-    utility: float
     reads: tuple[int, ...]
-
-    @property
-    def total_cost(self) -> int:
-        return self.spent_history[-1] if self.spent_history else 0
-
-
-class RevealLog:
-    """Realization wrapper that records which coordinates were read."""
-
-    def __init__(self, states):
-        self._states = np.asarray(states)
-        self.reads: list[int] = []
-
-    def reveal(self, item: int) -> int:
-        self.reads.append(item)
-        return int(self._states[item])
+    utility: float
+    spent: int
 
 
 def check_solution_shape(instance: Instance, sol: SlotSolution):
@@ -87,57 +68,8 @@ def check_solution_shape(instance: Instance, sol: SlotSolution):
         raise ValueError("solution marginals are inconsistent with its entries")
 
 
-def _gate_scan(instance: Instance, kept, times: dict, reveal: RevealLog):
-    """Visit kept items by (start slot, index); select while spent <= slot."""
-    order = sorted(kept, key=lambda i: (times[i], i))
-    records = []
-    spent_history = []
-    selected = []
-    spent = 0
-    for item in order:
-        if spent <= times[item]:
-            state = reveal.reveal(item)
-            cost = int(instance.cost_matrix[item, state - 1])
-            spent += cost
-            selected.append(item)
-            records.append((item, times[item], True, state, cost))
-        else:
-            records.append((item, times[item], False, None, None))
-        spent_history.append(spent)
-    return tuple(order), tuple(records), tuple(spent_history), tuple(selected)
-
-
-def _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities, u_slot):
-    """One traced run on explicit draws: the row layout of :func:`rounding.draw_block`.
-
-    Every item has a slot uniform, used only if the item is kept, so this is
-    the scalar reference for :func:`run_policy_batch` on identical draws.
-    """
-    reveal = RevealLog(states)
-    sampled = [int(i) for i in np.nonzero(u_sample < sol.marginals)[0]]
-    kept = sorted(crs.keep(outer, sampled, priorities))
-    times = {i: sol.slot_at(i, u_slot[i]) for i in kept}
-    order, records, spent_history, selected = _gate_scan(instance, kept, times, reveal)
-    final = np.zeros(instance.n, dtype=np.int64)
-    for item, _, passed, state, _ in records:
-        if passed:
-            final[item] = state
-    utility = float(f.value(final))
-    return PolicyTrace(
-        sampled=tuple(sampled),
-        kept=tuple(kept),
-        start_times=times,
-        order=order,
-        records=records,
-        spent_history=spent_history,
-        selected=selected,
-        utility=utility,
-        reads=tuple(reveal.reads),
-    )
-
-
 def gate_scan_batch(instance: Instance, states, kept, times):
-    """:func:`_gate_scan` on every row of a block at once.
+    """The gate scan on every row of a block at once.
 
     Step j visits each row's j-th kept item in (start slot, index) order and
     selects it iff spent <= its slot, so the loop runs at most max-kept steps.
@@ -210,11 +142,13 @@ def execute(
     seed: int,
     certify_scale: float | None = None,
 ) -> PolicyTrace:
-    """One policy run against a fixed realization.
+    """One policy run against a fixed realization: :func:`run_policy_batch` on one row.
 
-    ``certify_scale`` optionally enforces full feasibility certification of the
-    solution before running (the pipeline passes its stopping scale here);
-    structural solution checks always run.
+    The run's sample uniforms, priorities and slot uniforms are the three rows
+    of ``derive_rng(seed, "policy").random((3, n))``. ``certify_scale``
+    optionally enforces full feasibility certification of the solution before
+    running (the pipeline passes its stopping scale here); structural solution
+    checks always run.
     """
     instance.require_valid()
     check_solution_shape(instance, sol)
@@ -229,7 +163,20 @@ def execute(
     if states.shape != (instance.n,) or np.any(states < 1) or np.any(states > instance.B):
         raise ValueError("realization must assign each item a state in 1..B")
     u_sample, priorities, u_slot = derive_rng(seed, "policy").random((3, instance.n))
-    return _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities, u_slot)
+    draws = BlockDraws(states[None], u_sample[None], priorities[None], u_slot[None])
+    run = run_policy_batch(instance, f, outer, crs, sol, draws)
+    slots = run.slots[0]
+    scan = np.argsort(slots, kind="stable")  # gate-scan order: by slot, least index on ties
+    kept = tuple(int(i) for i in np.flatnonzero(run.kept[0]))
+    return PolicyTrace(
+        sampled=tuple(int(i) for i in np.flatnonzero(run.sampled[0])),
+        kept=kept,
+        start_times={i: int(slots[i]) for i in kept},
+        selected=tuple(int(i) for i in scan[run.selected[0][scan]]),
+        reads=tuple(int(i) for i in scan[run.reads[0][scan]]),
+        utility=float(run.utility[0]),
+        spent=int(run.spent[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -274,8 +221,8 @@ def simulate_batch(
     family if its selected set is not in it, and adaptivity if the set of items
     whose states it read differs from its selected set. The batched gate scan
     marks a read only where it gathers a state, so the last tally reads 0 unless
-    that gather moves; tests/test_kernel.py checks the read mask against the
-    scalar path's :class:`RevealLog` on identical draws.
+    that gather moves; tests/test_kernel.py checks the read mask against a
+    scalar reference's read log on identical draws.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs")
@@ -364,32 +311,3 @@ def coupled_dominance_check(
             )
         start += size
     return DominanceReport(trials=trials, violations=tuple(violations), dropped=dropped)
-
-
-def trace_to_json(trace: PolicyTrace) -> str:
-    """One-line JSON export of a trace (1-based item ids)."""
-    doc = {
-        "sampled": [i + 1 for i in trace.sampled],
-        "kept": [i + 1 for i in trace.kept],
-        "start_times": {str(i + 1): int(t) for i, t in sorted(trace.start_times.items())},
-        "order": [i + 1 for i in trace.order],
-        "records": [
-            {
-                "item": item + 1,
-                "start_time": int(t),
-                "selected": passed,
-                "state": state,
-                "cost": cost,
-            }
-            for item, t, passed, state, cost in trace.records
-        ],
-        "spent": list(trace.spent_history),
-        "selected": [i + 1 for i in trace.selected],
-        "utility": trace.utility,
-        "reads": [i + 1 for i in trace.reads],
-    }
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def traces_to_jsonl(traces) -> str:
-    return "\n".join(trace_to_json(t) for t in traces) + "\n"

@@ -20,18 +20,18 @@ zeroes coordinates (output(i) is v(i) or 0):
 Empirical keep rates of all of the above are estimated per item (set level)
 or per (item, state) pair (state level) with binomial standard errors.
 
-The estimators run a block of R trials at a time through batched forms of the
-maps (:func:`crs_keep_batch`, :func:`schedule_keep_batch`) on (R, n) arrays
-drawn by :func:`draw_block`; the set-based functions stay as the reference.
+Each map exists once, in batched form: :func:`crs_keep_batch` and
+:func:`schedule_keep_batch` resolve a block of R trials at a time on the (R, n)
+arrays drawn by :func:`draw_block`. The estimators here and the policy in
+:mod:`policy` both run them; :func:`greedy_keep` resolves the rows of explicit
+families one set at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,24 +65,6 @@ class BalancedCrs:
         if not 0 < self.scale <= 1:
             raise ValueError("scale must lie in (0, 1]")
 
-    @property
-    def documented_keep_rate(self) -> float:
-        if self.kind == "identity":
-            return 1.0
-        return closed_form_keep_rate(self.scale)
-
-    def keep(self, outer: OuterConstraint, members, priorities) -> set:
-        """Resolve a sampled set with explicit per-item priorities (deterministic)."""
-        members = set(members)
-        if self.kind == "identity":
-            if not is_independent(outer, members):
-                raise ValueError("identity scheme got a set outside the outer family")
-            return members
-        return greedy_keep(outer, members, priorities)
-
-    def resolve(self, outer: OuterConstraint, members, rng: np.random.Generator) -> set:
-        return self.keep(outer, members, rng.random(outer.n))
-
 
 def greedy_keep(outer: OuterConstraint, members, priorities) -> set:
     """Scan members by increasing priority, keeping an item iff it stays independent."""
@@ -102,7 +84,7 @@ def _least_priority(sampled: np.ndarray, priorities: np.ndarray, k: int) -> np.n
 
 
 def crs_keep_batch(crs: BalancedCrs, outer: OuterConstraint, sampled, priorities) -> np.ndarray:
-    """``crs.keep`` on every row of a block: the (R, n) mask of kept items.
+    """The set-level scheme on every row of a block: the (R, n) mask of kept items.
 
     Row r resolves the item set ``sampled[r]`` with ``priorities[r]``. The
     priority scheme keeps, under cardinality, the k sampled items of least
@@ -129,104 +111,15 @@ def crs_keep_batch(crs: BalancedCrs, outer: OuterConstraint, sampled, priorities
     return kept
 
 
-def resolve_set(crs: BalancedCrs, outer: OuterConstraint, members, seed: int) -> set:
-    """Seeded public entry for one resolution of a sampled set."""
-    return crs.resolve(outer, members, derive_rng(seed, "resolve"))
-
-
-@dataclass(frozen=True)
-class ThinnedStateDistribution:
-    """Per item: state 0 with prob 1 - marginal, state j >= 1 with prob p(j) * marginal."""
-
-    probs: np.ndarray  # (n, B+1)
-
-    def __post_init__(self):
-        sums = self.probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
-            raise ValueError("thinned state rows must each sum to 1")
-
-    @cached_property
-    def cum(self) -> np.ndarray:
-        return np.cumsum(self.probs, axis=1)
-
-    def sample(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-        single = count is None
-        m = 1 if single else count
-        u = rng.random((m, self.probs.shape[0]))
-        out = np.empty((m, self.probs.shape[0]), dtype=np.int64)
-        top = self.probs.shape[1] - 1
-        for i in range(self.probs.shape[0]):
-            out[:, i] = np.searchsorted(self.cum[i], u[:, i], side="right")
-        np.minimum(out, top, out=out)
-        return out[0] if single else out
-
-
-def thinned_distribution(instance: Instance, marginals) -> ThinnedStateDistribution:
-    y = np.asarray(marginals, dtype=float)
-    if y.shape != (instance.n,) or np.any(y < -1e-12) or np.any(y > 1 + 1e-12):
-        raise ValueError("marginals must be n values in [0, 1]")
-    y = np.clip(y, 0.0, 1.0)
-    probs = np.empty((instance.n, instance.B + 1))
-    probs[:, 0] = 1.0 - y
-    probs[:, 1:] = instance.prob_matrix * y[:, None]
-    return ThinnedStateDistribution(probs=probs)
-
-
-def sample_thinned_realization(instance: Instance, marginals, seed: int) -> np.ndarray:
-    """One thinned state vector: item i is 0 w.p. 1-marginal, else a realized state."""
-    rng = derive_rng(seed, "thinned")
-    return thinned_distribution(instance, marginals).sample(rng)
-
-
-def support(v) -> list[int]:
-    return [int(i) for i in np.nonzero(np.asarray(v))[0]]
-
-
-def _mask_vector(v, keep_set) -> np.ndarray:
-    out = np.zeros(len(v), dtype=np.int64)
-    for i in keep_set:
-        out[i] = v[i]
-    return out
-
-
-def _outer_keep(outer, crs, v, rng) -> set:
-    return crs.resolve(outer, support(v), rng)
-
-
-def prune_by_outer(outer: OuterConstraint, crs: BalancedCrs, v, seed: int) -> np.ndarray:
-    """Zero every coordinate the set-level scheme drops from the support of v."""
-    rng = derive_rng(seed, "prune-outer")
-    return _mask_vector(v, _outer_keep(outer, crs, v, rng))
-
-
-def schedule_keep_set(instance: Instance, v, times: dict) -> set:
-    """Items whose slot admits the realized costs of all support items starting no later.
-
-    ``times`` maps every support item of v to its start slot. Item i is kept iff
-    the total cost (at the states in v) of all other support items with start
-    slot <= times[i] is at most times[i].
-    """
-    sup = support(v)
-    costs = {i: int(instance.cost_matrix[i, int(v[i]) - 1]) for i in sup}
-    ts = sorted(times[i] for i in sup)
-    cum = np.concatenate([[0], np.cumsum([c for _, c in sorted(
-        ((times[i], costs[i]) for i in sup), key=lambda p: p[0]
-    )])])
-    kept = set()
-    for i in sup:
-        upto = bisect_right(ts, times[i])
-        if cum[upto] - costs[i] <= times[i]:
-            kept.add(i)
-    return kept
-
-
 def schedule_keep_batch(instance: Instance, v, times) -> np.ndarray:
-    """:func:`schedule_keep_set` on every row of a block: the (R, n) mask of kept items.
+    """The schedule map on every row of a block: the (R, n) mask of kept items.
 
     ``v`` is an (R, n) state matrix (0 off the support) and ``times`` the (R, n)
-    start slots, read only on the support. With c the realized costs and C[r, t]
-    the row's total support cost at slots 1..t, item i is kept iff
-    C[r, times[r, i]] - c[r, i] <= times[r, i]. Memory is O(R * (n + budget)).
+    start slots, read only on the support. Row r keeps support item i iff the
+    realized costs of all its other support items starting no later than i fit
+    within i's slot: with c the realized costs and C[r, t] the row's total
+    support cost at slots 1..t, iff C[r, times[r, i]] - c[r, i] <= times[r, i].
+    Memory is O(R * (n + budget)).
     """
     v = np.asarray(v)
     rows, n = v.shape
@@ -255,38 +148,6 @@ def draw_block(instance: Instance, rng: np.random.Generator, size: int) -> Block
     states = sample_realization_batch(instance, rng, size)
     u_sample, priorities, u_slot = rng.random((3, size, instance.n))
     return BlockDraws(states, u_sample, priorities, u_slot)
-
-
-def _schedule_keep(instance, sol, v, rng) -> tuple[set, dict]:
-    sup = support(v)
-    bad = [i for i in sup if sol.marginals[i] <= 0]
-    if bad:
-        raise ValueError(f"items {bad} appear in v but carry no slot mass")
-    times = {i: sol.sample_slot(i, rng) for i in sup}
-    return schedule_keep_set(instance, v, times), times
-
-
-def prune_by_schedule(
-    instance: Instance, sol: SlotSolution, v, seed: int
-) -> tuple[np.ndarray, dict]:
-    """Start-time pruning of v; returns (pruned vector, sampled start slots)."""
-    rng = derive_rng(seed, "prune-schedule")
-    kept, times = _schedule_keep(instance, sol, v, rng)
-    return _mask_vector(v, kept), times
-
-
-def prune_combined(
-    instance: Instance,
-    outer: OuterConstraint,
-    crs: BalancedCrs,
-    sol: SlotSolution,
-    v,
-    seed: int,
-) -> np.ndarray:
-    """Keep exactly the coordinates kept by both maps, run independently."""
-    keep_a = _outer_keep(outer, crs, v, derive_rng(seed, "combined-outer"))
-    keep_b, _ = _schedule_keep(instance, sol, v, derive_rng(seed, "combined-schedule"))
-    return _mask_vector(v, keep_a & keep_b)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,3 @@ def stream_entropy(root: int, label: str, index: int = 0) -> int:
 def derive_rng(root: int, label: str, index: int = 0) -> np.random.Generator:
     """Generator for the (label, index) stream of a root seed."""
     return np.random.default_rng(np.random.SeedSequence(stream_entropy(root, label, index)))
-
-
-def block_rngs(root: int, label: str, count: int):
-    """Yield one independent generator per block index 0..count-1."""
-    for b in range(count):
-        yield derive_rng(root, label, b)

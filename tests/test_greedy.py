@@ -206,7 +206,11 @@ def test_sample_slot_distribution(pair_instance):
     )
     rng = np.random.default_rng(0)
     ts, vs = sol.slot_lists[0]
-    draws = np.array([sol.sample_slot(0, rng) for _ in range(4000)])
+    u = np.zeros((4000, sol.n))
+    u[:, 0] = rng.random(4000)
+    mask = np.zeros(u.shape, dtype=bool)
+    mask[:, 0] = True
+    draws = sol.sample_slots(u, mask)[:, 0]
     probs = np.asarray(vs) / sol.marginals[0]
     for t, p in zip(ts, probs):
         freq = float(np.mean(draws == t))

@@ -1,4 +1,4 @@
-"""The batched rounding kernel against the scalar reference path on identical draws."""
+"""The batched rounding kernel against the scalar reference, tests/reference.py, on equal draws."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,16 @@ from stochsubmax import constraints
 from stochsubmax.greedy import SlotSolution
 from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
 from stochsubmax.model import Instance, ItemModel
-from stochsubmax.policy import _run_policy, run_policy_batch
+from stochsubmax.policy import execute, run_policy_batch
 from stochsubmax.rounding import (
     BalancedCrs,
     crs_keep_batch,
     draw_block,
     greedy_keep,
     schedule_keep_batch,
-    schedule_keep_set,
 )
+from stochsubmax.seeds import derive_rng
+from tests.reference import _run_policy, schedule_keep_set
 
 
 def _outer(draw, n):
@@ -111,6 +112,46 @@ def test_batch_matches_scalar_policy_on_identical_draws(case):
         assert tuple(np.flatnonzero(run.reads[r])) == tuple(sorted(tr.reads))
         assert int(run.spent[r]) == tr.total_cost
         assert float(run.utility[r]) == tr.utility
+
+
+def assert_execute_is_reference_run(inst, sol, crs, states, seed):
+    """``execute`` against the reference run on its draws: the rows of one "policy" stream."""
+    f, outer = inst.utility, inst.outer
+    u_sample, priorities, u_slot = derive_rng(seed, "policy").random((3, inst.n))
+    try:
+        ref = _run_policy(inst, f, outer, crs, sol, states, u_sample, priorities, u_slot)
+    except ValueError as exc:
+        assert crs.kind == "identity", exc
+        with pytest.raises(ValueError, match="outside the outer family"):
+            execute(inst, f, outer, crs, sol, states, seed)
+        return
+    trace = execute(inst, f, outer, crs, sol, states, seed)
+    assert (trace.sampled, trace.kept) == (ref.sampled, ref.kept)
+    assert trace.start_times == ref.start_times
+    assert trace.selected == ref.selected and trace.reads == ref.reads
+    assert trace.spent == ref.total_cost
+    assert trace.utility == ref.utility
+
+
+@settings(max_examples=100)
+@given(policy_cases())
+def test_execute_is_the_reference_run_on_the_policy_draws(case):
+    inst, sol, crs, _, seed = case
+    states = draw_block(inst, np.random.default_rng(seed), 1).states[0]
+    assert_execute_is_reference_run(inst, sol, crs, states, seed)
+
+
+def test_execute_is_the_reference_run_on_a_fixed_case(partition_instance):
+    # hand-built solution with two slots per item, so the slot draw matters
+    inst = partition_instance
+    entries = tuple((i, t, 0.3) for i in range(inst.n) for t in (1, int(inst.slot_counts[i])))
+    sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries,
+                       marginals=np.full(inst.n, 0.6), stop_scale=0.25, steps=1,
+                       grad_samples=1, seed=0)
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    d = draw_block(inst, np.random.default_rng(3), 40)
+    for seed in range(40):
+        assert_execute_is_reference_run(inst, sol, crs, d.states[seed], seed)
 
 
 def test_batch_edge_cases_match_scalar():

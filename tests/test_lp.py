@@ -10,6 +10,7 @@ from stochsubmax import constraints
 from stochsubmax import lp as lp_module
 from stochsubmax.errors import LpCertificateError, LpStallError
 from stochsubmax.generators import (
+    partition_demo_instance,
     random_instance,
     single_item_instance,
     symmetric_pair_instance,
@@ -103,6 +104,20 @@ def test_trivial_lp():
     sol = simplex_max(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.array([1.0]))
     assert sol.objective == pytest.approx(1.0)
     assert sol.values[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_rows_without_columns_solve_to_the_slack_basis(warm):
+    # every item's worst cost reaches the budget: the program has an outer row
+    # and a time row but no column
+    inst = single_item_instance(budget=1)
+    prog = build_slot_program(inst, inst.outer)
+    assert prog.row_coeffs.shape == (2, 0)
+    sol = solve_lp(prog, np.zeros(0))
+    if warm:
+        sol = solve_lp(prog, np.zeros(0), start=(sol.basis, sol.sign))
+    assert sol.objective == 0.0 and sol.values.shape == (0,)
+    assert sol.basis.tolist() == [0, 1] and sol.sign.tolist() == [0.0, 0.0]  # certified
 
 
 def test_cardinality_row_binds():
@@ -208,6 +223,16 @@ def test_program_dump_row_per_line():
     assert lines[0].startswith("max:")
     assert lines[-1] == "bounds: 0 <= x <= 1"
     assert any("('time', 1)" in ln and "<= 2" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("make", [symmetric_pair_instance, partition_demo_instance])
+def test_program_dump_names_cap_rows_by_their_column_ids(make):
+    inst = make()
+    prog = build_slot_program(inst, inst.outer)
+    caps = [ln for ln in program_dump(prog).splitlines() if ln.startswith("('item-cap'")]
+    assert len(caps) == len(prog.variables)
+    for line, (i, t) in zip(caps, prog.variables):
+        assert line == f"('item-cap', {i + 1}): 1*x({i + 1},{t}) <= 1"
 
 
 def test_blocked_item_gets_no_variables():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,14 +7,11 @@ from stochsubmax.greedy import SlotSolution, run_continuous_greedy
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.model import Instance, ItemModel, sample_realization
 from stochsubmax.policy import (
-    RevealLog,
-    _gate_scan,
     coupled_dominance_check,
     estimate_policy_value,
     execute,
+    gate_scan_batch,
     simulate_batch,
-    trace_to_json,
-    traces_to_jsonl,
 )
 from stochsubmax.rounding import BalancedCrs
 
@@ -47,7 +42,7 @@ def test_single_item_always_selected(single_item):
     assert trace.selected == (0,)
     assert trace.utility == 1.0
     assert trace.reads == (0,)
-    assert trace.total_cost == 1
+    assert trace.spent == 1
 
 
 def test_zero_marginals_empty_trace(single_item):
@@ -66,16 +61,13 @@ def test_forced_times_hand_trace(pair_instance):
     # both items survive pruning with start slot 1; the realization gives item 1
     # state 2 (cost 2): item 1 is selected at spent 0 <= 1, then item 2 fails
     # its gate because 2 > 1
-    reveal = RevealLog([2, 1])
-    order, records, spent, selected = _gate_scan(
-        pair_instance, [0, 1], {0: 1, 1: 1}, reveal
+    selected, reads, revealed, spent = gate_scan_batch(
+        pair_instance, [[2, 1]], [[True, True]], np.array([[1, 1]])
     )
-    assert order == (0, 1)
-    assert selected == (0,)
-    assert spent == (2, 2)
-    assert records[0] == (0, 1, True, 2, 2)
-    assert records[1] == (1, 1, False, None, None)
-    assert reveal.reads == [0]
+    assert selected.tolist() == [[True, False]]
+    assert reads.tolist() == [[True, False]]
+    assert revealed.tolist() == [[2, 0]]
+    assert spent.tolist() == [2]
 
 
 def test_estimate_value_degenerate_cases(single_item):
@@ -99,7 +91,7 @@ def test_certification_gate(pair_instance):
         pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
         realization=[1, 1], seed=0,
     )
-    assert trace.total_cost <= pair_instance.budget
+    assert trace.spent <= pair_instance.budget
     with pytest.raises(ValueError, match="certification"):
         execute(
             pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
@@ -135,12 +127,10 @@ def test_trace_invariants_on_random_instances():
         for run in range(50):
             phi = sample_realization(inst, 9000 + run)
             trace = execute(inst, inst.utility, inst.outer, crs, sol, phi, seed=run)
-            assert trace.total_cost <= inst.budget
+            assert trace.spent <= inst.budget
             assert constraints.is_independent(inst.outer, trace.selected)
             assert set(trace.selected) <= set(trace.kept) <= set(trace.sampled)
             assert trace.reads == trace.selected
-            # spending history never exceeds the budget at any prefix
-            assert all(s <= inst.budget for s in trace.spent_history)
 
 
 def test_simulation_counts_no_violations(pair_instance):
@@ -219,36 +209,17 @@ def test_dominance_under_contention():
     assert runs.outer_violations == 0 and runs.inner_violations == 0
 
 
-def test_trace_json_export(pair_instance):
-    sol = solved(pair_instance)
-    crs = BalancedCrs(kind="priority", scale=0.25)
-    traces = [
-        execute(pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
-                sample_realization(pair_instance, s), seed=s)
-        for s in range(3)
-    ]
-    line = trace_to_json(traces[0])
-    doc = json.loads(line)
-    assert "\n" not in line
-    assert set(doc) >= {"sampled", "kept", "selected", "utility", "reads", "records"}
-    assert all(i >= 1 for i in doc["sampled"])  # 1-based export
-    blob = traces_to_jsonl(traces)
-    assert len(blob.strip().splitlines()) == 3
-
-
 def test_gate_uses_nonstrict_inequality(single_item):
     # spent == slot still selects: two unit-cost selections at slot 1 when the
     # budget leaves room
-    inst = single_item_instance(budget=3)
-    items = inst.items * 2
-    import stochsubmax.model as model
-
-    big = model.Instance(
+    items = single_item_instance(budget=3).items * 2
+    big = Instance(
         n=2, B=1, budget=3, items=items,
         outer=constraints.cardinality(2, 2),
         utility=WeightedModular(weights=(1.0, 1.0)),
     )
-    reveal = RevealLog([1, 1])
-    _, records, _, selected = _gate_scan(big, [0, 1], {0: 1, 1: 1}, reveal)
+    selected, reads, _, spent = gate_scan_batch(big, [[1, 1]], [[True, True]], np.array([[1, 1]]))
     # item 1 selected at spent 0; item 2 gate: spent 1 <= 1 passes
-    assert selected == (0, 1)
+    assert selected.tolist() == [[True, True]]
+    assert reads.tolist() == [[True, True]]
+    assert spent.tolist() == [2]

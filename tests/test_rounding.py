@@ -10,19 +10,14 @@ from stochsubmax.rounding import (
     BalancedCrs,
     alpha_table_csv,
     closed_form_keep_rate,
+    crs_keep_batch,
+    draw_block,
     estimate_set_keep_rate,
     estimate_state_keep_rates,
     gamma_table_csv,
     greedy_keep,
     min_rate,
-    prune_by_outer,
-    prune_by_schedule,
-    prune_combined,
-    resolve_set,
-    sample_thinned_realization,
-    schedule_keep_set,
-    support,
-    thinned_distribution,
+    schedule_keep_batch,
 )
 from stochsubmax.seeds import derive_rng
 
@@ -39,48 +34,30 @@ def flat_solution(instance, marginals):
     )
 
 
-def test_thinned_sampling_degenerate(pair_instance):
-    v = sample_thinned_realization(pair_instance, [0.0, 0.0], seed=1)
-    assert list(v) == [0, 0]
-    one = symmetric_pair_instance()
-    v = sample_thinned_realization(one, [1.0, 1.0], seed=2)
-    assert all(s >= 1 for s in v)
-
-
-def test_thinned_sampling_frequencies(pair_instance):
-    dist = thinned_distribution(pair_instance, [0.5, 0.5])
-    rng = derive_rng(0, "test")
-    draws = dist.sample(rng, 30_000)[:, 0]
-    for state, p in ((0, 0.5), (1, 0.25), (2, 0.25)):
-        freq = float(np.mean(draws == state))
-        se = math.sqrt(p * (1 - p) / len(draws))
-        assert abs(freq - p) <= 3 * se
-
-
-def test_thinned_rows_sum_to_one(pair_instance):
-    dist = thinned_distribution(pair_instance, [0.3, 0.8])
-    assert np.all(np.abs(dist.probs.sum(axis=1) - 1.0) <= 1e-12)
-
-
 def test_identity_scheme_returns_independent_sets():
     outer = constraints.cardinality(3, 3)
     crs = BalancedCrs(kind="identity", scale=0.5)
-    assert resolve_set(crs, outer, {0, 2}, seed=1) == {0, 2}
+    members, priorities = np.array([[True, False, True]]), np.zeros((1, 3))
+    assert crs_keep_batch(crs, outer, members, priorities).tolist() == [[True, False, True]]
     binding = constraints.cardinality(3, 1)
-    with pytest.raises(ValueError):
-        resolve_set(crs, binding, {0, 2}, seed=1)
+    with pytest.raises(ValueError, match="outside the outer family"):
+        crs_keep_batch(crs, binding, members, priorities)
 
 
 def test_priority_scheme_symmetry():
+    """Under k = 1 each of two sampled items is kept with probability 1/2.
+
+    Passes iff the keep count of item 0 over 4000 trials is within 3 SE of
+    2000, i.e. within 94. A correct scheme fails this with probability 2.8e-3
+    (exact binomial tail).
+    """
     outer = constraints.cardinality(2, 1)
     crs = BalancedCrs(kind="priority", scale=0.5)
-    kept_first = 0
     trials = 4000
-    for seed in range(trials):
-        kept = resolve_set(crs, outer, {0, 1}, seed=seed)
-        assert len(kept) == 1
-        if kept == {0}:
-            kept_first += 1
+    priorities = np.array([derive_rng(seed, "resolve").random(2) for seed in range(trials)])
+    kept = crs_keep_batch(crs, outer, np.ones((trials, 2), dtype=bool), priorities)
+    assert np.all(kept.sum(axis=1) == 1)
+    kept_first = int(kept[:, 0].sum())
     se = math.sqrt(0.25 / trials)
     assert abs(kept_first / trials - 0.5) <= 3 * se
 
@@ -88,7 +65,8 @@ def test_priority_scheme_symmetry():
 def test_resolve_empty_set():
     outer = constraints.cardinality(2, 1)
     crs = BalancedCrs(kind="priority", scale=0.5)
-    assert resolve_set(crs, outer, set(), seed=0) == set()
+    kept = crs_keep_batch(crs, outer, np.zeros((1, 2), dtype=bool), np.zeros((1, 2)))
+    assert not kept.any()
 
 
 def test_greedy_keep_output_always_independent():
@@ -136,82 +114,56 @@ def test_set_keep_rate_rejects_outside_scale():
 
 
 def test_prune_by_outer_cases(pair_instance):
+    # the outer map keeps the items the set-level scheme keeps of the support
     crs_id = BalancedCrs(kind="identity", scale=0.25)
-    v = np.array([1, 2])
-    out = prune_by_outer(pair_instance.outer, crs_id, v, seed=0)
-    assert list(out) == [1, 2]
-    assert list(prune_by_outer(pair_instance.outer, crs_id, np.zeros(2, int), seed=0)) == [0, 0]
-
-    binding = constraints.cardinality(2, 1)
+    on = np.array([[True, True], [False, False]])
+    kept = crs_keep_batch(crs_id, pair_instance.outer, on, np.zeros((2, 2)))
+    assert kept.tolist() == on.tolist()
     crs = BalancedCrs(kind="priority", scale=0.5)
-    seen = set()
-    for seed in range(50):
-        out = tuple(prune_by_outer(binding, crs, v, seed=seed))
-        assert out in ((1, 0), (0, 2))
-        seen.add(out)
-    assert seen == {(1, 0), (0, 2)}
+    priorities = derive_rng(0, "outer").random((50, 2))
+    kept = crs_keep_batch(crs, constraints.cardinality(2, 1), np.ones((50, 2), bool), priorities)
+    assert {tuple(row) for row in kept.tolist()} == {(True, False), (False, True)}
 
 
 def test_schedule_keep_single_item(pair_instance):
-    v = np.array([2, 0])
-    assert schedule_keep_set(pair_instance, v, {0: 1}) == {0}
+    v = np.array([[2, 0]])
+    assert schedule_keep_batch(pair_instance, v, np.array([[1, 0]])).tolist() == [[True, False]]
 
 
 def test_schedule_keep_hand_cases(pair_instance):
-    # both items at state 1 (cost 1), both starting at slot 1: each sees the
-    # other's cost 1 <= 1, so both survive
-    v = np.array([1, 1])
-    assert schedule_keep_set(pair_instance, v, {0: 1, 1: 1}) == {0, 1}
-    # item 1 at state 2 (cost 2): item 2 sees cost 2 > 1 and is dropped, while
-    # item 1 sees item 2's cost 1 <= 1 and survives
-    v = np.array([2, 1])
-    assert schedule_keep_set(pair_instance, v, {0: 1, 1: 1}) == {0}
+    # row 0: both items at state 1 (cost 1) start at slot 1; each sees the
+    # other's cost 1 <= 1, so both survive. Row 1: item 1 at state 2 (cost 2);
+    # item 2 sees cost 2 > 1 and is dropped, item 1 sees cost 1 <= 1 and survives
+    v = np.array([[1, 1], [2, 1]])
+    kept = schedule_keep_batch(pair_instance, v, np.ones((2, 2), dtype=np.int64))
+    assert kept.tolist() == [[True, True], [True, False]]
 
 
 def test_schedule_keep_counts_all_items_starting_no_later(pair_instance):
     # equal start slots count each other even when listed later in index order
-    v = np.array([1, 2])
-    kept = schedule_keep_set(pair_instance, v, {0: 1, 1: 1})
     # item 0 sees cost 2 > 1 -> dropped; item 1 sees cost 1 <= 1 -> kept
-    assert kept == {1}
+    kept = schedule_keep_batch(pair_instance, np.array([[1, 2]]), np.array([[1, 1]]))
+    assert kept.tolist() == [[False, True]]
 
 
 def test_prune_by_schedule_rejects_zero_marginal_support(pair_instance):
+    # the schedule map draws a slot for every support item; item 1 has none
     sol = flat_solution(pair_instance, [0.25, 0.0])
-    with pytest.raises(ValueError):
-        prune_by_schedule(pair_instance, sol, np.array([1, 1]), seed=0)
+    with pytest.raises(ValueError, match="item 1 has no slot mass"):
+        sol.sample_slots(np.full((1, 2), 0.5), np.array([[True, True]]))
 
 
 def test_prune_maps_support_condition(pair_instance):
+    # each map keeps only sampled coordinates, so its output is v(i) or 0
     sol = flat_solution(pair_instance, [0.5, 0.5])
     crs = BalancedCrs(kind="priority", scale=0.5)
-    for seed in range(100):
-        v = sample_thinned_realization(pair_instance, sol.marginals, seed=seed)
-        for out in (
-            prune_by_outer(pair_instance.outer, crs, v, seed=seed),
-            prune_by_schedule(pair_instance, sol, v, seed=seed)[0],
-            prune_combined(pair_instance, pair_instance.outer, crs, sol, v, seed=seed),
-        ):
-            assert all(out[i] in (0, v[i]) for i in range(2))
-
-
-def test_prune_combined_is_intersection(pair_instance):
-    from stochsubmax.rounding import _outer_keep, _schedule_keep
-
-    sol = flat_solution(pair_instance, [0.5, 0.5])
-    crs = BalancedCrs(kind="priority", scale=0.5)
-    for seed in range(200):
-        v = sample_thinned_realization(pair_instance, sol.marginals, seed=seed)
-        combined = prune_combined(
-            pair_instance, pair_instance.outer, crs, sol, v, seed=seed
-        )
-        keep_a = _outer_keep(
-            pair_instance.outer, crs, v, derive_rng(seed, "combined-outer")
-        )
-        keep_b, _ = _schedule_keep(
-            pair_instance, sol, v, derive_rng(seed, "combined-schedule")
-        )
-        assert set(support(combined)) == (keep_a & keep_b) & set(support(v))
+    d = draw_block(pair_instance, derive_rng(0, "support"), 100)
+    sampled = d.u_sample < sol.marginals
+    v = np.where(sampled, d.states, 0)
+    outer = crs_keep_batch(crs, pair_instance.outer, sampled, d.priorities)
+    schedule = schedule_keep_batch(pair_instance, v, sol.sample_slots(d.u_slot, sampled))
+    for keep in (outer, schedule, outer & schedule):
+        assert not np.any(keep & ~sampled)
 
 
 def certified_pair_solution():
@@ -270,7 +222,11 @@ def test_state_keep_rates_product_bound():
 
 
 def test_outer_map_monotone_under_coupled_pairs():
-    # growing the support can only lower the chance a fixed coordinate survives
+    """Growing the support can only lower the chance a fixed coordinate survives.
+
+    Item 0 alone is always kept, so p_small is 1 and the check
+    p_small >= p_large - 3 SE holds for every draw: its false-failure rate is 0.
+    """
     outer = constraints.cardinality(3, 1)
     crs = BalancedCrs(kind="priority", scale=1.0)
     rng = derive_rng(17, "pairs")
@@ -279,8 +235,8 @@ def test_outer_map_monotone_under_coupled_pairs():
     for _ in range(trials):
         v = np.array([1, 1, 1])
         u = np.array([1, 0, 0])
-        kept_small += 0 in greedy_keep(outer, support(u), rng.random(3))
-        kept_large += 0 in greedy_keep(outer, support(v), rng.random(3))
+        kept_small += 0 in greedy_keep(outer, np.flatnonzero(u), rng.random(3))
+        kept_large += 0 in greedy_keep(outer, np.flatnonzero(v), rng.random(3))
     p_small = kept_small / trials
     p_large = kept_large / trials
     se = math.sqrt(p_small * (1 - p_small) / trials) + math.sqrt(
@@ -290,8 +246,15 @@ def test_outer_map_monotone_under_coupled_pairs():
 
 
 def test_outer_map_monotone_on_random_coupled_pairs(pair_instance):
-    # random v from the thinned law, u a random sub-support fixing the target
-    # coordinate; keep frequency under u must dominate (up to noise)
+    """Random v from the thinned law, u a random sub-support fixing the target
+    coordinate; the keep frequency under u must dominate, up to noise.
+
+    Item 0 is kept with probability 0.875 under u and 0.75 under v, so a
+    failure needs the mean of the per-event differences, each in [-1, 1], to
+    fall 0.125 below its mean. Hoeffding's bound over at least 2500 events
+    puts the false-failure rate below 4e-9 (fewer events has probability
+    1e-38).
+    """
     outer = constraints.partition(4, [[0, 1], [2, 3]], [1, 1])
     marginals = np.array([0.5, 0.5, 0.5, 0.5])
     rng = derive_rng(23, "pairs")
@@ -304,8 +267,8 @@ def test_outer_map_monotone_on_random_coupled_pairs(pair_instance):
         u = v * (rng.random(4) < 0.5)
         u[0] = v[0]
         events += 1
-        kept_small += 0 in greedy_keep(outer, support(u), rng.random(4))
-        kept_large += 0 in greedy_keep(outer, support(v), rng.random(4))
+        kept_small += 0 in greedy_keep(outer, np.flatnonzero(u), rng.random(4))
+        kept_large += 0 in greedy_keep(outer, np.flatnonzero(v), rng.random(4))
     p_small = kept_small / events
     p_large = kept_large / events
     se = math.sqrt(p_small * (1 - p_small) / events) + math.sqrt(
@@ -336,13 +299,6 @@ def test_estimators_worker_independent():
     c = estimate_set_keep_rate(crs, inst.outer, sol.marginals, 9000, seed=5, workers=1)
     d = estimate_set_keep_rate(crs, inst.outer, sol.marginals, 9000, seed=5, workers=2)
     assert c == d
-
-
-def test_thinned_distribution_rejects_bad_marginals(pair_instance):
-    with pytest.raises(ValueError):
-        thinned_distribution(pair_instance, [1.5, 0.2])
-    with pytest.raises(ValueError):
-        thinned_distribution(pair_instance, [0.5])
 
 
 def test_state_keep_rates_reject_bad_marginals(pair_instance):
