@@ -121,7 +121,7 @@ def cmd_solve(args) -> int:
     (out / "certification.json").write_text(report.to_json(), encoding="utf-8")
     if args.dump_lp:
         (out / "lp.txt").write_text(
-            program_dump(build_slot_program(instance, instance.outer)),
+            program_dump(build_slot_program(instance, instance.outer), None),
             encoding="utf-8",
         )
     print(

@@ -85,22 +85,51 @@ class SlotSolution:
                 out.append(np.cumsum(np.asarray(vs) / total))
         return tuple(out)
 
-    def sample_slots(self, u, mask) -> np.ndarray:
-        """Inverse-CDF start slots of a block: column i of the (R, n) ``u`` draws item i's.
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Items with positive marginal, by index: the columns of every rounding block."""
+        return np.flatnonzero(self.marginals > 0)
 
-        Slot t of item i has probability value / marginal. Items with no slot
-        mass get slot 0; an entry of the (R, n) ``mask`` set on such an item
-        raises.
+    @cached_property
+    def support_slots(self) -> tuple:
+        """Slot tables of the support columns: (fixed, drawn, bare).
+
+        ``fixed[c]`` is column c's start slot if its item has exactly one, else
+        0; ``drawn`` holds (c, slots, cumulative probabilities) of each column
+        with several; ``bare`` the columns whose item has no slot entries.
         """
+        fixed = np.zeros(len(self.support), dtype=np.int64)
+        drawn, bare = [], []
+        for c, i in enumerate(self.support):
+            ts, _ = self.slot_lists[i]
+            if len(ts) == 1:
+                fixed[c] = ts[0]
+            elif ts:
+                drawn.append((c, np.asarray(ts), self.slot_cum[i]))
+            else:
+                bare.append(c)
+        return fixed, tuple(drawn), np.asarray(bare, dtype=np.int64)
+
+    def sample_slots(self, u, mask) -> np.ndarray:
+        """Inverse-CDF start slots of a block over the support columns.
+
+        Column c of the (R, n_s) ``u`` draws item ``support[c]``'s slot. Slot
+        t of an item has probability value / marginal, so an item with one
+        slot gets it without a draw. A support item without slot entries (a
+        marginal that no entry carries) gets slot 0; an entry of the (R, n_s)
+        ``mask`` set on it raises.
+        """
+        fixed, drawn, bare = self.support_slots
         u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape, dtype=np.int64)
-        for i, (ts, _) in enumerate(self.slot_lists):
-            if not ts:
-                if np.any(mask[:, i]):
-                    raise ValueError(f"item {i} has no slot mass")
-                continue
-            pos = np.searchsorted(self.slot_cum[i], u[:, i], side="right")
-            out[:, i] = np.asarray(ts)[np.minimum(pos, len(ts) - 1)]
+        out = np.empty(u.shape, dtype=np.int64)
+        out[:] = fixed
+        for c, ts, cum in drawn:
+            pos = np.searchsorted(cum, u[:, c], side="right")
+            out[:, c] = ts[np.minimum(pos, len(ts) - 1)]
+        if bare.size:
+            hit = bare[np.any(np.asarray(mask)[:, bare], axis=0)]
+            if hit.size:
+                raise ValueError(f"item {self.support[hit[0]]} has no slot mass")
         return out
 
 

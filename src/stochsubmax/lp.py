@@ -57,7 +57,7 @@ optimality by LP duality, with :func:`certify_optimal`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -81,11 +81,6 @@ class SlotProgram:
     row_labels: tuple[tuple, ...]
     row_coeffs: np.ndarray  # (rows, vars)
     row_bounds: np.ndarray  # (rows,)
-    objective: np.ndarray | None = None
-    var_index: dict = field(default_factory=dict, repr=False)
-
-    def column(self, item: int, slot: int) -> int:
-        return self.var_index[(item, slot)]
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,6 @@ def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgra
     slots = instance.slot_counts
     scheduled = np.flatnonzero(slots > 0)
     variables = [(int(i), int(slots[i])) for i in scheduled]
-    var_index = {v: j for j, v in enumerate(variables)}
     nv = len(variables)
     times = np.arange(1, instance.budget + 1)
 
@@ -148,16 +142,16 @@ def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgra
         row_labels=tuple(labels),
         row_coeffs=np.vstack([cap_rows, outer_rows, time_rows]),
         row_bounds=bounds,
-        var_index=var_index,
     )
 
 
-def program_dump(program: SlotProgram, objective=None) -> str:
-    """Plain-text dump, one constraint row per line, items named by 1-based ids."""
+def program_dump(program: SlotProgram, objective) -> str:
+    """Plain-text dump, one constraint row per line, items named by 1-based ids.
+
+    A ``max:`` line leads with the objective's nonzero terms unless ``objective`` is None.
+    """
     names = [f"x({i + 1},{t})" for i, t in program.variables]
     lines = []
-    if objective is None:
-        objective = program.objective
     if objective is not None:
         terms = " + ".join(
             f"{c:g}*{nm}" for c, nm in zip(objective, names) if c != 0
@@ -173,7 +167,7 @@ def program_dump(program: SlotProgram, objective=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def solve_lp(program: SlotProgram, objective=None, start=None) -> LpSolution:
+def solve_lp(program: SlotProgram, objective, start=None) -> LpSolution:
     """Maximize the objective over the program rows and [0, 1] box, certified by duality.
 
     ``start`` is the ``(basis, sign)`` of an earlier answer over the same
@@ -182,10 +176,6 @@ def solve_lp(program: SlotProgram, objective=None, start=None) -> LpSolution:
     column at fault if the answer fails :func:`certify_optimal`, whatever the
     start.
     """
-    if objective is None:
-        objective = program.objective
-    if objective is None:
-        raise ValueError("no objective given")
     obj = np.asarray(objective, dtype=float)
     nv = len(program.variables)
     if obj.shape != (nv,):

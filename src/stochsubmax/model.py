@@ -139,16 +139,21 @@ def sample_realization_rng(instance: Instance, rng: np.random.Generator) -> np.n
 def sample_realization_batch(
     instance: Instance, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """(count, n) matrix of independent realizations, one per row.
+    """(count, n) matrix of independent realizations, one per row."""
+    return sample_states(instance.state_cum_probs, rng, count)
 
-    Entry (r, i) is 1 plus the number of the first B - 1 cumulative
-    probabilities of item i at or below its uniform: the inverse CDF that
+
+def sample_states(cum_probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, m) states of the m items whose rows of ``state_cum_probs`` are ``cum_probs``.
+
+    Entry (r, c) is 1 plus the number of the first B - 1 cumulative
+    probabilities of row c at or below its uniform: the inverse CDF that
     :func:`sample_realization_rng` computes with ``searchsorted``.
     """
-    u = rng.random((count, instance.n))
-    states = np.ones((count, instance.n), dtype=np.int64)
-    for s in range(instance.B - 1):
-        states += instance.state_cum_probs[:, s] <= u
+    u = rng.random((count, len(cum_probs)))
+    states = np.ones(u.shape, dtype=np.int64)
+    for s in range(cum_probs.shape[1] - 1):
+        states += cum_probs[:, s] <= u
     return states
 
 

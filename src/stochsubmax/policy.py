@@ -15,6 +15,15 @@ Every run goes through one kernel, :func:`run_policy_batch`, which resolves a
 whole block of runs on the draws of :func:`rounding.draw_block`. Simulation and
 the coupled dominance check call it on blocks of many runs; :func:`execute` is
 one run of it against a given realization, returned as a :class:`PolicyTrace`.
+
+The kernel works on the solution's support, the n_s items of positive
+marginal, which are the only items a run can sample: its draws and masks are
+(R, n_s) arrays, and only the utility, the outer-family tally and the
+dominance violation reports go back to width n. When every item carries mass
+the draws are those of width n, so the ``simulate`` and ``dominance`` streams
+are unchanged; for a solution with items of marginal 0 they moved when the
+kernel went to the support width. :func:`execute` still draws
+``random((3, n))`` and takes the support columns, so its traces do not move.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .rounding import (
     BlockDraws,
     crs_keep_batch,
     draw_block,
+    scatter_columns,
     schedule_keep_batch,
 )
 from .seeds import derive_rng
@@ -68,17 +78,19 @@ def check_solution_shape(instance: Instance, sol: SlotSolution):
         raise ValueError("solution marginals are inconsistent with its entries")
 
 
-def gate_scan_batch(instance: Instance, states, kept, times):
+def gate_scan_batch(instance: Instance, states, kept, times, support):
     """The gate scan on every row of a block at once.
 
-    Step j visits each row's j-th kept item in (start slot, index) order and
-    selects it iff spent <= its slot, so the loop runs at most max-kept steps.
-    States are read only through ``read``, one masked gather per step at
-    gate-passed positions, which is the only place the read mask is set.
-    Returns (R, n) ``selected``, ``reads`` and ``revealed`` (the states read, 0
-    elsewhere) and the (R,) ``spent``.
+    Column c of the (R, n_s) arrays is item ``support[c]``. Step j visits each
+    row's j-th kept item in (start slot, index) order and selects it iff
+    spent <= its slot, so the loop runs at most max-kept steps. States are
+    read only through ``read``, one masked gather per step at gate-passed
+    positions, which is the only place the read mask is set. Returns (R, n_s)
+    ``selected``, ``reads`` and ``revealed`` (the states read, 0 elsewhere)
+    and the (R,) ``spent``.
     """
     kept, times, states = np.asarray(kept, dtype=bool), np.asarray(times), np.asarray(states)
+    costs = instance.cost_matrix[support]
     rows, n = kept.shape
     key = np.where(kept, times * n + np.arange(n), np.iinfo(np.int64).max)
     order = np.argsort(key, axis=1, kind="stable")
@@ -103,32 +115,38 @@ def gate_scan_batch(instance: Instance, states, kept, times):
         passed = spent[r] <= slot_of[at]
         r, at = r[passed], at[passed]
         selected[at] = True
-        spent[r] += instance.cost_matrix[at % n, read(at) - 1]
+        spent[r] += costs[at % n, read(at) - 1]
     shape = (rows, n)
     return selected.reshape(shape), reads.reshape(shape), revealed.reshape(shape), spent
 
 
 @dataclass(frozen=True)
 class BlockRun:
-    """Batched policy runs of one block: sampled, kept, slots, gate scan and utilities."""
+    """Batched policy runs of one block: sampled, kept, slots, gate scan and utilities.
 
-    sampled: np.ndarray  # (R, n) bool
-    kept: np.ndarray  # (R, n) bool
-    slots: np.ndarray  # (R, n) start slots, 0 for items without slot mass
-    selected: np.ndarray  # (R, n) bool
-    reads: np.ndarray  # (R, n) bool: where a state was read
-    revealed: np.ndarray  # (R, n) the states read, 0 elsewhere
+    Column c of the (R, n_s) arrays is item ``sol.support[c]``.
+    """
+
+    sampled: np.ndarray  # (R, n_s) bool
+    kept: np.ndarray  # (R, n_s) bool
+    slots: np.ndarray  # (R, n_s) start slots, 0 for items without slot entries
+    selected: np.ndarray  # (R, n_s) bool
+    reads: np.ndarray  # (R, n_s) bool: where a state was read
+    revealed: np.ndarray  # (R, n_s) the states read, 0 elsewhere
     spent: np.ndarray  # (R,) total realized cost
     utility: np.ndarray  # (R,)
 
 
 def run_policy_batch(instance, f, outer, crs, sol, draws: BlockDraws) -> BlockRun:
-    """The policy on every row of ``draws``: sample, resolve, draw slots, gate scan."""
-    sampled = draws.u_sample < sol.marginals
-    kept = crs_keep_batch(crs, outer, sampled, draws.priorities)
+    """The policy on every row of ``draws`` (drawn for ``sol.support``): sample,
+    resolve, draw slots, gate scan."""
+    support = sol.support
+    sampled = draws.u_sample < sol.marginals[support]
+    kept = crs_keep_batch(crs, outer, sampled, draws.priorities, support)
     slots = sol.sample_slots(draws.u_slot, sampled)
-    selected, reads, revealed, spent = gate_scan_batch(instance, draws.states, kept, slots)
-    utility = np.asarray(f.value_batch(revealed), dtype=float)
+    selected, reads, revealed, spent = gate_scan_batch(instance, draws.states, kept, slots, support)
+    wide = scatter_columns(revealed, support, instance.n)
+    utility = np.asarray(f.value_batch(wide), dtype=float)
     return BlockRun(sampled, kept, slots, selected, reads, revealed, spent, utility)
 
 
@@ -144,8 +162,9 @@ def execute(
 ) -> PolicyTrace:
     """One policy run against a fixed realization: :func:`run_policy_batch` on one row.
 
-    The run's sample uniforms, priorities and slot uniforms are the three rows
-    of ``derive_rng(seed, "policy").random((3, n))``. ``certify_scale``
+    The run's sample uniforms, priorities and slot uniforms are the support
+    columns of the three rows of ``derive_rng(seed, "policy").random((3, n))``,
+    so a run does not depend on the support's width. ``certify_scale``
     optionally enforces full feasibility certification of the solution before
     running (the pipeline passes its stopping scale here); structural solution
     checks always run.
@@ -162,18 +181,22 @@ def execute(
     states = np.asarray(realization, dtype=np.int64)
     if states.shape != (instance.n,) or np.any(states < 1) or np.any(states > instance.B):
         raise ValueError("realization must assign each item a state in 1..B")
-    u_sample, priorities, u_slot = derive_rng(seed, "policy").random((3, instance.n))
-    draws = BlockDraws(states[None], u_sample[None], priorities[None], u_slot[None])
-    run = run_policy_batch(instance, f, outer, crs, sol, draws)
+    support = sol.support
+    u = derive_rng(seed, "policy").random((3, instance.n))[:, None, support]
+    run = run_policy_batch(instance, f, outer, crs, sol, BlockDraws(states[None, support], *u))
     slots = run.slots[0]
     scan = np.argsort(slots, kind="stable")  # gate-scan order: by slot, least index on ties
-    kept = tuple(int(i) for i in np.flatnonzero(run.kept[0]))
+
+    def items(mask, order=slice(None)):
+        return tuple(int(i) for i in support[order][mask[order]])
+
+    kept = items(run.kept[0])
     return PolicyTrace(
-        sampled=tuple(int(i) for i in np.flatnonzero(run.sampled[0])),
+        sampled=items(run.sampled[0]),
         kept=kept,
-        start_times={i: int(slots[i]) for i in kept},
-        selected=tuple(int(i) for i in scan[run.selected[0][scan]]),
-        reads=tuple(int(i) for i in scan[run.reads[0][scan]]),
+        start_times=dict(zip(kept, slots[run.kept[0]].tolist())),
+        selected=items(run.selected[0], scan),
+        reads=items(run.reads[0], scan),
         utility=float(run.utility[0]),
         spent=int(run.spent[0]),
     )
@@ -192,15 +215,15 @@ class SimulationSummary:
 def _simulate_block(instance, f, outer, crs, sol, seed, block):
     """Utility sums and violation counts of one block of runs."""
     b, size = block
-    run = run_policy_batch(
-        instance, f, outer, crs, sol, draw_block(instance, derive_rng(seed, "simulate", b), size)
-    )
+    draws = draw_block(instance, derive_rng(seed, "simulate", b), size, sol.support)
+    run = run_policy_batch(instance, f, outer, crs, sol, draws)
+    selected = scatter_columns(run.selected, sol.support, instance.n)
     return (
         size,
         float(run.utility.sum()),
         float(run.utility @ run.utility),
         int(np.count_nonzero(run.spent > instance.budget)),
-        int(np.count_nonzero(~independent_rows(outer, run.selected))),
+        int(np.count_nonzero(~independent_rows(outer, selected))),
         int(np.count_nonzero(np.any(run.reads != run.selected, axis=1))),
     )
 
@@ -280,31 +303,41 @@ def coupled_dominance_check(
     """
     instance.require_valid()
     check_solution_shape(instance, sol)
+    support, n = sol.support, instance.n
+
+    def ids(row):
+        return [int(i) + 1 for i in support[row]]
+
     violations = []
     dropped = start = 0
     for b, size in split_blocks(trials):
-        d = draw_block(instance, derive_rng(seed, "dominance", b), size)
+        d = draw_block(instance, derive_rng(seed, "dominance", b), size, support)
         run = run_policy_batch(instance, f, outer, crs, sol, d)
         dropped += int(np.any(run.sampled != run.kept, axis=1).sum())
         v = np.where(run.sampled, d.states, 0)
-        sched = schedule_keep_batch(instance, v, run.slots)
+        sched = schedule_keep_batch(instance, v, run.slots, support)
         pruned = np.where(run.kept & sched, v, 0)
-        pruned_utility = np.asarray(f.value_batch(pruned), dtype=float)
-        policy_vec = run.revealed
-        covered = np.all((pruned == 0) | (policy_vec == pruned), axis=1)
+        pruned_utility = np.asarray(f.value_batch(scatter_columns(pruned, support, n)), dtype=float)
+        covered = np.all((pruned == 0) | (run.revealed == pruned), axis=1)
         bad = ~covered | (run.utility < pruned_utility - 1e-12)
         for r in np.flatnonzero(bad):
-            sampled = np.flatnonzero(run.sampled[r])
+            # width n; 0 marks an item outside the support, whose state is never drawn
+            realization, policy_vector, pruned_vector = scatter_columns(
+                np.stack([d.states[r], run.revealed[r], pruned[r]]), support, n
+            ).tolist()
             violations.append(
                 {
                     "trial": start + int(r),
-                    "realization": [int(s) for s in d.states[r]],
-                    "sampled": [int(i) + 1 for i in sampled],
-                    "kept": [int(i) + 1 for i in np.flatnonzero(run.kept[r])],
-                    "times": {int(i) + 1: int(run.slots[r, i]) for i in sampled},
-                    "selected": [int(i) + 1 for i in np.flatnonzero(run.selected[r])],
-                    "policy_vector": [int(s) for s in policy_vec[r]],
-                    "pruned_vector": [int(s) for s in pruned[r]],
+                    "realization": realization,
+                    "sampled": ids(run.sampled[r]),
+                    "kept": ids(run.kept[r]),
+                    "times": {
+                        int(support[c]) + 1: int(run.slots[r, c])
+                        for c in np.flatnonzero(run.sampled[r])
+                    },
+                    "selected": ids(run.selected[r]),
+                    "policy_vector": policy_vector,
+                    "pruned_vector": pruned_vector,
                     "policy_utility": float(run.utility[r]),
                     "pruned_utility": float(pruned_utility[r]),
                 }

@@ -21,10 +21,19 @@ Empirical keep rates of all of the above are estimated per item (set level)
 or per (item, state) pair (state level) with binomial standard errors.
 
 Each map exists once, in batched form: :func:`crs_keep_batch` and
-:func:`schedule_keep_batch` resolve a block of R trials at a time on the (R, n)
-arrays drawn by :func:`draw_block`. The estimators here and the policy in
-:mod:`policy` both run them; :func:`greedy_keep` resolves the rows of explicit
-families one set at a time.
+:func:`schedule_keep_batch` resolve a block of R trials at a time on the
+(R, n_s) arrays drawn by :func:`draw_block`. Their columns are the solution's
+support, the n_s items of positive marginal in increasing id order: an item
+of marginal 0 is never sampled, so it is never drawn for. Results go back to
+width n (:func:`scatter_columns`) only where item ids matter: the identity
+scheme's family check, explicit families (:func:`greedy_keep` resolves their
+rows one set at a time) and the keep-rate count tables. The estimators here
+and the policy in :mod:`policy` both run them.
+
+When every item carries mass the draws keep their width-n shapes, so the
+``keep-rate`` and ``keep-<mapping>`` streams are those of a width-n kernel;
+for a solution with items of marginal 0 they moved when the kernel went to
+the support width.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ import numpy as np
 from .constraints import OuterConstraint, in_scaled_polytope, independent_rows, is_independent
 from .extensions import check_marginals
 from .greedy import SlotSolution
-from .model import Instance, sample_realization_batch
+from .model import Instance, sample_states
 from .parallel import map_blocks, split_blocks
 from .seeds import derive_rng, stream_entropy
 
@@ -76,56 +85,83 @@ def greedy_keep(outer: OuterConstraint, members, priorities) -> set:
 
 
 def _least_priority(sampled: np.ndarray, priorities: np.ndarray, k: int) -> np.ndarray:
-    """Mask of each row's (at most) k sampled items of least (priority, index)."""
-    order = np.argsort(np.where(sampled, priorities, np.inf), axis=1, kind="stable")
-    least = np.zeros_like(sampled)
-    np.put_along_axis(least, order[:, :k], True, axis=1)
-    return least & sampled
+    """Mask of each row's (at most) k sampled items of least (priority, index).
+
+    Only the rows with more than k sampled items are sorted.
+    """
+    least = sampled.copy()
+    over = np.flatnonzero(sampled.sum(axis=1) > k)
+    if over.size:
+        on = sampled[over]
+        order = np.argsort(np.where(on, priorities[over], np.inf), axis=1, kind="stable")
+        trimmed = np.zeros_like(on)
+        np.put_along_axis(trimmed, order[:, :k], True, axis=1)
+        least[over] = trimmed & on
+    return least
 
 
-def crs_keep_batch(crs: BalancedCrs, outer: OuterConstraint, sampled, priorities) -> np.ndarray:
-    """The set-level scheme on every row of a block: the (R, n) mask of kept items.
+def scatter_columns(block, support, n: int) -> np.ndarray:
+    """The (R, n) array holding the (R, n_s) ``block`` in the ``support`` columns, 0 elsewhere."""
+    block = np.asarray(block)
+    out = np.zeros((len(block), n), dtype=block.dtype)
+    out[:, support] = block
+    return out
 
-    Row r resolves the item set ``sampled[r]`` with ``priorities[r]``. The
-    priority scheme keeps, under cardinality, the k sampled items of least
-    (priority, index), and under a partition the same within each block, which
-    is what :func:`greedy_keep` keeps; explicit families run
-    :func:`greedy_keep` row by row.
+
+def crs_keep_batch(
+    crs: BalancedCrs, outer: OuterConstraint, sampled, priorities, support
+) -> np.ndarray:
+    """The set-level scheme on every row of a block: the (R, n_s) mask of kept items.
+
+    Column c of the (R, n_s) arrays is item ``support[c]`` (increasing ids).
+    Row r resolves the item set ``support[sampled[r]]`` with ``priorities[r]``.
+    The priority scheme keeps, under cardinality, the k sampled items of least
+    (priority, index), and under a partition the same within each block's
+    support columns, which is what :func:`greedy_keep` keeps; explicit
+    families run :func:`greedy_keep` row by row on the item ids.
     """
     sampled = np.asarray(sampled, dtype=bool)
+    support = np.asarray(support)
     if crs.kind == "identity":
-        if not np.all(independent_rows(outer, sampled)):
+        if not np.all(independent_rows(outer, scatter_columns(sampled, support, outer.n))):
             raise ValueError("identity scheme got a set outside the outer family")
         return sampled.copy()
     if outer.kind == "cardinality":
         return _least_priority(sampled, priorities, outer.k)
     if outer.kind == "partition":
         kept = sampled.copy()
+        col_of = np.full(outer.n, -1)
+        col_of[support] = np.arange(len(support))
         for block, cap in zip(outer.blocks, outer.caps):
-            cols = list(block)
-            kept[:, cols] = _least_priority(sampled[:, cols], priorities[:, cols], cap)
+            cols = col_of[list(block)]
+            cols = cols[cols >= 0]
+            if cols.size:
+                kept[:, cols] = _least_priority(sampled[:, cols], priorities[:, cols], cap)
         return kept
     kept = np.zeros_like(sampled)
+    by_item = np.zeros(outer.n)
     for r, row in enumerate(sampled):
-        kept[r, sorted(greedy_keep(outer, np.flatnonzero(row), priorities[r]))] = True
+        by_item[support] = priorities[r]
+        kept[r] = np.isin(support, list(greedy_keep(outer, support[row], by_item)))
     return kept
 
 
-def schedule_keep_batch(instance: Instance, v, times) -> np.ndarray:
-    """The schedule map on every row of a block: the (R, n) mask of kept items.
+def schedule_keep_batch(instance: Instance, v, times, support) -> np.ndarray:
+    """The schedule map on every row of a block: the (R, n_s) mask of kept items.
 
-    ``v`` is an (R, n) state matrix (0 off the support) and ``times`` the (R, n)
-    start slots, read only on the support. Row r keeps support item i iff the
-    realized costs of all its other support items starting no later than i fit
-    within i's slot: with c the realized costs and C[r, t] the row's total
-    support cost at slots 1..t, iff C[r, times[r, i]] - c[r, i] <= times[r, i].
-    Memory is O(R * (n + budget)).
+    Column c is item ``support[c]``. ``v`` is an (R, n_s) state matrix (0 off
+    the row's sampled items) and ``times`` the (R, n_s) start slots, read only
+    where v is positive. Row r keeps such an item i iff the realized costs of
+    all its other such items starting no later than i fit within i's slot:
+    with c the realized costs and C[r, t] the row's total cost at slots 1..t,
+    iff C[r, times[r, i]] - c[r, i] <= times[r, i]. Memory is
+    O(R * (n_s + budget)).
     """
     v = np.asarray(v)
-    rows, n = v.shape
+    rows = len(v)
     on = v > 0
     width = instance.budget + 1
-    cost = np.where(on, instance.cost_matrix[np.arange(n), np.maximum(v, 1) - 1], 0)
+    cost = np.where(on, instance.cost_matrix[support, np.maximum(v, 1) - 1], 0)
     t = np.where(on, times, 0)
     cells = np.arange(rows)[:, None] * width + t
     hist = np.bincount(cells[on], weights=cost[on], minlength=rows * width)
@@ -135,7 +171,10 @@ def schedule_keep_batch(instance: Instance, v, times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockDraws:
-    """The random arrays of one block of R trials, each (R, n), drawn in field order."""
+    """The random arrays of one block of R trials, each (R, n_s), drawn in field order.
+
+    Column c belongs to item ``support[c]`` of the support the block was drawn for.
+    """
 
     states: np.ndarray  # realized states 1..B
     u_sample: np.ndarray  # item i is sampled iff u_sample[:, i] < its marginal
@@ -143,10 +182,16 @@ class BlockDraws:
     u_slot: np.ndarray  # inverse-CDF uniforms of the start-slot draws
 
 
-def draw_block(instance: Instance, rng: np.random.Generator, size: int) -> BlockDraws:
-    """States, sample uniforms, priorities and slot uniforms of ``size`` trials, in that order."""
-    states = sample_realization_batch(instance, rng, size)
-    u_sample, priorities, u_slot = rng.random((3, size, instance.n))
+def draw_block(
+    instance: Instance, rng: np.random.Generator, size: int, support=slice(None)
+) -> BlockDraws:
+    """States, sample uniforms, priorities and slot uniforms of ``size`` trials, in that order.
+
+    Only the ``support`` items (every item by default) are drawn for, so the
+    draws for a support of all n items are the same whatever its form.
+    """
+    states = sample_states(instance.state_cum_probs[support], rng, size)
+    u_sample, priorities, u_slot = rng.random((3, size, states.shape[1]))
     return BlockDraws(states, u_sample, priorities, u_slot)
 
 
@@ -164,29 +209,42 @@ class CrsEstimate:
 
 
 def _binomial_rows(mapping, cond, kept, states: bool) -> list[CrsEstimate]:
-    rows = []
-    n = cond.shape[0]
-    state_range = range(1, cond.shape[1]) if states else [None]
-    for i in range(n):
-        for j in state_range:
-            c = int(cond[i, j] if states else cond[i, 0])
-            k = int(kept[i, j] if states else kept[i, 0])
-            if c == 0:
-                rows.append(CrsEstimate(i, j, mapping, float("nan"), float("nan"), 0, "insufficient"))
-            else:
-                p = k / c
-                se = math.sqrt(max(p * (1 - p), 0.0) / c)
-                rows.append(CrsEstimate(i, j, mapping, p, se, c, "ok"))
-    return rows
+    """Rows of kept / sampled count tables: per item, or per (item, state 1..B).
+
+    ``cond`` and ``kept`` are (n, 1) tables, or (n, B + 1) ones indexed by
+    state whose column 0 is unused. A cell with no sampled event reads NaN
+    with status "insufficient".
+    """
+    if states:
+        cond, kept = cond[:, 1:], kept[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = kept / cond
+        se = np.sqrt(np.maximum(value * (1 - value), 0.0) / cond)
+    labels = range(1, cond.shape[1] + 1) if states else (None,)
+    return [
+        CrsEstimate(i, j, mapping, p, s, c, "ok" if c else "insufficient")
+        for i, (cs, ps, ss) in enumerate(zip(cond.tolist(), value.tolist(), se.tolist()))
+        for j, c, p, s in zip(labels, cs, ps, ss)
+    ]
 
 
-def _gamma_block(crs, outer, y, seed, block):
-    """Kept and sampled counts of one block; draws the sample uniforms, then the priorities."""
+def _scatter_counts(partials, support, n: int, width: int):
+    """Sampled and kept count tables of the block partials, summed and put on item rows."""
+    cond = np.zeros((n, width), dtype=np.int64)
+    kept = np.zeros((n, width), dtype=np.int64)
+    cond[support] = sum(p[0] for p in partials)
+    kept[support] = sum(p[1] for p in partials)
+    return cond, kept
+
+
+def _gamma_block(crs, outer, y, support, seed, block):
+    """Kept and sampled counts of one block per support item; draws the sample
+    uniforms, then the priorities."""
     b, size = block
     rng = derive_rng(seed, "keep-rate", b)
-    u_sample, priorities = rng.random((2, size, outer.n))
-    sampled = u_sample < y
-    kept = crs_keep_batch(crs, outer, sampled, priorities)
+    u_sample, priorities = rng.random((2, size, len(support)))
+    sampled = u_sample < y[support]
+    kept = crs_keep_batch(crs, outer, sampled, priorities, support)
     return sampled.sum(axis=0)[:, None], kept.sum(axis=0)[:, None]
 
 
@@ -208,34 +266,35 @@ def estimate_set_keep_rate(
             f"marginals are not inside {crs.scale} * the outer hull; "
             "the scheme's quoted keep rate does not apply"
         )
-    fn = functools.partial(_gamma_block, crs, outer, y, seed)
+    support = np.flatnonzero(y > 0)
+    fn = functools.partial(_gamma_block, crs, outer, y, support, seed)
     partials = map_blocks(fn, split_blocks(trials), workers)
-    cond = sum(p[0] for p in partials)
-    kept = sum(p[1] for p in partials)
-    return _binomial_rows("set", cond, kept, states=False)
+    return _binomial_rows("set", *_scatter_counts(partials, support, outer.n, 1), states=False)
 
 
 def _alpha_block(mapping, instance, outer, crs, sol, seed, block):
-    """Per (item, state) sampled and kept counts of one block (layout of :func:`draw_block`).
+    """Per (support item, state) sampled and kept counts of one block (layout of
+    :func:`draw_block`).
 
     The thinned vector is the realized state where the item is sampled, else 0;
     ``combined`` uses the priorities and the slot uniforms, which are independent.
     """
     b, size = block
-    d = draw_block(instance, derive_rng(seed, f"keep-{mapping}", b), size)
-    sampled = d.u_sample < sol.marginals
+    support = sol.support
+    d = draw_block(instance, derive_rng(seed, f"keep-{mapping}", b), size, support)
+    sampled = d.u_sample < sol.marginals[support]
     v = np.where(sampled, d.states, 0)
     if mapping == "outer":
-        keep = crs_keep_batch(crs, outer, sampled, d.priorities)
+        keep = crs_keep_batch(crs, outer, sampled, d.priorities, support)
     elif mapping == "schedule":
-        keep = schedule_keep_batch(instance, v, sol.sample_slots(d.u_slot, sampled))
+        keep = schedule_keep_batch(instance, v, sol.sample_slots(d.u_slot, sampled), support)
     elif mapping == "combined":
-        keep = crs_keep_batch(crs, outer, sampled, d.priorities) & schedule_keep_batch(
-            instance, v, sol.sample_slots(d.u_slot, sampled)
+        keep = crs_keep_batch(crs, outer, sampled, d.priorities, support) & schedule_keep_batch(
+            instance, v, sol.sample_slots(d.u_slot, sampled), support
         )
     else:
         raise ValueError(f"unknown mapping {mapping!r}")
-    n, width = instance.n, instance.B + 1
+    n, width = len(support), instance.B + 1
     cells = np.arange(n) * width + v
     cond = np.bincount(cells[sampled], minlength=n * width).reshape(n, width)
     kept = np.bincount(cells[sampled & keep], minlength=n * width).reshape(n, width)
@@ -260,9 +319,8 @@ def estimate_state_keep_rates(
         _alpha_block, mapping, instance, outer, crs, sol, stream_entropy(seed, mapping)
     )
     partials = map_blocks(fn, split_blocks(trials), workers)
-    cond = sum(p[0] for p in partials)
-    kept = sum(p[1] for p in partials)
-    return _binomial_rows(mapping, cond, kept, states=True)
+    tables = _scatter_counts(partials, sol.support, instance.n, instance.B + 1)
+    return _binomial_rows(mapping, *tables, states=True)
 
 
 def alpha_table_csv(rows: list[CrsEstimate]) -> str:

@@ -110,10 +110,12 @@ def _gate_scan(instance, kept, times: dict, reveal: RevealLog):
 
 
 def _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities, u_slot):
-    """One traced run on explicit draws: the row layout of ``rounding.draw_block``.
+    """One traced run on explicit width-n draws, one entry per item.
 
     Every item has a slot uniform, used only if the item is kept, so this is
-    the scalar reference for ``policy.run_policy_batch`` on identical draws.
+    the scalar reference for ``policy.run_policy_batch`` on identical draws:
+    the kernel's support-width draws of ``rounding.draw_block`` put in their
+    items' entries (an item of marginal 0 is never sampled, whatever its draws).
     """
     reveal = RevealLog(states)
     sampled = [int(i) for i in np.nonzero(u_sample < sol.marginals)[0]]

@@ -206,7 +206,8 @@ def test_sample_slot_distribution(pair_instance):
     )
     rng = np.random.default_rng(0)
     ts, vs = sol.slot_lists[0]
-    u = np.zeros((4000, sol.n))
+    assert sol.support[0] == 0  # column 0 draws item 0's slot
+    u = np.zeros((4000, len(sol.support)))
     u[:, 0] = rng.random(4000)
     mask = np.zeros(u.shape, dtype=bool)
     mask[:, 0] = True

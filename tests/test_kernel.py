@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochsubmax import constraints
+from stochsubmax.constraints import in_scaled_polytope
 from stochsubmax.greedy import SlotSolution
 from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
 from stochsubmax.model import Instance, ItemModel
-from stochsubmax.policy import execute, run_policy_batch
+from stochsubmax.policy import coupled_dominance_check, execute, run_policy_batch, simulate_batch
 from stochsubmax.rounding import (
+    MAPPINGS,
     BalancedCrs,
     crs_keep_batch,
     draw_block,
+    estimate_set_keep_rate,
+    estimate_state_keep_rates,
     greedy_keep,
+    scatter_columns,
     schedule_keep_batch,
 )
 from stochsubmax.seeds import derive_rng
@@ -86,17 +91,25 @@ def policy_cases(draw):
     return inst, sol, crs, rows, seed
 
 
+def reference_draws(inst, sol, d):
+    """The support-width draws ``d`` at width n, 0 off the support: the draws the
+    scalar reference reads (it never samples an item of marginal 0)."""
+    return [scatter_columns(a, sol.support, inst.n)
+            for a in (d.states, d.u_sample, d.priorities, d.u_slot)]
+
+
 @settings(max_examples=300)
 @given(policy_cases())
 def test_batch_matches_scalar_policy_on_identical_draws(case):
     inst, sol, crs, rows, seed = case
     f, outer = inst.utility, inst.outer
-    d = draw_block(inst, np.random.default_rng(seed), rows)
+    d = draw_block(inst, np.random.default_rng(seed), rows, sol.support)
+    states, u_sample, priorities, u_slot = reference_draws(inst, sol, d)
     traces = []
     for r in range(rows):
         try:
             traces.append(_run_policy(
-                inst, f, outer, crs, sol, d.states[r], d.u_sample[r], d.priorities[r], d.u_slot[r]
+                inst, f, outer, crs, sol, states[r], u_sample[r], priorities[r], u_slot[r]
             ))
         except ValueError as exc:  # the identity scheme refuses a set outside the family
             assert crs.kind == "identity", exc
@@ -104,12 +117,14 @@ def test_batch_matches_scalar_policy_on_identical_draws(case):
                 run_policy_batch(inst, f, outer, crs, sol, d)
             return
     run = run_policy_batch(inst, f, outer, crs, sol, d)
+    support = sol.support
     for r, tr in enumerate(traces):
-        assert tuple(np.flatnonzero(run.sampled[r])) == tr.sampled
-        assert tuple(np.flatnonzero(run.kept[r])) == tr.kept
-        assert {i: int(run.slots[r, i]) for i in tr.kept} == tr.start_times
-        assert tuple(np.flatnonzero(run.selected[r])) == tuple(sorted(tr.selected))
-        assert tuple(np.flatnonzero(run.reads[r])) == tuple(sorted(tr.reads))
+        assert tuple(support[run.sampled[r]]) == tr.sampled
+        assert tuple(support[run.kept[r]]) == tr.kept
+        assert dict(zip(support[run.kept[r]].tolist(), run.slots[r, run.kept[r]].tolist())) \
+            == tr.start_times
+        assert tuple(support[run.selected[r]]) == tuple(sorted(tr.selected))
+        assert tuple(support[run.reads[r]]) == tuple(sorted(tr.reads))
         assert int(run.spent[r]) == tr.total_cost
         assert float(run.utility[r]) == tr.utility
 
@@ -170,12 +185,13 @@ def test_batch_edge_cases_match_scalar():
         inst = Instance(n=3, B=1, budget=3, items=items, outer=outer,
                         utility=WeightedModular(weights=(1.0, 2.0, 3.0)))
         crs = BalancedCrs(kind="priority", scale=0.25)
-        d = draw_block(inst, np.random.default_rng(5), 64)
+        d = draw_block(inst, np.random.default_rng(5), 64, sol.support)
         run = run_policy_batch(inst, inst.utility, outer, crs, sol, d)
+        states, u_sample, priorities, u_slot = reference_draws(inst, sol, d)
         for r in range(64):
-            tr = _run_policy(inst, inst.utility, outer, crs, sol, d.states[r],
-                             d.u_sample[r], d.priorities[r], d.u_slot[r])
-            assert tuple(np.flatnonzero(run.selected[r])) == tuple(sorted(tr.selected))
+            tr = _run_policy(inst, inst.utility, outer, crs, sol, states[r],
+                             u_sample[r], priorities[r], u_slot[r])
+            assert tuple(sol.support[run.selected[r]]) == tuple(sorted(tr.selected))
             assert int(run.spent[r]) == tr.total_cost
         if outer.k == 0:
             assert not run.kept.any() and not run.selected.any()
@@ -184,10 +200,13 @@ def test_batch_edge_cases_match_scalar():
 
 
 def test_sample_slots_rejects_masked_item_without_mass():
+    # item 1 carries a marginal but no slot entry, so it is a support column
+    # without slot mass; item 2 has no marginal and is no column at all
     sol = SlotSolution(
-        n=2, budget=3, entries=((0, 1, 0.5),), marginals=np.array([0.5, 0.0]),
+        n=3, budget=3, entries=((0, 1, 0.5),), marginals=np.array([0.5, 0.5, 0.0]),
         stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
+    assert sol.support.tolist() == [0, 1]
     u = np.full((2, 2), 0.3)
     assert sol.sample_slots(u, np.zeros((2, 2), dtype=bool)).tolist() == [[1, 0], [1, 0]]
     with pytest.raises(ValueError, match="item 1 has no slot mass"):
@@ -217,19 +236,28 @@ def test_independent_rows_matches_oracle():
         assert constraints.independent_rows(outer, mask).tolist() == expected
 
 
+def _random_support(rng, n):
+    """All n items half the time, else a random subset, by increasing id."""
+    if rng.random() < 0.5:
+        return np.arange(n)
+    return np.flatnonzero(rng.random(n) < 0.6)
+
+
 def test_crs_keep_batch_matches_greedy_keep():
     rng = np.random.default_rng(9)
     crs = BalancedCrs(kind="priority", scale=0.25)
     for _ in range(200):
         n = int(rng.integers(1, 8))
         outer = _random_outer(rng, n)
-        sampled = rng.random((20, n)) < 0.6
-        priorities = rng.random((20, n))
-        priorities[:, : n // 2] = 0.5  # ties fall back to the least index
-        kept = crs_keep_batch(crs, outer, sampled, priorities)
+        support = _random_support(rng, n)
+        sampled = rng.random((20, len(support))) < 0.6
+        priorities = rng.random((20, len(support)))
+        priorities[:, : len(support) // 2] = 0.5  # ties fall back to the least index
+        kept = crs_keep_batch(crs, outer, sampled, priorities, support)
         for r in range(20):
-            expected = greedy_keep(outer, np.flatnonzero(sampled[r]), priorities[r])
-            assert set(np.flatnonzero(kept[r])) == expected
+            by_item = dict(zip(support.tolist(), priorities[r]))
+            expected = greedy_keep(outer, support[sampled[r]], by_item)
+            assert set(support[kept[r]]) == expected
 
 
 def test_schedule_keep_batch_matches_schedule_keep_set():
@@ -244,10 +272,133 @@ def test_schedule_keep_batch_matches_schedule_keep_set():
         inst = Instance(n=n, B=B, budget=budget, items=items,
                         outer=constraints.cardinality(n, n),
                         utility=WeightedModular(weights=(1.0,) * n))
-        v = np.where(rng.random((15, n)) < 0.7, rng.integers(1, B + 1, size=(15, n)), 0)
-        times = rng.integers(1, budget + 1, size=(15, n))
-        kept = schedule_keep_batch(inst, v, times)
+        support = _random_support(rng, n)
+        width = (15, len(support))
+        v = np.where(rng.random(width) < 0.7, rng.integers(1, B + 1, size=width), 0)
+        times = rng.integers(1, budget + 1, size=width)
+        kept = schedule_keep_batch(inst, v, times, support)
+        wide_v, wide_times = (scatter_columns(a, support, n) for a in (v, times))
         for r in range(15):
-            on = np.flatnonzero(v[r])
-            expected = schedule_keep_set(inst, v[r], {int(i): int(times[r, i]) for i in on})
-            assert set(np.flatnonzero(kept[r])) == expected
+            on = np.flatnonzero(wide_v[r])
+            expected = schedule_keep_set(
+                inst, wide_v[r], {int(i): int(wide_times[r, i]) for i in on}
+            )
+            assert set(support[kept[r]]) == expected
+
+
+@st.composite
+def padded_cases(draw):
+    """A ThresholdCoverage instance and solution, and the same with items of
+    marginal 0 inserted at random positions.
+
+    Returns (instance, solution, padded instance, padded solution, new id of
+    each original item, seed).
+    """
+    n = draw(st.integers(1, 5))
+    pad = draw(st.integers(1, 4))
+    B = draw(st.integers(1, 3))
+    budget = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    total = n + pad
+    new_id = np.sort(rng.choice(total, size=n, replace=False))
+    padded_ids = np.setdiff1d(np.arange(total), new_id)
+
+    def item():
+        w = rng.integers(1, 4, size=B)
+        costs = sorted(int(c) for c in rng.integers(1, budget, size=B))
+        return ItemModel(probs=tuple(w / w.sum()), costs=tuple(costs))
+
+    items = [item() for _ in range(total)]
+    rates = [int(r) for r in rng.integers(0, 4, size=total)]
+    kind = draw(st.sampled_from(["cardinality", "partition", "explicit"]))
+    if kind == "cardinality":
+        k = draw(st.integers(0, n))
+        outers = constraints.cardinality(n, k), constraints.cardinality(total, k)
+    elif kind == "partition":
+        labels = rng.integers(0, 2, size=total)  # padded items join a block too
+        blocks = [b for b in (np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)) if b.size]
+        caps = [int(rng.integers(0, len(b) + 1)) for b in blocks]
+        position = {int(j): i for i, j in enumerate(new_id)}
+        small = [[position[j] for j in b.tolist() if j in position] for b in blocks]
+        nonempty = [(b, c) for b, c in zip(small, caps) if b]
+        outers = (
+            constraints.partition(n, [b for b, _ in nonempty], [c for _, c in nonempty]),
+            constraints.partition(total, blocks, caps),
+        )
+    else:
+        maximal = [np.flatnonzero(rng.random(n) < 0.6) for _ in range(int(rng.integers(1, 4)))]
+        extra = [padded_ids[rng.random(pad) < 0.5] for _ in maximal]
+        outers = (
+            constraints.explicit(n, maximal),
+            constraints.explicit(
+                total, [np.concatenate([new_id[m], e]) for m, e in zip(maximal, extra)]
+            ),
+        )
+    weights = (1.0, 0.5, 0.25, 2.0)
+    small = Instance(n=n, B=B, budget=budget, items=tuple(items[j] for j in new_id),
+                     outer=outers[0],
+                     utility=ThresholdCoverage(rates=tuple(rates[j] for j in new_id),
+                                               element_weights=weights))
+    big = Instance(n=total, B=B, budget=budget, items=tuple(items), outer=outers[1],
+                   utility=ThresholdCoverage(rates=tuple(rates), element_weights=weights))
+    small.require_valid()
+    big.require_valid()
+
+    entries = []
+    for i, slots in enumerate(small.slot_counts):
+        if slots == 0 or rng.random() < 0.2:
+            continue
+        ts = sorted(rng.choice(np.arange(1, slots + 1), size=rng.integers(1, slots + 1),
+                               replace=False).tolist())
+        vs = rng.dirichlet(np.ones(len(ts))) * rng.uniform(0.05, 0.5)
+        entries.extend((i, int(t), float(v)) for t, v in zip(ts, vs))
+
+    def solution(width, ids):
+        mapped = tuple((int(ids[i]), t, v) for i, t, v in entries)
+        marginals = np.zeros(width)
+        for i, _, v in mapped:
+            marginals[i] += v
+        return SlotSolution(n=width, budget=budget, entries=mapped, marginals=marginals,
+                            stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+
+    return small, solution(n, np.arange(n)), big, solution(total, new_id), new_id, seed
+
+
+def _row_values(row):
+    """A keep-rate row without its item id; NaN compares equal to NaN."""
+    return (row.state, row.mapping, repr(row.value), repr(row.se), row.events, row.status)
+
+
+@settings(max_examples=60)
+@given(padded_cases())
+def test_zero_marginal_items_change_nothing(case):
+    """Items of marginal 0 are never drawn for: padding with them leaves the
+    simulation summary, the dominance report and the keep-rate rows of the
+    original items bit for bit, and the padded items' rows insufficient."""
+    small, sol, big, padded, new_id, seed = case
+    crs = BalancedCrs(kind="priority", scale=1.0)
+    assert padded.support.tolist() == new_id[sol.support].tolist()
+    inside = in_scaled_polytope(small.outer, sol.marginals, 1.0)
+    assert in_scaled_polytope(big.outer, padded.marginals, 1.0) == inside
+    args = [(inst, inst.utility, inst.outer, crs, s) for inst, s in ((small, sol), (big, padded))]
+    assert simulate_batch(*args[0], 300, seed) == simulate_batch(*args[1], 300, seed)
+    assert coupled_dominance_check(*args[0], 300, seed) == coupled_dominance_check(
+        *args[1], 300, seed
+    )
+    outside = np.setdiff1d(np.arange(big.n), new_id)
+    estimates = [
+        lambda inst, s, m=m: estimate_state_keep_rates(m, inst, inst.outer, crs, s, 300, seed)
+        for m in MAPPINGS
+    ]
+    if inside:
+        estimates.append(
+            lambda inst, s: estimate_set_keep_rate(crs, inst.outer, s.marginals, 300, seed)
+        )
+    for estimate in estimates:
+        rows = estimate(small, sol)
+        by_item = {(r.item, r.state): r for r in estimate(big, padded)}
+        assert len(by_item) == len(rows) // small.n * big.n
+        for r in rows:
+            assert _row_values(by_item[int(new_id[r.item]), r.state]) == _row_values(r)
+        assert all(r.status == "insufficient" for (i, _), r in by_item.items() if i in outside)

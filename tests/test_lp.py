@@ -64,7 +64,6 @@ def full_slot_program(instance, outer):
         row_labels=tuple(labels),
         row_coeffs=np.array(rows, dtype=float).reshape(len(rows), len(variables)),
         row_bounds=np.array(bounds),
-        var_index={v: j for j, v in enumerate(variables)},
     )
 
 
@@ -229,7 +228,7 @@ def test_program_dump_row_per_line():
 def test_program_dump_names_cap_rows_by_their_column_ids(make):
     inst = make()
     prog = build_slot_program(inst, inst.outer)
-    caps = [ln for ln in program_dump(prog).splitlines() if ln.startswith("('item-cap'")]
+    caps = [ln for ln in program_dump(prog, None).splitlines() if ln.startswith("('item-cap'")]
     assert len(caps) == len(prog.variables)
     for line, (i, t) in zip(caps, prog.variables):
         assert line == f"('item-cap', {i + 1}): 1*x({i + 1},{t}) <= 1"
@@ -720,7 +719,6 @@ def test_slot_rows_match_reference_bitwise(seed):
     full = full_slot_program(inst, inst.outer)
     latest = [j for j, (i, t) in enumerate(full.variables) if t == inst.slot_counts[i]]
     assert prog.variables == tuple(full.variables[j] for j in latest)
-    assert prog.var_index == {v: j for j, v in enumerate(prog.variables)}
     assert prog.row_labels == full.row_labels
     assert prog.row_coeffs.tobytes() == full.row_coeffs[:, latest].tobytes()
     assert prog.row_bounds.tobytes() == full.row_bounds.tobytes()

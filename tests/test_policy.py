@@ -62,7 +62,7 @@ def test_forced_times_hand_trace(pair_instance):
     # state 2 (cost 2): item 1 is selected at spent 0 <= 1, then item 2 fails
     # its gate because 2 > 1
     selected, reads, revealed, spent = gate_scan_batch(
-        pair_instance, [[2, 1]], [[True, True]], np.array([[1, 1]])
+        pair_instance, [[2, 1]], [[True, True]], np.array([[1, 1]]), [0, 1]
     )
     assert selected.tolist() == [[True, False]]
     assert reads.tolist() == [[True, False]]
@@ -218,8 +218,29 @@ def test_gate_uses_nonstrict_inequality(single_item):
         outer=constraints.cardinality(2, 2),
         utility=WeightedModular(weights=(1.0, 1.0)),
     )
-    selected, reads, _, spent = gate_scan_batch(big, [[1, 1]], [[True, True]], np.array([[1, 1]]))
+    selected, reads, _, spent = gate_scan_batch(
+        big, [[1, 1]], [[True, True]], np.array([[1, 1]]), [0, 1]
+    )
     # item 1 selected at spent 0; item 2 gate: spent 1 <= 1 passes
     assert selected.tolist() == [[True, True]]
     assert reads.tolist() == [[True, True]]
     assert spent.tolist() == [2]
+
+
+def test_full_support_summaries_are_pinned(partition_instance, pair_instance):
+    # every item carries mass, so the block draws keep their width-n shapes and
+    # streams: the partition case draws among two slots per item, the greedy
+    # pair solution holds one slot per item
+    inst = partition_instance
+    entries = tuple((i, t, 0.3) for i in range(inst.n) for t in (1, int(inst.slot_counts[i])))
+    sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries,
+                       marginals=np.full(inst.n, 0.6), stop_scale=0.25, steps=1,
+                       grad_samples=1, seed=0)
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    summary = simulate_batch(inst, inst.utility, inst.outer, crs, sol, runs=5000, seed=11)
+    assert (summary.mean_utility, summary.se) == (1.4730797849136033, 0.007163620100645187)
+    pair = solved(pair_instance, seed=13, steps=20, grad_samples=1000)
+    assert pair.support.tolist() == [0, 1]
+    summary = simulate_batch(pair_instance, pair_instance.utility, pair_instance.outer, crs,
+                             pair, runs=5000, seed=11)
+    assert (summary.mean_utility, summary.se) == (0.7448, 0.013864091553611487)

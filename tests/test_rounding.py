@@ -8,6 +8,8 @@ from stochsubmax.generators import symmetric_pair_instance
 from stochsubmax.greedy import SlotSolution, run_continuous_greedy
 from stochsubmax.rounding import (
     BalancedCrs,
+    CrsEstimate,
+    _binomial_rows,
     alpha_table_csv,
     closed_form_keep_rate,
     crs_keep_batch,
@@ -38,34 +40,36 @@ def test_identity_scheme_returns_independent_sets():
     outer = constraints.cardinality(3, 3)
     crs = BalancedCrs(kind="identity", scale=0.5)
     members, priorities = np.array([[True, False, True]]), np.zeros((1, 3))
-    assert crs_keep_batch(crs, outer, members, priorities).tolist() == [[True, False, True]]
+    items = np.arange(3)
+    assert crs_keep_batch(crs, outer, members, priorities, items).tolist() == [[True, False, True]]
     binding = constraints.cardinality(3, 1)
     with pytest.raises(ValueError, match="outside the outer family"):
-        crs_keep_batch(crs, binding, members, priorities)
+        crs_keep_batch(crs, binding, members, priorities, items)
 
 
 def test_priority_scheme_symmetry():
     """Under k = 1 each of two sampled items is kept with probability 1/2.
 
-    Passes iff the keep count of item 0 over 4000 trials is within 3 SE of
-    2000, i.e. within 94. A correct scheme fails this with probability 2.8e-3
-    (exact binomial tail).
+    Passes iff the keep share of item 0 over 12000 trials is within
+    3 * sqrt(0.25 / 4000) = 0.0237 of 1/2, i.e. the keep count within 284 of
+    6000: 5.2 SE at 12000 trials. A correct scheme fails this with
+    probability 2.0e-7 (exact binomial tail).
     """
     outer = constraints.cardinality(2, 1)
     crs = BalancedCrs(kind="priority", scale=0.5)
-    trials = 4000
+    trials = 12000
     priorities = np.array([derive_rng(seed, "resolve").random(2) for seed in range(trials)])
-    kept = crs_keep_batch(crs, outer, np.ones((trials, 2), dtype=bool), priorities)
+    kept = crs_keep_batch(crs, outer, np.ones((trials, 2), dtype=bool), priorities, [0, 1])
     assert np.all(kept.sum(axis=1) == 1)
     kept_first = int(kept[:, 0].sum())
-    se = math.sqrt(0.25 / trials)
-    assert abs(kept_first / trials - 0.5) <= 3 * se
+    tolerance = 3 * math.sqrt(0.25 / 4000)
+    assert abs(kept_first / trials - 0.5) <= tolerance
 
 
 def test_resolve_empty_set():
     outer = constraints.cardinality(2, 1)
     crs = BalancedCrs(kind="priority", scale=0.5)
-    kept = crs_keep_batch(crs, outer, np.zeros((1, 2), dtype=bool), np.zeros((1, 2)))
+    kept = crs_keep_batch(crs, outer, np.zeros((1, 2), dtype=bool), np.zeros((1, 2)), [0, 1])
     assert not kept.any()
 
 
@@ -117,17 +121,20 @@ def test_prune_by_outer_cases(pair_instance):
     # the outer map keeps the items the set-level scheme keeps of the support
     crs_id = BalancedCrs(kind="identity", scale=0.25)
     on = np.array([[True, True], [False, False]])
-    kept = crs_keep_batch(crs_id, pair_instance.outer, on, np.zeros((2, 2)))
+    kept = crs_keep_batch(crs_id, pair_instance.outer, on, np.zeros((2, 2)), [0, 1])
     assert kept.tolist() == on.tolist()
     crs = BalancedCrs(kind="priority", scale=0.5)
     priorities = derive_rng(0, "outer").random((50, 2))
-    kept = crs_keep_batch(crs, constraints.cardinality(2, 1), np.ones((50, 2), bool), priorities)
+    kept = crs_keep_batch(
+        crs, constraints.cardinality(2, 1), np.ones((50, 2), bool), priorities, [0, 1]
+    )
     assert {tuple(row) for row in kept.tolist()} == {(True, False), (False, True)}
 
 
 def test_schedule_keep_single_item(pair_instance):
     v = np.array([[2, 0]])
-    assert schedule_keep_batch(pair_instance, v, np.array([[1, 0]])).tolist() == [[True, False]]
+    kept = schedule_keep_batch(pair_instance, v, np.array([[1, 0]]), [0, 1])
+    assert kept.tolist() == [[True, False]]
 
 
 def test_schedule_keep_hand_cases(pair_instance):
@@ -135,20 +142,24 @@ def test_schedule_keep_hand_cases(pair_instance):
     # other's cost 1 <= 1, so both survive. Row 1: item 1 at state 2 (cost 2);
     # item 2 sees cost 2 > 1 and is dropped, item 1 sees cost 1 <= 1 and survives
     v = np.array([[1, 1], [2, 1]])
-    kept = schedule_keep_batch(pair_instance, v, np.ones((2, 2), dtype=np.int64))
+    kept = schedule_keep_batch(pair_instance, v, np.ones((2, 2), dtype=np.int64), [0, 1])
     assert kept.tolist() == [[True, True], [True, False]]
 
 
 def test_schedule_keep_counts_all_items_starting_no_later(pair_instance):
     # equal start slots count each other even when listed later in index order
     # item 0 sees cost 2 > 1 -> dropped; item 1 sees cost 1 <= 1 -> kept
-    kept = schedule_keep_batch(pair_instance, np.array([[1, 2]]), np.array([[1, 1]]))
+    kept = schedule_keep_batch(pair_instance, np.array([[1, 2]]), np.array([[1, 1]]), [0, 1])
     assert kept.tolist() == [[False, True]]
 
 
 def test_prune_by_schedule_rejects_zero_marginal_support(pair_instance):
-    # the schedule map draws a slot for every support item; item 1 has none
-    sol = flat_solution(pair_instance, [0.25, 0.0])
+    # the schedule map draws a slot for every sampled support item; item 1
+    # carries a marginal but no slot entry, so it has no slot mass
+    sol = SlotSolution(
+        n=2, budget=pair_instance.budget, entries=((0, 1, 0.25),),
+        marginals=np.array([0.25, 0.25]), stop_scale=0.25, steps=1, grad_samples=1, seed=0,
+    )
     with pytest.raises(ValueError, match="item 1 has no slot mass"):
         sol.sample_slots(np.full((1, 2), 0.5), np.array([[True, True]]))
 
@@ -157,11 +168,13 @@ def test_prune_maps_support_condition(pair_instance):
     # each map keeps only sampled coordinates, so its output is v(i) or 0
     sol = flat_solution(pair_instance, [0.5, 0.5])
     crs = BalancedCrs(kind="priority", scale=0.5)
-    d = draw_block(pair_instance, derive_rng(0, "support"), 100)
-    sampled = d.u_sample < sol.marginals
+    support = sol.support
+    d = draw_block(pair_instance, derive_rng(0, "support"), 100, support)
+    sampled = d.u_sample < sol.marginals[support]
     v = np.where(sampled, d.states, 0)
-    outer = crs_keep_batch(crs, pair_instance.outer, sampled, d.priorities)
-    schedule = schedule_keep_batch(pair_instance, v, sol.sample_slots(d.u_slot, sampled))
+    outer = crs_keep_batch(crs, pair_instance.outer, sampled, d.priorities, support)
+    slots = sol.sample_slots(d.u_slot, sampled)
+    schedule = schedule_keep_batch(pair_instance, v, slots, support)
     for keep in (outer, schedule, outer & schedule):
         assert not np.any(keep & ~sampled)
 
@@ -288,6 +301,39 @@ def test_csv_headers_golden():
         "item,state,mapping,alpha,se,trials,status"
     )
     assert gamma_table_csv(gamma_rows).splitlines()[0] == "item,gamma,se,trials,status"
+
+
+def _per_row(mapping, cond, kept, states):
+    """The per-row formula the array form must reproduce bit for bit."""
+    rows = []
+    for i in range(cond.shape[0]):
+        for j in (range(1, cond.shape[1]) if states else [None]):
+            c = int(cond[i, j] if states else cond[i, 0])
+            k = int(kept[i, j] if states else kept[i, 0])
+            if c == 0:
+                nan = float("nan")
+                rows.append(CrsEstimate(i, j, mapping, nan, nan, 0, "insufficient"))
+            else:
+                p = k / c
+                se = math.sqrt(max(p * (1 - p), 0.0) / c)
+                rows.append(CrsEstimate(i, j, mapping, p, se, c, "ok"))
+    return rows
+
+
+def test_binomial_rows_match_the_per_row_formula():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n, width = int(rng.integers(1, 9)), int(rng.integers(2, 5))
+        cond = rng.integers(0, 5000, size=(n, width)) * (rng.random((n, width)) < 0.8)
+        kept = np.minimum(cond, rng.integers(0, 5000, size=(n, width)))
+        for mapping, states in (("combined", True), ("set", False)):
+            table = (cond, kept) if states else (cond[:, :1], kept[:, :1])
+            rows = _binomial_rows(mapping, *table, states=states)
+            expected = _per_row(mapping, *table, states=states)
+            assert [repr(r) for r in rows] == [repr(r) for r in expected]
+            assert all(type(r.value) is float and type(r.events) is int for r in rows)
+            csv = alpha_table_csv if states else gamma_table_csv
+            assert csv(rows) == csv(expected)
 
 
 def test_estimators_worker_independent():
