@@ -151,7 +151,7 @@ class CertificationReport:
                 for label, lhs, bound, ok in self.rows
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc) + "\n"
 
 
 def _gain_block(instance, f, x, seed, block):
@@ -322,7 +322,7 @@ def solution_to_json(sol: SlotSolution) -> str:
             for i, t, v in sorted(sol.entries)
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def solution_from_json(text: str) -> SlotSolution:

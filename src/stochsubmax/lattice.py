@@ -49,6 +49,30 @@ def _check_weights(values, name: str):
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
+def _weighted_columns(weights, states) -> np.ndarray:
+    """The (n, R) C-contiguous array ``weights[i] * states[r, i]``."""
+    out = np.empty(np.shape(states)[::-1])
+    out[:] = np.asarray(states).T
+    out *= np.asarray(weights, dtype=float)[:, None]
+    return out
+
+
+def _sums_without(share) -> np.ndarray:
+    """Each row's sum over every item but i, from the (n, R) ``share`` of
+    :func:`_weighted_columns`: the exclusive prefix plus the exclusive suffix,
+    so no sum is ever subtracted from a larger one. Each step adds one
+    contiguous row of R values (``np.cumsum`` along axis 0 strides instead)."""
+    without = np.empty(share.shape)
+    without[:1] = 0.0
+    for i in range(1, len(share)):
+        np.add(without[i - 1], share[i - 1], out=without[i])
+    suffix = np.zeros(share.shape[1])
+    for i in range(len(share) - 2, -1, -1):
+        suffix += share[i + 1]
+        without[i] += suffix
+    return without
+
+
 class UtilityOracle:
     """Deterministic nonnegative utility on state vectors.
 
@@ -60,8 +84,18 @@ class UtilityOracle:
     row: the (R, n) array ``f(base with i at top[:, i]) - f(base with i at 0)``.
     ``base`` holds ``top`` where the (R, n) mask ``on`` is set and 0 elsewhere.
     The result is the transpose of a new C-contiguous (n, R) array, so item
-    i's gains ``out.T[i]`` lie in contiguous memory. An override must equal
-    the default bit for bit.
+    i's gains ``out.T[i]`` lie in contiguous memory. The built-in families
+    override it with closed forms in O(R n):
+
+      * ``ThresholdCoverage`` subtracts the same two prefix-table entries as
+        the default, so it equals the default bit for bit.
+      * ``WeightedModular`` and ``ConcaveOverModular`` evaluate the two linear
+        sums of each gain without the n + 1 sweep, in another order than
+        ``value_batch``. Each sum adds at most n nonnegative terms, none of
+        them larger than the row's total at ``top``, T_r = sum_j w_j top[r, j],
+        so on row r they agree with the two-evaluation gains
+        ``f(with i) - f(without i)`` to within 4 (n + 1) eps g(T_r), g being
+        the identity for the modular family (eps = 2^-52).
     """
 
     family: str = ""
@@ -120,6 +154,10 @@ class WeightedModular(UtilityOracle):
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         return np.asarray(states, dtype=float) @ np.asarray(self.weights)
 
+    def gains_batch(self, base, top, on) -> np.ndarray:
+        """Closed form in O(R n): item i gains ``weights[i] * top[:, i]`` on every row."""
+        return _weighted_columns(self.weights, top).T
+
     def params(self) -> dict:
         return {"weights": list(self.weights)}
 
@@ -158,6 +196,17 @@ class ConcaveOverModular(UtilityOracle):
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         return self._g(np.asarray(states, dtype=float) @ np.asarray(self.weights))
+
+    def gains_batch(self, base, top, on) -> np.ndarray:
+        """Closed form in O(R n): item i gains ``g(without + own) - g(without)``,
+        where ``without`` is the base row's weighted sum over the other items
+        (:func:`_sums_without`) and ``own`` is ``weights[i] * top[:, i]``."""
+        without = _sums_without(_weighted_columns(self.weights, base))
+        with_i = _weighted_columns(self.weights, top)
+        with_i += without
+        gains = self._g(with_i)
+        gains -= self._g(without)
+        return gains.T
 
     def params(self) -> dict:
         out = {"weights": list(self.weights), "curve": self.curve}

@@ -184,7 +184,7 @@ def instance_to_json(instance: Instance) -> str:
         "outer": outer_to_json(instance.outer),
         "utility": lattice.utility_descriptor(instance.utility),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def instance_from_json(text: str) -> Instance:

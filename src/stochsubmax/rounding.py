@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -195,9 +196,12 @@ def draw_block(
     return BlockDraws(states, u_sample, priorities, u_slot)
 
 
-@dataclass(frozen=True)
-class CrsEstimate:
-    """One empirical conditional keep probability with its binomial standard error."""
+class CrsEstimate(NamedTuple):
+    """One empirical conditional keep probability with its binomial standard error.
+
+    A named tuple: a keep op builds hundreds of rows, and a tuple is about
+    three times cheaper to construct than a frozen dataclass.
+    """
 
     item: int
     state: int | None

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,7 +12,16 @@ from stochsubmax.generators import (
 from stochsubmax.lattice import UtilityOracle
 
 settings.register_profile("desk", deadline=None)
-settings.load_profile("desk")
+# HYPOTHESIS_PROFILE=thorough runs every property test that asks for
+# examples(n) with 2000 examples instead of n
+settings.register_profile("thorough", deadline=None, max_examples=2000)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "desk")
+settings.load_profile(PROFILE)
+
+
+def examples(n: int) -> int:
+    """A property test's example count: n, or the thorough profile's count."""
+    return settings.default.max_examples if PROFILE == "thorough" else n
 
 
 class FormulaUtility(UtilityOracle):

@@ -21,7 +21,7 @@ from stochsubmax.greedy import (
     solution_to_json,
 )
 from stochsubmax.lattice import ConcaveOverModular, WeightedModular
-from stochsubmax.model import Instance, ItemModel
+from stochsubmax.model import Instance, ItemModel, instance_from_json, instance_to_json
 from stochsubmax.parallel import combine_mean_se
 
 
@@ -264,20 +264,37 @@ def test_gains_independent_of_worker_count():
 
 
 def test_modular_gains_bit_identical_on_pinned_instance():
+    # the closed form's gains are the products weights[i] * top, so these pins
+    # hold for it, not for the generic n + 1 evaluation path
     inst = random_instance(1, families=("modular",))
     gains, ses = estimate_marginal_gains(
         inst, inst.utility, np.linspace(0.1, 0.8, inst.n), samples=6000, seed=7
     )
     assert [float(g).hex() for g in gains] == [
-        "0x1.c3da10c9c374ap+0", "0x1.26fcc71ec64d1p+1", "0x1.0af51ac9afe1dp+2",
-        "0x1.abe4287aba221p+1", "0x1.7bfefbf401c51p+1", "0x1.fa6b8305d95ddp+0",
-        "0x1.915e5dcafe074p+1", "0x1.8a203fc9d2d5bp+1",
+        "0x1.c3da10c9c374cp+0", "0x1.26fcc71ec64d1p+1", "0x1.0af51ac9afe1dp+2",
+        "0x1.abe4287aba222p+1", "0x1.7bfefbf401c52p+1", "0x1.fa6b8305d95ddp+0",
+        "0x1.915e5dcafe073p+1", "0x1.8a203fc9d2d5bp+1",
     ]
     assert [float(s).hex() for s in ses] == [
-        "0x1.242ad97b1811ap-7", "0x1.80ea536441880p-7", "0x1.457162c3c69b5p-6",
-        "0x1.35d97918c1369p-6", "0x1.fb49978069923p-7", "0x1.8be295e243db7p-7",
-        "0x1.30b3a89663f18p-6", "0x1.b4a9e81fddc37p-7",
+        "0x1.242ad97b18113p-7", "0x1.80ea536441880p-7", "0x1.457162c3c69bbp-6",
+        "0x1.35d97918c1369p-6", "0x1.fb49978069914p-7", "0x1.8be295e243db9p-7",
+        "0x1.30b3a89663f1dp-6", "0x1.b4a9e81fddc37p-7",
     ]
+
+
+@pytest.mark.parametrize("family", ["modular", "concave", "coverage"])
+def test_gains_are_a_function_of_inputs_and_seed(family):
+    # an equal instance loaded afresh, with equal marginals and seed, repeats the
+    # estimate bit for bit, block split included (6000 samples span two blocks);
+    # another seed draws other samples
+    inst = random_instance(1, families=(family,))
+    again = instance_from_json(instance_to_json(inst))
+    x = np.linspace(0.1, 0.8, inst.n)
+    first = estimate_marginal_gains(inst, inst.utility, x, samples=6000, seed=7)
+    second = estimate_marginal_gains(again, again.utility, x.copy(), samples=6000, seed=7)
+    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+    other = estimate_marginal_gains(inst, inst.utility, x, samples=6000, seed=8)
+    assert not np.array_equal(first[0], other[0])
 
 
 def test_combine_mean_se_arrays_match_scalars():
@@ -342,8 +359,8 @@ def test_warm_steps_match_cold_solves_at_n40(monkeypatch):
 
 
 def test_warm_pivots_pinned_on_desk_instance(monkeypatch):
-    # Bland's rule and seeded gains make both totals repeat exactly; the program
-    # has one latest-slot column per item
+    # the pricing rule and seeded gains make both totals repeat exactly; the
+    # program has one latest-slot column per item
     totals = warm_against_cold(monkeypatch, desk_random_instance(4), steps=25,
                                grad_samples=1500)
-    assert (totals["warm"], totals["cold"]) == (3, 75)
+    assert (totals["warm"], totals["cold"]) == (2, 50)

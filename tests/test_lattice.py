@@ -17,7 +17,7 @@ from stochsubmax.lattice import (
     meet,
     utility_descriptor,
 )
-from tests.conftest import FormulaUtility
+from tests.conftest import FormulaUtility, examples
 
 vectors = st.lists(st.integers(0, 3), min_size=1, max_size=5)
 
@@ -162,7 +162,7 @@ def test_masked_value_depends_only_on_support():
 
 
 @given(st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=1, max_size=6))
-@settings(max_examples=50)
+@settings(max_examples=examples(50))
 def test_batch_matches_single(rows):
     f = ConcaveOverModular(weights=(0.5, 1.0, 2.0), curve="sqrt")
     batch = f.value_batch(np.array(rows))
@@ -183,10 +183,11 @@ def gains_by_pairs(f, base, top):
 
 
 @st.composite
-def gain_blocks(draw):
-    """(top, on) over 1..5 items and B in 1..3, each row all off, all on, or mixed."""
+def gain_blocks(draw, B=None):
+    """(top, on) over 1..5 items and B in 1..3 (or the given B), each row all
+    off, all on, or mixed."""
     n = draw(st.integers(1, 5))
-    B = draw(st.integers(1, 3))
+    B = draw(st.integers(1, 3)) if B is None else B
     R = draw(st.integers(1, 6))
     top = np.array(draw(st.lists(
         st.lists(st.integers(1, B), min_size=n, max_size=n), min_size=R, max_size=R
@@ -210,7 +211,7 @@ def check_gains(f, top, on):
 
 
 @given(gain_blocks(), st.data())
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 def test_coverage_gains_match_generic_and_pairs(block, data):
     # small rates over few elements: many tied longest prefixes, rate-0 items,
     # and lengths capped at the ground size
@@ -227,7 +228,7 @@ def test_coverage_gains_match_generic_and_pairs(block, data):
 
 
 @given(gain_blocks(), st.data())
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 def test_generic_gains_match_pairs(block, data):
     top, on = block
     n = top.shape[1]
@@ -238,6 +239,57 @@ def test_generic_gains_match_pairs(block, data):
         ConcaveOverModular(weights=weights, curve="cap", theta=1.5),
     )))
     check_gains(f, top, on)
+
+
+def linear_sum_tolerance(f, top):
+    """Per-row bound on |closed form - gains_by_pairs| for a linear-sum utility.
+
+    Every sum either side evaluates is a sum of at most n nonnegative products
+    ``weights[j] * level``, each no larger than the row's total at ``top``,
+    T_r = sum_j weights[j] * top[r, j]. Summed in any order, such a sum is off
+    by at most (n + 1) eps times itself, and g (the identity, a cap or the
+    square root) keeps that error within (n + 1) eps g(T_r). A gain is the
+    difference of two g values, each of which both sides round: so 4 (n + 1) eps
+    g(T_r).
+    """
+    total = top @ np.asarray(f.weights)
+    scale = total if isinstance(f, WeightedModular) else f._g(total)
+    return 4 * (top.shape[1] + 1) * np.finfo(float).eps * scale[:, None]
+
+
+LINEAR_GAIN_CASES = ["B = 1", "mixed"]
+
+
+@pytest.mark.parametrize("case", LINEAR_GAIN_CASES)
+@settings(max_examples=examples(300))
+@given(data=st.data())
+def test_linear_sum_gains_match_pairs(case, data):
+    # weights are often 0 or tiny, so that many sums without an item are 0 or
+    # far below the item's own share: the square root magnifies any error there
+    top, on = data.draw(gain_blocks(B=1 if case == "B = 1" else None))
+    n = top.shape[1]
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 2.0))
+    weights = tuple(data.draw(st.lists(weight, min_size=n, max_size=n)))
+    f = data.draw(st.sampled_from((
+        WeightedModular(weights=weights),
+        ConcaveOverModular(weights=weights, curve="sqrt"),
+        ConcaveOverModular(weights=weights, curve="cap", theta=data.draw(st.floats(0.0, 4.0))),
+    )))
+    base = np.where(on, top, 0)
+    closed = f.gains_batch(base, top, on)
+    assert closed.shape == top.shape and closed.T.flags.c_contiguous
+    assert np.all(np.abs(closed - gains_by_pairs(f, base, top)) <= linear_sum_tolerance(f, top))
+
+
+def test_sqrt_gains_keep_an_item_that_holds_nearly_all_of_a_row():
+    # item 1 holds all but 1e-20 of the row's sum; subtracting its share from the
+    # row's total would lose the 1e-20 that the square root turns into 1e-10
+    f = ConcaveOverModular(weights=(1e-20, 1.0), curve="sqrt")
+    top = np.array([[1, 1]])
+    on = np.ones((1, 2), dtype=bool)
+    closed = f.gains_batch(top, top, on)
+    assert closed[0, 1] == 1.0 - 1e-10
+    assert np.all(np.abs(closed - gains_by_pairs(f, top, top)) <= linear_sum_tolerance(f, top))
 
 
 def test_coverage_gains_edge_rows():
