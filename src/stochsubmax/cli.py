@@ -261,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--beta", type=float, default=0.25)
             p.add_argument("--steps", type=int, default=50)
-            p.add_argument("--grad-samples", dest="grad_samples", type=int, default=10**4)
+            p.add_argument("--grad-samples", dest="grad_samples", type=int, default=10**4,
+                           help="gradient samples per greedy step, used only by utilities "
+                                "without exact gains (concave-over-modular); must be at "
+                                "least 1")
         if runs:
             p.add_argument("--runs", type=int, default=10**4)
             p.add_argument("--crs", choices=["identity", "priority"], default="priority")

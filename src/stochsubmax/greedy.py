@@ -1,12 +1,15 @@
 """Measured continuous greedy over the time-indexed relaxation.
 
-Starting from x = 0, the solver repeatedly estimates each item's expected
-marginal gain under the current marginals, maximizes the resulting linear
-objective over the (unscaled) relaxation rows, and advances x by step l/T
-along the optimal vertex. After T steps the accumulated solution satisfies
-every outer row at scale l and every time row at scale l (the directions are
-feasible for the unscaled rows and the steps sum to l), which is exactly what
-:func:`certify_solution` checks.
+Starting from x = 0, the solver repeatedly takes each item's expected marginal
+gain under the current marginals, maximizes the resulting linear objective over
+the (unscaled) relaxation rows, and advances x by step l/T along the optimal
+vertex. The gains are exact where the utility has a closed form
+(``expected_gains`` of the modular and coverage families) and estimated from
+``grad_samples`` seeded samples otherwise (the concave-over-modular family).
+After T steps the accumulated solution satisfies every outer row at scale l
+and every time row at scale l (the directions are feasible for the unscaled
+rows and the steps sum to l), which is exactly what :func:`certify_solution`
+checks.
 
 Each step's objective gives every start slot of an item the same coefficient,
 the item's estimated gain, so the LP is solved over one column per item, its
@@ -168,20 +171,36 @@ def _gain_block(instance, f, x, seed, block):
     return size, sums, sumsqs
 
 
+def _sampled_gains(instance: Instance, f, x, samples: int, seed: int, workers: int = 1):
+    """The gains and their standard errors from ``samples`` draws in seeded blocks.
+
+    Each block draws a base set and a realization, and ``f.gains_batch`` gives
+    every item's gain on every row. Block b draws from the stream
+    (seed, "gain", b) and blocks are reduced in block order, so the estimate
+    is a deterministic function of (inputs, seed) and does not depend on the
+    worker count.
+    """
+    fn = functools.partial(_gain_block, instance, f, x, seed)
+    return combine_mean_se(map_blocks(fn, split_blocks(samples), workers))
+
+
 def estimate_marginal_gains(
     instance: Instance, f, marginals, samples: int, seed: int, workers: int = 1
 ):
     """Per-item expected gain of adding the item to a random set drawn from the marginals.
 
-    Each block draws a base set and a realization, and ``f.gains_batch`` gives
-    every item's gain on every row. Returns (gains, standard errors), each an
-    (n,) array. Block b draws from the stream (seed, "gain", b) and blocks are
-    reduced in block order, so the estimate is a deterministic function of
-    (inputs, seed) and does not depend on the worker count.
+    Returns (gains, standard errors), each an (n,) array. A utility with a
+    closed form (``f.expected_gains`` is not None) gives the exact gains and
+    standard errors 0, whatever the seed; any other is sampled
+    (:func:`_sampled_gains`). ``samples`` must be positive either way.
     """
+    if samples < 1:
+        raise ValueError(f"need at least one gradient sample, got {samples}")
     x = np.clip(np.asarray(marginals, dtype=float), 0.0, 1.0)
-    fn = functools.partial(_gain_block, instance, f, x, seed)
-    return combine_mean_se(map_blocks(fn, split_blocks(samples), workers))
+    exact = f.expected_gains(instance.prob_matrix, x)
+    if exact is not None:
+        return exact, np.zeros(instance.n)
+    return _sampled_gains(instance, f, x, samples, seed, workers)
 
 
 def solution_entries(variables, x, n: int):
@@ -211,6 +230,8 @@ def run_continuous_greedy(
         raise ValueError("stop scale must lie in (0, 1]")
     if steps < 1:
         raise ValueError("need at least one step")
+    if grad_samples < 1:
+        raise ValueError(f"need at least one gradient sample, got {grad_samples}")
     program = build_slot_program(instance, outer)
     nv = len(program.variables)
     delta = stop_scale / steps

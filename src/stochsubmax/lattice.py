@@ -5,6 +5,11 @@ A state vector assigns each item an integer level in {0, ..., B}; level 0 means
 to be monotone and to have diminishing returns along coordinates (checked
 exhaustively at desk scale by :func:`check_monotone` and
 :func:`check_lattice_submodular`).
+
+The continuous greedy needs every item's expected marginal gain at the current
+marginals. ``WeightedModular`` and ``ThresholdCoverage`` compute it exactly
+(``expected_gains``); ``ConcaveOverModular`` has no closed form, so its gains
+are estimated from sampled blocks through ``gains_batch``.
 """
 
 from __future__ import annotations
@@ -103,6 +108,19 @@ class UtilityOracle:
     def value(self, u) -> float:
         raise NotImplementedError
 
+    def expected_gains(self, probs, x):
+        """Every item's exact expected marginal gain at marginals ``x``, or None.
+
+        Item i's gain is ``E[f(S with i at its state) - f(S with i at 0)]``:
+        the random set S holds each other item j with probability ``x[j]``,
+        at a state drawn from row j of the (n, B) state probabilities
+        ``probs``, and item i's own state is drawn from row i. This is the
+        gradient that ``greedy.estimate_marginal_gains`` estimates. Families
+        with a closed form return it as an (n,) array; the default returns
+        None, "no closed form", and the gains are then sampled.
+        """
+        return None
+
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -157,6 +175,12 @@ class WeightedModular(UtilityOracle):
     def gains_batch(self, base, top, on) -> np.ndarray:
         """Closed form in O(R n): item i gains ``weights[i] * top[:, i]`` on every row."""
         return _weighted_columns(self.weights, top).T
+
+    def expected_gains(self, probs, x) -> np.ndarray:
+        """``weights[i] * E[state of i]``, whatever the other items do, so ``x`` is unused."""
+        probs = np.asarray(probs, dtype=float)
+        levels = np.arange(1, probs.shape[1] + 1, dtype=float)
+        return np.asarray(self.weights, dtype=float) * (probs @ levels)
 
     def params(self) -> dict:
         return {"weights": list(self.weights)}
@@ -279,6 +303,37 @@ class ThresholdCoverage(UtilityOracle):
         gains[:] = self._prefix[own]
         gains -= self._prefix[other]
         return gains
+
+    def expected_gains(self, probs, x) -> np.ndarray:
+        """Closed form in O(n (m + B)) over the m ground elements, with no draws.
+
+        Without item i the random set covers the longest of the other items'
+        prefixes, M. Item j contributes its length L_j with probability
+        ``x[j]`` and 0 otherwise, so P(M <= l) is the product over j != i of
+        ``F_j(l) = (1 - x[j]) + x[j] P(L_j <= l)``, built from exclusive
+        prefix and suffix products: no factor is divided out, so ``x[j] = 1``
+        and zero factors are safe. Item i at length a gains the weights of
+        elements M + 1..a, hence
+        ``sum_s probs[i, s] sum_{l < a_is} w[l] P(M <= l)``, with ``w[l]`` the
+        weight of element l + 1 and ``a_is = min(rates[i] s, m)``: one
+        cumulative sum along l per item. Every term of every sum and product
+        is nonnegative, so no sum is subtracted from another.
+        """
+        probs = np.asarray(probs, dtype=float)
+        x = np.asarray(x, dtype=float)[:, None]
+        n, B = probs.shape
+        m = len(self.element_weights)
+        lengths = np.minimum(np.outer(self.rates, np.arange(1, B + 1)), m)
+        mass = np.zeros((n, m + 1))
+        np.add.at(mass, (np.repeat(np.arange(n), B), lengths.ravel()), probs.ravel())
+        factors = (1.0 - x) + x * np.cumsum(mass, axis=1)[:, :m]
+        ones = np.ones((1, m))
+        below = np.cumprod(np.concatenate([ones, factors[:-1]]), axis=0)
+        above = np.cumprod(np.concatenate([ones, factors[:0:-1]]), axis=0)[::-1]
+        covered = np.zeros((n, m + 1))
+        np.cumsum(below * above * np.asarray(self.element_weights, dtype=float), axis=1,
+                  out=covered[:, 1:])
+        return (probs * np.take_along_axis(covered, lengths, axis=1)).sum(axis=1)
 
     def params(self) -> dict:
         return {"rates": list(self.rates), "element_weights": list(self.element_weights)}

@@ -89,6 +89,40 @@ def test_solve_refuses_explicit_outer(tmp_path):
     assert main(["solve", "--instance", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_ratio_refuses_explicit_outer(tmp_path, capsys):
+    # the exact oracle handles explicit families, but the slot LP has no compact
+    # description of their hull, so the solve inside ratio must fail cleanly
+    inst = Instance(
+        n=2, B=1, budget=3,
+        items=(ItemModel(probs=(1.0,), costs=(1,)),) * 2,
+        outer=constraints.explicit(2, [[0], [1]]),
+        utility=WeightedModular(weights=(1.0, 1.0)),
+    )
+    path = tmp_path / "explicit.json"
+    save_instance(inst, path)
+    assert main(["ratio", "--instance", str(path), "--runs", "200"]) == 1
+    assert "explicit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "ratio"])
+@pytest.mark.parametrize("family", ["modular", "coverage"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_no_grad_samples_exit_1_for_exact_gain_families(tmp_path, capsys, command, family,
+                                                         samples):
+    # these families' gains are exact and never sampled, yet a request for no
+    # samples is still bad input
+    inst = random_instance(3, n_max=4, kinds=("cardinality",), families=(family,))
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    out = tmp_path / "o"
+    argv = [command, "--instance", str(path), "--grad-samples", samples]
+    if command == "solve":
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    assert "grad_samples must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_reports_lp_certificate_failure(pair_file, tmp_path, monkeypatch, capsys):
     # a simplex that stops at the origin: feasible, but the duality gap names a column
     def origin(obj, A, b, upper, start=None):

@@ -236,9 +236,11 @@ def test_gains_bit_identical_on_pinned_instance():
 
 def test_coverage_gains_bit_identical_on_pinned_instance():
     # rates up to 3 over 5 elements at B = 3, so many lengths are capped at m;
-    # 6000 samples span two blocks
+    # 6000 samples span two blocks. The greedy takes this family's exact gains,
+    # so the sampled path is called directly: the pins check its reduction and
+    # the gains_batch closed form bit for bit
     inst = random_instance(1, families=("coverage",))
-    gains, ses = estimate_marginal_gains(
+    gains, ses = greedy._sampled_gains(
         inst, inst.utility, np.linspace(0.1, 0.8, inst.n), samples=6000, seed=7
     )
     assert [float(g).hex() for g in gains] == [
@@ -256,18 +258,20 @@ def test_coverage_gains_bit_identical_on_pinned_instance():
 def test_gains_independent_of_worker_count():
     inst = random_instance(1, families=("coverage",))
     x = np.linspace(0.1, 0.8, inst.n)
-    # fill the cached prefix table first, so the workers receive it pickled
+    # fill the cached prefix table first, so the workers receive it pickled;
+    # the sampled path, since the greedy takes this family's exact gains
     inst.utility.value_batch(np.zeros((1, inst.n), dtype=int))
-    one = estimate_marginal_gains(inst, inst.utility, x, samples=9000, seed=7)
-    two = estimate_marginal_gains(inst, inst.utility, x, samples=9000, seed=7, workers=2)
+    one = greedy._sampled_gains(inst, inst.utility, x, samples=9000, seed=7)
+    two = greedy._sampled_gains(inst, inst.utility, x, samples=9000, seed=7, workers=2)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
 def test_modular_gains_bit_identical_on_pinned_instance():
     # the closed form's gains are the products weights[i] * top, so these pins
-    # hold for it, not for the generic n + 1 evaluation path
+    # hold for it, not for the generic n + 1 evaluation path. The greedy takes
+    # this family's exact gains, so the sampled path is called directly
     inst = random_instance(1, families=("modular",))
-    gains, ses = estimate_marginal_gains(
+    gains, ses = greedy._sampled_gains(
         inst, inst.utility, np.linspace(0.1, 0.8, inst.n), samples=6000, seed=7
     )
     assert [float(g).hex() for g in gains] == [
@@ -286,7 +290,8 @@ def test_modular_gains_bit_identical_on_pinned_instance():
 def test_gains_are_a_function_of_inputs_and_seed(family):
     # an equal instance loaded afresh, with equal marginals and seed, repeats the
     # estimate bit for bit, block split included (6000 samples span two blocks);
-    # another seed draws other samples
+    # another seed draws other samples, except for the families with exact
+    # gains, which do not depend on the seed and have standard errors 0
     inst = random_instance(1, families=(family,))
     again = instance_from_json(instance_to_json(inst))
     x = np.linspace(0.1, 0.8, inst.n)
@@ -294,7 +299,23 @@ def test_gains_are_a_function_of_inputs_and_seed(family):
     second = estimate_marginal_gains(again, again.utility, x.copy(), samples=6000, seed=7)
     assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
     other = estimate_marginal_gains(inst, inst.utility, x, samples=6000, seed=8)
-    assert not np.array_equal(first[0], other[0])
+    if family == "concave":
+        assert not np.array_equal(first[0], other[0])
+    else:
+        assert np.array_equal(first[0], other[0]) and np.array_equal(first[1], other[1])
+        assert np.all(first[1] == 0.0)
+
+
+@pytest.mark.parametrize("family", ["modular", "concave", "coverage"])
+def test_no_gradient_samples_rejected_for_every_family(family):
+    # exact gains draw no samples, but a request for none is still bad input
+    inst = random_instance(1, families=(family,))
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="gradient sample"):
+            estimate_marginal_gains(inst, inst.utility, np.zeros(inst.n), samples, seed=0)
+        with pytest.raises(ValueError, match="gradient sample"):
+            run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, steps=2,
+                                  grad_samples=samples)
 
 
 def test_combine_mean_se_arrays_match_scalars():

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from stochsubmax import constraints
 from stochsubmax.errors import EnumerationLimitError
+from stochsubmax.extensions import multilinear_exact
+from stochsubmax.greedy import _sampled_gains
 from stochsubmax.lattice import (
     ConcaveOverModular,
     ThresholdCoverage,
@@ -17,6 +20,7 @@ from stochsubmax.lattice import (
     meet,
     utility_descriptor,
 )
+from stochsubmax.model import Instance, ItemModel
 from tests.conftest import FormulaUtility, examples
 
 vectors = st.lists(st.integers(0, 3), min_size=1, max_size=5)
@@ -307,6 +311,136 @@ def test_coverage_gains_edge_rows():
     assert_array_equal(f.gains_batch(np.where(on, top, 0), top, on), [[3.0, 0.0, 0.0]])
     on[0, 0] = False
     assert_array_equal(f.gains_batch(np.where(on, top, 0), top, on), [[3.0, 3.0, 0.0]])
+
+
+def instance_over(f, probs) -> Instance:
+    """An instance of the utility ``f`` whose item i has state distribution ``probs[i]``.
+
+    Costs, budget and the outer constraint play no part in the gains.
+    """
+    B = len(probs[0])
+    items = tuple(ItemModel(probs=tuple(float(p) for p in row), costs=(1,) * B) for row in probs)
+    n = len(items)
+    return Instance(n=n, B=B, budget=2, items=items, outer=constraints.cardinality(n, n),
+                    utility=f)
+
+
+def gains_by_enumeration(inst, x) -> np.ndarray:
+    """Reference gains: the multilinear extension with x_i at 1 minus it with x_i at 0."""
+    out = np.empty(inst.n)
+    for i in range(inst.n):
+        with_i, without_i = np.array(x, dtype=float), np.array(x, dtype=float)
+        with_i[i], without_i[i] = 1.0, 0.0
+        out[i] = (multilinear_exact(inst, inst.utility, with_i)
+                  - multilinear_exact(inst, inst.utility, without_i))
+    return out
+
+
+def enumeration_tolerance(inst) -> float:
+    """Bound on |expected_gains - gains_by_enumeration|, relative to f_top = f(B, ..., B).
+
+    A multilinear value sums at most (B + 1)^n nonnegative terms, one per set
+    and joint state of its items, each a product of at most 2n + 1 factors
+    whose weights sum to 1, so it is at most f_top and rounds off by at most
+    ((B + 1)^n + 2n) eps f_top. The closed forms add at most n + m + B rounded
+    nonnegative terms of at most f_top. A reference gain subtracts two
+    multilinear values, so the two sides differ by at most three such errors.
+    """
+    n, B = inst.n, inst.B
+    m = len(getattr(inst.utility, "element_weights", ()))
+    f_top = inst.utility.value(np.full(n, B))
+    return 3 * ((B + 1) ** n + 3 * n + m + B) * np.finfo(float).eps * f_top
+
+
+@st.composite
+def exact_gain_cases(draw):
+    """A modular or coverage instance over 1..5 items, B in 1..3, and marginals.
+
+    Marginals are often exactly 0 or 1, state probabilities often 0, weights
+    often 0; coverage rates are often 0 and lengths often capped at the ground
+    size m, which may be 0.
+    """
+    n = draw(st.integers(1, 5))
+    B = draw(st.integers(1, 3))
+    probs = []
+    for _ in range(n):
+        raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=B, max_size=B))
+        total = sum(raw)
+        probs.append([r / total for r in raw] if total > 0 else [1.0] + [0.0] * (B - 1))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    if draw(st.booleans()):
+        f = WeightedModular(weights=tuple(draw(st.lists(weight, min_size=n, max_size=n))))
+    else:
+        m = draw(st.integers(0, 6))
+        f = ThresholdCoverage(
+            rates=tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))),
+            element_weights=tuple(draw(st.lists(weight, min_size=m, max_size=m))),
+        )
+    x = draw(st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+                      min_size=n, max_size=n))
+    return instance_over(f, probs), np.array(x)
+
+
+@given(exact_gain_cases())
+@settings(max_examples=examples(100))
+def test_exact_gains_match_enumeration(case):
+    inst, x = case
+    exact = inst.utility.expected_gains(inst.prob_matrix, x)
+    assert exact.shape == (inst.n,) and np.all(exact >= 0)
+    assert np.all(np.abs(exact - gains_by_enumeration(inst, x)) <= enumeration_tolerance(inst))
+
+
+def test_exact_gains_edge_cases():
+    # B = 1; item 0's length 3 is capped at m = 2, item 2 has rate 0; x_j in {0, 1}
+    f = ThresholdCoverage(rates=(3, 1, 0), element_weights=(1.0, 2.0))
+    one_state = np.ones((3, 1))
+    assert_array_equal(f.expected_gains(one_state, [0.0, 0.0, 0.0]), [3.0, 1.0, 0.0])
+    assert_array_equal(f.expected_gains(one_state, [1.0, 1.0, 1.0]), [2.0, 0.0, 0.0])
+    assert_array_equal(f.expected_gains(one_state, [0.0, 1.0, 1.0]), [2.0, 1.0, 0.0])
+    assert_array_equal(f.expected_gains(one_state, [0.5, 0.5, 0.0]), [2.5, 0.5, 0.0])
+    # B = 2 with item 1's top length 4 capped at m = 3
+    f = ThresholdCoverage(rates=(1, 2), element_weights=(1.0, 0.5, 0.25))
+    probs = np.array([[0.25, 0.75], [0.5, 0.5]])
+    assert_array_equal(f.expected_gains(probs, [0.0, 0.0]), [1.375, 1.625])
+    # m = 0 and zero element weights cover nothing
+    for weights in ((), (0.0, 0.0)):
+        f = ThresholdCoverage(rates=(1, 2), element_weights=weights)
+        assert_array_equal(f.expected_gains(probs, [0.3, 1.0]), [0.0, 0.0])
+    # a modular gain is the weight times the expected level, whatever x is
+    f = WeightedModular(weights=(0.0, 2.0))
+    for x in ([0.0, 0.0], [1.0, 0.4]):
+        assert_array_equal(f.expected_gains(probs, x), [0.0, 3.0])
+    assert_array_equal(WeightedModular(weights=(1.5, 0.0)).expected_gains(one_state[:2], [1.0, 1.0]),
+                       [1.5, 0.0])
+    # families without a closed form say so
+    assert ConcaveOverModular(weights=(1.0, 1.0)).expected_gains(probs, [0.0, 0.0]) is None
+
+
+def test_exact_coverage_gains_agree_with_sampled_kernel():
+    """Exact coverage gains against 100000 samples at n = 30, B = 3, m = 64.
+
+    Item i's sampled gain lies in [0, g_i], g_i its largest covered weight, so
+    its variance is at most g_i mu_i, mu_i the exact gain. Bernstein's
+    inequality then bounds the mean of R samples: it strays from mu_i by more
+    than t_i = (2/3 g_i L + sqrt((2/3 g_i L)^2 + 8 R g_i mu_i L)) / (2R) with
+    probability at most 2 exp(-L). With L = ln(2n / 1e-6) the false-failure
+    rate over all n items is at most 1e-6.
+    """
+    rng = np.random.default_rng(2024)
+    n, B, m, samples = 30, 3, 64, 100_000
+    f = ThresholdCoverage(
+        rates=tuple(int(r) for r in rng.integers(1, 22, size=n)),
+        element_weights=tuple(float(w) for w in rng.uniform(0.2, 1.5, size=m)),
+    )
+    inst = instance_over(f, rng.dirichlet(np.ones(B), size=n))
+    x = rng.uniform(0.0, 0.6, size=n)
+    exact = f.expected_gains(inst.prob_matrix, x)
+    sampled, _ = _sampled_gains(inst, f, x, samples, seed=5)
+    top = f._prefix[np.minimum(np.asarray(f.rates) * B, m)]
+    L = np.log(2 * n / 1e-6)
+    lead = 2 / 3 * top * L
+    bound = (lead + np.sqrt(lead**2 + 8 * samples * top * exact * L)) / (2 * samples)
+    assert np.all(np.abs(sampled - exact) <= bound), np.abs(sampled - exact) / bound
 
 
 def test_enumeration_guard_refuses():
