@@ -77,7 +77,6 @@ from .policy import (
     PolicyTrace,
     SimulationSummary,
     coupled_dominance_check,
-    estimate_policy_value,
     execute,
     simulate_batch,
 )

@@ -56,7 +56,7 @@ def _stop_scale(beta: float) -> float:
 def _check_config(args):
     if getattr(args, "beta", None) is not None and not 0 < args.beta <= 1:
         raise DomainFailure(f"beta must lie in (0, 1], got {args.beta}")
-    for name in ("steps", "grad_samples", "runs", "workers"):
+    for name in ("steps", "grad_samples", "runs"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise DomainFailure(f"{name} must be at least 1, got {value}")
@@ -101,7 +101,6 @@ def _solve(instance: Instance, args):
         steps=args.steps,
         grad_samples=args.grad_samples,
         seed=args.seed,
-        workers=args.workers,
     )
     report = greedy.certify_solution(instance, instance.outer, sol, scale)
     return sol, report
@@ -159,11 +158,9 @@ def cmd_simulate(args) -> int:
         sol,
         runs=args.runs,
         seed=args.seed,
-        workers=args.workers,
     )
     gamma_rows = rounding.estimate_set_keep_rate(
-        crs, instance.outer, sol.marginals, trials=args.runs, seed=args.seed + 1,
-        workers=args.workers,
+        crs, instance.outer, sol.marginals, trials=args.runs, seed=args.seed + 1
     )
     alpha_rows = []
     for mapping in rounding.MAPPINGS:
@@ -176,7 +173,6 @@ def cmd_simulate(args) -> int:
                 sol,
                 trials=args.runs,
                 seed=args.seed + 2,
-                workers=args.workers,
             )
         )
     out = Path(args.out)
@@ -217,7 +213,7 @@ def cmd_ratio(args) -> int:
         raise DomainFailure("solution failed certification")
     scale = sol.stop_scale
     crs = rounding.BalancedCrs(kind=args.crs, scale=scale)
-    mean, se = policy.estimate_policy_value(
+    summary = policy.simulate_batch(
         instance,
         instance.utility,
         instance.outer,
@@ -225,11 +221,10 @@ def cmd_ratio(args) -> int:
         sol,
         runs=args.runs,
         seed=args.seed,
-        workers=args.workers,
     )
+    mean, se = summary.mean_utility, summary.se
     gamma_rows = rounding.estimate_set_keep_rate(
-        crs, instance.outer, sol.marginals, trials=args.runs, seed=args.seed + 1,
-        workers=args.workers,
+        crs, instance.outer, sol.marginals, trials=args.runs, seed=args.seed + 1
     )
     gamma_hat, gamma_se = rounding.min_rate(gamma_rows)
     prefactor = (1.0 - min(2.0 * args.beta, 0.5)) * (1.0 - math.exp(-scale))
@@ -257,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, runs=False, solver=False):
         p.add_argument("--instance", required=True, help="instance JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
         if solver:
             p.add_argument("--beta", type=float, default=0.25)
             p.add_argument("--steps", type=int, default=50)

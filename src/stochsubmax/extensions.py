@@ -2,7 +2,7 @@
 
 Every quantity comes in two flavors: an exact enumerator (the trusted oracle,
 guarded by an enumeration size limit) and a seeded Monte Carlo estimator that
-reports a standard error. Estimators fan trials across workers in fixed-size
+reports a standard error. Estimators run their trials in fixed-size seeded
 blocks, so estimates are reproducible for a given (seed, trial count).
 """
 
@@ -67,15 +67,14 @@ def _set_value_block(instance, f, idx, seed, block):
 
 
 def expected_set_value_mc(
-    instance: Instance, f, items, samples: int, seed: int, workers: int = 1
+    instance: Instance, f, items, samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the expected set value, with its standard error."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     idx = sorted(set(items))
     fn = functools.partial(_set_value_block, instance, f, idx, seed)
-    partials = map_blocks(fn, split_blocks(samples), workers)
-    return combine_mean_se(partials)
+    return combine_mean_se(map_blocks(fn, split_blocks(samples)))
 
 
 def multilinear_exact(instance: Instance, f, marginals) -> float:
@@ -113,12 +112,11 @@ def _multilinear_block(instance, f, x, seed, block):
 
 
 def multilinear_mc(
-    instance: Instance, f, marginals, samples: int, seed: int, workers: int = 1
+    instance: Instance, f, marginals, samples: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the multilinear extension, with its standard error."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     x = check_marginals(instance, marginals)
     fn = functools.partial(_multilinear_block, instance, f, x, seed)
-    partials = map_blocks(fn, split_blocks(samples), workers)
-    return combine_mean_se(partials)
+    return combine_mean_se(map_blocks(fn, split_blocks(samples)))

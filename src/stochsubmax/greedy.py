@@ -171,22 +171,19 @@ def _gain_block(instance, f, x, seed, block):
     return size, sums, sumsqs
 
 
-def _sampled_gains(instance: Instance, f, x, samples: int, seed: int, workers: int = 1):
+def _sampled_gains(instance: Instance, f, x, samples: int, seed: int):
     """The gains and their standard errors from ``samples`` draws in seeded blocks.
 
     Each block draws a base set and a realization, and ``f.gains_batch`` gives
     every item's gain on every row. Block b draws from the stream
     (seed, "gain", b) and blocks are reduced in block order, so the estimate
-    is a deterministic function of (inputs, seed) and does not depend on the
-    worker count.
+    is a deterministic function of (inputs, seed).
     """
     fn = functools.partial(_gain_block, instance, f, x, seed)
-    return combine_mean_se(map_blocks(fn, split_blocks(samples), workers))
+    return combine_mean_se(map_blocks(fn, split_blocks(samples)))
 
 
-def estimate_marginal_gains(
-    instance: Instance, f, marginals, samples: int, seed: int, workers: int = 1
-):
+def estimate_marginal_gains(instance: Instance, f, marginals, samples: int, seed: int):
     """Per-item expected gain of adding the item to a random set drawn from the marginals.
 
     Returns (gains, standard errors), each an (n,) array. A utility with a
@@ -200,7 +197,7 @@ def estimate_marginal_gains(
     exact = f.expected_gains(instance.prob_matrix, x)
     if exact is not None:
         return exact, np.zeros(instance.n)
-    return _sampled_gains(instance, f, x, samples, seed, workers)
+    return _sampled_gains(instance, f, x, samples, seed)
 
 
 def solution_entries(variables, x, n: int):
@@ -222,7 +219,6 @@ def run_continuous_greedy(
     steps: int = 50,
     grad_samples: int = 10**4,
     seed: int = 0,
-    workers: int = 1,
     history: list | None = None,
 ) -> SlotSolution:
     """Solve the relaxation up to stopping scale ``stop_scale`` in ``steps`` steps."""
@@ -244,7 +240,7 @@ def run_continuous_greedy(
             marginals = np.zeros(instance.n)
             np.add.at(marginals, item_of_var, x)
             gains, _ = estimate_marginal_gains(
-                instance, f, marginals, grad_samples, stream_entropy(seed, "step", k), workers
+                instance, f, marginals, grad_samples, stream_entropy(seed, "step", k)
             )
             lp = solve_lp(program, gains[item_of_var], start)
             start = (lp.basis, lp.sign)

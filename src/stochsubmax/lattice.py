@@ -81,9 +81,9 @@ def _sums_without(share) -> np.ndarray:
 class UtilityOracle:
     """Deterministic nonnegative utility on state vectors.
 
-    Subclasses are immutable after construction and safe to evaluate from
-    multiple workers concurrently. ``value_batch`` evaluates a (N, n) array of
-    state vectors row by row and must agree with ``value`` exactly.
+    Subclasses are immutable after construction. ``value_batch`` evaluates a
+    (N, n) array of state vectors row by row and must agree with ``value``
+    exactly.
 
     ``gains_batch(base, top, on)`` returns every item's marginal gain on every
     row: the (R, n) array ``f(base with i at top[:, i]) - f(base with i at 0)``.

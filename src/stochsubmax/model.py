@@ -122,18 +122,7 @@ def sample_realization(instance: Instance, seed: int) -> np.ndarray:
     Bit-identical output for identical (instance, seed).
     """
     instance.require_valid()
-    rng = derive_rng(seed, "realization")
-    return sample_realization_rng(instance, rng)
-
-
-def sample_realization_rng(instance: Instance, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(instance.n)
-    cum = instance.state_cum_probs
-    states = np.empty(instance.n, dtype=np.int64)
-    for i in range(instance.n):
-        states[i] = 1 + int(np.searchsorted(cum[i], u[i], side="right"))
-    np.minimum(states, instance.B, out=states)
-    return states
+    return sample_states(instance.state_cum_probs, derive_rng(seed, "realization"), 1)[0]
 
 
 def sample_realization_batch(
@@ -147,8 +136,8 @@ def sample_states(cum_probs: np.ndarray, rng: np.random.Generator, count: int) -
     """(count, m) states of the m items whose rows of ``state_cum_probs`` are ``cum_probs``.
 
     Entry (r, c) is 1 plus the number of the first B - 1 cumulative
-    probabilities of row c at or below its uniform: the inverse CDF that
-    :func:`sample_realization_rng` computes with ``searchsorted``.
+    probabilities of row c at or below its uniform: the inverse CDF of the
+    item's state distribution.
     """
     u = rng.random((count, len(cum_probs)))
     states = np.ones(u.shape, dtype=np.int64)
@@ -162,15 +151,6 @@ def expected_truncated_cost(item: ItemModel, t: float) -> float:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return float(sum(p * min(c, t) for p, c in zip(item.probs, item.costs)))
-
-
-def masked_states(states: np.ndarray, selected) -> np.ndarray:
-    """State vector that keeps ``states`` on the selected items and is 0 elsewhere."""
-    out = np.zeros(len(states), dtype=np.int64)
-    idx = sorted(selected)
-    if idx:
-        out[idx] = np.asarray(states)[idx]
-    return out
 
 
 def instance_to_json(instance: Instance) -> str:

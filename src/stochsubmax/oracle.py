@@ -10,7 +10,6 @@ and the enlarged set stays in the outer family. Stopping is always allowed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +166,3 @@ def random_feasible_tree(
         return {"action": i + 1, "branches": branches}
 
     return build(frozenset())
-
-
-def tree_to_json(tree: dict) -> str:
-    return json.dumps(tree, indent=2) + "\n"

@@ -1,15 +1,12 @@
-"""Block-based fan-out for Monte Carlo estimators.
+"""Fixed-size blocks for Monte Carlo estimators.
 
 Work is split into fixed-size blocks; block b always consumes the random
-stream (seed, label, b), so results do not depend on how blocks are assigned
-to workers. Per-block partials are reduced in block-index order, which makes
-every estimate a deterministic function of (inputs, seed), independent of the
-worker count.
+stream (seed, label, b). Blocks run in order in the calling process and their
+partials are reduced in block-index order, which makes every estimate a
+deterministic function of (inputs, seed).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -30,11 +27,12 @@ def split_blocks(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, in
 
 
 def map_blocks(fn, blocks, workers: int = 1) -> list:
-    """Apply ``fn`` to every block, preserving block order in the result list."""
-    if workers <= 1:
-        return [fn(b) for b in blocks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
+    """Apply ``fn`` to every block in order, preserving block order in the result list."""
+    # the third argument exists only because bench/tracing.py's block counter
+    # forwards one; it goes with the tracer rewrite
+    if workers != 1:
+        raise ValueError(f"blocks run in one process; got workers={workers!r}")
+    return [fn(b) for b in blocks]
 
 
 def combine_mean_se(partials):

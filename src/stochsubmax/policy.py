@@ -236,7 +236,6 @@ def simulate_batch(
     sol: SlotSolution,
     runs: int,
     seed: int,
-    workers: int = 1,
 ) -> SimulationSummary:
     """Run the policy many times and tally utility plus constraint violations.
 
@@ -252,7 +251,7 @@ def simulate_batch(
     instance.require_valid()
     check_solution_shape(instance, sol)
     fn = functools.partial(_simulate_block, instance, f, outer, crs, sol, seed)
-    partials = map_blocks(fn, split_blocks(runs), workers)
+    partials = map_blocks(fn, split_blocks(runs))
     mean, se = combine_mean_se(partials)
     return SimulationSummary(
         runs=sum(p[0] for p in partials),
@@ -262,14 +261,6 @@ def simulate_batch(
         outer_violations=sum(p[4] for p in partials),
         adaptivity_violations=sum(p[5] for p in partials),
     )
-
-
-def estimate_policy_value(
-    instance, f, outer, crs, sol, runs: int, seed: int, workers: int = 1
-) -> tuple[float, float]:
-    """Mean final utility over independent (policy randomness, realization) pairs."""
-    summary = simulate_batch(instance, f, outer, crs, sol, runs, seed, workers)
-    return summary.mean_utility, summary.se
 
 
 @dataclass(frozen=True)

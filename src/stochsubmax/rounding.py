@@ -258,7 +258,6 @@ def estimate_set_keep_rate(
     marginals,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> list[CrsEstimate]:
     """Per-item empirical Pr[item kept | item sampled] for the set-level scheme.
 
@@ -272,7 +271,7 @@ def estimate_set_keep_rate(
         )
     support = np.flatnonzero(y > 0)
     fn = functools.partial(_gamma_block, crs, outer, y, support, seed)
-    partials = map_blocks(fn, split_blocks(trials), workers)
+    partials = map_blocks(fn, split_blocks(trials))
     return _binomial_rows("set", *_scatter_counts(partials, support, outer.n, 1), states=False)
 
 
@@ -313,7 +312,6 @@ def estimate_state_keep_rates(
     sol: SlotSolution,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> list[CrsEstimate]:
     """Per (item, state) empirical Pr[coordinate survives | coordinate sampled]."""
     if mapping not in MAPPINGS:
@@ -322,7 +320,7 @@ def estimate_state_keep_rates(
     fn = functools.partial(
         _alpha_block, mapping, instance, outer, crs, sol, stream_entropy(seed, mapping)
     )
-    partials = map_blocks(fn, split_blocks(trials), workers)
+    partials = map_blocks(fn, split_blocks(trials))
     tables = _scatter_counts(partials, sol.support, instance.n, instance.B + 1)
     return _binomial_rows(mapping, *tables, states=True)
 

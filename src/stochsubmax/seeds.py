@@ -3,8 +3,8 @@
 Every stochastic routine in this package consumes randomness from a stream
 derived from a single 64-bit root seed, a component label, and an integer
 index. Derivation hashes (root, label, index) with BLAKE2b, so streams for
-distinct labels or indices are independent and reproducible across runs,
-platforms, and worker counts.
+distinct labels or indices are independent and reproducible across runs and
+platforms.
 """
 
 from __future__ import annotations

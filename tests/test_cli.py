@@ -225,6 +225,16 @@ def test_bad_config_values_fail_cleanly(pair_file):
     ]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["solve"], ["simulate", "--solution", "solution.json"], ["ratio"],
+])
+def test_workers_flag_is_a_usage_error(pair_file, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--instance", str(pair_file), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_partition_instance_pipeline(tmp_path):
     path = tmp_path / "partition.json"
     save_instance(partition_demo_instance(), path)

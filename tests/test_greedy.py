@@ -1,8 +1,11 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochsubmax import constraints, greedy
 from stochsubmax.errors import InvalidInputError
@@ -22,7 +25,8 @@ from stochsubmax.greedy import (
 )
 from stochsubmax.lattice import ConcaveOverModular, WeightedModular
 from stochsubmax.model import Instance, ItemModel, instance_from_json, instance_to_json
-from stochsubmax.parallel import combine_mean_se
+from stochsubmax.parallel import combine_mean_se, map_blocks, split_blocks
+from tests.conftest import examples
 
 
 def test_gains_at_origin_match_exact_marginals(pair_instance):
@@ -136,6 +140,30 @@ def test_solution_json_round_trip(partition_instance):
     assert again.seed == sol.seed
     assert again.grad_samples == sol.grad_samples
     assert np.allclose(again.marginals, sol.marginals, atol=1e-12)
+    assert solution_to_json(again) == text
+
+
+@settings(max_examples=examples(50))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 6),
+    grad_samples=st.integers(1, 64),
+)
+def test_random_solution_json_round_trip_bit_exact(seed, steps, grad_samples):
+    inst = random_instance(seed, kinds=("cardinality", "partition"))
+    sol = run_continuous_greedy(
+        inst, inst.utility, inst.outer, stop_scale=0.25, steps=steps,
+        grad_samples=grad_samples, seed=seed,
+    )
+    text = solution_to_json(sol)
+    again = solution_from_json(text)
+    assert [(i, t, v.hex()) for i, t, v in again.entries] == [
+        (i, t, v.hex()) for i, t, v in sol.entries
+    ]
+    assert again.marginals.tobytes() == sol.marginals.tobytes()
+    assert (again.n, again.budget, again.stop_scale, again.steps, again.grad_samples,
+            again.seed) == (sol.n, sol.budget, sol.stop_scale, sol.steps,
+                            sol.grad_samples, sol.seed)
     assert solution_to_json(again) == text
 
 
@@ -255,15 +283,19 @@ def test_coverage_gains_bit_identical_on_pinned_instance():
     ]
 
 
-def test_gains_independent_of_worker_count():
+def test_sampled_gains_pinned_across_blocks():
+    # 9000 samples span three seeded blocks; the digest of every gain and
+    # standard error in hex holds the streams and the reduction fixed
     inst = random_instance(1, families=("coverage",))
     x = np.linspace(0.1, 0.8, inst.n)
-    # fill the cached prefix table first, so the workers receive it pickled;
-    # the sampled path, since the greedy takes this family's exact gains
-    inst.utility.value_batch(np.zeros((1, inst.n), dtype=int))
-    one = greedy._sampled_gains(inst, inst.utility, x, samples=9000, seed=7)
-    two = greedy._sampled_gains(inst, inst.utility, x, samples=9000, seed=7, workers=2)
-    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+
+    def digest(seed):
+        gains, ses = greedy._sampled_gains(inst, inst.utility, x, samples=9000, seed=seed)
+        text = ",".join(float(v).hex() for v in [*gains, *ses])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(7) == "1766a448a7641c2a62e300e90291abbb17278fe882d26470f131290bb7481334"
+    assert digest(8) != digest(7)
 
 
 def test_modular_gains_bit_identical_on_pinned_instance():
@@ -316,6 +348,16 @@ def test_no_gradient_samples_rejected_for_every_family(family):
         with pytest.raises(ValueError, match="gradient sample"):
             run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, steps=2,
                                   grad_samples=samples)
+
+
+def test_map_blocks_runs_in_order_and_rejects_other_worker_counts():
+    blocks = split_blocks(9000)
+    assert blocks == [(0, 4096), (1, 4096), (2, 808)]
+    assert map_blocks(lambda b: b[0], blocks) == [0, 1, 2]
+    assert map_blocks(lambda b: b[0], blocks, 1) == [0, 1, 2]
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="workers"):
+            map_blocks(lambda b: b[0], blocks, workers)
 
 
 def test_combine_mean_se_arrays_match_scalars():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from stochsubmax import constraints
+from stochsubmax.generators import random_instance
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.model import (
     Instance,
@@ -14,11 +15,11 @@ from stochsubmax.model import (
     expected_truncated_cost,
     instance_from_json,
     instance_to_json,
-    masked_states,
     sample_realization,
     sample_realization_batch,
     validate_instance,
 )
+from tests.conftest import examples
 
 
 def build(items, budget=5, outer=None, weights=None):
@@ -148,18 +149,29 @@ def test_sampling_rejects_invalid():
         sample_realization(inst, 0)
 
 
-def test_masked_states():
-    states = np.array([2, 1, 3])
-    assert_array_equal(masked_states(states, {0, 2}), [2, 0, 3])
-    assert_array_equal(masked_states(states, set()), [0, 0, 0])
-
-
 def test_json_round_trip_bit_exact(pair_instance, partition_instance):
     for inst in (pair_instance, partition_instance):
         text = instance_to_json(inst)
         again = instance_from_json(text)
         assert again == inst
         assert instance_to_json(again) == text
+
+
+@settings(max_examples=examples(100))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_max=st.integers(1, 12),
+    B_max=st.integers(1, 4),
+    budget_max=st.integers(2, 20),
+)
+def test_random_instance_json_round_trip_bit_exact(seed, n_max, B_max, budget_max):
+    inst = random_instance(seed, n_max=n_max, B_max=B_max, budget_max=budget_max)
+    text = instance_to_json(inst)
+    again = instance_from_json(text)
+    assert again == inst
+    assert again.prob_matrix.tobytes() == inst.prob_matrix.tobytes()
+    assert again.cost_matrix.tobytes() == inst.cost_matrix.tobytes()
+    assert instance_to_json(again) == text
 
 
 def test_json_uses_one_based_ids(partition_instance):
@@ -185,8 +197,6 @@ def test_slot_counts(pair_instance):
 
 def test_random_instances_serialize_for_every_outer_kind():
     # constructors must normalize array-backed ids into plain ints
-    from stochsubmax.generators import random_instance
-
     seen = set()
     seed = 0
     while seen != {"cardinality", "partition", "explicit"}:

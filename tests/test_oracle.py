@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from stochsubmax import constraints
@@ -11,7 +9,6 @@ from stochsubmax.oracle import (
     optimal_policy_value,
     policy_tree_value,
     random_feasible_tree,
-    tree_to_json,
 )
 
 
@@ -152,13 +149,12 @@ def test_outer_constraint_respected_by_oracle():
     assert res.first_action == 1
 
 
-def test_tree_json_export(tight_pair_instance):
+def test_optimal_tree_branches_on_both_states(tight_pair_instance):
     res = optimal_policy_value(
         tight_pair_instance, tight_pair_instance.utility, tight_pair_instance.outer
     )
-    doc = json.loads(tree_to_json(res.tree))
-    assert doc["action"] == 1
-    assert set(doc["branches"]) == {"1", "2"}
+    assert res.tree["action"] == 1
+    assert set(res.tree["branches"]) == {"1", "2"}
 
 
 def test_adaptive_branching_beats_all_fixed_orders(tight_pair_instance):
