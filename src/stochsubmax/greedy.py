@@ -22,12 +22,14 @@ accumulated solution carries the full program's guarantee. Its entries hold
 one slot per item; :class:`SlotSolution` still takes any number.
 
 The LP rows, right-hand side and box are the same at every step and only the
-objective changes, so each step's simplex starts from the previous step's
-final basis, which is still primal feasible. The first step starts from the
-slack basis, and so does any step whose start the simplex cannot use. Every
-answer is certified by LP duality either way. Items without a start slot get
-no variables; with no variables at all the greedy estimates no gains and
-solves no LP.
+objective changes, so each step's LP starts from the previous step's answer
+(:func:`lp.solve_lp`). Its vertex is still feasible, and if its basis passes
+the LP certificate under the new gains it is the step's answer with no pivot;
+otherwise the simplex starts from that basis, which is still primal feasible.
+The first step starts from the slack basis, and so does any step whose basis
+the simplex cannot use. Every answer is certified by LP duality either way.
+Items without a start slot get no variables; with no variables at all the
+greedy estimates no gains and solves no LP.
 """
 
 from __future__ import annotations
@@ -242,9 +244,8 @@ def run_continuous_greedy(
             gains, _ = estimate_marginal_gains(
                 instance, f, marginals, grad_samples, stream_entropy(seed, "step", k)
             )
-            lp = solve_lp(program, gains[item_of_var], start)
-            start = (lp.basis, lp.sign)
-            x = x + delta * lp.values
+            start = solve_lp(program, gains[item_of_var], start)
+            x = x + delta * start.values
         if history is not None:
             snap = np.zeros(instance.n)
             np.add.at(snap, item_of_var, x)

@@ -54,6 +54,11 @@ def report(name, passed, detail):
     assert passed, line
 
 
+def normal_tail(z):
+    """P(Z > z) for a standard normal Z."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
 def solve(instance, steps=25, grad_samples=1000, seed=0, beta=BETA):
     scale = min(beta, 0.25)
     sol = run_continuous_greedy(
@@ -97,8 +102,18 @@ def test_criterion_1_constraint_soundness():
 
 
 def test_criterion_2_estimators_vs_oracles():
-    # each trial checks both estimators against their exact enumerators on one
-    # random (instance, marginals, set) triple and scores a hit only if both agree
+    """Both Monte Carlo estimators agree with their exact enumerators in >= 95% of trials.
+
+    Each trial checks both estimators against their exact enumerators on one
+    random (instance, marginals, set) triple and scores a hit only if both lie
+    within 3 standard errors. Under the normal approximation of a
+    10000-sample mean, one estimator misses with probability
+    2 P(Z > 3) = 0.0027, so a trial misses with probability at most 0.0054
+    (union bound, whatever the two estimates' dependence). The trials draw
+    independent instances and seeds, so the criterion fails falsely only if
+    more than 10 of 200 trials miss: a binomial tail of 1.7e-8, computed in
+    the verdict line from the trial count and the 95% floor.
+    """
     t0 = time.time()
     trials = 200
     hits = 0
@@ -118,11 +133,15 @@ def test_criterion_2_estimators_vs_oracles():
             abs(est_ext - exact_ext) <= 3 * se_ext + 1e-12
             and abs(est_set - exact_set) <= 3 * se_set + 1e-12
         )
+    miss = 2 * (2 * normal_tail(3.0))
+    allowed = trials - math.ceil(0.95 * trials)
+    false_failure = sum(math.comb(trials, j) * miss**j * (1 - miss) ** (trials - j)
+                        for j in range(allowed + 1, trials + 1))
     report(
         "2 (estimator vs oracle)",
         hits >= 0.95 * trials,
         f"{hits}/{trials} trials with both estimators within 3 standard errors, "
-        f"{time.time() - t0:.1f}s",
+        f"false-failure rate {false_failure:.1e}, {time.time() - t0:.1f}s",
     )
 
 
@@ -337,6 +356,22 @@ def test_criterion_5_coupled_dominance():
 
 
 def test_criterion_6_end_to_end_ratio():
+    """The rounded policy's value meets its guarantee on 10 oracle-sized instances.
+
+    Each instance fails if the simulated value falls more than 3 standard
+    errors below ``(1 - min(2 beta, 1/2)) (1 - e^-l) gamma_hat opt``, where
+    gamma_hat is the smallest estimated set keep rate; the value and keep-rate
+    estimates use separate seeds and are independent. A false failure is a
+    failure while every true value meets its guarantee. The worst case is
+    every true value exactly on its bound: under the normal approximation of
+    the two 100000-run means each instance then fails with probability
+    P(Z > 3) = 1.35e-3 (taking the smallest row for the true minimum only
+    lowers the bound), and the criterion with probability
+    1 - (1 - 1.35e-3)^10 = 1.3e-2, stated in the verdict line. That is above
+    1e-3 and stays open (ROADMAP item 6); instances whose values sit above
+    their bounds, as the minimum slack in the verdict line shows, fail less
+    often.
+    """
     t0 = time.time()
     runs = 100_000
     prefactor = (1 - min(2 * BETA, 0.5)) * (1 - math.exp(-SCALE))
@@ -362,9 +397,11 @@ def test_criterion_6_end_to_end_ratio():
         if slack < 0:
             ok = False
         assert summary.inner_violations == 0 and summary.outer_violations == 0
+    false_failure = 1 - (1 - normal_tail(3.0)) ** len(slacks)
     report(
         "6 (end-to-end ratio)", ok,
         f"10 instances x {runs} runs, min slack {min(slacks):.4f}, "
+        f"false-failure rate at most {false_failure:.1e} with every value on its bound, "
         f"documented closed-form bound {prefactor * closed_form_keep_rate(SCALE):.4f}"
         f" * opt, {time.time() - t0:.1f}s",
     )

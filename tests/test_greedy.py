@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochsubmax import constraints, greedy
+from stochsubmax import constraints, greedy, lp
 from stochsubmax.errors import InvalidInputError
 from stochsubmax.extensions import expected_set_value_exact, multilinear_exact
 from stochsubmax.generators import (
@@ -375,13 +375,33 @@ def test_combine_mean_se_arrays_match_scalars():
     assert np.array_equal(one_mean, partials[2][1]) and not one_se.any()
 
 
+def counting_simplex(monkeypatch):
+    """Count the calls of ``lp.simplex_max`` from here on; return the running count."""
+    calls = [0]
+    simplex_max = lp.simplex_max
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return simplex_max(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "simplex_max", counted)
+    return calls
+
+
 def warm_against_cold(monkeypatch, inst, **kwargs):
-    """Run the greedy, checking each warm LP step against a cold solve; return pivot totals."""
+    """Run the greedy, checking each warm LP step against a cold solve; return pivot totals.
+
+    ``simplex`` counts the warm steps whose start failed its certificate, so
+    that the simplex ran from it.
+    """
     solve_lp = greedy.solve_lp
-    totals = {"warm": 0, "cold": 0, "starts": 0}
+    totals = {"warm": 0, "cold": 0, "starts": 0, "simplex": 0}
+    calls = counting_simplex(monkeypatch)
 
     def checked(program, objective, start=None):
+        before = calls[0]
         warm = solve_lp(program, objective, start)
+        totals["simplex"] += start is not None and calls[0] > before
         cold = solve_lp(program, objective)
         assert abs(warm.objective - cold.objective) <= 1e-12
         totals["warm"] += warm.iterations
@@ -419,6 +439,18 @@ def test_warm_steps_match_cold_solves_at_n40(monkeypatch):
                     utility=ConcaveOverModular(weights=weights, curve="sqrt"))
     totals = warm_against_cold(monkeypatch, inst, steps=12, grad_samples=200)
     assert totals["warm"] < totals["cold"] / 3
+    # the gains move enough that some starts fail their certificate and pivot on,
+    # in as many pivots as when every warm step ran the simplex
+    assert totals["warm"] == 24 and 0 < totals["simplex"] < totals["starts"]
+
+
+def test_desk_greedy_runs_the_simplex_only_for_its_cold_step(monkeypatch):
+    # every warm step's start vertex stays optimal and passes its certificate
+    calls = counting_simplex(monkeypatch)
+    inst = desk_random_instance(1)
+    run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, steps=25,
+                          grad_samples=1500, seed=1)
+    assert calls[0] == 1
 
 
 def test_warm_pivots_pinned_on_desk_instance(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -115,7 +116,7 @@ def test_rows_without_columns_solve_to_the_slack_basis(warm):
     assert prog.row_coeffs.shape == (2, 0)
     sol = solve_lp(prog, np.zeros(0))
     if warm:
-        sol = solve_lp(prog, np.zeros(0), start=(sol.basis, sol.sign))
+        sol = solve_lp(prog, np.zeros(0), start=sol)
     assert sol.objective == 0.0 and sol.values.shape == (0,)
     assert sol.basis.tolist() == [0, 1] and sol.sign.tolist() == [0.0, 0.0]  # certified
 
@@ -730,6 +731,15 @@ def test_certificate_rejects_suboptimal_vertex():
     assert certify_optimal(*lp, sol.values, sol.basis) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_certificate_rejects_point_outside_the_box():
+    # x = (1.25, -0.5) meets the row x0 + x1 <= 1 but leaves the box at both
+    # columns, by 0.5 at column 1
+    lp = (np.array([2.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2))
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(*lp, np.array([1.25, -0.5]), [0])
+    assert (err.value.check, err.value.at, err.value.amount) == ("bound", "column 1", 0.5)
+
+
 def test_certificate_rejects_duals_infeasible_on_unbounded_column():
     # the same vertex when x0 has no upper bound: its reduced cost 1 has no bound to price it
     lp = (np.array([2.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.array([np.inf, 1.0]))
@@ -738,14 +748,35 @@ def test_certificate_rejects_duals_infeasible_on_unbounded_column():
     assert (err.value.check, err.value.at, err.value.amount) == ("reduced cost", "column 0", 1.0)
 
 
+# max x1 subject to x0 + x1 <= 1 (row 0) and x0 <= 1 (row 1), with no upper bounds
+NEGATIVE_DUAL_LP = (np.array([0.0, 1.0]), np.array([[1.0, 1.0], [1.0, 0.0]]), np.ones(2),
+                    np.full(2, np.inf))
+
+
 def test_certificate_rejects_negative_dual():
-    # max x1 subject to x0 + x1 <= 1 (row 0) and x0 <= 1 (row 1) on the basis {x0, x1}
-    # at x = (0, 1): the duals are (1, -1)
-    lp = (np.array([0.0, 1.0]), np.array([[1.0, 1.0], [1.0, 0.0]]), np.ones(2),
-          np.full(2, np.inf))
+    # the basis {x0, x1} at x = (0, 1): the duals are (1, -1)
     with pytest.raises(LpCertificateError) as err:
-        certify_optimal(*lp, np.array([0.0, 1.0]), [0, 1], row_labels=("cap", "other"))
+        certify_optimal(*NEGATIVE_DUAL_LP, np.array([0.0, 1.0]), [0, 1],
+                        row_labels=("cap", "other"))
     assert (err.value.check, err.value.at, err.value.amount) == ("dual sign", "other", 1.0)
+
+
+@pytest.mark.parametrize("basis,fault", [
+    ([0], "shape"),  # one basic index for two rows
+    ([0, 7], "outside"),  # an index past the last slack (3)
+    ([0.5, 1.0], "non-integer"),  # would truncate to {x0, x1}, whose duals are (1, -1)
+], ids=["short", "out-of-range", "fractional"])
+def test_certificate_rejects_malformed_basis(basis, fault):
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(*NEGATIVE_DUAL_LP, np.array([0.0, 1.0]), basis)
+    assert err.value.check == "basis" and fault in err.value.at
+
+
+def test_certificate_rejects_singular_basis():
+    # SMALL_LP's two columns are equal, so the basis {x0, x1} is singular
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(*SMALL_LP, np.array([0.0, 1.0]), [0, 1])
+    assert err.value.check == "basis" and "singular" in err.value.at
 
 
 def test_solve_lp_names_worst_violated_row(monkeypatch):
@@ -857,3 +888,79 @@ def test_latest_slot_program_keeps_the_full_optimum(kind, case, data):
                        stop_scale=1.0, steps=1, grad_samples=0, seed=0)
     report = certify_solution(inst, inst.outer, sol, 1.0)
     assert report.passed, report.failures()
+
+
+def pair_program_answer():
+    inst = symmetric_pair_instance()
+    prog = build_slot_program(inst, inst.outer)
+    return prog, solve_lp(prog, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("malformed", [
+    lambda sol: (sol.basis, sol.sign),  # the pair simplex_max takes, not an answer
+    lambda sol: dataclasses.replace(sol, values=sol.values[:1]),
+    lambda sol: dataclasses.replace(sol, basis=sol.basis[:-1]),
+    lambda sol: dataclasses.replace(sol, basis=np.r_[sol.basis[:-1], sol.basis[0]]),
+    lambda sol: dataclasses.replace(sol, sign=np.zeros_like(sol.sign)),
+], ids=["tuple", "short values", "short basis", "repeated index", "zero signs"])
+def test_malformed_start_to_solve_lp_raises_before_any_certificate(monkeypatch, malformed):
+    prog, sol = pair_program_answer()
+
+    def certificate(*args, **kwargs):
+        raise AssertionError("a certificate was computed")
+
+    monkeypatch.setattr(lp_module, "certify_optimal", certificate)
+    with pytest.raises(ValueError):
+        solve_lp(prog, np.array([2.0, 1.0]), start=malformed(sol))
+
+
+def test_certified_start_is_the_answer():
+    # the vertex of (1, 2) is optimal for (1, 3) too: no pivot, the same basis and signs
+    prog, sol = pair_program_answer()
+    again = solve_lp(prog, np.array([1.0, 3.0]), start=sol)
+    assert again.iterations == 0 and again.values is sol.values
+    assert np.array_equal(again.basis, sol.basis) and np.array_equal(again.sign, sol.sign)
+    assert again.objective == float(np.array([1.0, 3.0]) @ sol.values)
+
+
+@st.composite
+def objective_chains(draw):
+    """A random program over the unit box and a chain of 3 to 6 objectives for it.
+
+    Integer data with zero right-hand sides and negative entries make
+    degenerate vertices and ties, and each objective either moves a little
+    from the one before, so that its vertex often stays optimal, or is drawn
+    afresh.
+    """
+    nv = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    ints = lambda lo, hi, k: st.lists(st.integers(lo, hi), min_size=k, max_size=k)
+    A = np.array(draw(ints(-2, 3, m * nv)), dtype=float).reshape(m, nv)
+    b = np.array(draw(ints(0, 4, m)), dtype=float)
+    program = SlotProgram(variables=tuple((j, 1) for j in range(nv)),
+                          row_labels=tuple(("row", r) for r in range(m)),
+                          row_coeffs=A, row_bounds=b)
+    objectives = [np.array(draw(ints(-3, 4, nv)), dtype=float)]
+    for _ in range(draw(st.integers(2, 5))):
+        if draw(st.booleans()):
+            nudge = draw(st.lists(st.floats(-0.5, 0.5), min_size=nv, max_size=nv))
+            objectives.append(objectives[-1] + np.array(nudge))
+        else:
+            objectives.append(np.array(draw(ints(-3, 4, nv)), dtype=float))
+    return program, objectives
+
+
+@settings(max_examples=examples(300))
+@given(objective_chains())
+def test_chained_warm_solves_match_cold_solves(chain):
+    program, objectives = chain
+    A, b = program.row_coeffs, program.row_bounds
+    upper = np.ones(A.shape[1])
+    previous = None
+    for obj in objectives:
+        sol = solve_lp(program, obj, start=previous)
+        cold = solve_lp(program, obj)
+        assert certify_optimal(obj, A, b, upper, sol.values, sol.basis) <= CERT_TOL * max(
+            1.0, abs(sol.objective))
+        assert abs(sol.objective - cold.objective) <= CERT_TOL * max(1.0, abs(cold.objective))
+        previous = sol
