@@ -56,10 +56,11 @@ def _stop_scale(beta: float) -> float:
 def _check_config(args):
     if getattr(args, "beta", None) is not None and not 0 < args.beta <= 1:
         raise DomainFailure(f"beta must lie in (0, 1], got {args.beta}")
-    for name in ("steps", "grad_samples", "runs"):
+    # a run count needs two runs for a standard error (policy.simulate_batch)
+    for name, least in (("steps", 1), ("grad_samples", 1), ("runs", 2)):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise DomainFailure(f"{name} must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise DomainFailure(f"{name} must be at least {least}, got {value}")
 
 
 def _checker_work(n: int, B: int) -> int:
@@ -256,11 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta", type=float, default=0.25)
             p.add_argument("--steps", type=int, default=50)
             p.add_argument("--grad-samples", dest="grad_samples", type=int, default=10**4,
-                           help="gradient samples per greedy step, used only by utilities "
-                                "without exact gains (concave-over-modular); must be at "
-                                "least 1")
+                           help="gradient samples per greedy step, used only by "
+                                "concave-over-modular utilities, and only where their "
+                                "joint levels outnumber it; must be at least 1")
         if runs:
-            p.add_argument("--runs", type=int, default=10**4)
+            p.add_argument("--runs", type=int, default=10**4, help="must be at least 2")
             p.add_argument("--crs", choices=["identity", "priority"], default="priority")
 
     p = sub.add_parser("validate", help="check an instance file")
@@ -272,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.add_argument("--dump-lp", action="store_true",
                    help="also write lp.txt: the slot program's rows over each "
-                        "item's latest start slot, one per line")
+                        "item's latest start slot, one per line; only rows that can "
+                        "bind inside the [0, 1] box, no item caps")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("simulate", help="simulate the policy on a solved instance")

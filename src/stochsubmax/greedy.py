@@ -3,33 +3,39 @@
 Starting from x = 0, the solver repeatedly takes each item's expected marginal
 gain under the current marginals, maximizes the resulting linear objective over
 the (unscaled) relaxation rows, and advances x by step l/T along the optimal
-vertex. The gains are exact where the utility has a closed form
-(``expected_gains`` of the modular and coverage families) and estimated from
-``grad_samples`` seeded samples otherwise (the concave-over-modular family).
-After T steps the accumulated solution satisfies every outer row at scale l
-and every time row at scale l (the directions are feasible for the unscaled
-rows and the steps sum to l), which is exactly what :func:`certify_solution`
-checks.
+vertex. The gains are exact wherever the utility can give them at no more
+cost than ``grad_samples`` draws (``expected_gains``: closed forms for the
+modular and coverage families, an enumeration of the joint levels for the
+concave-over-modular family while those number at most ``grad_samples``)
+and are estimated from ``grad_samples`` seeded draws otherwise. After T steps
+the accumulated solution satisfies every outer row at scale l and every time
+row at scale l (the directions are feasible for the unscaled rows and the
+steps sum to l), which is exactly what :func:`certify_solution` checks.
 
 Each step's objective gives every start slot of an item the same coefficient,
-the item's estimated gain, so the LP is solved over one column per item, its
-latest start slot (:func:`lp.build_slot_program`). Every column of an item has
-the same objective, item-cap and outer coefficients and box, and the latest
-slot's column is entrywise no larger in the time rows; moving an item's mass to
-that slot keeps every row feasible at the same objective, so each step's
-vertex is an optimal direction of the full time-indexed program and the
-accumulated solution carries the full program's guarantee. Its entries hold
-one slot per item; :class:`SlotSolution` still takes any number.
+the item's gain, so the LP is solved over one column per item, its latest
+start slot, and over the rows that can bind inside the box
+(:func:`lp.build_slot_program`). Every column of an item has the same
+objective, item-cap and outer coefficients and box, and the latest slot's
+column is entrywise no larger in the time rows; moving an item's mass to that
+slot keeps every row feasible at the same objective, and the dropped rows hold
+everywhere in the box, so each step's vertex is an optimal direction of the
+full time-indexed program and the accumulated solution carries the full
+program's guarantee. Its entries hold one slot per item; :class:`SlotSolution`
+still takes any number.
 
 The LP rows, right-hand side and box are the same at every step and only the
 objective changes, so each step's LP starts from the previous step's answer
 (:func:`lp.solve_lp`). Its vertex is still feasible, and if its basis passes
 the LP certificate under the new gains it is the step's answer with no pivot;
 otherwise the simplex starts from that basis, which is still primal feasible.
-The first step starts from the slack basis, and so does any step whose basis
-the simplex cannot use. Every answer is certified by LP duality either way.
-Items without a start slot get no variables; with no variables at all the
-greedy estimates no gains and solves no LP.
+A step whose objective equals the previous step's, entry for entry (modular
+gains never depend on x), takes the previous answer as it is: its
+certificate is a function of the program, objective, vertex and basis, and
+none of them changed. The first step starts from the slack basis, and so
+does any step whose basis the simplex cannot use. Every answer is certified
+by LP duality either way. Items without a start slot get no variables; with
+no variables at all the greedy estimates no gains and solves no LP.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from .constraints import OuterConstraint, polytope_inequalities
 from .errors import InvalidInputError, as_int, json_number
 from .lp import build_slot_program, solve_lp
-from .model import Instance, expected_truncated_cost, sample_realization_batch
+from .model import Instance, sample_realization_batch
 from .parallel import combine_mean_se, map_blocks, split_blocks
 from .seeds import derive_rng, stream_entropy
 
@@ -185,20 +191,27 @@ def _sampled_gains(instance: Instance, f, x, samples: int, seed: int):
     return combine_mean_se(map_blocks(fn, split_blocks(samples)))
 
 
-def estimate_marginal_gains(instance: Instance, f, marginals, samples: int, seed: int):
+def estimate_marginal_gains(
+    instance: Instance, f, marginals, samples: int, seed: int, stream: tuple | None = None
+):
     """Per-item expected gain of adding the item to a random set drawn from the marginals.
 
-    Returns (gains, standard errors), each an (n,) array. A utility with a
-    closed form (``f.expected_gains`` is not None) gives the exact gains and
-    standard errors 0, whatever the seed; any other is sampled
-    (:func:`_sampled_gains`). ``samples`` must be positive either way.
+    Returns (gains, standard errors), each an (n,) array. Where
+    ``f.expected_gains`` gives the exact gains at no more cost than
+    ``samples`` draws, they come with standard errors 0, whatever the seed;
+    otherwise they are sampled (:func:`_sampled_gains`). ``samples`` must be
+    positive either way. A ``stream`` (label, index) draws the samples from
+    ``seeds.stream_entropy(seed, label, index)`` instead of ``seed``; it is
+    derived only when the gains are sampled.
     """
     if samples < 1:
         raise ValueError(f"need at least one gradient sample, got {samples}")
     x = np.clip(np.asarray(marginals, dtype=float), 0.0, 1.0)
-    exact = f.expected_gains(instance.prob_matrix, x)
+    exact = f.expected_gains(instance.prob_matrix, x, samples)
     if exact is not None:
         return exact, np.zeros(instance.n)
+    if stream is not None:
+        seed = stream_entropy(seed, *stream)
     return _sampled_gains(instance, f, x, samples, seed)
 
 
@@ -234,30 +247,31 @@ def run_continuous_greedy(
     nv = len(program.variables)
     delta = stop_scale / steps
     x = np.zeros(nv)
-    item_of_var = np.array([i for i, _ in program.variables], dtype=np.int64)
-    start = None
+    items = np.array([i for i, _ in program.variables], dtype=np.int64)
+    marginals = np.zeros(instance.n)
+    answer = objective = None
 
     for k in range(steps):
         if nv:
-            marginals = np.zeros(instance.n)
-            np.add.at(marginals, item_of_var, x)
+            marginals[items] = x  # one column per item
             gains, _ = estimate_marginal_gains(
-                instance, f, marginals, grad_samples, stream_entropy(seed, "step", k)
+                instance, f, marginals, grad_samples, seed, stream=("step", k)
             )
-            start = solve_lp(program, gains[item_of_var], start)
-            x = x + delta * start.values
+            objective, previous = gains[items], objective
+            if answer is None or not np.array_equal(objective, previous):
+                answer = solve_lp(program, objective, answer)
+            x = x + delta * answer.values
         if history is not None:
             snap = np.zeros(instance.n)
-            np.add.at(snap, item_of_var, x)
+            snap[items] = x
             history.append(snap)
 
-    marginals = np.zeros(instance.n)
-    np.add.at(marginals, item_of_var, x)
+    marginals[items] = x
     # float dust above 1 is renormalized away; anything larger is a solver bug
     for i in np.nonzero(marginals > 1.0)[0]:
         if marginals[i] > 1.0 + MARGINAL_TOL:
             raise AssertionError(f"marginal of item {i} exceeds 1: {marginals[i]!r}")
-        x[item_of_var == i] /= marginals[i]
+        x[items == i] /= marginals[i]
         marginals[i] = 1.0
 
     entries, marginals = solution_entries(program.variables, x, instance.n)
@@ -281,13 +295,24 @@ def certify_solution(
     Outer rows must hold at scale * bound, time rows at scale * 2t; per-item
     mass stays capped at 1 regardless of scale. Report-only: never raises for
     a failing row.
+
+    Time row t sums, over the items, the item's truncated cost at t
+    (``instance.truncated_costs``, the table the slot program uses) times its
+    mass started by t. With nonnegative entries that lhs equals a slot-by-slot
+    accumulation in entry order bit for bit, unless an item has several
+    entries at one slot, whose values are then added together first; the two
+    then differ by at most 2 (n + k) eps lhs, k being the largest number of
+    entries of one item (eps = 2^-52).
     """
     rows: list[tuple[str, float, float, bool]] = []
     slots = instance.slot_counts
     sums = np.zeros(instance.n)
+    mass = np.zeros((instance.n, instance.budget))  # by item and start slot
     ok_entries = True
     for i, t, v in sol.entries:
         sums[i] += v
+        if 1 <= t <= instance.budget:
+            mass[i, t - 1] += v
         if not (0 <= i < instance.n) or not (1 <= t <= int(slots[i])) or not (
             -MARGINAL_TOL <= v <= 1 + MARGINAL_TOL
         ):
@@ -306,20 +331,13 @@ def certify_solution(
         bound = scale * float(b)
         rows.append((f"outer[{r}]", lhs, bound, bool(lhs <= bound + CERT_TOL)))
 
-    prefix = np.zeros(instance.n)
-    by_time: dict[int, list[tuple[int, float]]] = {}
-    for i, t, v in sol.entries:
-        by_time.setdefault(t, []).append((i, v))
+    # each item's mass started by time t, times its truncated cost at t, summed over items
+    prefix = np.cumsum(mass, axis=1)
+    time_lhs = np.where(prefix > 0, instance.truncated_costs * prefix, 0.0).sum(axis=0)
     for t in range(1, instance.budget + 1):
-        for i, v in by_time.get(t, []):
-            prefix[i] += v
-        lhs = sum(
-            expected_truncated_cost(instance.items[i], t) * prefix[i]
-            for i in range(instance.n)
-            if prefix[i] > 0
-        )
+        lhs = float(time_lhs[t - 1])
         bound = scale * 2.0 * t
-        rows.append((f"time[{t}]", float(lhs), bound, bool(lhs <= bound + CERT_TOL)))
+        rows.append((f"time[{t}]", lhs, bound, bool(lhs <= bound + CERT_TOL)))
 
     passed = all(r[3] for r in rows)
     return CertificationReport(scale=scale, rows=tuple(rows), passed=passed)

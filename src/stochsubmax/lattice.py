@@ -8,8 +8,10 @@ exhaustively at desk scale by :func:`check_monotone` and
 
 The continuous greedy needs every item's expected marginal gain at the current
 marginals. ``WeightedModular`` and ``ThresholdCoverage`` compute it exactly
-(``expected_gains``); ``ConcaveOverModular`` has no closed form, so its gains
-are estimated from sampled blocks through ``gains_batch``.
+in closed form (``expected_gains``). ``ConcaveOverModular`` has none; it
+computes the gains exactly by enumerating the items' joint levels wherever
+those number no more than the samples an estimate would draw, and otherwise
+they are estimated from sampled blocks through ``gains_batch``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EnumerationLimitError, InvalidInputError, as_int
+from .parallel import BLOCK_SIZE
 
 ENUM_GUARD = 10**6
 
@@ -108,16 +111,18 @@ class UtilityOracle:
     def value(self, u) -> float:
         raise NotImplementedError
 
-    def expected_gains(self, probs, x):
+    def expected_gains(self, probs, x, samples: int):
         """Every item's exact expected marginal gain at marginals ``x``, or None.
 
         Item i's gain is ``E[f(S with i at its state) - f(S with i at 0)]``:
         the random set S holds each other item j with probability ``x[j]``,
         at a state drawn from row j of the (n, B) state probabilities
         ``probs``, and item i's own state is drawn from row i. This is the
-        gradient that ``greedy.estimate_marginal_gains`` estimates. Families
-        with a closed form return it as an (n,) array; the default returns
-        None, "no closed form", and the gains are then sampled.
+        gradient that ``greedy.estimate_marginal_gains`` estimates, from
+        ``samples`` draws where this returns None. Families that can compute
+        it exactly at no more cost than those draws return it as an (n,)
+        array; the default returns None, "no exact form", and the gains are
+        then sampled.
         """
         return None
 
@@ -176,8 +181,11 @@ class WeightedModular(UtilityOracle):
         """Closed form in O(R n): item i gains ``weights[i] * top[:, i]`` on every row."""
         return _weighted_columns(self.weights, top).T
 
-    def expected_gains(self, probs, x) -> np.ndarray:
-        """``weights[i] * E[state of i]``, whatever the other items do, so ``x`` is unused."""
+    def expected_gains(self, probs, x, samples: int) -> np.ndarray:
+        """``weights[i] * E[state of i]``, whatever the other items do, so ``x`` is unused.
+
+        ``samples`` is unused too: the closed form costs O(n B) at any size.
+        """
         probs = np.asarray(probs, dtype=float)
         levels = np.arange(1, probs.shape[1] + 1, dtype=float)
         return np.asarray(self.weights, dtype=float) * (probs @ levels)
@@ -231,6 +239,58 @@ class ConcaveOverModular(UtilityOracle):
         gains = self._g(with_i)
         gains -= self._g(without)
         return gains.T
+
+    def expected_gains(self, probs, x, samples: int):
+        """Exact gains by enumerating the joint levels, or None if they outnumber ``samples``.
+
+        Item j is at level 0 with probability ``1 - x[j]`` and at level s with
+        probability ``x[j] probs[j, s - 1]``; only levels of positive
+        probability are enumerated, so there are ``prod_j c_j`` joint levels
+        (atoms), c_j being item j's count. If that exceeds ``samples``, the
+        draws an estimate would take, this returns None and the gains are
+        sampled. Otherwise, on each atom, item i's weighted sum over the other
+        items comes from exclusive prefix and suffix sums
+        (:func:`_sums_without`), and item i gains
+        ``sum_s probs[i, s - 1] (g(without + weights[i] s) - g(without))``,
+        averaged over the atoms with their probabilities. Atoms run in blocks
+        of at most ``BLOCK_SIZE``, last item fastest, reduced in block order.
+        Each gain is a probability-weighted sum of nonnegative differences of
+        g at nonnegative sums, as in :meth:`gains_batch`.
+        """
+        probs = np.asarray(probs, dtype=float)
+        x = np.asarray(x, dtype=float)
+        n, B = probs.shape
+        level_probs = np.empty((n, B + 1))
+        level_probs[:, 0] = 1.0 - x
+        np.multiply(x[:, None], probs, out=level_probs[:, 1:])
+        positive = level_probs > 0
+        counts = positive.sum(axis=1).tolist()
+        count = math.prod(counts)
+        if count > samples:
+            return None
+        # digit d of item j stands for its d-th level of positive probability:
+        # flat entry j (B + 1) + d of these tables holds its weighted level and its
+        # probability
+        levels = np.argsort(~positive, axis=1, kind="stable")
+        weights = np.asarray(self.weights, dtype=float)[:, None]
+        shares = (weights * levels).ravel()
+        masses = np.take_along_axis(level_probs, levels, axis=1).ravel()
+        offsets = np.arange(0, n * (B + 1), B + 1)[:, None]
+        # (B, n, 1): item i's own weighted level s and its probability, s = 1..B
+        own = weights * np.arange(1, B + 1)[:, None, None]
+        chance = probs.T[:, :, None]
+        gains = np.zeros(n)
+        for lo in range(0, count, BLOCK_SIZE):
+            # (n, R) digits of atoms lo, lo + 1, ..., the last item's turning fastest
+            flat = np.stack(np.unravel_index(np.arange(lo, min(lo + BLOCK_SIZE, count)), counts))
+            flat += offsets
+            mass = masses.take(flat).prod(axis=0)
+            without = _sums_without(shares.take(flat))
+            level_gains = self._g(without + own)
+            level_gains -= self._g(without)
+            level_gains *= chance
+            gains += level_gains.sum(axis=0) @ mass
+        return gains
 
     def params(self) -> dict:
         out = {"weights": list(self.weights), "curve": self.curve}
@@ -304,7 +364,7 @@ class ThresholdCoverage(UtilityOracle):
         gains -= self._prefix[other]
         return gains
 
-    def expected_gains(self, probs, x) -> np.ndarray:
+    def expected_gains(self, probs, x, samples: int) -> np.ndarray:
         """Closed form in O(n (m + B)) over the m ground elements, with no draws.
 
         Without item i the random set covers the longest of the other items'
@@ -317,7 +377,8 @@ class ThresholdCoverage(UtilityOracle):
         ``sum_s probs[i, s] sum_{l < a_is} w[l] P(M <= l)``, with ``w[l]`` the
         weight of element l + 1 and ``a_is = min(rates[i] s, m)``: one
         cumulative sum along l per item. Every term of every sum and product
-        is nonnegative, so no sum is subtracted from another.
+        is nonnegative, so no sum is subtracted from another. ``samples`` is
+        unused.
         """
         probs = np.asarray(probs, dtype=float)
         x = np.asarray(x, dtype=float)[:, None]

@@ -65,6 +65,21 @@ class Instance:
         return np.cumsum(self.prob_matrix, axis=1)
 
     @cached_property
+    def truncated_costs(self) -> np.ndarray:
+        """(n, budget) table: entry (i, t - 1) is E[min(cost of item i, t)] for t = 1..budget.
+
+        Summed state by state in order, so each entry equals
+        :func:`expected_truncated_cost` of item i at t bit for bit.
+        """
+        times = np.arange(1, self.budget + 1)
+        out = np.zeros((self.n, self.budget))
+        for state in range(self.B):
+            out += self.prob_matrix[:, state, None] * np.minimum(
+                self.cost_matrix[:, state, None], times
+            )
+        return out
+
+    @cached_property
     def slot_counts(self) -> np.ndarray:
         """Number of feasible start slots per item: max(0, budget - cost at top state)."""
         return np.maximum(0, self.budget - self.cost_matrix[:, -1])

@@ -195,12 +195,31 @@ def spread_solution(instance):
 
 
 def test_criterion_4_crs_constants():
+    """The priority scheme's keep rates meet their floors on three cases.
+
+    Each case runs three one-sided checks at 3 standard errors: every
+    schedule keep rate against the floor ``1 - min(2 beta, 1/2)``, every
+    combined rate against the product of its outer and schedule rates, and
+    every set keep rate against the closed form ``(1 - e^-b)/b``. A check on
+    the smallest row fails only if some row falls more than 3 of its own
+    standard errors below the floor, so every row with data counts as one
+    check. A false failure is a failure while every true rate meets its
+    floor; in the worst case, every true rate exactly on its floor, each
+    check fails with probability P(Z > 3) = 1.35e-3 under the normal
+    approximation of its 100000-trial estimates. The checks of a case share
+    their trials, so the criterion's rate is bounded by the union bound,
+    (number of checks) x 1.35e-3, stated in the verdict line. That is above
+    1e-3 and stays open (ROADMAP item 6); rows whose true rates sit above
+    their floors, as the printed minima show, fail far less often, and a row
+    whose rate is 1 with standard error 0 cannot fail.
+    """
     t0 = time.time()
     trials = 100_000
     schedule_floor = 1.0 - min(2 * BETA, 0.5)
     closed_form = closed_form_keep_rate(SCALE)
     details = []
     ok = True
+    checks = 0  # one-sided 3-standard-error comparisons made
 
     binding = binding_outer_instance()
     cases = []
@@ -224,6 +243,7 @@ def test_criterion_4_crs_constants():
             for m in ("outer", "schedule", "combined")
         }
         sched_min, sched_se = min_rate(list(tables["schedule"].values()))
+        checks += sum(r.status == "ok" for r in tables["schedule"].values())
         if sched_min < schedule_floor - 3 * sched_se:
             ok = False
 
@@ -231,6 +251,7 @@ def test_criterion_4_crs_constants():
             a, b = tables["outer"][key], tables["schedule"][key]
             if "insufficient" in (a.status, b.status, comb.status):
                 continue
+            checks += 1
             se = math.sqrt(comb.se**2 + (a.value * b.se) ** 2 + (b.value * a.se) ** 2)
             if comb.value < a.value * b.value - 3 * se:
                 ok = False
@@ -239,29 +260,32 @@ def test_criterion_4_crs_constants():
             crs, inst.outer, sol.marginals, trials=trials, seed=41
         )
         gamma_hat, gamma_se = min_rate(gamma_rows)
+        checks += sum(r.status == "ok" for r in gamma_rows)
         if gamma_hat < closed_form - 3 * gamma_se:
             ok = False
         details.append(
             f"{label}: schedule_min={sched_min:.4f} (floor {schedule_floor}), "
             f"gamma={gamma_hat:.4f} (target {closed_form:.4f})"
         )
+    false_failure = min(1.0, checks * normal_tail(3.0))
     report(
         "4 (CRS constants)", ok,
-        "; ".join(details) + f", {trials} trials each, {time.time() - t0:.1f}s",
+        "; ".join(details) + f", {trials} trials each, false-failure rate at most "
+        f"{false_failure:.1e} over {checks} checks with every rate on its floor, "
+        f"{time.time() - t0:.1f}s",
     )
 
 
 def contended_instances():
     """Instances whose outer bound binds, each with the solution it is checked on.
 
-    The first, under cardinality 1, has identical items of a modular utility:
-    their exact gains tie and do not depend on the marginals, so the greedy
-    legitimately puts all its mass on one item and nothing would contend. It
-    is checked on the certified :func:`spread_solution` instead, which puts
-    equal mass on every item. The second, a partition with cap 1 per block,
-    has identical items of a concave utility, whose sampled gains tie only up
-    to noise; the greedy spreads its mass over several items of a block.
-    Either way the scheme must drop sampled items.
+    The first, under cardinality 1, has identical items of a modular utility;
+    the second, a partition with cap 1 per block, identical items of a concave
+    utility. Both have exact gains (the concave family enumerates its joint
+    levels at this size), which tie, so the greedy legitimately puts all its
+    mass on one item per bound and nothing would contend. Each is checked on
+    the certified :func:`spread_solution` instead, which puts equal mass on
+    every item, and the scheme must drop sampled items.
     """
     pair = ItemModel(probs=(0.5, 0.5), costs=(1, 2))
     triple = ItemModel(probs=(0.2, 0.5, 0.3), costs=(1, 2, 3))
@@ -277,9 +301,9 @@ def contended_instances():
         outer=constraints.partition(6, [[0, 1, 2], [3, 4, 5]], [1, 1]),
         utility=ConcaveOverModular(weights=(1.0,) * 6, curve="cap", theta=3.0),
     )
-    sol, cert = solve(concave, steps=12, grad_samples=400, seed=6)
-    assert cert.passed
-    return [(modular, hand), (concave, sol)]
+    spread = spread_solution(concave)
+    assert certify_solution(concave, concave.outer, spread, SCALE).passed
+    return [(modular, hand), (concave, spread)]
 
 
 def no_drop_probability(outer, marginals):
@@ -312,7 +336,7 @@ def test_criterion_5_coupled_dominance():
     and the violation count has false-failure rate 0. The contended instances
     must also show drops: each trial drops an item with a probability computed
     exactly from its solution's marginals, and the chance that none of a
-    case's 2000 trials does is stated in the verdict line (below 1e-17 on
+    case's 2000 trials does is stated in the verdict line (below 1e-8 on
     these cases).
     """
     t0 = time.time()

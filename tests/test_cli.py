@@ -105,12 +105,13 @@ def test_ratio_refuses_explicit_outer(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "ratio"])
-@pytest.mark.parametrize("family", ["modular", "coverage"])
+@pytest.mark.parametrize("family", ["modular", "coverage", "concave"])
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_no_grad_samples_exit_1_for_exact_gain_families(tmp_path, capsys, command, family,
                                                          samples):
-    # these families' gains are exact and never sampled, yet a request for no
-    # samples is still bad input
+    # these families' gains are exact and never sampled at this size (the
+    # concave family enumerates the joint levels of at most 4 items), yet a
+    # request for no samples is still bad input
     inst = random_instance(3, n_max=4, kinds=("cardinality",), families=(family,))
     path = tmp_path / "inst.json"
     save_instance(inst, path)
@@ -120,6 +121,27 @@ def test_no_grad_samples_exit_1_for_exact_gain_families(tmp_path, capsys, comman
         argv += ["--out", str(out)]
     assert main(argv) == 1
     assert "grad_samples must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "ratio"])
+@pytest.mark.parametrize("runs", ["1", "0"])
+def test_fewer_than_two_runs_exit_1_before_any_solve(pair_file, tmp_path, capsys, monkeypatch,
+                                                     command, runs):
+    # a mean of one run has no standard error; the flag is refused up front,
+    # before the oracle, the greedy or a simulation runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for module, name in ((cli.oracle, "optimal_policy_value"),
+                         (greedy, "run_continuous_greedy"), (cli.policy, "simulate_batch")):
+        monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "o"
+    argv = [command, "--instance", str(pair_file), "--runs", runs]
+    if command == "simulate":
+        argv += ["--solution", str(tmp_path / "solution.json"), "--out", str(out)]
+    assert main(argv) == 1
+    assert f"runs must be at least 2, got {runs}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -382,8 +404,9 @@ def test_edge_cases_certify_and_simulate_without_violations(case, data):
         assert main(["solve", "--instance", str(tmp / "inst.json"), "--steps", "4",
                      "--grad-samples", "100", "--out", str(tmp / "o")]) == 0
         assert json.loads((tmp / "o" / "certification.json").read_text())["passed"]
-        # with no variables at all the greedy solves no LP
-        assert lp_calls.call_count == (0 if case == "no item has a slot" else 4)
+        # with no variables at all the greedy solves no LP; modular gains do not
+        # depend on x, so the first step's answer serves all four steps
+        assert lp_calls.call_count == (0 if case == "no item has a slot" else 1)
         assert main(["simulate", "--instance", str(tmp / "inst.json"),
                      "--solution", str(tmp / "o" / "solution.json"),
                      "--runs", "300", "--out", str(tmp / "sim")]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -24,7 +25,13 @@ from stochsubmax.greedy import (
     solution_to_json,
 )
 from stochsubmax.lattice import ConcaveOverModular, WeightedModular
-from stochsubmax.model import Instance, ItemModel, instance_from_json, instance_to_json
+from stochsubmax.model import (
+    Instance,
+    ItemModel,
+    expected_truncated_cost,
+    instance_from_json,
+    instance_to_json,
+)
 from stochsubmax.parallel import combine_mean_se, map_blocks, split_blocks
 from tests.conftest import examples
 
@@ -249,9 +256,10 @@ def test_sample_slot_distribution(pair_instance):
 
 def test_gains_bit_identical_on_pinned_instance():
     # solutions follow the gains, so their reduction must not move a bit;
-    # 9000 samples span three blocks
+    # 9000 samples span three blocks. The greedy enumerates this instance's 27
+    # joint levels instead, so the sampled path is called directly
     inst = partition_demo_instance()
-    gains, ses = estimate_marginal_gains(
+    gains, ses = greedy._sampled_gains(
         inst, inst.utility, np.full(inst.n, 0.3), samples=9000, seed=4
     )
     assert [float(g).hex() for g in gains] == [
@@ -392,10 +400,10 @@ def warm_against_cold(monkeypatch, inst, **kwargs):
     """Run the greedy, checking each warm LP step against a cold solve; return pivot totals.
 
     ``simplex`` counts the warm steps whose start failed its certificate, so
-    that the simplex ran from it.
+    that the simplex ran from it, and ``calls`` every LP the greedy solved.
     """
     solve_lp = greedy.solve_lp
-    totals = {"warm": 0, "cold": 0, "starts": 0, "simplex": 0}
+    totals = {"warm": 0, "cold": 0, "starts": 0, "simplex": 0, "calls": 0}
     calls = counting_simplex(monkeypatch)
 
     def checked(program, objective, start=None):
@@ -407,11 +415,16 @@ def warm_against_cold(monkeypatch, inst, **kwargs):
         totals["warm"] += warm.iterations
         totals["cold"] += cold.iterations
         totals["starts"] += start is not None
+        totals["calls"] += 1
         return warm
 
     monkeypatch.setattr(greedy, "solve_lp", checked)
     run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, seed=3, **kwargs)
-    assert totals["starts"] == kwargs["steps"] - 1  # every step after the first is warm
+    # every call after the first is warm; a step whose objective did not change
+    # makes no call, so modular gains, which do not depend on x, make one
+    assert totals["starts"] == totals["calls"] - 1
+    if inst.utility.family == "weighted-modular":
+        assert totals["calls"] == 1
     return totals
 
 
@@ -451,6 +464,112 @@ def test_desk_greedy_runs_the_simplex_only_for_its_cold_step(monkeypatch):
     run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, steps=25,
                           grad_samples=1500, seed=1)
     assert calls[0] == 1
+
+
+@dataclasses.dataclass(frozen=True)
+class NudgedModular(WeightedModular):
+    """Modular gains, with item 0's moved up by one ulp from the ``nudge_at``-th call on."""
+
+    nudge_at: int | None = None
+    calls: list = dataclasses.field(default_factory=list)
+
+    def expected_gains(self, probs, x, samples):
+        gains = super().expected_gains(probs, x, samples)
+        self.calls.append(gains)
+        if self.nudge_at is not None and len(self.calls) > self.nudge_at:
+            gains[0] = np.nextafter(gains[0], np.inf)
+        return gains
+
+
+@pytest.mark.parametrize("nudge_at", [None, 3])
+def test_unchanged_objective_reuses_the_certified_answer(monkeypatch, nudge_at):
+    # modular gains do not depend on x: every step's objective equals the first,
+    # and the first answer serves them all without another solve. A one-ulp
+    # change at step 3 makes a fresh call, warm from that answer and certified
+    inst = random_instance(2, n_max=5, B_max=3, budget_max=10, families=("modular",),
+                           kinds=("cardinality",), all_schedulable=True)
+    f = NudgedModular(weights=inst.utility.weights, nudge_at=nudge_at)
+    solves, certificates = [], [0]
+    solve_lp, certify_optimal = greedy.solve_lp, lp.certify_optimal
+
+    def counted_solve(program, objective, start=None):
+        solves.append((objective.copy(), start))
+        return solve_lp(program, objective, start)
+
+    def counted_certificate(*args, **kwargs):
+        certificates[0] += 1
+        return certify_optimal(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "solve_lp", counted_solve)
+    monkeypatch.setattr(lp, "certify_optimal", counted_certificate)
+    sol = run_continuous_greedy(inst, f, inst.outer, stop_scale=0.25, steps=6,
+                                grad_samples=100, seed=1)
+    assert len(f.calls) == 6
+    if nudge_at is None:
+        assert len(solves) == 1 and solves[0][1] is None and certificates[0] == 1
+    else:
+        assert len(solves) == 2 and certificates[0] == 2
+        (first, _), (second, start) = solves
+        assert start is not None and second[0] == np.nextafter(first[0], np.inf)
+        assert np.array_equal(second[1:], first[1:])
+    assert certify_solution(inst, inst.outer, sol, 0.25).passed
+
+
+def test_exact_steps_derive_no_sample_stream(monkeypatch):
+    # a step hashes its sample stream only when its gains are sampled
+    derived = []
+    entropy = greedy.stream_entropy
+    monkeypatch.setattr(greedy, "stream_entropy", lambda *a: derived.append(a) or entropy(*a))
+    inst = desk_random_instance(4)
+    run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, steps=5,
+                          grad_samples=1500, seed=2)
+    assert derived == []
+    # six items of one state: x = 0 has one joint level, but the first step puts
+    # mass on four of them (its time row t = 2 binds at 4), giving 2^4 = 16 joint
+    # levels, more than 12 samples, so steps 1 and 2 sample
+    six = Instance(n=6, B=1, budget=3, items=(ItemModel(probs=(1.0,), costs=(1,)),) * 6,
+                   outer=constraints.cardinality(6, 6),
+                   utility=ConcaveOverModular(weights=(1.0,) * 6))
+    run_continuous_greedy(six, six.utility, six.outer, stop_scale=0.25, steps=3,
+                          grad_samples=12, seed=2)
+    assert derived == [(2, "step", 1), (2, "step", 2)]
+
+
+def test_time_rows_match_slot_by_slot_accumulation():
+    """The vectorized time rows against a slot-by-slot loop in entry order.
+
+    Entries repeat (item, slot) pairs, so an item's mass at one slot is added
+    up before its prefix; the rows then agree within the docstring's
+    2 (n + k) eps lhs, k being the most entries of one item.
+    """
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        inst = random_instance(int(rng.integers(10**6)), n_max=6, B_max=3, budget_max=12,
+                               kinds=("cardinality",), all_schedulable=True)
+        slots = inst.slot_counts
+        entries = tuple(
+            (int(i), int(rng.integers(1, slots[i] + 1)), float(rng.uniform(0, 0.2)))
+            for i in rng.integers(0, inst.n, size=int(rng.integers(1, 15)))
+        )
+        marginals = np.zeros(inst.n)
+        for i, _, v in entries:
+            marginals[i] += v
+        sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, marginals=marginals,
+                           stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+        report = certify_solution(inst, inst.outer, sol, 0.25)
+        rows = {label: (lhs, bound, ok) for label, lhs, bound, ok in report.rows}
+        k = max(sum(1 for j, _, _ in entries if j == i) for i in range(inst.n))
+        prefix = np.zeros(inst.n)
+        for t in range(1, inst.budget + 1):
+            for i, slot, v in entries:
+                if slot == t:
+                    prefix[i] += v
+            lhs = sum(expected_truncated_cost(inst.items[i], t) * prefix[i]
+                      for i in range(inst.n) if prefix[i] > 0)
+            got, bound, ok = rows[f"time[{t}]"]
+            assert bound == 0.25 * 2.0 * t
+            assert abs(got - lhs) <= 2 * (inst.n + k) * np.finfo(float).eps * lhs
+            assert ok == bool(lhs <= bound + greedy.CERT_TOL)
 
 
 def test_warm_pivots_pinned_on_desk_instance(monkeypatch):

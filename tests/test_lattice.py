@@ -1,13 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from stochsubmax import constraints
+from stochsubmax import constraints, lattice
 from stochsubmax.errors import EnumerationLimitError
 from stochsubmax.extensions import multilinear_exact
-from stochsubmax.greedy import _sampled_gains
+from stochsubmax.generators import partition_demo_instance
+from stochsubmax.greedy import _sampled_gains, estimate_marginal_gains
 from stochsubmax.lattice import (
     ConcaveOverModular,
     ThresholdCoverage,
@@ -343,22 +346,32 @@ def enumeration_tolerance(inst) -> float:
     and joint state of its items, each a product of at most 2n + 1 factors
     whose weights sum to 1, so it is at most f_top and rounds off by at most
     ((B + 1)^n + 2n) eps f_top. The closed forms add at most n + m + B rounded
-    nonnegative terms of at most f_top. A reference gain subtracts two
-    multilinear values, so the two sides differ by at most three such errors.
+    nonnegative terms of at most f_top. The concave enumeration sums at most
+    (B + 1)^n atoms, each a probability (n rounded factors) times B level
+    gains; a level gain subtracts two values of g at sums of at most n + 1
+    nonnegative terms, none above the total at the top state, so it rounds
+    off by at most (2n + 5 + 2B) eps f_top, and the enumeration by at most
+    ((B + 1)^n + 4n + 2B + 5) eps f_top. A reference gain subtracts two
+    multilinear values, so the two sides differ by at most
+    3 (B + 1)^n + 8n + m + 2B + 5 such errors, below the bound returned.
     """
     n, B = inst.n, inst.B
     m = len(getattr(inst.utility, "element_weights", ()))
     f_top = inst.utility.value(np.full(n, B))
-    return 3 * ((B + 1) ** n + 3 * n + m + B) * np.finfo(float).eps * f_top
+    return 3 * ((B + 1) ** n + 3 * n + m + B + 2) * np.finfo(float).eps * f_top
+
+
+# at least the joint level count of any case below, so every family gives exact gains
+ENOUGH_SAMPLES = 4**5
 
 
 @st.composite
 def exact_gain_cases(draw):
-    """A modular or coverage instance over 1..5 items, B in 1..3, and marginals.
+    """A modular, coverage or concave instance over 1..5 items, B in 1..3, and marginals.
 
     Marginals are often exactly 0 or 1, state probabilities often 0, weights
     often 0; coverage rates are often 0 and lengths often capped at the ground
-    size m, which may be 0.
+    size m, which may be 0; a concave cap theta is often 0.
     """
     n = draw(st.integers(1, 5))
     B = draw(st.integers(1, 3))
@@ -368,14 +381,21 @@ def exact_gain_cases(draw):
         total = sum(raw)
         probs.append([r / total for r in raw] if total > 0 else [1.0] + [0.0] * (B - 1))
     weight = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
-    if draw(st.booleans()):
-        f = WeightedModular(weights=tuple(draw(st.lists(weight, min_size=n, max_size=n))))
-    else:
+    weights = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+    family = draw(st.sampled_from(("modular", "coverage", "concave")))
+    if family == "modular":
+        f = WeightedModular(weights=weights)
+    elif family == "coverage":
         m = draw(st.integers(0, 6))
         f = ThresholdCoverage(
             rates=tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))),
             element_weights=tuple(draw(st.lists(weight, min_size=m, max_size=m))),
         )
+    elif draw(st.booleans()):
+        f = ConcaveOverModular(weights=weights, curve="sqrt")
+    else:
+        theta = draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0)))
+        f = ConcaveOverModular(weights=weights, curve="cap", theta=theta)
     x = draw(st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
                       min_size=n, max_size=n))
     return instance_over(f, probs), np.array(x)
@@ -385,7 +405,7 @@ def exact_gain_cases(draw):
 @settings(max_examples=examples(100))
 def test_exact_gains_match_enumeration(case):
     inst, x = case
-    exact = inst.utility.expected_gains(inst.prob_matrix, x)
+    exact = inst.utility.expected_gains(inst.prob_matrix, x, ENOUGH_SAMPLES)
     assert exact.shape == (inst.n,) and np.all(exact >= 0)
     assert np.all(np.abs(exact - gains_by_enumeration(inst, x)) <= enumeration_tolerance(inst))
 
@@ -394,26 +414,90 @@ def test_exact_gains_edge_cases():
     # B = 1; item 0's length 3 is capped at m = 2, item 2 has rate 0; x_j in {0, 1}
     f = ThresholdCoverage(rates=(3, 1, 0), element_weights=(1.0, 2.0))
     one_state = np.ones((3, 1))
-    assert_array_equal(f.expected_gains(one_state, [0.0, 0.0, 0.0]), [3.0, 1.0, 0.0])
-    assert_array_equal(f.expected_gains(one_state, [1.0, 1.0, 1.0]), [2.0, 0.0, 0.0])
-    assert_array_equal(f.expected_gains(one_state, [0.0, 1.0, 1.0]), [2.0, 1.0, 0.0])
-    assert_array_equal(f.expected_gains(one_state, [0.5, 0.5, 0.0]), [2.5, 0.5, 0.0])
+    gains = lambda f, probs, x: f.expected_gains(probs, x, 1)
+    assert_array_equal(gains(f, one_state, [0.0, 0.0, 0.0]), [3.0, 1.0, 0.0])
+    assert_array_equal(gains(f, one_state, [1.0, 1.0, 1.0]), [2.0, 0.0, 0.0])
+    assert_array_equal(gains(f, one_state, [0.0, 1.0, 1.0]), [2.0, 1.0, 0.0])
+    assert_array_equal(gains(f, one_state, [0.5, 0.5, 0.0]), [2.5, 0.5, 0.0])
     # B = 2 with item 1's top length 4 capped at m = 3
     f = ThresholdCoverage(rates=(1, 2), element_weights=(1.0, 0.5, 0.25))
     probs = np.array([[0.25, 0.75], [0.5, 0.5]])
-    assert_array_equal(f.expected_gains(probs, [0.0, 0.0]), [1.375, 1.625])
+    assert_array_equal(gains(f, probs, [0.0, 0.0]), [1.375, 1.625])
     # m = 0 and zero element weights cover nothing
     for weights in ((), (0.0, 0.0)):
         f = ThresholdCoverage(rates=(1, 2), element_weights=weights)
-        assert_array_equal(f.expected_gains(probs, [0.3, 1.0]), [0.0, 0.0])
+        assert_array_equal(gains(f, probs, [0.3, 1.0]), [0.0, 0.0])
     # a modular gain is the weight times the expected level, whatever x is
     f = WeightedModular(weights=(0.0, 2.0))
     for x in ([0.0, 0.0], [1.0, 0.4]):
-        assert_array_equal(f.expected_gains(probs, x), [0.0, 3.0])
-    assert_array_equal(WeightedModular(weights=(1.5, 0.0)).expected_gains(one_state[:2], [1.0, 1.0]),
+        assert_array_equal(gains(f, probs, x), [0.0, 3.0])
+    assert_array_equal(gains(WeightedModular(weights=(1.5, 0.0)), one_state[:2], [1.0, 1.0]),
                        [1.5, 0.0])
-    # families without a closed form say so
-    assert ConcaveOverModular(weights=(1.0, 1.0)).expected_gains(probs, [0.0, 0.0]) is None
+
+
+def test_exact_concave_gains_edge_cases():
+    sqrt = ConcaveOverModular(weights=(1.0, 3.0), curve="sqrt")
+    one_state = np.ones((2, 1))  # B = 1
+    # x in {0, 1}: the other item is surely out, surely in, or one of each
+    assert_array_equal(sqrt.expected_gains(one_state, [0.0, 0.0], 1), [1.0, np.sqrt(3.0)])
+    assert_array_equal(sqrt.expected_gains(one_state, [1.0, 1.0], 1),
+                       [2.0 - np.sqrt(3.0), 1.0])
+    assert_array_equal(sqrt.expected_gains(one_state, [1.0, 0.0], 1), [1.0, 1.0])
+    # x = 1/2 gives two atoms per item; one sample is too few to enumerate them
+    assert sqrt.expected_gains(one_state, [0.5, 0.5], 3) is None
+    assert_array_equal(sqrt.expected_gains(one_state, [0.5, 0.5], 4),
+                       [0.5 * 1.0 + 0.5 * (2.0 - np.sqrt(3.0)),
+                        0.5 * np.sqrt(3.0) + 0.5 * 1.0])
+    # n = 1: the item's own expected g, whatever x is; its own levels count too
+    probs = np.array([[0.5, 0.5]])
+    single = ConcaveOverModular(weights=(2.0,), curve="sqrt")
+    for x in ([0.0], [0.4], [1.0]):
+        # the three atoms' masses at x = 0.4 sum to 1 only up to rounding
+        np.testing.assert_allclose(single.expected_gains(probs, x, 3),
+                                   [0.5 * np.sqrt(2.0) + 0.5 * np.sqrt(4.0)],
+                                   rtol=4 * np.finfo(float).eps)
+    # zero weights gain nothing, and a cap at theta = 0 makes g zero everywhere
+    zero = ConcaveOverModular(weights=(0.0, 2.0), curve="cap", theta=1.5)
+    assert_array_equal(zero.expected_gains(one_state, [0.5, 0.5], 4), [0.0, 1.5])
+    flat = ConcaveOverModular(weights=(1.0, 2.0), curve="cap", theta=0.0)
+    assert_array_equal(flat.expected_gains(one_state, [0.3, 0.6], 4), [0.0, 0.0])
+
+
+def test_concave_gains_enumerate_up_to_the_sample_count():
+    """Exact at a level count equal to ``samples``; one sample fewer samples as before.
+
+    The partition demo has n = 3 and B = 2 with every state probability
+    positive, so at x strictly inside (0, 1) each item has 3 levels: 27 atoms.
+    """
+    inst = partition_demo_instance()
+    f, x = inst.utility, np.array([0.3, 0.6, 0.1])
+    exact, ses = estimate_marginal_gains(inst, f, x, samples=27, seed=4)
+    assert_array_equal(exact, f.expected_gains(inst.prob_matrix, x, 27))
+    assert_array_equal(ses, np.zeros(3))
+    assert np.all(np.abs(exact - gains_by_enumeration(inst, x)) <= enumeration_tolerance(inst))
+    sampled, ses = estimate_marginal_gains(inst, f, x, samples=26, seed=4)
+    reference, reference_ses = _sampled_gains(inst, f, x, 26, seed=4)
+    assert sampled.tobytes() == reference.tobytes()
+    assert ses.tobytes() == reference_ses.tobytes() and np.all(ses > 0)
+    # an item at x = 1 has no level 0: 2 x 3 x 3 = 18 atoms
+    x = np.array([1.0, 0.6, 0.1])
+    assert f.expected_gains(inst.prob_matrix, x, 17) is None
+    assert f.expected_gains(inst.prob_matrix, x, 18) is not None
+
+
+def test_concave_gains_enumerate_in_blocks():
+    # 4^7 = 16384 atoms run in four blocks of BLOCK_SIZE; the sum of the block sums
+    # agrees with one block over them all to rounding
+    rng = np.random.default_rng(3)
+    n, B = 7, 3
+    f = ConcaveOverModular(weights=tuple(rng.uniform(0.5, 2.0, size=n)), curve="sqrt")
+    probs = rng.dirichlet(np.ones(B), size=n)
+    x = rng.uniform(0.1, 0.9, size=n)
+    blocked = f.expected_gains(probs, x, 4**n)
+    assert f.expected_gains(probs, x, 4**n - 1) is None
+    with mock.patch.object(lattice, "BLOCK_SIZE", 4**n):
+        whole = f.expected_gains(probs, x, 4**n)
+    assert np.all(np.abs(blocked - whole) <= 4**n * np.finfo(float).eps * f.value(np.full(n, B)))
 
 
 def test_exact_coverage_gains_agree_with_sampled_kernel():
@@ -434,7 +518,7 @@ def test_exact_coverage_gains_agree_with_sampled_kernel():
     )
     inst = instance_over(f, rng.dirichlet(np.ones(B), size=n))
     x = rng.uniform(0.0, 0.6, size=n)
-    exact = f.expected_gains(inst.prob_matrix, x)
+    exact = f.expected_gains(inst.prob_matrix, x, samples)
     sampled, _ = _sampled_gains(inst, f, x, samples, seed=5)
     top = f._prefix[np.minimum(np.asarray(f.rates) * B, m)]
     L = np.log(2 * n / 1e-6)

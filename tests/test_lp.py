@@ -69,36 +69,41 @@ def full_slot_program(instance, outer):
     )
 
 
+def latest_slot_rows(instance):
+    """The full reference program's rows over each item's latest-slot column, with
+    each row's largest value on the [0, 1] box, sum_j max(a_j, 0)."""
+    full = full_slot_program(instance, instance.outer)
+    latest = [j for j, (i, t) in enumerate(full.variables) if t == instance.slot_counts[i]]
+    coeffs = full.row_coeffs[:, latest]
+    return full.row_labels, coeffs, full.row_bounds, np.maximum(coeffs, 0.0).sum(axis=1)
+
+
 def test_pair_instance_rows():
     # both items have costs 1 or 2 and budget 5, so each keeps the one column of
-    # its latest start slot 3, which enters only the time rows t >= 3
+    # its latest start slot 3, which enters only the time rows t >= 3. No row can
+    # bind inside the box: the outer row reaches 1 + 1 <= 2 and time row t >= 3
+    # reaches 1.5 + 1.5 <= 2t, and each item cap is the column's box bound
     inst = symmetric_pair_instance()
     prog = build_slot_program(inst, inst.outer)
     assert prog.variables == ((0, 3), (1, 3))
-    rows = dict(zip(prog.row_labels, zip(prog.row_coeffs, prog.row_bounds)))
-
-    for t in (1, 2):
-        coeffs, bound = rows[("time", t)]
-        assert bound == 2.0 * t
-        assert list(coeffs) == [0.0, 0.0]
-
-    coeffs, bound = rows[("time", 3)]
-    assert bound == 6.0
-    assert list(coeffs) == [1.5, 1.5]
-
-    coeffs, bound = rows[("outer", 0)]
-    assert bound == 2.0
-    assert list(coeffs) == [1.0] * 2
+    assert prog.row_labels == () and prog.row_coeffs.shape == (0, 2)
+    rows = {label: (top, bound) for label, _, bound, top in zip(*latest_slot_rows(inst))}
+    assert rows[("outer", 0)] == (2.0, 2.0)
+    assert rows[("time", 3)] == (3.0, 6.0)
+    assert rows[("item-cap", 0)] == rows[("item-cap", 1)] == (1.0, 1.0)
 
 
 def test_single_item_outer_row_duplicates_cap():
+    # in the full program the outer row of a single item is its cap row again;
+    # both are the column's box bound, so the built program keeps neither
     inst = single_item_instance()
-    prog = build_slot_program(inst, inst.outer)
-    rows = dict(zip(prog.row_labels, zip(prog.row_coeffs, prog.row_bounds)))
+    labels, coeffs, bounds, _ = latest_slot_rows(inst)
+    rows = dict(zip(labels, zip(coeffs, bounds)))
     cap_coeffs, cap_bound = rows[("item-cap", 0)]
     out_coeffs, out_bound = rows[("outer", 0)]
     assert list(cap_coeffs) == list(out_coeffs)
     assert cap_bound == out_bound == 1.0
+    assert build_slot_program(inst, inst.outer).row_labels == ()
 
 
 def test_trivial_lp():
@@ -109,11 +114,13 @@ def test_trivial_lp():
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_rows_without_columns_solve_to_the_slack_basis(warm):
-    # every item's worst cost reaches the budget: the program has an outer row
-    # and a time row but no column
+    # every item's worst cost reaches the budget: the built program has no column,
+    # and so no row that can bind either
     inst = single_item_instance(budget=1)
-    prog = build_slot_program(inst, inst.outer)
-    assert prog.row_coeffs.shape == (2, 0)
+    assert build_slot_program(inst, inst.outer).row_coeffs.shape == (0, 0)
+    # a program with rows but no column, as a caller may still build one
+    prog = SlotProgram(variables=(), row_labels=(("outer", 0), ("time", 1)),
+                       row_coeffs=np.zeros((2, 0)), row_bounds=np.array([1.0, 2.0]))
     sol = solve_lp(prog, np.zeros(0))
     if warm:
         sol = solve_lp(prog, np.zeros(0), start=sol)
@@ -162,21 +169,20 @@ def test_solution_respects_rows_and_box():
 
 
 def test_duality_spot_check():
-    # primal optimum must not exceed any nonnegative row combination dominating
-    # the objective: for the uniform objective the two item-cap rows give bound 2
-    inst = symmetric_pair_instance()
+    # primal optimum must not exceed the bound any nonnegative row multipliers
+    # give with the box: lam.b + sum_j max(c_j - (lam A)_j, 0). The partition
+    # demo keeps one row, its first block's cap x(1,4) + x(2,3) <= 1, and with
+    # multiplier 1 on it the uniform objective is bounded by 1 + 1 = 2
+    inst = partition_demo_instance()
     prog = build_slot_program(inst, inst.outer)
+    assert prog.row_labels == (("outer", 0),)
     obj = np.ones(len(prog.variables))
     sol = solve_lp(prog, obj)
-    multipliers = {("item-cap", 0): 1.0, ("item-cap", 1): 1.0}
-    combo = np.zeros(len(prog.variables))
-    bound = 0.0
-    for label, row, b in zip(prog.row_labels, prog.row_coeffs, prog.row_bounds):
-        lam = multipliers.get(label, 0.0)
-        combo += lam * row
-        bound += lam * b
-    assert np.all(combo >= obj - 1e-12)  # certificate is valid
+    lam = np.ones(len(prog.row_labels))
+    bound = float(lam @ prog.row_bounds + np.maximum(obj - lam @ prog.row_coeffs, 0.0).sum())
+    assert bound == 2.0
     assert sol.objective <= bound + 1e-9
+    assert sol.objective == pytest.approx(2.0)
 
 
 def test_against_scipy_on_random_problems():
@@ -215,25 +221,25 @@ def test_stall_guard():
 
 
 def test_program_dump_row_per_line():
-    inst = symmetric_pair_instance()
+    inst = partition_demo_instance()
     prog = build_slot_program(inst, inst.outer)
     text = program_dump(prog, np.ones(len(prog.variables)))
     lines = text.strip().splitlines()
     # objective + one line per row + bounds line
     assert len(lines) == 1 + len(prog.row_labels) + 1
-    assert lines[0].startswith("max:")
+    assert lines[0] == "max: 1*x(1,4) + 1*x(2,3) + 1*x(3,4)"
     assert lines[-1] == "bounds: 0 <= x <= 1"
-    assert any("('time', 1)" in ln and "<= 2" in ln for ln in lines)
+    assert lines[1] == "('outer', 0): 1*x(1,4) + 1*x(2,3) <= 1"
 
 
 @pytest.mark.parametrize("make", [symmetric_pair_instance, partition_demo_instance])
-def test_program_dump_names_cap_rows_by_their_column_ids(make):
+def test_program_dump_has_no_cap_rows(make):
+    # an item cap repeats its column's box bound, which the last line states
     inst = make()
     prog = build_slot_program(inst, inst.outer)
-    caps = [ln for ln in program_dump(prog, None).splitlines() if ln.startswith("('item-cap'")]
-    assert len(caps) == len(prog.variables)
-    for line, (i, t) in zip(caps, prog.variables):
-        assert line == f"('item-cap', {i + 1}): 1*x({i + 1},{t}) <= 1"
+    lines = program_dump(prog, None).splitlines()
+    assert not any("item-cap" in line for line in lines)
+    assert len(lines) == len(prog.row_labels) + 1 and lines[-1] == "bounds: 0 <= x <= 1"
 
 
 def test_blocked_item_gets_no_variables():
@@ -820,9 +826,14 @@ def test_slot_rows_match_reference_bitwise(seed):
     full = full_slot_program(inst, inst.outer)
     latest = [j for j, (i, t) in enumerate(full.variables) if t == inst.slot_counts[i]]
     assert prog.variables == tuple(full.variables[j] for j in latest)
-    assert prog.row_labels == full.row_labels
-    assert prog.row_coeffs.tobytes() == full.row_coeffs[:, latest].tobytes()
-    assert prog.row_bounds.tobytes() == full.row_bounds.tobytes()
+    # the kept rows are those whose largest value on the box exceeds their bound;
+    # every item cap, a single 1 against a bound of 1, is dropped by that rule
+    labels, coeffs, bounds, top = latest_slot_rows(inst)
+    kept = np.flatnonzero(top > bounds)
+    assert not any(labels[r][0] == "item-cap" for r in kept)
+    assert prog.row_labels == tuple(labels[r] for r in kept)
+    assert prog.row_coeffs.tobytes() == coeffs[kept].tobytes()
+    assert prog.row_bounds.tobytes() == bounds[kept].tobytes()
     assert prog.row_coeffs.shape == (len(prog.row_labels), len(prog.variables))
 
 
@@ -870,6 +881,10 @@ def test_latest_slot_program_keeps_the_full_optimum(kind, case, data):
     reduced = build_slot_program(inst, inst.outer)
     full_items = np.array([i for i, _ in full.variables])
     reduced_items = np.array([i for i, _ in reduced.variables])
+    # every row the reduced program drops holds everywhere on the box of its columns
+    labels, coeffs, bounds, top = latest_slot_rows(inst)
+    dropped = [r for r, label in enumerate(labels) if label not in set(reduced.row_labels)]
+    assert all(top[r] <= bounds[r] for r in dropped)
     # solve_lp certifies both answers by duality
     best = solve_lp(full, gains[full_items])
     ours = solve_lp(reduced, gains[reduced_items])
@@ -891,8 +906,10 @@ def test_latest_slot_program_keeps_the_full_optimum(kind, case, data):
 
 
 def pair_program_answer():
-    inst = symmetric_pair_instance()
-    prog = build_slot_program(inst, inst.outer)
+    # two rows that bind inside the box, so that a basis has two indices
+    prog = SlotProgram(variables=((0, 1), (1, 1)), row_labels=(("outer", 0), ("outer", 1)),
+                       row_coeffs=np.array([[1.0, 1.0], [1.0, 0.0]]),
+                       row_bounds=np.array([1.5, 0.75]))
     return prog, solve_lp(prog, np.array([1.0, 2.0]))
 
 
