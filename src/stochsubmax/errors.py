@@ -32,10 +32,12 @@ class LpCertificateError(LpStallError):
     ``check`` is the failed check ("row", "bound", "basis", "dual sign",
     "reduced cost" or "duality gap"), ``at`` names the row, column or basis at
     fault and ``amount`` is the size of the violation or gap found there.
-    ``iterations`` is None: the check does not see the pivots.
+    ``index`` is the failing objective's position in a stack of objectives,
+    0 for a single one. ``iterations`` is None: the check does not see the
+    pivots.
     """
 
-    def __init__(self, check: str, at, amount: float, objective: float):
+    def __init__(self, check: str, at, amount: float, objective: float, index: int = 0):
         Exception.__init__(
             self,
             f"LP answer fails its {check} check at {at}: {amount:.6g} "
@@ -46,6 +48,7 @@ class LpCertificateError(LpStallError):
         self.check = check
         self.at = at
         self.amount = amount
+        self.index = index
 
 
 class InvalidInputError(ValueError):

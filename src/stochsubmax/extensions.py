@@ -24,12 +24,31 @@ MULTILINEAR_GUARD_STATES = 10**4
 
 
 def check_marginals(instance: Instance, marginals) -> np.ndarray:
+    """The marginals, an (n,) vector or a (K, n) stack of them, clipped to [0, 1].
+
+    Entries within 1e-12 of the box are float dust and are clipped. Raises
+    ``ValueError`` for any other shape, an empty stack included, and for an
+    entry further outside [0, 1] or NaN, naming its item and, in a stack,
+    its row; every row of a stack is checked.
+    """
     x = np.asarray(marginals, dtype=float)
-    if x.shape != (instance.n,):
-        raise ValueError(f"expected {instance.n} marginals")
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ValueError("marginals must lie in [0, 1]")
-    return np.clip(x, 0.0, 1.0)
+    n = instance.n
+    if not (x.shape == (n,) or (x.ndim == 2 and len(x) and x.shape[1] == n)):
+        raise ValueError(f"expected {n} marginals or a stack of rows of {n}, got shape {x.shape}")
+    low, high = x.min(), x.max()  # NaN if any entry is NaN, which fails both checks
+    if not (low >= -1e-12 and high <= 1 + 1e-12):
+        at = tuple(np.argwhere(~((x >= -1e-12) & (x <= 1 + 1e-12)))[0])
+        where = f"row {at[0]}, item {at[1]}" if x.ndim == 2 else f"item {at[0]}"
+        raise ValueError(f"marginals must lie in [0, 1], got {float(x[at])!r} at {where}")
+    return np.clip(x, 0.0, 1.0) if low < 0 or high > 1 else x
+
+
+def _marginal_vector(instance: Instance, marginals) -> np.ndarray:
+    """:func:`check_marginals` for one (n,) vector; a stack raises ``ValueError``."""
+    x = check_marginals(instance, marginals)
+    if x.ndim != 1:
+        raise ValueError(f"expected {instance.n} marginals, got shape {x.shape}")
+    return x
 
 
 def expected_set_value_exact(instance: Instance, f, items) -> float:
@@ -83,7 +102,7 @@ def multilinear_exact(instance: Instance, f, marginals) -> float:
     Enumerates all 2^n item sets and, inside each, all joint states; guarded to
     small n and B^n.
     """
-    x = check_marginals(instance, marginals)
+    x = _marginal_vector(instance, marginals)
     if instance.n > MULTILINEAR_GUARD_N or instance.B**instance.n > MULTILINEAR_GUARD_STATES:
         raise EnumerationLimitError(
             f"multilinear enumeration guard: n <= {MULTILINEAR_GUARD_N} "
@@ -117,6 +136,6 @@ def multilinear_mc(
     """Monte Carlo estimate of the multilinear extension, with its standard error."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    x = check_marginals(instance, marginals)
+    x = _marginal_vector(instance, marginals)
     fn = functools.partial(_multilinear_block, instance, f, x, seed)
     return combine_mean_se(map_blocks(fn, split_blocks(samples)))

@@ -25,15 +25,22 @@ program's guarantee. Its entries hold one slot per item; :class:`SlotSolution`
 still takes any number.
 
 The LP rows, right-hand side and box are the same at every step and only the
-objective changes, so each step's LP starts from the previous step's answer
-(:func:`lp.solve_lp`). Its vertex is still feasible, and if its basis passes
-the LP certificate under the new gains it is the step's answer with no pivot;
-otherwise the simplex starts from that basis, which is still primal feasible.
-A step whose objective equals the previous step's, entry for entry (modular
-gains never depend on x), takes the previous answer as it is: its
-certificate is a function of the program, objective, vertex and basis, and
-none of them changed. The first step starts from the slack basis, and so
-does any step whose basis the simplex cannot use. Every answer is certified
+objective changes, so the previous step's answer, a vertex and its basis,
+is still feasible, and it stays optimal while it passes the LP certificate
+under the new gains. Once an answer is certified, the greedy rides it: the
+remaining steps' marginals x, x + d, x + 2d, ... along its direction d are
+known in advance, built by repeated addition (a cumulative sum), which gives
+the bits of stepping one at a time. One gain call gives all their
+objectives (:func:`estimate_marginal_gains` on the stack) and one stacked
+certificate (:func:`lp.certify_optimal`) accepts the leading rows that the
+answer is still optimal for; only the first failing row calls
+:func:`lp.solve_lp`, whose simplex starts from the answer's basis, which is
+still primal feasible. The gains and the certificate give each row of a
+stack the bits of a one-row call, so the solution is the step-by-step
+greedy's bit for bit. Where gains must be sampled, only the first row's are
+drawn, from the stream ("step", k), and that row goes to ``solve_lp`` as a
+warm start. The first step starts from the slack basis, and so does any
+step whose basis the simplex cannot use. Every step's answer is certified
 by LP duality either way. Items without a start slot get no variables; with
 no variables at all the greedy estimates no gains and solves no LP.
 """
@@ -48,8 +55,9 @@ from functools import cached_property
 import numpy as np
 
 from .constraints import OuterConstraint, polytope_inequalities
-from .errors import InvalidInputError, as_int, json_number
-from .lp import build_slot_program, solve_lp
+from .errors import InvalidInputError, LpCertificateError, as_int, json_number
+from .extensions import check_marginals
+from .lp import build_slot_program, certify_optimal, solve_lp
 from .model import Instance, sample_realization_batch
 from .parallel import combine_mean_se, map_blocks, split_blocks
 from .seeds import derive_rng, stream_entropy
@@ -203,15 +211,28 @@ def estimate_marginal_gains(
     positive either way. A ``stream`` (label, index) draws the samples from
     ``seeds.stream_entropy(seed, label, index)`` instead of ``seed``; it is
     derived only when the gains are sampled.
+
+    ``marginals`` may also be a (K, n) stack. If every row's gains are exact,
+    both results are (K, n) stacks; otherwise they hold the first row alone,
+    as (1, n) stacks, exact or sampled as a one-row call at ``marginals[0]``
+    gives them. Either way each row has a one-row call's bits. The marginals
+    must pass :func:`extensions.check_marginals`, which raises
+    ``ValueError`` for a wrong shape or an entry outside [0, 1] or NaN.
     """
     if samples < 1:
         raise ValueError(f"need at least one gradient sample, got {samples}")
-    x = np.clip(np.asarray(marginals, dtype=float), 0.0, 1.0)
+    x = check_marginals(instance, marginals)
     exact = f.expected_gains(instance.prob_matrix, x, samples)
+    if exact is None and x.ndim == 2 and len(x) > 1:
+        x = x[:1]
+        exact = f.expected_gains(instance.prob_matrix, x, samples)
     if exact is not None:
-        return exact, np.zeros(instance.n)
+        return exact, np.zeros(exact.shape)
     if stream is not None:
         seed = stream_entropy(seed, *stream)
+    if x.ndim == 2:
+        gains, ses = _sampled_gains(instance, f, x[0], samples, seed)
+        return gains[None], ses[None]
     return _sampled_gains(instance, f, x, samples, seed)
 
 
@@ -246,27 +267,62 @@ def run_continuous_greedy(
     program = build_slot_program(instance, outer)
     nv = len(program.variables)
     delta = stop_scale / steps
-    x = np.zeros(nv)
     items = np.array([i for i, _ in program.variables], dtype=np.int64)
-    marginals = np.zeros(instance.n)
-    answer = objective = None
+    upper = np.ones(nv)
+    x = np.zeros(nv)
+    answer = None
 
-    for k in range(steps):
-        if nv:
-            marginals[items] = x  # one column per item
-            gains, _ = estimate_marginal_gains(
-                instance, f, marginals, grad_samples, seed, stream=("step", k)
-            )
-            objective, previous = gains[items], objective
-            if answer is None or not np.array_equal(objective, previous):
-                answer = solve_lp(program, objective, answer)
-            x = x + delta * answer.values
+    def marginals_of(values):
+        out = np.zeros(np.shape(values)[:-1] + (instance.n,))
+        out[..., items] = values  # one column per item
+        return out
+
+    k = 0
+    if not nv:  # nothing to schedule: no gains, no LP, and x stays 0
+        k = steps
         if history is not None:
-            snap = np.zeros(instance.n)
-            snap[items] = x
-            history.append(snap)
+            history.extend(np.zeros(instance.n) for _ in range(steps))
+    while k < steps:
+        # row j is x after j more steps along the last answer, by repeated addition:
+        # the bits of x = x + delta * answer.values taken step by step. The first
+        # step has no answer to ride, and the last nothing left to ride over
+        if answer is None or k == steps - 1:
+            path = x[None]
+        else:
+            path = np.empty((steps - k + 1, nv))
+            path[0] = x
+            path[1:] = delta * answer.values
+            np.add.accumulate(path, axis=0, out=path)  # np.cumsum without its wrapper
+        # every answer holds the box to within lp.ROW_TOL, and its float dust is
+        # clipped here: estimate_marginal_gains rejects marginals further out
+        rows = marginals_of(path[: steps - k])
+        np.minimum(np.maximum(rows, 0.0, out=rows), 1.0, out=rows)
+        stream = ("step", k)
+        gains, _ = estimate_marginal_gains(instance, f, rows, grad_samples, seed, stream=stream)
+        objectives = gains[:, items]
+        # the answer rides over the leading rows it is certified for; a lone row
+        # goes to solve_lp, which certifies the answer there first
+        taken = 0
+        if len(objectives) > 1:
+            try:
+                certify_optimal(objectives, program.row_coeffs, program.row_bounds, upper,
+                                answer.values, answer.basis)
+                taken = len(objectives)
+            except LpCertificateError as failed:
+                taken = failed.index
+        # steps k .. k + taken - 1 keep the answer
+        if history is not None:
+            history.extend(marginals_of(path[1 : taken + 1]))
+        x = path[taken]
+        k += taken
+        if taken < len(objectives):
+            answer = solve_lp(program, objectives[taken], answer)
+            x = x + delta * answer.values
+            k += 1
+            if history is not None:
+                history.append(marginals_of(x))
 
-    marginals[items] = x
+    marginals = marginals_of(x)
     # float dust above 1 is renormalized away; anything larger is a solver bug
     for i in np.nonzero(marginals > 1.0)[0]:
         if marginals[i] > 1.0 + MARGINAL_TOL:

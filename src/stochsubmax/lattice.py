@@ -12,6 +12,14 @@ in closed form (``expected_gains``). ``ConcaveOverModular`` has none; it
 computes the gains exactly by enumerating the items' joint levels wherever
 those number no more than the samples an estimate would draw, and otherwise
 they are estimated from sampled blocks through ``gains_batch``.
+
+``expected_gains`` also takes a (K, n) stack of marginals, the greedy's
+remaining steps along one direction, and gives each row the same bits as a
+one-row call: the modular gains broadcast, the coverage closed form runs
+over a leading axis, and the concave enumeration shares its atoms and their
+level gains, which do not depend on the marginals, across the rows whose
+levels of positive probability agree; only the atom masses differ, and each
+row takes one matrix-vector product with them.
 """
 
 from __future__ import annotations
@@ -27,6 +35,11 @@ from .errors import EnumerationLimitError, InvalidInputError, as_int
 from .parallel import BLOCK_SIZE
 
 ENUM_GUARD = 10**6
+# row length from which _sums_without adds whole rows in a loop rather than
+# accumulating along the strided item axis
+_LOOP_ROWS = 128
+# most atom masses ConcaveOverModular.expected_gains gathers at once for a stack
+_STACK_VALUES = 2**20
 
 FAMILY_MODULAR = "weighted-modular"
 FAMILY_CONCAVE = "concave-over-modular"
@@ -68,14 +81,30 @@ def _weighted_columns(weights, states) -> np.ndarray:
 def _sums_without(share) -> np.ndarray:
     """Each row's sum over every item but i, from the (n, R) ``share`` of
     :func:`_weighted_columns`: the exclusive prefix plus the exclusive suffix,
-    so no sum is ever subtracted from a larger one. Each step adds one
-    contiguous row of R values (``np.cumsum`` along axis 0 strides instead)."""
+    so no sum is ever subtracted from a larger one. Both run from 0.0 and add
+    one item's row at a time, in item order and in reverse. Short rows take
+    two cumulative sums (``np.add.accumulate``) along axis 0, whatever n;
+    from ``_LOOP_ROWS`` values on, a loop adds whole contiguous rows instead,
+    2n calls that beat the strided cumulative sum there. Both make the same
+    additions in the same order, so the sums agree bit for bit."""
+    n, rows = share.shape
+    if rows < _LOOP_ROWS:
+        without = np.zeros((n, rows))
+        without[1:] = share[:-1]
+        np.add.accumulate(without, axis=0, out=without)
+        suffix = np.zeros((n, rows))
+        suffix[:-1] = share[1:]
+        backward = suffix[::-1]
+        np.add.accumulate(backward, axis=0, out=backward)
+        # suffix[n - 1] is 0.0, and a prefix from 0.0 is never -0.0, so the last row keeps its bits
+        without += suffix
+        return without
     without = np.empty(share.shape)
     without[:1] = 0.0
-    for i in range(1, len(share)):
+    for i in range(1, n):
         np.add(without[i - 1], share[i - 1], out=without[i])
-    suffix = np.zeros(share.shape[1])
-    for i in range(len(share) - 2, -1, -1):
+    suffix = np.zeros(rows)
+    for i in range(n - 2, -1, -1):
         suffix += share[i + 1]
         without[i] += suffix
     return without
@@ -123,6 +152,11 @@ class UtilityOracle:
         it exactly at no more cost than those draws return it as an (n,)
         array; the default returns None, "no exact form", and the gains are
         then sampled.
+
+        ``x`` may also be a (K, n) stack of marginals. The result is then a
+        (K, n) array whose row k has the same bits as a one-row call at
+        ``x[k]``, or None if any row's gains would cost more than ``samples``
+        draws.
         """
         return None
 
@@ -182,13 +216,16 @@ class WeightedModular(UtilityOracle):
         return _weighted_columns(self.weights, top).T
 
     def expected_gains(self, probs, x, samples: int) -> np.ndarray:
-        """``weights[i] * E[state of i]``, whatever the other items do, so ``x`` is unused.
+        """``weights[i] * E[state of i]``, whatever the other items do.
 
-        ``samples`` is unused too: the closed form costs O(n B) at any size.
+        So only the shape of ``x`` is used: a stack of K marginals gets K
+        copies of the same row. ``samples`` is unused too: the closed form
+        costs O(n B) at any size.
         """
         probs = np.asarray(probs, dtype=float)
         levels = np.arange(1, probs.shape[1] + 1, dtype=float)
-        return np.asarray(self.weights, dtype=float) * (probs @ levels)
+        gains = np.asarray(self.weights, dtype=float) * (probs @ levels)
+        return np.tile(gains, np.shape(x)[:-1] + (1,))
 
     def params(self) -> dict:
         return {"weights": list(self.weights)}
@@ -256,41 +293,71 @@ class ConcaveOverModular(UtilityOracle):
         of at most ``BLOCK_SIZE``, last item fastest, reduced in block order.
         Each gain is a probability-weighted sum of nonnegative differences of
         g at nonnegative sums, as in :meth:`gains_batch`.
+
+        In a (K, n) stack, rows whose levels of positive probability agree
+        share the atoms and their level gains, which do not depend on ``x``;
+        each row multiplies them by its own atom masses, one matrix-vector
+        product per block, as a one-row call does. The stack returns None if
+        any row's atoms outnumber ``samples``.
         """
         probs = np.asarray(probs, dtype=float)
         x = np.asarray(x, dtype=float)
+        rows = x if x.ndim == 2 else x[None]
         n, B = probs.shape
-        level_probs = np.empty((n, B + 1))
-        level_probs[:, 0] = 1.0 - x
-        np.multiply(x[:, None], probs, out=level_probs[:, 1:])
+        level_probs = np.empty((len(rows), n, B + 1))
+        level_probs[:, :, 0] = 1.0 - rows
+        np.multiply(rows[:, :, None], probs, out=level_probs[:, :, 1:])
         positive = level_probs > 0
-        counts = positive.sum(axis=1).tolist()
-        count = math.prod(counts)
-        if count > samples:
+        counts = positive.sum(axis=2)
+        # a float product: a count past 2^53 rounds, but stays far above any samples
+        if (counts.prod(axis=1, dtype=float) > samples).any():
             return None
+        gains = np.empty((len(rows), n))
+        left = np.ones(len(rows), dtype=bool)
+        while left.any():
+            first = left.argmax()
+            members = np.flatnonzero(left & (positive == positive[first]).all(axis=(1, 2)))
+            left[members] = False
+            gains[members] = self._enumerate(
+                probs, positive[first], counts[first].tolist(), level_probs[members]
+            )
+        return gains.reshape(x.shape)
+
+    def _enumerate(self, probs, pattern, counts, level_probs) -> np.ndarray:
+        """The gains of the rows sharing ``pattern``, from their (K, n, B + 1) level
+        probabilities."""
+        n, B = probs.shape
+        out = np.zeros((len(level_probs), n))
+        count = math.prod(counts)
         # digit d of item j stands for its d-th level of positive probability:
-        # flat entry j (B + 1) + d of these tables holds its weighted level and its
-        # probability
-        levels = np.argsort(~positive, axis=1, kind="stable")
+        # flat entry j (B + 1) + d of these tables holds its weighted level and,
+        # per row, its probability
+        levels = np.argsort(~pattern, axis=1, kind="stable")
         weights = np.asarray(self.weights, dtype=float)[:, None]
         shares = (weights * levels).ravel()
-        masses = np.take_along_axis(level_probs, levels, axis=1).ravel()
+        masses = np.take_along_axis(level_probs, levels[None], axis=2).reshape(len(out), -1)
         offsets = np.arange(0, n * (B + 1), B + 1)[:, None]
         # (B, n, 1): item i's own weighted level s and its probability, s = 1..B
         own = weights * np.arange(1, B + 1)[:, None, None]
         chance = probs.T[:, :, None]
-        gains = np.zeros(n)
         for lo in range(0, count, BLOCK_SIZE):
             # (n, R) digits of atoms lo, lo + 1, ..., the last item's turning fastest
             flat = np.stack(np.unravel_index(np.arange(lo, min(lo + BLOCK_SIZE, count)), counts))
             flat += offsets
-            mass = masses.take(flat).prod(axis=0)
             without = _sums_without(shares.take(flat))
             level_gains = self._g(without + own)
             level_gains -= self._g(without)
             level_gains *= chance
-            gains += level_gains.sum(axis=0) @ mass
-        return gains
+            level_sums = level_gains.sum(axis=0)
+            # rows in chunks of at most _STACK_VALUES gathered masses; np.matmul
+            # over the leading axis takes one matrix-vector product per row. take
+            # keeps each row's masses contiguous, as in a one-row call, so that
+            # its product runs the same BLAS kernel
+            chunk = max(1, _STACK_VALUES // flat.size)
+            for r in range(0, len(out), chunk):
+                mass = masses[r : r + chunk].take(flat, axis=1).prod(axis=1)
+                out[r : r + chunk] += np.matmul(level_sums, mass[:, :, None])[:, :, 0]
+        return out
 
     def params(self) -> dict:
         out = {"weights": list(self.weights), "curve": self.curve}
@@ -379,22 +446,28 @@ class ThresholdCoverage(UtilityOracle):
         cumulative sum along l per item. Every term of every sum and product
         is nonnegative, so no sum is subtracted from another. ``samples`` is
         unused.
+
+        A (K, n) stack of marginals runs the same steps over a leading axis:
+        the products and sums run along the same axes in the same order, so
+        each row has a one-row call's bits.
         """
         probs = np.asarray(probs, dtype=float)
-        x = np.asarray(x, dtype=float)[:, None]
+        x = np.asarray(x, dtype=float)
+        rows = (x if x.ndim == 2 else x[None])[:, :, None]
         n, B = probs.shape
         m = len(self.element_weights)
         lengths = np.minimum(np.outer(self.rates, np.arange(1, B + 1)), m)
         mass = np.zeros((n, m + 1))
         np.add.at(mass, (np.repeat(np.arange(n), B), lengths.ravel()), probs.ravel())
-        factors = (1.0 - x) + x * np.cumsum(mass, axis=1)[:, :m]
-        ones = np.ones((1, m))
-        below = np.cumprod(np.concatenate([ones, factors[:-1]]), axis=0)
-        above = np.cumprod(np.concatenate([ones, factors[:0:-1]]), axis=0)[::-1]
-        covered = np.zeros((n, m + 1))
-        np.cumsum(below * above * np.asarray(self.element_weights, dtype=float), axis=1,
-                  out=covered[:, 1:])
-        return (probs * np.take_along_axis(covered, lengths, axis=1)).sum(axis=1)
+        factors = (1.0 - rows) + rows * np.cumsum(mass, axis=1)[:, :m]
+        ones = np.ones((len(rows), 1, m))
+        below = np.cumprod(np.concatenate([ones, factors[:, :-1]], axis=1), axis=1)
+        above = np.cumprod(np.concatenate([ones, factors[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+        covered = np.zeros((len(rows), n, m + 1))
+        np.cumsum(below * above * np.asarray(self.element_weights, dtype=float), axis=2,
+                  out=covered[:, :, 1:])
+        at = np.take_along_axis(covered, lengths[None], axis=2)
+        return (probs * at).sum(axis=2).reshape(x.shape)
 
     def params(self) -> dict:
         return {"rates": list(self.rates), "element_weights": list(self.element_weights)}

@@ -77,6 +77,12 @@ and vertices agree to about 1e-12 of their largest entry rather than bit for
 bit.
 :func:`solve_lp` therefore checks every answer, rows and box as well as
 optimality by LP duality, with :func:`certify_optimal`.
+
+:func:`certify_optimal` also takes a stack of objectives over one vertex and
+basis, the continuous greedy's remaining steps along one direction. It
+inverts the basis once and runs the same checks for every objective, each
+with the bits a one-objective call gives it, and names the first objective
+that fails.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from .constraints import OuterConstraint, polytope_inequalities
 from .errors import LpCertificateError, LpStallError
@@ -222,12 +228,12 @@ def solve_lp(program: SlotProgram, objective, start=None) -> LpSolution:
     return sol
 
 
-def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None) -> float:
+def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None):
     """Certify that ``x`` maximizes obj.x over A x <= b, 0 <= x <= upper; return the duality gap.
 
     ``basis`` holds the basic indices of a simplex basis, structural columns
     first and then one slack per row (index nv + row): one integer index per
-    row, each in 0..nv + m - 1. The duals y come from one fresh solve on that
+    row, each in 0..nv + m - 1. The duals y come from the inverse of that
     basis, which need not be the one the simplex stopped on. Any y >= 0 whose
     reduced costs d = obj - A^T y are at most 0 on the columns without an
     upper bound gives the upper bound
@@ -237,70 +243,94 @@ def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None)
     and the box, the basis (its shape, integer indices in range, not
     singular), the dual signs (``y >= -CERT_TOL``), the reduced costs on
     unbounded columns (``<= CERT_TOL``), and the gap
-    (``<= CERT_TOL * max(1, |obj.x|)``).
+    (``<= CERT_TOL * max(1, |obj.x|)``). A NaN fails every check.
+
+    ``obj`` may also be a (K, nv) stack of objectives over the same program,
+    vertex and basis, such as the continuous greedy's remaining steps along
+    one direction. Each gets the same checks in the same order, and the same
+    bits as a one-objective call: its duals, reduced costs, value and gap
+    are products of its own (``np.matmul`` over a leading axis), never one
+    matrix product over the stack, whose rounding could depend on the other
+    objectives. A stack returns its K gaps.
 
     Raises :class:`LpCertificateError` naming the row or column at fault and
     the size of the violation there: the most violated one, or for the gap
-    the row or column of its largest complementary-slackness term.
-    ``variables`` and ``row_labels`` name columns and rows; indices are used
-    without them.
+    the row or column of its largest complementary-slackness term. For a
+    stack the error is the first failing objective's, in stack order, and
+    its ``index`` is that objective's position; the rows, box and basis do
+    not depend on the objective and fail at index 0. ``variables`` and
+    ``row_labels`` name columns and rows; indices are used without them.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    obj = np.asarray(obj, dtype=float)
+    objs = np.asarray(obj, dtype=float)
+    stack = objs.ndim == 2
+    objs = objs if stack else objs[None]
+    x = np.asarray(x, dtype=float)
     upper = np.asarray(upper, dtype=float)
     basis = np.asarray(basis)
-    m, nv = len(b), len(obj)
-    value = float(obj @ x)
+    m, nv = len(b), objs.shape[1]
+    # one product per objective (np.matmul over a leading axis), so that an
+    # objective's bits do not depend on the others in the stack
+    values = np.matmul(objs[:, None], x)[:, 0]
     row = (lambda r: row_labels[r]) if row_labels is not None else (lambda r: f"row {r}")
     col = (lambda j: variables[j]) if variables is not None else (lambda j: f"column {j}")
 
-    def check(name, excess, at, limit):
-        """Fail at the largest entry of ``excess`` if it exceeds ``limit``."""
+    def check(name, excess, at, limit, k=0):
+        """Fail at the largest entry of ``excess`` unless it is at most ``limit``;
+        argmax puts a NaN first, and NaN is never at most anything."""
         if excess.size:
             j = int(excess.argmax())
-            if excess[j] > limit:
-                raise LpCertificateError(name, at(j), float(excess[j]), value)
+            if not excess[j] <= limit:
+                raise LpCertificateError(name, at(j), float(excess[j]), float(values[k]), k)
 
     slack = b - A @ x
     check("row", -slack, row, ROW_TOL)
     check("bound", np.maximum(-x, x - upper), col, ROW_TOL)
 
     def bad_basis(fault):
-        return LpCertificateError("basis", fault, np.nan, value)
+        return LpCertificateError("basis", fault, np.nan, float(values[0]))
 
     if basis.shape != (m,):
         raise bad_basis(f"a basis of shape {basis.shape} for {m} rows")
-    y = np.zeros(0)
+    duals = np.zeros((len(objs), m))
     if m:
         if basis.dtype.kind not in "iu":
             raise bad_basis(f"non-integer basic indices {basis.tolist()}")
         if basis.min() < 0 or basis.max() >= nv + m:
             raise bad_basis(f"basic indices {basis.tolist()} outside 0..{nv + m - 1}")
-        # the basis columns as rows, gathered from [A^T; I], and y B = c_B solved by LAPACK
-        BT = np.concatenate((A.T, np.eye(m))).take(basis, axis=0)
-        c_basis = np.concatenate((obj, np.zeros(m))).take(basis)
-        _, _, y, info = dgesv(BT, c_basis, overwrite_a=True, overwrite_b=True)
+        # the basis columns as rows, gathered from [A^T; I], and their inverse by
+        # LAPACK; row k of the duals solves y B = c_B for objective k
+        lu, pivots, info = dgetrf(np.concatenate((A.T, np.eye(m))).take(basis, axis=0))
         if info > 0:
             raise bad_basis("a singular basis")
-    check("dual sign", -y, row, CERT_TOL)
-    y = np.maximum(y, 0.0)
-    d = obj - A.T @ y
+        inverse, _ = dgetri(lu, pivots)
+        c_basis = np.concatenate((objs, np.zeros((len(objs), m))), axis=1).take(basis, axis=1)
+        duals = np.matmul(inverse, c_basis[:, :, None])[:, :, 0]
+    y = np.maximum(duals, 0.0)
+    d = objs - np.matmul(A.T, y[:, :, None])[:, :, 0]
     bounded = np.isfinite(upper)
-    check("reduced cost", np.where(bounded, -np.inf, d), col, CERT_TOL)
-
     caps = np.where(bounded, upper, 0.0)
-    gap = float(b @ y + caps @ np.maximum(d, 0.0)) - value
-    if gap > CERT_TOL * max(1.0, abs(value)):
+    gaps = np.matmul(y[:, None], b)[:, 0] + np.matmul(np.maximum(d, 0.0)[:, None], caps)[:, 0]
+    gaps -= values
+    # the objectives that pass every check; NaN fails every comparison
+    ok = duals.min(axis=1, initial=np.inf) >= -CERT_TOL
+    if not bounded.all():
+        ok &= d[:, ~bounded].max(axis=1) <= CERT_TOL
+    ok &= gaps <= CERT_TOL * np.maximum(1.0, np.abs(values))
+    if not ok.all():
+        k = int(ok.argmin())
+        check("dual sign", -duals[k], row, CERT_TOL, k)
+        check("reduced cost", np.where(bounded, -np.inf, d[k]), col, CERT_TOL, k)
         # the same gap term by term: y.(b - A x) + sum_j (caps_j max(d_j, 0) - d_j x_j)
-        rows = y * slack
-        cols = caps * np.maximum(d, 0.0) - d * x
+        rows = y[k] * slack
+        cols = caps * np.maximum(d[k], 0.0) - d[k] * x
         if rows.max(initial=-np.inf) >= cols.max(initial=-np.inf):
             at = row(int(rows.argmax()))
         else:
             at = col(int(cols.argmax()))
-        raise LpCertificateError("duality gap", at, gap, value)
-    return gap
+        raise LpCertificateError("duality gap", at, float(gaps[k]), float(values[k]), k)
+    return gaps if stack else float(gaps[0])
 
 
 def simplex_max(obj, A, b, upper, start=None, max_iters: int = 20000) -> LpSolution:

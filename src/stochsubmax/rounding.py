@@ -39,6 +39,7 @@ the support width.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -212,6 +213,10 @@ class CrsEstimate(NamedTuple):
     status: str  # "ok" | "insufficient"
 
 
+# a CrsEstimate from a tuple of its fields, as CrsEstimate._make but without its checks
+_as_estimate = functools.partial(tuple.__new__, CrsEstimate)
+
+
 def _binomial_rows(mapping, cond, kept, states: bool) -> list[CrsEstimate]:
     """Rows of kept / sampled count tables: per item, or per (item, state 1..B).
 
@@ -224,12 +229,19 @@ def _binomial_rows(mapping, cond, kept, states: bool) -> list[CrsEstimate]:
     with np.errstate(divide="ignore", invalid="ignore"):
         value = kept / cond
         se = np.sqrt(np.maximum(value * (1 - value), 0.0) / cond)
-    labels = range(1, cond.shape[1] + 1) if states else (None,)
-    return [
-        CrsEstimate(i, j, mapping, p, s, c, "ok" if c else "insufficient")
-        for i, (cs, ps, ss) in enumerate(zip(cond.tolist(), value.tolist(), se.tolist()))
-        for j, c, p, s in zip(labels, cs, ps, ss)
-    ]
+    n, width = cond.shape
+    events = cond.ravel().tolist()
+    # rows are zipped from whole columns of Python values
+    columns = (
+        sorted(list(range(n)) * width),  # each item once per column, in item order
+        list(range(1, width + 1)) * n if states else [None] * n,
+        itertools.repeat(mapping),
+        value.ravel().tolist(),
+        se.ravel().tolist(),
+        events,
+        ["ok" if c else "insufficient" for c in events],
+    )
+    return list(map(_as_estimate, zip(*columns)))
 
 
 def _scatter_counts(partials, support, n: int, width: int):

@@ -1,7 +1,13 @@
-"""Set-based scalar reference of the rounding: sample, prune, draw slots, gate scan.
+"""Step-by-step references for the package's batched code paths.
 
-An implementation independent of the package's one batched kernel
-(``policy.run_policy_batch``), for tests/test_kernel.py to compare on identical draws.
+* :func:`greedy_steps`, the continuous greedy one step at a time: one gain
+  call and one ``solve_lp`` call per step, for tests/test_greedy.py to
+  compare with ``greedy.run_continuous_greedy``, which rides each certified
+  vertex over all the remaining steps at once.
+* A set-based scalar reference of the rounding (sample, prune, draw slots,
+  gate scan), independent of the package's one batched kernel
+  (``policy.run_policy_batch``), for tests/test_kernel.py to compare on
+  identical draws.
 """
 
 from __future__ import annotations
@@ -12,7 +18,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from stochsubmax.constraints import is_independent
+from stochsubmax.greedy import estimate_marginal_gains
+from stochsubmax.lp import build_slot_program, solve_lp
 from stochsubmax.rounding import greedy_keep
+
+
+def greedy_steps(instance, f, outer, stop_scale, steps, grad_samples, seed) -> list:
+    """The marginals after each step of the continuous greedy, taken one step at a time.
+
+    Step k takes the gains at x, its float dust clipped to [0, 1] (exact, or
+    sampled from the stream ("step", k)), solves the slot program warm from
+    the previous answer, or reuses that answer if the objective did not
+    change, and moves x by ``stop_scale / steps`` along the answer. These
+    are the snapshots that ``run_continuous_greedy(..., history=...)``
+    records.
+    """
+    program = build_slot_program(instance, outer)
+    nv = len(program.variables)
+    delta = stop_scale / steps
+    x = np.zeros(nv)
+    items = np.array([i for i, _ in program.variables], dtype=np.int64)
+    marginals = np.zeros(instance.n)
+    answer = objective = None
+    history = []
+    for k in range(steps):
+        if nv:
+            marginals[items] = np.clip(x, 0.0, 1.0)
+            gains, _ = estimate_marginal_gains(
+                instance, f, marginals, grad_samples, seed, stream=("step", k)
+            )
+            objective, previous = gains[items], objective
+            if answer is None or not np.array_equal(objective, previous):
+                answer = solve_lp(program, objective, answer)
+            x = x + delta * answer.values
+        snap = np.zeros(instance.n)
+        snap[items] = x
+        history.append(snap)
+    return history
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from stochsubmax import constraints
 from stochsubmax.errors import EnumerationLimitError
 from stochsubmax.extensions import (
+    check_marginals,
     expected_set_value_exact,
     expected_set_value_mc,
     multilinear_exact,
@@ -149,3 +150,28 @@ def test_marginal_validation(pair_instance):
         multilinear_exact(pair_instance, pair_instance.utility, [0.5])
     with pytest.raises(ValueError):
         multilinear_exact(pair_instance, pair_instance.utility, [1.5, 0.0])
+
+
+@pytest.mark.parametrize("bad,match", [
+    ([float("nan"), 0.5], "item 0"),
+    ([0.5, 1.0 + 1e-9], "item 1"),
+    ([[0.2, 0.3]], "expected 2 marginals"),  # a stack where one vector belongs
+])
+def test_multilinear_rejects_nan_and_stacks(pair_instance, bad, match):
+    # NaN fails both range comparisons, so it is outside [0, 1] too
+    for estimate in (lambda x: multilinear_exact(pair_instance, pair_instance.utility, x),
+                     lambda x: multilinear_mc(pair_instance, pair_instance.utility, x, 100, 0)):
+        with pytest.raises(ValueError, match=match):
+            estimate(bad)
+
+
+def test_check_marginals_checks_every_row_of_a_stack(pair_instance):
+    stack = np.array([[0.2, 0.3], [0.0, 1.0], [0.4, float("nan")]])
+    with pytest.raises(ValueError, match="row 2, item 1"):
+        check_marginals(pair_instance, stack)
+    for shape in ((0, 2), (2, 1), (1, 1, 2)):
+        with pytest.raises(ValueError, match="expected 2 marginals"):
+            check_marginals(pair_instance, np.zeros(shape))
+    # float dust within 1e-12 of the box is clipped, row by row
+    dusty = np.array([[-1e-13, 0.5], [0.5, 1 + 1e-13]])
+    assert check_marginals(pair_instance, dusty).tolist() == [[0.0, 0.5], [0.5, 1.0]]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochsubmax import constraints, greedy, lp
-from stochsubmax.errors import InvalidInputError
+from stochsubmax.errors import InvalidInputError, LpCertificateError
 from stochsubmax.extensions import expected_set_value_exact, multilinear_exact
 from stochsubmax.generators import (
     partition_demo_instance,
@@ -24,7 +24,7 @@ from stochsubmax.greedy import (
     solution_from_json,
     solution_to_json,
 )
-from stochsubmax.lattice import ConcaveOverModular, WeightedModular
+from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
 from stochsubmax.model import (
     Instance,
     ItemModel,
@@ -34,6 +34,7 @@ from stochsubmax.model import (
 )
 from stochsubmax.parallel import combine_mean_se, map_blocks, split_blocks
 from tests.conftest import examples
+from tests.reference import greedy_steps
 
 
 def test_gains_at_origin_match_exact_marginals(pair_instance):
@@ -383,6 +384,44 @@ def test_combine_mean_se_arrays_match_scalars():
     assert np.array_equal(one_mean, partials[2][1]) and not one_se.any()
 
 
+@pytest.mark.parametrize("family", ["modular", "concave", "coverage"])
+@pytest.mark.parametrize("bad,match", [
+    ([1.5, -0.3], "got 1.5 at item 0"),  # was clipped to the gains of [1, 0]
+    ([0.5], "expected 2 marginals"),  # was broadcast to two gains
+    ([float("nan"), 0.5], "got nan at item 0"),  # was a NaN gain
+    ([[0.2, 0.3], [0.1, -0.5]], "row 1, item 1"),  # every row of a stack is checked
+    (np.zeros((0, 2)), "expected 2 marginals"),
+    (np.zeros((1, 1, 2)), "expected 2 marginals"),
+], ids=["outside", "short", "nan", "stack-row", "empty-stack", "three-axes"])
+def test_bad_marginals_rejected_for_every_family(family, bad, match):
+    utility = {"modular": WeightedModular(weights=(1.0, 2.0)),
+               "concave": ConcaveOverModular(weights=(1.0, 2.0)),
+               "coverage": ThresholdCoverage(rates=(1, 2), element_weights=(1.0, 0.5))}[family]
+    item = ItemModel(probs=(0.5, 0.5), costs=(1, 2))
+    inst = Instance(n=2, B=2, budget=4, items=(item, item), outer=constraints.cardinality(2, 1),
+                    utility=utility)
+    with pytest.raises(ValueError, match=match):
+        estimate_marginal_gains(inst, utility, bad, samples=100, seed=0)
+
+
+def test_stacked_gain_estimates_fall_back_to_the_first_row():
+    # exact rows all come back; where a row would be sampled, the first row alone
+    # does, from its own stream, as a one-row call gives it
+    inst = partition_demo_instance()  # concave, n = 3, B = 2: 27 atoms inside (0, 1)
+    f = inst.utility
+    stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.6, 0.1], [0.3, 0.6, 0.2]])
+    gains, ses = estimate_marginal_gains(inst, f, stack, samples=27, seed=4)
+    assert gains.shape == ses.shape == (3, 3) and not ses.any()
+    for row, g in zip(stack, gains):
+        assert g.tobytes() == estimate_marginal_gains(inst, f, row, 27, seed=4)[0].tobytes()
+    for first in (stack[0], stack[1]):  # exact, then sampled
+        rows = np.vstack([first, stack[1:]])
+        gains, ses = estimate_marginal_gains(inst, f, rows, 26, seed=4, stream=("step", 2))
+        alone = estimate_marginal_gains(inst, f, first, 26, seed=4, stream=("step", 2))
+        assert gains.shape == (1, 3)
+        assert gains[0].tobytes() == alone[0].tobytes() and ses[0].tobytes() == alone[1].tobytes()
+
+
 def counting_simplex(monkeypatch):
     """Count the calls of ``lp.simplex_max`` from here on; return the running count."""
     calls = [0]
@@ -397,31 +436,59 @@ def counting_simplex(monkeypatch):
 
 
 def warm_against_cold(monkeypatch, inst, **kwargs):
-    """Run the greedy, checking each warm LP step against a cold solve; return pivot totals.
+    """Run the greedy, checking every step's LP answer against a cold solve; return totals.
 
-    ``simplex`` counts the warm steps whose start failed its certificate, so
-    that the simplex ran from it, and ``calls`` every LP the greedy solved.
+    A step either calls ``solve_lp`` or rides the previous answer, certified
+    with the other remaining steps in one stacked certificate; both are
+    checked. ``warm`` and ``cold`` total the pivots of the greedy's solves
+    and of a cold solve at every step, ray steps included; ``simplex``
+    counts the warm solves whose start failed its certificate, so that the
+    simplex ran from it; ``calls`` counts the ``solve_lp`` calls and ``ray``
+    the steps that rode an answer without one.
     """
-    solve_lp = greedy.solve_lp
-    totals = {"warm": 0, "cold": 0, "starts": 0, "simplex": 0, "calls": 0}
+    solve_lp, certify_optimal = greedy.solve_lp, greedy.certify_optimal
+    totals = {"warm": 0, "cold": 0, "starts": 0, "simplex": 0, "calls": 0, "ray": 0}
     calls = counting_simplex(monkeypatch)
+
+    def cold_check(program, objective, values):
+        cold = solve_lp(program, objective)
+        assert abs(float(objective @ values) - cold.objective) <= 1e-12
+        totals["cold"] += cold.iterations
 
     def checked(program, objective, start=None):
         before = calls[0]
         warm = solve_lp(program, objective, start)
         totals["simplex"] += start is not None and calls[0] > before
-        cold = solve_lp(program, objective)
-        assert abs(warm.objective - cold.objective) <= 1e-12
+        cold_check(program, objective, warm.values)
         totals["warm"] += warm.iterations
-        totals["cold"] += cold.iterations
         totals["starts"] += start is not None
         totals["calls"] += 1
         return warm
 
+    def ridden(objectives, A, b, upper, x, basis):
+        try:
+            out = certify_optimal(objectives, A, b, upper, x, basis)
+            taken = len(objectives)
+        except LpCertificateError as failed:
+            out, taken = failed, failed.index
+        for objective in objectives[:taken]:
+            cold_check(programs[-1], objective, x)
+        totals["ray"] += taken
+        if isinstance(out, LpCertificateError):
+            raise out
+        return out
+
+    programs = []
+    build = greedy.build_slot_program
+    monkeypatch.setattr(greedy, "build_slot_program",
+                        lambda *a: programs.append(build(*a)) or programs[-1])
     monkeypatch.setattr(greedy, "solve_lp", checked)
+    monkeypatch.setattr(greedy, "certify_optimal", ridden)
+    steps = kwargs["steps"]
     run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, seed=3, **kwargs)
-    # every call after the first is warm; a step whose objective did not change
-    # makes no call, so modular gains, which do not depend on x, make one
+    # every step is solved or ridden, and every solve after the first is warm;
+    # modular gains do not depend on x, so the first answer serves every step
+    assert totals["calls"] + totals["ray"] == steps
     assert totals["starts"] == totals["calls"] - 1
     if inst.utility.family == "weighted-modular":
         assert totals["calls"] == 1
@@ -468,51 +535,136 @@ def test_desk_greedy_runs_the_simplex_only_for_its_cold_step(monkeypatch):
 
 @dataclasses.dataclass(frozen=True)
 class NudgedModular(WeightedModular):
-    """Modular gains, with item 0's moved up by one ulp from the ``nudge_at``-th call on."""
+    """Modular gains, with item ``item``'s changed from the ``nudge_at``-th row on.
+
+    Rows are counted over every call, a (K, n) stack adding K of them. The
+    gain moves up by one ulp, or to ``to`` if that is given.
+    """
 
     nudge_at: int | None = None
-    calls: list = dataclasses.field(default_factory=list)
+    item: int = 0
+    to: float | None = None
+    rows: list = dataclasses.field(default_factory=list)
 
     def expected_gains(self, probs, x, samples):
         gains = super().expected_gains(probs, x, samples)
-        self.calls.append(gains)
-        if self.nudge_at is not None and len(self.calls) > self.nudge_at:
-            gains[0] = np.nextafter(gains[0], np.inf)
+        stack = gains.reshape(-1, self.n)  # a view, so nudges reach gains
+        first = len(self.rows)
+        if self.nudge_at is not None:
+            late = stack[max(self.nudge_at - first, 0):, self.item]
+            late[:] = np.nextafter(late, np.inf) if self.to is None else self.to
+        self.rows.extend(stack.copy())
         return gains
 
 
-@pytest.mark.parametrize("nudge_at", [None, 3])
-def test_unchanged_objective_reuses_the_certified_answer(monkeypatch, nudge_at):
-    # modular gains do not depend on x: every step's objective equals the first,
-    # and the first answer serves them all without another solve. A one-ulp
-    # change at step 3 makes a fresh call, warm from that answer and certified
-    inst = random_instance(2, n_max=5, B_max=3, budget_max=10, families=("modular",),
-                           kinds=("cardinality",), all_schedulable=True)
-    f = NudgedModular(weights=inst.utility.weights, nudge_at=nudge_at)
-    solves, certificates = [], [0]
+def counted_lp_calls(monkeypatch):
+    """Record every ``solve_lp`` call of the greedy as (objective, start), and the
+    objective count of every certificate (a stacked one from the greedy, or one
+    inside ``solve_lp``)."""
+    solves, certificates = [], []
     solve_lp, certify_optimal = greedy.solve_lp, lp.certify_optimal
 
     def counted_solve(program, objective, start=None):
         solves.append((objective.copy(), start))
         return solve_lp(program, objective, start)
 
-    def counted_certificate(*args, **kwargs):
-        certificates[0] += 1
-        return certify_optimal(*args, **kwargs)
+    def counted_certificate(obj, *args, **kwargs):
+        certificates.append(len(np.atleast_2d(obj)))
+        return certify_optimal(obj, *args, **kwargs)
 
     monkeypatch.setattr(greedy, "solve_lp", counted_solve)
+    monkeypatch.setattr(greedy, "certify_optimal", counted_certificate)
     monkeypatch.setattr(lp, "certify_optimal", counted_certificate)
+    return solves, certificates
+
+
+@pytest.mark.parametrize("nudge_at", [None, 3])
+def test_unchanged_objective_reuses_the_certified_answer(monkeypatch, nudge_at):
+    # modular gains do not depend on x: after the cold first step, one gain call
+    # gives the five remaining steps' objectives and one stacked certificate
+    # accepts them all. Objectives that differ by one ulp from step 3 on are
+    # certified, not compared: the first answer still serves them
+    inst = random_instance(2, n_max=5, B_max=3, budget_max=10, families=("modular",),
+                           kinds=("cardinality",), all_schedulable=True)
+    f = NudgedModular(weights=inst.utility.weights, nudge_at=nudge_at)
+    solves, certificates = counted_lp_calls(monkeypatch)
     sol = run_continuous_greedy(inst, f, inst.outer, stop_scale=0.25, steps=6,
                                 grad_samples=100, seed=1)
-    assert len(f.calls) == 6
-    if nudge_at is None:
-        assert len(solves) == 1 and solves[0][1] is None and certificates[0] == 1
-    else:
-        assert len(solves) == 2 and certificates[0] == 2
-        (first, _), (second, start) = solves
-        assert start is not None and second[0] == np.nextafter(first[0], np.inf)
-        assert np.array_equal(second[1:], first[1:])
+    assert len(f.rows) == 6
+    assert len(solves) == 1 and solves[0][1] is None and certificates == [1, 5]
+    if nudge_at is not None:
+        first = f.rows[0]
+        for row in f.rows[3:]:
+            assert row[0] == np.nextafter(first[0], np.inf)
+            assert np.array_equal(row[1:], first[1:])
     assert certify_solution(inst, inst.outer, sol, 0.25).passed
+
+
+def test_failed_certificate_resolves_from_its_step(monkeypatch):
+    # the leading item's gain drops to 0 from step 3 on, so the first answer's
+    # certificate fails at step 3, the third row of the stack: steps 1 and 2
+    # ride it, step 3 is solved warm from it, and steps 4 and 5 ride the new answer.
+    # Five items, three of which the cardinality row admits
+    inst = random_instance(1, n_max=5, B_max=3, budget_max=10, families=("modular",),
+                           kinds=("cardinality",), all_schedulable=True)
+    top = int(np.argmax(inst.utility.expected_gains(inst.prob_matrix, np.zeros(inst.n), 1)))
+    f = NudgedModular(weights=inst.utility.weights, nudge_at=3, item=top, to=0.0)
+    solves, certificates = counted_lp_calls(monkeypatch)
+    history = []
+    sol = run_continuous_greedy(inst, f, inst.outer, stop_scale=0.25, steps=6,
+                                grad_samples=100, seed=1, history=history)
+    assert len(f.rows) == 1 + 5 + 2
+    # cold solve, stack of 5 failing at index 2, warm solve (start and answer), stack of 2
+    assert certificates == [1, 5, 1, 1, 2]
+    (first, cold), (third, start) = solves
+    assert cold is None and start is not None and third[top] == 0.0 < first[top]
+    assert history[2][top] > 0 and history[3][top] == history[2][top]
+    assert certify_solution(inst, inst.outer, sol, 0.25).passed
+
+
+@dataclasses.dataclass(frozen=True)
+class FadingModular(WeightedModular):
+    """Modular gains times (1 - x_i)^2: an item's gain fades as its own marginal grows.
+
+    Not the gradient of any utility, but exact, and elementwise, so each row
+    of a stack has a one-row call's bits. The fading turns the greedy's
+    vertex over as x grows, so that rides end in failed certificates, at the
+    first row of a stack or inside it.
+    """
+
+    def expected_gains(self, probs, x, samples):
+        return super().expected_gains(probs, x, samples) * (1.0 - np.asarray(x)) ** 2
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    family=st.sampled_from(("modular", "concave", "coverage", "fading")),
+    kind=st.sampled_from(("cardinality", "partition")),
+    steps=st.integers(1, 30),
+    stop_scale=st.floats(0.0, 1.0, exclude_min=True),
+    grad_samples=st.integers(1, 64),
+    gain_seed=st.integers(0, 3),
+)
+@settings(max_examples=examples(40))
+def test_greedy_matches_step_by_step_reference(seed, family, kind, steps, stop_scale,
+                                               grad_samples, gain_seed):
+    # riding a certified answer over the remaining steps changes no bit of any
+    # step's marginals: the greedy's history equals the step-by-step loop's, and
+    # its solution does not depend on whether history is kept. Concave desk
+    # instances have up to 4^5 joint levels, so with at most 64 samples many of
+    # their steps are sampled, each from its own stream
+    inst = random_instance(seed, n_max=5, B_max=3, budget_max=10, kinds=(kind,),
+                           families=("modular",) if family == "fading" else (family,))
+    f = FadingModular(weights=inst.utility.weights) if family == "fading" else inst.utility
+    args = (inst, f, inst.outer, stop_scale, steps, grad_samples, gain_seed)
+    history = []
+    sol = run_continuous_greedy(*args, history=history)
+    reference = greedy_steps(*args)
+    assert len(history) == len(reference) == steps
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(history, reference))
+    again = run_continuous_greedy(*args)
+    assert again.entries == sol.entries
+    assert again.marginals.tobytes() == sol.marginals.tobytes()
 
 
 def test_exact_steps_derive_no_sample_stream(monkeypatch):
@@ -573,8 +725,9 @@ def test_time_rows_match_slot_by_slot_accumulation():
 
 
 def test_warm_pivots_pinned_on_desk_instance(monkeypatch):
-    # the pricing rule and seeded gains make both totals repeat exactly; the
-    # program has one latest-slot column per item
+    # the pricing rule and exact gains make the totals repeat exactly; the
+    # program has one latest-slot column per item. The first step's answer,
+    # 2 pivots from the slack basis, is certified for all 24 later steps at once
     totals = warm_against_cold(monkeypatch, desk_random_instance(4), steps=25,
                                grad_samples=1500)
-    assert (totals["warm"], totals["cold"]) == (2, 50)
+    assert (totals["warm"], totals["cold"], totals["calls"], totals["ray"]) == (2, 50, 1, 24)

@@ -366,7 +366,7 @@ ENOUGH_SAMPLES = 4**5
 
 
 @st.composite
-def exact_gain_cases(draw):
+def exact_gain_cases(draw, families=("modular", "coverage", "concave")):
     """A modular, coverage or concave instance over 1..5 items, B in 1..3, and marginals.
 
     Marginals are often exactly 0 or 1, state probabilities often 0, weights
@@ -382,7 +382,7 @@ def exact_gain_cases(draw):
         probs.append([r / total for r in raw] if total > 0 else [1.0] + [0.0] * (B - 1))
     weight = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
     weights = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
-    family = draw(st.sampled_from(("modular", "coverage", "concave")))
+    family = draw(st.sampled_from(families))
     if family == "modular":
         f = WeightedModular(weights=weights)
     elif family == "coverage":
@@ -408,6 +408,86 @@ def test_exact_gains_match_enumeration(case):
     exact = inst.utility.expected_gains(inst.prob_matrix, x, ENOUGH_SAMPLES)
     assert exact.shape == (inst.n,) and np.all(exact >= 0)
     assert np.all(np.abs(exact - gains_by_enumeration(inst, x)) <= enumeration_tolerance(inst))
+
+
+@pytest.mark.parametrize("family", ["modular", "coverage", "concave"])
+@given(data=st.data())
+@settings(max_examples=examples(100))
+def test_stacked_gains_equal_one_row_calls(family, data):
+    # a (K, n) stack of marginals: a ray x, x + d, x + 2d, ... built by repeated
+    # addition as the greedy builds it, capped at 1, then rows drawn at random.
+    # Each row of the stacked result has the bits of a one-row call; a concave
+    # stack is None exactly when some row's atoms outnumber the samples
+    inst, x = data.draw(exact_gain_cases(families=(family,)))
+    n, f, probs = inst.n, inst.utility, inst.prob_matrix
+    unit = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+    step = np.array(data.draw(st.lists(st.floats(0.0, 0.25), min_size=n, max_size=n)))
+    ray = np.cumsum(np.vstack([x, np.tile(step, (data.draw(st.integers(0, 5)), 1))]), axis=0)
+    extra = data.draw(st.lists(st.lists(unit, min_size=n, max_size=n), max_size=3))
+    stack = np.vstack([np.minimum(ray, 1.0)] + [np.array(extra).reshape(-1, n)])
+    samples = data.draw(st.sampled_from((1, 4, 16, 64, ENOUGH_SAMPLES)))
+    rows = [f.expected_gains(probs, row, samples) for row in stack]
+    stacked = f.expected_gains(probs, stack, samples)
+    if any(row is None for row in rows):
+        assert stacked is None
+        return
+    assert stacked.shape == stack.shape
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, rows))
+
+
+def test_stacked_gains_equal_one_row_calls_on_a_seeded_sweep():
+    # 600 seeded cases of up to 7 rows, rays and random rows, with zero state
+    # probabilities, weights and marginals and marginals at 1. Single-item
+    # concave stacks are the delicate case: their atoms' gains reduce to one
+    # dot product per row, whose BLAS kernel depends on how the row's masses
+    # are laid out in memory
+    rng = np.random.default_rng(5)
+    for case in range(600):
+        n, B = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        probs = rng.dirichlet(np.ones(B), size=n) * (rng.random((n, B)) > 0.2)
+        probs[:, 0] += probs.sum(axis=1) == 0
+        probs /= probs.sum(axis=1, keepdims=True)
+        weights = tuple(rng.uniform(0, 2, n) * (rng.random(n) > 0.2))
+        f = (WeightedModular(weights=weights),
+             ConcaveOverModular(weights=weights, curve="sqrt"),
+             ConcaveOverModular(weights=weights, curve="cap", theta=float(rng.uniform(0, 3))),
+             ThresholdCoverage(rates=tuple(int(r) for r in rng.integers(0, 5, n)),
+                               element_weights=tuple(rng.uniform(0, 1.5, rng.integers(0, 8)))),
+             )[case % 4]
+        K = int(rng.integers(1, 8))
+        rows = rng.random((K, n)) * (rng.random((K, n)) > 0.3)
+        rows[rng.random((K, n)) < 0.1] = 1.0
+        step = np.tile(rng.random(n) * 0.05, (K - 1, 1))
+        ray = np.minimum(np.cumsum(np.vstack([rows[0], step]), axis=0), 1.0)
+        for stack in (rows, ray):
+            stacked = f.expected_gains(probs, stack, 4**6)
+            for row, gains in zip(stack, stacked):
+                assert gains.tobytes() == f.expected_gains(probs, row, 4**6).tobytes()
+
+
+def loop_sums_without(share) -> np.ndarray:
+    """Each row's sum over every item but i, one contiguous row add at a time."""
+    without = np.empty(share.shape)
+    without[:1] = 0.0
+    for i in range(1, len(share)):
+        np.add(without[i - 1], share[i - 1], out=without[i])
+    suffix = np.zeros(share.shape[1])
+    for i in range(len(share) - 2, -1, -1):
+        suffix += share[i + 1]
+        without[i] += suffix
+    return without
+
+
+@pytest.mark.parametrize("rows", [1, 4, lattice._LOOP_ROWS - 1, lattice._LOOP_ROWS, 4096])
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_sums_without_equal_the_row_loop(n, rows):
+    # whichever way the row length picks, the sums are the loop's bit for bit;
+    # zero and negative-zero weights and levels included
+    rng = np.random.default_rng(n * 10_000 + rows)
+    share = rng.uniform(0.0, 4.0, size=(n, rows)) * (rng.random((n, rows)) < 0.8)
+    share[rng.random((n, rows)) < 0.05] = -0.0
+    got = lattice._sums_without(share)
+    assert got.shape == (n, rows) and got.tobytes() == loop_sums_without(share).tobytes()
 
 
 def test_exact_gains_edge_cases():

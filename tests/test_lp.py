@@ -785,6 +785,138 @@ def test_certificate_rejects_singular_basis():
     assert err.value.check == "basis" and "singular" in err.value.at
 
 
+def certificate_outcome(*args):
+    """A certificate's gap, or its error's (check, at, amount, objective)."""
+    try:
+        return certify_optimal(*args)
+    except LpCertificateError as err:
+        return (err.check, err.at, err.amount, err.objective)
+
+
+# (lp, vertex, basis, an objective that passes, one that fails) for each check
+# that depends on the objective; the vertex is (0, 1) and the row x0 + x1 <= 1
+# binds there
+OBJECTIVE_CHECKS = {
+    # basis {x0, x1}: y = (c1, c0 - c1), negative for (0, 1)
+    "dual sign": (NEGATIVE_DUAL_LP, [0, 1], [1.0, 1.0], [0.0, 1.0]),
+    # basis {x1} with x0 unbounded: x0's reduced cost c0 - c1 must be at most 0
+    "reduced cost": ((None, np.array([[1.0, 1.0]]), np.array([1.0]), np.array([np.inf, 1.0])),
+                     [1], [1.0, 2.0], [2.0, 1.0]),
+    # basis {x1} with both bounded: c0 - c1 > 0 prices x0's bound into the gap
+    "duality gap": ((None, np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2)),
+                    [1], [1.0, 2.0], [2.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("check", list(OBJECTIVE_CHECKS))
+def test_stacked_certificate_reports_the_first_failing_objective(check):
+    # a stack fails at its first objective in stack order that fails, with the
+    # error that objective alone gives; a stack that passes returns each
+    # objective's own gap, bit for bit
+    (_, A, b, upper), basis, good, bad = OBJECTIVE_CHECKS[check]
+    x = np.array([0.0, 1.0])
+    stack = np.array([good, good, bad, good, bad])
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(stack, A, b, upper, x, basis)
+    assert err.value.index == 2 and err.value.check == check
+    alone = certificate_outcome(np.array(bad), A, b, upper, x, basis)
+    assert (err.value.check, err.value.at, err.value.amount, err.value.objective) == alone
+    gaps = certify_optimal(stack[[0, 1, 3]], A, b, upper, x, basis)
+    assert gaps.shape == (3,)
+    good_gap = certify_optimal(np.array(good), A, b, upper, x, basis)
+    assert gaps.tobytes() == np.array([good_gap] * 3).tobytes()
+
+
+@pytest.mark.parametrize("x,basis,check", [
+    ([2.0, 0.0], [0], "row"),  # 2 > 1 on the row
+    ([1.25, -0.5], [0], "bound"),
+    ([0.0, 1.0], [0, 1], "basis"),  # one row, two basic indices
+    ([0.0, 1.0], [2.0], "basis"),  # a float index
+    ([0.0, 1.0], [3], "basis"),  # past the one slack, index 2
+], ids=["row", "bound", "shape", "non-integer", "out-of-range"])
+def test_stacked_certificate_fails_objective_free_checks_at_index_0(x, basis, check):
+    # the rows, box and basis do not depend on the objective
+    A, b, upper = np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2)
+    stack = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(stack, A, b, upper, np.array(x), basis)
+    assert (err.value.check, err.value.index) == (check, 0)
+
+
+@pytest.mark.parametrize("x,obj,check", [
+    ([np.nan, 1.0], [1.0, 2.0], "row"),
+    ([0.0, 1.0], [np.nan, 2.0], "duality gap"),
+    ([0.0, 1.0], [1.0, np.nan], "dual sign"),
+], ids=["vertex", "bounded-column", "basic-column"])
+def test_certificate_fails_on_nan(x, obj, check):
+    # NaN fails every comparison, so no check may pass it by comparing "> limit"
+    A, b, upper = np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2)
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(np.array(obj), A, b, upper, np.array(x), [1])
+    assert err.value.check == check
+
+
+def test_stacked_certificate_fails_a_singular_basis_at_index_0():
+    with pytest.raises(LpCertificateError) as err:
+        certify_optimal(np.array([SMALL_LP[0]] * 3), *SMALL_LP[1:], np.array([0.0, 1.0]), [0, 1])
+    assert err.value.check == "basis" and "singular" in err.value.at and err.value.index == 0
+
+
+@settings(max_examples=examples(200))
+@given(bounded_lps(), st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_stacked_certificate_equals_one_objective_calls(lp, shifts, seed):
+    # objectives near the solved one, some still optimal at its vertex and some not:
+    # a stack passes iff every objective alone does, with each one's gap bit for
+    # bit, and otherwise fails with the first failing objective's own error
+    c, A, b, upper = lp
+    try:
+        sol = simplex_max(c, A, b, upper)
+    except LpStallError:
+        return
+    rng = np.random.default_rng(seed)
+    stack = np.array([c + shift * rng.random(len(c)) * (rng.random(len(c)) < 0.5)
+                      for shift in shifts])
+    alone = [certificate_outcome(obj, A, b, upper, sol.values, sol.basis) for obj in stack]
+    failing = [k for k, out in enumerate(alone) if isinstance(out, tuple)]
+    if failing:
+        with pytest.raises(LpCertificateError) as err:
+            certify_optimal(stack, A, b, upper, sol.values, sol.basis)
+        assert err.value.index == failing[0]
+        assert (err.value.check, err.value.at, err.value.amount,
+                err.value.objective) == alone[failing[0]]
+    else:
+        gaps = certify_optimal(stack, A, b, upper, sol.values, sol.basis)
+        assert gaps.tobytes() == np.array(alone).tobytes()
+
+
+def test_stacked_certificate_equals_one_objective_calls_on_a_seeded_sweep():
+    # 300 seeded programs with real data and stacks of up to 8 objectives near
+    # the solved one: every objective's gap, or the first failing one's error,
+    # has the bits of a one-objective call
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        m, nv = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        A = rng.uniform(-0.5, 2.0, size=(m, nv))
+        b = rng.uniform(0.0, 3.0, size=m)
+        upper = np.where(rng.random(nv) < 0.2, np.inf, rng.uniform(0.5, 2.0, size=nv))
+        c = rng.uniform(-1.0, 2.0, size=nv)
+        try:
+            sol = simplex_max(c, A, b, upper)
+        except LpStallError:
+            continue
+        stack = c + rng.normal(0.0, 0.05, size=(int(rng.integers(1, 9)), nv))
+        alone = [certificate_outcome(obj, A, b, upper, sol.values, sol.basis) for obj in stack]
+        failing = [k for k, out in enumerate(alone) if isinstance(out, tuple)]
+        try:
+            gaps = certify_optimal(stack, A, b, upper, sol.values, sol.basis)
+        except LpCertificateError as err:
+            assert failing and err.index == failing[0]
+            assert (err.check, err.at, err.amount, err.objective) == alone[failing[0]]
+        else:
+            assert not failing and gaps.tobytes() == np.array(alone).tobytes()
+
+
 def test_solve_lp_names_worst_violated_row(monkeypatch):
     inst = symmetric_pair_instance()
     prog = full_slot_program(inst, inst.outer)
