@@ -21,8 +21,8 @@ column is entrywise no larger in the time rows; moving an item's mass to that
 slot keeps every row feasible at the same objective, and the dropped rows hold
 everywhere in the box, so each step's vertex is an optimal direction of the
 full time-indexed program and the accumulated solution carries the full
-program's guarantee. Its entries hold one slot per item; :class:`SlotSolution`
-still takes any number.
+program's guarantee. Its entries hold one slot per item, the rule every
+:class:`SlotSolution` keeps: the rounding visits an item at that slot.
 
 The LP rows, right-hand side and box are the same at every step and only the
 objective changes, so the previous step's answer, a vertex and its basis,
@@ -82,27 +82,8 @@ class SlotSolution:
     grad_samples: int
     seed: int
 
-    @cached_property
-    def slot_lists(self) -> tuple:
-        """Per item: (slots tuple, values tuple) over its nonzero entries."""
-        per_item: list[tuple[list[int], list[float]]] = [([], []) for _ in range(self.n)]
-        for i, t, v in self.entries:
-            per_item[i][0].append(t)
-            per_item[i][1].append(v)
-        return tuple((tuple(ts), tuple(vs)) for ts, vs in per_item)
-
-    @cached_property
-    def slot_cum(self) -> tuple:
-        """Per item: cumulative slot probabilities (normalized by the marginal)."""
-        out = []
-        for i in range(self.n):
-            ts, vs = self.slot_lists[i]
-            total = self.marginals[i]
-            if not ts or total <= 0:
-                out.append(np.zeros(0))
-            else:
-                out.append(np.cumsum(np.asarray(vs) / total))
-        return tuple(out)
+    def __post_init__(self):
+        self.slots  # noqa: B018 -- checks the one-slot rule on construction
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -110,46 +91,24 @@ class SlotSolution:
         return np.flatnonzero(self.marginals > 0)
 
     @cached_property
-    def support_slots(self) -> tuple:
-        """Slot tables of the support columns: (fixed, drawn, bare).
+    def slots(self) -> np.ndarray:
+        """The (n_s,) start slots of the support columns: each item's one entry's slot.
 
-        ``fixed[c]`` is column c's start slot if its item has exactly one, else
-        0; ``drawn`` holds (c, slots, cumulative probabilities) of each column
-        with several; ``bare`` the columns whose item has no slot entries.
+        The rule of one slot per item is checked here: an item with several
+        entries, or a support item that no entry carries, raises
+        :class:`InvalidInputError` (a ``ValueError``) naming the 1-based item.
         """
-        fixed = np.zeros(len(self.support), dtype=np.int64)
-        drawn, bare = [], []
-        for c, i in enumerate(self.support):
-            ts, _ = self.slot_lists[i]
-            if len(ts) == 1:
-                fixed[c] = ts[0]
-            elif ts:
-                drawn.append((c, np.asarray(ts), self.slot_cum[i]))
-            else:
-                bare.append(c)
-        return fixed, tuple(drawn), np.asarray(bare, dtype=np.int64)
-
-    def sample_slots(self, u, mask) -> np.ndarray:
-        """Inverse-CDF start slots of a block over the support columns.
-
-        Column c of the (R, n_s) ``u`` draws item ``support[c]``'s slot. Slot
-        t of an item has probability value / marginal, so an item with one
-        slot gets it without a draw. A support item without slot entries (a
-        marginal that no entry carries) gets slot 0; an entry of the (R, n_s)
-        ``mask`` set on it raises.
-        """
-        fixed, drawn, bare = self.support_slots
-        u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape, dtype=np.int64)
-        out[:] = fixed
-        for c, ts, cum in drawn:
-            pos = np.searchsorted(cum, u[:, c], side="right")
-            out[:, c] = ts[np.minimum(pos, len(ts) - 1)]
-        if bare.size:
-            hit = bare[np.any(np.asarray(mask)[:, bare], axis=0)]
-            if hit.size:
-                raise ValueError(f"item {self.support[hit[0]]} has no slot mass")
-        return out
+        slot_of = {}
+        for i, t, _ in self.entries:
+            if i in slot_of:
+                raise InvalidInputError(
+                    f"item {i + 1} has more than one slot entry; a solution holds one per item"
+                )
+            slot_of[i] = t
+        for i in self.support.tolist():
+            if i not in slot_of:
+                raise InvalidInputError(f"item {i + 1} has a positive marginal but no slot entry")
+        return np.array([slot_of[i] for i in self.support.tolist()], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -354,11 +313,9 @@ def certify_solution(
 
     Time row t sums, over the items, the item's truncated cost at t
     (``instance.truncated_costs``, the table the slot program uses) times its
-    mass started by t. With nonnegative entries that lhs equals a slot-by-slot
-    accumulation in entry order bit for bit, unless an item has several
-    entries at one slot, whose values are then added together first; the two
-    then differ by at most 2 (n + k) eps lhs, k being the largest number of
-    entries of one item (eps = 2^-52).
+    mass started by t. An item's mass is its one entry's value from that
+    entry's slot on, so with nonnegative entries the lhs equals a slot-by-slot
+    accumulation in item order bit for bit.
     """
     rows: list[tuple[str, float, float, bool]] = []
     slots = instance.slot_counts
@@ -421,8 +378,11 @@ def solution_from_json(text: str) -> SlotSolution:
     """Parse a solution document; integer fields must be integral, never truncated.
 
     Raises :class:`InvalidInputError` naming the field for a non-integral
-    count, seed, item or slot, a non-numeric scale or value, or an item
-    outside 1..n.
+    count, seed, item or slot, a non-numeric scale or value, an item outside
+    1..n, a slot below 1 or a value outside [0, 1] (NaN included), and naming
+    the item for one listed twice (:attr:`SlotSolution.slots`). Whether a
+    slot lies within its item's slot count depends on the instance:
+    :func:`policy.check_solution_shape` checks it.
     """
     doc = json.loads(text)
     meta = doc["meta"]
@@ -433,7 +393,12 @@ def solution_from_json(text: str) -> SlotSolution:
         if not 1 <= i <= n:
             raise InvalidInputError(f"x[{j}].i must lie in 1..{n}, got {i}")
         t = as_int(e["t"], f"x[{j}].t")
-        entries.append((i - 1, t, float(json_number(e["value"], f"x[{j}].value"))))
+        if t < 1:
+            raise InvalidInputError(f"x[{j}].t must be at least 1, got {t}")
+        v = float(json_number(e["value"], f"x[{j}].value"))
+        if not 0.0 <= v <= 1.0:
+            raise InvalidInputError(f"x[{j}].value must lie in [0, 1], got {v!r}")
+        entries.append((i - 1, t, v))
     marginals = np.zeros(n)
     for i, _, v in entries:
         marginals[i] += v

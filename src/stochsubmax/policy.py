@@ -1,9 +1,9 @@
 """The executable adaptive policy and its simulation harness.
 
 One run: sample each item into a candidate set with its solution marginal,
-trim the set to the outer family with the set-level scheme, draw a start slot
-per surviving item from the fractional solution, then visit survivors in
-nondecreasing start-slot order (least index on ties). An item is selected iff
+trim the set to the outer family with the set-level scheme, then visit the
+survivors in nondecreasing order of their start slots, each item's one slot in
+the fractional solution (least index on ties). An item is selected iff
 the cost spent so far is at most its start slot; only then is its state
 revealed and its realized cost added. Selection therefore never overshoots the
 budget: spent <= slot <= budget - worst cost of the item being selected.
@@ -22,8 +22,10 @@ marginal, which are the only items a run can sample: its draws and masks are
 dominance violation reports go back to width n. When every item carries mass
 the draws are those of width n, so the ``simulate`` and ``dominance`` streams
 are unchanged; for a solution with items of marginal 0 they moved when the
-kernel went to the support width. :func:`execute` still draws
-``random((3, n))`` and takes the support columns, so its traces do not move.
+kernel went to the support width. :func:`execute` draws ``random((2, n))``
+and takes the support columns, so its traces do not depend on that width.
+The solution fixes every item's slot, so the gate scan visits the support
+columns in one order for all rows (:func:`gate_scan_batch`).
 """
 
 from __future__ import annotations
@@ -63,73 +65,63 @@ class PolicyTrace:
 
 
 def check_solution_shape(instance: Instance, sol: SlotSolution):
-    """Structural checks: entry ranges and marginal consistency."""
+    """Structural checks: entry ranges and marginal consistency, naming the 1-based item."""
     if sol.n != instance.n or sol.budget != instance.budget:
         raise ValueError("solution does not match the instance dimensions")
     slots = instance.slot_counts
     sums = np.zeros(instance.n)
     for i, t, v in sol.entries:
-        if not (0 <= i < instance.n and 1 <= t <= int(slots[i])):
-            raise ValueError(f"solution entry ({i}, {t}) is out of slot range")
+        if not 0 <= i < instance.n:
+            raise ValueError(f"solution item {i + 1} is outside 1..{instance.n}")
+        if not 1 <= t <= int(slots[i]):
+            raise ValueError(f"item {i + 1} has slot {t}, out of slot range 1..{int(slots[i])}")
         if not -1e-12 <= v <= 1 + 1e-9:
-            raise ValueError(f"solution value {v!r} outside [0, 1]")
+            raise ValueError(f"item {i + 1} has value {v!r}, outside [0, 1]")
         sums[i] += v
     if np.max(np.abs(sums - sol.marginals), initial=0.0) > 1e-9:
         raise ValueError("solution marginals are inconsistent with its entries")
 
 
-def gate_scan_batch(instance: Instance, states, kept, times, support):
+def gate_scan_batch(instance: Instance, states, kept, slots, support):
     """The gate scan on every row of a block at once.
 
-    Column c of the (R, n_s) arrays is item ``support[c]``. Step j visits each
-    row's j-th kept item in (start slot, index) order and selects it iff
-    spent <= its slot, so the loop runs at most max-kept steps. States are
-    read only through ``read``, one masked gather per step at gate-passed
-    positions, which is the only place the read mask is set. Returns (R, n_s)
+    Column c of the (R, n_s) arrays is item ``support[c]``, which starts at
+    ``slots[c]``. The scan visits the columns once, in (start slot, index)
+    order, and selects a row's kept item iff spent <= its slot. States are
+    read only through ``read``, one gather per column at the gate-passed
+    rows, which is the only place the read mask is set. Returns (R, n_s)
     ``selected``, ``reads`` and ``revealed`` (the states read, 0 elsewhere)
     and the (R,) ``spent``.
     """
-    kept, times, states = np.asarray(kept, dtype=bool), np.asarray(times), np.asarray(states)
+    kept, slots, states = np.asarray(kept, dtype=bool), np.asarray(slots), np.asarray(states)
     costs = instance.cost_matrix[support]
-    rows, n = kept.shape
-    key = np.where(kept, times * n + np.arange(n), np.iinfo(np.int64).max)
-    order = np.argsort(key, axis=1, kind="stable")
-    count = kept.sum(axis=1)
-    row_ids = np.arange(rows)
-    # flat views: entry (r, i) is at r * n + i
-    slot_of, state_of = times.reshape(-1), states.reshape(-1)
-    selected = np.zeros(rows * n, dtype=bool)
-    reads = np.zeros(rows * n, dtype=bool)
-    revealed = np.zeros(rows * n, dtype=np.int64)
-    spent = np.zeros(rows, dtype=np.int64)
+    selected = np.zeros(kept.shape, dtype=bool)
+    reads = np.zeros(kept.shape, dtype=bool)
+    revealed = np.zeros(kept.shape, dtype=np.int64)
+    spent = np.zeros(len(kept), dtype=np.int64)
 
-    def read(at):
-        state = state_of[at]
-        reads[at] = True
-        revealed[at] = state
+    def read(r, c):
+        state = states[r, c]
+        reads[r, c] = True
+        revealed[r, c] = state
         return state
 
-    for j in range(int(count.max(initial=0))):
-        r = row_ids[count > j]  # rows that still have a j-th kept item
-        at = r * n + order[r, j]
-        passed = spent[r] <= slot_of[at]
-        r, at = r[passed], at[passed]
-        selected[at] = True
-        spent[r] += costs[at % n, read(at) - 1]
-    shape = (rows, n)
-    return selected.reshape(shape), reads.reshape(shape), revealed.reshape(shape), spent
+    for c in np.argsort(slots, kind="stable"):  # by slot, least index on ties
+        r = np.flatnonzero(kept[:, c] & (spent <= slots[c]))
+        selected[r, c] = True
+        spent[r] += costs[c, read(r, c) - 1]
+    return selected, reads, revealed, spent
 
 
 @dataclass(frozen=True)
 class BlockRun:
-    """Batched policy runs of one block: sampled, kept, slots, gate scan and utilities.
+    """Batched policy runs of one block: sampled, kept, gate scan and utilities.
 
     Column c of the (R, n_s) arrays is item ``sol.support[c]``.
     """
 
     sampled: np.ndarray  # (R, n_s) bool
     kept: np.ndarray  # (R, n_s) bool
-    slots: np.ndarray  # (R, n_s) start slots, 0 for items without slot entries
     selected: np.ndarray  # (R, n_s) bool
     reads: np.ndarray  # (R, n_s) bool: where a state was read
     revealed: np.ndarray  # (R, n_s) the states read, 0 elsewhere
@@ -139,15 +131,16 @@ class BlockRun:
 
 def run_policy_batch(instance, f, outer, crs, sol, draws: BlockDraws) -> BlockRun:
     """The policy on every row of ``draws`` (drawn for ``sol.support``): sample,
-    resolve, draw slots, gate scan."""
+    resolve, gate scan."""
     support = sol.support
     sampled = draws.u_sample < sol.marginals[support]
     kept = crs_keep_batch(crs, outer, sampled, draws.priorities, support)
-    slots = sol.sample_slots(draws.u_slot, sampled)
-    selected, reads, revealed, spent = gate_scan_batch(instance, draws.states, kept, slots, support)
+    selected, reads, revealed, spent = gate_scan_batch(
+        instance, draws.states, kept, sol.slots, support
+    )
     wide = scatter_columns(revealed, support, instance.n)
     utility = np.asarray(f.value_batch(wide), dtype=float)
-    return BlockRun(sampled, kept, slots, selected, reads, revealed, spent, utility)
+    return BlockRun(sampled, kept, selected, reads, revealed, spent, utility)
 
 
 def execute(
@@ -162,9 +155,9 @@ def execute(
 ) -> PolicyTrace:
     """One policy run against a fixed realization: :func:`run_policy_batch` on one row.
 
-    The run's sample uniforms, priorities and slot uniforms are the support
-    columns of the three rows of ``derive_rng(seed, "policy").random((3, n))``,
-    so a run does not depend on the support's width. ``certify_scale``
+    The run's sample uniforms and priorities are the support columns of the
+    two rows of ``derive_rng(seed, "policy").random((2, n))``, so a run does
+    not depend on the support's width. ``certify_scale``
     optionally enforces full feasibility certification of the solution before
     running (the pipeline passes its stopping scale here); structural solution
     checks always run.
@@ -182,10 +175,9 @@ def execute(
     if states.shape != (instance.n,) or np.any(states < 1) or np.any(states > instance.B):
         raise ValueError("realization must assign each item a state in 1..B")
     support = sol.support
-    u = derive_rng(seed, "policy").random((3, instance.n))[:, None, support]
+    u = derive_rng(seed, "policy").random((2, instance.n))[:, None, support]
     run = run_policy_batch(instance, f, outer, crs, sol, BlockDraws(states[None, support], *u))
-    slots = run.slots[0]
-    scan = np.argsort(slots, kind="stable")  # gate-scan order: by slot, least index on ties
+    scan = np.argsort(sol.slots, kind="stable")  # gate-scan order: by slot, least index on ties
 
     def items(mask, order=slice(None)):
         return tuple(int(i) for i in support[order][mask[order]])
@@ -194,7 +186,7 @@ def execute(
     return PolicyTrace(
         sampled=items(run.sampled[0]),
         kept=kept,
-        start_times=dict(zip(kept, slots[run.kept[0]].tolist())),
+        start_times=dict(zip(kept, sol.slots[run.kept[0]].tolist())),
         selected=items(run.selected[0], scan),
         reads=items(run.reads[0], scan),
         utility=float(run.utility[0]),
@@ -286,9 +278,9 @@ def coupled_dominance_check(
 ) -> DominanceReport:
     """Per-sample dominance of the policy over the combined pruning map.
 
-    Each trial shares one realization, one sampled set, one set-level scheme
-    outcome, and one start-slot draw per sampled item between (a) a policy run
-    and (b) the combined pruning of the thinned state vector. The policy's
+    Each trial shares one realization, one sampled set and one set-level
+    scheme outcome between (a) a policy run and (b) the combined pruning of
+    the thinned state vector; both read the solution's start slots. The policy's
     selection must cover the pruned support coordinatewise, hence its utility
     must be at least the pruned vector's utility.
     """
@@ -306,7 +298,7 @@ def coupled_dominance_check(
         run = run_policy_batch(instance, f, outer, crs, sol, d)
         dropped += int(np.any(run.sampled != run.kept, axis=1).sum())
         v = np.where(run.sampled, d.states, 0)
-        sched = schedule_keep_batch(instance, v, run.slots, support)
+        sched = schedule_keep_batch(instance, v, sol.slots, support)
         pruned = np.where(run.kept & sched, v, 0)
         pruned_utility = np.asarray(f.value_batch(scatter_columns(pruned, support, n)), dtype=float)
         covered = np.all((pruned == 0) | (run.revealed == pruned), axis=1)
@@ -323,7 +315,7 @@ def coupled_dominance_check(
                     "sampled": ids(run.sampled[r]),
                     "kept": ids(run.kept[r]),
                     "times": {
-                        int(support[c]) + 1: int(run.slots[r, c])
+                        int(support[c]) + 1: int(sol.slots[c])
                         for c in np.flatnonzero(run.sampled[r])
                     },
                     "selected": ids(run.selected[r]),

@@ -11,11 +11,11 @@ On top of it sit three state-vector pruning maps, each of which only ever
 zeroes coordinates (output(i) is v(i) or 0):
 
   * ``outer``: zero every item the set-level scheme drops from the support.
-  * ``schedule``: draw a start slot per support item from the fractional
-    solution and keep an item only if the realized costs of all support items
-    starting no later would fit within its slot.
-  * ``combined``: keep exactly the coordinates both maps keep, run with
-    independent randomness.
+  * ``schedule``: give each support item its one start slot in the
+    fractional solution and keep an item only if the realized costs of all
+    support items starting no later would fit within its slot. It draws
+    nothing: it is a function of the state vector.
+  * ``combined``: keep exactly the coordinates both maps keep.
 
 Empirical keep rates of all of the above are estimated per item (set level)
 or per (item, state) pair (state level) with binomial standard errors.
@@ -57,7 +57,11 @@ MAPPINGS = ("outer", "schedule", "combined")
 
 
 def closed_form_keep_rate(scale: float) -> float:
-    """(1 - exp(-b)) / b, the documented set-level keep rate at scale b."""
+    """(1 - exp(-b)) / b, a fair scheme's set-level keep rate at scale b.
+
+    The priority scheme does not guarantee it, so all accounting uses
+    measured keep rates.
+    """
     if scale <= 0:
         return 1.0
     return (1.0 - math.exp(-scale)) / scale
@@ -148,27 +152,23 @@ def crs_keep_batch(
     return kept
 
 
-def schedule_keep_batch(instance: Instance, v, times, support) -> np.ndarray:
+def schedule_keep_batch(instance: Instance, v, slots, support) -> np.ndarray:
     """The schedule map on every row of a block: the (R, n_s) mask of kept items.
 
-    Column c is item ``support[c]``. ``v`` is an (R, n_s) state matrix (0 off
-    the row's sampled items) and ``times`` the (R, n_s) start slots, read only
-    where v is positive. Row r keeps such an item i iff the realized costs of
-    all its other such items starting no later than i fit within i's slot:
-    with c the realized costs and C[r, t] the row's total cost at slots 1..t,
-    iff C[r, times[r, i]] - c[r, i] <= times[r, i]. Memory is
-    O(R * (n_s + budget)).
+    Column c is item ``support[c]``, which starts at ``slots[c]`` (the
+    solution's :attr:`~greedy.SlotSolution.slots`). ``v`` is an (R, n_s) state
+    matrix, 0 off the row's sampled items. Row r keeps such an item i iff the
+    realized costs of all its other such items starting no later than i fit
+    within i's slot: with c the realized costs, iff
+    (c @ M)[r, i] - c[r, i] <= slots[i], where M[j, i] = [slots[j] <= slots[i]].
+    The costs are integers, so the float product is exact.
     """
     v = np.asarray(v)
-    rows = len(v)
+    slots = np.asarray(slots)
     on = v > 0
-    width = instance.budget + 1
-    cost = np.where(on, instance.cost_matrix[support, np.maximum(v, 1) - 1], 0)
-    t = np.where(on, times, 0)
-    cells = np.arange(rows)[:, None] * width + t
-    hist = np.bincount(cells[on], weights=cost[on], minlength=rows * width)
-    cum = np.cumsum(hist.reshape(rows, width), axis=1)
-    return on & (np.take_along_axis(cum, t, axis=1) - cost <= t)
+    cost = np.where(on, instance.cost_matrix[support, np.maximum(v, 1) - 1], 0).astype(float)
+    upto = cost @ (slots[:, None] <= slots).astype(float)
+    return on & (upto - cost <= slots)
 
 
 @dataclass(frozen=True)
@@ -181,20 +181,18 @@ class BlockDraws:
     states: np.ndarray  # realized states 1..B
     u_sample: np.ndarray  # item i is sampled iff u_sample[:, i] < its marginal
     priorities: np.ndarray  # priority-scheme priorities
-    u_slot: np.ndarray  # inverse-CDF uniforms of the start-slot draws
 
 
 def draw_block(
     instance: Instance, rng: np.random.Generator, size: int, support=slice(None)
 ) -> BlockDraws:
-    """States, sample uniforms, priorities and slot uniforms of ``size`` trials, in that order.
+    """States, sample uniforms and priorities of ``size`` trials, in that order.
 
     Only the ``support`` items (every item by default) are drawn for, so the
     draws for a support of all n items are the same whatever its form.
     """
     states = sample_states(instance.state_cum_probs[support], rng, size)
-    u_sample, priorities, u_slot = rng.random((3, size, states.shape[1]))
-    return BlockDraws(states, u_sample, priorities, u_slot)
+    return BlockDraws(states, *rng.random((2, size, states.shape[1])))
 
 
 class CrsEstimate(NamedTuple):
@@ -291,8 +289,7 @@ def _alpha_block(mapping, instance, outer, crs, sol, seed, block):
     """Per (support item, state) sampled and kept counts of one block (layout of
     :func:`draw_block`).
 
-    The thinned vector is the realized state where the item is sampled, else 0;
-    ``combined`` uses the priorities and the slot uniforms, which are independent.
+    The thinned vector is the realized state where the item is sampled, else 0.
     """
     b, size = block
     support = sol.support
@@ -302,10 +299,10 @@ def _alpha_block(mapping, instance, outer, crs, sol, seed, block):
     if mapping == "outer":
         keep = crs_keep_batch(crs, outer, sampled, d.priorities, support)
     elif mapping == "schedule":
-        keep = schedule_keep_batch(instance, v, sol.sample_slots(d.u_slot, sampled), support)
+        keep = schedule_keep_batch(instance, v, sol.slots, support)
     elif mapping == "combined":
         keep = crs_keep_batch(crs, outer, sampled, d.priorities, support) & schedule_keep_batch(
-            instance, v, sol.sample_slots(d.u_slot, sampled), support
+            instance, v, sol.slots, support
         )
     else:
         raise ValueError(f"unknown mapping {mapping!r}")

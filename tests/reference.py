@@ -4,8 +4,7 @@
   call and one ``solve_lp`` call per step, for tests/test_greedy.py to
   compare with ``greedy.run_continuous_greedy``, which rides each certified
   vertex over all the remaining steps at once.
-* A set-based scalar reference of the rounding (sample, prune, draw slots,
-  gate scan), independent of the package's one batched kernel
+* A set-based scalar reference of the rounding (sample, prune, gate scan), independent of the package's one batched kernel
   (``policy.run_policy_batch``), for tests/test_kernel.py to compare on
   identical draws.
 """
@@ -98,16 +97,10 @@ def keep(crs, outer, members, priorities) -> set:
     return greedy_keep(outer, members, priorities)
 
 
-def slot_at(sol, item: int, u: float) -> int:
-    """Inverse-CDF start slot of ``item`` at the uniform ``u``.
-
-    Slot t has probability value/marginal.
-    """
-    ts, _ = sol.slot_lists[item]
-    if not ts:
-        raise ValueError(f"item {item} has no slot mass")
-    pos = int(np.searchsorted(sol.slot_cum[item], u, side="right"))
-    return ts[min(pos, len(ts) - 1)]
+def slot_at(sol, item: int) -> int:
+    """The start slot of ``item``: the slot of its one entry in ``sol.entries``."""
+    (slot,) = [t for i, t, _ in sol.entries if i == item]
+    return slot
 
 
 def schedule_keep_set(instance, v, times: dict) -> set:
@@ -151,18 +144,17 @@ def _gate_scan(instance, kept, times: dict, reveal: RevealLog):
     return tuple(order), tuple(records), tuple(spent_history), tuple(selected)
 
 
-def _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities, u_slot):
+def _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities):
     """One traced run on explicit width-n draws, one entry per item.
 
-    Every item has a slot uniform, used only if the item is kept, so this is
-    the scalar reference for ``policy.run_policy_batch`` on identical draws:
+    This is the scalar reference for ``policy.run_policy_batch`` on identical draws:
     the kernel's support-width draws of ``rounding.draw_block`` put in their
     items' entries (an item of marginal 0 is never sampled, whatever its draws).
     """
     reveal = RevealLog(states)
     sampled = [int(i) for i in np.nonzero(u_sample < sol.marginals)[0]]
     kept = sorted(keep(crs, outer, sampled, priorities))
-    times = {i: slot_at(sol, i, u_slot[i]) for i in kept}
+    times = {i: slot_at(sol, i) for i in kept}
     order, records, spent_history, selected = _gate_scan(instance, kept, times, reveal)
     final = np.zeros(instance.n, dtype=np.int64)
     for item, _, passed, state, _ in records:

@@ -322,6 +322,30 @@ def test_simulate_rejects_invalid_solution_entry_with_exit_1(solved_pair, tmp_pa
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("mutate,message", [
+    # a second entry for item 1 at another slot: two slots for one item
+    (lambda doc: doc["x"].append(dict(doc["x"][0], t=doc["x"][0]["t"] - 1)),
+     "item 1 has more than one slot entry"),
+    # slot 5 lies past item 1's slot count on the pair instance
+    (lambda doc: doc["x"][0].update(t=5), "item 1 has slot 5, out of slot range"),
+])
+def test_simulate_rejects_solution_breaking_the_slot_rules_with_exit_1(
+    solved_pair, tmp_path, capsys, mutate, message
+):
+    pair_file, solution = solved_pair
+    doc = json.loads(solution.read_text())
+    assert doc["x"][0]["i"] == 1 and doc["x"][0]["t"] > 1
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--instance", str(pair_file), "--solution", str(bad),
+                 "--runs", "100", "--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid solution file" in err and message in err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_rejects_non_integral_meta_with_exit_1(solved_pair, tmp_path, capsys):
     pair_file, solution = solved_pair
     doc = json.loads(solution.read_text())

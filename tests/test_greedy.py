@@ -33,6 +33,7 @@ from stochsubmax.model import (
     instance_to_json,
 )
 from stochsubmax.parallel import combine_mean_se, map_blocks, split_blocks
+from stochsubmax.policy import check_solution_shape
 from tests.conftest import examples
 from tests.reference import greedy_steps
 
@@ -216,10 +217,62 @@ def test_solution_loader_accepts_integral_floats():
     (("meta", "l"), None, "meta.l"),
     (("x", 1, "i"), 3, "x[1].i"),
     (("x", 0, "i"), 0, "x[0].i"),
+    (("x", 0, "t"), 0, "x[0].t"),
+    (("x", 1, "value"), 1.5, "x[1].value"),
+    (("x", 1, "value"), -0.25, "x[1].value"),
+    (("x", 0, "value"), float("nan"), "x[0].value"),
+    (("x", 1, "i"), 1, "item 1"),
 ])
 def test_solution_loader_rejects_bad_fields(path, value, field):
     with pytest.raises(InvalidInputError, match=re.escape(field)):
         solution_from_json(solution_doc_with(path, value))
+
+
+MUTATIONS = ("repeat", "slot 0", "slot past", "i fraction", "t fraction", "i outside",
+             "value nan", "value outside")
+
+
+@settings(max_examples=examples(100))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MUTATIONS))
+def test_mutated_solution_documents_are_rejected_by_name(seed, mutation):
+    """A mutated ``solution_to_json`` document fails its load or its shape check.
+
+    The ``ValueError`` names the mutated field or item; any other exception,
+    or a document that loads and checks clean, fails the test.
+    """
+    rng = np.random.default_rng(seed)
+    inst = random_instance(seed, n_max=6, kinds=("cardinality",), all_schedulable=True)
+    slots = inst.slot_counts
+    chosen = [i for i in range(inst.n) if rng.random() < 0.6] or [0]
+    marginals = np.zeros(inst.n)
+    marginals[chosen] = rng.uniform(0.05, 1.0, size=len(chosen))
+    entries = tuple((i, int(rng.integers(1, slots[i] + 1)), float(marginals[i])) for i in chosen)
+    sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, marginals=marginals,
+                       stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+    doc = json.loads(solution_to_json(sol))
+    j = int(rng.integers(len(doc["x"])))
+    e = doc["x"][j]
+    item, field = e["i"], f"x[{j}]."
+    if mutation == "repeat":
+        doc["x"].append(dict(e, t=int(rng.integers(1, slots[item - 1] + 1))))
+        field = f"item {item} "
+    elif mutation == "slot 0":
+        e["t"], field = 0, field + "t"
+    elif mutation == "slot past":
+        e["t"] = int(slots[item - 1]) + int(rng.integers(1, 4))
+        field = f"item {item} "
+    elif mutation == "i fraction":
+        e["i"], field = item + 0.5, field + "i"
+    elif mutation == "t fraction":
+        e["t"], field = e["t"] - 0.5, field + "t"
+    elif mutation == "i outside":
+        e["i"], field = int(rng.choice([0, -1, inst.n + 1])), field + "i"
+    elif mutation == "value nan":
+        e["value"], field = float("nan"), field + "value"
+    else:
+        e["value"], field = float(rng.choice([-0.5, 1.5, 1e300])), field + "value"
+    with pytest.raises(ValueError, match=re.escape(field)):
+        check_solution_shape(inst, solution_from_json(json.dumps(doc)))
 
 
 def test_run_rejects_bad_parameters(pair_instance):
@@ -235,24 +288,12 @@ def test_run_rejects_bad_parameters(pair_instance):
         )
 
 
-def test_sample_slot_distribution(pair_instance):
-    sol = run_continuous_greedy(
-        pair_instance, pair_instance.utility, pair_instance.outer,
-        stop_scale=0.25, steps=10, grad_samples=400, seed=8,
-    )
-    rng = np.random.default_rng(0)
-    ts, vs = sol.slot_lists[0]
-    assert sol.support[0] == 0  # column 0 draws item 0's slot
-    u = np.zeros((4000, len(sol.support)))
-    u[:, 0] = rng.random(4000)
-    mask = np.zeros(u.shape, dtype=bool)
-    mask[:, 0] = True
-    draws = sol.sample_slots(u, mask)[:, 0]
-    probs = np.asarray(vs) / sol.marginals[0]
-    for t, p in zip(ts, probs):
-        freq = float(np.mean(draws == t))
-        se = np.sqrt(max(p * (1 - p), 1e-12) / len(draws))
-        assert abs(freq - p) <= 4 * se + 1e-9
+def test_greedy_solution_starts_each_item_at_its_latest_slot(partition_instance):
+    inst = partition_instance
+    sol = run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, steps=10,
+                                grad_samples=400, seed=8)
+    assert sol.support.size and [i for i, _, _ in sol.entries] == sol.support.tolist()
+    assert sol.slots.tolist() == inst.slot_counts[sol.support].tolist()
 
 
 def test_gains_bit_identical_on_pinned_instance():
@@ -688,29 +729,23 @@ def test_exact_steps_derive_no_sample_stream(monkeypatch):
 
 
 def test_time_rows_match_slot_by_slot_accumulation():
-    """The vectorized time rows against a slot-by-slot loop in entry order.
-
-    Entries repeat (item, slot) pairs, so an item's mass at one slot is added
-    up before its prefix; the rows then agree within the docstring's
-    2 (n + k) eps lhs, k being the most entries of one item.
-    """
+    """The vectorized time rows against a slot-by-slot loop in item order, bit for bit."""
     rng = np.random.default_rng(8)
     for _ in range(20):
         inst = random_instance(int(rng.integers(10**6)), n_max=6, B_max=3, budget_max=12,
                                kinds=("cardinality",), all_schedulable=True)
         slots = inst.slot_counts
         entries = tuple(
-            (int(i), int(rng.integers(1, slots[i] + 1)), float(rng.uniform(0, 0.2)))
-            for i in rng.integers(0, inst.n, size=int(rng.integers(1, 15)))
+            (i, int(rng.integers(1, slots[i] + 1)), float(rng.uniform(0, 0.2)))
+            for i in range(inst.n) if rng.random() < 0.7
         )
         marginals = np.zeros(inst.n)
         for i, _, v in entries:
-            marginals[i] += v
+            marginals[i] = v
         sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, marginals=marginals,
                            stop_scale=0.25, steps=1, grad_samples=1, seed=0)
         report = certify_solution(inst, inst.outer, sol, 0.25)
         rows = {label: (lhs, bound, ok) for label, lhs, bound, ok in report.rows}
-        k = max(sum(1 for j, _, _ in entries if j == i) for i in range(inst.n))
         prefix = np.zeros(inst.n)
         for t in range(1, inst.budget + 1):
             for i, slot, v in entries:
@@ -720,7 +755,7 @@ def test_time_rows_match_slot_by_slot_accumulation():
                       for i in range(inst.n) if prefix[i] > 0)
             got, bound, ok = rows[f"time[{t}]"]
             assert bound == 0.25 * 2.0 * t
-            assert abs(got - lhs) <= 2 * (inst.n + k) * np.finfo(float).eps * lhs
+            assert got == lhs
             assert ok == bool(lhs <= bound + greedy.CERT_TOL)
 
 

@@ -23,6 +23,7 @@ from stochsubmax.rounding import (
     schedule_keep_batch,
 )
 from stochsubmax.seeds import derive_rng
+from tests.conftest import examples
 from tests.reference import _run_policy, schedule_keep_set
 
 
@@ -46,7 +47,7 @@ def policy_cases(draw):
     """Instance, outer family, utility, scheme and hand-built solution, with a draw seed.
 
     Costs reach past the budget, so some items have no start slot; items with
-    slots may still get no solution mass.
+    slots may still get no solution mass. Each item with mass has one slot.
     """
     n = draw(st.integers(1, 6))
     B = draw(st.integers(1, 3))
@@ -74,14 +75,12 @@ def policy_cases(draw):
     for i, slots in enumerate(inst.slot_counts):
         if slots == 0 or rng.random() < 0.2:
             continue
-        ts = sorted(rng.choice(np.arange(1, slots + 1), size=rng.integers(1, slots + 1),
-                               replace=False).tolist())
         mass = 1.0 if rng.random() < 0.2 else rng.random()
-        vs = rng.dirichlet(np.ones(len(ts))) * mass
-        entries.extend((i, int(t), float(v)) for t, v in zip(ts, vs) if v > 0)
+        if mass > 0:
+            entries.append((i, int(rng.integers(1, slots + 1)), float(mass)))
     marginals = np.zeros(n)
     for i, _, v in entries:
-        marginals[i] += v
+        marginals[i] = v
     sol = SlotSolution(
         n=n, budget=budget, entries=tuple(entries), marginals=marginals,
         stop_scale=0.25, steps=1, grad_samples=1, seed=0,
@@ -95,21 +94,21 @@ def reference_draws(inst, sol, d):
     """The support-width draws ``d`` at width n, 0 off the support: the draws the
     scalar reference reads (it never samples an item of marginal 0)."""
     return [scatter_columns(a, sol.support, inst.n)
-            for a in (d.states, d.u_sample, d.priorities, d.u_slot)]
+            for a in (d.states, d.u_sample, d.priorities)]
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(policy_cases())
 def test_batch_matches_scalar_policy_on_identical_draws(case):
     inst, sol, crs, rows, seed = case
     f, outer = inst.utility, inst.outer
     d = draw_block(inst, np.random.default_rng(seed), rows, sol.support)
-    states, u_sample, priorities, u_slot = reference_draws(inst, sol, d)
+    states, u_sample, priorities = reference_draws(inst, sol, d)
     traces = []
     for r in range(rows):
         try:
             traces.append(_run_policy(
-                inst, f, outer, crs, sol, states[r], u_sample[r], priorities[r], u_slot[r]
+                inst, f, outer, crs, sol, states[r], u_sample[r], priorities[r]
             ))
         except ValueError as exc:  # the identity scheme refuses a set outside the family
             assert crs.kind == "identity", exc
@@ -121,7 +120,7 @@ def test_batch_matches_scalar_policy_on_identical_draws(case):
     for r, tr in enumerate(traces):
         assert tuple(support[run.sampled[r]]) == tr.sampled
         assert tuple(support[run.kept[r]]) == tr.kept
-        assert dict(zip(support[run.kept[r]].tolist(), run.slots[r, run.kept[r]].tolist())) \
+        assert dict(zip(support[run.kept[r]].tolist(), sol.slots[run.kept[r]].tolist())) \
             == tr.start_times
         assert tuple(support[run.selected[r]]) == tuple(sorted(tr.selected))
         assert tuple(support[run.reads[r]]) == tuple(sorted(tr.reads))
@@ -132,9 +131,9 @@ def test_batch_matches_scalar_policy_on_identical_draws(case):
 def assert_execute_is_reference_run(inst, sol, crs, states, seed):
     """``execute`` against the reference run on its draws: the rows of one "policy" stream."""
     f, outer = inst.utility, inst.outer
-    u_sample, priorities, u_slot = derive_rng(seed, "policy").random((3, inst.n))
+    u_sample, priorities = derive_rng(seed, "policy").random((2, inst.n))
     try:
-        ref = _run_policy(inst, f, outer, crs, sol, states, u_sample, priorities, u_slot)
+        ref = _run_policy(inst, f, outer, crs, sol, states, u_sample, priorities)
     except ValueError as exc:
         assert crs.kind == "identity", exc
         with pytest.raises(ValueError, match="outside the outer family"):
@@ -148,7 +147,7 @@ def assert_execute_is_reference_run(inst, sol, crs, states, seed):
     assert trace.utility == ref.utility
 
 
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 @given(policy_cases())
 def test_execute_is_the_reference_run_on_the_policy_draws(case):
     inst, sol, crs, _, seed = case
@@ -157,9 +156,10 @@ def test_execute_is_the_reference_run_on_the_policy_draws(case):
 
 
 def test_execute_is_the_reference_run_on_a_fixed_case(partition_instance):
-    # hand-built solution with two slots per item, so the slot draw matters
+    # hand-built solution whose items start at slot 1 or at their latest slot,
+    # so the scan order differs from the index order
     inst = partition_instance
-    entries = tuple((i, t, 0.3) for i in range(inst.n) for t in (1, int(inst.slot_counts[i])))
+    entries = tuple((i, 1 if i % 2 else int(inst.slot_counts[i]), 0.6) for i in range(inst.n))
     sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries,
                        marginals=np.full(inst.n, 0.6), stop_scale=0.25, steps=1,
                        grad_samples=1, seed=0)
@@ -178,7 +178,7 @@ def test_batch_edge_cases_match_scalar():
         ItemModel(probs=(1.0,), costs=(2,)),
     )
     sol = SlotSolution(
-        n=3, budget=3, entries=((1, 1, 0.5), (1, 2, 0.5), (2, 1, 1.0)),
+        n=3, budget=3, entries=((1, 2, 1.0), (2, 1, 1.0)),
         marginals=np.array([0.0, 1.0, 1.0]), stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
     for outer in (constraints.cardinality(3, 0), constraints.cardinality(3, 2)):
@@ -187,10 +187,10 @@ def test_batch_edge_cases_match_scalar():
         crs = BalancedCrs(kind="priority", scale=0.25)
         d = draw_block(inst, np.random.default_rng(5), 64, sol.support)
         run = run_policy_batch(inst, inst.utility, outer, crs, sol, d)
-        states, u_sample, priorities, u_slot = reference_draws(inst, sol, d)
+        states, u_sample, priorities = reference_draws(inst, sol, d)
         for r in range(64):
             tr = _run_policy(inst, inst.utility, outer, crs, sol, states[r],
-                             u_sample[r], priorities[r], u_slot[r])
+                             u_sample[r], priorities[r])
             assert tuple(sol.support[run.selected[r]]) == tuple(sorted(tr.selected))
             assert int(run.spent[r]) == tr.total_cost
         if outer.k == 0:
@@ -199,18 +199,19 @@ def test_batch_edge_cases_match_scalar():
             assert run.selected.any() and np.all(run.spent <= 3)
 
 
-def test_sample_slots_rejects_masked_item_without_mass():
-    # item 1 carries a marginal but no slot entry, so it is a support column
-    # without slot mass; item 2 has no marginal and is no column at all
-    sol = SlotSolution(
-        n=3, budget=3, entries=((0, 1, 0.5),), marginals=np.array([0.5, 0.5, 0.0]),
-        stop_scale=0.25, steps=1, grad_samples=1, seed=0,
-    )
-    assert sol.support.tolist() == [0, 1]
-    u = np.full((2, 2), 0.3)
-    assert sol.sample_slots(u, np.zeros((2, 2), dtype=bool)).tolist() == [[1, 0], [1, 0]]
-    with pytest.raises(ValueError, match="item 1 has no slot mass"):
-        sol.sample_slots(u, np.array([[True, False], [False, True]]))
+def test_solution_slots_are_one_per_support_item():
+    # the slot vector holds the support columns' slots; an item of marginal 0
+    # is no column, whatever its entry, and an item with mass but no entry,
+    # or with two entries, breaks the one-slot rule
+    kw = dict(n=3, budget=3, stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+    sol = SlotSolution(entries=((0, 2, 0.5), (1, 3, 0.0), (2, 1, 0.25)),
+                       marginals=np.array([0.5, 0.0, 0.25]), **kw)
+    assert sol.support.tolist() == [0, 2] and sol.slots.tolist() == [2, 1]
+    with pytest.raises(ValueError, match="item 2 has a positive marginal but no slot entry"):
+        SlotSolution(entries=((0, 1, 0.5),), marginals=np.array([0.5, 0.5, 0.0]), **kw)
+    with pytest.raises(ValueError, match="item 3 has more than one slot entry"):
+        SlotSolution(entries=((2, 1, 0.25), (2, 2, 0.25)),
+                     marginals=np.array([0.0, 0.0, 0.5]), **kw)
 
 
 def _random_outer(rng, n):
@@ -275,14 +276,13 @@ def test_schedule_keep_batch_matches_schedule_keep_set():
         support = _random_support(rng, n)
         width = (15, len(support))
         v = np.where(rng.random(width) < 0.7, rng.integers(1, B + 1, size=width), 0)
-        times = rng.integers(1, budget + 1, size=width)
-        kept = schedule_keep_batch(inst, v, times, support)
-        wide_v, wide_times = (scatter_columns(a, support, n) for a in (v, times))
+        slots = rng.integers(1, budget + 1, size=len(support))
+        kept = schedule_keep_batch(inst, v, slots, support)
+        wide_v = scatter_columns(v, support, n)
+        times = dict(zip(support.tolist(), slots.tolist()))
         for r in range(15):
             on = np.flatnonzero(wide_v[r])
-            expected = schedule_keep_set(
-                inst, wide_v[r], {int(i): int(wide_times[r, i]) for i in on}
-            )
+            expected = schedule_keep_set(inst, wide_v[r], {int(i): times[int(i)] for i in on})
             assert set(support[kept[r]]) == expected
 
 
@@ -345,14 +345,11 @@ def padded_cases(draw):
     small.require_valid()
     big.require_valid()
 
-    entries = []
-    for i, slots in enumerate(small.slot_counts):
-        if slots == 0 or rng.random() < 0.2:
-            continue
-        ts = sorted(rng.choice(np.arange(1, slots + 1), size=rng.integers(1, slots + 1),
-                               replace=False).tolist())
-        vs = rng.dirichlet(np.ones(len(ts))) * rng.uniform(0.05, 0.5)
-        entries.extend((i, int(t), float(v)) for t, v in zip(ts, vs))
+    entries = [
+        (i, int(rng.integers(1, slots + 1)), float(rng.uniform(0.05, 0.5)))
+        for i, slots in enumerate(small.slot_counts)
+        if slots and rng.random() >= 0.2
+    ]
 
     def solution(width, ids):
         mapped = tuple((int(ids[i]), t, v) for i, t, v in entries)
@@ -370,7 +367,7 @@ def _row_values(row):
     return (row.state, row.mapping, repr(row.value), repr(row.se), row.events, row.status)
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(padded_cases())
 def test_zero_marginal_items_change_nothing(case):
     """Items of marginal 0 are never drawn for: padding with them leaves the

@@ -7,12 +7,13 @@ from stochsubmax.greedy import SlotSolution, run_continuous_greedy
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.model import Instance, ItemModel, sample_realization
 from stochsubmax.policy import (
+    PolicyTrace,
     coupled_dominance_check,
     execute,
     gate_scan_batch,
     simulate_batch,
 )
-from stochsubmax.rounding import BalancedCrs
+from stochsubmax.rounding import MAPPINGS, BalancedCrs, estimate_state_keep_rates
 
 
 def full_mass_solution(instance, marginals):
@@ -61,7 +62,7 @@ def test_forced_times_hand_trace(pair_instance):
     # state 2 (cost 2): item 1 is selected at spent 0 <= 1, then item 2 fails
     # its gate because 2 > 1
     selected, reads, revealed, spent = gate_scan_batch(
-        pair_instance, [[2, 1]], [[True, True]], np.array([[1, 1]]), [0, 1]
+        pair_instance, [[2, 1]], [[True, True]], np.array([1, 1]), [0, 1]
     )
     assert selected.tolist() == [[True, False]]
     assert reads.tolist() == [[True, False]]
@@ -204,7 +205,7 @@ def test_dominance_under_contention():
     inst = Instance(n=3, B=2, budget=5, items=items, outer=constraints.cardinality(3, 1),
                     utility=WeightedModular(weights=(1.0, 1.0, 1.0)))
     sol = SlotSolution(
-        n=3, budget=5, entries=tuple((i, t, 0.1) for i in range(3) for t in (1, 2)),
+        n=3, budget=5, entries=tuple((i, 1 + i % 2, 0.2) for i in range(3)),
         marginals=np.full(3, 0.2), stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
     crs = BalancedCrs(kind="priority", scale=0.25)
@@ -226,7 +227,7 @@ def test_gate_uses_nonstrict_inequality(single_item):
         utility=WeightedModular(weights=(1.0, 1.0)),
     )
     selected, reads, _, spent = gate_scan_batch(
-        big, [[1, 1]], [[True, True]], np.array([[1, 1]]), [0, 1]
+        big, [[1, 1]], [[True, True]], np.array([1, 1]), [0, 1]
     )
     # item 1 selected at spent 0; item 2 gate: spent 1 <= 1 passes
     assert selected.tolist() == [[True, True]]
@@ -234,20 +235,85 @@ def test_gate_uses_nonstrict_inequality(single_item):
     assert spent.tolist() == [2]
 
 
+def one_slot_solution(instance, slots_values):
+    """Hand-built solution: item i starts at slot t with mass v, for each i: (t, v)."""
+    entries = tuple((i, t, v) for i, (t, v) in sorted(slots_values.items()))
+    marginals = np.zeros(instance.n)
+    for i, _, v in entries:
+        marginals[i] = v
+    return SlotSolution(n=instance.n, budget=instance.budget, entries=entries,
+                        marginals=marginals, stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+
+
+def stream_pins(instance, sol, realization, seed):
+    """Summaries of every seeded stream the rounding draws from.
+
+    The simulate summary, the dominance report, the (events, kept) counts of
+    each state keep-rate mapping's rows (which fix the rows' values and
+    standard errors) and one ``execute`` trace.
+    """
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    args = (instance, instance.utility, instance.outer, crs, sol)
+    s = simulate_batch(*args, runs=5000, seed=11)
+    d = coupled_dominance_check(*args, trials=3000, seed=12)
+    counts = {}
+    for m in MAPPINGS:
+        rows = estimate_state_keep_rates(m, instance, instance.outer, crs, sol, trials=4000,
+                                         seed=13)
+        kept = [round(r.value * r.events) if r.events else 0 for r in rows]
+        assert all(r.value == k / r.events for r, k in zip(rows, kept) if r.events)
+        counts[m] = ([r.events for r in rows], kept)
+    return (
+        (s.runs, s.mean_utility.hex(), s.se.hex(), s.inner_violations, s.outer_violations,
+         s.adaptivity_violations),
+        (d.trials, len(d.violations), d.dropped),
+        counts,
+        execute(*args, realization, seed),
+    )
+
+
 def test_full_support_summaries_are_pinned(partition_instance, pair_instance):
     # every item carries mass, so the block draws keep their width-n shapes and
-    # streams: the partition case draws among two slots per item, the greedy
-    # pair solution holds one slot per item
+    # streams. The partition case starts its items at slots 1, 3 and 2, so the
+    # scan order is not the index order; the greedy pair solution holds each
+    # item's latest slot
     inst = partition_instance
-    entries = tuple((i, t, 0.3) for i in range(inst.n) for t in (1, int(inst.slot_counts[i])))
-    sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries,
-                       marginals=np.full(inst.n, 0.6), stop_scale=0.25, steps=1,
-                       grad_samples=1, seed=0)
+    sol = one_slot_solution(inst, {0: (1, 0.6), 1: (3, 0.6), 2: (2, 0.6)})
+    simulate, dominance, counts, trace = stream_pins(inst, sol, [1, 2, 1], 1)
+    assert simulate == (5000, "0x1.803db1585d0ecp+0", "0x1.e45f541b03434p-8", 0, 0, 0)
+    assert dominance == (3000, 0, 1117)
+    assert counts == {
+        "outer": ([1230, 1198, 591, 1847, 1791, 613], [861, 830, 416, 1270, 1791, 613]),
+        "schedule": ([1184, 1208, 604, 1774, 1779, 620], [1184, 1208, 487, 1479, 1779, 620]),
+        "combined": ([1192, 1200, 551, 1809, 1822, 600], [847, 832, 341, 1084, 1822, 600]),
+    }
+    assert trace == PolicyTrace(sampled=(0, 1, 2), kept=(1, 2), start_times={1: 3, 2: 2},
+                                selected=(2, 1), reads=(2, 1), utility=2.0, spent=5)
     crs = BalancedCrs(kind="priority", scale=0.25)
-    summary = simulate_batch(inst, inst.utility, inst.outer, crs, sol, runs=5000, seed=11)
-    assert (summary.mean_utility, summary.se) == (1.4730797849136033, 0.007163620100645187)
     pair = solved(pair_instance, seed=13, steps=20, grad_samples=1000)
     assert pair.support.tolist() == [0, 1]
     summary = simulate_batch(pair_instance, pair_instance.utility, pair_instance.outer, crs,
                              pair, runs=5000, seed=11)
     assert (summary.mean_utility, summary.se) == (0.7448, 0.013864091553611487)
+
+
+def test_partial_support_summaries_are_pinned():
+    # items 2 and 5 carry no mass, so the draws have the support's width
+    inst = random_instance(1, n_max=6, B_max=3, budget_max=10,
+                           kinds=("cardinality", "partition"))
+    sol = one_slot_solution(inst, {0: (2, 0.5), 2: (5, 0.4), 3: (1, 0.7), 5: (3, 0.3)})
+    assert sol.support.tolist() == [0, 2, 3, 5]
+    simulate, dominance, counts, trace = stream_pins(inst, sol, [1, 2, 3, 1, 2, 3], 0)
+    assert simulate == (5000, "0x1.6a78987b1ff14p+0", "0x1.03eddaf77e164p-7", 0, 0, 0)
+    assert dominance == (3000, 0, 141)
+    zeros = [0, 0, 0]
+    assert counts == {
+        "outer": ([1043, 809, 148, *zeros, 401, 424, 769, 1203, 1028, 582, *zeros, 901, 235, 107],
+                  [1021, 786, 139, *zeros, 384, 415, 755, 1182, 1018, 572, *zeros, 868, 229, 101]),
+        "schedule": ([978, 868, 146, *zeros, 434, 410, 854, 1199, 992, 588, *zeros, 835, 219, 102],
+                     [292, 250, 58, *zeros, 337, 335, 668, 1199, 992, 588, *zeros, 379, 96, 45]),
+        "combined": ([954, 918, 163, *zeros, 396, 441, 800, 1209, 940, 600, *zeros, 854, 222, 103],
+                     [284, 290, 52, *zeros, 289, 337, 623, 1189, 928, 588, *zeros, 410, 83, 53]),
+    }
+    assert trace == PolicyTrace(sampled=(0, 3), kept=(0, 3), start_times={0: 2, 3: 1},
+                                selected=(3,), reads=(3,), utility=0.9305912099305473, spent=3)

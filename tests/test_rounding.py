@@ -134,7 +134,7 @@ def test_prune_by_outer_cases(pair_instance):
 
 def test_schedule_keep_single_item(pair_instance):
     v = np.array([[2, 0]])
-    kept = schedule_keep_batch(pair_instance, v, np.array([[1, 0]]), [0, 1])
+    kept = schedule_keep_batch(pair_instance, v, np.array([1, 1]), [0, 1])
     assert kept.tolist() == [[True, False]]
 
 
@@ -143,26 +143,26 @@ def test_schedule_keep_hand_cases(pair_instance):
     # other's cost 1 <= 1, so both survive. Row 1: item 1 at state 2 (cost 2);
     # item 2 sees cost 2 > 1 and is dropped, item 1 sees cost 1 <= 1 and survives
     v = np.array([[1, 1], [2, 1]])
-    kept = schedule_keep_batch(pair_instance, v, np.ones((2, 2), dtype=np.int64), [0, 1])
+    kept = schedule_keep_batch(pair_instance, v, np.ones(2, dtype=np.int64), [0, 1])
     assert kept.tolist() == [[True, True], [True, False]]
 
 
 def test_schedule_keep_counts_all_items_starting_no_later(pair_instance):
     # equal start slots count each other even when listed later in index order
     # item 0 sees cost 2 > 1 -> dropped; item 1 sees cost 1 <= 1 -> kept
-    kept = schedule_keep_batch(pair_instance, np.array([[1, 2]]), np.array([[1, 1]]), [0, 1])
+    kept = schedule_keep_batch(pair_instance, np.array([[1, 2]]), np.array([1, 1]), [0, 1])
     assert kept.tolist() == [[False, True]]
 
 
 def test_prune_by_schedule_rejects_zero_marginal_support(pair_instance):
-    # the schedule map draws a slot for every sampled support item; item 1
-    # carries a marginal but no slot entry, so it has no slot mass
-    sol = SlotSolution(
-        n=2, budget=pair_instance.budget, entries=((0, 1, 0.25),),
-        marginals=np.array([0.25, 0.25]), stop_scale=0.25, steps=1, grad_samples=1, seed=0,
-    )
-    with pytest.raises(ValueError, match="item 1 has no slot mass"):
-        sol.sample_slots(np.full((1, 2), 0.5), np.array([[True, True]]))
+    # the schedule map reads a slot for every support item; item 2 carries a
+    # marginal but no slot entry, so no solution holds it
+    with pytest.raises(ValueError, match="item 2 has a positive marginal but no slot entry"):
+        SlotSolution(
+            n=2, budget=pair_instance.budget, entries=((0, 1, 0.25),),
+            marginals=np.array([0.25, 0.25]), stop_scale=0.25, steps=1, grad_samples=1,
+            seed=0,
+        )
 
 
 def test_prune_maps_support_condition(pair_instance):
@@ -174,8 +174,7 @@ def test_prune_maps_support_condition(pair_instance):
     sampled = d.u_sample < sol.marginals[support]
     v = np.where(sampled, d.states, 0)
     outer = crs_keep_batch(crs, pair_instance.outer, sampled, d.priorities, support)
-    slots = sol.sample_slots(d.u_slot, sampled)
-    schedule = schedule_keep_batch(pair_instance, v, slots, support)
+    schedule = schedule_keep_batch(pair_instance, v, sol.slots, support)
     for keep in (outer, schedule, outer & schedule):
         assert not np.any(keep & ~sampled)
 
