@@ -48,9 +48,7 @@ from .lattice import (
     WeightedModular,
     check_lattice_submodular,
     check_monotone,
-    join,
     make_utility,
-    meet,
 )
 from .lp import (
     SlotProgram,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import EnumerationLimitError, NoCompactPolytopeError, as_int
+from .errors import EnumerationLimitError, InvalidInputError, NoCompactPolytopeError, as_int
 
 MEMBERSHIP_TOL = 1e-9
 HULL_GUARD_N = 10
@@ -209,20 +209,30 @@ def outer_to_json(outer: OuterConstraint) -> dict:
 
 
 def outer_from_json(doc: dict, n: int) -> OuterConstraint:
+    """Parse an outer descriptor over ``n`` items; raises ``InvalidInputError`` naming
+    the field for a non-integral entry, an item id outside 1..n or an unknown kind."""
     kind = doc.get("kind")
     if kind == "cardinality":
         return cardinality(n, as_int(doc["k"], "outer.k"))
+
+    def ids(key):
+        out = []
+        for r, group in enumerate(doc[key]):
+            out.append([])
+            for j, value in enumerate(group):
+                field = f"outer.{key}[{r}][{j}]"
+                i = as_int(value, field)
+                if not 1 <= i <= n:
+                    raise InvalidInputError(f"{field} must lie in 1..{n}, got {i}")
+                out[-1].append(i - 1)
+        return out
+
     if kind == "partition":
-        blocks = [
-            [as_int(i, f"outer.blocks[{r}][{j}]") - 1 for j, i in enumerate(b)]
-            for r, b in enumerate(doc["blocks"])
-        ]
+        blocks = ids("blocks")
         caps = [as_int(c, f"outer.caps[{r}]") for r, c in enumerate(doc["caps"])]
         return partition(n, blocks, caps)
     if kind == "explicit":
-        maximal = [
-            [as_int(i, f"outer.maximal[{r}][{j}]") - 1 for j, i in enumerate(m)]
-            for r, m in enumerate(doc["maximal"])
-        ]
-        return explicit(n, maximal)
-    raise ValueError(f"unknown outer constraint kind {kind!r}")
+        return explicit(n, ids("maximal"))
+    raise InvalidInputError(
+        f"outer.kind must be cardinality, partition or explicit, got {kind!r}"
+    )

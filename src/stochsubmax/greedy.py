@@ -27,22 +27,21 @@ program's guarantee. Its entries hold one slot per item, the rule every
 The LP rows, right-hand side and box are the same at every step and only the
 objective changes, so the previous step's answer, a vertex and its basis,
 is still feasible, and it stays optimal while it passes the LP certificate
-under the new gains. Once an answer is certified, the greedy rides it: the
-remaining steps' marginals x, x + d, x + 2d, ... along its direction d are
-known in advance, built by repeated addition (a cumulative sum), which gives
-the bits of stepping one at a time. One gain call gives all their
-objectives (:func:`estimate_marginal_gains` on the stack) and one stacked
-certificate (:func:`lp.certify_optimal`) accepts the leading rows that the
-answer is still optimal for; only the first failing row calls
-:func:`lp.solve_lp`, whose simplex starts from the answer's basis, which is
-still primal feasible. The gains and the certificate give each row of a
-stack the bits of a one-row call, so the solution is the step-by-step
-greedy's bit for bit. Where gains must be sampled, only the first row's are
-drawn, from the stream ("step", k), and that row goes to ``solve_lp`` as a
-warm start. The first step starts from the slack basis, and so does any
-step whose basis the simplex cannot use. Every step's answer is certified
-by LP duality either way. Items without a start slot get no variables; with
-no variables at all the greedy estimates no gains and solves no LP.
+under the new gains. This is the only place an earlier answer is reused:
+whenever there is one, the greedy rides it. The remaining steps' marginals
+x, x + d, x + 2d, ... along its direction d are known in advance, built by
+repeated addition (a cumulative sum), which gives the bits of stepping one
+at a time. One gain call gives all their objectives
+(:func:`estimate_marginal_gains` on the stack) and one stacked certificate
+(:func:`lp.certify_optimal`) accepts the leading rows that the answer is
+still optimal for; only the first failing row calls :func:`lp.solve_lp`,
+whose simplex starts from the slack basis. The gains and the certificate
+give each row of a stack the bits of a one-row call, so the solution is the
+step-by-step greedy's bit for bit. Where gains must be sampled, only the
+first row's are drawn, from the stream ("step", k), and the certificate is
+a one-row stack. Every step's answer is certified by LP duality either way.
+Items without a start slot get no variables; with no variables at all the
+greedy estimates no gains and solves no LP.
 """
 
 from __future__ import annotations
@@ -244,8 +243,8 @@ def run_continuous_greedy(
     while k < steps:
         # row j is x after j more steps along the last answer, by repeated addition:
         # the bits of x = x + delta * answer.values taken step by step. The first
-        # step has no answer to ride, and the last nothing left to ride over
-        if answer is None or k == steps - 1:
+        # step has no answer to ride
+        if answer is None:
             path = x[None]
         else:
             path = np.empty((steps - k + 1, nv))
@@ -259,10 +258,10 @@ def run_continuous_greedy(
         stream = ("step", k)
         gains, _ = estimate_marginal_gains(instance, f, rows, grad_samples, seed, stream=stream)
         objectives = gains[:, items]
-        # the answer rides over the leading rows it is certified for; a lone row
-        # goes to solve_lp, which certifies the answer there first
+        # the answer rides over the leading rows it is certified for, a lone row
+        # included; the first failing row is solved afresh
         taken = 0
-        if len(objectives) > 1:
+        if answer is not None:
             try:
                 certify_optimal(objectives, program.row_coeffs, program.row_bounds, upper,
                                 answer.values, answer.basis)
@@ -275,7 +274,7 @@ def run_continuous_greedy(
         x = path[taken]
         k += taken
         if taken < len(objectives):
-            answer = solve_lp(program, objectives[taken], answer)
+            answer = solve_lp(program, objectives[taken])
             x = x + delta * answer.values
             k += 1
             if history is not None:

@@ -1,4 +1,4 @@
-"""Integer-lattice state vectors, built-in utility families, and exhaustive checkers.
+"""Built-in utility families on integer-lattice state vectors, and exhaustive checkers.
 
 A state vector assigns each item an integer level in {0, ..., B}; level 0 means
 "not selected". Utilities map state vectors to nonnegative reals and are expected
@@ -44,24 +44,6 @@ _STACK_VALUES = 2**20
 FAMILY_MODULAR = "weighted-modular"
 FAMILY_CONCAVE = "concave-over-modular"
 FAMILY_COVERAGE = "weighted-coverage-by-threshold"
-
-
-def join(u, v) -> np.ndarray:
-    """Componentwise maximum of two equal-length state vectors."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    return np.maximum(u, v)
-
-
-def meet(u, v) -> np.ndarray:
-    """Componentwise minimum of two equal-length state vectors."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    return np.minimum(u, v)
 
 
 def _check_weights(values, name: str):
@@ -121,18 +103,15 @@ class UtilityOracle:
     row: the (R, n) array ``f(base with i at top[:, i]) - f(base with i at 0)``.
     ``base`` holds ``top`` where the (R, n) mask ``on`` is set and 0 elsewhere.
     The result is the transpose of a new C-contiguous (n, R) array, so item
-    i's gains ``out.T[i]`` lie in contiguous memory. The built-in families
-    override it with closed forms in O(R n):
-
-      * ``ThresholdCoverage`` subtracts the same two prefix-table entries as
-        the default, so it equals the default bit for bit.
-      * ``WeightedModular`` and ``ConcaveOverModular`` evaluate the two linear
-        sums of each gain without the n + 1 sweep, in another order than
-        ``value_batch``. Each sum adds at most n nonnegative terms, none of
-        them larger than the row's total at ``top``, T_r = sum_j w_j top[r, j],
-        so on row r they agree with the two-evaluation gains
-        ``f(with i) - f(without i)`` to within 4 (n + 1) eps g(T_r), g being
-        the identity for the modular family (eps = 2^-52).
+    i's gains ``out.T[i]`` lie in contiguous memory. Only the sampled gains
+    call it, for a family whose ``expected_gains`` returns None.
+    ``ConcaveOverModular``, the one built-in family that can, overrides it
+    with a closed form in O(R n) that evaluates the two linear sums of each
+    gain without the n + 1 sweep, in another order than ``value_batch``.
+    Each sum adds at most n nonnegative terms, none of them larger than the
+    row's total at ``top``, T_r = sum_j w_j top[r, j], so on row r they agree
+    with the two-evaluation gains ``f(with i) - f(without i)`` to within
+    4 (n + 1) eps g(T_r) (eps = 2^-52).
     """
 
     family: str = ""
@@ -210,10 +189,6 @@ class WeightedModular(UtilityOracle):
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         return np.asarray(states, dtype=float) @ np.asarray(self.weights)
-
-    def gains_batch(self, base, top, on) -> np.ndarray:
-        """Closed form in O(R n): item i gains ``weights[i] * top[:, i]`` on every row."""
-        return _weighted_columns(self.weights, top).T
 
     def expected_gains(self, probs, x, samples: int) -> np.ndarray:
         """``weights[i] * E[state of i]``, whatever the other items do.
@@ -406,30 +381,6 @@ class ThresholdCoverage(UtilityOracle):
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         return self._prefix[self._lengths(states).max(axis=1)]
-
-    def gains_batch(self, base, top, on) -> np.ndarray:
-        """Closed form in O(R n): the value is the weight of the longest prefix.
-
-        Without item i a row covers ``longest_other``, its longest prefix over
-        the other items: the row's longest, or its second longest at the item
-        that attains the longest. So item i gains
-        ``prefix[max(longest_other, len_i)] - prefix[longest_other]``, the
-        same two table entries that the default subtracts.
-        """
-        other = self._lengths(base)
-        rows = np.arange(other.shape[0])
-        first = other.argmax(axis=1)
-        longest = other[rows, first]
-        other[rows, first] = 0
-        second = other.max(axis=1)
-        other[:] = longest[:, None]
-        other[rows, first] = second
-        own = self._lengths(top)
-        np.maximum(own, other, out=own)
-        gains = np.empty(own.shape[::-1]).T
-        gains[:] = self._prefix[own]
-        gains -= self._prefix[other]
-        return gains
 
     def expected_gains(self, probs, x, samples: int) -> np.ndarray:
         """Closed form in O(n (m + B)) over the m ground elements, with no draws.

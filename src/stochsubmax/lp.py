@@ -26,7 +26,7 @@ n = 40, budget = 30 program go from 71 to about 13, and most desk programs
 keep one row or none. :func:`greedy.certify_solution` still checks every row
 of the full relaxation.
 
-All row coefficients are nonnegative and x = 0 is feasible, so a cold solve
+All row coefficients are nonnegative and x = 0 is feasible, so every solve
 starts from the slack basis and needs no phase 1. The entering variable is
 the one with the largest reduced cost (Dantzig's rule), except right after a
 degenerate step, one of length at most 1e-12, where the least improving index
@@ -37,27 +37,19 @@ would, from its first repeated basis on, be a cycle of Bland's rule, which
 has none. On the solve-large programs it takes about a third of Bland's
 pivots alone (a median of 19.5 against 63.5 on 24 cold solves).
 
-A solve may instead start from an earlier answer over the same rows,
-right-hand side and box: the continuous greedy changes nothing but the
-objective from step to step. Only the objective differs, so that answer's
-vertex is still feasible, and its basis is still optimal while the reduced
-costs under the new objective keep their signs (classical post-optimality).
-:func:`solve_lp` therefore certifies the earlier vertex and basis under the
-new objective first and returns them, with no pivot, if the certificate
-passes. Only if it fails does phase 2 of the simplex start from the earlier
-basis and bound signs. A start whose basis is singular, or whose basic
-values leave the box by more than ``ROW_TOL``, is dropped for the slack
-basis. Either start prices its first pivot by Dantzig's rule.
+Reusing an earlier answer is the continuous greedy's job: it keeps an answer
+while :func:`certify_optimal` accepts it under the new objective, and
+otherwise solves afresh.
 
 Each pivot works on an explicit inverse ``Binv`` of the basis matrix (the
-revised simplex). It starts as the identity on the slack basis, or as the
-inverse of the start basis. A basis change updates it in place by one rank-1
-(eta) update, a bound flip leaves it unchanged, and every ``REFACTOR`` basis
-changes it is rebuilt from the basis columns, which sheds the rounding the
-updates accumulate. The duals are y = c_B Binv and the entering column is
-w = Binv a. Pricing is one matrix-vector product: the reduced costs
-c - A^T y of every column, times a sign vector (+1 for a nonbasic variable at
-its lower bound, -1 at its upper bound, 0 for a basic one). The entering
+revised simplex). It starts as the identity on the slack basis. A basis
+change updates it in place by one rank-1 (eta) update, a bound flip leaves
+it unchanged, and every ``REFACTOR`` basis changes it is rebuilt from the
+basis columns, which sheds the rounding the updates accumulate. The duals
+are y = c_B Binv and the entering column is w = Binv a. Pricing is one
+matrix-vector product: the reduced costs c - A^T y of every column, times a
+sign vector (+1 for a nonbasic variable at its lower bound, -1 at its upper
+bound, 0 for a basic one). The entering
 variable is the one whose signed reduced cost is largest, every value within
 1e-12 of the largest tying and the least index among them entering; after a
 degenerate step it is the least index whose signed reduced cost exceeds
@@ -119,18 +111,15 @@ class LpSolution:
     """A simplex answer: the vertex, its objective, the pivots taken and the final basis.
 
     ``basis`` holds the basic indices, structural columns first and then one
-    slack per row (index nv + row). ``sign`` has one entry per column and
-    slack: +1 for a nonbasic variable at its lower bound, -1 at its upper
-    bound, 0 for a basic one. The answer is a start for a later
-    :func:`solve_lp` over the same rows, right-hand side and box, and
-    ``(basis, sign)`` one for a later :func:`simplex_max`.
+    slack per row (index nv + row): the basis :func:`certify_optimal` takes,
+    for this objective or, while the rows, right-hand side and box stay the
+    same, for a later one.
     """
 
     values: np.ndarray
     objective: float
     iterations: int
     basis: np.ndarray
-    sign: np.ndarray
 
 
 def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgram:
@@ -188,18 +177,12 @@ def program_dump(program: SlotProgram, objective) -> str:
     return "\n".join(lines) + "\n"
 
 
-def solve_lp(program: SlotProgram, objective, start=None) -> LpSolution:
+def solve_lp(program: SlotProgram, objective) -> LpSolution:
     """Maximize the objective over the program rows and [0, 1] box, certified by duality.
 
-    ``start`` is an earlier :class:`LpSolution` over the same program: its
-    ``(basis, sign)`` must pass :func:`simplex_max`'s start checks and its
-    ``values`` must have one entry per column, or ``ValueError`` is raised.
-    Its vertex and basis are then certified under the new objective; if that
-    certificate passes they are the answer, with 0 iterations and the
-    objective recomputed, and only if it fails does :func:`simplex_max`
-    start from ``(basis, sign)``. Raises :class:`LpCertificateError` (an
-    :class:`LpStallError`) naming the row or column at fault if the answer
-    fails :func:`certify_optimal`, whatever the start.
+    The simplex starts from the slack basis (:func:`simplex_max`). Raises
+    :class:`LpCertificateError` (an :class:`LpStallError`) naming the row or
+    column at fault if the answer fails :func:`certify_optimal`.
     """
     obj = np.asarray(objective, dtype=float)
     nv = len(program.variables)
@@ -207,24 +190,9 @@ def solve_lp(program: SlotProgram, objective, start=None) -> LpSolution:
         raise ValueError(f"objective must have {nv} coefficients")
     A, b = program.row_coeffs, program.row_bounds
     upper = np.ones(nv)
-    names = {"variables": program.variables, "row_labels": program.row_labels}
-    if start is not None:
-        if not isinstance(start, LpSolution):
-            raise ValueError(f"a start is an earlier LpSolution, not {type(start).__name__}")
-        basis, sign = _checked_start(
-            (start.basis, start.sign), np.concatenate([upper, np.full(len(b), np.inf)]), len(b)
-        )
-        x = np.asarray(start.values, dtype=float)
-        if x.shape != (nv,):
-            raise ValueError(f"a start needs {nv} values")
-        try:
-            certify_optimal(obj, A, b, upper, x, basis, **names)
-        except LpCertificateError:
-            start = (basis, sign)
-        else:
-            return LpSolution(x, float(obj @ x), 0, basis, sign)
-    sol = simplex_max(obj, A, b, upper, start=start)
-    certify_optimal(obj, A, b, upper, sol.values, sol.basis, **names)
+    sol = simplex_max(obj, A, b, upper)
+    certify_optimal(obj, A, b, upper, sol.values, sol.basis,
+                    variables=program.variables, row_labels=program.row_labels)
     return sol
 
 
@@ -333,54 +301,40 @@ def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None)
     return gaps if stack else float(gaps[0])
 
 
-def simplex_max(obj, A, b, upper, start=None, max_iters: int = 20000) -> LpSolution:
+def simplex_max(obj, A, b, upper, max_iters: int = 20000) -> LpSolution:
     """Bounded-variable primal simplex for max c.x, A x <= b, 0 <= x <= upper.
 
-    Requires b >= 0, so that x = 0 on the slack basis is feasible. ``start``
-    is an optional ``(basis, sign)`` pair, as an earlier :class:`LpSolution`
-    over the same A, b and upper holds them; phase 2 then starts from that
-    basis, with each nonbasic variable at the bound its sign names. A start of
-    the wrong shape, or with a repeated or out-of-range index or a sign that
-    does not match its basis, raises ``ValueError``. A singular start basis,
-    or one whose basic values leave [0, upper] by more than ``ROW_TOL``, is
-    dropped and the solve starts from the slack basis.
+    Requires b >= 0, so that x = 0 on the slack basis, where every solve
+    starts, is feasible.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     obj = np.asarray(obj, dtype=float)
     upper = np.asarray(upper, dtype=float)
     m, nv = len(b), len(obj)
-    up_full = np.concatenate([upper, np.full(m, np.inf)])
-    if start is not None:
-        start = _checked_start(start, up_full, m)
     if m == 0:
         x = np.where(obj > 0, np.where(np.isfinite(upper), upper, np.inf), 0.0)
         if np.any(np.isinf(x)):
             raise LpStallError(0, float("inf"))
-        return LpSolution(x, float(obj @ x), 0, np.zeros(0, dtype=np.int64),
-                          np.where(obj > 0, -1.0, 1.0))
+        return LpSolution(x, float(obj @ x), 0, np.zeros(0, dtype=np.int64))
     if np.any(b < -ROW_TOL):
         raise ValueError("right-hand side must be nonnegative (x=0 feasible)")
     b = np.maximum(b, 0.0)
 
     total = nv + m
+    up_full = np.concatenate([upper, np.full(m, np.inf)])
     A_fullT = np.vstack([A.T, np.eye(m)])  # one contiguous row per variable
     c_full = np.concatenate([obj, np.zeros(m)])
     bounded = np.isfinite(up_full)
     caps = np.where(bounded, up_full, 0.0)
 
-    warm = None if start is None else _start_point(A_fullT, b, up_full, *start)
-    if warm is not None:
-        basis, sign = start
-        x, Binv = warm
-    else:
-        basis = np.arange(nv, total)
-        # +1 nonbasic at its lower bound, -1 nonbasic at its upper bound, 0 basic
-        sign = np.ones(total)
-        sign[basis] = 0.0
-        x = np.zeros(total)
-        x[basis] = b
-        Binv = np.eye(m)  # inverse of the slack basis
+    basis = np.arange(nv, total)
+    # +1 nonbasic at its lower bound, -1 nonbasic at its upper bound, 0 basic
+    sign = np.ones(total)
+    sign[basis] = 0.0
+    x = np.zeros(total)
+    x[basis] = b
+    Binv = np.eye(m)  # inverse of the slack basis
     changes = 0
     degenerate = False  # was the last step degenerate: then Bland's rule prices
 
@@ -404,7 +358,7 @@ def simplex_max(obj, A, b, upper, start=None, max_iters: int = 20000) -> LpSolut
             gap = b @ yp + caps[:nv] @ np.maximum(obj - A_fullT[:nv] @ yp, 0.0) - value
             entering = int(signed.argmax())
             if gap <= 0.5 * CERT_TOL * max(1.0, abs(value)) or signed[entering] <= 0:
-                return LpSolution(x[:nv].copy(), value, it - 1, basis, sign)
+                return LpSolution(x[:nv].copy(), value, it - 1, basis)
         direction = int(sign[entering])
 
         w = Binv @ A_fullT[entering]
@@ -455,36 +409,3 @@ def simplex_max(obj, A, b, upper, start=None, max_iters: int = 20000) -> LpSolut
 
     raise LpStallError(max_iters, float(c_full @ x))
 
-
-def _checked_start(start, up_full, m):
-    """Copies of a start's basis and sign as arrays; raises ``ValueError`` if it is malformed."""
-    basis, sign = start
-    basis = np.asarray(basis)
-    sign = np.array(sign, dtype=float)
-    total = len(up_full)
-    if basis.shape != (m,) or sign.shape != (total,):
-        raise ValueError(f"a start needs {m} basic indices and {total} signs")
-    if m and (basis.dtype.kind not in "iu" or basis.min() < 0 or basis.max() >= total):
-        raise ValueError(f"start basis indices must be integers in 0..{total - 1}")
-    nonbasic = np.ones(total, dtype=bool)
-    nonbasic[basis] = False
-    if np.count_nonzero(nonbasic) != total - m:
-        raise ValueError("start basis repeats an index")
-    if not (np.abs(sign) == nonbasic).all() or (sign[~np.isfinite(up_full)] < 0).any():
-        raise ValueError("start signs must be 0 on the basis and +1 or -1 off it, "
-                         "with -1 only on a variable with an upper bound")
-    return basis.astype(np.int64), sign
-
-
-def _start_point(A_fullT, b, up_full, basis, sign):
-    """(x, Binv) at a checked start, or None if its basis is singular or infeasible."""
-    try:
-        Binv = np.linalg.inv(A_fullT[basis]).T
-    except np.linalg.LinAlgError:
-        return None
-    x = np.where(sign < 0, up_full, 0.0)
-    xb = Binv @ (b - x @ A_fullT)
-    if not ((xb >= -ROW_TOL) & (xb <= up_full[basis] + ROW_TOL)).all():  # NaN fails too
-        return None
-    x[basis] = xb
-    return x, Binv

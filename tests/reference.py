@@ -1,7 +1,8 @@
 """Step-by-step references for the package's batched code paths.
 
 * :func:`greedy_steps`, the continuous greedy one step at a time: one gain
-  call and one ``solve_lp`` call per step, for tests/test_greedy.py to
+  call per step, then a one-objective certificate of the previous answer
+  and, if it fails, a cold ``solve_lp`` call, for tests/test_greedy.py to
   compare with ``greedy.run_continuous_greedy``, which rides each certified
   vertex over all the remaining steps at once.
 * A set-based scalar reference of the rounding (sample, prune, gate scan), independent of the package's one batched kernel
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from stochsubmax.constraints import is_independent
+from stochsubmax.errors import LpCertificateError
 from stochsubmax.greedy import estimate_marginal_gains
-from stochsubmax.lp import build_slot_program, solve_lp
+from stochsubmax.lp import build_slot_program, certify_optimal, solve_lp
 from stochsubmax.rounding import greedy_keep
 
 
@@ -26,11 +28,11 @@ def greedy_steps(instance, f, outer, stop_scale, steps, grad_samples, seed) -> l
     """The marginals after each step of the continuous greedy, taken one step at a time.
 
     Step k takes the gains at x, its float dust clipped to [0, 1] (exact, or
-    sampled from the stream ("step", k)), solves the slot program warm from
-    the previous answer, or reuses that answer if the objective did not
-    change, and moves x by ``stop_scale / steps`` along the answer. These
-    are the snapshots that ``run_continuous_greedy(..., history=...)``
-    records.
+    sampled from the stream ("step", k)), keeps the previous answer if it
+    passes ``certify_optimal`` under the new objective and otherwise solves
+    the slot program cold, and moves x by ``stop_scale / steps`` along the
+    answer. These are the snapshots that
+    ``run_continuous_greedy(..., history=...)`` records.
     """
     program = build_slot_program(instance, outer)
     nv = len(program.variables)
@@ -38,7 +40,7 @@ def greedy_steps(instance, f, outer, stop_scale, steps, grad_samples, seed) -> l
     x = np.zeros(nv)
     items = np.array([i for i, _ in program.variables], dtype=np.int64)
     marginals = np.zeros(instance.n)
-    answer = objective = None
+    answer = None
     history = []
     for k in range(steps):
         if nv:
@@ -46,14 +48,24 @@ def greedy_steps(instance, f, outer, stop_scale, steps, grad_samples, seed) -> l
             gains, _ = estimate_marginal_gains(
                 instance, f, marginals, grad_samples, seed, stream=("step", k)
             )
-            objective, previous = gains[items], objective
-            if answer is None or not np.array_equal(objective, previous):
-                answer = solve_lp(program, objective, answer)
+            objective = gains[items]
+            if answer is None or not _certified(program, objective, answer):
+                answer = solve_lp(program, objective)
             x = x + delta * answer.values
         snap = np.zeros(instance.n)
         snap[items] = x
         history.append(snap)
     return history
+
+
+def _certified(program, objective, answer) -> bool:
+    """Whether ``answer`` passes ``certify_optimal`` under ``objective``."""
+    try:
+        certify_optimal(objective, program.row_coeffs, program.row_bounds,
+                        np.ones(len(program.variables)), answer.values, answer.basis)
+    except LpCertificateError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -147,10 +147,9 @@ def test_fewer_than_two_runs_exit_1_before_any_solve(pair_file, tmp_path, capsys
 
 def test_solve_reports_lp_certificate_failure(pair_file, tmp_path, monkeypatch, capsys):
     # a simplex that stops at the origin: feasible, but the duality gap names a column
-    def origin(obj, A, b, upper, start=None):
+    def origin(obj, A, b, upper):
         nv, m = len(obj), len(b)
-        return lp.LpSolution(np.zeros(nv), 0.0, 0, np.arange(nv, nv + m),
-                             np.r_[np.ones(nv), np.zeros(m)])
+        return lp.LpSolution(np.zeros(nv), 0.0, 0, np.arange(nv, nv + m))
 
     monkeypatch.setattr(lp, "simplex_max", origin)
     rc = main(["solve", "--instance", str(pair_file), "--steps", "2",

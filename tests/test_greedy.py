@@ -316,7 +316,7 @@ def test_coverage_gains_bit_identical_on_pinned_instance():
     # rates up to 3 over 5 elements at B = 3, so many lengths are capped at m;
     # 6000 samples span two blocks. The greedy takes this family's exact gains,
     # so the sampled path is called directly: the pins check its reduction and
-    # the gains_batch closed form bit for bit
+    # the generic gains_batch sweep bit for bit
     inst = random_instance(1, families=("coverage",))
     gains, ses = greedy._sampled_gains(
         inst, inst.utility, np.linspace(0.1, 0.8, inst.n), samples=6000, seed=7
@@ -346,26 +346,6 @@ def test_sampled_gains_pinned_across_blocks():
 
     assert digest(7) == "1766a448a7641c2a62e300e90291abbb17278fe882d26470f131290bb7481334"
     assert digest(8) != digest(7)
-
-
-def test_modular_gains_bit_identical_on_pinned_instance():
-    # the closed form's gains are the products weights[i] * top, so these pins
-    # hold for it, not for the generic n + 1 evaluation path. The greedy takes
-    # this family's exact gains, so the sampled path is called directly
-    inst = random_instance(1, families=("modular",))
-    gains, ses = greedy._sampled_gains(
-        inst, inst.utility, np.linspace(0.1, 0.8, inst.n), samples=6000, seed=7
-    )
-    assert [float(g).hex() for g in gains] == [
-        "0x1.c3da10c9c374cp+0", "0x1.26fcc71ec64d1p+1", "0x1.0af51ac9afe1dp+2",
-        "0x1.abe4287aba222p+1", "0x1.7bfefbf401c52p+1", "0x1.fa6b8305d95ddp+0",
-        "0x1.915e5dcafe073p+1", "0x1.8a203fc9d2d5bp+1",
-    ]
-    assert [float(s).hex() for s in ses] == [
-        "0x1.242ad97b18113p-7", "0x1.80ea536441880p-7", "0x1.457162c3c69bbp-6",
-        "0x1.35d97918c1369p-6", "0x1.fb49978069914p-7", "0x1.8be295e243db9p-7",
-        "0x1.30b3a89663f1dp-6", "0x1.b4a9e81fddc37p-7",
-    ]
 
 
 @pytest.mark.parametrize("family", ["modular", "concave", "coverage"])
@@ -479,32 +459,27 @@ def counting_simplex(monkeypatch):
 def warm_against_cold(monkeypatch, inst, **kwargs):
     """Run the greedy, checking every step's LP answer against a cold solve; return totals.
 
-    A step either calls ``solve_lp`` or rides the previous answer, certified
-    with the other remaining steps in one stacked certificate; both are
-    checked. ``warm`` and ``cold`` total the pivots of the greedy's solves
-    and of a cold solve at every step, ray steps included; ``simplex``
-    counts the warm solves whose start failed its certificate, so that the
-    simplex ran from it; ``calls`` counts the ``solve_lp`` calls and ``ray``
-    the steps that rode an answer without one.
+    A step either calls ``solve_lp``, which solves cold, or is warm: it keeps
+    the previous answer, certified with the other remaining steps in one
+    stacked certificate. Both must reach a cold solve's objective value.
+    ``greedy`` totals the pivots of the greedy's own solves and ``cold``
+    those of a cold solve at every step, warm steps included; ``calls``
+    counts the ``solve_lp`` calls and ``ray`` the warm steps.
     """
     solve_lp, certify_optimal = greedy.solve_lp, greedy.certify_optimal
-    totals = {"warm": 0, "cold": 0, "starts": 0, "simplex": 0, "calls": 0, "ray": 0}
-    calls = counting_simplex(monkeypatch)
+    totals = {"greedy": 0, "cold": 0, "calls": 0, "ray": 0}
 
     def cold_check(program, objective, values):
         cold = solve_lp(program, objective)
         assert abs(float(objective @ values) - cold.objective) <= 1e-12
         totals["cold"] += cold.iterations
 
-    def checked(program, objective, start=None):
-        before = calls[0]
-        warm = solve_lp(program, objective, start)
-        totals["simplex"] += start is not None and calls[0] > before
-        cold_check(program, objective, warm.values)
-        totals["warm"] += warm.iterations
-        totals["starts"] += start is not None
+    def checked(program, objective):
+        answer = solve_lp(program, objective)
+        cold_check(program, objective, answer.values)
+        totals["greedy"] += answer.iterations
         totals["calls"] += 1
-        return warm
+        return answer
 
     def ridden(objectives, A, b, upper, x, basis):
         try:
@@ -527,10 +502,9 @@ def warm_against_cold(monkeypatch, inst, **kwargs):
     monkeypatch.setattr(greedy, "certify_optimal", ridden)
     steps = kwargs["steps"]
     run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, seed=3, **kwargs)
-    # every step is solved or ridden, and every solve after the first is warm;
-    # modular gains do not depend on x, so the first answer serves every step
+    # every step is solved or warm; modular gains do not depend on x, so the
+    # first answer serves every step
     assert totals["calls"] + totals["ray"] == steps
-    assert totals["starts"] == totals["calls"] - 1
     if inst.utility.family == "weighted-modular":
         assert totals["calls"] == 1
     return totals
@@ -559,14 +533,13 @@ def test_warm_steps_match_cold_solves_at_n40(monkeypatch):
                     outer=constraints.cardinality(40, 10),
                     utility=ConcaveOverModular(weights=weights, curve="sqrt"))
     totals = warm_against_cold(monkeypatch, inst, steps=12, grad_samples=200)
-    assert totals["warm"] < totals["cold"] / 3
-    # the gains move enough that some starts fail their certificate and pivot on,
-    # in as many pivots as when every warm step ran the simplex
-    assert totals["warm"] == 24 and 0 < totals["simplex"] < totals["starts"]
+    # the sampled gains move enough that the vertex turns over: 4 of the 12
+    # steps solve cold, and the other 8 keep the answer before them
+    assert (totals["greedy"], totals["cold"], totals["calls"], totals["ray"]) == (71, 207, 4, 8)
 
 
 def test_desk_greedy_runs_the_simplex_only_for_its_cold_step(monkeypatch):
-    # every warm step's start vertex stays optimal and passes its certificate
+    # every warm step's kept vertex stays optimal and passes its certificate
     calls = counting_simplex(monkeypatch)
     inst = desk_random_instance(1)
     run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, steps=25,
@@ -599,15 +572,15 @@ class NudgedModular(WeightedModular):
 
 
 def counted_lp_calls(monkeypatch):
-    """Record every ``solve_lp`` call of the greedy as (objective, start), and the
+    """Record the objective of every ``solve_lp`` call of the greedy, and the
     objective count of every certificate (a stacked one from the greedy, or one
     inside ``solve_lp``)."""
     solves, certificates = [], []
     solve_lp, certify_optimal = greedy.solve_lp, lp.certify_optimal
 
-    def counted_solve(program, objective, start=None):
-        solves.append((objective.copy(), start))
-        return solve_lp(program, objective, start)
+    def counted_solve(program, objective):
+        solves.append(objective.copy())
+        return solve_lp(program, objective)
 
     def counted_certificate(obj, *args, **kwargs):
         certificates.append(len(np.atleast_2d(obj)))
@@ -632,7 +605,7 @@ def test_unchanged_objective_reuses_the_certified_answer(monkeypatch, nudge_at):
     sol = run_continuous_greedy(inst, f, inst.outer, stop_scale=0.25, steps=6,
                                 grad_samples=100, seed=1)
     assert len(f.rows) == 6
-    assert len(solves) == 1 and solves[0][1] is None and certificates == [1, 5]
+    assert len(solves) == 1 and certificates == [1, 5]
     if nudge_at is not None:
         first = f.rows[0]
         for row in f.rows[3:]:
@@ -644,8 +617,10 @@ def test_unchanged_objective_reuses_the_certified_answer(monkeypatch, nudge_at):
 def test_failed_certificate_resolves_from_its_step(monkeypatch):
     # the leading item's gain drops to 0 from step 3 on, so the first answer's
     # certificate fails at step 3, the third row of the stack: steps 1 and 2
-    # ride it, step 3 is solved warm from it, and steps 4 and 5 ride the new answer.
-    # Five items, three of which the cardinality row admits
+    # ride it, step 3 is solved cold, and steps 4 and 5 ride the new answer.
+    # The failing row is certified once, in the stack; the only other
+    # certificates are each solve's own. Five items, three of which the
+    # cardinality row admits
     inst = random_instance(1, n_max=5, B_max=3, budget_max=10, families=("modular",),
                            kinds=("cardinality",), all_schedulable=True)
     top = int(np.argmax(inst.utility.expected_gains(inst.prob_matrix, np.zeros(inst.n), 1)))
@@ -655,10 +630,10 @@ def test_failed_certificate_resolves_from_its_step(monkeypatch):
     sol = run_continuous_greedy(inst, f, inst.outer, stop_scale=0.25, steps=6,
                                 grad_samples=100, seed=1, history=history)
     assert len(f.rows) == 1 + 5 + 2
-    # cold solve, stack of 5 failing at index 2, warm solve (start and answer), stack of 2
-    assert certificates == [1, 5, 1, 1, 2]
-    (first, cold), (third, start) = solves
-    assert cold is None and start is not None and third[top] == 0.0 < first[top]
+    # cold solve, stack of 5 failing at index 2, cold solve, stack of 2
+    assert certificates == [1, 5, 1, 2]
+    first, third = solves
+    assert third[top] == 0.0 < first[top]
     assert history[2][top] > 0 and history[3][top] == history[2][top]
     assert certify_solution(inst, inst.outer, sol, 0.25).passed
 
@@ -765,4 +740,4 @@ def test_warm_pivots_pinned_on_desk_instance(monkeypatch):
     # 2 pivots from the slack basis, is certified for all 24 later steps at once
     totals = warm_against_cold(monkeypatch, desk_random_instance(4), steps=25,
                                grad_samples=1500)
-    assert (totals["warm"], totals["cold"], totals["calls"], totals["ray"]) == (2, 50, 1, 24)
+    assert (totals["greedy"], totals["cold"], totals["calls"], totals["ray"]) == (2, 50, 1, 24)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -122,10 +121,12 @@ def test_rows_without_columns_solve_to_the_slack_basis(warm):
     prog = SlotProgram(variables=(), row_labels=(("outer", 0), ("time", 1)),
                        row_coeffs=np.zeros((2, 0)), row_bounds=np.array([1.0, 2.0]))
     sol = solve_lp(prog, np.zeros(0))
-    if warm:
-        sol = solve_lp(prog, np.zeros(0), start=sol)
     assert sol.objective == 0.0 and sol.values.shape == (0,)
-    assert sol.basis.tolist() == [0, 1] and sol.sign.tolist() == [0.0, 0.0]  # certified
+    assert sol.basis.tolist() == [0, 1]  # certified
+    if warm:  # kept for later steps: a stacked certificate accepts it for each
+        gaps = certify_optimal(np.zeros((3, 0)), prog.row_coeffs, prog.row_bounds,
+                               np.ones(0), sol.values, sol.basis)
+        assert gaps.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_cardinality_row_binds():
@@ -410,16 +411,14 @@ def test_against_highs_with_mixed_bounds(lp):
     assert np.all(sol.values >= -1e-12) and np.all(sol.values <= upper + 1e-12)
 
 
-def reference_simplex_max(obj, A, b, upper, path=None):
+def reference_simplex_max(obj, A, b, upper):
     """The pricing rule one column at a time, on two fresh dense solves per pivot:
     the reference for ``simplex_max``.
 
     The variable with the largest reduced cost along its free direction enters,
     ties within 1e-12 going to the least index; after a degenerate step (length
     at most 1e-12) the least index above 1e-9 enters instead (Bland), until the
-    next nondegenerate step. A ``path`` list receives ``(start, bland)`` at
-    each basis visited, the final one included: the ``(basis, sign)`` start
-    there, and whether Bland's choice prices it.
+    next nondegenerate step.
     """
     m, nv = A.shape
     total = nv + m
@@ -434,9 +433,6 @@ def reference_simplex_max(obj, A, b, upper, path=None):
     x[basis] = b
     degenerate = False
     for it in range(1, 20001):
-        if path is not None:
-            sign = np.where(in_basis, 0.0, np.where(at_upper, -1.0, 1.0))
-            path.append(((np.array(basis), sign), degenerate))
         B = A_full[:, basis]
         try:
             y = np.linalg.solve(B.T, c_full[basis])
@@ -556,70 +552,6 @@ def test_long_program_matches_reference(monkeypatch):
     assert len(rebuilds) == 4
 
 
-def pinned_lp():
-    """The first pinned program as (obj, A, b, upper)."""
-    prog, obj = pinned_program(*PINNED_VERTICES[0][0])
-    return obj, prog.row_coeffs, prog.row_bounds, np.ones(len(obj))
-
-
-def test_warm_start_from_every_basis_on_the_cold_path():
-    # the rule picks each pivot from the current basis and whether the step into
-    # it was degenerate; a start prices as after a nondegenerate step, so a start
-    # at such a basis of the cold path takes the remaining pivots of that path
-    lp = pinned_lp()
-    path = []
-    reference_simplex_max(*lp, path=path)
-    cold = simplex_max(*lp)
-    assert len(path) == cold.iterations + 1 == 15
-    assert sum(bland for _, bland in path) == 7
-    for k, (start, bland) in enumerate(path):
-        warm = simplex_max(*lp, start=start)
-        if not bland:
-            assert warm.iterations == cold.iterations - k
-        assert abs(warm.objective - cold.objective) <= 1e-12
-        certify_optimal(*lp, warm.values, warm.basis)
-
-
-def test_warm_start_from_final_bases_of_other_objectives():
-    # the cold path takes 14 pivots, so a start at another objective's vertex is
-    # not always shorter; the 20 starts take 266 pivots against 280 cold
-    obj, A, b, upper = pinned_lp()
-    cold = simplex_max(obj, A, b, upper)
-    assert cold.iterations == 14
-    rng = np.random.default_rng(20)
-    pivots = 0
-    for _ in range(20):
-        other = simplex_max(rng.uniform(-1, 2, size=len(obj)), A, b, upper)
-        assert np.any(other.sign < 0)  # some columns start at their upper bound
-        warm = simplex_max(obj, A, b, upper, start=(other.basis, other.sign))
-        pivots += warm.iterations
-        assert abs(warm.objective - cold.objective) <= 1e-12
-        certify_optimal(obj, A, b, upper, warm.values, warm.basis)
-    assert pivots == 266
-
-
-@settings(max_examples=examples(300))
-@given(bounded_lps(), st.data())
-def test_warm_start_matches_cold_on_a_new_objective(lp, data):
-    c, A, b, upper = lp
-    c2 = np.array(data.draw(st.lists(st.integers(-3, 4), min_size=len(c), max_size=len(c))),
-                  dtype=float)
-    try:
-        first = simplex_max(*lp)
-    except LpStallError:
-        return
-    start = (first.basis, first.sign)
-    try:
-        cold = simplex_max(c2, A, b, upper)
-    except LpStallError:
-        with pytest.raises(LpStallError):
-            simplex_max(c2, A, b, upper, start=start)
-        return
-    warm = simplex_max(c2, A, b, upper, start=start)
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
-    certify_optimal(c2, A, b, upper, warm.values, warm.basis)
-
-
 # Beale (1955): max 3/4 x0 - 150 x1 + 1/50 x2 - 6 x3 over two rows with zero
 # right-hand side and x2 <= 1; the optimum is 1/20 at x = (1/25, 0, 1, 0).
 # Dantzig's rule with the least-index ratio test alone cycles on it
@@ -657,37 +589,6 @@ def test_cycling_programs_reach_a_certified_optimum(lp, value, pivots):
 # the unit box; variables 0, 1 are the columns and 2, 3 the slacks
 SMALL_LP = (np.array([1.0, 2.0]), np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.5]),
             np.ones(2))
-
-
-@pytest.mark.parametrize("start", [
-    ([0], [0.0, 1.0, 1.0, 1.0]),  # one basic index for two rows
-    ([0, 2], [0.0, 1.0, 0.0]),  # three signs for four variables
-    ([2, 2], [1.0, 1.0, 0.0, 1.0]),  # repeated index
-    ([2, 4], [1.0, 1.0, 0.0, 1.0]),  # index past the last slack
-    ([-1, 2], [1.0, 1.0, 0.0, 1.0]),  # negative index
-    ([2.0, 3.0], [1.0, 1.0, 0.0, 0.0]),  # float indices
-    ([2, 3], [1.0, 0.0, 0.0, 0.0]),  # a nonbasic variable with sign 0
-    ([2, 3], [1.0, 1.0, 1.0, 0.0]),  # a basic variable with a sign
-    ([2, 3], [2.0, 1.0, 0.0, 0.0]),  # a sign other than +1 or -1
-    ([0, 2], [0.0, 1.0, 0.0, -1.0]),  # an unbounded slack at its upper bound
-    ("ab", [1.0, 1.0, 0.0, 0.0]),
-])
-def test_malformed_start_raises(start):
-    with pytest.raises(ValueError):
-        simplex_max(*SMALL_LP, start=start)
-
-
-@pytest.mark.parametrize("start", [
-    ([0, 1], [0.0, 0.0, 1.0, 1.0]),  # columns 0 and 1 make a singular basis
-    ([0, 2], [0.0, 1.0, 0.0, 1.0]),  # row 1 puts x0 at 1.5, above its bound
-    ([2, 3], [-1.0, -1.0, 0.0, 0.0]),  # both columns at 1 leave row 0 at slack -1
-])
-def test_unusable_start_falls_back_to_cold(start):
-    cold = simplex_max(*SMALL_LP)
-    warm = simplex_max(*SMALL_LP, start=start)
-    assert warm.iterations == cold.iterations > 0
-    assert np.array_equal(warm.values, cold.values) and warm.objective == cold.objective
-    assert np.array_equal(warm.basis, cold.basis) and np.array_equal(warm.sign, cold.sign)
 
 
 @settings(max_examples=examples(300))
@@ -923,8 +824,8 @@ def test_solve_lp_names_worst_violated_row(monkeypatch):
     nv, m = prog.row_coeffs.shape[1], len(prog.row_bounds)
     x = np.ones(nv)  # every start slot at once
     excess = prog.row_coeffs @ x - prog.row_bounds
-    monkeypatch.setattr(lp_module, "simplex_max", lambda *a, start=None: LpSolution(
-        x, float(nv), 1, np.arange(nv, nv + m), np.r_[-np.ones(nv), np.zeros(m)]))
+    monkeypatch.setattr(lp_module, "simplex_max", lambda *a: LpSolution(
+        x, float(nv), 1, np.arange(nv, nv + m)))
     with pytest.raises(LpStallError) as err:  # existing handlers still catch it
         solve_lp(prog, np.ones(nv))
     assert isinstance(err.value, LpCertificateError)
@@ -940,8 +841,8 @@ def test_solve_lp_names_column_of_duality_gap(monkeypatch):
     inst = symmetric_pair_instance()
     prog = full_slot_program(inst, inst.outer)
     nv, m = prog.row_coeffs.shape[1], len(prog.row_bounds)
-    monkeypatch.setattr(lp_module, "simplex_max", lambda *a, start=None: LpSolution(
-        np.zeros(nv), 0.0, 0, np.arange(nv, nv + m), np.r_[np.ones(nv), np.zeros(m)]))
+    monkeypatch.setattr(lp_module, "simplex_max", lambda *a: LpSolution(
+        np.zeros(nv), 0.0, 0, np.arange(nv, nv + m)))
     with pytest.raises(LpCertificateError) as err:
         solve_lp(prog, np.ones(nv))
     assert (err.value.check, err.value.at) == ("duality gap", prog.variables[0])
@@ -1037,41 +938,6 @@ def test_latest_slot_program_keeps_the_full_optimum(kind, case, data):
     assert report.passed, report.failures()
 
 
-def pair_program_answer():
-    # two rows that bind inside the box, so that a basis has two indices
-    prog = SlotProgram(variables=((0, 1), (1, 1)), row_labels=(("outer", 0), ("outer", 1)),
-                       row_coeffs=np.array([[1.0, 1.0], [1.0, 0.0]]),
-                       row_bounds=np.array([1.5, 0.75]))
-    return prog, solve_lp(prog, np.array([1.0, 2.0]))
-
-
-@pytest.mark.parametrize("malformed", [
-    lambda sol: (sol.basis, sol.sign),  # the pair simplex_max takes, not an answer
-    lambda sol: dataclasses.replace(sol, values=sol.values[:1]),
-    lambda sol: dataclasses.replace(sol, basis=sol.basis[:-1]),
-    lambda sol: dataclasses.replace(sol, basis=np.r_[sol.basis[:-1], sol.basis[0]]),
-    lambda sol: dataclasses.replace(sol, sign=np.zeros_like(sol.sign)),
-], ids=["tuple", "short values", "short basis", "repeated index", "zero signs"])
-def test_malformed_start_to_solve_lp_raises_before_any_certificate(monkeypatch, malformed):
-    prog, sol = pair_program_answer()
-
-    def certificate(*args, **kwargs):
-        raise AssertionError("a certificate was computed")
-
-    monkeypatch.setattr(lp_module, "certify_optimal", certificate)
-    with pytest.raises(ValueError):
-        solve_lp(prog, np.array([2.0, 1.0]), start=malformed(sol))
-
-
-def test_certified_start_is_the_answer():
-    # the vertex of (1, 2) is optimal for (1, 3) too: no pivot, the same basis and signs
-    prog, sol = pair_program_answer()
-    again = solve_lp(prog, np.array([1.0, 3.0]), start=sol)
-    assert again.iterations == 0 and again.values is sol.values
-    assert np.array_equal(again.basis, sol.basis) and np.array_equal(again.sign, sol.sign)
-    assert again.objective == float(np.array([1.0, 3.0]) @ sol.values)
-
-
 @st.composite
 def objective_chains(draw):
     """A random program over the unit box and a chain of 3 to 6 objectives for it.
@@ -1102,14 +968,17 @@ def objective_chains(draw):
 @settings(max_examples=examples(300))
 @given(objective_chains())
 def test_chained_warm_solves_match_cold_solves(chain):
+    # the greedy's reuse along a chain: each objective keeps the previous answer
+    # wherever its certificate passes and solves cold otherwise; a kept answer
+    # has a cold solve's objective value
     program, objectives = chain
     A, b = program.row_coeffs, program.row_bounds
     upper = np.ones(A.shape[1])
-    previous = None
+    sol = None
     for obj in objectives:
-        sol = solve_lp(program, obj, start=previous)
         cold = solve_lp(program, obj)
-        assert certify_optimal(obj, A, b, upper, sol.values, sol.basis) <= CERT_TOL * max(
-            1.0, abs(sol.objective))
-        assert abs(sol.objective - cold.objective) <= CERT_TOL * max(1.0, abs(cold.objective))
-        previous = sol
+        if sol is None or isinstance(
+                certificate_outcome(obj, A, b, upper, sol.values, sol.basis), tuple):
+            sol = cold
+        value = float(obj @ sol.values)
+        assert abs(value - cold.objective) <= CERT_TOL * max(1.0, abs(cold.objective))

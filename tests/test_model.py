@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -272,3 +272,70 @@ def test_nan_probability_from_json_flagged():
     )
     assert np.isnan(inst.items[0].probs[0])
     assert any("non-finite" in m for m in validate_instance(inst))
+
+
+INSTANCE_MUTATIONS = ("cost fraction", "count fraction", "probability nan",
+                      "probability negative", "cost decreasing", "item count", "B mismatch",
+                      "outer kind", "outer id")
+
+
+@settings(max_examples=examples(100))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(INSTANCE_MUTATIONS))
+def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
+    """A mutated ``instance_to_json`` document fails its load or its validation.
+
+    The load's ``ValueError`` starts with the mutated field, or a violation
+    starts with it or with the mutated item; any other exception, or a
+    document that loads and validates clean, fails the test.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = ("partition", "explicit") if mutation == "outer id" else (
+        "cardinality", "partition", "explicit")
+    inst = random_instance(seed, n_max=6, kinds=kinds)
+    doc = json.loads(instance_to_json(inst))
+    i, s = int(rng.integers(inst.n)), int(rng.integers(inst.B))
+    item, field = doc["items"][i], f"item {i + 1}:"
+    if mutation == "cost fraction":
+        item["costs"][s] += 0.5
+        field = f"items[{i}].costs[{s}]"
+    elif mutation == "count fraction":
+        field = str(rng.choice(["n", "B", "budget"]))
+        doc[field] += 0.5
+    elif mutation == "probability nan":
+        item["probs"][s] = float("nan")
+    elif mutation == "probability negative":
+        item["probs"][s] = -item["probs"][s]
+    elif mutation == "cost decreasing":
+        assume(inst.B >= 2)
+        s = max(s, 1)
+        costs = item["costs"]
+        if costs[s - 1] > 1:
+            costs[s] = costs[s - 1] - 1
+        else:
+            costs[s - 1] = costs[s] + 1
+    elif mutation == "item count":
+        if rng.random() < 0.5:
+            doc["items"].pop()
+        else:
+            doc["items"].append(item)
+        field = f"expected {inst.n} items"
+    elif mutation == "B mismatch":
+        doc["B"] = inst.B + 1 if inst.B == 1 or rng.random() < 0.5 else inst.B - 1
+    elif mutation == "outer kind":
+        doc["outer"]["kind"] = str(rng.choice(["matroid", "Cardinality", ""]))
+        field = "outer.kind"
+    else:
+        key = "blocks" if inst.outer.kind == "partition" else "maximal"
+        groups = [r for r, group in enumerate(doc["outer"][key]) if group]
+        assume(groups)
+        r = int(rng.choice(groups))
+        j = int(rng.integers(len(doc["outer"][key][r])))
+        doc["outer"][key][r][j] = int(rng.choice([0, -1, inst.n + 1]))
+        field = f"outer.{key}[{r}][{j}]"
+    try:
+        loaded = instance_from_json(json.dumps(doc))
+    except ValueError as exc:
+        assert str(exc).startswith(field + " "), str(exc)
+        return
+    violations = validate_instance(loaded)
+    assert any(v.startswith(field) for v in violations), violations
