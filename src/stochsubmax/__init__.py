@@ -26,12 +26,7 @@ from .errors import (
     LpStallError,
     NoCompactPolytopeError,
 )
-from .extensions import (
-    expected_set_value_exact,
-    expected_set_value_mc,
-    multilinear_exact,
-    multilinear_mc,
-)
+from .extensions import multilinear_mc
 from .greedy import (
     CertificationReport,
     SlotSolution,
@@ -69,12 +64,7 @@ from .model import (
     save_instance,
     validate_instance,
 )
-from .oracle import (
-    OracleResult,
-    optimal_policy_value,
-    policy_tree_value,
-    random_feasible_tree,
-)
+from .oracle import OracleResult, optimal_policy_value
 from .policy import (
     PolicyTrace,
     SimulationSummary,

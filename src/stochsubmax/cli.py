@@ -38,15 +38,19 @@ class DomainFailure(Exception):
     pass
 
 
-def _load(path: str) -> Instance:
+def _load(path: str, validated: bool = True) -> Instance:
+    """The instance at ``path``; if ``validated``, every violation is a domain failure."""
     try:
-        return load_instance(path)
+        instance = load_instance(path)
     except OSError as exc:
         raise IoFailure(f"cannot read instance file: {exc}") from exc
     except InvalidInputError as exc:
         raise DomainFailure(f"invalid instance file: {exc}") from exc
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"malformed instance file: {exc}") from exc
+    if validated and instance.violations:
+        raise DomainFailure("invalid instance: " + "; ".join(instance.violations))
+    return instance
 
 
 def _stop_scale(beta: float) -> float:
@@ -69,7 +73,7 @@ def _checker_work(n: int, B: int) -> int:
 
 
 def cmd_validate(args) -> int:
-    instance = _load(args.instance)
+    instance = _load(args.instance, validated=False)
     violations = list(validate_instance(instance))
     if not violations and _checker_work(instance.n, instance.B) <= CHECKER_WORK_BUDGET:
         ok, witness = lattice.check_monotone(instance.utility, instance.n, instance.B)
@@ -109,8 +113,6 @@ def _solve(instance: Instance, args):
 
 def cmd_solve(args) -> int:
     instance = _load(args.instance)
-    if instance.violations:
-        raise DomainFailure("instance is invalid; run validate for details")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -137,8 +139,6 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     instance = _load(args.instance)
-    if instance.violations:
-        raise DomainFailure("instance is invalid; run validate for details")
     try:
         sol = greedy.load_solution(args.solution)
     except OSError as exc:
@@ -204,8 +204,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_ratio(args) -> int:
     instance = _load(args.instance)
-    if instance.violations:
-        raise DomainFailure("instance is invalid; run validate for details")
     try:
         opt = oracle.optimal_policy_value(instance, instance.utility, instance.outer)
     except EnumerationLimitError as exc:

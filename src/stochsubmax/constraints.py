@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import EnumerationLimitError, InvalidInputError, NoCompactPolytopeError, as_int
+from .errors import (EnumerationLimitError, InvalidInputError, NoCompactPolytopeError, as_int,
+                     as_ints)
 
 MEMBERSHIP_TOL = 1e-9
 HULL_GUARD_N = 10
@@ -37,11 +38,6 @@ class OuterConstraint:
     maximal: tuple[frozenset, ...] | None = None
 
 
-def _ints(values, field: str) -> list[int]:
-    """``values`` as ints; entry j is named ``field[j]`` in the error."""
-    return [as_int(v, f"{field}[{j}]") for j, v in enumerate(values)]
-
-
 def cardinality(n: int, k: int) -> OuterConstraint:
     return OuterConstraint(kind="cardinality", n=n, k=as_int(k, "k"))
 
@@ -50,8 +46,8 @@ def partition(n: int, blocks, caps) -> OuterConstraint:
     return OuterConstraint(
         kind="partition",
         n=n,
-        blocks=tuple(tuple(sorted(_ints(b, f"blocks[{r}]"))) for r, b in enumerate(blocks)),
-        caps=tuple(_ints(caps, "caps")),
+        blocks=tuple(tuple(sorted(as_ints(b, f"blocks[{r}]"))) for r, b in enumerate(blocks)),
+        caps=tuple(as_ints(caps, "caps")),
     )
 
 
@@ -59,7 +55,7 @@ def explicit(n: int, maximal) -> OuterConstraint:
     return OuterConstraint(
         kind="explicit",
         n=n,
-        maximal=tuple(frozenset(_ints(m, f"maximal[{r}]")) for r, m in enumerate(maximal)),
+        maximal=tuple(frozenset(as_ints(m, f"maximal[{r}]")) for r, m in enumerate(maximal)),
     )
 
 
@@ -79,20 +75,42 @@ def validate_outer(outer: OuterConstraint, n: int) -> list[str]:
             out.append("partition blocks and caps differ in length")
         if any(c < 0 for c in outer.caps):
             out.append("partition capacities must be nonnegative")
-        seen: list[int] = [i for b in outer.blocks for i in b]
-        if sorted(seen) != list(range(n)):
-            out.append("partition blocks must partition the item set")
+        if sorted(i for b in outer.blocks for i in b) != list(range(n)):
+            fault = _partition_fault(outer.blocks, n)
+            out.append(f"partition blocks must partition the item set: {fault}")
     elif outer.kind == "explicit":
         if not outer.maximal:
             out.append("explicit family needs at least one maximal set")
             return out
-        for m in outer.maximal:
-            if any(i < 0 or i >= n for i in m):
-                out.append("explicit family references an unknown item")
+        for r, m in enumerate(outer.maximal):
+            unknown = sorted(i for i in m if not 0 <= i < n)
+            if unknown:
+                out.append(f"explicit family references an unknown item: "
+                           f"maximal[{r}] holds item {unknown[0] + 1}, outside 1..{n}")
                 break
     else:
         out.append(f"unknown outer constraint kind {outer.kind!r}")
     return out
+
+
+def _partition_fault(blocks, n: int) -> str:
+    """Where ``blocks`` fail to partition 0..n - 1: the first id, in block order,
+    outside the item set or seen before, else the least item in no block.
+
+    Items are named by their 1-based ids, as instance files give them, and
+    blocks by their position.
+    """
+    home: dict[int, int] = {}
+    for r, block in enumerate(blocks):
+        for i in block:
+            if not 0 <= i < n:
+                return f"blocks[{r}] holds item {i + 1}, outside 1..{n}"
+            if i in home:
+                twice = home[i] == r
+                return f"item {i + 1} is in " + (
+                    f"blocks[{r}] twice" if twice else f"blocks[{home[i]}] and blocks[{r}]")
+            home[i] = r
+    return f"item {min(set(range(n)) - home.keys()) + 1} is in no block"
 
 
 def is_independent(outer: OuterConstraint, items) -> bool:
@@ -218,6 +236,11 @@ def outer_from_json(doc: dict, n: int) -> OuterConstraint:
     def ids(key):
         out = []
         for r, group in enumerate(doc[key]):
+            # one type and range sweep; a group that fails is read id by id
+            if set(map(type, group)) <= {int} and min(group, default=1) >= 1 and max(
+                    group, default=n) <= n:
+                out.append([i - 1 for i in group])
+                continue
             out.append([])
             for j, value in enumerate(group):
                 field = f"outer.{key}[{r}][{j}]"

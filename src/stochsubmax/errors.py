@@ -68,6 +68,15 @@ def as_int(value, field: str) -> int:
     raise InvalidInputError(f"{field} must be an integer, got {value!r}")
 
 
+def as_ints(values, field: str) -> list[int]:
+    """``values`` as ints by :func:`as_int`, entry j named ``field[j]`` in the error;
+    a list of plain ints passes one type sweep as it is."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    return [as_int(v, f"{field}[{j}]") for j, v in enumerate(values)]
+
+
 def json_number(value, field: str):
     """``value`` unchanged if it is a JSON number; ``field`` names it in the error."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):

@@ -1,26 +1,19 @@
-"""Expected set utilities and their multilinear extension.
+"""The multilinear extension of the expected utility, and the marginals it takes.
 
-Every quantity comes in two flavors: an exact enumerator (the trusted oracle,
-guarded by an enumeration size limit) and a seeded Monte Carlo estimator that
-reports a standard error. Estimators run their trials in fixed-size seeded
-blocks, so estimates are reproducible for a given (seed, trial count).
+The extension is a seeded Monte Carlo estimate that reports a standard
+error. It runs its trials in fixed-size seeded blocks, so estimates are
+reproducible for a given (seed, trial count).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
-from .errors import EnumerationLimitError
 from .model import Instance, sample_realization_batch
 from .parallel import combine_mean_se, map_blocks, split_blocks
 from .seeds import derive_rng
-
-SET_ENUM_GUARD = 10**6
-MULTILINEAR_GUARD_N = 10
-MULTILINEAR_GUARD_STATES = 10**4
 
 
 def check_marginals(instance: Instance, marginals) -> np.ndarray:
@@ -43,83 +36,6 @@ def check_marginals(instance: Instance, marginals) -> np.ndarray:
     return np.clip(x, 0.0, 1.0) if low < 0 or high > 1 else x
 
 
-def _marginal_vector(instance: Instance, marginals) -> np.ndarray:
-    """:func:`check_marginals` for one (n,) vector; a stack raises ``ValueError``."""
-    x = check_marginals(instance, marginals)
-    if x.ndim != 1:
-        raise ValueError(f"expected {instance.n} marginals, got shape {x.shape}")
-    return x
-
-
-def expected_set_value_exact(instance: Instance, f, items) -> float:
-    """E[f(states on ``items``, zero elsewhere)] by full enumeration of joint states."""
-    idx = sorted(set(items))
-    if instance.B ** len(idx) > SET_ENUM_GUARD:
-        raise EnumerationLimitError(
-            f"B^|S| = {instance.B ** len(idx)} exceeds the guard {SET_ENUM_GUARD}"
-        )
-    if not idx:
-        return float(f.value(np.zeros(instance.n, dtype=np.int64)))
-    probs = instance.prob_matrix
-    total = 0.0
-    for combo in itertools.product(range(1, instance.B + 1), repeat=len(idx)):
-        weight = 1.0
-        for pos, i in enumerate(idx):
-            weight *= probs[i, combo[pos] - 1]
-        if weight == 0.0:
-            continue
-        u = np.zeros(instance.n, dtype=np.int64)
-        u[idx] = combo
-        total += weight * float(f.value(u))
-    return total
-
-
-def _set_value_block(instance, f, idx, seed, block):
-    b, size = block
-    rng = derive_rng(seed, "set-value", b)
-    states = sample_realization_batch(instance, rng, size)
-    masked = np.zeros_like(states)
-    if idx:
-        masked[:, idx] = states[:, idx]
-    vals = np.asarray(f.value_batch(masked), dtype=float)
-    return size, float(vals.sum()), float((vals * vals).sum())
-
-
-def expected_set_value_mc(
-    instance: Instance, f, items, samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the expected set value, with its standard error."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    idx = sorted(set(items))
-    fn = functools.partial(_set_value_block, instance, f, idx, seed)
-    return combine_mean_se(map_blocks(fn, split_blocks(samples)))
-
-
-def multilinear_exact(instance: Instance, f, marginals) -> float:
-    """Exact extension value: expectation over the random set drawn from the marginals.
-
-    Enumerates all 2^n item sets and, inside each, all joint states; guarded to
-    small n and B^n.
-    """
-    x = _marginal_vector(instance, marginals)
-    if instance.n > MULTILINEAR_GUARD_N or instance.B**instance.n > MULTILINEAR_GUARD_STATES:
-        raise EnumerationLimitError(
-            f"multilinear enumeration guard: n <= {MULTILINEAR_GUARD_N} "
-            f"and B^n <= {MULTILINEAR_GUARD_STATES}"
-        )
-    total = 0.0
-    for subset in itertools.product((0, 1), repeat=instance.n):
-        weight = 1.0
-        for i, inc in enumerate(subset):
-            weight *= x[i] if inc else 1.0 - x[i]
-        if weight == 0.0:
-            continue
-        members = [i for i, inc in enumerate(subset) if inc]
-        total += weight * expected_set_value_exact(instance, f, members)
-    return total
-
-
 def _multilinear_block(instance, f, x, seed, block):
     b, size = block
     rng = derive_rng(seed, "multilinear", b)
@@ -133,9 +49,14 @@ def _multilinear_block(instance, f, x, seed, block):
 def multilinear_mc(
     instance: Instance, f, marginals, samples: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the multilinear extension, with its standard error."""
+    """Monte Carlo estimate of the multilinear extension, with its standard error.
+
+    The marginals must be one (n,) vector that passes :func:`check_marginals`.
+    """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    x = _marginal_vector(instance, marginals)
+    x = check_marginals(instance, marginals)
+    if x.ndim != 1:
+        raise ValueError(f"expected {instance.n} marginals, got shape {x.shape}")
     fn = functools.partial(_multilinear_block, instance, f, x, seed)
     return combine_mean_se(map_blocks(fn, split_blocks(samples)))

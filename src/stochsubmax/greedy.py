@@ -37,9 +37,12 @@ at a time. One gain call gives all their objectives
 still optimal for; only the first failing row calls :func:`lp.solve_lp`,
 whose simplex starts from the slack basis. The gains and the certificate
 give each row of a stack the bits of a one-row call, so the solution is the
-step-by-step greedy's bit for bit. Where gains must be sampled, only the
-first row's are drawn, from the stream ("step", k), and the certificate is
-a one-row stack. Every step's answer is certified by LP duality either way.
+step-by-step greedy's bit for bit. Where some row's gains must be sampled,
+the gain call gives the leading rows whose gains are exact and the answer
+rides only those; where the first row's must be sampled, only its gains are
+drawn, from the stream ("step", k), and the certificate is a one-row stack.
+Each step asks for its gains once either way, and every step's answer is
+certified by LP duality.
 Items without a start slot get no variables; with no variables at all the
 greedy estimates no gains and solves no LP.
 """
@@ -170,20 +173,18 @@ def estimate_marginal_gains(
     ``seeds.stream_entropy(seed, label, index)`` instead of ``seed``; it is
     derived only when the gains are sampled.
 
-    ``marginals`` may also be a (K, n) stack. If every row's gains are exact,
-    both results are (K, n) stacks; otherwise they hold the first row alone,
-    as (1, n) stacks, exact or sampled as a one-row call at ``marginals[0]``
-    gives them. Either way each row has a one-row call's bits. The marginals
-    must pass :func:`extensions.check_marginals`, which raises
-    ``ValueError`` for a wrong shape or an entry outside [0, 1] or NaN.
+    ``marginals`` may also be a (K, n) stack. Both results are then (J, n)
+    stacks over the leading J rows whose gains are exact, as
+    ``f.expected_gains`` gives them; if the first row's must be sampled, they
+    hold it alone, sampled as a one-row call at ``marginals[0]``. Either way
+    each row has a one-row call's bits, and ``f.expected_gains`` is called
+    once. The marginals must pass :func:`extensions.check_marginals`, which
+    raises ``ValueError`` for a wrong shape or an entry outside [0, 1] or NaN.
     """
     if samples < 1:
         raise ValueError(f"need at least one gradient sample, got {samples}")
     x = check_marginals(instance, marginals)
     exact = f.expected_gains(instance.prob_matrix, x, samples)
-    if exact is None and x.ndim == 2 and len(x) > 1:
-        x = x[:1]
-        exact = f.expected_gains(instance.prob_matrix, x, samples)
     if exact is not None:
         return exact, np.zeros(exact.shape)
     if stream is not None:

@@ -19,7 +19,9 @@ one-row call: the modular gains broadcast, the coverage closed form runs
 over a leading axis, and the concave enumeration shares its atoms and their
 level gains, which do not depend on the marginals, across the rows whose
 levels of positive probability agree; only the atom masses differ, and each
-row takes one matrix-vector product with them.
+row takes one matrix-vector product with them. The enumeration gives the
+leading rows whose atoms number at most the samples, and None where the
+first row's do not.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationLimitError, InvalidInputError, as_int
+from .errors import EnumerationLimitError, InvalidInputError, as_ints
 from .parallel import BLOCK_SIZE
 
 ENUM_GUARD = 10**6
@@ -133,9 +135,9 @@ class UtilityOracle:
         then sampled.
 
         ``x`` may also be a (K, n) stack of marginals. The result is then a
-        (K, n) array whose row k has the same bits as a one-row call at
-        ``x[k]``, or None if any row's gains would cost more than ``samples``
-        draws.
+        (J, n) array, J <= K, whose row k has the same bits as a one-row call
+        at ``x[k]``: the leading rows up to the first whose gains would cost
+        more than ``samples`` draws, or None if that is the first row.
         """
         return None
 
@@ -272,8 +274,9 @@ class ConcaveOverModular(UtilityOracle):
         In a (K, n) stack, rows whose levels of positive probability agree
         share the atoms and their level gains, which do not depend on ``x``;
         each row multiplies them by its own atom masses, one matrix-vector
-        product per block, as a one-row call does. The stack returns None if
-        any row's atoms outnumber ``samples``.
+        product per block, as a one-row call does. The stack returns the gains
+        of its leading rows up to the first whose atoms outnumber ``samples``,
+        and None if that is the first row.
         """
         probs = np.asarray(probs, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -285,8 +288,13 @@ class ConcaveOverModular(UtilityOracle):
         positive = level_probs > 0
         counts = positive.sum(axis=2)
         # a float product: a count past 2^53 rounds, but stays far above any samples
-        if (counts.prod(axis=1, dtype=float) > samples).any():
-            return None
+        over = counts.prod(axis=1, dtype=float) > samples
+        if over.any():
+            cut = over.argmax()
+            if cut == 0:
+                return None
+            rows, level_probs, positive, counts = (
+                rows[:cut], level_probs[:cut], positive[:cut], counts[:cut])
         gains = np.empty((len(rows), n))
         left = np.ones(len(rows), dtype=bool)
         while left.any():
@@ -296,7 +304,7 @@ class ConcaveOverModular(UtilityOracle):
             gains[members] = self._enumerate(
                 probs, positive[first], counts[first].tolist(), level_probs[members]
             )
-        return gains.reshape(x.shape)
+        return gains if x.ndim == 2 else gains[0]
 
     def _enumerate(self, probs, pattern, counts, level_probs) -> np.ndarray:
         """The gains of the rows sharing ``pattern``, from their (K, n, B + 1) level
@@ -356,7 +364,7 @@ class ThresholdCoverage(UtilityOracle):
 
     def __post_init__(self):
         # integral floats such as 2.0 load as 2, so the rates can index the prefix table
-        rates = tuple(as_int(r, f"rates[{i}]") for i, r in enumerate(self.rates))
+        rates = tuple(as_ints(self.rates, "rates"))
         if any(r < 0 for r in rates):
             raise InvalidInputError(f"rates must be nonnegative, got {self.rates!r}")
         object.__setattr__(self, "rates", rates)

@@ -58,10 +58,15 @@ degenerate step it is the least index whose signed reduced cost exceeds
 duality gap :func:`certify_optimal` allows (many columns just under
 ``PIVOT_TOL``, or one at it); then the largest positive one enters, so that
 every stop the certificate would refuse is pivoted past.
-The ratio test runs on the basic values and w as arrays. Every step within
+The ratio test runs over the m basic values, a list of Python floats, and
+one ``tolist`` of w: a value that falls bounds the step at itself over
+|w_r|, one that rises to a finite upper bound at its room over |w_r|, in
+the floating-point operations of the same test on arrays. Every step within
 1e-12 of the shortest one ties, and the least variable index among the tied
 ones leaves; a bound flip of the entering variable counts as the entering
-variable's index.
+variable's index. A nonbasic variable sits at the bound its sign names, and
+the duals, reduced costs, w and the eta row fill buffers: a pivot allocates
+no array, and the vertex is assembled when the solve stops.
 
 This is the pivot sequence of pricing one column at a time with two fresh
 dense solves per pivot, up to rounding: a near-tie can fall the other way,
@@ -79,6 +84,7 @@ that fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,8 +259,11 @@ def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None)
                 raise LpCertificateError(name, at(j), float(excess[j]), float(values[k]), k)
 
     slack = b - A @ x
-    check("row", -slack, row, ROW_TOL)
-    check("bound", np.maximum(-x, x - upper), col, ROW_TOL)
+    # the excess arrays are built only for a vertex that fails; NaN fails here too
+    if not slack.min(initial=0.0) >= -ROW_TOL:
+        check("row", -slack, row, ROW_TOL)
+    if not (x.min(initial=0.0) >= -ROW_TOL and (x - upper).max(initial=0.0) <= ROW_TOL):
+        check("bound", np.maximum(-x, x - upper), col, ROW_TOL)
 
     def bad_basis(fault):
         return LpCertificateError("basis", fault, np.nan, float(values[0]))
@@ -278,12 +287,13 @@ def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None)
     y = np.maximum(duals, 0.0)
     d = objs - np.matmul(A.T, y[:, :, None])[:, :, 0]
     bounded = np.isfinite(upper)
-    caps = np.where(bounded, upper, 0.0)
+    boxed = bounded.all()
+    caps = upper if boxed else np.where(bounded, upper, 0.0)
     gaps = np.matmul(y[:, None], b)[:, 0] + np.matmul(np.maximum(d, 0.0)[:, None], caps)[:, 0]
     gaps -= values
     # the objectives that pass every check; NaN fails every comparison
     ok = duals.min(axis=1, initial=np.inf) >= -CERT_TOL
-    if not bounded.all():
+    if not boxed:
         ok &= d[:, ~bounded].max(axis=1) <= CERT_TOL
     ok &= gaps <= CERT_TOL * np.maximum(1.0, np.abs(values))
     if not ok.all():
@@ -317,35 +327,44 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000) -> LpSolution:
         if np.any(np.isinf(x)):
             raise LpStallError(0, float("inf"))
         return LpSolution(x, float(obj @ x), 0, np.zeros(0, dtype=np.int64))
-    if np.any(b < -ROW_TOL):
+    if b.min() < -ROW_TOL:
         raise ValueError("right-hand side must be nonnegative (x=0 feasible)")
     b = np.maximum(b, 0.0)
 
     total = nv + m
-    up_full = np.concatenate([upper, np.full(m, np.inf)])
-    A_fullT = np.vstack([A.T, np.eye(m)])  # one contiguous row per variable
-    c_full = np.concatenate([obj, np.zeros(m)])
-    bounded = np.isfinite(up_full)
-    caps = np.where(bounded, up_full, 0.0)
-
-    basis = np.arange(nv, total)
+    A_fullT = np.concatenate((A.T, np.eye(m)))  # one contiguous row per variable
+    c_full = np.concatenate((obj, np.zeros(m)))
+    up = upper.tolist() + [math.inf] * m
+    # the basis and its variables' values and objective coefficients, row by row;
+    # a nonbasic variable sits at 0 or at its upper bound, as its sign says
+    basis = list(range(nv, total))
+    xb = b.tolist()
+    c_basis = np.zeros(m)
     # +1 nonbasic at its lower bound, -1 nonbasic at its upper bound, 0 basic
     sign = np.ones(total)
-    sign[basis] = 0.0
-    x = np.zeros(total)
-    x[basis] = b
+    sign[nv:] = 0.0
     Binv = np.eye(m)  # inverse of the slack basis
+    # buffers for the duals, the signed reduced costs, the entering column and the eta row
+    y, signed, w, pivot = np.empty(m), np.empty(total), np.empty(m), np.empty(m)
+    eligible = np.empty(total, dtype=bool)
     changes = 0
     degenerate = False  # was the last step degenerate: then Bland's rule prices
 
+    def vertex():
+        x = np.where(sign < 0, up, 0.0)
+        x[basis] = xb
+        return x
+
     for it in range(1, max_iters + 1):
-        y = c_full[basis] @ Binv
+        np.matmul(c_basis, Binv, out=y)
         # each variable's reduced cost along its free direction
-        signed = sign * (c_full - A_fullT @ y)
+        np.matmul(A_fullT, y, out=signed)
+        np.subtract(c_full, signed, out=signed)
+        signed *= sign
         if degenerate:  # Bland: the least index that improves
-            eligible = signed > PIVOT_TOL
+            np.greater(signed, PIVOT_TOL, out=eligible)
         else:  # Dantzig: the largest, ties within 1e-12 to the least index
-            eligible = signed >= signed.max() - 1e-12
+            np.greater_equal(signed, signed.max() - 1e-12, out=eligible)
         entering = int(eligible.argmax())
         if not signed[entering] > PIVOT_TOL:
             # every variable prices within PIVOT_TOL, yet those reduced costs can add
@@ -353,59 +372,65 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000) -> LpSolution:
             # positive one enters. The gap is the certificate's own, held to half its
             # allowance so that the certificate's fresh duals, which differ from
             # these by rounding, still pass.
+            x = vertex()
             value = float(c_full @ x)
             yp = np.maximum(y, 0.0)
-            gap = b @ yp + caps[:nv] @ np.maximum(obj - A_fullT[:nv] @ yp, 0.0) - value
+            gap = b @ yp + np.where(np.isfinite(upper), upper, 0.0) @ np.maximum(
+                obj - A_fullT[:nv] @ yp, 0.0) - value
             entering = int(signed.argmax())
             if gap <= 0.5 * CERT_TOL * max(1.0, abs(value)) or signed[entering] <= 0:
-                return LpSolution(x[:nv].copy(), value, it - 1, basis)
-        direction = int(sign[entering])
+                return LpSolution(x[:nv], value, it - 1, np.array(basis, dtype=np.int64))
+        direction = 1 if sign[entering] > 0 else -1
 
-        w = Binv @ A_fullT[entering]
-        # moving the entering variable by direction*step changes basic values by
-        # -direction*step*w; a basic variable bounds the step where it falls to 0
-        # or rises to a finite upper bound
-        xb = x[basis]
-        rate = -direction * w
-        falls = rate < -PIVOT_TOL
-        limits = falls | ((rate > PIVOT_TOL) & bounded[basis])
-        room = np.where(falls, xb, up_full[basis] - xb)
-        ratio = np.divide(room, np.abs(rate), out=np.full(m, np.inf), where=limits)
-        flip = up_full[entering]  # the entering variable's own bound, inf if none
-        step = min(ratio.min(), flip)
-        if step == np.inf:
-            raise LpStallError(it, float(c_full @ x))
+        np.matmul(Binv, A_fullT[entering], out=w)
+        ws = w.tolist()
+        # moving the entering variable by direction*step changes basic value r by
+        # -direction*step*w[r]; it bounds the step where it falls to 0 or rises to a
+        # finite upper bound
+        ratios = [math.inf] * m
+        for r, wr in enumerate(ws):
+            fall = direction * wr
+            if fall > PIVOT_TOL:
+                ratios[r] = xb[r] / fall
+            elif fall < -PIVOT_TOL and up[basis[r]] < math.inf:
+                ratios[r] = (up[basis[r]] - xb[r]) / -fall
+        flip = up[entering]  # the entering variable's own bound, inf if none
+        step = min(min(ratios), flip)
+        if step == math.inf:
+            raise LpStallError(it, float(c_full @ vertex()))
         step = max(step, 0.0)
         degenerate = step <= 1e-12
         # ties within 1e-12 go to the least variable index, a flip counting as the entering one
-        tied = np.flatnonzero(ratio <= step + 1e-12)
-        pos = tied[np.argmin(basis[tied])] if tied.size else -1
-        leaving = int(basis[pos]) if tied.size else total
+        tie = step + 1e-12
+        pos, leaving = -1, total
+        for r, ratio in enumerate(ratios):
+            if ratio <= tie and basis[r] < leaving:
+                pos, leaving = r, basis[r]
 
-        x[entering] += direction * step
-        x[basis] -= (direction * step) * w
+        move = direction * step
+        entered = (0.0 if direction > 0 else up[entering]) + move
+        for r, wr in enumerate(ws):
+            xb[r] -= move * wr
 
-        if flip <= step + 1e-12 and entering < leaving:
+        if flip <= tie and entering < leaving:
             sign[entering] = -direction
-            x[entering] = flip if direction > 0 else 0.0
             continue
-        to_upper = not falls[pos]
-        x[leaving] = up_full[leaving] if to_upper else 0.0
-        sign[leaving] = -1.0 if to_upper else 1.0
+        sign[leaving] = 1.0 if direction * ws[pos] > PIVOT_TOL else -1.0
         sign[entering] = 0.0
         basis[pos] = entering
+        xb[pos] = entered
+        c_basis[pos] = c_full[entering]
         changes += 1
         if changes % REFACTOR == 0:
             try:
                 Binv = np.linalg.inv(A_fullT[basis]).T
             except np.linalg.LinAlgError:
-                raise LpStallError(it, float(c_full @ x)) from None
+                raise LpStallError(it, float(c_full @ vertex())) from None
         else:
             # eta update, Binv -= outer(w, pivot) in place: the entering column
             # becomes the unit vector at pos
-            pivot = Binv[pos] / w[pos]
+            np.divide(Binv[pos], w[pos], out=pivot)
             Binv = dger(-1.0, pivot, w, a=Binv.T, overwrite_a=True).T
             Binv[pos] = pivot
 
-    raise LpStallError(max_iters, float(c_full @ x))
-
+    raise LpStallError(max_iters, float(c_full @ vertex()))

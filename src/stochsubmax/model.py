@@ -9,10 +9,22 @@ scheduled, so its start-slot set is empty.
 
 Instances serialize to a single JSON document (see :func:`instance_to_json`);
 item ids inside the JSON are 1-based, in-memory arrays are 0-based.
+
+Parsing and validation sweep whole lists and name items only on failure.
+The parser makes one type sweep over all probabilities and one over all
+costs and keeps the lists as they are; a document that fails a sweep is
+read again field by field, so that the error names the first bad field
+(``items[i].costs[s]``). The validator makes one sweep per check over
+the chained item lists: item shapes, each item's probability sum, the
+smallest probability, cost types, the smallest cost and each item's cost
+order. Only when one of them fails does it go over the items to name every
+one at fault, in item order (``item 3: ...``). Neither builds the (n, B)
+``prob_matrix`` or ``cost_matrix``; those are built when first read.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -90,7 +102,10 @@ class Instance:
 
 
 def validate_instance(instance: Instance) -> list[str]:
-    """Collect every invariant violation; an empty list means the instance is valid."""
+    """Collect every invariant violation; an empty list means the instance is valid.
+
+    The items' violations (:func:`_item_violations`) come in item order.
+    """
     out: list[str] = []
     if instance.n < 1:
         out.append("item count must be at least 1")
@@ -100,13 +115,53 @@ def validate_instance(instance: Instance) -> list[str]:
         out.append(f"expected {instance.n} items, got {len(instance.items)}")
     if not (isinstance(instance.budget, (int, np.integer)) and instance.budget >= 1):
         out.append(f"budget must be a positive integer, got {instance.budget!r}")
-    for idx, item in enumerate(instance.items):
+    out.extend(_item_violations(instance))
+    out.extend(validate_outer(instance.outer, instance.n))
+    try:
+        if instance.utility.n != instance.n:
+            out.append(
+                f"utility is over {instance.utility.n} items, instance has {instance.n}"
+            )
+    except Exception as exc:  # malformed oracle object
+        out.append(f"utility oracle is unusable: {exc}")
+    return out
+
+
+def _item_violations(instance: Instance) -> list[str]:
+    """The items' violations, in item order.
+
+    A valid instance passes in one sweep over each kind of check: every item
+    has B probabilities and B costs, each item's ``sum`` of its own
+    probabilities is within ``PROB_TOL`` of 1, the smallest probability of
+    them all is nonnegative (so that, with the sums, all are finite), one
+    type sweep finds every cost an integer, the smallest is at least 1 and
+    each item's costs are sorted. Only an instance that fails a sweep, or
+    holds values it cannot compare, is gone over item by item to name every
+    item at fault.
+    """
+    items, B = instance.items, instance.B
+    probs, costs = [it.probs for it in items], [it.costs for it in items]
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(costs)))
+        if (
+            all(len(p) == len(c) == B for p, c in zip(probs, costs))
+            and all(abs(t - 1.0) <= PROB_TOL for t in map(sum, probs))
+            and min(itertools.chain.from_iterable(probs), default=0.0) >= 0
+            and (kinds <= {int} or all(issubclass(k, (int, np.integer)) for k in kinds))
+            and min(itertools.chain.from_iterable(costs), default=1) >= 1
+            and all(list(c) == sorted(c) for c in costs)
+        ):
+            return []
+    except (TypeError, ValueError, OverflowError):
+        pass  # a value the sweeps cannot compare: the loop below meets it as before
+    out: list[str] = []
+    for idx, item in enumerate(items):
         label = f"item {idx + 1}"
-        if len(item.probs) != instance.B:
-            out.append(f"{label}: expected {instance.B} state probabilities")
+        if len(item.probs) != B:
+            out.append(f"{label}: expected {B} state probabilities")
             continue
-        if len(item.costs) != instance.B:
-            out.append(f"{label}: expected {instance.B} state costs")
+        if len(item.costs) != B:
+            out.append(f"{label}: expected {B} state costs")
             continue
         if not all(math.isfinite(p) for p in item.probs):
             out.append(f"{label}: non-finite state probability")
@@ -120,14 +175,6 @@ def validate_instance(instance: Instance) -> list[str]:
             out.append(f"{label}: state costs must be integers >= 1")
         elif any(a > b for a, b in zip(item.costs, item.costs[1:])):
             out.append(f"{label}: state costs must be nondecreasing in the state")
-    out.extend(validate_outer(instance.outer, instance.n))
-    try:
-        if instance.utility.n != instance.n:
-            out.append(
-                f"utility is over {instance.utility.n} items, instance has {instance.n}"
-            )
-    except Exception as exc:  # malformed oracle object
-        out.append(f"utility oracle is unusable: {exc}")
     return out
 
 
@@ -185,17 +232,7 @@ def instance_to_json(instance: Instance) -> str:
 def instance_from_json(text: str) -> Instance:
     """Parse an instance document; non-integral counts, costs or ids raise ``InvalidInputError``."""
     doc = json.loads(text)
-    items = tuple(
-        ItemModel(
-            probs=tuple(
-                json_number(p, f"items[{i}].probs[{s}]") for s, p in enumerate(it["probs"])
-            ),
-            costs=tuple(
-                as_int(c, f"items[{i}].costs[{s}]") for s, c in enumerate(it["costs"])
-            ),
-        )
-        for i, it in enumerate(doc["items"])
-    )
+    items = _items_from_json(doc["items"])
     n = as_int(doc["n"], "n")
     return Instance(
         n=n,
@@ -204,6 +241,38 @@ def instance_from_json(text: str) -> Instance:
         items=items,
         outer=outer_from_json(doc["outer"], n),
         utility=lattice.make_utility(doc["utility"], n),
+    )
+
+
+def _items_from_json(docs) -> tuple[ItemModel, ...]:
+    """The items of a document: probabilities as given, costs as ints.
+
+    One type sweep over all probabilities and one over all costs: if every
+    probability is a JSON number and every cost a JSON integer, the lists are
+    taken as they are. Otherwise the fields are read one at a time, item by
+    item, and the first that is not a number (a probability) or not integral
+    (a cost) raises ``InvalidInputError`` naming it, ``items[i].costs[s]``;
+    an integral float cost such as 3.0 becomes 3.
+    """
+    try:
+        probs = [it["probs"] for it in docs]
+        costs = [it["costs"] for it in docs]
+        plain = set(map(type, itertools.chain.from_iterable(probs))) <= {int, float} and set(
+            map(type, itertools.chain.from_iterable(costs))) <= {int}
+    except (KeyError, TypeError):
+        plain = False  # a malformed item: the reads below raise as they reach it
+    if plain:
+        return tuple(ItemModel(tuple(p), tuple(c)) for p, c in zip(probs, costs))
+    return tuple(
+        ItemModel(
+            probs=tuple(
+                json_number(p, f"items[{i}].probs[{s}]") for s, p in enumerate(it["probs"])
+            ),
+            costs=tuple(
+                as_int(c, f"items[{i}].costs[{s}]") for s, c in enumerate(it["costs"])
+            ),
+        )
+        for i, it in enumerate(docs)
     )
 
 

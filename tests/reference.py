@@ -8,20 +8,40 @@
 * A set-based scalar reference of the rounding (sample, prune, gate scan), independent of the package's one batched kernel
   (``policy.run_policy_batch``), for tests/test_kernel.py to compare on
   identical draws.
+* The instance parser and validator one field and one item at a time
+  (:func:`instance_from_json_by_field`, :func:`validate_instance_by_item`),
+  for tests/test_model.py to compare with ``model``'s sweeps over whole lists.
+* Code only tests call: the expected set value, exact and Monte Carlo, the
+  exact multilinear extension, and exact evaluation and random generation of
+  decision trees for the exact oracle's tests.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from stochsubmax.constraints import is_independent
-from stochsubmax.errors import LpCertificateError
+from stochsubmax import lattice
+from stochsubmax.constraints import OuterConstraint, is_independent, outer_from_json, validate_outer
+from stochsubmax.errors import EnumerationLimitError, LpCertificateError, as_int, json_number
+from stochsubmax.extensions import check_marginals
 from stochsubmax.greedy import estimate_marginal_gains
 from stochsubmax.lp import build_slot_program, certify_optimal, solve_lp
+from stochsubmax.model import PROB_TOL, Instance, ItemModel, sample_realization_batch
+from stochsubmax.oracle import _assignment_vector, _guard, _support_max_costs
+from stochsubmax.parallel import combine_mean_se, map_blocks, split_blocks
 from stochsubmax.rounding import greedy_keep
+from stochsubmax.seeds import derive_rng
+
+SET_ENUM_GUARD = 10**6
+MULTILINEAR_GUARD_N = 10
+MULTILINEAR_GUARD_STATES = 10**4
 
 
 def greedy_steps(instance, f, outer, stop_scale, steps, grad_samples, seed) -> list:
@@ -184,3 +204,208 @@ def _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities):
         utility=utility,
         reads=tuple(reveal.reads),
     )
+
+
+def instance_from_json_by_field(text: str) -> Instance:
+    """``model.instance_from_json`` read one field at a time, each item's
+    probabilities and then its costs, in item order."""
+    doc = json.loads(text)
+    items = tuple(
+        ItemModel(
+            probs=tuple(
+                json_number(p, f"items[{i}].probs[{s}]") for s, p in enumerate(it["probs"])
+            ),
+            costs=tuple(
+                as_int(c, f"items[{i}].costs[{s}]") for s, c in enumerate(it["costs"])
+            ),
+        )
+        for i, it in enumerate(doc["items"])
+    )
+    n = as_int(doc["n"], "n")
+    return Instance(
+        n=n,
+        B=as_int(doc["B"], "B"),
+        budget=as_int(doc["budget"], "budget"),
+        items=items,
+        outer=outer_from_json(doc["outer"], n),
+        utility=lattice.make_utility(doc["utility"], n),
+    )
+
+
+def validate_instance_by_item(instance: Instance) -> list[str]:
+    """``model.validate_instance`` one item at a time, in scalar Python."""
+    out: list[str] = []
+    if instance.n < 1:
+        out.append("item count must be at least 1")
+    if instance.B < 1:
+        out.append("state count must be at least 1")
+    if len(instance.items) != instance.n:
+        out.append(f"expected {instance.n} items, got {len(instance.items)}")
+    if not (isinstance(instance.budget, (int, np.integer)) and instance.budget >= 1):
+        out.append(f"budget must be a positive integer, got {instance.budget!r}")
+    for idx, item in enumerate(instance.items):
+        label = f"item {idx + 1}"
+        if len(item.probs) != instance.B:
+            out.append(f"{label}: expected {instance.B} state probabilities")
+            continue
+        if len(item.costs) != instance.B:
+            out.append(f"{label}: expected {instance.B} state costs")
+            continue
+        if not all(math.isfinite(p) for p in item.probs):
+            out.append(f"{label}: non-finite state probability")
+        else:
+            if any(p < 0 for p in item.probs):
+                out.append(f"{label}: negative state probability")
+            total = sum(item.probs)
+            if abs(total - 1.0) > PROB_TOL:
+                out.append(f"{label}: distribution sums to {total!r}")
+        if any(not isinstance(c, (int, np.integer)) or c < 1 for c in item.costs):
+            out.append(f"{label}: state costs must be integers >= 1")
+        elif any(a > b for a, b in zip(item.costs, item.costs[1:])):
+            out.append(f"{label}: state costs must be nondecreasing in the state")
+    out.extend(validate_outer(instance.outer, instance.n))
+    try:
+        if instance.utility.n != instance.n:
+            out.append(
+                f"utility is over {instance.utility.n} items, instance has {instance.n}"
+            )
+    except Exception as exc:  # malformed oracle object
+        out.append(f"utility oracle is unusable: {exc}")
+    return out
+
+
+def expected_set_value_exact(instance: Instance, f, items) -> float:
+    """E[f(states on ``items``, zero elsewhere)] by full enumeration of joint states."""
+    idx = sorted(set(items))
+    if instance.B ** len(idx) > SET_ENUM_GUARD:
+        raise EnumerationLimitError(
+            f"B^|S| = {instance.B ** len(idx)} exceeds the guard {SET_ENUM_GUARD}"
+        )
+    if not idx:
+        return float(f.value(np.zeros(instance.n, dtype=np.int64)))
+    probs = instance.prob_matrix
+    total = 0.0
+    for combo in itertools.product(range(1, instance.B + 1), repeat=len(idx)):
+        weight = 1.0
+        for pos, i in enumerate(idx):
+            weight *= probs[i, combo[pos] - 1]
+        if weight == 0.0:
+            continue
+        u = np.zeros(instance.n, dtype=np.int64)
+        u[idx] = combo
+        total += weight * float(f.value(u))
+    return total
+
+
+def _set_value_block(instance, f, idx, seed, block):
+    b, size = block
+    rng = derive_rng(seed, "set-value", b)
+    states = sample_realization_batch(instance, rng, size)
+    masked = np.zeros_like(states)
+    if idx:
+        masked[:, idx] = states[:, idx]
+    vals = np.asarray(f.value_batch(masked), dtype=float)
+    return size, float(vals.sum()), float((vals * vals).sum())
+
+
+def expected_set_value_mc(
+    instance: Instance, f, items, samples: int, seed: int
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the expected set value, with its standard error."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    idx = sorted(set(items))
+    fn = functools.partial(_set_value_block, instance, f, idx, seed)
+    return combine_mean_se(map_blocks(fn, split_blocks(samples)))
+
+
+def multilinear_exact(instance: Instance, f, marginals) -> float:
+    """Exact extension value: expectation over the random set drawn from the marginals.
+
+    Enumerates all 2^n item sets and, inside each, all joint states; guarded to
+    small n and B^n.
+    """
+    x = check_marginals(instance, marginals)
+    if x.ndim != 1:
+        raise ValueError(f"expected {instance.n} marginals, got shape {x.shape}")
+    if instance.n > MULTILINEAR_GUARD_N or instance.B**instance.n > MULTILINEAR_GUARD_STATES:
+        raise EnumerationLimitError(
+            f"multilinear enumeration guard: n <= {MULTILINEAR_GUARD_N} "
+            f"and B^n <= {MULTILINEAR_GUARD_STATES}"
+        )
+    total = 0.0
+    for subset in itertools.product((0, 1), repeat=instance.n):
+        weight = 1.0
+        for i, inc in enumerate(subset):
+            weight *= x[i] if inc else 1.0 - x[i]
+        if weight == 0.0:
+            continue
+        members = [i for i, inc in enumerate(subset) if inc]
+        total += weight * expected_set_value_exact(instance, f, members)
+    return total
+
+
+def policy_tree_value(instance: Instance, f, outer: OuterConstraint, tree: dict) -> float:
+    """Exact expected utility of a decision tree; rejects infeasible actions."""
+    instance.require_valid()
+    _guard(instance)
+    worst = _support_max_costs(instance)
+
+    def walk(node: dict, assignment: frozenset) -> float:
+        action = node.get("action")
+        if action is None:
+            return float(f.value(_assignment_vector(instance, assignment)))
+        i = int(action) - 1
+        selected = {j for j, _ in assignment}
+        spent = sum(instance.cost_matrix[j, s - 1] for j, s in assignment)
+        if i in selected:
+            raise ValueError(f"tree selects item {action} twice")
+        if worst[i] > instance.budget - spent:
+            raise ValueError(f"tree action {action} can overshoot the budget")
+        if not is_independent(outer, selected | {i}):
+            raise ValueError(f"tree action {action} leaves the outer family")
+        total = 0.0
+        branches = node.get("branches", {})
+        for s in range(1, instance.B + 1):
+            p = instance.items[i].probs[s - 1]
+            if p == 0:
+                continue
+            child = branches.get(str(s))
+            if child is None:
+                raise ValueError(f"tree action {action} misses branch for state {s}")
+            total += p * walk(child, assignment | {(i, s)})
+        return total
+
+    return walk(tree, frozenset())
+
+
+def random_feasible_tree(
+    instance: Instance, outer: OuterConstraint, seed: int, stop_prob: float = 0.3
+) -> dict:
+    """A random decision tree that only ever takes admissible actions."""
+    instance.require_valid()
+    _guard(instance)
+    worst = _support_max_costs(instance)
+    rng = derive_rng(seed, "random-tree")
+
+    def build(assignment: frozenset) -> dict:
+        selected = {i for i, _ in assignment}
+        spent = sum(instance.cost_matrix[i, s - 1] for i, s in assignment)
+        admissible = [
+            i
+            for i in range(instance.n)
+            if i not in selected
+            and worst[i] <= instance.budget - spent
+            and is_independent(outer, selected | {i})
+        ]
+        if not admissible or rng.random() < stop_prob:
+            return {"action": None}
+        i = admissible[int(rng.integers(len(admissible)))]
+        branches = {
+            str(s): build(assignment | {(i, s)})
+            for s in range(1, instance.B + 1)
+            if instance.items[i].probs[s - 1] > 0
+        }
+        return {"action": i + 1, "branches": branches}
+
+    return build(frozenset())

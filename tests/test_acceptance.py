@@ -12,12 +12,7 @@ import time
 import numpy as np
 
 from stochsubmax import constraints
-from stochsubmax.extensions import (
-    expected_set_value_exact,
-    expected_set_value_mc,
-    multilinear_exact,
-    multilinear_mc,
-)
+from stochsubmax.extensions import multilinear_mc
 from stochsubmax.generators import (
     partition_demo_instance,
     random_instance,
@@ -43,6 +38,7 @@ from stochsubmax.rounding import (
     estimate_state_keep_rates,
     min_rate,
 )
+from tests.reference import expected_set_value_exact, expected_set_value_mc, multilinear_exact
 
 BETA = 0.25
 SCALE = min(BETA, 0.25)

@@ -16,7 +16,7 @@ from stochsubmax.generators import (
     symmetric_pair_instance,
 )
 from stochsubmax.lattice import WeightedModular
-from stochsubmax.model import Instance, ItemModel, save_instance
+from stochsubmax.model import Instance, ItemModel, instance_to_json, save_instance
 
 
 @pytest.fixture
@@ -295,6 +295,27 @@ def test_nan_probability_exits_1(pair_file, tmp_path, capsys):
     assert main(["validate", "--instance", str(path)]) == 1
     assert "non-finite state probability" in capsys.readouterr().out
     assert main(["solve", "--instance", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("blocks,named", [
+    ([[1, 2], [2, 3]], "item 2 is in blocks[0] and blocks[1]"),
+    ([[1, 1, 2], [3]], "item 1 is in blocks[0] twice"),
+    ([[1, 2], [4]], "outer.blocks[1][0] must lie in 1..3, got 4"),
+    ([[0, 1, 2], [3]], "outer.blocks[0][0] must lie in 1..3, got 0"),
+])
+def test_partition_with_a_bad_item_id_exits_1_naming_it(tmp_path, capsys, blocks, named):
+    # a repeated id loads and fails validation; an id outside 1..n fails the load
+    doc = json.loads(instance_to_json(partition_demo_instance()))
+    doc["outer"]["blocks"] = blocks
+    path = tmp_path / "bad-partition.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert named in captured.out + captured.err
+    out = tmp_path / "out"
+    assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (out / "solution.json").exists()
 
 
 @pytest.fixture

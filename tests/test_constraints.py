@@ -142,6 +142,22 @@ def test_validate_outer_messages():
     assert not validate_outer(partition(3, [[0, 1], [2]], [1, 1]), 3)
 
 
+@pytest.mark.parametrize("outer,message", [
+    (partition(5, [[0, 1], [4]], [1, 1]), "item 3 is in no block"),
+    (partition(3, [[0, 1], [1, 2]], [1, 1]), "item 2 is in blocks[0] and blocks[1]"),
+    (partition(3, [[0, 0, 1], [2]], [1, 1]), "item 1 is in blocks[0] twice"),
+    (partition(3, [[0, 1], [2, 3]], [1, 1]), "blocks[1] holds item 4, outside 1..3"),
+    (partition(3, [[-1, 0, 1], [2]], [1, 1]), "blocks[0] holds item 0, outside 1..3"),
+    (explicit(3, [[0, 1], [2, 9, 7]]), "maximal[1] holds item 8, outside 1..3"),
+    (explicit(3, [[-2], [5]]), "maximal[0] holds item -1, outside 1..3"),
+])
+def test_validate_outer_names_the_id_and_where_it_sits(outer, message):
+    # ids are named 1-based, as in instance files; the old text stays the prefix
+    prefix = ("explicit family references an unknown item" if outer.kind == "explicit"
+              else "partition blocks must partition the item set")
+    assert validate_outer(outer, outer.n) == [f"{prefix}: {message}"]
+
+
 def test_json_round_trip():
     for outer in (
         cardinality(3, 2),

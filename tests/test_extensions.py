@@ -5,16 +5,11 @@ import pytest
 
 from stochsubmax import constraints
 from stochsubmax.errors import EnumerationLimitError
-from stochsubmax.extensions import (
-    check_marginals,
-    expected_set_value_exact,
-    expected_set_value_mc,
-    multilinear_exact,
-    multilinear_mc,
-)
+from stochsubmax.extensions import check_marginals, multilinear_mc
 from stochsubmax.generators import random_instance
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.model import Instance, ItemModel
+from tests.reference import expected_set_value_exact, expected_set_value_mc, multilinear_exact
 
 
 def test_set_value_examples(pair_instance):

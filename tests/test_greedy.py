@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from stochsubmax import constraints, greedy, lp
 from stochsubmax.errors import InvalidInputError, LpCertificateError
-from stochsubmax.extensions import expected_set_value_exact, multilinear_exact
 from stochsubmax.generators import (
     partition_demo_instance,
     random_instance,
@@ -35,7 +34,7 @@ from stochsubmax.model import (
 from stochsubmax.parallel import combine_mean_se, map_blocks, split_blocks
 from stochsubmax.policy import check_solution_shape
 from tests.conftest import examples
-from tests.reference import greedy_steps
+from tests.reference import expected_set_value_exact, greedy_steps, multilinear_exact
 
 
 def test_gains_at_origin_match_exact_marginals(pair_instance):
@@ -426,8 +425,8 @@ def test_bad_marginals_rejected_for_every_family(family, bad, match):
 
 
 def test_stacked_gain_estimates_fall_back_to_the_first_row():
-    # exact rows all come back; where a row would be sampled, the first row alone
-    # does, from its own stream, as a one-row call gives it
+    # the leading exact rows come back; where the first row would be sampled, it
+    # alone does, from its own stream, as a one-row call gives it
     inst = partition_demo_instance()  # concave, n = 3, B = 2: 27 atoms inside (0, 1)
     f = inst.utility
     stack = np.array([[0.0, 0.0, 0.0], [0.3, 0.6, 0.1], [0.3, 0.6, 0.2]])
@@ -441,6 +440,12 @@ def test_stacked_gain_estimates_fall_back_to_the_first_row():
         alone = estimate_marginal_gains(inst, f, first, 26, seed=4, stream=("step", 2))
         assert gains.shape == (1, 3)
         assert gains[0].tobytes() == alone[0].tobytes() and ses[0].tobytes() == alone[1].tobytes()
+    # all ones has 8 atoms, within the 26 samples, and rides along with x = 0
+    rows = np.vstack([stack[0], np.ones(3), stack[1:]])
+    gains, ses = estimate_marginal_gains(inst, f, rows, 26, seed=4)
+    assert gains.shape == ses.shape == (2, 3) and not ses.any()
+    for row, g in zip(rows, gains):
+        assert g.tobytes() == estimate_marginal_gains(inst, f, row, 26, seed=4)[0].tobytes()
 
 
 def counting_simplex(monkeypatch):
@@ -701,6 +706,33 @@ def test_exact_steps_derive_no_sample_stream(monkeypatch):
     run_continuous_greedy(six, six.utility, six.outer, stop_scale=0.25, steps=3,
                           grad_samples=12, seed=2)
     assert derived == [(2, "step", 1), (2, "step", 2)]
+
+
+@dataclasses.dataclass(frozen=True)
+class CountedConcave(ConcaveOverModular):
+    """Concave-over-modular gains that record the row count of every call."""
+
+    calls: list = dataclasses.field(default_factory=list)
+
+    def expected_gains(self, probs, x, samples):
+        self.calls.append(len(np.atleast_2d(x)))
+        return super().expected_gains(probs, x, samples)
+
+
+def test_sampled_steps_ask_for_their_gains_once():
+    # six one-state items as above: step 0 is exact at x = 0, and from step 1 on
+    # every row has more joint levels than the 12 samples. Each step asks once,
+    # for the stack of its remaining steps, and samples its first row. The
+    # marginals are the step-by-step loop's bit for bit
+    f = CountedConcave(weights=(1.0,) * 6)
+    six = Instance(n=6, B=1, budget=3, items=(ItemModel(probs=(1.0,), costs=(1,)),) * 6,
+                   outer=constraints.cardinality(6, 6), utility=f)
+    args = (six, f, six.outer, 0.25, 6, 12, 2)
+    history = []
+    run_continuous_greedy(*args, history=history)
+    assert f.calls == [1, 5, 4, 3, 2, 1]
+    reference = greedy_steps(*args)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(history, reference))
 
 
 def test_time_rows_match_slot_by_slot_accumulation():

@@ -8,7 +8,6 @@ from numpy.testing import assert_array_equal
 
 from stochsubmax import constraints, lattice
 from stochsubmax.errors import EnumerationLimitError
-from stochsubmax.extensions import multilinear_exact
 from stochsubmax.generators import partition_demo_instance
 from stochsubmax.greedy import _sampled_gains, estimate_marginal_gains
 from stochsubmax.lattice import (
@@ -23,6 +22,7 @@ from stochsubmax.lattice import (
 )
 from stochsubmax.model import Instance, ItemModel
 from tests.conftest import FormulaUtility, examples
+from tests.reference import multilinear_exact
 
 
 def test_modular_is_monotone_and_submodular():
@@ -357,7 +357,8 @@ def test_stacked_gains_equal_one_row_calls(family, data):
     # a (K, n) stack of marginals: a ray x, x + d, x + 2d, ... built by repeated
     # addition as the greedy builds it, capped at 1, then rows drawn at random.
     # Each row of the stacked result has the bits of a one-row call; a concave
-    # stack is None exactly when some row's atoms outnumber the samples
+    # stack stops before the first row whose atoms outnumber the samples, and is
+    # None exactly when that is its first row
     inst, x = data.draw(exact_gain_cases(families=(family,)))
     n, f, probs = inst.n, inst.utility, inst.prob_matrix
     unit = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
@@ -368,11 +369,12 @@ def test_stacked_gains_equal_one_row_calls(family, data):
     samples = data.draw(st.sampled_from((1, 4, 16, 64, ENOUGH_SAMPLES)))
     rows = [f.expected_gains(probs, row, samples) for row in stack]
     stacked = f.expected_gains(probs, stack, samples)
-    if any(row is None for row in rows):
+    exact = rows[: next((k for k, row in enumerate(rows) if row is None), len(rows))]
+    if not exact:
         assert stacked is None
         return
-    assert stacked.shape == stack.shape
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, rows))
+    assert stacked.shape == (len(exact), n)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, exact))
 
 
 def test_stacked_gains_equal_one_row_calls_on_a_seeded_sweep():

@@ -19,6 +19,7 @@ from stochsubmax.model import (
     sample_realization_batch,
     validate_instance,
 )
+from tests import reference
 from tests.conftest import examples
 
 
@@ -339,3 +340,137 @@ def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
         return
     violations = validate_instance(loaded)
     assert any(v.startswith(field) for v in violations), violations
+
+
+def _mutate_item(item, s, rng, mutation):
+    """Apply one item-level mutation to an item of an instance document.
+
+    Each one sets values rather than changing the old ones, so that they
+    compose whatever an earlier mutation left there.
+    """
+    probs, costs = item["probs"], item["costs"]
+    cost = int(rng.integers(1, 9))
+    if mutation == "cost fraction":
+        costs[s] = cost + 0.5
+    elif mutation == "cost integral float":
+        costs[s] = float(cost)
+    elif mutation == "cost bool":
+        costs[s] = bool(rng.random() < 0.5)
+    elif mutation == "cost string":
+        costs[s] = str(cost)
+    elif mutation == "cost below 1":
+        costs[s] = 1 - cost
+    elif mutation == "cost decreasing":
+        item["costs"] = list(range(len(costs) + 1, 1, -1))
+    elif mutation == "probability nan":
+        probs[s] = float(rng.choice([np.nan, np.inf, -np.inf]))
+    elif mutation == "probability negative":
+        probs[s] = -float(rng.uniform(0.01, 1.0))
+    elif mutation == "probability integer":
+        probs[s] = int(rng.integers(0, 2))
+    elif mutation == "probability string":
+        probs[s] = "0.5"
+    elif mutation == "probability bool":
+        probs[s] = bool(rng.random() < 0.5)
+    elif mutation == "probabilities scaled":
+        factor = float(rng.choice([1.01, 1 + 1e-13, 1 + 1e-11, 0.5]))
+        item["probs"] = [p * factor if type(p) is float else p for p in probs]
+    elif mutation == "probabilities ragged":
+        probs.pop() if rng.random() < 0.5 else probs.append(0.0)
+    elif mutation == "costs ragged":
+        costs.pop() if rng.random() < 0.5 else costs.append(cost)
+    elif mutation == "field missing":
+        del item[str(rng.choice(["probs", "costs"]))]
+    elif mutation == "field not a list":
+        item[str(rng.choice(["probs", "costs"]))] = [3, "ab", None, {}][int(rng.integers(4))]
+
+
+ITEM_MUTATIONS = ("cost fraction", "cost integral float", "cost bool", "cost string",
+                  "cost below 1", "cost decreasing", "probability nan", "probability negative",
+                  "probability integer", "probability string", "probability bool",
+                  "probabilities scaled",
+                  "probabilities ragged", "costs ragged", "field missing", "field not a list")
+DOCUMENT_MUTATIONS = ("item not an object", "item count", "B change", "budget below 1",
+                      "outer id repeated", "outer id out of range", "outer id dropped")
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and text of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+
+
+@settings(max_examples=examples(300))
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(ITEM_MUTATIONS + DOCUMENT_MUTATIONS), max_size=3))
+def test_sweeps_equal_the_item_by_item_reference(seed, mutations):
+    """The parser and validator against ``tests/reference.py``'s field-by-field ones.
+
+    On a random instance document with up to three mutations, both parsers
+    give an instance with the same fields and field types, or the same
+    exception with the same text; a parsed instance gets the same violations
+    in the same order from both validators.
+    """
+    rng = np.random.default_rng(seed)
+    inst = random_instance(seed, n_max=6, B_max=4)
+    doc = json.loads(instance_to_json(inst))
+    for mutation in mutations:
+        items = doc["items"]
+        i = int(rng.integers(len(items))) if items else 0
+        if not items:
+            continue
+        if mutation in ITEM_MUTATIONS:
+            if isinstance(items[i], dict) and all(
+                    isinstance(items[i].get(k), list) and len(items[i][k]) == inst.B
+                    for k in ("probs", "costs")):
+                _mutate_item(items[i], int(rng.integers(inst.B)), rng, mutation)
+        elif mutation == "item not an object":
+            items[i] = [1, 2]
+        elif mutation == "item count":
+            items.pop() if rng.random() < 0.5 else items.append(items[i])
+        elif mutation == "B change":
+            doc["B"] += int(rng.choice([-1, 1]))
+        elif mutation == "budget below 1":
+            doc["budget"] = int(rng.choice([0, -2]))
+        elif doc["outer"]["kind"] in ("partition", "explicit"):
+            key = "blocks" if doc["outer"]["kind"] == "partition" else "maximal"
+            groups = [g for g in doc["outer"][key] if g]
+            if not groups:
+                continue
+            group = groups[int(rng.integers(len(groups)))]
+            if mutation == "outer id repeated":
+                doc["outer"][key][int(rng.integers(len(doc["outer"][key])))].append(group[0])
+            elif mutation == "outer id out of range":
+                group[int(rng.integers(len(group)))] = int(rng.choice([0, -1, inst.n + 1]))
+            else:
+                group.pop()
+    text = json.dumps(doc)
+    expected = _outcome(reference.instance_from_json_by_field, text)
+    got = _outcome(instance_from_json, text)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    for field in ("n", "B", "budget", "outer", "utility"):
+        assert getattr(got, field) == getattr(expected, field)
+    # repr compares NaN probabilities, and type() tells 3 from 3.0
+    assert repr(got.items) == repr(expected.items)
+    assert ([[type(v) for v in it.probs + it.costs] for it in got.items]
+            == [[type(v) for v in it.probs + it.costs] for it in expected.items])
+    assert (_outcome(validate_instance, got)
+            == _outcome(reference.validate_instance_by_item, expected))
+
+
+@pytest.mark.parametrize("costs", [(1.5, 2), (2.0, 2), (True, 2), (np.int32(1), np.int64(3)),
+                                   ("1", 2), (0, 2), (2, 1), (1.5, 0), (2**70, 2**71)])
+@pytest.mark.parametrize("probs", [(0.5, 0.5), (1, 0), (0.5, np.float64(0.5)), (-0.5, 1.5),
+                                   (float("nan"), 1.0), (0.3, 0.3), (0.5,), (0.2, 0.3, 0.5)])
+def test_validator_equals_the_reference_on_values_only_code_builds(probs, costs):
+    # values a document cannot hold: floats, strings, numpy scalars and
+    # out-of-int64 costs, and probabilities of numpy type, next to valid items
+    items = (ItemModel(probs=(0.25, 0.75), costs=(1, 2)), ItemModel(probs=probs, costs=costs),
+             ItemModel(probs=(1.0, 0.0), costs=(2, 2)))
+    inst = build(list(items))
+    assert (_outcome(validate_instance, inst)
+            == _outcome(reference.validate_instance_by_item, inst))

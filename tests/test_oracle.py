@@ -5,11 +5,8 @@ from stochsubmax.errors import EnumerationLimitError
 from stochsubmax.generators import random_oracle_sized_instance, symmetric_pair_instance
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.model import Instance, ItemModel
-from stochsubmax.oracle import (
-    optimal_policy_value,
-    policy_tree_value,
-    random_feasible_tree,
-)
+from stochsubmax.oracle import optimal_policy_value
+from tests.reference import policy_tree_value, random_feasible_tree
 
 
 def test_trivial_single_item():
