@@ -148,7 +148,7 @@ def cmd_simulate(args) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"malformed solution file: {exc}") from exc
     try:
-        policy.check_solution_shape(instance, sol)
+        greedy.check_solution_shape(instance, sol)
     except ValueError as exc:
         raise DomainFailure(f"invalid solution file: {exc}") from exc
     report = greedy.certify_solution(instance, instance.outer, sol, sol.stop_scale)

@@ -29,8 +29,8 @@ class LpStallError(Exception):
 class LpCertificateError(LpStallError):
     """Raised when a simplex answer fails its primal or optimality check.
 
-    ``check`` is the failed check ("row", "bound", "basis", "dual sign",
-    "reduced cost" or "duality gap"), ``at`` names the row, column or basis at
+    ``check`` is the failed check ("row", "bound", "basis", "dual sign" or
+    "duality gap"), ``at`` names the row, column or basis at
     fault and ``amount`` is the size of the violation or gap found there.
     ``index`` is the failing objective's position in a stack of objectives,
     0 for a single one. ``iterations`` is None: the check does not see the

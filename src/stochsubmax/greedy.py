@@ -22,7 +22,11 @@ slot keeps every row feasible at the same objective, and the dropped rows hold
 everywhere in the box, so each step's vertex is an optimal direction of the
 full time-indexed program and the accumulated solution carries the full
 program's guarantee. Its entries hold one slot per item, the rule every
-:class:`SlotSolution` keeps: the rounding visits an item at that slot.
+:class:`SlotSolution` keeps: the rounding visits an item at that slot. A
+solution is its entries, each item's marginal its one entry's value, and
+:func:`check_solution_shape` is the one check that it fits an instance;
+:func:`certify_solution` builds the rows at its slots with the program's own
+row builder, :func:`lp.slot_rows`.
 
 The LP rows, right-hand side and box are the same at every step and only the
 objective changes, so the previous step's answer, a vertex and its basis,
@@ -59,7 +63,7 @@ import numpy as np
 from .constraints import OuterConstraint, polytope_inequalities
 from .errors import InvalidInputError, LpCertificateError, as_int, json_number
 from .extensions import check_marginals
-from .lp import build_slot_program, certify_optimal, solve_lp
+from .lp import build_slot_program, certify_optimal, slot_rows, solve_lp
 from .model import Instance, sample_realization_batch
 from .parallel import combine_mean_se, map_blocks, split_blocks
 from .seeds import derive_rng, stream_entropy
@@ -73,19 +77,40 @@ ENTRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SlotSolution:
-    """Fractional start-slot solution: entries (item, slot, value) plus marginals."""
+    """Fractional start-slot solution: one entry (item, slot, value) per item it schedules.
+
+    Construction checks that every entry's item lies in 0..n-1 and that no
+    item has two entries, raising :class:`InvalidInputError` (a
+    ``ValueError``) that names the 1-based item. Whether the entries fit an
+    instance is :func:`check_solution_shape`'s question.
+    """
 
     n: int
     budget: int
     entries: tuple[tuple[int, int, float], ...]
-    marginals: np.ndarray
     stop_scale: float
     steps: int
     grad_samples: int
     seed: int
 
     def __post_init__(self):
-        self.slots  # noqa: B018 -- checks the one-slot rule on construction
+        seen = set()
+        for i, _, _ in self.entries:
+            if not 0 <= i < self.n:
+                raise InvalidInputError(f"solution item {i + 1} is outside 1..{self.n}")
+            if i in seen:
+                raise InvalidInputError(
+                    f"item {i + 1} has more than one slot entry; a solution holds one per item"
+                )
+            seen.add(i)
+
+    @cached_property
+    def marginals(self) -> np.ndarray:
+        """The (n,) item marginals: each item's one entry's value, 0 for an item without one."""
+        out = np.zeros(self.n)
+        for i, _, v in self.entries:
+            out[i] = v
+        return out
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -94,23 +119,26 @@ class SlotSolution:
 
     @cached_property
     def slots(self) -> np.ndarray:
-        """The (n_s,) start slots of the support columns: each item's one entry's slot.
-
-        The rule of one slot per item is checked here: an item with several
-        entries, or a support item that no entry carries, raises
-        :class:`InvalidInputError` (a ``ValueError``) naming the 1-based item.
-        """
-        slot_of = {}
-        for i, t, _ in self.entries:
-            if i in slot_of:
-                raise InvalidInputError(
-                    f"item {i + 1} has more than one slot entry; a solution holds one per item"
-                )
-            slot_of[i] = t
-        for i in self.support.tolist():
-            if i not in slot_of:
-                raise InvalidInputError(f"item {i + 1} has a positive marginal but no slot entry")
+        """The (n_s,) start slots of the support columns: each item's one entry's slot."""
+        slot_of = {i: t for i, t, _ in self.entries}
         return np.array([slot_of[i] for i in self.support.tolist()], dtype=np.int64)
+
+
+def check_solution_shape(instance: Instance, sol: SlotSolution):
+    """Check that ``sol`` fits ``instance``, raising ``ValueError`` that names the 1-based item.
+
+    The solution must have the instance's n and budget, each entry's slot
+    must lie in 1..s_i, its item's slot count, and each value must lie in
+    [0, 1] to within ``MARGINAL_TOL``, the one value tolerance (NaN fails).
+    """
+    if sol.n != instance.n or sol.budget != instance.budget:
+        raise ValueError("solution does not match the instance dimensions")
+    slots = instance.slot_counts
+    for i, t, v in sol.entries:
+        if not 1 <= t <= int(slots[i]):
+            raise ValueError(f"item {i + 1} has slot {t}, out of slot range 1..{int(slots[i])}")
+        if not -MARGINAL_TOL <= v <= 1 + MARGINAL_TOL:
+            raise ValueError(f"item {i + 1} has marginal {v!r}; marginals must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -195,15 +223,9 @@ def estimate_marginal_gains(
     return _sampled_gains(instance, f, x, samples, seed)
 
 
-def solution_entries(variables, x, n: int):
-    """Entries (item, slot, value) of the values above ENTRY_TOL, and the marginals they sum to."""
-    entries = tuple(
-        (int(i), int(t), float(v)) for (i, t), v in zip(variables, x) if v > ENTRY_TOL
-    )
-    marginals = np.zeros(n)
-    for i, _, v in entries:
-        marginals[i] += v
-    return entries, marginals
+def solution_entries(variables, x):
+    """Entries (item, slot, value) of the values above ENTRY_TOL."""
+    return tuple((int(i), int(t), float(v)) for (i, t), v in zip(variables, x) if v > ENTRY_TOL)
 
 
 def run_continuous_greedy(
@@ -227,7 +249,6 @@ def run_continuous_greedy(
     nv = len(program.variables)
     delta = stop_scale / steps
     items = np.array([i for i, _ in program.variables], dtype=np.int64)
-    upper = np.ones(nv)
     x = np.zeros(nv)
     answer = None
 
@@ -264,7 +285,7 @@ def run_continuous_greedy(
         taken = 0
         if answer is not None:
             try:
-                certify_optimal(objectives, program.row_coeffs, program.row_bounds, upper,
+                certify_optimal(objectives, program.row_coeffs, program.row_bounds,
                                 answer.values, answer.basis)
                 taken = len(objectives)
             except LpCertificateError as failed:
@@ -289,12 +310,10 @@ def run_continuous_greedy(
         x[items == i] /= marginals[i]
         marginals[i] = 1.0
 
-    entries, marginals = solution_entries(program.variables, x, instance.n)
     return SlotSolution(
         n=instance.n,
         budget=instance.budget,
-        entries=entries,
-        marginals=marginals,
+        entries=solution_entries(program.variables, x),
         stop_scale=stop_scale,
         steps=steps,
         grad_samples=grad_samples,
@@ -307,50 +326,34 @@ def certify_solution(
 ) -> CertificationReport:
     """Check every solution invariant at the given scale, with CERT_TOL slack.
 
-    Outer rows must hold at scale * bound, time rows at scale * 2t; per-item
-    mass stays capped at 1 regardless of scale. Report-only: never raises for
-    a failing row.
+    The first row, ``entries-in-range``, is :func:`check_solution_shape`; a
+    solution that fails it does not fit the instance, and the report holds
+    that row alone. Per-item mass stays capped at 1 regardless of scale;
+    outer rows must hold at scale * bound and time rows at scale * 2t, built
+    by :func:`lp.slot_rows` over the solution's own items and slots.
+    Report-only: never raises for a failing row.
 
-    Time row t sums, over the items, the item's truncated cost at t
-    (``instance.truncated_costs``, the table the slot program uses) times its
-    mass started by t. An item's mass is its one entry's value from that
-    entry's slot on, so with nonnegative entries the lhs equals a slot-by-slot
-    accumulation in item order bit for bit.
+    Each row's lhs sums its coefficient times the item's value over the
+    items in increasing order, one at a time, so a time row equals a
+    slot-by-slot accumulation in item order bit for bit.
     """
-    rows: list[tuple[str, float, float, bool]] = []
-    slots = instance.slot_counts
-    sums = np.zeros(instance.n)
-    mass = np.zeros((instance.n, instance.budget))  # by item and start slot
-    ok_entries = True
-    for i, t, v in sol.entries:
-        sums[i] += v
-        if 1 <= t <= instance.budget:
-            mass[i, t - 1] += v
-        if not (0 <= i < instance.n) or not (1 <= t <= int(slots[i])) or not (
-            -MARGINAL_TOL <= v <= 1 + MARGINAL_TOL
-        ):
-            ok_entries = False
-    rows.append(("entries-in-range", float(ok_entries), 1.0, ok_entries))
+    try:
+        check_solution_shape(instance, sol)
+    except ValueError:
+        return CertificationReport(scale=scale, rows=(("entries-in-range", 0.0, 1.0, False),),
+                                   passed=False)
+    rows: list[tuple[str, float, float, bool]] = [("entries-in-range", 1.0, 1.0, True)]
+    for i, mass in enumerate(sol.marginals.tolist()):
+        rows.append((f"item-cap[{i + 1}]", mass, 1.0, bool(mass <= 1.0 + CERT_TOL)))
 
-    drift = float(np.max(np.abs(sums - sol.marginals))) if instance.n else 0.0
-    rows.append(("marginal-consistency", drift, MARGINAL_TOL, bool(drift <= MARGINAL_TOL)))
-
-    for i in range(instance.n):
-        lhs = float(sums[i])
-        rows.append((f"item-cap[{i + 1}]", lhs, 1.0, bool(lhs <= 1.0 + CERT_TOL)))
-
-    for r, (a, b) in enumerate(polytope_inequalities(outer)):
-        lhs = float(a @ sums)
-        bound = scale * float(b)
-        rows.append((f"outer[{r}]", lhs, bound, bool(lhs <= bound + CERT_TOL)))
-
-    # each item's mass started by time t, times its truncated cost at t, summed over items
-    prefix = np.cumsum(mass, axis=1)
-    time_lhs = np.where(prefix > 0, instance.truncated_costs * prefix, 0.0).sum(axis=0)
-    for t in range(1, instance.budget + 1):
-        lhs = float(time_lhs[t - 1])
-        bound = scale * 2.0 * t
-        rows.append((f"time[{t}]", lhs, bound, bool(lhs <= bound + CERT_TOL)))
+    labels, coeffs, bounds = slot_rows(instance, polytope_inequalities(outer), sol.support,
+                                       sol.slots)
+    # one C-contiguous row per item: the sum along axis 0 adds the items in order
+    terms = np.ascontiguousarray(coeffs.T) * sol.marginals[sol.support, None]
+    for (kind, r), lhs, bound in zip(labels, terms.sum(axis=0).tolist(), bounds.tolist()):
+        bound *= scale
+        label = f"outer[{r}]" if kind == "outer" else f"time[{r}]"
+        rows.append((label, lhs, bound, bool(lhs <= bound + CERT_TOL)))
 
     passed = all(r[3] for r in rows)
     return CertificationReport(scale=scale, rows=tuple(rows), passed=passed)
@@ -380,9 +383,9 @@ def solution_from_json(text: str) -> SlotSolution:
     Raises :class:`InvalidInputError` naming the field for a non-integral
     count, seed, item or slot, a non-numeric scale or value, an item outside
     1..n, a slot below 1 or a value outside [0, 1] (NaN included), and naming
-    the item for one listed twice (:attr:`SlotSolution.slots`). Whether a
-    slot lies within its item's slot count depends on the instance:
-    :func:`policy.check_solution_shape` checks it.
+    the item for one listed twice (:class:`SlotSolution`). Whether a slot
+    lies within its item's slot count depends on the instance:
+    :func:`check_solution_shape` checks it.
     """
     doc = json.loads(text)
     meta = doc["meta"]
@@ -399,14 +402,10 @@ def solution_from_json(text: str) -> SlotSolution:
         if not 0.0 <= v <= 1.0:
             raise InvalidInputError(f"x[{j}].value must lie in [0, 1], got {v!r}")
         entries.append((i - 1, t, v))
-    marginals = np.zeros(n)
-    for i, _, v in entries:
-        marginals[i] += v
     return SlotSolution(
         n=n,
         budget=as_int(meta["budget"], "meta.budget"),
         entries=tuple(entries),
-        marginals=marginals,
         stop_scale=float(json_number(meta["l"], "meta.l")),
         steps=as_int(meta["T"], "meta.T"),
         grad_samples=as_int(meta.get("grad_samples", 0), "meta.grad_samples"),

@@ -1,4 +1,4 @@
-"""Time-indexed relaxation rows, a dense bounded-variable simplex, and its certificate.
+"""Time-indexed relaxation rows, a dense simplex over the [0, 1] box, and its certificate.
 
 The relaxation has start-slot indicators x(i, t), one per item i and feasible
 start slot t in {1, ..., s_i} with s_i = budget - worst cost of i, in the box
@@ -23,8 +23,15 @@ item, an item-cap row is the column's box bound again, and a row whose largest
 value on the box, sum_j max(a_j, 0), is at most its bound holds at every
 point of the box. Dropping both changes no feasible point: the rows of an
 n = 40, budget = 30 program go from 71 to about 13, and most desk programs
-keep one row or none. :func:`greedy.certify_solution` still checks every row
-of the full relaxation.
+keep one row or none. The outer and time rows over one column per item, at
+any given slot, come from one builder, :func:`slot_rows`: the program calls it
+at the latest slots, and :func:`greedy.certify_solution` at a solution's own
+slots, where it checks every row of the full relaxation.
+
+Every column lies in the same box [0, 1], so the simplex and its certificate
+take no bounds: a variable's upper bound is 1 for a column and none for a
+slack. No program is unbounded, and one without rows is solved by setting
+each column with a positive objective coefficient to 1.
 
 All row coefficients are nonnegative and x = 0 is feasible, so every solve
 starts from the slack basis and needs no phase 1. The entering variable is
@@ -60,7 +67,7 @@ duality gap :func:`certify_optimal` allows (many columns just under
 every stop the certificate would refuse is pivoted past.
 The ratio test runs over the m basic values, a list of Python floats, and
 one ``tolist`` of w: a value that falls bounds the step at itself over
-|w_r|, one that rises to a finite upper bound at its room over |w_r|, in
+|w_r|, a column that rises to its upper bound 1 at its room over |w_r|, in
 the floating-point operations of the same test on arrays. Every step within
 1e-12 of the shortest one ties, and the least variable index among the tied
 ones leaves; a bound flip of the entering variable counts as the entering
@@ -128,36 +135,44 @@ class LpSolution:
     basis: np.ndarray
 
 
+def slot_rows(instance: Instance, ineqs, items, slots):
+    """The outer and time rows over one column per item: column j is ``items[j]`` at ``slots[j]``.
+
+    ``ineqs`` are the outer inequalities (a, b) of
+    :func:`constraints.polytope_inequalities`. Returns the row labels, the
+    (rows, columns) coefficients and the bounds: outer row r is ``a`` on the
+    items against b, and time row t in 1..budget is each item's truncated cost
+    at t (``instance.truncated_costs``) where its slot is at most t, else 0,
+    against 2t.
+    """
+    times = np.arange(1, instance.budget + 1)
+    outer_rows = np.array([a[items] for a, _ in ineqs]).reshape(len(ineqs), len(items))
+    time_rows = np.where(slots <= times[:, None], instance.truncated_costs[items].T, 0.0)
+    labels = [("outer", r) for r in range(len(ineqs))] + [("time", int(t)) for t in times]
+    bounds = np.concatenate([[float(b) for _, b in ineqs], 2.0 * times])
+    return labels, np.vstack([outer_rows, time_rows]), bounds
+
+
 def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgram:
     """Materialize the relaxation rows that can bind over each scheduled item's latest slot.
 
     The program has one column (i, s_i) per item i with s_i = budget - worst
     cost of i >= 1; the earlier slot columns, which the latest one dominates,
-    are left out. Of the outer and time rows it keeps those whose largest
-    value on the [0, 1] box, ``sum_j max(a_j, 0)``, exceeds their bound, and
-    it has no item-cap rows, which repeat the box (see the module docstring).
-    Items whose worst-state cost leaves no feasible start slot get no
-    variables. Raises for outer kinds without a compact polytope.
+    are left out. Of the outer and time rows (:func:`slot_rows`) it keeps
+    those whose largest value on the [0, 1] box, ``sum_j max(a_j, 0)``,
+    exceeds their bound, and it has no item-cap rows, which repeat the box
+    (see the module docstring). Items whose worst-state cost leaves no
+    feasible start slot get no variables. Raises for outer kinds without a
+    compact polytope.
     """
     instance.require_valid()
     ineqs = polytope_inequalities(outer)  # raises NoCompactPolytopeError for explicit
     slots = instance.slot_counts
     scheduled = np.flatnonzero(slots > 0)
-    variables = [(int(i), int(slots[i])) for i in scheduled]
-    nv = len(variables)
-    times = np.arange(1, instance.budget + 1)
-
-    outer_rows = np.array([a[scheduled] for a, _ in ineqs]).reshape(len(ineqs), nv)
-    time_rows = np.where(
-        slots[scheduled] <= times[:, None], instance.truncated_costs[scheduled].T, 0.0
-    )
-    rows = np.vstack([outer_rows, time_rows])
-    bounds = np.concatenate([[float(b) for _, b in ineqs], 2.0 * times])
-    labels = [("outer", r) for r in range(len(ineqs))] + [("time", int(t)) for t in times]
+    labels, rows, bounds = slot_rows(instance, ineqs, scheduled, slots[scheduled])
     binds = np.flatnonzero(np.maximum(rows, 0.0).sum(axis=1) > bounds)
-
     return SlotProgram(
-        variables=tuple(variables),
+        variables=tuple(zip(scheduled.tolist(), slots[scheduled].tolist())),
         row_labels=tuple(labels[r] for r in binds),
         row_coeffs=rows[binds],
         row_bounds=bounds[binds],
@@ -195,29 +210,26 @@ def solve_lp(program: SlotProgram, objective) -> LpSolution:
     if obj.shape != (nv,):
         raise ValueError(f"objective must have {nv} coefficients")
     A, b = program.row_coeffs, program.row_bounds
-    upper = np.ones(nv)
-    sol = simplex_max(obj, A, b, upper)
-    certify_optimal(obj, A, b, upper, sol.values, sol.basis,
+    sol = simplex_max(obj, A, b)
+    certify_optimal(obj, A, b, sol.values, sol.basis,
                     variables=program.variables, row_labels=program.row_labels)
     return sol
 
 
-def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None):
-    """Certify that ``x`` maximizes obj.x over A x <= b, 0 <= x <= upper; return the duality gap.
+def certify_optimal(obj, A, b, x, basis, variables=None, row_labels=None):
+    """Certify that ``x`` maximizes obj.x over A x <= b, 0 <= x <= 1; return the duality gap.
 
     ``basis`` holds the basic indices of a simplex basis, structural columns
     first and then one slack per row (index nv + row): one integer index per
     row, each in 0..nv + m - 1. The duals y come from the inverse of that
-    basis, which need not be the one the simplex stopped on. Any y >= 0 whose
-    reduced costs d = obj - A^T y are at most 0 on the columns without an
-    upper bound gives the upper bound
-    ``b.y + sum over bounded j of upper_j * max(d_j, 0)`` on every feasible
-    point, so no error in the simplex arithmetic, and no choice of basis, can
-    make a wrong ``x`` pass. Checks, in order: the rows (within ``ROW_TOL``)
-    and the box, the basis (its shape, integer indices in range, not
-    singular), the dual signs (``y >= -CERT_TOL``), the reduced costs on
-    unbounded columns (``<= CERT_TOL``), and the gap
-    (``<= CERT_TOL * max(1, |obj.x|)``). A NaN fails every check.
+    basis, which need not be the one the simplex stopped on. Any y >= 0, with
+    reduced costs d = obj - A^T y, gives the upper bound
+    ``b.y + sum_j max(d_j, 0)`` on every feasible point, so no error in the
+    simplex arithmetic, and no choice of basis, can make a wrong ``x`` pass.
+    Checks, in order: the rows (within ``ROW_TOL``) and the box, the basis
+    (its shape, integer indices in range, not singular), the dual signs
+    (``y >= -CERT_TOL``) and the gap (``<= CERT_TOL * max(1, |obj.x|)``).
+    A NaN fails every check.
 
     ``obj`` may also be a (K, nv) stack of objectives over the same program,
     vertex and basis, such as the continuous greedy's remaining steps along
@@ -241,7 +253,6 @@ def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None)
     stack = objs.ndim == 2
     objs = objs if stack else objs[None]
     x = np.asarray(x, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     basis = np.asarray(basis)
     m, nv = len(b), objs.shape[1]
     # one product per objective (np.matmul over a leading axis), so that an
@@ -262,8 +273,8 @@ def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None)
     # the excess arrays are built only for a vertex that fails; NaN fails here too
     if not slack.min(initial=0.0) >= -ROW_TOL:
         check("row", -slack, row, ROW_TOL)
-    if not (x.min(initial=0.0) >= -ROW_TOL and (x - upper).max(initial=0.0) <= ROW_TOL):
-        check("bound", np.maximum(-x, x - upper), col, ROW_TOL)
+    if not (x.min(initial=0.0) >= -ROW_TOL and (x - 1.0).max(initial=0.0) <= ROW_TOL):
+        check("bound", np.maximum(-x, x - 1.0), col, ROW_TOL)
 
     def bad_basis(fault):
         return LpCertificateError("basis", fault, np.nan, float(values[0]))
@@ -286,23 +297,16 @@ def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None)
         duals = np.matmul(inverse, c_basis[:, :, None])[:, :, 0]
     y = np.maximum(duals, 0.0)
     d = objs - np.matmul(A.T, y[:, :, None])[:, :, 0]
-    bounded = np.isfinite(upper)
-    boxed = bounded.all()
-    caps = upper if boxed else np.where(bounded, upper, 0.0)
-    gaps = np.matmul(y[:, None], b)[:, 0] + np.matmul(np.maximum(d, 0.0)[:, None], caps)[:, 0]
-    gaps -= values
+    gaps = np.matmul(y[:, None], b)[:, 0] + np.maximum(d, 0.0).sum(axis=1) - values
     # the objectives that pass every check; NaN fails every comparison
     ok = duals.min(axis=1, initial=np.inf) >= -CERT_TOL
-    if not boxed:
-        ok &= d[:, ~bounded].max(axis=1) <= CERT_TOL
     ok &= gaps <= CERT_TOL * np.maximum(1.0, np.abs(values))
     if not ok.all():
         k = int(ok.argmin())
         check("dual sign", -duals[k], row, CERT_TOL, k)
-        check("reduced cost", np.where(bounded, -np.inf, d[k]), col, CERT_TOL, k)
-        # the same gap term by term: y.(b - A x) + sum_j (caps_j max(d_j, 0) - d_j x_j)
+        # the same gap term by term: y.(b - A x) + sum_j (max(d_j, 0) - d_j x_j)
         rows = y[k] * slack
-        cols = caps * np.maximum(d[k], 0.0) - d[k] * x
+        cols = np.maximum(d[k], 0.0) - d[k] * x
         if rows.max(initial=-np.inf) >= cols.max(initial=-np.inf):
             at = row(int(rows.argmax()))
         else:
@@ -311,8 +315,8 @@ def certify_optimal(obj, A, b, upper, x, basis, variables=None, row_labels=None)
     return gaps if stack else float(gaps[0])
 
 
-def simplex_max(obj, A, b, upper, max_iters: int = 20000) -> LpSolution:
-    """Bounded-variable primal simplex for max c.x, A x <= b, 0 <= x <= upper.
+def simplex_max(obj, A, b, max_iters: int = 20000) -> LpSolution:
+    """Bounded-variable primal simplex for max c.x, A x <= b, 0 <= x <= 1.
 
     Requires b >= 0, so that x = 0 on the slack basis, where every solve
     starts, is feasible.
@@ -320,12 +324,9 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000) -> LpSolution:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     obj = np.asarray(obj, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     m, nv = len(b), len(obj)
     if m == 0:
-        x = np.where(obj > 0, np.where(np.isfinite(upper), upper, np.inf), 0.0)
-        if np.any(np.isinf(x)):
-            raise LpStallError(0, float("inf"))
+        x = np.where(obj > 0, 1.0, 0.0)
         return LpSolution(x, float(obj @ x), 0, np.zeros(0, dtype=np.int64))
     if b.min() < -ROW_TOL:
         raise ValueError("right-hand side must be nonnegative (x=0 feasible)")
@@ -334,7 +335,7 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000) -> LpSolution:
     total = nv + m
     A_fullT = np.concatenate((A.T, np.eye(m)))  # one contiguous row per variable
     c_full = np.concatenate((obj, np.zeros(m)))
-    up = upper.tolist() + [math.inf] * m
+    up = [1.0] * nv + [math.inf] * m  # the slacks have no upper bound
     # the basis and its variables' values and objective coefficients, row by row;
     # a nonbasic variable sits at 0 or at its upper bound, as its sign says
     basis = list(range(nv, total))
@@ -375,8 +376,7 @@ def simplex_max(obj, A, b, upper, max_iters: int = 20000) -> LpSolution:
             x = vertex()
             value = float(c_full @ x)
             yp = np.maximum(y, 0.0)
-            gap = b @ yp + np.where(np.isfinite(upper), upper, 0.0) @ np.maximum(
-                obj - A_fullT[:nv] @ yp, 0.0) - value
+            gap = b @ yp + np.maximum(obj - A_fullT[:nv] @ yp, 0.0).sum() - value
             entering = int(signed.argmax())
             if gap <= 0.5 * CERT_TOL * max(1.0, abs(value)) or signed[entering] <= 0:
                 return LpSolution(x[:nv], value, it - 1, np.array(basis, dtype=np.int64))

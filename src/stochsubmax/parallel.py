@@ -14,7 +14,13 @@ BLOCK_SIZE = 4096
 
 
 def split_blocks(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
-    """(block index, block length) pairs covering ``total`` trials."""
+    """(block index, block length) pairs covering ``total`` trials.
+
+    Raises ``ValueError`` for ``total < 1``: an estimate over no trials would
+    read as one with no failures.
+    """
+    if total < 1:
+        raise ValueError(f"need at least one trial, got {total}")
     blocks = []
     start = 0
     b = 0

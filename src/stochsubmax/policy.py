@@ -15,6 +15,9 @@ Every run goes through one kernel, :func:`run_policy_batch`, which resolves a
 whole block of runs on the draws of :func:`rounding.draw_block`. Simulation and
 the coupled dominance check call it on blocks of many runs; :func:`execute` is
 one run of it against a given realization, returned as a :class:`PolicyTrace`.
+Each of the three first checks that the solution fits the instance
+(:func:`greedy.check_solution_shape`); none certifies it, which the CLI and
+the benchmark do before they run the policy.
 
 The kernel works on the solution's support, the n_s items of positive
 marginal, which are the only items a run can sample: its draws and masks are
@@ -37,7 +40,7 @@ import numpy as np
 
 # is_independent stays a module name: bench/tracing.py counts calls through it
 from .constraints import OuterConstraint, independent_rows, is_independent  # noqa: F401
-from .greedy import SlotSolution, certify_solution
+from .greedy import SlotSolution, check_solution_shape
 from .model import Instance
 from .parallel import combine_mean_se, map_blocks, split_blocks
 from .rounding import (
@@ -62,24 +65,6 @@ class PolicyTrace:
     reads: tuple[int, ...]
     utility: float
     spent: int
-
-
-def check_solution_shape(instance: Instance, sol: SlotSolution):
-    """Structural checks: entry ranges and marginal consistency, naming the 1-based item."""
-    if sol.n != instance.n or sol.budget != instance.budget:
-        raise ValueError("solution does not match the instance dimensions")
-    slots = instance.slot_counts
-    sums = np.zeros(instance.n)
-    for i, t, v in sol.entries:
-        if not 0 <= i < instance.n:
-            raise ValueError(f"solution item {i + 1} is outside 1..{instance.n}")
-        if not 1 <= t <= int(slots[i]):
-            raise ValueError(f"item {i + 1} has slot {t}, out of slot range 1..{int(slots[i])}")
-        if not -1e-12 <= v <= 1 + 1e-9:
-            raise ValueError(f"item {i + 1} has value {v!r}, outside [0, 1]")
-        sums[i] += v
-    if np.max(np.abs(sums - sol.marginals), initial=0.0) > 1e-9:
-        raise ValueError("solution marginals are inconsistent with its entries")
 
 
 def gate_scan_batch(instance: Instance, states, kept, slots, support):
@@ -151,26 +136,16 @@ def execute(
     sol: SlotSolution,
     realization,
     seed: int,
-    certify_scale: float | None = None,
 ) -> PolicyTrace:
     """One policy run against a fixed realization: :func:`run_policy_batch` on one row.
 
     The run's sample uniforms and priorities are the support columns of the
     two rows of ``derive_rng(seed, "policy").random((2, n))``, so a run does
-    not depend on the support's width. ``certify_scale``
-    optionally enforces full feasibility certification of the solution before
-    running (the pipeline passes its stopping scale here); structural solution
-    checks always run.
+    not depend on the support's width. The solution must fit the instance
+    (:func:`greedy.check_solution_shape`); certifying it is the caller's step.
     """
     instance.require_valid()
     check_solution_shape(instance, sol)
-    if certify_scale is not None:
-        report = certify_solution(instance, outer, sol, certify_scale)
-        if not report.passed:
-            raise ValueError(
-                f"solution fails certification at scale {certify_scale}: "
-                f"{report.failures()[:3]}"
-            )
     states = np.asarray(realization, dtype=np.int64)
     if states.shape != (instance.n,) or np.any(states < 1) or np.any(states > instance.B):
         raise ValueError("realization must assign each item a state in 1..B")
@@ -282,7 +257,8 @@ def coupled_dominance_check(
     scheme outcome between (a) a policy run and (b) the combined pruning of
     the thinned state vector; both read the solution's start slots. The policy's
     selection must cover the pruned support coordinatewise, hence its utility
-    must be at least the pruned vector's utility.
+    must be at least the pruned vector's utility. Raises ``ValueError`` for
+    ``trials < 1`` (:func:`parallel.split_blocks`).
     """
     instance.require_valid()
     check_solution_shape(instance, sol)

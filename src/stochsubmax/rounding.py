@@ -47,8 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constraints import OuterConstraint, in_scaled_polytope, independent_rows, is_independent
-from .extensions import check_marginals
-from .greedy import SlotSolution
+from .greedy import SlotSolution, check_solution_shape
 from .model import Instance, sample_states
 from .parallel import map_blocks, split_blocks
 from .seeds import derive_rng, stream_entropy
@@ -272,6 +271,7 @@ def estimate_set_keep_rate(
     """Per-item empirical Pr[item kept | item sampled] for the set-level scheme.
 
     The marginals must lie inside scale * hull for the scheme's quoted scale.
+    Raises ``ValueError`` for ``trials < 1`` (:func:`parallel.split_blocks`).
     """
     y = np.asarray(marginals, dtype=float)
     if not in_scaled_polytope(outer, y, crs.scale):
@@ -322,10 +322,14 @@ def estimate_state_keep_rates(
     trials: int,
     seed: int,
 ) -> list[CrsEstimate]:
-    """Per (item, state) empirical Pr[coordinate survives | coordinate sampled]."""
+    """Per (item, state) empirical Pr[coordinate survives | coordinate sampled].
+
+    The solution must fit the instance (:func:`greedy.check_solution_shape`).
+    Raises ``ValueError`` for ``trials < 1`` (:func:`parallel.split_blocks`).
+    """
     if mapping not in MAPPINGS:
         raise ValueError(f"mapping must be one of {MAPPINGS}")
-    check_marginals(instance, sol.marginals)
+    check_solution_shape(instance, sol)
     fn = functools.partial(
         _alpha_block, mapping, instance, outer, crs, sol, stream_entropy(seed, mapping)
     )

@@ -81,8 +81,8 @@ def greedy_steps(instance, f, outer, stop_scale, steps, grad_samples, seed) -> l
 def _certified(program, objective, answer) -> bool:
     """Whether ``answer`` passes ``certify_optimal`` under ``objective``."""
     try:
-        certify_optimal(objective, program.row_coeffs, program.row_bounds,
-                        np.ones(len(program.variables)), answer.values, answer.basis)
+        certify_optimal(objective, program.row_coeffs, program.row_bounds, answer.values,
+                        answer.basis)
     except LpCertificateError:
         return False
     return True

@@ -185,7 +185,6 @@ def spread_solution(instance):
     return SlotSolution(
         n=instance.n, budget=instance.budget,
         entries=tuple((i, 1, mass) for i in range(instance.n)),
-        marginals=np.full(instance.n, mass),
         stop_scale=SCALE, steps=1, grad_samples=1, seed=0,
     )
 

@@ -147,7 +147,7 @@ def test_fewer_than_two_runs_exit_1_before_any_solve(pair_file, tmp_path, capsys
 
 def test_solve_reports_lp_certificate_failure(pair_file, tmp_path, monkeypatch, capsys):
     # a simplex that stops at the origin: feasible, but the duality gap names a column
-    def origin(obj, A, b, upper):
+    def origin(obj, A, b):
         nv, m = len(obj), len(b)
         return lp.LpSolution(np.zeros(nv), 0.0, 0, np.arange(nv, nv + m))
 

@@ -18,6 +18,7 @@ from stochsubmax.generators import (
 from stochsubmax.greedy import (
     SlotSolution,
     certify_solution,
+    check_solution_shape,
     estimate_marginal_gains,
     run_continuous_greedy,
     solution_from_json,
@@ -32,7 +33,6 @@ from stochsubmax.model import (
     instance_to_json,
 )
 from stochsubmax.parallel import combine_mean_se, map_blocks, split_blocks
-from stochsubmax.policy import check_solution_shape
 from tests.conftest import examples
 from tests.reference import expected_set_value_exact, greedy_steps, multilinear_exact
 
@@ -107,7 +107,6 @@ def test_certify_flags_violated_time_row(pair_instance):
     sol = SlotSolution(
         n=2, budget=5,
         entries=((0, 1, 1.0), (1, 1, 1.0)),
-        marginals=np.array([1.0, 1.0]),
         stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
     report = certify_solution(pair_instance, pair_instance.outer, sol, 0.25)
@@ -118,7 +117,7 @@ def test_certify_flags_violated_time_row(pair_instance):
 
 def test_certify_zero_solution(pair_instance):
     sol = SlotSolution(
-        n=2, budget=5, entries=(), marginals=np.zeros(2),
+        n=2, budget=5, entries=(),
         stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
     assert certify_solution(pair_instance, pair_instance.outer, sol, 0.25).passed
@@ -246,8 +245,8 @@ def test_mutated_solution_documents_are_rejected_by_name(seed, mutation):
     marginals = np.zeros(inst.n)
     marginals[chosen] = rng.uniform(0.05, 1.0, size=len(chosen))
     entries = tuple((i, int(rng.integers(1, slots[i] + 1)), float(marginals[i])) for i in chosen)
-    sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, marginals=marginals,
-                       stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+    sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, stop_scale=0.25,
+                       steps=1, grad_samples=1, seed=0)
     doc = json.loads(solution_to_json(sol))
     j = int(rng.integers(len(doc["x"])))
     e = doc["x"][j]
@@ -486,9 +485,9 @@ def warm_against_cold(monkeypatch, inst, **kwargs):
         totals["calls"] += 1
         return answer
 
-    def ridden(objectives, A, b, upper, x, basis):
+    def ridden(objectives, A, b, x, basis):
         try:
-            out = certify_optimal(objectives, A, b, upper, x, basis)
+            out = certify_optimal(objectives, A, b, x, basis)
             taken = len(objectives)
         except LpCertificateError as failed:
             out, taken = failed, failed.index
@@ -746,10 +745,7 @@ def test_time_rows_match_slot_by_slot_accumulation():
             (i, int(rng.integers(1, slots[i] + 1)), float(rng.uniform(0, 0.2)))
             for i in range(inst.n) if rng.random() < 0.7
         )
-        marginals = np.zeros(inst.n)
-        for i, _, v in entries:
-            marginals[i] = v
-        sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, marginals=marginals,
+        sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries,
                            stop_scale=0.25, steps=1, grad_samples=1, seed=0)
         report = certify_solution(inst, inst.outer, sol, 0.25)
         rows = {label: (lhs, bound, ok) for label, lhs, bound, ok in report.rows}

@@ -78,11 +78,8 @@ def policy_cases(draw):
         mass = 1.0 if rng.random() < 0.2 else rng.random()
         if mass > 0:
             entries.append((i, int(rng.integers(1, slots + 1)), float(mass)))
-    marginals = np.zeros(n)
-    for i, _, v in entries:
-        marginals[i] = v
     sol = SlotSolution(
-        n=n, budget=budget, entries=tuple(entries), marginals=marginals,
+        n=n, budget=budget, entries=tuple(entries),
         stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
     crs = BalancedCrs(kind=draw(st.sampled_from(["priority", "identity"])), scale=0.25)
@@ -160,9 +157,8 @@ def test_execute_is_the_reference_run_on_a_fixed_case(partition_instance):
     # so the scan order differs from the index order
     inst = partition_instance
     entries = tuple((i, 1 if i % 2 else int(inst.slot_counts[i]), 0.6) for i in range(inst.n))
-    sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries,
-                       marginals=np.full(inst.n, 0.6), stop_scale=0.25, steps=1,
-                       grad_samples=1, seed=0)
+    sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, stop_scale=0.25,
+                       steps=1, grad_samples=1, seed=0)
     crs = BalancedCrs(kind="priority", scale=0.25)
     d = draw_block(inst, np.random.default_rng(3), 40)
     for seed in range(40):
@@ -179,7 +175,7 @@ def test_batch_edge_cases_match_scalar():
     )
     sol = SlotSolution(
         n=3, budget=3, entries=((1, 2, 1.0), (2, 1, 1.0)),
-        marginals=np.array([0.0, 1.0, 1.0]), stop_scale=0.25, steps=1, grad_samples=1, seed=0,
+        stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
     for outer in (constraints.cardinality(3, 0), constraints.cardinality(3, 2)):
         inst = Instance(n=3, B=1, budget=3, items=items, outer=outer,
@@ -201,17 +197,17 @@ def test_batch_edge_cases_match_scalar():
 
 def test_solution_slots_are_one_per_support_item():
     # the slot vector holds the support columns' slots; an item of marginal 0
-    # is no column, whatever its entry, and an item with mass but no entry,
-    # or with two entries, breaks the one-slot rule
+    # is no column, whatever its entry, and an item with two entries breaks the
+    # one-slot rule, as does an item outside 1..n
     kw = dict(n=3, budget=3, stop_scale=0.25, steps=1, grad_samples=1, seed=0)
-    sol = SlotSolution(entries=((0, 2, 0.5), (1, 3, 0.0), (2, 1, 0.25)),
-                       marginals=np.array([0.5, 0.0, 0.25]), **kw)
+    sol = SlotSolution(entries=((0, 2, 0.5), (1, 3, 0.0), (2, 1, 0.25)), **kw)
+    assert sol.marginals.tolist() == [0.5, 0.0, 0.25]
     assert sol.support.tolist() == [0, 2] and sol.slots.tolist() == [2, 1]
-    with pytest.raises(ValueError, match="item 2 has a positive marginal but no slot entry"):
-        SlotSolution(entries=((0, 1, 0.5),), marginals=np.array([0.5, 0.5, 0.0]), **kw)
     with pytest.raises(ValueError, match="item 3 has more than one slot entry"):
-        SlotSolution(entries=((2, 1, 0.25), (2, 2, 0.25)),
-                     marginals=np.array([0.0, 0.0, 0.5]), **kw)
+        SlotSolution(entries=((2, 1, 0.25), (2, 2, 0.25)), **kw)
+    for item in (3, -1):
+        with pytest.raises(ValueError, match=f"solution item {item + 1} is outside 1..3"):
+            SlotSolution(entries=((0, 1, 0.25), (item, 1, 0.25)), **kw)
 
 
 def _random_outer(rng, n):
@@ -353,11 +349,8 @@ def padded_cases(draw):
 
     def solution(width, ids):
         mapped = tuple((int(ids[i]), t, v) for i, t, v in entries)
-        marginals = np.zeros(width)
-        for i, _, v in mapped:
-            marginals[i] += v
-        return SlotSolution(n=width, budget=budget, entries=mapped, marginals=marginals,
-                            stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+        return SlotSolution(n=width, budget=budget, entries=mapped, stop_scale=0.25, steps=1,
+                            grad_samples=1, seed=0)
 
     return small, solution(n, np.arange(n)), big, solution(total, new_id), new_id, seed
 

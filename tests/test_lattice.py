@@ -1,8 +1,9 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -293,12 +294,28 @@ def enumeration_tolerance(inst) -> float:
     off by at most (2n + 5 + 2B) eps f_top, and the enumeration by at most
     ((B + 1)^n + 4n + 2B + 5) eps f_top. A reference gain subtracts two
     multilinear values, so the two sides differ by at most
-    3 (B + 1)^n + 8n + m + 2B + 5 such errors, below the bound returned.
+    3 (B + 1)^n + 8n + m + 2B + 5 such errors, below the relative part returned.
+
+    Underflow adds an absolute part. In the standard model with gradual
+    underflow a rounded product is fl(a b) = a b (1 + d) + h with
+    |d| <= eps / 2, |h| <= 2^-1075 and d h = 0, and a sum or difference whose
+    result is subnormal is exact, so only products add absolute errors. Each
+    h reaches the result times the later factors of its term, which multiply
+    to at most max(1, f_top): probabilities and marginals of at most 1 and at
+    most one weight, value of f or level gain, none above f_top. It also
+    picks up the (1 + d) of its later roundings, less than 2 in all. The
+    reference takes 2n multilinear values of at most 2^n B^n terms, each of
+    at most 2n + m + 2 products, and the exact side makes at most
+    (B + 1)^n (n + m + 2B + 2) products, so the two make fewer than
+    N = 2 (2n + 1)(n + m + B + 1)(2B + 2)^n products, and underflow moves the
+    difference by less than N 2^-1074 max(1, f_top).
     """
     n, B = inst.n, inst.B
     m = len(getattr(inst.utility, "element_weights", ()))
     f_top = inst.utility.value(np.full(n, B))
-    return 3 * ((B + 1) ** n + 3 * n + m + B + 2) * np.finfo(float).eps * f_top
+    relative = 3 * ((B + 1) ** n + 3 * n + m + B + 2) * np.finfo(float).eps * f_top
+    products = 2 * (2 * n + 1) * (n + m + B + 1) * (2 * B + 2) ** n
+    return relative + math.ldexp(products * max(1.0, f_top), -1074)
 
 
 # at least the joint level count of any case below, so every family gives exact gains
@@ -342,6 +359,9 @@ def exact_gain_cases(draw, families=("modular", "coverage", "concave")):
 
 
 @given(exact_gain_cases())
+# the gain 5e-324 * 1.5 rounds up to 1e-323, while the reference's product
+# 5e-324 * 0.5 underflows: only the absolute part of the tolerance covers it
+@example((instance_over(WeightedModular(weights=(5e-324,)), [(0.5, 0.5)]), np.array([0.5])))
 @settings(max_examples=examples(100))
 def test_exact_gains_match_enumeration(case):
     inst, x = case

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from stochsubmax import constraints
 from stochsubmax.generators import random_instance, single_item_instance
-from stochsubmax.greedy import SlotSolution, run_continuous_greedy
+from stochsubmax.greedy import SlotSolution, certify_solution, run_continuous_greedy
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.model import Instance, ItemModel, sample_realization
 from stochsubmax.policy import (
@@ -13,14 +15,18 @@ from stochsubmax.policy import (
     gate_scan_batch,
     simulate_batch,
 )
-from stochsubmax.rounding import MAPPINGS, BalancedCrs, estimate_state_keep_rates
+from stochsubmax.rounding import (
+    MAPPINGS,
+    BalancedCrs,
+    estimate_set_keep_rate,
+    estimate_state_keep_rates,
+)
 
 
 def full_mass_solution(instance, marginals):
     entries = tuple((i, 1, float(m)) for i, m in enumerate(marginals) if m > 0)
     return SlotSolution(
         n=instance.n, budget=instance.budget, entries=entries,
-        marginals=np.asarray(marginals, dtype=float),
         stop_scale=1.0, steps=1, grad_samples=1, seed=0,
     )
 
@@ -84,30 +90,43 @@ def test_estimate_value_degenerate_cases(single_item):
     assert summary.mean_utility == 0.0 and summary.se == 0.0
 
 
-def test_certification_gate(pair_instance):
-    sol = full_mass_solution(pair_instance, [1.0, 1.0])
-    crs = BalancedCrs(kind="identity", scale=1.0)
-    trace = execute(
-        pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
-        realization=[1, 1], seed=0,
-    )
-    assert trace.spent <= pair_instance.budget
-    with pytest.raises(ValueError, match="certification"):
-        execute(
-            pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
-            realization=[1, 1], seed=0, certify_scale=0.25,
-        )
-
-
 def test_solution_shape_checked(pair_instance):
     bad = SlotSolution(
-        n=2, budget=5, entries=((0, 9, 0.5),), marginals=np.array([0.5, 0.0]),
+        n=2, budget=5, entries=((0, 9, 0.5),),
         stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
-    crs = BalancedCrs(kind="identity", scale=1.0)
-    with pytest.raises(ValueError, match="slot range"):
-        execute(pair_instance, pair_instance.utility, pair_instance.outer, crs, bad,
-                realization=[1, 1], seed=0)
+    # every user of a solution makes the one fit check: item 1 starts at slot 9,
+    # past its slot count 3
+    inst, crs = pair_instance, BalancedCrs(kind="identity", scale=1.0)
+    fit = re.escape("item 1 has slot 9, out of slot range 1..3")
+    with pytest.raises(ValueError, match=fit):
+        execute(inst, inst.utility, inst.outer, crs, bad, realization=[1, 1], seed=0)
+    with pytest.raises(ValueError, match=fit):
+        simulate_batch(inst, inst.utility, inst.outer, crs, bad, runs=10, seed=0)
+    with pytest.raises(ValueError, match=fit):
+        coupled_dominance_check(inst, inst.utility, inst.outer, crs, bad, trials=10, seed=0)
+    for mapping in MAPPINGS:
+        with pytest.raises(ValueError, match=fit):
+            estimate_state_keep_rates(mapping, inst, inst.outer, crs, bad, trials=10, seed=0)
+    # certification reports the misfit as its first row, and checks nothing else
+    report = certify_solution(inst, inst.outer, bad, 0.25)
+    assert report.rows == (("entries-in-range", 0.0, 1.0, False),) and not report.passed
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_trial_counts_below_one_rejected(pair_instance, trials):
+    # no trial leaves every keep-rate row "insufficient", which min_rate reads
+    # as a perfect keep rate, and a dominance check over nothing passes
+    inst, sol = pair_instance, solved(pair_instance)
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    calls = [
+        lambda: estimate_set_keep_rate(crs, inst.outer, sol.marginals, trials, seed=0),
+        lambda: estimate_state_keep_rates("outer", inst, inst.outer, crs, sol, trials, seed=0),
+        lambda: coupled_dominance_check(inst, inst.utility, inst.outer, crs, sol, trials, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"need at least one trial, got {trials}"):
+            call()
 
 
 def test_realization_validated(pair_instance):
@@ -206,7 +225,7 @@ def test_dominance_under_contention():
                     utility=WeightedModular(weights=(1.0, 1.0, 1.0)))
     sol = SlotSolution(
         n=3, budget=5, entries=tuple((i, 1 + i % 2, 0.2) for i in range(3)),
-        marginals=np.full(3, 0.2), stop_scale=0.25, steps=1, grad_samples=1, seed=0,
+        stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
     crs = BalancedCrs(kind="priority", scale=0.25)
     report = coupled_dominance_check(inst, inst.utility, inst.outer, crs, sol,
@@ -238,11 +257,8 @@ def test_gate_uses_nonstrict_inequality(single_item):
 def one_slot_solution(instance, slots_values):
     """Hand-built solution: item i starts at slot t with mass v, for each i: (t, v)."""
     entries = tuple((i, t, v) for i, (t, v) in sorted(slots_values.items()))
-    marginals = np.zeros(instance.n)
-    for i, _, v in entries:
-        marginals[i] = v
-    return SlotSolution(n=instance.n, budget=instance.budget, entries=entries,
-                        marginals=marginals, stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+    return SlotSolution(n=instance.n, budget=instance.budget, entries=entries, stop_scale=0.25,
+                        steps=1, grad_samples=1, seed=0)
 
 
 def stream_pins(instance, sol, realization, seed):

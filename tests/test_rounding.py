@@ -32,7 +32,6 @@ def flat_solution(instance, marginals):
     )
     return SlotSolution(
         n=instance.n, budget=instance.budget, entries=entries,
-        marginals=np.asarray(marginals, dtype=float),
         stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
 
@@ -155,14 +154,15 @@ def test_schedule_keep_counts_all_items_starting_no_later(pair_instance):
 
 
 def test_prune_by_schedule_rejects_zero_marginal_support(pair_instance):
-    # the schedule map reads a slot for every support item; item 2 carries a
-    # marginal but no slot entry, so no solution holds it
-    with pytest.raises(ValueError, match="item 2 has a positive marginal but no slot entry"):
-        SlotSolution(
-            n=2, budget=pair_instance.budget, entries=((0, 1, 0.25),),
-            marginals=np.array([0.25, 0.25]), stop_scale=0.25, steps=1, grad_samples=1,
-            seed=0,
-        )
+    # the schedule map reads a slot for every support item; the marginals are
+    # the entries' values, so an item without a slot entry has marginal 0 and
+    # is outside the support
+    sol = SlotSolution(
+        n=2, budget=pair_instance.budget, entries=((0, 1, 0.25),), stop_scale=0.25, steps=1,
+        grad_samples=1, seed=0,
+    )
+    assert sol.marginals.tolist() == [0.25, 0.0]
+    assert sol.support.tolist() == [0] and sol.slots.tolist() == [1]
 
 
 def test_prune_maps_support_condition(pair_instance):
