@@ -7,7 +7,11 @@ import pytest
 from stochsubmax import constraints
 from stochsubmax.generators import symmetric_pair_instance
 from stochsubmax.greedy import SlotSolution, run_continuous_greedy
+from stochsubmax.lattice import WeightedModular
+from stochsubmax.model import Instance, ItemModel
+from stochsubmax.policy import simulate_batch
 from stochsubmax.rounding import (
+    MAPPINGS,
     BalancedCrs,
     CrsEstimate,
     _binomial_rows,
@@ -369,6 +373,56 @@ def test_keep_rate_estimators_pinned():
     # digests, since a row without data holds NaN and compares unequal to itself
     assert rows_digest(state_rows(6)) != rows_digest(state_rows(5))
     assert rows_digest(set_rows(6)) != rows_digest(set_rows(5))
+
+
+def wide_instance_solution():
+    """An n = 40, B = 3 instance under cardinality 10 and its 4-step greedy solution.
+
+    The solution's support holds 11 of the 40 items, with tied start slots.
+    """
+    rng = np.random.default_rng(20)
+    n, B = 40, 3
+    items = []
+    for _ in range(n):
+        p = rng.uniform(0.1, 1.0, size=B)
+        costs = sorted(int(c) for c in rng.integers(1, 12, size=B))
+        items.append(ItemModel(tuple(float(x) for x in p / p.sum()), tuple(costs)))
+    weights = tuple(float(w) for w in np.round(rng.uniform(0.5, 2.0, size=n), 3))
+    inst = Instance(n=n, B=B, budget=30, items=tuple(items),
+                    outer=constraints.cardinality(n, 10), utility=WeightedModular(weights))
+    sol = run_continuous_greedy(inst, inst.utility, inst.outer, stop_scale=0.25, steps=4,
+                                grad_samples=100, seed=3)
+    return inst, sol
+
+
+def test_keep_rates_and_simulation_pinned_on_a_partial_support():
+    # 5000 trials span two seeded blocks; 29 of the 40 items carry no mass, so
+    # their rows hold no data. The pins were recorded before the estimators
+    # went to the support width, and hold bit for bit
+    inst, sol = wide_instance_solution()
+    assert sol.support.tolist() == [2, 3, 4, 7, 11, 18, 20, 25, 26, 30, 34]
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    set_rows = estimate_set_keep_rate(crs, inst.outer, sol.marginals, 5000, 7)
+    assert rows_digest(set_rows) == (
+        "8de2bddc8c8d258a1796639e02d22edd5b3275e8a541533bc96ca93ed31b7fa6"
+    )
+    pins = {
+        "outer": "627688d978b0bf9888f6e0bab65584e9387be162c0752cadb7ebaeb88b9e2a2c",
+        "schedule": "b5865e9dbab986e75f9fc80279439a4b4f602dd072c0ff328a8a8eb35cc719c5",
+        "combined": "3faaf8e3952e9a2047750cbbf94056ec1b86f7fa1a5cc6cdb8730ddf57914ed9",
+    }
+    off = set(range(inst.n)) - set(sol.support.tolist())
+    for mapping in MAPPINGS:
+        rows = estimate_state_keep_rates(mapping, inst, inst.outer, crs, sol, 5000, 7)
+        assert rows_digest(rows) == pins[mapping], mapping
+        assert [(r.item, r.state) for r in rows] == [
+            (i, s) for i in range(inst.n) for s in range(1, inst.B + 1)
+        ]
+        assert all(r.status == "insufficient" for r in rows if r.item in off)
+    s = simulate_batch(inst, inst.utility, inst.outer, crs, sol, 5000, 7)
+    assert (s.runs, s.mean_utility.hex(), s.se.hex(), s.inner_violations, s.outer_violations,
+            s.adaptivity_violations) == (5000, "0x1.0e4b64edc0626p+3", "0x1.130f827d979f5p-4",
+                                         0, 0, 0)
 
 
 def test_state_keep_rates_reject_bad_marginals(pair_instance):
