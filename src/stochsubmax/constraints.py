@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -36,6 +37,29 @@ class OuterConstraint:
     blocks: tuple[tuple[int, ...], ...] | None = None
     caps: tuple[int, ...] | None = None
     maximal: tuple[frozenset, ...] | None = None
+
+    @cached_property
+    def hull(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (A, b), A >= 0, such that the hull is {x in [0, 1]^n : A x <= b}.
+
+        One row per cardinality bound or partition block. Built on first use;
+        raises ``NoCompactPolytopeError`` for explicit families.
+        """
+        if self.kind == "cardinality":
+            a, b = np.ones((1, self.n)), np.array([float(self.k)])
+        elif self.kind == "partition":
+            a = np.zeros((len(self.blocks), self.n))
+            for r, block in enumerate(self.blocks):
+                a[r, list(block)] = 1.0
+            b = np.array(self.caps, dtype=float)
+        elif self.kind == "explicit":
+            raise NoCompactPolytopeError(
+                "explicit families are oracle-only and have no compact polytope"
+            )
+        else:
+            raise ValueError(f"unknown outer constraint kind {self.kind!r}")
+        a.flags.writeable = b.flags.writeable = False
+        return a, b
 
 
 def cardinality(n: int, k: int) -> OuterConstraint:
@@ -125,37 +149,28 @@ def is_independent(outer: OuterConstraint, items) -> bool:
     raise ValueError(f"unknown outer constraint kind {outer.kind!r}")
 
 
-def independent_rows(outer: OuterConstraint, mask) -> np.ndarray:
-    """Membership oracle over a block: is row r of the (R, n) boolean ``mask`` allowed?
+def independent_rows(outer: OuterConstraint, mask, columns=slice(None)) -> np.ndarray:
+    """Membership oracle over a block: is row r of the boolean ``mask`` allowed?
 
-    Cardinality and partition count every row against the hull inequalities at
-    once; explicit families ask :func:`is_independent` row by row.
+    Column c of ``mask`` is item ``columns[c]`` (every item, in order, by
+    default); items without a column are not in any row's set. Cardinality
+    and partition count every row against the hull's columns
+    (:attr:`OuterConstraint.hull`) at once; explicit families ask
+    :func:`is_independent` row by row.
     """
     mask = np.asarray(mask, dtype=bool)
     if outer.kind == "explicit":
-        return np.array([is_independent(outer, np.flatnonzero(row)) for row in mask], dtype=bool)
-    rows = polytope_inequalities(outer)
-    a = np.array([coeffs for coeffs, _ in rows]).reshape(len(rows), outer.n)
-    bounds = np.array([bound for _, bound in rows])
-    return np.all(mask @ a.T <= bounds, axis=1)
+        items = np.arange(outer.n)[columns]
+        return np.array([is_independent(outer, items[row]) for row in mask], dtype=bool)
+    a, bounds = outer.hull
+    return np.all(a[:, columns] @ mask.T <= bounds[:, None], axis=0)
 
 
 def polytope_inequalities(outer: OuterConstraint) -> list[tuple[np.ndarray, float]]:
-    """Inequalities a.x <= b (a >= 0) that, with 0 <= x <= 1, describe the hull exactly."""
-    if outer.kind == "cardinality":
-        return [(np.ones(outer.n), float(outer.k))]
-    if outer.kind == "partition":
-        rows = []
-        for block, cap in zip(outer.blocks, outer.caps):
-            a = np.zeros(outer.n)
-            a[list(block)] = 1.0
-            rows.append((a, float(cap)))
-        return rows
-    if outer.kind == "explicit":
-        raise NoCompactPolytopeError(
-            "explicit families are oracle-only and have no compact polytope"
-        )
-    raise ValueError(f"unknown outer constraint kind {outer.kind!r}")
+    """The rows (a, b) of :attr:`OuterConstraint.hull`: with 0 <= x <= 1, the
+    inequalities a.x <= b describe the hull exactly."""
+    a, bounds = outer.hull
+    return list(zip(a, bounds.tolist()))
 
 
 def feasible_sets(outer: OuterConstraint) -> list[frozenset]:
@@ -182,10 +197,8 @@ def in_scaled_polytope(outer: OuterConstraint, x, scale: float) -> bool:
     if np.any(x < -MEMBERSHIP_TOL) or np.any(x > 1 + MEMBERSHIP_TOL):
         return False
     if outer.kind in ("cardinality", "partition"):
-        return all(
-            float(a @ x) <= scale * b + MEMBERSHIP_TOL
-            for a, b in polytope_inequalities(outer)
-        )
+        a, b = outer.hull
+        return bool(np.all(a @ x <= scale * b + MEMBERSHIP_TOL))
     if outer.kind == "explicit":
         if np.allclose(x, 0.0, atol=MEMBERSHIP_TOL):
             return True

@@ -123,6 +123,19 @@ class SlotSolution:
         slot_of = {i: t for i, t, _ in self.entries}
         return np.array([slot_of[i] for i in self.support.tolist()], dtype=np.int64)
 
+    @cached_property
+    def scan_order(self) -> np.ndarray:
+        """The support columns by (slot, index): the order the gate scan visits them in."""
+        return np.argsort(self.slots, kind="stable")
+
+    @cached_property
+    def precedence(self) -> np.ndarray:
+        """Read-only (n_s, n_s) float matrix M[j, i] = [slots[j] <= slots[i]] of the
+        schedule map."""
+        out = (self.slots[:, None] <= self.slots).astype(float)
+        out.flags.writeable = False
+        return out
+
 
 def check_solution_shape(instance: Instance, sol: SlotSolution):
     """Check that ``sol`` fits ``instance``, raising ``ValueError`` that names the 1-based item.
@@ -328,10 +341,11 @@ def certify_solution(
 
     The first row, ``entries-in-range``, is :func:`check_solution_shape`; a
     solution that fails it does not fit the instance, and the report holds
-    that row alone. Per-item mass stays capped at 1 regardless of scale;
-    outer rows must hold at scale * bound and time rows at scale * 2t, built
-    by :func:`lp.slot_rows` over the solution's own items and slots.
-    Report-only: never raises for a failing row.
+    that row alone. That row already holds each item's one value, its mass,
+    to at most 1 + ``MARGINAL_TOL`` at any scale, so there is no per-item
+    cap row. Outer rows must hold at scale * bound and time rows at
+    scale * 2t, built by :func:`lp.slot_rows` over the solution's own items
+    and slots. Report-only: never raises for a failing row.
 
     Each row's lhs sums its coefficient times the item's value over the
     items in increasing order, one at a time, so a time row equals a
@@ -343,9 +357,6 @@ def certify_solution(
         return CertificationReport(scale=scale, rows=(("entries-in-range", 0.0, 1.0, False),),
                                    passed=False)
     rows: list[tuple[str, float, float, bool]] = [("entries-in-range", 1.0, 1.0, True)]
-    for i, mass in enumerate(sol.marginals.tolist()):
-        rows.append((f"item-cap[{i + 1}]", mass, 1.0, bool(mass <= 1.0 + CERT_TOL)))
-
     labels, coeffs, bounds = slot_rows(instance, polytope_inequalities(outer), sol.support,
                                        sol.slots)
     # one C-contiguous row per item: the sum along axis 0 adds the items in order

@@ -68,6 +68,15 @@ class Instance:
         return np.array([it.costs for it in self.items], dtype=np.int64)
 
     @cached_property
+    def padded_costs(self) -> np.ndarray:
+        """Read-only (n, B + 1) integer costs at states 0..B: column 0 is 0, the cost of
+        an item whose state is not drawn, and column s is ``cost_matrix[:, s - 1]``."""
+        out = np.zeros((self.n, self.B + 1), dtype=np.int64)
+        out[:, 1:] = self.cost_matrix
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def prob_matrix(self) -> np.ndarray:
         return np.array([it.probs for it in self.items], dtype=float)
 

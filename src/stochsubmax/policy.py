@@ -21,8 +21,14 @@ the benchmark do before they run the policy.
 
 The kernel works on the solution's support, the n_s items of positive
 marginal, which are the only items a run can sample: its draws and masks are
-(R, n_s) arrays, and only the utility, the outer-family tally and the
-dominance violation reports go back to width n. When every item carries mass
+(R, n_s) arrays, the gate scan runs on their (n_s, R) transposes, and the
+outer-family tally counts the selected support columns against the hull's
+support columns (explicit families ask the oracle row by row). Only the
+utility's input and the dominance violation reports go back to width n. The
+gate-scan order and the precedence matrix are cached on the solution
+(:attr:`~greedy.SlotSolution.scan_order`,
+:attr:`~greedy.SlotSolution.precedence`), the zero-padded cost table on the
+instance and the hull on the constraint. When every item carries mass
 the draws are those of width n, so the ``simulate`` and ``dominance`` streams
 are unchanged; for a solution with items of marginal 0 they moved when the
 kernel went to the support width. :func:`execute` draws ``random((2, n))``
@@ -67,35 +73,41 @@ class PolicyTrace:
     spent: int
 
 
-def gate_scan_batch(instance: Instance, states, kept, slots, support):
+def gate_scan_batch(instance: Instance, states, kept, sol: SlotSolution):
     """The gate scan on every row of a block at once.
 
-    Column c of the (R, n_s) arrays is item ``support[c]``, which starts at
-    ``slots[c]``. The scan visits the columns once, in (start slot, index)
-    order, and selects a row's kept item iff spent <= its slot. States are
-    read only through ``read``, one gather per column at the gate-passed
-    rows, which is the only place the read mask is set. Returns (R, n_s)
+    Column c of the (R, n_s) arrays is item ``sol.support[c]``, which starts
+    at ``sol.slots[c]``. The scan visits the columns once, in
+    ``sol.scan_order`` ((start slot, index) order), and selects a row's kept
+    item iff spent <= its slot. It works on (n_s, R) arrays, one row per
+    column, and each column's step is one gate compare, written into the
+    column's ``selected`` row; one gather of the states at the gate-passed
+    rows through ``read``, the only place states are read and the read mask
+    and ``revealed`` are set; and one gather-add of the column's revealed
+    states' costs from its row of ``instance.padded_costs``, whose 0 at state
+    0 leaves the other rows' spending as it was. Returns (R, n_s)
     ``selected``, ``reads`` and ``revealed`` (the states read, 0 elsewhere)
     and the (R,) ``spent``.
     """
-    kept, slots, states = np.asarray(kept, dtype=bool), np.asarray(slots), np.asarray(states)
-    costs = instance.cost_matrix[support]
-    selected = np.zeros(kept.shape, dtype=bool)
-    reads = np.zeros(kept.shape, dtype=bool)
-    revealed = np.zeros(kept.shape, dtype=np.int64)
-    spent = np.zeros(len(kept), dtype=np.int64)
+    states = np.asarray(states).T
+    support, slots = sol.support, sol.slots
+    # a column's gate: spent <= its slot where the row keeps its item, never elsewhere
+    limit = np.where(np.asarray(kept, dtype=bool).T, slots[:, None], -1)
+    selected = np.zeros(limit.shape, dtype=bool)
+    reads = np.zeros(limit.shape, dtype=bool)
+    revealed = np.zeros(limit.shape, dtype=np.int64)
+    spent = np.zeros(limit.shape[1], dtype=np.int64)
+    cost_rows = instance.padded_costs[support]
 
     def read(r, c):
-        state = states[r, c]
-        reads[r, c] = True
-        revealed[r, c] = state
-        return state
+        reads[c][r] = True
+        revealed[c][r] = states[c][r]
 
-    for c in np.argsort(slots, kind="stable"):  # by slot, least index on ties
-        r = np.flatnonzero(kept[:, c] & (spent <= slots[c]))
-        selected[r, c] = True
-        spent[r] += costs[c, read(r, c) - 1]
-    return selected, reads, revealed, spent
+    for c in sol.scan_order.tolist():
+        np.less_equal(spent, limit[c], out=selected[c])
+        read(selected[c].nonzero()[0], c)
+        spent += cost_rows[c].take(revealed[c])  # 0 at state 0: rows not read
+    return selected.T, reads.T, revealed.T, spent
 
 
 @dataclass(frozen=True)
@@ -120,9 +132,7 @@ def run_policy_batch(instance, f, outer, crs, sol, draws: BlockDraws) -> BlockRu
     support = sol.support
     sampled = draws.u_sample < sol.marginals[support]
     kept = crs_keep_batch(crs, outer, sampled, draws.priorities, support)
-    selected, reads, revealed, spent = gate_scan_batch(
-        instance, draws.states, kept, sol.slots, support
-    )
+    selected, reads, revealed, spent = gate_scan_batch(instance, draws.states, kept, sol)
     wide = scatter_columns(revealed, support, instance.n)
     utility = np.asarray(f.value_batch(wide), dtype=float)
     return BlockRun(sampled, kept, selected, reads, revealed, spent, utility)
@@ -152,7 +162,7 @@ def execute(
     support = sol.support
     u = derive_rng(seed, "policy").random((2, instance.n))[:, None, support]
     run = run_policy_batch(instance, f, outer, crs, sol, BlockDraws(states[None, support], *u))
-    scan = np.argsort(sol.slots, kind="stable")  # gate-scan order: by slot, least index on ties
+    scan = sol.scan_order
 
     def items(mask, order=slice(None)):
         return tuple(int(i) for i in support[order][mask[order]])
@@ -184,13 +194,12 @@ def _simulate_block(instance, f, outer, crs, sol, seed, block):
     b, size = block
     draws = draw_block(instance, derive_rng(seed, "simulate", b), size, sol.support)
     run = run_policy_batch(instance, f, outer, crs, sol, draws)
-    selected = scatter_columns(run.selected, sol.support, instance.n)
     return (
         size,
         float(run.utility.sum()),
         float(run.utility @ run.utility),
         int(np.count_nonzero(run.spent > instance.budget)),
-        int(np.count_nonzero(~independent_rows(outer, selected))),
+        int(np.count_nonzero(~independent_rows(outer, run.selected, sol.support))),
         int(np.count_nonzero(np.any(run.reads != run.selected, axis=1))),
     )
 
@@ -274,7 +283,7 @@ def coupled_dominance_check(
         run = run_policy_batch(instance, f, outer, crs, sol, d)
         dropped += int(np.any(run.sampled != run.kept, axis=1).sum())
         v = np.where(run.sampled, d.states, 0)
-        sched = schedule_keep_batch(instance, v, sol.slots, support)
+        sched = schedule_keep_batch(instance, v, sol)
         pruned = np.where(run.kept & sched, v, 0)
         pruned_utility = np.asarray(f.value_batch(scatter_columns(pruned, support, n)), dtype=float)
         covered = np.all((pruned == 0) | (run.revealed == pruned), axis=1)

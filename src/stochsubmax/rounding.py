@@ -24,11 +24,17 @@ Each map exists once, in batched form: :func:`crs_keep_batch` and
 :func:`schedule_keep_batch` resolve a block of R trials at a time on the
 (R, n_s) arrays drawn by :func:`draw_block`. Their columns are the solution's
 support, the n_s items of positive marginal in increasing id order: an item
-of marginal 0 is never sampled, so it is never drawn for. Results go back to
-width n (:func:`scatter_columns`) only where item ids matter: the identity
-scheme's family check, explicit families (:func:`greedy_keep` resolves their
-rows one set at a time) and the keep-rate count tables. The estimators here
-and the policy in :mod:`policy` both run them.
+of marginal 0 is never sampled, so it is never drawn for. The estimators
+here and the policy in :mod:`policy` both run them. The keep-rate count
+tables and rows are built for the support items only; every other item's
+rows read "insufficient", and they come from one cached tuple of blank rows
+per (mapping, n, width). Only explicit families go back to width n here
+(:func:`greedy_keep` resolves their rows one set at a time on the item ids);
+:func:`scatter_columns` puts a block at width n where :mod:`policy` needs it.
+The constants of the maps are cached where they belong: the precedence
+matrix on the solution (:attr:`~greedy.SlotSolution.precedence`), the
+zero-padded cost table on the instance (:attr:`~model.Instance.padded_costs`)
+and the hull on the constraint (:attr:`~constraints.OuterConstraint.hull`).
 
 When every item carries mass the draws keep their width-n shapes, so the
 ``keep-rate`` and ``keep-<mapping>`` streams are those of a width-n kernel;
@@ -128,7 +134,7 @@ def crs_keep_batch(
     sampled = np.asarray(sampled, dtype=bool)
     support = np.asarray(support)
     if crs.kind == "identity":
-        if not np.all(independent_rows(outer, scatter_columns(sampled, support, outer.n))):
+        if not np.all(independent_rows(outer, sampled, support)):
             raise ValueError("identity scheme got a set outside the outer family")
         return sampled.copy()
     if outer.kind == "cardinality":
@@ -151,23 +157,21 @@ def crs_keep_batch(
     return kept
 
 
-def schedule_keep_batch(instance: Instance, v, slots, support) -> np.ndarray:
+def schedule_keep_batch(instance: Instance, v, sol: SlotSolution) -> np.ndarray:
     """The schedule map on every row of a block: the (R, n_s) mask of kept items.
 
-    Column c is item ``support[c]``, which starts at ``slots[c]`` (the
-    solution's :attr:`~greedy.SlotSolution.slots`). ``v`` is an (R, n_s) state
-    matrix, 0 off the row's sampled items. Row r keeps such an item i iff the
-    realized costs of all its other such items starting no later than i fit
-    within i's slot: with c the realized costs, iff
-    (c @ M)[r, i] - c[r, i] <= slots[i], where M[j, i] = [slots[j] <= slots[i]].
-    The costs are integers, so the float product is exact.
+    Column c is item ``sol.support[c]``, which starts at ``sol.slots[c]``.
+    ``v`` is an (R, n_s) state matrix, 0 off the row's sampled items. Row r
+    keeps such an item i iff the realized costs of all its other such items
+    starting no later than i fit within i's slot: with c the realized costs
+    (``instance.padded_costs``, 0 at state 0), iff
+    (c @ M)[r, i] - c[r, i] <= slots[i], where M is ``sol.precedence``,
+    M[j, i] = [slots[j] <= slots[i]]. The costs are integers, so the float
+    product is exact.
     """
     v = np.asarray(v)
-    slots = np.asarray(slots)
-    on = v > 0
-    cost = np.where(on, instance.cost_matrix[support, np.maximum(v, 1) - 1], 0).astype(float)
-    upto = cost @ (slots[:, None] <= slots).astype(float)
-    return on & (upto - cost <= slots)
+    cost = instance.padded_costs[sol.support, v]
+    return (v > 0) & (cost @ sol.precedence - cost <= sol.slots)
 
 
 @dataclass(frozen=True)
@@ -214,24 +218,20 @@ class CrsEstimate(NamedTuple):
 _as_estimate = functools.partial(tuple.__new__, CrsEstimate)
 
 
-def _binomial_rows(mapping, cond, kept, states: bool) -> list[CrsEstimate]:
-    """Rows of kept / sampled count tables: per item, or per (item, state 1..B).
+def _support_rows(mapping, items, cond, kept, states: bool) -> list[CrsEstimate]:
+    """Rows of the (m, width) kept / sampled count tables of the m ``items``, in item order.
 
-    ``cond`` and ``kept`` are (n, 1) tables, or (n, B + 1) ones indexed by
-    state whose column 0 is unused. A cell with no sampled event reads NaN
-    with status "insufficient".
+    A cell with no sampled event reads NaN with status "insufficient".
     """
-    if states:
-        cond, kept = cond[:, 1:], kept[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         value = kept / cond
         se = np.sqrt(np.maximum(value * (1 - value), 0.0) / cond)
-    n, width = cond.shape
+    width = cond.shape[1]
     events = cond.ravel().tolist()
     # rows are zipped from whole columns of Python values
     columns = (
-        sorted(list(range(n)) * width),  # each item once per column, in item order
-        list(range(1, width + 1)) * n if states else [None] * n,
+        np.repeat(items, width).tolist(),  # each item once per column
+        list(range(1, width + 1)) * len(items) if states else [None] * len(items),
         itertools.repeat(mapping),
         value.ravel().tolist(),
         se.ravel().tolist(),
@@ -241,13 +241,35 @@ def _binomial_rows(mapping, cond, kept, states: bool) -> list[CrsEstimate]:
     return list(map(_as_estimate, zip(*columns)))
 
 
-def _scatter_counts(partials, support, n: int, width: int):
-    """Sampled and kept count tables of the block partials, summed and put on item rows."""
-    cond = np.zeros((n, width), dtype=np.int64)
-    kept = np.zeros((n, width), dtype=np.int64)
-    cond[support] = sum(p[0] for p in partials)
-    kept[support] = sum(p[1] for p in partials)
-    return cond, kept
+@functools.lru_cache(maxsize=64)
+def _blank_rows(mapping, n: int, width: int, states: bool) -> tuple[CrsEstimate, ...]:
+    """The rows of n items none of which was ever sampled, all "insufficient"."""
+    zeros = np.zeros((n, width), dtype=np.int64)
+    return tuple(_support_rows(mapping, np.arange(n), zeros, zeros, states))
+
+
+def _binomial_rows(mapping, cond, kept, support, n: int, states: bool) -> list[CrsEstimate]:
+    """Rows of all n items: per item, or per (item, state 1..B).
+
+    ``cond`` and ``kept`` are the kept / sampled count tables of the n_s
+    ``support`` items (increasing ids): (n_s, 1) tables, or (n_s, B + 1)
+    ones indexed by state whose column 0 is unused. The rows of the support
+    items are built from them; every other item was never sampled, and its
+    rows come from the cached blank rows (:func:`_blank_rows`).
+    """
+    if states:
+        cond, kept = cond[:, 1:], kept[:, 1:]
+    width = cond.shape[1]
+    rows = _support_rows(mapping, support, cond, kept, states)
+    out = list(_blank_rows(mapping, n, width, states))
+    for c, i in enumerate(np.asarray(support).tolist()):
+        out[i * width:(i + 1) * width] = rows[c * width:(c + 1) * width]
+    return out
+
+
+def _summed_counts(partials):
+    """Sampled and kept count tables of the block partials, summed over the blocks."""
+    return sum(p[0] for p in partials), sum(p[1] for p in partials)
 
 
 def _gamma_block(crs, outer, y, support, seed, block):
@@ -282,7 +304,7 @@ def estimate_set_keep_rate(
     support = np.flatnonzero(y > 0)
     fn = functools.partial(_gamma_block, crs, outer, y, support, seed)
     partials = map_blocks(fn, split_blocks(trials))
-    return _binomial_rows("set", *_scatter_counts(partials, support, outer.n, 1), states=False)
+    return _binomial_rows("set", *_summed_counts(partials), support, outer.n, states=False)
 
 
 def _alpha_block(mapping, instance, outer, crs, sol, seed, block):
@@ -299,10 +321,10 @@ def _alpha_block(mapping, instance, outer, crs, sol, seed, block):
     if mapping == "outer":
         keep = crs_keep_batch(crs, outer, sampled, d.priorities, support)
     elif mapping == "schedule":
-        keep = schedule_keep_batch(instance, v, sol.slots, support)
+        keep = schedule_keep_batch(instance, v, sol)
     elif mapping == "combined":
         keep = crs_keep_batch(crs, outer, sampled, d.priorities, support) & schedule_keep_batch(
-            instance, v, sol.slots, support
+            instance, v, sol
         )
     else:
         raise ValueError(f"unknown mapping {mapping!r}")
@@ -334,8 +356,7 @@ def estimate_state_keep_rates(
         _alpha_block, mapping, instance, outer, crs, sol, stream_entropy(seed, mapping)
     )
     partials = map_blocks(fn, split_blocks(trials))
-    tables = _scatter_counts(partials, sol.support, instance.n, instance.B + 1)
-    return _binomial_rows(mapping, *tables, states=True)
+    return _binomial_rows(mapping, *_summed_counts(partials), sol.support, instance.n, states=True)
 
 
 def alpha_table_csv(rows: list[CrsEstimate]) -> str:

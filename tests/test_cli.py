@@ -318,6 +318,26 @@ def test_partition_with_a_bad_item_id_exits_1_naming_it(tmp_path, capsys, blocks
     assert not (out / "solution.json").exists()
 
 
+@pytest.mark.parametrize("outer,named", [
+    ({"kind": "matroid", "k": 1}, "outer.kind must be cardinality, partition or explicit"),
+    ({"kind": "explicit", "maximal": [[1, 2], [3, 4]]}, "outer.maximal[1][1] must lie in 1..3"),
+    ({"kind": "explicit", "maximal": [[0]]}, "outer.maximal[0][0] must lie in 1..3"),
+])
+def test_bad_outer_kind_or_explicit_id_exits_1_naming_it(tmp_path, capsys, outer, named):
+    # both fail the load, before any validation, in validate and in solve alike
+    doc = json.loads(instance_to_json(partition_demo_instance()))
+    doc["outer"] = outer
+    path = tmp_path / "bad-outer.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert named in captured.out + captured.err
+    out = tmp_path / "out"
+    assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (out / "solution.json").exists()
+
+
 @pytest.fixture
 def solved_pair(pair_file, tmp_path):
     """The pair instance file and the path of a solution solved on it."""

@@ -115,6 +115,21 @@ def test_certify_flags_violated_time_row(pair_instance):
     assert "time[1]" in failing
 
 
+def test_certificate_rows_are_the_fit_outer_and_time_rows(pair_instance):
+    # entries-in-range holds every value to 1 + MARGINAL_TOL, so no item-cap row
+    # repeats it; a value past that fails the fit row alone
+    sol = SlotSolution(n=2, budget=5, entries=((0, 1, 0.25), (1, 2, 0.125)),
+                       stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+    report = certify_solution(pair_instance, pair_instance.outer, sol, 0.25)
+    assert [label for label, *_ in report.rows] == (
+        ["entries-in-range", "outer[0]"] + [f"time[{t}]" for t in range(1, 6)]
+    )
+    over = SlotSolution(n=2, budget=5, entries=((0, 1, 1.0 + 2e-9),),
+                        stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+    report = certify_solution(pair_instance, pair_instance.outer, over, 1.0)
+    assert report.rows == (("entries-in-range", 0.0, 1.0, False),) and not report.passed
+
+
 def test_certify_zero_solution(pair_instance):
     sol = SlotSolution(
         n=2, budget=5, entries=(),

@@ -94,10 +94,9 @@ def reference_draws(inst, sol, d):
             for a in (d.states, d.u_sample, d.priorities)]
 
 
-@settings(max_examples=examples(300))
-@given(policy_cases())
-def test_batch_matches_scalar_policy_on_identical_draws(case):
-    inst, sol, crs, rows, seed = case
+def assert_batch_is_reference_run(inst, sol, crs, rows, seed):
+    """``run_policy_batch`` on a block of ``rows`` draws against the scalar reference
+    row by row, and the block's outer tally against the oracle on each selected set."""
     f, outer = inst.utility, inst.outer
     d = draw_block(inst, np.random.default_rng(seed), rows, sol.support)
     states, u_sample, priorities = reference_draws(inst, sol, d)
@@ -114,6 +113,7 @@ def test_batch_matches_scalar_policy_on_identical_draws(case):
             return
     run = run_policy_batch(inst, f, outer, crs, sol, d)
     support = sol.support
+    tally = constraints.independent_rows(outer, run.selected, support)
     for r, tr in enumerate(traces):
         assert tuple(support[run.sampled[r]]) == tr.sampled
         assert tuple(support[run.kept[r]]) == tr.kept
@@ -123,6 +123,68 @@ def test_batch_matches_scalar_policy_on_identical_draws(case):
         assert tuple(support[run.reads[r]]) == tuple(sorted(tr.reads))
         assert int(run.spent[r]) == tr.total_cost
         assert float(run.utility[r]) == tr.utility
+        assert tally[r] == constraints.is_independent(outer, tr.selected)
+
+
+@settings(max_examples=examples(300))
+@given(policy_cases())
+def test_batch_matches_scalar_policy_on_identical_draws(case):
+    assert_batch_is_reference_run(*case)
+
+
+@st.composite
+def wide_policy_cases(draw):
+    """An instance of up to 40 items under cardinality or a partition, and a
+    hand-built solution with at least 10 support columns, with a draw seed.
+
+    Costs stay at most a third of the budget, so every item has a start slot,
+    and slots are drawn from a few values, so columns tie.
+    """
+    n = draw(st.integers(10, 40))
+    B = draw(st.integers(1, 3))
+    budget = draw(st.integers(12, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    items = []
+    for _ in range(n):
+        w = rng.integers(1, 5, size=B)
+        costs = sorted(int(c) for c in rng.integers(1, budget // 3 + 1, size=B))
+        items.append(ItemModel(probs=tuple(w / w.sum()), costs=tuple(costs)))
+    if draw(st.booleans()):
+        outer = constraints.cardinality(n, draw(st.integers(0, n)))
+    else:
+        labels = rng.integers(0, 4, size=n)
+        blocks = [np.flatnonzero(labels == b) for b in np.unique(labels)]
+        outer = constraints.partition(n, blocks, [int(rng.integers(0, len(b) + 1))
+                                                  for b in blocks])
+    weights = tuple(float(w) for w in rng.integers(0, 4, size=n))
+    utility = draw(st.sampled_from([
+        WeightedModular(weights=weights),
+        ConcaveOverModular(weights=weights, curve="sqrt"),
+        ThresholdCoverage(rates=tuple(int(w) for w in weights), element_weights=(1.0, 0.5, 0.25)),
+    ]))
+    inst = Instance(n=n, B=B, budget=budget, items=tuple(items), outer=outer, utility=utility)
+    inst.require_valid()
+    support = np.sort(rng.choice(n, size=draw(st.integers(10, n)), replace=False))
+    top = rng.integers(1, 4, size=n) * (inst.slot_counts // 3) + 1  # a few slot values
+    entries = tuple(
+        (int(i), int(min(top[i], inst.slot_counts[i])), 1.0 if rng.random() < 0.2
+         else float(rng.uniform(0.05, 1.0)))
+        for i in support
+    )
+    sol = SlotSolution(n=n, budget=budget, entries=entries, stop_scale=0.25, steps=1,
+                       grad_samples=1, seed=0)
+    assert len(sol.support) >= 10
+    crs = BalancedCrs(kind=draw(st.sampled_from(["priority", "identity"])), scale=0.25)
+    return inst, sol, crs, draw(st.sampled_from([1, 7, 64])), seed
+
+
+@settings(max_examples=examples(40))
+@given(wide_policy_cases())
+def test_wide_supports_match_scalar_policy(case):
+    """The gate scan and the outer tally over 10 to 40 support columns, against
+    the scalar reference on identical draws."""
+    assert_batch_is_reference_run(*case)
 
 
 def assert_execute_is_reference_run(inst, sol, crs, states, seed):
@@ -273,7 +335,10 @@ def test_schedule_keep_batch_matches_schedule_keep_set():
         width = (15, len(support))
         v = np.where(rng.random(width) < 0.7, rng.integers(1, B + 1, size=width), 0)
         slots = rng.integers(1, budget + 1, size=len(support))
-        kept = schedule_keep_batch(inst, v, slots, support)
+        sol = SlotSolution(n=n, budget=budget,
+                           entries=tuple((int(i), int(t), 0.5) for i, t in zip(support, slots)),
+                           stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+        kept = schedule_keep_batch(inst, v, sol)
         wide_v = scatter_columns(v, support, n)
         times = dict(zip(support.tolist(), slots.tolist()))
         for r in range(15):

@@ -1,6 +1,5 @@
 import re
 
-import numpy as np
 import pytest
 
 from stochsubmax import constraints
@@ -67,8 +66,9 @@ def test_forced_times_hand_trace(pair_instance):
     # both items survive pruning with start slot 1; the realization gives item 1
     # state 2 (cost 2): item 1 is selected at spent 0 <= 1, then item 2 fails
     # its gate because 2 > 1
+    sol = one_slot_solution(pair_instance, {0: (1, 0.5), 1: (1, 0.5)})
     selected, reads, revealed, spent = gate_scan_batch(
-        pair_instance, [[2, 1]], [[True, True]], np.array([1, 1]), [0, 1]
+        pair_instance, [[2, 1]], [[True, True]], sol
     )
     assert selected.tolist() == [[True, False]]
     assert reads.tolist() == [[True, False]]
@@ -245,9 +245,8 @@ def test_gate_uses_nonstrict_inequality(single_item):
         outer=constraints.cardinality(2, 2),
         utility=WeightedModular(weights=(1.0, 1.0)),
     )
-    selected, reads, _, spent = gate_scan_batch(
-        big, [[1, 1]], [[True, True]], np.array([1, 1]), [0, 1]
-    )
+    sol = one_slot_solution(big, {0: (1, 0.5), 1: (1, 0.5)})
+    selected, reads, _, spent = gate_scan_batch(big, [[1, 1]], [[True, True]], sol)
     # item 1 selected at spent 0; item 2 gate: spent 1 <= 1 passes
     assert selected.tolist() == [[True, True]]
     assert reads.tolist() == [[True, True]]

@@ -137,7 +137,7 @@ def test_prune_by_outer_cases(pair_instance):
 
 def test_schedule_keep_single_item(pair_instance):
     v = np.array([[2, 0]])
-    kept = schedule_keep_batch(pair_instance, v, np.array([1, 1]), [0, 1])
+    kept = schedule_keep_batch(pair_instance, v, flat_solution(pair_instance, [0.5, 0.5]))
     assert kept.tolist() == [[True, False]]
 
 
@@ -146,14 +146,15 @@ def test_schedule_keep_hand_cases(pair_instance):
     # other's cost 1 <= 1, so both survive. Row 1: item 1 at state 2 (cost 2);
     # item 2 sees cost 2 > 1 and is dropped, item 1 sees cost 1 <= 1 and survives
     v = np.array([[1, 1], [2, 1]])
-    kept = schedule_keep_batch(pair_instance, v, np.ones(2, dtype=np.int64), [0, 1])
+    kept = schedule_keep_batch(pair_instance, v, flat_solution(pair_instance, [0.5, 0.5]))
     assert kept.tolist() == [[True, True], [True, False]]
 
 
 def test_schedule_keep_counts_all_items_starting_no_later(pair_instance):
     # equal start slots count each other even when listed later in index order
     # item 0 sees cost 2 > 1 -> dropped; item 1 sees cost 1 <= 1 -> kept
-    kept = schedule_keep_batch(pair_instance, np.array([[1, 2]]), np.array([1, 1]), [0, 1])
+    sol = flat_solution(pair_instance, [0.5, 0.5])
+    kept = schedule_keep_batch(pair_instance, np.array([[1, 2]]), sol)
     assert kept.tolist() == [[False, True]]
 
 
@@ -178,7 +179,7 @@ def test_prune_maps_support_condition(pair_instance):
     sampled = d.u_sample < sol.marginals[support]
     v = np.where(sampled, d.states, 0)
     outer = crs_keep_batch(crs, pair_instance.outer, sampled, d.priorities, support)
-    schedule = schedule_keep_batch(pair_instance, v, sol.slots, support)
+    schedule = schedule_keep_batch(pair_instance, v, sol)
     for keep in (outer, schedule, outer & schedule):
         assert not np.any(keep & ~sampled)
 
@@ -325,22 +326,31 @@ def _per_row(mapping, cond, kept, states):
 
 
 def test_binomial_rows_match_the_per_row_formula():
-    # up to n = 40, as solve-large's keep tables; every field's value and type
-    # equals the formula's, NaN included where a cell has no sampled event
+    # up to n = 40, as solve-large's keep tables, on the full support and on a
+    # strict subset of the items, whose other rows come from the cached blank
+    # rows; every field's value and type equals the formula's on the full
+    # table, NaN included where a cell has no sampled event
     rng = np.random.default_rng(12)
     for _ in range(50):
         n, width = int(rng.integers(1, 41)), int(rng.integers(2, 5))
         cond = rng.integers(0, 5000, size=(n, width)) * (rng.random((n, width)) < 0.8)
         kept = np.minimum(cond, rng.integers(0, 5000, size=(n, width)))
-        for mapping, states in (("combined", True), ("set", False)):
-            table = (cond, kept) if states else (cond[:, :1], kept[:, :1])
-            rows = _binomial_rows(mapping, *table, states=states)
-            expected = _per_row(mapping, *table, states=states)
-            assert [repr(r) for r in rows] == [repr(r) for r in expected]
-            assert all(type(r) is CrsEstimate for r in rows)
-            assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in expected]
-            csv = alpha_table_csv if states else gamma_table_csv
-            assert csv(rows) == csv(expected)
+        partial = np.flatnonzero(rng.random(n) < 0.3)
+        for support in (np.arange(n), partial):
+            off = np.setdiff1d(np.arange(n), support)
+            cond[off] = kept[off] = 0  # an item off the support is never sampled
+            for mapping, states in (("combined", True), ("set", False)):
+                table = (cond, kept) if states else (cond[:, :1], kept[:, :1])
+                rows = _binomial_rows(mapping, *(t[support] for t in table), support, n,
+                                      states=states)
+                expected = _per_row(mapping, *table, states=states)
+                assert [repr(r) for r in rows] == [repr(r) for r in expected]
+                assert all(type(r) is CrsEstimate for r in rows)
+                assert [tuple(map(type, r)) for r in rows] == [
+                    tuple(map(type, r)) for r in expected
+                ]
+                csv = alpha_table_csv if states else gamma_table_csv
+                assert csv(rows) == csv(expected)
 
 
 def rows_digest(rows) -> str:
