@@ -194,7 +194,8 @@ def in_scaled_polytope(outer: OuterConstraint, x, scale: float) -> bool:
     x = np.asarray(x, dtype=float)
     if x.shape != (outer.n,):
         raise ValueError(f"expected a vector of length {outer.n}")
-    if np.any(x < -MEMBERSHIP_TOL) or np.any(x > 1 + MEMBERSHIP_TOL):
+    # NaN fails both comparisons; an empty vector reads as 0
+    if not (x.min(initial=0.0) >= -MEMBERSHIP_TOL and x.max(initial=0.0) <= 1 + MEMBERSHIP_TOL):
         return False
     if outer.kind in ("cardinality", "partition"):
         a, b = outer.hull

@@ -1,19 +1,18 @@
 """The multilinear extension of the expected utility, and the marginals it takes.
 
 The extension is a seeded Monte Carlo estimate that reports a standard
-error. It runs its trials in fixed-size seeded blocks, so estimates are
-reproducible for a given (seed, trial count).
+error. Block b of :func:`parallel.run_blocks` draws from
+``seeds.block_rng(seed, "multilinear", b)``, so estimates are reproducible for
+a given (seed, trial count). The stream moved when the blocks left
+``seeds.derive_rng``, whose instance, realization and ``execute`` streams did not.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .model import Instance, sample_realization_batch
-from .parallel import combine_mean_se, map_blocks, split_blocks
-from .seeds import derive_rng
+from .parallel import mean_se, run_blocks
 
 
 def check_marginals(instance: Instance, marginals) -> np.ndarray:
@@ -36,16 +35,6 @@ def check_marginals(instance: Instance, marginals) -> np.ndarray:
     return np.clip(x, 0.0, 1.0) if low < 0 or high > 1 else x
 
 
-def _multilinear_block(instance, f, x, seed, block):
-    b, size = block
-    rng = derive_rng(seed, "multilinear", b)
-    coins = rng.random((size, instance.n)) < x
-    states = sample_realization_batch(instance, rng, size)
-    masked = np.where(coins, states, 0)
-    vals = np.asarray(f.value_batch(masked), dtype=float)
-    return size, float(vals.sum()), float((vals * vals).sum())
-
-
 def multilinear_mc(
     instance: Instance, f, marginals, samples: int, seed: int
 ) -> tuple[float, float]:
@@ -58,5 +47,11 @@ def multilinear_mc(
     x = check_marginals(instance, marginals)
     if x.ndim != 1:
         raise ValueError(f"expected {instance.n} marginals, got shape {x.shape}")
-    fn = functools.partial(_multilinear_block, instance, f, x, seed)
-    return combine_mean_se(map_blocks(fn, split_blocks(samples)))
+
+    def block(rng, start, size):
+        coins = rng.random((size, instance.n)) < x
+        states = sample_realization_batch(instance, rng, size)
+        vals = np.asarray(f.value_batch(np.where(coins, states, 0)), dtype=float)
+        return size, float(vals.sum()), float((vals * vals).sum())
+
+    return mean_se(*run_blocks("multilinear", seed, samples, block))

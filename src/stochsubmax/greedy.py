@@ -53,7 +53,6 @@ greedy estimates no gains and solves no LP.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,8 +64,9 @@ from .errors import InvalidInputError, LpCertificateError, as_int, json_number
 from .extensions import check_marginals
 from .lp import build_slot_program, certify_optimal, slot_rows, solve_lp
 from .model import Instance, sample_realization_batch
-from .parallel import combine_mean_se, map_blocks, split_blocks
-from .seeds import derive_rng, stream_entropy
+# map_blocks stays a module name: bench/tracing.py counts calls through it
+from .parallel import map_blocks, mean_se, run_blocks  # noqa: F401
+from .seeds import stream_entropy
 
 MARGINAL_TOL = 1e-9
 CERT_TOL = 1e-7
@@ -175,30 +175,27 @@ class CertificationReport:
         return json.dumps(doc) + "\n"
 
 
-def _gain_block(instance, f, x, seed, block):
-    b, size = block
-    rng = derive_rng(seed, "gain", b)
-    coins = rng.random((size, instance.n)) < x
-    states = sample_realization_batch(instance, rng, size)
-    base = np.where(coins, states, 0)
-    # row i holds item i's gains in contiguous memory, so each row sum adds in
-    # the same order as a sum over that item's own gain vector
-    gains = np.ascontiguousarray(f.gains_batch(base, states, coins).T)
-    sums = gains.sum(axis=1)
-    sumsqs = np.multiply(gains, gains, out=gains).sum(axis=1)
-    return size, sums, sumsqs
-
-
 def _sampled_gains(instance: Instance, f, x, samples: int, seed: int):
     """The gains and their standard errors from ``samples`` draws in seeded blocks.
 
     Each block draws a base set and a realization, and ``f.gains_batch`` gives
-    every item's gain on every row. Block b draws from the stream
-    (seed, "gain", b) and blocks are reduced in block order, so the estimate
-    is a deterministic function of (inputs, seed).
+    every item's gain on every row. Block b draws from
+    ``seeds.block_rng(seed, "gain", b)`` (:func:`parallel.run_blocks`), so the
+    estimate is a deterministic function of (inputs, seed). The stream moved
+    when the blocks left ``seeds.derive_rng``, whose three streams did not.
     """
-    fn = functools.partial(_gain_block, instance, f, x, seed)
-    return combine_mean_se(map_blocks(fn, split_blocks(samples)))
+
+    def block(rng, start, size):
+        coins = rng.random((size, instance.n)) < x
+        states = sample_realization_batch(instance, rng, size)
+        base = np.where(coins, states, 0)
+        # row i holds item i's gains in contiguous memory, so each row sum adds in
+        # the same order as a sum over that item's own gain vector
+        gains = np.ascontiguousarray(f.gains_batch(base, states, coins).T)
+        sums = gains.sum(axis=1)
+        return size, sums, np.multiply(gains, gains, out=gains).sum(axis=1)
+
+    return mean_se(*run_blocks("gain", seed, samples, block))
 
 
 def estimate_marginal_gains(
@@ -392,9 +389,9 @@ def solution_from_json(text: str) -> SlotSolution:
     """Parse a solution document; integer fields must be integral, never truncated.
 
     Raises :class:`InvalidInputError` naming the field for a non-integral
-    count, seed, item or slot, a non-numeric scale or value, an item outside
-    1..n, a slot below 1 or a value outside [0, 1] (NaN included), and naming
-    the item for one listed twice (:class:`SlotSolution`). Whether a slot
+    count, seed, item or slot, a non-numeric scale or value, a slot below 1
+    or a value outside [0, 1] (NaN included), and naming the item for one
+    outside 1..n or listed twice (:class:`SlotSolution`). Whether a slot
     lies within its item's slot count depends on the instance:
     :func:`check_solution_shape` checks it.
     """
@@ -404,8 +401,6 @@ def solution_from_json(text: str) -> SlotSolution:
     entries = []
     for j, e in enumerate(doc["x"]):
         i = as_int(e["i"], f"x[{j}].i")
-        if not 1 <= i <= n:
-            raise InvalidInputError(f"x[{j}].i must lie in 1..{n}, got {i}")
         t = as_int(e["t"], f"x[{j}].t")
         if t < 1:
             raise InvalidInputError(f"x[{j}].t must be at least 1, got {t}")

@@ -1,57 +1,56 @@
-"""Fixed-size blocks for Monte Carlo estimators.
+"""The seeded-block runner of every Monte Carlo estimator.
 
-Work is split into fixed-size blocks; block b always consumes the random
-stream (seed, label, b). Blocks run in order in the calling process and their
-partials are reduced in block-index order, which makes every estimate a
-deterministic function of (inputs, seed).
+:func:`run_blocks` splits the trials into fixed-size blocks; block b always
+draws from the stream ``seeds.block_rng(seed, label, b)``. Blocks run in order
+in the calling process and their partials are summed in block-index order,
+which makes every estimate a deterministic function of (inputs, seed). The
+``gain``, ``multilinear``, ``simulate``, ``dominance``, ``keep-rate`` and
+``keep-<mapping>`` streams moved when the blocks left ``seeds.derive_rng``;
+that derivation's three streams (instances, realizations and
+``policy.execute``'s run) did not.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .seeds import block_rng
+
 BLOCK_SIZE = 4096
 
 
-def split_blocks(total: int, block_size: int = BLOCK_SIZE) -> list[tuple[int, int]]:
-    """(block index, block length) pairs covering ``total`` trials.
+def run_blocks(label: str, seed: int, total: int, block_fn) -> tuple:
+    """Entrywise sums over the blocks of ``block_fn(rng, start, size)``'s partial tuples.
 
+    Block b covers trials ``start = b * BLOCK_SIZE`` to ``start + size`` of
+    ``total`` and gets ``rng = seeds.block_rng(seed, label, b)``. Partial
+    entries are numbers, equal-shape arrays or lists, which concatenate.
     Raises ``ValueError`` for ``total < 1``: an estimate over no trials would
     read as one with no failures.
     """
     if total < 1:
         raise ValueError(f"need at least one trial, got {total}")
-    blocks = []
-    start = 0
-    b = 0
-    while start < total:
-        size = min(block_size, total - start)
-        blocks.append((b, size))
-        start += size
-        b += 1
-    return blocks
+    summed = None
+    for b, start in enumerate(range(0, total, BLOCK_SIZE)):
+        part = block_fn(block_rng(seed, label, b), start, min(BLOCK_SIZE, total - start))
+        summed = part if summed is None else tuple(s + p for s, p in zip(summed, part))
+    return summed
 
 
 def map_blocks(fn, blocks, workers: int = 1) -> list:
     """Apply ``fn`` to every block in order, preserving block order in the result list."""
-    # the third argument exists only because bench/tracing.py's block counter
-    # forwards one; it goes with the tracer rewrite
+    # no estimator calls it; bench/tracing.py rebinds it to count blocks
     if workers != 1:
         raise ValueError(f"blocks run in one process; got workers={workers!r}")
     return [fn(b) for b in blocks]
 
 
-def combine_mean_se(partials):
-    """Combine (count, sum, sum-of-squares, ...) partials into (mean, standard error).
+def mean_se(count: int, total, sumsq):
+    """Mean and standard error of ``count`` samples of sum ``total`` and sum of squares ``sumsq``.
 
     The sums are floats or equal-shape arrays; arrays give one mean and one
-    standard error per entry. Entries past the third are ignored.
+    standard error per entry.
     """
-    count = sum(p[0] for p in partials)
-    total = sum(p[1] for p in partials)
-    sumsq = sum(p[2] for p in partials)
-    if count == 0:
-        raise ValueError("no samples")
     mean = total / count
     if count == 1:
         se = np.zeros_like(mean)

@@ -28,18 +28,19 @@ utility's input and the dominance violation reports go back to width n. The
 gate-scan order and the precedence matrix are cached on the solution
 (:attr:`~greedy.SlotSolution.scan_order`,
 :attr:`~greedy.SlotSolution.precedence`), the zero-padded cost table on the
-instance and the hull on the constraint. When every item carries mass
-the draws are those of width n, so the ``simulate`` and ``dominance`` streams
-are unchanged; for a solution with items of marginal 0 they moved when the
-kernel went to the support width. :func:`execute` draws ``random((2, n))``
-and takes the support columns, so its traces do not depend on that width.
+instance and the hull on the constraint. Block b of a simulation or a
+dominance check draws from ``seeds.block_rng(seed, label, b)``
+(:func:`parallel.run_blocks`), its priorities only if they are read; the
+``simulate`` and ``dominance`` streams moved when the blocks left
+``seeds.derive_rng``. :func:`execute` still draws ``random((2, n))`` from
+``seeds.derive_rng(seed, "policy")`` and takes the support columns, so its
+traces did not move and do not depend on the support's width.
 The solution fixes every item's slot, so the gate scan visits the support
 columns in one order for all rows (:func:`gate_scan_batch`).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,15 @@ import numpy as np
 from .constraints import OuterConstraint, independent_rows, is_independent  # noqa: F401
 from .greedy import SlotSolution, check_solution_shape
 from .model import Instance
-from .parallel import combine_mean_se, map_blocks, split_blocks
+# map_blocks stays a module name: bench/tracing.py counts calls through it
+from .parallel import map_blocks, mean_se, run_blocks  # noqa: F401
 from .rounding import (
     BalancedCrs,
     BlockDraws,
     crs_keep_batch,
     draw_block,
     scatter_columns,
-    schedule_keep_batch,
+    state_keep_batch,
 )
 from .seeds import derive_rng
 
@@ -131,7 +133,7 @@ def run_policy_batch(instance, f, outer, crs, sol, draws: BlockDraws) -> BlockRu
     resolve, gate scan."""
     support = sol.support
     sampled = draws.u_sample < sol.marginals[support]
-    kept = crs_keep_batch(crs, outer, sampled, draws.priorities, support)
+    kept = crs_keep_batch(crs, outer, sampled, lambda: draws.priorities, support)
     selected, reads, revealed, spent = gate_scan_batch(instance, draws.states, kept, sol)
     wide = scatter_columns(revealed, support, instance.n)
     utility = np.asarray(f.value_batch(wide), dtype=float)
@@ -189,21 +191,6 @@ class SimulationSummary:
     adaptivity_violations: int
 
 
-def _simulate_block(instance, f, outer, crs, sol, seed, block):
-    """Utility sums and violation counts of one block of runs."""
-    b, size = block
-    draws = draw_block(instance, derive_rng(seed, "simulate", b), size, sol.support)
-    run = run_policy_batch(instance, f, outer, crs, sol, draws)
-    return (
-        size,
-        float(run.utility.sum()),
-        float(run.utility @ run.utility),
-        int(np.count_nonzero(run.spent > instance.budget)),
-        int(np.count_nonzero(~independent_rows(outer, run.selected, sol.support))),
-        int(np.count_nonzero(np.any(run.reads != run.selected, axis=1))),
-    )
-
-
 def simulate_batch(
     instance: Instance,
     f,
@@ -226,17 +213,22 @@ def simulate_batch(
         raise ValueError("need at least 2 runs")
     instance.require_valid()
     check_solution_shape(instance, sol)
-    fn = functools.partial(_simulate_block, instance, f, outer, crs, sol, seed)
-    partials = map_blocks(fn, split_blocks(runs))
-    mean, se = combine_mean_se(partials)
-    return SimulationSummary(
-        runs=sum(p[0] for p in partials),
-        mean_utility=mean,
-        se=se,
-        inner_violations=sum(p[3] for p in partials),
-        outer_violations=sum(p[4] for p in partials),
-        adaptivity_violations=sum(p[5] for p in partials),
-    )
+
+    def block(rng, start, size):
+        d = draw_block(instance, rng, size, sol.support)
+        run = run_policy_batch(instance, f, outer, crs, sol, d)
+        return (
+            size,
+            float(run.utility.sum()),
+            float(run.utility @ run.utility),
+            int(np.count_nonzero(run.spent > instance.budget)),
+            int(np.count_nonzero(~independent_rows(outer, run.selected, sol.support))),
+            int(np.count_nonzero(np.any(run.reads != run.selected, axis=1))),
+        )
+
+    count, total, sumsq, inner, outside, adaptive = run_blocks("simulate", seed, runs, block)
+    mean, se = mean_se(count, total, sumsq)
+    return SimulationSummary(count, mean, se, inner, outside, adaptive)
 
 
 @dataclass(frozen=True)
@@ -267,7 +259,7 @@ def coupled_dominance_check(
     the thinned state vector; both read the solution's start slots. The policy's
     selection must cover the pruned support coordinatewise, hence its utility
     must be at least the pruned vector's utility. Raises ``ValueError`` for
-    ``trials < 1`` (:func:`parallel.split_blocks`).
+    ``trials < 1`` (:func:`parallel.run_blocks`).
     """
     instance.require_valid()
     check_solution_shape(instance, sol)
@@ -276,18 +268,15 @@ def coupled_dominance_check(
     def ids(row):
         return [int(i) + 1 for i in support[row]]
 
-    violations = []
-    dropped = start = 0
-    for b, size in split_blocks(trials):
-        d = draw_block(instance, derive_rng(seed, "dominance", b), size, support)
+    def block(rng, start, size):
+        d = draw_block(instance, rng, size, support)
         run = run_policy_batch(instance, f, outer, crs, sol, d)
-        dropped += int(np.any(run.sampled != run.kept, axis=1).sum())
-        v = np.where(run.sampled, d.states, 0)
-        sched = schedule_keep_batch(instance, v, sol)
+        v, sched = state_keep_batch("schedule", instance, outer, crs, sol, d)
         pruned = np.where(run.kept & sched, v, 0)
         pruned_utility = np.asarray(f.value_batch(scatter_columns(pruned, support, n)), dtype=float)
         covered = np.all((pruned == 0) | (run.revealed == pruned), axis=1)
         bad = ~covered | (run.utility < pruned_utility - 1e-12)
+        violations = []
         for r in np.flatnonzero(bad):
             # width n; 0 marks an item outside the support, whose state is never drawn
             realization, policy_vector, pruned_vector = scatter_columns(
@@ -310,5 +299,7 @@ def coupled_dominance_check(
                     "pruned_utility": float(pruned_utility[r]),
                 }
             )
-        start += size
+        return int(np.any(run.sampled != run.kept, axis=1).sum()), violations
+
+    dropped, violations = run_blocks("dominance", seed, trials, block)
     return DominanceReport(trials=trials, violations=tuple(violations), dropped=dropped)

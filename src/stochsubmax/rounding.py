@@ -36,10 +36,13 @@ matrix on the solution (:attr:`~greedy.SlotSolution.precedence`), the
 zero-padded cost table on the instance (:attr:`~model.Instance.padded_costs`)
 and the hull on the constraint (:attr:`~constraints.OuterConstraint.hull`).
 
-When every item carries mass the draws keep their width-n shapes, so the
-``keep-rate`` and ``keep-<mapping>`` streams are those of a width-n kernel;
-for a solution with items of marginal 0 they moved when the kernel went to
-the support width.
+Block b of an estimator draws from ``seeds.block_rng(seed, label, b)``
+(:func:`parallel.run_blocks`), labelled ``keep-rate`` or ``keep-<mapping>``;
+these streams moved when the blocks left ``seeds.derive_rng``. A block draws
+the states, the sample uniforms and the priorities in that order, the last
+only if the scheme reads them (:func:`crs_keep_batch`), which the identity
+scheme and the ``schedule`` mapping never do; drawn, they are the bits of
+one ``random((2, R, n_s))`` draw after the states.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ import numpy as np
 from .constraints import OuterConstraint, in_scaled_polytope, independent_rows, is_independent
 from .greedy import SlotSolution, check_solution_shape
 from .model import Instance, sample_states
-from .parallel import map_blocks, split_blocks
-from .seeds import derive_rng, stream_entropy
+# map_blocks stays a module name: bench/tracing.py counts calls through it
+from .parallel import map_blocks, run_blocks  # noqa: F401
 
 MAPPINGS = ("outer", "schedule", "combined")
 
@@ -95,16 +98,16 @@ def greedy_keep(outer: OuterConstraint, members, priorities) -> set:
     return kept
 
 
-def _least_priority(sampled: np.ndarray, priorities: np.ndarray, k: int) -> np.ndarray:
+def _least_priority(sampled: np.ndarray, priorities, k: int) -> np.ndarray:
     """Mask of each row's (at most) k sampled items of least (priority, index).
 
-    Only the rows with more than k sampled items are sorted.
+    Only the rows with more than k sampled items are sorted and read ``priorities()``.
     """
     least = sampled.copy()
     over = np.flatnonzero(sampled.sum(axis=1) > k)
     if over.size:
         on = sampled[over]
-        order = np.argsort(np.where(on, priorities[over], np.inf), axis=1, kind="stable")
+        order = np.argsort(np.where(on, priorities()[over], np.inf), axis=1, kind="stable")
         trimmed = np.zeros_like(on)
         np.put_along_axis(trimmed, order[:, :k], True, axis=1)
         least[over] = trimmed & on
@@ -130,6 +133,10 @@ def crs_keep_batch(
     (priority, index), and under a partition the same within each block's
     support columns, which is what :func:`greedy_keep` keeps; explicit
     families run :func:`greedy_keep` row by row on the item ids.
+
+    ``priorities`` is the (R, n_s) array or a callable that returns it, the
+    same at every call; it is read only if a row samples more than k items
+    (cardinality) or a block's cap (partition), or the family is explicit.
     """
     sampled = np.asarray(sampled, dtype=bool)
     support = np.asarray(support)
@@ -137,8 +144,9 @@ def crs_keep_batch(
         if not np.all(independent_rows(outer, sampled, support)):
             raise ValueError("identity scheme got a set outside the outer family")
         return sampled.copy()
+    read = priorities if callable(priorities) else (lambda: priorities)
     if outer.kind == "cardinality":
-        return _least_priority(sampled, priorities, outer.k)
+        return _least_priority(sampled, read, outer.k)
     if outer.kind == "partition":
         kept = sampled.copy()
         col_of = np.full(outer.n, -1)
@@ -147,10 +155,11 @@ def crs_keep_batch(
             cols = col_of[list(block)]
             cols = cols[cols >= 0]
             if cols.size:
-                kept[:, cols] = _least_priority(sampled[:, cols], priorities[:, cols], cap)
+                kept[:, cols] = _least_priority(sampled[:, cols], lambda c=cols: read()[:, c], cap)
         return kept
     kept = np.zeros_like(sampled)
     by_item = np.zeros(outer.n)
+    priorities = read()
     for r, row in enumerate(sampled):
         by_item[support] = priorities[r]
         kept[r] = np.isin(support, list(greedy_keep(outer, support[row], by_item)))
@@ -174,16 +183,25 @@ def schedule_keep_batch(instance: Instance, v, sol: SlotSolution) -> np.ndarray:
     return (v > 0) & (cost @ sol.precedence - cost <= sol.slots)
 
 
-@dataclass(frozen=True)
 class BlockDraws:
-    """The random arrays of one block of R trials, each (R, n_s), drawn in field order.
+    """The random (R, n_s) arrays of one block of R trials, drawn in field order.
 
-    Column c belongs to item ``support[c]`` of the support the block was drawn for.
+    Column c belongs to item ``support[c]`` of the support the block was drawn
+    for. The priorities are an array, or the generator that drew the other two
+    arrays, which draws them on first read.
     """
 
-    states: np.ndarray  # realized states 1..B
-    u_sample: np.ndarray  # item i is sampled iff u_sample[:, i] < its marginal
-    priorities: np.ndarray  # priority-scheme priorities
+    def __init__(self, states, u_sample, priorities):
+        self.states = states  # realized states 1..B
+        self.u_sample = u_sample  # item i is sampled iff u_sample[:, i] < its marginal
+        self._priorities = priorities
+
+    @property
+    def priorities(self) -> np.ndarray:
+        """The priority-scheme priorities, drawn on first read from a generator."""
+        if isinstance(self._priorities, np.random.Generator):
+            self._priorities = self._priorities.random(self.u_sample.shape)
+        return self._priorities
 
 
 def draw_block(
@@ -191,11 +209,12 @@ def draw_block(
 ) -> BlockDraws:
     """States, sample uniforms and priorities of ``size`` trials, in that order.
 
-    Only the ``support`` items (every item by default) are drawn for, so the
-    draws for a support of all n items are the same whatever its form.
+    The priorities are drawn from ``rng`` on first read, so nothing may draw
+    from it before then. Only the ``support`` items (every item by default)
+    are drawn for, so the draws for a support of all n items are the same.
     """
     states = sample_states(instance.state_cum_probs[support], rng, size)
-    return BlockDraws(states, *rng.random((2, size, states.shape[1])))
+    return BlockDraws(states, rng.random(states.shape), rng)
 
 
 class CrsEstimate(NamedTuple):
@@ -267,22 +286,6 @@ def _binomial_rows(mapping, cond, kept, support, n: int, states: bool) -> list[C
     return out
 
 
-def _summed_counts(partials):
-    """Sampled and kept count tables of the block partials, summed over the blocks."""
-    return sum(p[0] for p in partials), sum(p[1] for p in partials)
-
-
-def _gamma_block(crs, outer, y, support, seed, block):
-    """Kept and sampled counts of one block per support item; draws the sample
-    uniforms, then the priorities."""
-    b, size = block
-    rng = derive_rng(seed, "keep-rate", b)
-    u_sample, priorities = rng.random((2, size, len(support)))
-    sampled = u_sample < y[support]
-    kept = crs_keep_batch(crs, outer, sampled, priorities, support)
-    return sampled.sum(axis=0)[:, None], kept.sum(axis=0)[:, None]
-
-
 def estimate_set_keep_rate(
     crs: BalancedCrs,
     outer: OuterConstraint,
@@ -293,7 +296,8 @@ def estimate_set_keep_rate(
     """Per-item empirical Pr[item kept | item sampled] for the set-level scheme.
 
     The marginals must lie inside scale * hull for the scheme's quoted scale.
-    Raises ``ValueError`` for ``trials < 1`` (:func:`parallel.split_blocks`).
+    A block draws the sample uniforms, then the priorities if they are read.
+    Raises ``ValueError`` for ``trials < 1`` (:func:`parallel.run_blocks`).
     """
     y = np.asarray(marginals, dtype=float)
     if not in_scaled_polytope(outer, y, crs.scale):
@@ -302,37 +306,31 @@ def estimate_set_keep_rate(
             "the scheme's quoted keep rate does not apply"
         )
     support = np.flatnonzero(y > 0)
-    fn = functools.partial(_gamma_block, crs, outer, y, support, seed)
-    partials = map_blocks(fn, split_blocks(trials))
-    return _binomial_rows("set", *_summed_counts(partials), support, outer.n, states=False)
+
+    def block(rng, start, size):
+        d = BlockDraws(None, rng.random((size, len(support))), rng)  # no states
+        sampled = d.u_sample < y[support]
+        kept = crs_keep_batch(crs, outer, sampled, lambda: d.priorities, support)
+        return sampled.sum(axis=0)[:, None], kept.sum(axis=0)[:, None]
+
+    cond, kept = run_blocks("keep-rate", seed, trials, block)
+    return _binomial_rows("set", cond, kept, support, outer.n, states=False)
 
 
-def _alpha_block(mapping, instance, outer, crs, sol, seed, block):
-    """Per (support item, state) sampled and kept counts of one block (layout of
-    :func:`draw_block`).
+def state_keep_batch(mapping: str, instance: Instance, outer, crs, sol: SlotSolution, draws):
+    """The thinned states and the kept mask of a block's (R, n_s) ``draws`` under ``mapping``.
 
     The thinned vector is the realized state where the item is sampled, else 0.
     """
-    b, size = block
-    support = sol.support
-    d = draw_block(instance, derive_rng(seed, f"keep-{mapping}", b), size, support)
-    sampled = d.u_sample < sol.marginals[support]
-    v = np.where(sampled, d.states, 0)
-    if mapping == "outer":
-        keep = crs_keep_batch(crs, outer, sampled, d.priorities, support)
-    elif mapping == "schedule":
-        keep = schedule_keep_batch(instance, v, sol)
-    elif mapping == "combined":
-        keep = crs_keep_batch(crs, outer, sampled, d.priorities, support) & schedule_keep_batch(
-            instance, v, sol
-        )
-    else:
-        raise ValueError(f"unknown mapping {mapping!r}")
-    n, width = len(support), instance.B + 1
-    cells = np.arange(n) * width + v
-    cond = np.bincount(cells[sampled], minlength=n * width).reshape(n, width)
-    kept = np.bincount(cells[sampled & keep], minlength=n * width).reshape(n, width)
-    return cond, kept
+    if mapping not in MAPPINGS:
+        raise ValueError(f"mapping must be one of {MAPPINGS}")
+    v = np.where(draws.u_sample < sol.marginals[sol.support], draws.states, 0)
+    if mapping == "schedule":
+        return v, schedule_keep_batch(instance, v, sol)
+    keep = crs_keep_batch(crs, outer, v > 0, lambda: draws.priorities, sol.support)
+    if mapping == "combined":
+        keep &= schedule_keep_batch(instance, v, sol)
+    return v, keep
 
 
 def estimate_state_keep_rates(
@@ -347,34 +345,38 @@ def estimate_state_keep_rates(
     """Per (item, state) empirical Pr[coordinate survives | coordinate sampled].
 
     The solution must fit the instance (:func:`greedy.check_solution_shape`).
-    Raises ``ValueError`` for ``trials < 1`` (:func:`parallel.split_blocks`).
+    Raises ``ValueError`` for ``trials < 1`` (:func:`parallel.run_blocks`).
     """
-    if mapping not in MAPPINGS:
-        raise ValueError(f"mapping must be one of {MAPPINGS}")
     check_solution_shape(instance, sol)
-    fn = functools.partial(
-        _alpha_block, mapping, instance, outer, crs, sol, stream_entropy(seed, mapping)
-    )
-    partials = map_blocks(fn, split_blocks(trials))
-    return _binomial_rows(mapping, *_summed_counts(partials), sol.support, instance.n, states=True)
+    n, width = len(sol.support), instance.B + 1
+    cells = np.arange(n) * width
+
+    def block(rng, start, size):
+        d = draw_block(instance, rng, size, sol.support)
+        v, keep = state_keep_batch(mapping, instance, outer, crs, sol, d)
+        # sampled and kept counts per (item, state); column 0 takes the uncounted cells
+        return tuple(np.bincount((cells + u).ravel(), minlength=n * width) for u in (v, v * keep))
+
+    cond, kept = (c.reshape(n, width) for c in run_blocks(f"keep-{mapping}", seed, trials, block))
+    return _binomial_rows(mapping, cond, kept, sol.support, instance.n, states=True)
+
+
+def _table_csv(header: str, rows: list[CrsEstimate], key) -> str:
+    """One line per row: ``key(row)``, then value, se, events and status; NaN is empty."""
+    def num(x):
+        return "" if math.isnan(x) else f"{x:.6f}"
+
+    lines = [f"{key(r)},{num(r.value)},{num(r.se)},{r.events},{r.status}" for r in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def alpha_table_csv(rows: list[CrsEstimate]) -> str:
-    lines = ["item,state,mapping,alpha,se,trials,status"]
-    for r in rows:
-        val = "" if math.isnan(r.value) else f"{r.value:.6f}"
-        se = "" if math.isnan(r.se) else f"{r.se:.6f}"
-        lines.append(f"{r.item + 1},{r.state},{r.mapping},{val},{se},{r.events},{r.status}")
-    return "\n".join(lines) + "\n"
+    header = "item,state,mapping,alpha,se,trials,status"
+    return _table_csv(header, rows, lambda r: f"{r.item + 1},{r.state},{r.mapping}")
 
 
 def gamma_table_csv(rows: list[CrsEstimate]) -> str:
-    lines = ["item,gamma,se,trials,status"]
-    for r in rows:
-        val = "" if math.isnan(r.value) else f"{r.value:.6f}"
-        se = "" if math.isnan(r.se) else f"{r.se:.6f}"
-        lines.append(f"{r.item + 1},{val},{se},{r.events},{r.status}")
-    return "\n".join(lines) + "\n"
+    return _table_csv("item,gamma,se,trials,status", rows, lambda r: r.item + 1)
 
 
 def min_rate(rows: list[CrsEstimate]) -> tuple[float, float]:

@@ -18,7 +18,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -35,7 +34,7 @@ from stochsubmax.greedy import estimate_marginal_gains
 from stochsubmax.lp import build_slot_program, certify_optimal, solve_lp
 from stochsubmax.model import PROB_TOL, Instance, ItemModel, sample_realization_batch
 from stochsubmax.oracle import _assignment_vector, _guard, _support_max_costs
-from stochsubmax.parallel import combine_mean_se, map_blocks, split_blocks
+from stochsubmax.parallel import mean_se, run_blocks
 from stochsubmax.rounding import greedy_keep
 from stochsubmax.seeds import derive_rng
 
@@ -297,17 +296,6 @@ def expected_set_value_exact(instance: Instance, f, items) -> float:
     return total
 
 
-def _set_value_block(instance, f, idx, seed, block):
-    b, size = block
-    rng = derive_rng(seed, "set-value", b)
-    states = sample_realization_batch(instance, rng, size)
-    masked = np.zeros_like(states)
-    if idx:
-        masked[:, idx] = states[:, idx]
-    vals = np.asarray(f.value_batch(masked), dtype=float)
-    return size, float(vals.sum()), float((vals * vals).sum())
-
-
 def expected_set_value_mc(
     instance: Instance, f, items, samples: int, seed: int
 ) -> tuple[float, float]:
@@ -315,8 +303,16 @@ def expected_set_value_mc(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     idx = sorted(set(items))
-    fn = functools.partial(_set_value_block, instance, f, idx, seed)
-    return combine_mean_se(map_blocks(fn, split_blocks(samples)))
+
+    def block(rng, start, size):
+        states = sample_realization_batch(instance, rng, size)
+        masked = np.zeros_like(states)
+        if idx:
+            masked[:, idx] = states[:, idx]
+        vals = np.asarray(f.value_batch(masked), dtype=float)
+        return size, float(vals.sum()), float((vals * vals).sum())
+
+    return mean_se(*run_blocks("set-value", seed, samples, block))
 
 
 def multilinear_exact(instance: Instance, f, marginals) -> float:

@@ -346,9 +346,13 @@ def solved_pair(pair_file, tmp_path):
     return pair_file, tmp_path / "o" / "solution.json"
 
 
-@pytest.mark.parametrize("key,value", [("t", 2.5), ("i", 1.5), ("t", "3"), ("i", 9)])
+# an item outside 1..n is the solution's own check, which names the item
+@pytest.mark.parametrize("key,value,named", [
+    ("t", 2.5, "x[0].t"), ("i", 1.5, "x[0].i"), ("t", "3", "x[0].t"),
+    ("i", 9, "solution item 9 is outside 1..2"),
+], ids=["t-2.5", "i-1.5", "t-3", "i-9"])
 def test_simulate_rejects_invalid_solution_entry_with_exit_1(solved_pair, tmp_path, capsys,
-                                                             key, value):
+                                                             key, value, named):
     pair_file, solution = solved_pair
     doc = json.loads(solution.read_text())
     doc["x"][0][key] = value
@@ -358,7 +362,7 @@ def test_simulate_rejects_invalid_solution_entry_with_exit_1(solved_pair, tmp_pa
     assert main(["simulate", "--instance", str(pair_file), "--solution", str(bad),
                  "--runs", "100", "--out", str(tmp_path / "sim")]) == 1
     err = capsys.readouterr().err
-    assert "invalid solution file" in err and "x[0]." + key in err
+    assert "invalid solution file" in err and named in err
     assert not (tmp_path / "sim").exists()
 
 

@@ -1,5 +1,7 @@
 """The batched rounding kernel against the scalar reference, tests/reference.py, on equal draws."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,12 @@ from stochsubmax import constraints
 from stochsubmax.constraints import in_scaled_polytope
 from stochsubmax.greedy import SlotSolution
 from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
-from stochsubmax.model import Instance, ItemModel
+from stochsubmax.model import Instance, ItemModel, sample_states
 from stochsubmax.policy import coupled_dominance_check, execute, run_policy_batch, simulate_batch
 from stochsubmax.rounding import (
     MAPPINGS,
     BalancedCrs,
+    BlockDraws,
     crs_keep_batch,
     draw_block,
     estimate_set_keep_rate,
@@ -21,6 +24,7 @@ from stochsubmax.rounding import (
     greedy_keep,
     scatter_columns,
     schedule_keep_batch,
+    state_keep_batch,
 )
 from stochsubmax.seeds import derive_rng
 from tests.conftest import examples
@@ -457,3 +461,101 @@ def test_zero_marginal_items_change_nothing(case):
         for r in rows:
             assert _row_values(by_item[int(new_id[r.item]), r.state]) == _row_values(r)
         assert all(r.status == "insufficient" for (i, _), r in by_item.items() if i in outside)
+
+
+@st.composite
+def lazy_cases(draw):
+    """An instance of up to 8 items, a hand-built solution and a scheme, with a draw seed.
+
+    The family is cardinality with k = 0, cardinality with k = n (at least
+    every support's width), or one of :func:`_outer`'s: cardinality, a
+    partition or an explicit family.
+    """
+    n = draw(st.integers(1, 8))
+    B = draw(st.integers(1, 3))
+    budget = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    items = []
+    for _ in range(n):
+        w = rng.integers(1, 5, size=B)
+        costs = sorted(int(c) for c in rng.integers(1, budget + 1, size=B))
+        items.append(ItemModel(probs=tuple(w / w.sum()), costs=tuple(costs)))
+    family = draw(st.sampled_from(["k = 0", "k = n", "drawn"]))
+    if family == "drawn":
+        outer = _outer(draw, n)
+    else:
+        outer = constraints.cardinality(n, 0 if family == "k = 0" else n)
+    weights = tuple(float(w) for w in rng.integers(0, 4, size=n))
+    inst = Instance(n=n, B=B, budget=budget, items=tuple(items), outer=outer,
+                    utility=WeightedModular(weights=weights))
+    inst.require_valid()
+    entries = tuple(
+        (i, int(rng.integers(1, slots + 1)), 1.0 if rng.random() < 0.2 else float(rng.random()))
+        for i, slots in enumerate(inst.slot_counts.tolist())
+        if slots and rng.random() < 0.8
+    )
+    sol = SlotSolution(n=n, budget=budget, entries=entries, stop_scale=0.25, steps=1,
+                       grad_samples=1, seed=0)
+    crs = BalancedCrs(kind=draw(st.sampled_from(["priority", "identity"])), scale=0.25)
+    return inst, sol, crs, draw(st.sampled_from([1, 5, 40])), seed
+
+
+def reads_priorities(crs, outer, sampled, support) -> bool:
+    """Does the scheme read priorities on this block: a row over k or over a block's cap,
+    or an explicit family?"""
+    if crs.kind == "identity":
+        return False
+    if outer.kind == "explicit":
+        return True
+    if outer.kind == "cardinality":
+        return bool(np.any(sampled.sum(axis=1) > outer.k))
+    return any(np.any(sampled[:, np.isin(support, block)].sum(axis=1) > cap)
+               for block, cap in zip(outer.blocks, outer.caps))
+
+
+def outcome(fn, draws):
+    """The arrays ``fn(draws)`` returns, as lists, or the message of its ``ValueError``."""
+    try:
+        return [np.asarray(a).tolist() for a in fn(draws)]
+    except ValueError as exc:  # the identity scheme refuses a set outside the family
+        return str(exc)
+
+
+@settings(max_examples=examples(150))
+@given(lazy_cases())
+def test_lazy_priorities_move_no_bit(case):
+    """Every kernel gives on lazily drawn priorities what it gives on one eager
+    ``random((2, R, n_s))`` draw after the states; the generator draws the
+    priorities exactly where a row needs them."""
+    inst, sol, crs, rows, seed = case
+    f, outer, support = inst.utility, inst.outer, sol.support
+
+    def eager():
+        rng = np.random.default_rng(seed)
+        states = sample_states(inst.state_cum_probs[support], rng, rows)
+        return BlockDraws(states, *rng.random((2, rows, len(support)))), rng
+
+    def lazy():
+        rng = np.random.default_rng(seed)
+        return draw_block(inst, rng, rows, support), rng
+
+    e, after_all = eager()
+    after_uniforms = np.random.default_rng(seed)
+    sample_states(inst.state_cum_probs[support], after_uniforms, rows)
+    after_uniforms.random((rows, len(support)))
+    sampled = e.u_sample < sol.marginals[support]
+    needed = reads_priorities(crs, outer, sampled, support)
+    consumers = {
+        "crs": (lambda d: [crs_keep_batch(crs, outer, sampled, lambda: d.priorities, support)],
+                needed),
+        "policy": (lambda d: astuple(run_policy_batch(inst, f, outer, crs, sol, d)), needed),
+    }
+    for mapping in MAPPINGS:
+        consumers[mapping] = (lambda d, m=mapping: state_keep_batch(m, inst, outer, crs, sol, d),
+                              needed and mapping != "schedule")
+    for name, (run, draws_priorities) in consumers.items():
+        d, rng = lazy()
+        assert outcome(run, d) == outcome(run, e), name
+        ended = (after_all if draws_priorities else after_uniforms).bit_generator.state
+        assert rng.bit_generator.state == ended, name

@@ -25,6 +25,7 @@ from stochsubmax.rounding import (
     greedy_keep,
     min_rate,
     schedule_keep_batch,
+    state_keep_batch,
 )
 from stochsubmax.seeds import derive_rng
 
@@ -375,10 +376,10 @@ def test_keep_rate_estimators_pinned():
         return estimate_set_keep_rate(crs, inst.outer, sol.marginals, 9000, seed)
 
     assert rows_digest(state_rows(5)) == (
-        "72a2e6379d02d8d7f5cae35f55bd67a69904f1de53ddd58c2246e170f722a041"
+        "c88c7456ad0de6998e2266823286c6e555974706ec10128efabf8339aac97294"
     )
     assert rows_digest(set_rows(5)) == (
-        "4e0b6cab6bcaa4c183edfdff6990731137d40241dcc4deb6ec2351429c27b07a"
+        "6f9cce88800a9bae45ebc4fec22cf2dd9c6494c5514de5179d1b80464931997c"
     )
     # digests, since a row without data holds NaN and compares unequal to itself
     assert rows_digest(state_rows(6)) != rows_digest(state_rows(5))
@@ -407,19 +408,19 @@ def wide_instance_solution():
 
 def test_keep_rates_and_simulation_pinned_on_a_partial_support():
     # 5000 trials span two seeded blocks; 29 of the 40 items carry no mass, so
-    # their rows hold no data. The pins were recorded before the estimators
-    # went to the support width, and hold bit for bit
+    # their rows hold no data. The pins were re-recorded when the blocks moved
+    # to seeds.block_rng; the kernels' own bits did not move
     inst, sol = wide_instance_solution()
     assert sol.support.tolist() == [2, 3, 4, 7, 11, 18, 20, 25, 26, 30, 34]
     crs = BalancedCrs(kind="priority", scale=0.25)
     set_rows = estimate_set_keep_rate(crs, inst.outer, sol.marginals, 5000, 7)
     assert rows_digest(set_rows) == (
-        "8de2bddc8c8d258a1796639e02d22edd5b3275e8a541533bc96ca93ed31b7fa6"
+        "eb878f84228e048dc38386c421c002303ce110889b56fef9725eea4e706e94c4"
     )
     pins = {
-        "outer": "627688d978b0bf9888f6e0bab65584e9387be162c0752cadb7ebaeb88b9e2a2c",
-        "schedule": "b5865e9dbab986e75f9fc80279439a4b4f602dd072c0ff328a8a8eb35cc719c5",
-        "combined": "3faaf8e3952e9a2047750cbbf94056ec1b86f7fa1a5cc6cdb8730ddf57914ed9",
+        "outer": "4cf37ae3d4fbccdbb7d7723a832ec31090a35dbbf26499fc89f5460352ad77a9",
+        "schedule": "10244709ef3872724750e363f915ec43920994be7c3d4d1c484171b4e2dd82ca",
+        "combined": "d7693294cb29715792aaf064152699b806e80d4654a0cbe80ccafa7abeaddbb7",
     }
     off = set(range(inst.n)) - set(sol.support.tolist())
     for mapping in MAPPINGS:
@@ -431,8 +432,18 @@ def test_keep_rates_and_simulation_pinned_on_a_partial_support():
         assert all(r.status == "insufficient" for r in rows if r.item in off)
     s = simulate_batch(inst, inst.utility, inst.outer, crs, sol, 5000, 7)
     assert (s.runs, s.mean_utility.hex(), s.se.hex(), s.inner_violations, s.outer_violations,
-            s.adaptivity_violations) == (5000, "0x1.0e4b64edc0626p+3", "0x1.130f827d979f5p-4",
+            s.adaptivity_violations) == (5000, "0x1.0fb855b1e33c7p+3", "0x1.1914acb28eb57p-4",
                                          0, 0, 0)
+
+
+def test_state_keep_rates_reject_an_unknown_mapping(pair_instance):
+    sol = flat_solution(pair_instance, [0.5, 0.2])
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    d = draw_block(pair_instance, np.random.default_rng(0), 4, sol.support)
+    with pytest.raises(ValueError, match="mapping must be one of"):
+        state_keep_batch("set", pair_instance, pair_instance.outer, crs, sol, d)
+    with pytest.raises(ValueError, match="mapping must be one of"):
+        estimate_state_keep_rates("set", pair_instance, pair_instance.outer, crs, sol, 10, 0)
 
 
 def test_state_keep_rates_reject_bad_marginals(pair_instance):
