@@ -43,11 +43,14 @@ class OuterConstraint:
         """Read-only (A, b), A >= 0, such that the hull is {x in [0, 1]^n : A x <= b}.
 
         One row per cardinality bound or partition block. Built on first use;
-        raises ``NoCompactPolytopeError`` for explicit families.
+        raises ``NoCompactPolytopeError`` for explicit families and
+        ``InvalidInputError`` for a partition that :func:`validate_outer` rejects.
         """
         if self.kind == "cardinality":
             a, b = np.ones((1, self.n)), np.array([float(self.k)])
         elif self.kind == "partition":
+            if faults := validate_outer(self, self.n):
+                raise InvalidInputError("; ".join(faults))
             a = np.zeros((len(self.blocks), self.n))
             for r, block in enumerate(self.blocks):
                 a[r, list(block)] = 1.0

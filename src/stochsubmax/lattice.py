@@ -98,8 +98,11 @@ class UtilityOracle:
     """Deterministic nonnegative utility on state vectors.
 
     Subclasses are immutable after construction. ``value_batch`` evaluates a
-    (N, n) array of state vectors row by row and must agree with ``value``
-    exactly.
+    (N, n) array of state vectors row by row, within 2 n eps f(row) of
+    ``value`` (eps = 2^-52): a matrix product may add a weighted sum's n
+    nonnegative terms in another order than ``value``'s dot product, and in
+    another for another number of rows; ``sqrt`` and ``min(., theta)`` keep
+    that relative gap. ``ThresholdCoverage`` agrees exactly.
 
     ``gains_batch(base, top, on)`` returns every item's marginal gain on every
     row: the (R, n) array ``f(base with i at top[:, i]) - f(base with i at 0)``.

@@ -4,8 +4,10 @@ The set-level scheme trims a random item set down to a member of the outer
 family while keeping each sampled item with high conditional probability. Two
 schemes ship: ``identity`` (for constraints the sampled set can never violate)
 and ``priority`` (greedy by independent uniform priorities against the
-independence oracle; keeping an item can only get harder as the sampled set
-grows, so the scheme is monotone).
+independence oracle; monotone, as keeping an item only gets harder as the
+sampled set grows). Under cardinality (one block of cap k) and partitions it
+is one rule: keep a sampled item iff fewer than its block's cap of sampled
+rivals have a smaller (priority, index), read only for rows over a cap.
 
 On top of it sit three state-vector pruning maps, each of which only ever
 zeroes coordinates (output(i) is v(i) or 0):
@@ -98,22 +100,6 @@ def greedy_keep(outer: OuterConstraint, members, priorities) -> set:
     return kept
 
 
-def _least_priority(sampled: np.ndarray, priorities, k: int) -> np.ndarray:
-    """Mask of each row's (at most) k sampled items of least (priority, index).
-
-    Only the rows with more than k sampled items are sorted and read ``priorities()``.
-    """
-    least = sampled.copy()
-    over = np.flatnonzero(sampled.sum(axis=1) > k)
-    if over.size:
-        on = sampled[over]
-        order = np.argsort(np.where(on, priorities()[over], np.inf), axis=1, kind="stable")
-        trimmed = np.zeros_like(on)
-        np.put_along_axis(trimmed, order[:, :k], True, axis=1)
-        least[over] = trimmed & on
-    return least
-
-
 def scatter_columns(block, support, n: int) -> np.ndarray:
     """The (R, n) array holding the (R, n_s) ``block`` in the ``support`` columns, 0 elsewhere."""
     block = np.asarray(block)
@@ -128,15 +114,15 @@ def crs_keep_batch(
     """The set-level scheme on every row of a block: the (R, n_s) mask of kept items.
 
     Column c of the (R, n_s) arrays is item ``support[c]`` (increasing ids).
-    Row r resolves the item set ``support[sampled[r]]`` with ``priorities[r]``.
-    The priority scheme keeps, under cardinality, the k sampled items of least
-    (priority, index), and under a partition the same within each block's
-    support columns, which is what :func:`greedy_keep` keeps; explicit
-    families run :func:`greedy_keep` row by row on the item ids.
-
-    ``priorities`` is the (R, n_s) array or a callable that returns it, the
-    same at every call; it is read only if a row samples more than k items
-    (cardinality) or a block's cap (partition), or the family is explicit.
+    Row r resolves the item set ``support[sampled[r]]`` with ``priorities[r]``,
+    the (R, n_s) array or a callable that returns it, the same at every call.
+    Explicit families run :func:`greedy_keep` row by row on the item ids.
+    Cardinality (one block of cap k) and partitions keep the same by one rule
+    over the blocks and caps of :attr:`OuterConstraint.hull`: a sampled item
+    iff fewer than its block's cap of sampled rivals have a smaller
+    (priority, index). If the support fits every cap, so does every row, and
+    ``sampled`` itself is returned with no priority read; else only the rows
+    over some cap read them, sorted by (block, priority, index).
     """
     sampled = np.asarray(sampled, dtype=bool)
     support = np.asarray(support)
@@ -145,24 +131,29 @@ def crs_keep_batch(
             raise ValueError("identity scheme got a set outside the outer family")
         return sampled.copy()
     read = priorities if callable(priorities) else (lambda: priorities)
+    if outer.kind == "explicit":
+        by_item = scatter_columns(read(), support, outer.n)
+        return np.array([np.isin(support, list(greedy_keep(outer, support[row], p)))
+                         for row, p in zip(sampled, by_item)], dtype=bool).reshape(sampled.shape)
+    a, caps = outer.hull
     if outer.kind == "cardinality":
-        return _least_priority(sampled, read, outer.k)
-    if outer.kind == "partition":
-        kept = sampled.copy()
-        col_of = np.full(outer.n, -1)
-        col_of[support] = np.arange(len(support))
-        for block, cap in zip(outer.blocks, outer.caps):
-            cols = col_of[list(block)]
-            cols = cols[cols >= 0]
-            if cols.size:
-                kept[:, cols] = _least_priority(sampled[:, cols], lambda c=cols: read()[:, c], cap)
-        return kept
-    kept = np.zeros_like(sampled)
-    by_item = np.zeros(outer.n)
-    priorities = read()
-    for r, row in enumerate(sampled):
-        by_item[support] = priorities[r]
-        kept[r] = np.isin(support, list(greedy_keep(outer, support[row], by_item)))
+        if len(support) <= outer.k:
+            return sampled
+        over = np.flatnonzero(sampled.sum(axis=1) > outer.k)
+    elif (a.take(support, axis=1).sum(axis=1) <= caps).all():
+        return sampled
+    else:
+        over = np.flatnonzero(~independent_rows(outer, sampled, support))
+    if not over.size:
+        return sampled
+    block = a[:, support].argmax(axis=0)  # each column's row of the hull
+    on = sampled[over]
+    order = np.lexsort((np.where(on, read()[over], np.inf), np.broadcast_to(block, on.shape)))
+    # a sorted row holds each block's columns in one run, the same in every row: keep its first cap
+    runs = np.sort(block)
+    first = np.arange(len(runs)) - np.searchsorted(runs, runs) < caps[runs]
+    kept = sampled.copy()
+    kept[over] = on & first[np.argsort(order, axis=1)]  # first at each column's sorted place
     return kept
 
 

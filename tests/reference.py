@@ -12,7 +12,8 @@
   (:func:`instance_from_json_by_field`, :func:`validate_instance_by_item`),
   for tests/test_model.py to compare with ``model``'s sweeps over whole lists.
 * Code only tests call: the expected set value, exact and Monte Carlo, the
-  exact multilinear extension, and exact evaluation and random generation of
+  exact multilinear extension, the priority rule's exact set keep rate
+  (:func:`exact_set_keep_rate`), and exact evaluation and random generation of
   decision trees for the exact oracle's tests.
 """
 
@@ -126,6 +127,31 @@ def keep(crs, outer, members, priorities) -> set:
             raise ValueError("identity scheme got a set outside the outer family")
         return members
     return greedy_keep(outer, members, priorities)
+
+
+def exact_set_keep_rate(outer, marginals) -> np.ndarray:
+    """Each item's exact Pr[kept | sampled] under the priority rule, for cardinality
+    (one block of cap k) and partitions.
+
+    Item i is sampled with probability ``marginals[i]``, independently, and
+    kept iff fewer than its block's cap of its sampled block rivals have a
+    smaller priority. With m rivals sampled, its uniform priority ranks
+    uniformly among the m + 1, so
+    ``gamma_i = sum_m P(N = m) * min(1, cap / (m + 1))``, where the number N
+    of i's sampled rivals is Poisson binomial: its law is the product of the
+    rivals' two-point laws, built one rival at a time.
+    """
+    y = np.asarray(marginals, dtype=float)
+    a, caps = outer.hull
+    gamma = np.ones(len(y))
+    for row, cap in zip(a, caps):
+        block = np.flatnonzero(row)
+        for i in block:
+            law = np.array([1.0])
+            for j in block[block != i]:
+                law = np.convolve(law, [1.0 - y[j], y[j]])
+            gamma[i] = law @ np.minimum(1.0, cap / np.arange(1, len(law) + 1))
+    return gamma
 
 
 def slot_at(sol, item: int) -> int:

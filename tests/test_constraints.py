@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ def test_partition_polytope():
 def test_vacuous_cardinality_polytope():
     rows = polytope_inequalities(cardinality(4, 4))
     assert [(list(a), b) for a, b in rows] == [([1, 1, 1, 1], 4.0)]
+
+
+@pytest.mark.parametrize("outer, message", [
+    (partition(3, [[0, 1]], [1]), "item 3 is in no block"),
+    (partition(3, [[0, 1], [1, 2]], [1, 1]), "item 2 is in blocks[0] and blocks[1]"),
+    (partition(2, [[0], [1]], [1, -1]), "partition capacities must be nonnegative"),
+])
+def test_invalid_partition_has_no_hull(outer, message):
+    """The hull's rows are the blocks, so the priority rule, which reads each
+    support column's block from them, and every other hull consumer refuse a
+    partition that ``validate_outer`` rejects, naming the fault."""
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        outer.hull
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        independent_rows(outer, np.ones((1, outer.n), dtype=bool))
 
 
 def test_explicit_polytope_refused():

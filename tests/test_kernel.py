@@ -28,7 +28,7 @@ from stochsubmax.rounding import (
 )
 from stochsubmax.seeds import derive_rng
 from tests.conftest import examples
-from tests.reference import _run_policy, schedule_keep_set
+from tests.reference import _run_policy, keep, schedule_keep_set
 
 
 def _outer(draw, n):
@@ -512,6 +512,53 @@ def reads_priorities(crs, outer, sampled, support) -> bool:
         return bool(np.any(sampled.sum(axis=1) > outer.k))
     return any(np.any(sampled[:, np.isin(support, block)].sum(axis=1) > cap)
                for block, cap in zip(outer.blocks, outer.caps))
+
+
+@st.composite
+def one_rule_cases(draw):
+    """A cardinality or partition family over n <= 12 items, caps 0 to 3, a support
+    and a block of sampled rows with priorities rounded to one decimal, so that
+    ties occur.
+
+    Half the supports are drawn inside every cap, so they fit; the others are
+    any set of items, empty included. Blocks may get no support column.
+    """
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        outer, blocks, caps = constraints.cardinality(n, k), [list(range(n))], [k]
+    else:
+        labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+        caps = draw(st.lists(st.integers(0, 3), min_size=len(blocks), max_size=len(blocks)))
+        outer = constraints.partition(n, blocks, caps)
+    if draw(st.booleans()):
+        support = {i for b, cap in zip(blocks, caps)
+                   for i in draw(st.sets(st.sampled_from(b), max_size=cap))}
+    else:
+        support = draw(st.sets(st.integers(0, n - 1)))
+    support = np.array(sorted(support), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 8)), len(support))
+    sampled = rng.random(shape) < draw(st.sampled_from([0.2, 0.5, 0.9]))
+    return outer, support, sampled, np.round(rng.random(shape), 1)
+
+
+@settings(max_examples=examples(300))
+@given(one_rule_cases())
+def test_one_priority_rule_matches_reference(case):
+    """The priority rule keeps, row by row on the item ids, what
+    tests/reference.py::keep keeps, and reads the priorities iff a row is over
+    some cap (:func:`reads_priorities`)."""
+    outer, support, sampled, priorities = case
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    reads = []
+    kept = crs_keep_batch(crs, outer, sampled, lambda: reads.append(1) or priorities, support)
+    assert bool(reads) == reads_priorities(crs, outer, sampled, support)
+    for r in range(len(sampled)):
+        by_item = dict(zip(support.tolist(), priorities[r].tolist()))
+        expected = keep(crs, outer, support[sampled[r]].tolist(), by_item)
+        assert set(support[kept[r]].tolist()) == expected, r
 
 
 def outcome(fn, draws):

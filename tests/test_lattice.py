@@ -114,13 +114,29 @@ def test_masked_value_depends_only_on_support():
                 assert fv <= gv + 1e-12
 
 
-@given(st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=1, max_size=6))
+@given(
+    st.lists(st.integers(100, 3000), min_size=5, max_size=5),
+    st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=1, max_size=40),
+)
 @settings(max_examples=examples(50))
-def test_batch_matches_single(rows):
-    f = ConcaveOverModular(weights=(0.5, 1.0, 2.0), curve="sqrt")
-    batch = f.value_batch(np.array(rows))
-    singles = [f.value(np.array(r)) for r in rows]
-    assert np.allclose(batch, singles)
+def test_batch_matches_single(milli_weights, rows):
+    """``value_batch`` agrees with ``value`` on every row to within 2 n eps f(row)
+    (eps = 2^-52), as the UtilityOracle docstring states, and exactly for the
+    coverage family.
+
+    The weights are non-dyadic (thousandths), so the products and sums round,
+    and a matrix product may add the n = 5 terms in another order than a dot
+    product: the two differ in the last bits on about half of such batches.
+    """
+    n, eps = 5, np.finfo(float).eps
+    weights = tuple(w / 1000 for w in milli_weights)
+    rows = np.array(rows)
+    for f in (WeightedModular(weights=weights), ConcaveOverModular(weights=weights, curve="sqrt"),
+              ConcaveOverModular(weights=weights, curve="cap", theta=4.1)):
+        singles = [f.value(r) for r in rows]
+        np.testing.assert_allclose(f.value_batch(rows), singles, rtol=2 * n * eps, atol=0)
+    f = ThresholdCoverage(rates=tuple(w % 4 for w in milli_weights), element_weights=weights)
+    assert f.value_batch(rows).tolist() == [f.value(r) for r in rows]
 
 
 def gains_by_pairs(f, base, top):

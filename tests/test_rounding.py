@@ -28,6 +28,7 @@ from stochsubmax.rounding import (
     state_keep_batch,
 )
 from stochsubmax.seeds import derive_rng
+from tests.reference import exact_set_keep_rate
 
 
 def flat_solution(instance, marginals):
@@ -105,6 +106,43 @@ def test_set_keep_rate_meets_closed_form_target():
     for r in rows:
         assert r.status == "ok"
         assert r.value >= target - 3 * r.se
+
+
+def test_exact_keep_rate_of_the_readme_case():
+    """At k = 1 and y = (0.2, 0.0125 x 4), each small item is kept with
+    probability 0.88388 given that it is sampled, below the fair scheme's 0.88480."""
+    gamma = exact_set_keep_rate(constraints.cardinality(5, 1), [0.2] + [0.0125] * 4)
+    assert gamma[1:] == pytest.approx([0.88388] * 4, abs=5e-6)
+    assert closed_form_keep_rate(0.25) == pytest.approx(0.88480, abs=5e-6)
+
+
+@pytest.mark.parametrize("outer, marginals", [
+    (constraints.cardinality(5, 1), [0.2] + [0.0125] * 4),
+    (constraints.cardinality(6, 2), [0.5, 0.4, 0.4, 0.3, 0.2, 0.2]),
+    # blocks of cap 1, 2, 1 and 0; item 4 has marginal 0, and block [6] fits its cap
+    (constraints.partition(8, [[0, 2, 4], [1, 3, 5], [6], [7]], [1, 2, 1, 0]),
+     [0.3, 0.5, 0.2, 0.6, 0.0, 0.9, 0.5, 0.0]),
+])
+def test_set_keep_rate_matches_the_exact_rate(outer, marginals):
+    """Every row with data lies within 4 SE of the priority rule's exact keep rate
+    (tests/reference.py::exact_set_keep_rate) at 200000 trials.
+
+    The SE is the binomial one at the exact rate, sqrt(gamma (1 - gamma) / events),
+    so a row whose estimate reads 0 or 1 is still tested, and a rate of exactly 1
+    must read 1. A correct scheme fails a row with probability about
+    2 P(Z > 4) = 6.3e-5 (normal approximation), so at most 1.0e-3 over the 16
+    rows here whose rate lies strictly between 0 and 1; seed 11 gives a largest
+    |z| of 2.3.
+    """
+    crs = BalancedCrs(kind="priority", scale=1.0)
+    gamma = exact_set_keep_rate(outer, marginals)
+    rows = estimate_set_keep_rate(crs, outer, marginals, trials=200_000, seed=11)
+    with_data = [r for r in rows if r.status == "ok"]
+    assert [r.item for r in with_data] == np.flatnonzero(marginals).tolist()
+    for r in with_data:
+        g = gamma[r.item]
+        se = math.sqrt(g * (1 - g) / r.events)
+        assert abs(r.value - g) <= 4 * se + 1e-12, (r, g)
 
 
 def test_set_keep_rate_insufficient_when_never_sampled():
