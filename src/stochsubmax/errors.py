@@ -1,4 +1,7 @@
-"""Shared exception types, and the field checks that raise :class:`InvalidInputError`."""
+"""Shared exception types, the field checks that raise :class:`InvalidInputError`,
+and the read-only cache of derived arrays (:func:`cached_array`)."""
+
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -70,7 +73,10 @@ def as_int(value, field: str) -> int:
 
 def as_ints(values, field: str) -> list[int]:
     """``values`` as ints by :func:`as_int`, entry j named ``field[j]`` in the error;
-    a list of plain ints passes one type sweep as it is."""
+    a list of plain ints passes one type sweep as it is, and a 1-D numpy integer
+    array none."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return values.tolist()
     values = list(values)
     if set(map(type, values)) <= {int}:
         return values
@@ -82,3 +88,16 @@ def json_number(value, field: str):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     raise InvalidInputError(f"{field} must be a number, got {value!r}")
+
+
+def cached_array(method):
+    """A cached property whose array cannot be written: every later reader of a
+    cached table sees the table it was built as, never a caller's edit of it."""
+
+    @wraps(method)
+    def read_only(self):
+        out = method(self)
+        out.flags.writeable = False
+        return out
+
+    return cached_property(read_only)

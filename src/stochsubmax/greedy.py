@@ -55,12 +55,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .constraints import OuterConstraint, polytope_inequalities
-from .errors import InvalidInputError, LpCertificateError, as_int, json_number
+from .errors import InvalidInputError, LpCertificateError, as_int, cached_array, json_number
 from .extensions import check_marginals
 from .lp import build_slot_program, certify_optimal, slot_rows, solve_lp
 from .model import Instance, sample_realization_batch
@@ -104,7 +103,7 @@ class SlotSolution:
                 )
             seen.add(i)
 
-    @cached_property
+    @cached_array
     def marginals(self) -> np.ndarray:
         """The (n,) item marginals: each item's one entry's value, 0 for an item without one."""
         out = np.zeros(self.n)
@@ -112,29 +111,27 @@ class SlotSolution:
             out[i] = v
         return out
 
-    @cached_property
+    @cached_array
     def support(self) -> np.ndarray:
         """Items with positive marginal, by index: the columns of every rounding block."""
         return np.flatnonzero(self.marginals > 0)
 
-    @cached_property
+    @cached_array
     def slots(self) -> np.ndarray:
         """The (n_s,) start slots of the support columns: each item's one entry's slot."""
         slot_of = {i: t for i, t, _ in self.entries}
         return np.array([slot_of[i] for i in self.support.tolist()], dtype=np.int64)
 
-    @cached_property
+    @cached_array
     def scan_order(self) -> np.ndarray:
         """The support columns by (slot, index): the order the gate scan visits them in."""
         return np.argsort(self.slots, kind="stable")
 
-    @cached_property
+    @cached_array
     def precedence(self) -> np.ndarray:
         """Read-only (n_s, n_s) float matrix M[j, i] = [slots[j] <= slots[i]] of the
         schedule map."""
-        out = (self.slots[:, None] <= self.slots).astype(float)
-        out.flags.writeable = False
-        return out
+        return (self.slots[:, None] <= self.slots).astype(float)
 
 
 def check_solution_shape(instance: Instance, sol: SlotSolution):

@@ -6,6 +6,13 @@ to be monotone and to have diminishing returns along coordinates (checked
 exhaustively at desk scale by :func:`check_monotone` and
 :func:`check_lattice_submodular`).
 
+A rounding block holds only the states of the solution's support items.
+``value_batch_at(states, columns)`` evaluates such a block, every other item
+at 0: the three families in closed form on those columns (the weights or
+rates of ``columns``, built once per oracle as read-only arrays), and any
+other utility by ``value_batch`` on the block scattered to width n
+(:func:`scatter_columns`, which every module that needs width n calls).
+
 The continuous greedy needs every item's expected marginal gain at the current
 marginals. ``WeightedModular`` and ``ThresholdCoverage`` compute it exactly
 in closed form (``expected_gains``). ``ConcaveOverModular`` has none; it
@@ -29,11 +36,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationLimitError, InvalidInputError, as_ints
+from .errors import EnumerationLimitError, InvalidInputError, as_ints, cached_array
 from .parallel import BLOCK_SIZE
 
 ENUM_GUARD = 10**6
@@ -42,6 +48,9 @@ ENUM_GUARD = 10**6
 _LOOP_ROWS = 128
 # most atom masses ConcaveOverModular.expected_gains gathers at once for a stack
 _STACK_VALUES = 2**20
+
+# value_batch_at's columns for a block of all n items
+_ALL_COLUMNS = slice(None)
 
 FAMILY_MODULAR = "weighted-modular"
 FAMILY_CONCAVE = "concave-over-modular"
@@ -54,11 +63,19 @@ def _check_weights(values, name: str):
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
+def scatter_columns(block, support, n: int) -> np.ndarray:
+    """The (R, n) array holding the (R, n_s) ``block`` in the ``support`` columns, 0 elsewhere."""
+    block = np.asarray(block)
+    out = np.zeros((len(block), n), dtype=block.dtype)
+    out[:, support] = block
+    return out
+
+
 def _weighted_columns(weights, states) -> np.ndarray:
     """The (n, R) C-contiguous array ``weights[i] * states[r, i]``."""
     out = np.empty(np.shape(states)[::-1])
     out[:] = np.asarray(states).T
-    out *= np.asarray(weights, dtype=float)[:, None]
+    out *= weights[:, None]
     return out
 
 
@@ -104,6 +121,16 @@ class UtilityOracle:
     another for another number of rows; ``sqrt`` and ``min(., theta)`` keep
     that relative gap. ``ThresholdCoverage`` agrees exactly.
 
+    ``value_batch_at(states, columns)`` evaluates a block that holds only
+    some items' states: row r of the (R, m) ``states`` gives items
+    ``columns`` (increasing ids) their levels, and every other item is at 0.
+    The default scatters the block to width n and calls ``value_batch``, so
+    a subclass that defines only ``value_batch`` keeps its bits. The
+    built-in families evaluate the block at its own width, within the same
+    2 n eps f(row) of ``value_batch`` on the scattered rows, and
+    ``ThresholdCoverage`` exactly; their ``value_batch`` is
+    ``value_batch_at`` on all n columns.
+
     ``gains_batch(base, top, on)`` returns every item's marginal gain on every
     row: the (R, n) array ``f(base with i at top[:, i]) - f(base with i at 0)``.
     ``base`` holds ``top`` where the (R, n) mask ``on`` is set and 0 elsewhere.
@@ -147,6 +174,10 @@ class UtilityOracle:
     def value_batch(self, states: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def value_batch_at(self, states, columns) -> np.ndarray:
+        """``value_batch`` on the (R, m) ``states`` of items ``columns``, every other item at 0."""
+        return self.value_batch(scatter_columns(states, columns, self.n))
+
     def gains_batch(self, base, top, on) -> np.ndarray:
         """Every item's gain on every row from n + 1 ``value_batch`` calls.
 
@@ -189,11 +220,18 @@ class WeightedModular(UtilityOracle):
     def n(self) -> int:
         return len(self.weights)
 
+    @cached_array
+    def _weights(self) -> np.ndarray:
+        return np.array(self.weights, dtype=float)
+
     def value(self, u) -> float:
-        return float(np.dot(np.asarray(u, dtype=float), self.weights))
+        return float(np.dot(np.asarray(u, dtype=float), self._weights))
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
-        return np.asarray(states, dtype=float) @ np.asarray(self.weights)
+        return self.value_batch_at(states, _ALL_COLUMNS)
+
+    def value_batch_at(self, states, columns) -> np.ndarray:
+        return np.asarray(states, dtype=float) @ self._weights[columns]
 
     def expected_gains(self, probs, x, samples: int) -> np.ndarray:
         """``weights[i] * E[state of i]``, whatever the other items do.
@@ -204,7 +242,7 @@ class WeightedModular(UtilityOracle):
         """
         probs = np.asarray(probs, dtype=float)
         levels = np.arange(1, probs.shape[1] + 1, dtype=float)
-        gains = np.asarray(self.weights, dtype=float) * (probs @ levels)
+        gains = self._weights * (probs @ levels)
         return np.tile(gains, np.shape(x)[:-1] + (1,))
 
     def params(self) -> dict:
@@ -235,23 +273,30 @@ class ConcaveOverModular(UtilityOracle):
     def n(self) -> int:
         return len(self.weights)
 
+    @cached_array
+    def _weights(self) -> np.ndarray:
+        return np.array(self.weights, dtype=float)
+
     def _g(self, x):
         if self.curve == "cap":
             return np.minimum(x, self.theta)
         return np.sqrt(x)
 
     def value(self, u) -> float:
-        return float(self._g(np.dot(np.asarray(u, dtype=float), self.weights)))
+        return float(self._g(np.dot(np.asarray(u, dtype=float), self._weights)))
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
-        return self._g(np.asarray(states, dtype=float) @ np.asarray(self.weights))
+        return self.value_batch_at(states, _ALL_COLUMNS)
+
+    def value_batch_at(self, states, columns) -> np.ndarray:
+        return self._g(np.asarray(states, dtype=float) @ self._weights[columns])
 
     def gains_batch(self, base, top, on) -> np.ndarray:
         """Closed form in O(R n): item i gains ``g(without + own) - g(without)``,
         where ``without`` is the base row's weighted sum over the other items
         (:func:`_sums_without`) and ``own`` is ``weights[i] * top[:, i]``."""
-        without = _sums_without(_weighted_columns(self.weights, base))
-        with_i = _weighted_columns(self.weights, top)
+        without = _sums_without(_weighted_columns(self._weights, base))
+        with_i = _weighted_columns(self._weights, top)
         with_i += without
         gains = self._g(with_i)
         gains -= self._g(without)
@@ -319,7 +364,7 @@ class ConcaveOverModular(UtilityOracle):
         # flat entry j (B + 1) + d of these tables holds its weighted level and,
         # per row, its probability
         levels = np.argsort(~pattern, axis=1, kind="stable")
-        weights = np.asarray(self.weights, dtype=float)[:, None]
+        weights = self._weights[:, None]
         shares = (weights * levels).ravel()
         masses = np.take_along_axis(level_probs, levels[None], axis=2).reshape(len(out), -1)
         offsets = np.arange(0, n * (B + 1), B + 1)[:, None]
@@ -377,21 +422,29 @@ class ThresholdCoverage(UtilityOracle):
     def n(self) -> int:
         return len(self.rates)
 
-    @cached_property
+    @cached_array
     def _prefix(self) -> np.ndarray:
         """Covered weight by prefix length: entry l is the weight of the first l elements."""
         w = np.asarray(self.element_weights, dtype=float)
         return np.concatenate([[0.0], np.cumsum(w)])
 
-    def _lengths(self, states) -> np.ndarray:
-        lengths = np.asarray(states) * np.asarray(self.rates)
+    @cached_array
+    def _rates(self) -> np.ndarray:
+        return np.array(self.rates, dtype=np.int64)
+
+    def _lengths(self, states, rates) -> np.ndarray:
+        lengths = np.asarray(states) * rates
         return np.minimum(lengths, len(self.element_weights), out=lengths)
 
     def value(self, u) -> float:
-        return float(self._prefix[int(self._lengths(u).max(initial=0))])
+        return float(self._prefix[int(self._lengths(u, self._rates).max(initial=0))])
 
     def value_batch(self, states: np.ndarray) -> np.ndarray:
-        return self._prefix[self._lengths(states).max(axis=1)]
+        return self.value_batch_at(states, _ALL_COLUMNS)
+
+    def value_batch_at(self, states, columns) -> np.ndarray:
+        """The prefix at each row's longest length; a row of no columns covers nothing."""
+        return self._prefix[self._lengths(states, self._rates[columns]).max(axis=1, initial=0)]
 
     def expected_gains(self, probs, x, samples: int) -> np.ndarray:
         """Closed form in O(n (m + B)) over the m ground elements, with no draws.
@@ -418,7 +471,7 @@ class ThresholdCoverage(UtilityOracle):
         rows = (x if x.ndim == 2 else x[None])[:, :, None]
         n, B = probs.shape
         m = len(self.element_weights)
-        lengths = np.minimum(np.outer(self.rates, np.arange(1, B + 1)), m)
+        lengths = np.minimum(np.outer(self._rates, np.arange(1, B + 1)), m)
         mass = np.zeros((n, m + 1))
         np.add.at(mass, (np.repeat(np.arange(n), B), lengths.ravel()), probs.ravel())
         factors = (1.0 - rows) + rows * np.cumsum(mass, axis=1)[:, :m]

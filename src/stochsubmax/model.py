@@ -34,7 +34,7 @@ import numpy as np
 
 from . import lattice
 from .constraints import OuterConstraint, outer_from_json, outer_to_json, validate_outer
-from .errors import as_int, json_number
+from .errors import as_int, cached_array, json_number
 from .lattice import UtilityOracle
 from .seeds import derive_rng
 
@@ -62,30 +62,29 @@ class Instance:
     def violations(self) -> tuple[str, ...]:
         return tuple(validate_instance(self))
 
-    @cached_property
+    @cached_array
     def cost_matrix(self) -> np.ndarray:
         """(n, B) integer costs, row i gives costs of item i at states 1..B."""
         return np.array([it.costs for it in self.items], dtype=np.int64)
 
-    @cached_property
+    @cached_array
     def padded_costs(self) -> np.ndarray:
         """Read-only (n, B + 1) integer costs at states 0..B: column 0 is 0, the cost of
         an item whose state is not drawn, and column s is ``cost_matrix[:, s - 1]``."""
         out = np.zeros((self.n, self.B + 1), dtype=np.int64)
         out[:, 1:] = self.cost_matrix
-        out.flags.writeable = False
         return out
 
-    @cached_property
+    @cached_array
     def prob_matrix(self) -> np.ndarray:
         return np.array([it.probs for it in self.items], dtype=float)
 
-    @cached_property
+    @cached_array
     def state_cum_probs(self) -> np.ndarray:
         """(n, B) cumulative state probabilities, for inverse-CDF sampling."""
         return np.cumsum(self.prob_matrix, axis=1)
 
-    @cached_property
+    @cached_array
     def truncated_costs(self) -> np.ndarray:
         """(n, budget) table: entry (i, t - 1) is E[min(cost of item i, t)] for t = 1..budget.
 
@@ -100,7 +99,7 @@ class Instance:
             )
         return out
 
-    @cached_property
+    @cached_array
     def slot_counts(self) -> np.ndarray:
         """Number of feasible start slots per item: max(0, budget - cost at top state)."""
         return np.maximum(0, self.budget - self.cost_matrix[:, -1])

@@ -23,9 +23,11 @@ The kernel works on the solution's support, the n_s items of positive
 marginal, which are the only items a run can sample: its draws and masks are
 (R, n_s) arrays, the gate scan runs on their (n_s, R) transposes, and the
 outer-family tally counts the selected support columns against the hull's
-support columns (explicit families ask the oracle row by row). Only the
-utility's input and the dominance violation reports go back to width n. The
-gate-scan order and the precedence matrix are cached on the solution
+support columns (explicit families ask the oracle row by row). The utility
+reads the (R, n_s) block of revealed states itself
+(:meth:`~lattice.UtilityOracle.value_batch_at` on the support), so only the
+dominance violation reports go back to width n. The gate-scan order and the
+precedence matrix are cached on the solution
 (:attr:`~greedy.SlotSolution.scan_order`,
 :attr:`~greedy.SlotSolution.precedence`), the zero-padded cost table on the
 instance and the hull on the constraint. Block b of a simulation or a
@@ -47,7 +49,9 @@ import numpy as np
 
 # is_independent stays a module name: bench/tracing.py counts calls through it
 from .constraints import OuterConstraint, independent_rows, is_independent  # noqa: F401
+from .errors import as_ints
 from .greedy import SlotSolution, check_solution_shape
+from .lattice import scatter_columns
 from .model import Instance
 # map_blocks stays a module name: bench/tracing.py counts calls through it
 from .parallel import map_blocks, mean_se, run_blocks  # noqa: F401
@@ -56,7 +60,6 @@ from .rounding import (
     BlockDraws,
     crs_keep_batch,
     draw_block,
-    scatter_columns,
     state_keep_batch,
 )
 from .seeds import derive_rng
@@ -135,8 +138,7 @@ def run_policy_batch(instance, f, outer, crs, sol, draws: BlockDraws) -> BlockRu
     sampled = draws.u_sample < sol.marginals[support]
     kept = crs_keep_batch(crs, outer, sampled, lambda: draws.priorities, support)
     selected, reads, revealed, spent = gate_scan_batch(instance, draws.states, kept, sol)
-    wide = scatter_columns(revealed, support, instance.n)
-    utility = np.asarray(f.value_batch(wide), dtype=float)
+    utility = np.asarray(f.value_batch_at(revealed, support), dtype=float)
     return BlockRun(sampled, kept, selected, reads, revealed, spent, utility)
 
 
@@ -155,11 +157,15 @@ def execute(
     two rows of ``derive_rng(seed, "policy").random((2, n))``, so a run does
     not depend on the support's width. The solution must fit the instance
     (:func:`greedy.check_solution_shape`); certifying it is the caller's step.
+    The realization gives each item an integral state in 1..B: 2.0 reads as
+    2, and 1.7 or ``True`` raises :class:`~errors.InvalidInputError`.
     """
     instance.require_valid()
     check_solution_shape(instance, sol)
-    states = np.asarray(realization, dtype=np.int64)
-    if states.shape != (instance.n,) or np.any(states < 1) or np.any(states > instance.B):
+    if np.shape(realization) != (instance.n,):
+        raise ValueError(f"realization must assign each of the {instance.n} items a state in 1..B")
+    states = np.array(as_ints(realization, "realization"), dtype=np.int64)
+    if np.any(states < 1) or np.any(states > instance.B):
         raise ValueError("realization must assign each item a state in 1..B")
     support = sol.support
     u = derive_rng(seed, "policy").random((2, instance.n))[:, None, support]
@@ -273,7 +279,7 @@ def coupled_dominance_check(
         run = run_policy_batch(instance, f, outer, crs, sol, d)
         v, sched = state_keep_batch("schedule", instance, outer, crs, sol, d)
         pruned = np.where(run.kept & sched, v, 0)
-        pruned_utility = np.asarray(f.value_batch(scatter_columns(pruned, support, n)), dtype=float)
+        pruned_utility = np.asarray(f.value_batch_at(pruned, support), dtype=float)
         covered = np.all((pruned == 0) | (run.revealed == pruned), axis=1)
         bad = ~covered | (run.utility < pruned_utility - 1e-12)
         violations = []

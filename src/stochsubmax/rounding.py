@@ -31,8 +31,9 @@ here and the policy in :mod:`policy` both run them. The keep-rate count
 tables and rows are built for the support items only; every other item's
 rows read "insufficient", and they come from one cached tuple of blank rows
 per (mapping, n, width). Only explicit families go back to width n here
-(:func:`greedy_keep` resolves their rows one set at a time on the item ids);
-:func:`scatter_columns` puts a block at width n where :mod:`policy` needs it.
+(:func:`lattice.scatter_columns`; :func:`greedy_keep` resolves their rows one
+set at a time on the item ids), and the utility of a block is read at the
+support width too (:meth:`lattice.UtilityOracle.value_batch_at`).
 The constants of the maps are cached where they belong: the precedence
 matrix on the solution (:attr:`~greedy.SlotSolution.precedence`), the
 zero-padded cost table on the instance (:attr:`~model.Instance.padded_costs`)
@@ -59,6 +60,7 @@ import numpy as np
 
 from .constraints import OuterConstraint, in_scaled_polytope, independent_rows, is_independent
 from .greedy import SlotSolution, check_solution_shape
+from .lattice import scatter_columns
 from .model import Instance, sample_states
 # map_blocks stays a module name: bench/tracing.py counts calls through it
 from .parallel import map_blocks, run_blocks  # noqa: F401
@@ -98,14 +100,6 @@ def greedy_keep(outer: OuterConstraint, members, priorities) -> set:
         if is_independent(outer, kept | {i}):
             kept.add(i)
     return kept
-
-
-def scatter_columns(block, support, n: int) -> np.ndarray:
-    """The (R, n) array holding the (R, n_s) ``block`` in the ``support`` columns, 0 elsewhere."""
-    block = np.asarray(block)
-    out = np.zeros((len(block), n), dtype=block.dtype)
-    out[:, support] = block
-    return out
 
 
 def crs_keep_batch(

@@ -785,3 +785,21 @@ def test_warm_pivots_pinned_on_desk_instance(monkeypatch):
     totals = warm_against_cold(monkeypatch, desk_random_instance(4), steps=25,
                                grad_samples=1500)
     assert (totals["greedy"], totals["cold"], totals["calls"], totals["ray"]) == (2, 50, 1, 24)
+
+
+def test_cached_arrays_are_read_only(partition_instance):
+    """Every array cached on an instance or a solution refuses writes: an edit of
+    ``sol.marginals`` would change every later draw while ``sol.entries`` and its
+    JSON still said otherwise."""
+    sol = run_continuous_greedy(partition_instance, partition_instance.utility,
+                                partition_instance.outer, stop_scale=0.25, steps=5,
+                                grad_samples=200, seed=0)
+    cached = [getattr(sol, name) for name in
+              ("marginals", "support", "slots", "scan_order", "precedence")]
+    cached += [getattr(partition_instance, name) for name in
+               ("cost_matrix", "padded_costs", "prob_matrix", "state_cum_probs",
+                "truncated_costs", "slot_counts")]
+    assert len(sol.support) > 0
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from stochsubmax import constraints
 from stochsubmax.constraints import in_scaled_polytope
 from stochsubmax.greedy import SlotSolution
-from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
+from stochsubmax.lattice import (
+    ConcaveOverModular,
+    ThresholdCoverage,
+    WeightedModular,
+    scatter_columns,
+)
 from stochsubmax.model import Instance, ItemModel, sample_states
 from stochsubmax.policy import coupled_dominance_check, execute, run_policy_batch, simulate_batch
 from stochsubmax.rounding import (
@@ -22,7 +27,6 @@ from stochsubmax.rounding import (
     estimate_set_keep_rate,
     estimate_state_keep_rates,
     greedy_keep,
-    scatter_columns,
     schedule_keep_batch,
     state_keep_batch,
 )

@@ -139,6 +139,64 @@ def test_batch_matches_single(milli_weights, rows):
     assert f.value_batch(rows).tolist() == [f.value(r) for r in rows]
 
 
+class OnlyValueBatch(UtilityOracle):
+    """A proxy that defines only ``value_batch`` and records each call's shape, as the
+    benchmark's counting oracle does: ``value_batch_at`` takes the default path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.shapes = []
+
+    @property
+    def n(self):
+        return self.inner.n
+
+    def value_batch(self, states):
+        self.shapes.append(np.shape(states))
+        return self.inner.value_batch(states)
+
+
+@st.composite
+def column_blocks(draw):
+    """Non-dyadic weights over n = 1..8 items, increasing columns (possibly none) and
+    an (R, len(columns)) block of levels 0..3."""
+    n = draw(st.integers(1, 8))
+    milli = draw(st.lists(st.integers(100, 3000), min_size=n, max_size=n))
+    columns = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    R = draw(st.integers(1, 12))
+    levels = draw(st.lists(st.integers(0, 3), min_size=R * len(columns),
+                           max_size=R * len(columns)))
+    return tuple(w / 1000 for w in milli), columns, np.array(levels, dtype=np.int64).reshape(
+        R, len(columns))
+
+
+@given(column_blocks())
+@settings(max_examples=examples(200))
+def test_value_batch_at_equals_the_scattered_block(case):
+    """``value_batch_at`` on a block of some items' states equals ``value_batch`` on
+    its rows scattered to width n: coverage bit for bit, the weighted sums within
+    2 n eps f(row). An (R, 0) block is 0 on every row, and a proxy that defines only
+    ``value_batch`` gets that call's bits from one call at width n."""
+    weights, columns, states = case
+    n, R, eps = len(weights), len(states), np.finfo(float).eps
+    wide = lattice.scatter_columns(states, columns, n)
+    families = (WeightedModular(weights=weights),
+                ConcaveOverModular(weights=weights, curve="sqrt"),
+                ConcaveOverModular(weights=weights, curve="cap", theta=2.5),
+                ThresholdCoverage(rates=tuple(int(w * 1000) % 4 for w in weights),
+                                  element_weights=weights))
+    for f in families:
+        at = f.value_batch_at(states, columns)
+        if isinstance(f, ThresholdCoverage):
+            assert at.tolist() == f.value_batch(wide).tolist()
+        else:
+            np.testing.assert_allclose(at, f.value_batch(wide), rtol=2 * n * eps, atol=0)
+        assert f.value_batch_at(states[:, :0], columns[:0]).tolist() == [0.0] * R
+        proxy = OnlyValueBatch(f)
+        assert proxy.value_batch_at(states, columns).tolist() == f.value_batch(wide).tolist()
+        assert proxy.shapes == [(R, n)]
+
+
 def gains_by_pairs(f, base, top):
     """Reference gains: two ``value_batch`` calls per item, on full copies of the base."""
     out = np.empty(base.shape)

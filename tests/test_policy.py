@@ -1,11 +1,15 @@
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochsubmax import constraints
+from stochsubmax.errors import InvalidInputError
 from stochsubmax.generators import random_instance, single_item_instance
 from stochsubmax.greedy import SlotSolution, certify_solution, run_continuous_greedy
-from stochsubmax.lattice import WeightedModular
+from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
 from stochsubmax.model import Instance, ItemModel, sample_realization
 from stochsubmax.policy import (
     PolicyTrace,
@@ -20,6 +24,7 @@ from stochsubmax.rounding import (
     estimate_set_keep_rate,
     estimate_state_keep_rates,
 )
+from tests.conftest import examples
 
 
 def full_mass_solution(instance, marginals):
@@ -135,6 +140,20 @@ def test_realization_validated(pair_instance):
     with pytest.raises(ValueError, match="state in 1..B"):
         execute(pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
                 realization=[0, 1], seed=0)
+    with pytest.raises(ValueError, match="state in 1..B"):
+        execute(pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
+                realization=[1, 1, 1], seed=0)
+    # a fractional or boolean state is rejected by name, never truncated to an integer
+    for bad, entry in (([1.7, 1], "realization[0]"), ([1, True], "realization[1]"),
+                       (np.array([True, True]), "realization[0]")):
+        with pytest.raises(InvalidInputError, match=re.escape(f"{entry} must be an integer")):
+            execute(pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
+                    realization=bad, seed=0)
+    # integral floats pass, as they do for costs and rates
+    assert execute(pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
+                   realization=[2.0, 1.0], seed=0) == \
+        execute(pair_instance, pair_instance.utility, pair_instance.outer, crs, sol,
+                realization=[2, 1], seed=0)
 
 
 def test_trace_invariants_on_random_instances():
@@ -164,6 +183,62 @@ def test_simulation_counts_no_violations(pair_instance):
     assert summary.outer_violations == 0
     assert summary.adaptivity_violations == 0
     assert 0.0 < summary.mean_utility < 3.0
+
+
+@st.composite
+def edge_instances(draw):
+    """A cardinality k = 0 or a B = 1 partition instance over n = 1..5 items under one
+    of the three families, with a hand-built solution whose support may be empty."""
+    n = draw(st.integers(1, 5))
+    edge = draw(st.sampled_from(["k=0", "B=1"]))
+    B = 1 if edge == "B=1" else draw(st.integers(2, 3))
+    budget = draw(st.integers(2, 8))
+    items = []
+    for _ in range(n):
+        odds = draw(st.lists(st.integers(1, 4), min_size=B, max_size=B))
+        # an item whose top cost is the budget has no slot
+        costs = sorted(draw(st.lists(st.integers(1, budget), min_size=B, max_size=B)))
+        items.append(ItemModel(probs=tuple(w / sum(odds) for w in odds), costs=tuple(costs)))
+    if edge == "k=0":
+        outer = constraints.cardinality(n, 0)
+    else:
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+        outer = constraints.partition(n, blocks, [draw(st.integers(0, len(b))) for b in blocks])
+    weights = tuple(float(w) for w in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    utility = draw(st.sampled_from([
+        WeightedModular(weights=weights),
+        ConcaveOverModular(weights=weights, curve="sqrt"),
+        ThresholdCoverage(rates=tuple(int(w) for w in weights), element_weights=(1.0, 0.5)),
+    ]))
+    inst = Instance(n=n, B=B, budget=budget, items=tuple(items), outer=outer, utility=utility)
+    inst.require_valid()
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))  # 0.0 leaves the support empty
+    entries = tuple(
+        (i, draw(st.integers(1, int(slots))), draw(st.floats(0.05, 1.0)))
+        for i, slots in enumerate(inst.slot_counts.tolist())
+        if slots > 0 and draw(st.floats(0, 1)) < share
+    )
+    sol = SlotSolution(n=n, budget=budget, entries=entries, stop_scale=0.25, steps=1,
+                       grad_samples=1, seed=0)
+    return inst, sol, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=examples(100))
+@given(edge_instances())
+def test_simulation_and_dominance_on_edge_instances(case):
+    """Simulation and the coupled dominance check run at k = 0, B = 1 and on an
+    empty support, where every block is (R, 0) wide: no violation, and a policy
+    that can select nothing is worth exactly 0."""
+    inst, sol, seed = case
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    s = simulate_batch(inst, inst.utility, inst.outer, crs, sol, runs=200, seed=seed)
+    assert (s.runs, s.inner_violations, s.outer_violations, s.adaptivity_violations) \
+        == (200, 0, 0, 0)
+    if inst.outer.kind == "cardinality" or not len(sol.support):
+        assert (s.mean_utility, s.se) == (0.0, 0.0)
+    assert coupled_dominance_check(inst, inst.utility, inst.outer, crs, sol,
+                                   trials=100, seed=seed).passed
 
 
 def test_simulation_pinned(pair_instance):
