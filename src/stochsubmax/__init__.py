@@ -14,7 +14,6 @@ allocator.fix_malloc_thresholds()
 from .constraints import (
     OuterConstraint,
     cardinality,
-    explicit,
     in_scaled_polytope,
     is_independent,
     partition,
@@ -24,7 +23,6 @@ from .errors import (
     EnumerationLimitError,
     LpCertificateError,
     LpStallError,
-    NoCompactPolytopeError,
 )
 from .extensions import multilinear_mc
 from .greedy import (

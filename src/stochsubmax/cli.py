@@ -18,12 +18,7 @@ import sys
 from pathlib import Path
 
 from . import greedy, lattice, oracle, policy, rounding
-from .errors import (
-    EnumerationLimitError,
-    InvalidInputError,
-    LpStallError,
-    NoCompactPolytopeError,
-)
+from .errors import EnumerationLimitError, InvalidInputError, LpStallError
 from .lp import build_slot_program, program_dump
 from .model import Instance, load_instance, validate_instance
 
@@ -115,10 +110,7 @@ def cmd_solve(args) -> int:
     instance = _load(args.instance)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        sol, report = _solve(instance, args)
-    except NoCompactPolytopeError as exc:
-        raise DomainFailure(str(exc)) from exc
+    sol, report = _solve(instance, args)
     greedy.save_solution(sol, out / "solution.json")
     (out / "certification.json").write_text(report.to_json(), encoding="utf-8")
     if args.dump_lp:
@@ -208,10 +200,7 @@ def cmd_ratio(args) -> int:
         opt = oracle.optimal_policy_value(instance, instance.utility, instance.outer)
     except EnumerationLimitError as exc:
         raise DomainFailure(str(exc)) from exc
-    try:
-        sol, report = _solve(instance, args)
-    except NoCompactPolytopeError as exc:
-        raise DomainFailure(str(exc)) from exc
+    sol, report = _solve(instance, args)
     if not report.passed:
         raise DomainFailure("solution failed certification")
     scale = sol.stop_scale

@@ -14,10 +14,6 @@ class EnumerationLimitError(Exception):
     """
 
 
-class NoCompactPolytopeError(Exception):
-    """Raised when a constraint family has no materialized inequality description."""
-
-
 class LpStallError(Exception):
     """Raised when the simplex solver exceeds its iteration cap."""
 

@@ -64,13 +64,6 @@ def _random_outer(rng: np.random.Generator, n: int, kinds) -> constraints.OuterC
             blocks = [list(range(n))]
         caps = [int(rng.integers(1, len(b) + 1)) for b in blocks]
         return constraints.partition(n, blocks, caps)
-    if kind == "explicit":
-        count = int(rng.integers(1, 4))
-        maximal = []
-        for _ in range(count):
-            size = int(rng.integers(1, n + 1))
-            maximal.append(sorted(rng.choice(n, size=size, replace=False).tolist()))
-        return constraints.explicit(n, maximal)
     raise ValueError(kind)
 
 
@@ -99,7 +92,7 @@ def random_instance(
     n_max: int = 8,
     B_max: int = 3,
     budget_max: int = 12,
-    kinds=("cardinality", "partition", "explicit"),
+    kinds=("cardinality", "partition"),
     families=("modular", "concave", "coverage"),
     all_schedulable: bool = False,
 ) -> Instance:

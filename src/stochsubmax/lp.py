@@ -72,8 +72,9 @@ the floating-point operations of the same test on arrays. Every step within
 1e-12 of the shortest one ties, and the least variable index among the tied
 ones leaves; a bound flip of the entering variable counts as the entering
 variable's index. A nonbasic variable sits at the bound its sign names, and
-the duals, reduced costs, w and the eta row fill buffers: a pivot allocates
-no array, and the vertex is assembled when the solve stops.
+the duals, reduced costs, w, the eta row and the (m, m) eta update fill
+buffers: a pivot allocates no array, and the vertex is assembled when the
+solve stops.
 
 This is the pivot sequence of pricing one column at a time with two fresh
 dense solves per pivot, up to rounding: a near-tie can fall the other way,
@@ -95,8 +96,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dgetrf, dgetri
 
 from .constraints import OuterConstraint, polytope_inequalities
 from .errors import LpCertificateError, LpStallError
@@ -162,11 +161,10 @@ def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgra
     those whose largest value on the [0, 1] box, ``sum_j max(a_j, 0)``,
     exceeds their bound, and it has no item-cap rows, which repeat the box
     (see the module docstring). Items whose worst-state cost leaves no
-    feasible start slot get no variables. Raises for outer kinds without a
-    compact polytope.
+    feasible start slot get no variables.
     """
     instance.require_valid()
-    ineqs = polytope_inequalities(outer)  # raises NoCompactPolytopeError for explicit
+    ineqs = polytope_inequalities(outer)
     slots = instance.slot_counts
     scheduled = np.flatnonzero(slots > 0)
     labels, rows, bounds = slot_rows(instance, ineqs, scheduled, slots[scheduled])
@@ -287,12 +285,12 @@ def certify_optimal(obj, A, b, x, basis, variables=None, row_labels=None):
             raise bad_basis(f"non-integer basic indices {basis.tolist()}")
         if basis.min() < 0 or basis.max() >= nv + m:
             raise bad_basis(f"basic indices {basis.tolist()} outside 0..{nv + m - 1}")
-        # the basis columns as rows, gathered from [A^T; I], and their inverse by
-        # LAPACK; row k of the duals solves y B = c_B for objective k
-        lu, pivots, info = dgetrf(np.concatenate((A.T, np.eye(m))).take(basis, axis=0))
-        if info > 0:
-            raise bad_basis("a singular basis")
-        inverse, _ = dgetri(lu, pivots)
+        # the basis columns as rows, gathered from [A^T; I], and their inverse;
+        # row k of the duals solves y B = c_B for objective k
+        try:
+            inverse = np.linalg.inv(np.concatenate((A.T, np.eye(m))).take(basis, axis=0))
+        except np.linalg.LinAlgError:
+            raise bad_basis("a singular basis") from None
         c_basis = np.concatenate((objs, np.zeros((len(objs), m))), axis=1).take(basis, axis=1)
         duals = np.matmul(inverse, c_basis[:, :, None])[:, :, 0]
     y = np.maximum(duals, 0.0)
@@ -345,8 +343,10 @@ def simplex_max(obj, A, b, max_iters: int = 20000) -> LpSolution:
     sign = np.ones(total)
     sign[nv:] = 0.0
     Binv = np.eye(m)  # inverse of the slack basis
-    # buffers for the duals, the signed reduced costs, the entering column and the eta row
+    # buffers for the duals, the signed reduced costs, the entering column, the eta
+    # row and the eta update
     y, signed, w, pivot = np.empty(m), np.empty(total), np.empty(m), np.empty(m)
+    eta = np.empty((m, m))
     eligible = np.empty(total, dtype=bool)
     changes = 0
     degenerate = False  # was the last step degenerate: then Bland's rule prices
@@ -430,7 +430,7 @@ def simplex_max(obj, A, b, max_iters: int = 20000) -> LpSolution:
             # eta update, Binv -= outer(w, pivot) in place: the entering column
             # becomes the unit vector at pos
             np.divide(Binv[pos], w[pos], out=pivot)
-            Binv = dger(-1.0, pivot, w, a=Binv.T, overwrite_a=True).T
+            Binv -= np.multiply.outer(w, pivot, out=eta)
             Binv[pos] = pivot
 
     raise LpStallError(max_iters, float(c_full @ vertex()))

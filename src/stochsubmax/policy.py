@@ -23,7 +23,7 @@ The kernel works on the solution's support, the n_s items of positive
 marginal, which are the only items a run can sample: its draws and masks are
 (R, n_s) arrays, the gate scan runs on their (n_s, R) transposes, and the
 outer-family tally counts the selected support columns against the hull's
-support columns (explicit families ask the oracle row by row). The utility
+support columns. The utility
 reads the (R, n_s) block of revealed states itself
 (:meth:`~lattice.UtilityOracle.value_batch_at` on the support), so only the
 dominance violation reports go back to width n. The gate-scan order and the

@@ -30,10 +30,9 @@ of marginal 0 is never sampled, so it is never drawn for. The estimators
 here and the policy in :mod:`policy` both run them. The keep-rate count
 tables and rows are built for the support items only; every other item's
 rows read "insufficient", and they come from one cached tuple of blank rows
-per (mapping, n, width). Only explicit families go back to width n here
-(:func:`lattice.scatter_columns`; :func:`greedy_keep` resolves their rows one
-set at a time on the item ids), and the utility of a block is read at the
-support width too (:meth:`lattice.UtilityOracle.value_batch_at`).
+per (mapping, n, width). Nothing here goes back to width n: the utility of a
+block is read at the support width too
+(:meth:`lattice.UtilityOracle.value_batch_at`).
 The constants of the maps are cached where they belong: the precedence
 matrix on the solution (:attr:`~greedy.SlotSolution.precedence`), the
 zero-padded cost table on the instance (:attr:`~model.Instance.padded_costs`)
@@ -58,9 +57,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constraints import OuterConstraint, in_scaled_polytope, independent_rows, is_independent
+# is_independent stays a module name: bench/tracing.py counts calls through it
+from .constraints import (OuterConstraint, in_scaled_polytope, independent_rows,  # noqa: F401
+                          is_independent)
 from .greedy import SlotSolution, check_solution_shape
-from .lattice import scatter_columns
 from .model import Instance, sample_states
 # map_blocks stays a module name: bench/tracing.py counts calls through it
 from .parallel import map_blocks, run_blocks  # noqa: F401
@@ -93,15 +93,6 @@ class BalancedCrs:
             raise ValueError("scale must lie in (0, 1]")
 
 
-def greedy_keep(outer: OuterConstraint, members, priorities) -> set:
-    """Scan members by increasing priority, keeping an item iff it stays independent."""
-    kept: set = set()
-    for i in sorted(members, key=lambda i: (priorities[i], i)):
-        if is_independent(outer, kept | {i}):
-            kept.add(i)
-    return kept
-
-
 def crs_keep_batch(
     crs: BalancedCrs, outer: OuterConstraint, sampled, priorities, support
 ) -> np.ndarray:
@@ -110,9 +101,8 @@ def crs_keep_batch(
     Column c of the (R, n_s) arrays is item ``support[c]`` (increasing ids).
     Row r resolves the item set ``support[sampled[r]]`` with ``priorities[r]``,
     the (R, n_s) array or a callable that returns it, the same at every call.
-    Explicit families run :func:`greedy_keep` row by row on the item ids.
-    Cardinality (one block of cap k) and partitions keep the same by one rule
-    over the blocks and caps of :attr:`OuterConstraint.hull`: a sampled item
+    Cardinality (one block of cap k) and partitions keep by one rule over the
+    blocks and caps of :attr:`OuterConstraint.hull`: a sampled item
     iff fewer than its block's cap of sampled rivals have a smaller
     (priority, index). If the support fits every cap, so does every row, and
     ``sampled`` itself is returned with no priority read; else only the rows
@@ -125,10 +115,6 @@ def crs_keep_batch(
             raise ValueError("identity scheme got a set outside the outer family")
         return sampled.copy()
     read = priorities if callable(priorities) else (lambda: priorities)
-    if outer.kind == "explicit":
-        by_item = scatter_columns(read(), support, outer.n)
-        return np.array([np.isin(support, list(greedy_keep(outer, support[row], p)))
-                         for row, p in zip(sampled, by_item)], dtype=bool).reshape(sampled.shape)
     a, caps = outer.hull
     if outer.kind == "cardinality":
         if len(support) <= outer.k:

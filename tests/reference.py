@@ -7,7 +7,8 @@
   vertex over all the remaining steps at once.
 * A set-based scalar reference of the rounding (sample, prune, gate scan), independent of the package's one batched kernel
   (``policy.run_policy_batch``), for tests/test_kernel.py to compare on
-  identical draws.
+  identical draws; its priority scheme is :func:`greedy_keep`, a scan
+  against the independence oracle.
 * The instance parser and validator one field and one item at a time
   (:func:`instance_from_json_by_field`, :func:`validate_instance_by_item`),
   for tests/test_model.py to compare with ``model``'s sweeps over whole lists.
@@ -36,7 +37,6 @@ from stochsubmax.lp import build_slot_program, certify_optimal, solve_lp
 from stochsubmax.model import PROB_TOL, Instance, ItemModel, sample_realization_batch
 from stochsubmax.oracle import _assignment_vector, _guard, _support_max_costs
 from stochsubmax.parallel import mean_se, run_blocks
-from stochsubmax.rounding import greedy_keep
 from stochsubmax.seeds import derive_rng
 
 SET_ENUM_GUARD = 10**6
@@ -117,6 +117,15 @@ class RevealLog:
     def reveal(self, item: int) -> int:
         self.reads.append(item)
         return int(self._states[item])
+
+
+def greedy_keep(outer: OuterConstraint, members, priorities) -> set:
+    """Scan members by increasing priority, keeping an item iff it stays independent."""
+    kept: set = set()
+    for i in sorted(members, key=lambda i: (priorities[i], i)):
+        if is_independent(outer, kept | {i}):
+            kept.add(i)
+    return kept
 
 
 def keep(crs, outer, members, priorities) -> set:

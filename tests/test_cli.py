@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stochsubmax
 from stochsubmax import cli, constraints, greedy, lp
 from stochsubmax.cli import main
 from stochsubmax.generators import (
@@ -77,31 +81,33 @@ def test_solve_writes_solution_and_certification(pair_file, tmp_path):
     assert (out / "lp.txt").exists()
 
 
-def test_solve_refuses_explicit_outer(tmp_path):
-    inst = Instance(
-        n=2, B=1, budget=3,
-        items=(ItemModel(probs=(1.0,), costs=(1,)),) * 2,
-        outer=constraints.explicit(2, [[0], [1]]),
-        utility=WeightedModular(weights=(1.0, 1.0)),
-    )
+EXPLICIT_KIND = "outer.kind must be cardinality or partition, got 'explicit'"
+
+
+def _explicit_file(tmp_path):
+    """The pair instance with an outer family of the deleted explicit kind."""
+    doc = json.loads(instance_to_json(symmetric_pair_instance()))
+    doc["outer"] = {"kind": "explicit", "maximal": [[1], [2]]}
     path = tmp_path / "explicit.json"
-    save_instance(inst, path)
-    assert main(["solve", "--instance", str(path), "--out", str(tmp_path / "o")]) == 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_solve_refuses_explicit_outer(tmp_path, capsys):
+    # an outer kind without a hull has no slot program, so the load rejects it by name
+    path = _explicit_file(tmp_path)
+    assert main(["validate", "--instance", str(path)]) == 1
+    assert EXPLICIT_KIND in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
+    assert EXPLICIT_KIND in capsys.readouterr().err
+    assert not (out / "solution.json").exists()
 
 
 def test_ratio_refuses_explicit_outer(tmp_path, capsys):
-    # the exact oracle handles explicit families, but the slot LP has no compact
-    # description of their hull, so the solve inside ratio must fail cleanly
-    inst = Instance(
-        n=2, B=1, budget=3,
-        items=(ItemModel(probs=(1.0,), costs=(1,)),) * 2,
-        outer=constraints.explicit(2, [[0], [1]]),
-        utility=WeightedModular(weights=(1.0, 1.0)),
-    )
-    path = tmp_path / "explicit.json"
-    save_instance(inst, path)
+    path = _explicit_file(tmp_path)
     assert main(["ratio", "--instance", str(path), "--runs", "200"]) == 1
-    assert "explicit" in capsys.readouterr().err
+    assert EXPLICIT_KIND in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "ratio"])
@@ -214,6 +220,43 @@ def test_ratio_passes_on_demo(pair_file, capsys):
     assert "bound=" in out and "opt=3.0" in out
 
 
+# argv[1] is a scratch directory. Importing the package loads no scipy module;
+# with every scipy import then made to fail, the four commands run on the pair
+# demo, and the exit codes and any scipy module loaded are printed.
+WITHOUT_SCIPY = """
+import sys
+from pathlib import Path
+
+import stochsubmax
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "import loads scipy"
+sys.modules["scipy"] = None  # from here on, importing scipy or a submodule raises
+from stochsubmax import cli
+from stochsubmax.generators import symmetric_pair_instance
+from stochsubmax.model import save_instance
+
+tmp = Path(sys.argv[1])
+pair, out = str(tmp / "pair.json"), tmp / "solved"
+save_instance(symmetric_pair_instance(), pair)
+solver = ["--steps", "10", "--grad-samples", "400", "--seed", "1"]
+codes = [
+    cli.main(["validate", "--instance", pair]),
+    cli.main(["solve", "--instance", pair, *solver, "--out", str(out)]),
+    cli.main(["simulate", "--instance", pair, "--solution", str(out / "solution.json"),
+              "--runs", "2000", "--seed", "1", "--out", str(tmp / "sim")]),
+    cli.main(["ratio", "--instance", pair, *solver, "--runs", "3000"]),
+]
+print(codes, [m for m in sys.modules if m.startswith("scipy.")])
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(stochsubmax.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] []", run.stdout + run.stderr
+
+
 def test_ratio_trivial_single_item(tmp_path, capsys):
     from stochsubmax.generators import single_item_instance
 
@@ -319,9 +362,7 @@ def test_partition_with_a_bad_item_id_exits_1_naming_it(tmp_path, capsys, blocks
 
 
 @pytest.mark.parametrize("outer,named", [
-    ({"kind": "matroid", "k": 1}, "outer.kind must be cardinality, partition or explicit"),
-    ({"kind": "explicit", "maximal": [[1, 2], [3, 4]]}, "outer.maximal[1][1] must lie in 1..3"),
-    ({"kind": "explicit", "maximal": [[0]]}, "outer.maximal[0][0] must lie in 1..3"),
+    ({"kind": "matroid", "k": 1}, "outer.kind must be cardinality or partition, got 'matroid'"),
 ])
 def test_bad_outer_kind_or_explicit_id_exits_1_naming_it(tmp_path, capsys, outer, named):
     # both fail the load, before any validation, in validate and in solve alike

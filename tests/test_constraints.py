@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochsubmax.constraints import (
+    OuterConstraint,
     cardinality,
-    explicit,
-    feasible_sets,
     in_scaled_polytope,
     independent_rows,
     is_independent,
@@ -19,11 +18,10 @@ from stochsubmax.constraints import (
     polytope_inequalities,
     validate_outer,
 )
-from stochsubmax.errors import (
-    EnumerationLimitError,
-    InvalidInputError,
-    NoCompactPolytopeError,
-)
+from stochsubmax.errors import InvalidInputError
+
+# the oracle-only kind that was deleted: every entry point refuses it by name
+EXPLICIT = OuterConstraint(kind="explicit", n=3)
 
 
 def test_cardinality_membership():
@@ -40,10 +38,10 @@ def test_partition_membership():
 
 
 def test_explicit_membership():
-    outer = explicit(3, [[0, 1], [2]])
-    assert is_independent(outer, {0})
-    assert is_independent(outer, {0, 1})
-    assert not is_independent(outer, {0, 2})
+    with pytest.raises(ValueError, match="unknown outer constraint kind 'explicit'"):
+        is_independent(EXPLICIT, {0})
+    with pytest.raises(InvalidInputError, match="unknown outer constraint kind 'explicit'"):
+        independent_rows(EXPLICIT, np.ones((1, 3), dtype=bool))
 
 
 def test_cardinality_polytope():
@@ -67,11 +65,14 @@ def test_vacuous_cardinality_polytope():
     (partition(3, [[0, 1]], [1]), "item 3 is in no block"),
     (partition(3, [[0, 1], [1, 2]], [1, 1]), "item 2 is in blocks[0] and blocks[1]"),
     (partition(2, [[0], [1]], [1, -1]), "partition capacities must be nonnegative"),
+    (cardinality(3, -1), "cardinality bound must be a nonnegative integer"),
 ])
 def test_invalid_partition_has_no_hull(outer, message):
-    """The hull's rows are the blocks, so the priority rule, which reads each
-    support column's block from them, and every other hull consumer refuse a
-    partition that ``validate_outer`` rejects, naming the fault."""
+    """The hull's rows are the blocks and caps, so the priority rule, which
+    reads each support column's block from them, and every other hull
+    consumer refuse a constraint that ``validate_outer`` rejects, naming the
+    fault. A negative cardinality bound is refused too: read as a hull row it
+    would reject even the empty set."""
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         outer.hull
     with pytest.raises(InvalidInputError, match=re.escape(message)):
@@ -79,8 +80,11 @@ def test_invalid_partition_has_no_hull(outer, message):
 
 
 def test_explicit_polytope_refused():
-    with pytest.raises(NoCompactPolytopeError):
-        polytope_inequalities(explicit(2, [[0]]))
+    for build in (lambda: EXPLICIT.hull, lambda: polytope_inequalities(EXPLICIT)):
+        with pytest.raises(InvalidInputError, match="unknown outer constraint kind 'explicit'"):
+            build()
+    with pytest.raises(InvalidInputError, match="must be cardinality or partition, got 'explicit'"):
+        outer_from_json({"kind": "explicit", "maximal": [[1, 2], [3]]}, 3)
 
 
 def test_scaled_membership_examples():
@@ -106,32 +110,9 @@ def test_membership_matches_oracle_on_vertices():
 
 
 def test_explicit_hull_membership():
-    outer = explicit(4, [[0, 1], [2, 3]])
-    assert in_scaled_polytope(outer, [1.0, 1.0, 0.0, 0.0], 1.0)
-    assert not in_scaled_polytope(outer, [1.0, 0.0, 1.0, 0.0], 1.0)
-    # midpoint of two member indicators stays in the hull
-    assert in_scaled_polytope(outer, [0.5, 0.5, 0.5, 0.5], 1.0)
-    assert in_scaled_polytope(outer, [0.25, 0.25, 0.25, 0.25], 0.5)
-    assert not in_scaled_polytope(outer, [0.5, 0.5, 0.5, 0.5], 0.5)
-    assert in_scaled_polytope(outer, [0.0, 0.0, 0.0, 0.0], 0.0)
-
-
-def test_explicit_hull_guard():
-    outer = explicit(11, [list(range(11))])
-    with pytest.raises(EnumerationLimitError):
-        feasible_sets(outer)
-
-
-def test_feasible_sets_is_downward_closure():
-    outer = explicit(3, [[0, 1], [2]])
-    fam = feasible_sets(outer)
-    assert frozenset() in fam
-    assert frozenset({0, 1}) in fam
-    assert frozenset({0, 2}) not in fam
-    for s in fam:
-        for r in range(len(s)):
-            for sub in itertools.combinations(sorted(s), r):
-                assert frozenset(sub) in fam
+    # a kind without a hull has no scaled polytope to test a point against
+    with pytest.raises(InvalidInputError, match="unknown outer constraint kind 'explicit'"):
+        in_scaled_polytope(EXPLICIT, np.full(3, 0.25), 1.0)
 
 
 @given(st.integers(0, 2**8 - 1), st.integers(0, 2**8 - 1), st.integers(1, 4))
@@ -145,7 +126,7 @@ def test_downward_closure(mask_s, mask_drop, k):
 
 
 def test_empty_set_always_feasible():
-    for outer in (cardinality(3, 0), partition(3, [[0, 1], [2]], [0, 0]), explicit(3, [[]])):
+    for outer in (cardinality(3, 0), partition(3, [[0, 1], [2]], [0, 0])):
         assert is_independent(outer, set())
 
 
@@ -153,8 +134,7 @@ def test_validate_outer_messages():
     assert validate_outer(partition(3, [[0, 1]], [1]), 3)  # misses item 2
     assert validate_outer(partition(3, [[0, 1], [1, 2]], [1, 1]), 3)  # overlap
     assert validate_outer(cardinality(3, -1), 3)
-    assert validate_outer(explicit(3, []), 3)
-    assert validate_outer(explicit(3, [[7]]), 3)
+    assert validate_outer(EXPLICIT, 3)
     assert not validate_outer(partition(3, [[0, 1], [2]], [1, 1]), 3)
 
 
@@ -164,13 +144,10 @@ def test_validate_outer_messages():
     (partition(3, [[0, 0, 1], [2]], [1, 1]), "item 1 is in blocks[0] twice"),
     (partition(3, [[0, 1], [2, 3]], [1, 1]), "blocks[1] holds item 4, outside 1..3"),
     (partition(3, [[-1, 0, 1], [2]], [1, 1]), "blocks[0] holds item 0, outside 1..3"),
-    (explicit(3, [[0, 1], [2, 9, 7]]), "maximal[1] holds item 8, outside 1..3"),
-    (explicit(3, [[-2], [5]]), "maximal[0] holds item -1, outside 1..3"),
 ])
 def test_validate_outer_names_the_id_and_where_it_sits(outer, message):
     # ids are named 1-based, as in instance files; the old text stays the prefix
-    prefix = ("explicit family references an unknown item" if outer.kind == "explicit"
-              else "partition blocks must partition the item set")
+    prefix = "partition blocks must partition the item set"
     assert validate_outer(outer, outer.n) == [f"{prefix}: {message}"]
 
 
@@ -178,7 +155,6 @@ def test_json_round_trip():
     for outer in (
         cardinality(3, 2),
         partition(3, [[0, 1], [2]], [1, 1]),
-        explicit(3, [[0, 1], [2]]),
     ):
         assert outer_from_json(outer_to_json(outer), 3) == outer
 
@@ -189,7 +165,6 @@ def test_json_round_trip():
     (lambda: partition(3, [[0, 1.5], [2]], [1, 1]), r"blocks\[0\]\[1\]"),
     (lambda: partition(3, [[0, 1], [2]], [1, 0.5]), r"caps\[1\]"),
     (lambda: partition(3, [[0, 1], [2]], [True, 1]), r"caps\[0\]"),
-    (lambda: explicit(3, [[0], [1, np.float64(2.2)]]), r"maximal\[1\]\[1\]"),
 ])
 def test_constructors_reject_non_integral_values(build, field):
     with pytest.raises(InvalidInputError, match=field):
@@ -201,7 +176,6 @@ def test_constructors_accept_integral_floats_and_numpy_ints():
     outer = partition(3, [np.array([1, 0]), [2.0]], [np.int32(1), 1.0])
     assert outer.blocks == ((0, 1), (2,)) and outer.caps == (1, 1)
     assert all(type(c) is int for c in outer.caps)
-    assert explicit(3, [[np.int64(0), 2.0]]).maximal == (frozenset({0, 2}),)
 
 
 def test_independent_rows_counts_blocks():

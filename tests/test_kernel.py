@@ -26,28 +26,21 @@ from stochsubmax.rounding import (
     draw_block,
     estimate_set_keep_rate,
     estimate_state_keep_rates,
-    greedy_keep,
     schedule_keep_batch,
     state_keep_batch,
 )
 from stochsubmax.seeds import derive_rng
 from tests.conftest import examples
-from tests.reference import _run_policy, keep, schedule_keep_set
+from tests.reference import _run_policy, greedy_keep, keep, schedule_keep_set
 
 
 def _outer(draw, n):
-    kind = draw(st.sampled_from(["cardinality", "partition", "explicit"]))
-    if kind == "cardinality":
+    if draw(st.sampled_from(["cardinality", "partition"])) == "cardinality":
         return constraints.cardinality(n, draw(st.integers(0, n)))
-    if kind == "partition":
-        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-        blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
-        caps = [draw(st.integers(0, len(b))) for b in blocks]
-        return constraints.partition(n, blocks, caps)
-    maximal = draw(
-        st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=3)
-    )
-    return constraints.explicit(n, maximal)
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+    caps = [draw(st.integers(0, len(b))) for b in blocks]
+    return constraints.partition(n, blocks, caps)
 
 
 @st.composite
@@ -281,16 +274,11 @@ def test_solution_slots_are_one_per_support_item():
 
 
 def _random_outer(rng, n):
-    kind = rng.integers(3)
-    if kind == 0:
+    if rng.integers(2) == 0:
         return constraints.cardinality(n, rng.integers(0, n + 1))
-    if kind == 1:
-        labels = rng.integers(0, 3, size=n)
-        blocks = [np.flatnonzero(labels == b) for b in np.unique(labels)]
-        return constraints.partition(n, blocks, [rng.integers(0, len(b) + 1) for b in blocks])
-    return constraints.explicit(
-        n, [np.flatnonzero(rng.random(n) < 0.6) for _ in range(rng.integers(1, 4))]
-    )
+    labels = rng.integers(0, 3, size=n)
+    blocks = [np.flatnonzero(labels == b) for b in np.unique(labels)]
+    return constraints.partition(n, blocks, [rng.integers(0, len(b) + 1) for b in blocks])
 
 
 def test_independent_rows_matches_oracle():
@@ -371,7 +359,6 @@ def padded_cases(draw):
     rng = np.random.default_rng(seed)
     total = n + pad
     new_id = np.sort(rng.choice(total, size=n, replace=False))
-    padded_ids = np.setdiff1d(np.arange(total), new_id)
 
     def item():
         w = rng.integers(1, 4, size=B)
@@ -380,11 +367,10 @@ def padded_cases(draw):
 
     items = [item() for _ in range(total)]
     rates = [int(r) for r in rng.integers(0, 4, size=total)]
-    kind = draw(st.sampled_from(["cardinality", "partition", "explicit"]))
-    if kind == "cardinality":
+    if draw(st.sampled_from(["cardinality", "partition"])) == "cardinality":
         k = draw(st.integers(0, n))
         outers = constraints.cardinality(n, k), constraints.cardinality(total, k)
-    elif kind == "partition":
+    else:
         labels = rng.integers(0, 2, size=total)  # padded items join a block too
         blocks = [b for b in (np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)) if b.size]
         caps = [int(rng.integers(0, len(b) + 1)) for b in blocks]
@@ -394,15 +380,6 @@ def padded_cases(draw):
         outers = (
             constraints.partition(n, [b for b, _ in nonempty], [c for _, c in nonempty]),
             constraints.partition(total, blocks, caps),
-        )
-    else:
-        maximal = [np.flatnonzero(rng.random(n) < 0.6) for _ in range(int(rng.integers(1, 4)))]
-        extra = [padded_ids[rng.random(pad) < 0.5] for _ in maximal]
-        outers = (
-            constraints.explicit(n, maximal),
-            constraints.explicit(
-                total, [np.concatenate([new_id[m], e]) for m, e in zip(maximal, extra)]
-            ),
         )
     weights = (1.0, 0.5, 0.25, 2.0)
     small = Instance(n=n, B=B, budget=budget, items=tuple(items[j] for j in new_id),
@@ -472,8 +449,8 @@ def lazy_cases(draw):
     """An instance of up to 8 items, a hand-built solution and a scheme, with a draw seed.
 
     The family is cardinality with k = 0, cardinality with k = n (at least
-    every support's width), or one of :func:`_outer`'s: cardinality, a
-    partition or an explicit family.
+    every support's width), or one of :func:`_outer`'s: cardinality or a
+    partition.
     """
     n = draw(st.integers(1, 8))
     B = draw(st.integers(1, 3))
@@ -506,12 +483,9 @@ def lazy_cases(draw):
 
 
 def reads_priorities(crs, outer, sampled, support) -> bool:
-    """Does the scheme read priorities on this block: a row over k or over a block's cap,
-    or an explicit family?"""
+    """Does the scheme read priorities on this block: a row over k or over a block's cap?"""
     if crs.kind == "identity":
         return False
-    if outer.kind == "explicit":
-        return True
     if outer.kind == "cardinality":
         return bool(np.any(sampled.sum(axis=1) > outer.k))
     return any(np.any(sampled[:, np.isin(support, block)].sum(axis=1) > cap)

@@ -244,18 +244,14 @@ def test_blocked_item_gets_no_variables():
 
 
 def test_explicit_outer_refused_by_builder():
-    from stochsubmax import constraints
-    from stochsubmax.errors import NoCompactPolytopeError
-    from stochsubmax.lattice import WeightedModular
-    from stochsubmax.model import Instance, ItemModel
-
+    # an outer kind without a hull has no slot program: the builder names the kind
     inst = Instance(
         n=2, B=1, budget=3,
         items=(ItemModel(probs=(1.0,), costs=(1,)),) * 2,
-        outer=constraints.explicit(2, [[0], [1]]),
+        outer=constraints.OuterConstraint(kind="explicit", n=2),
         utility=WeightedModular(weights=(1.0, 1.0)),
     )
-    with pytest.raises(NoCompactPolytopeError):
+    with pytest.raises(ValueError, match="unknown outer constraint kind 'explicit'"):
         build_slot_program(inst, inst.outer)
 
 
@@ -487,7 +483,8 @@ def test_slot_program_matches_reference(args):
 
 def test_long_program_matches_reference(monkeypatch):
     # a solve-large-sized program: n = 40, budget = 30, 771 variables over 71
-    # rows; rebuilt every 16 basis changes, its 74 pivots rebuild the basis inverse 4 times
+    # rows; rebuilt every 16 basis changes, its 74 pivots rebuild the basis inverse 4 times,
+    # and the certificate of the answer inverts its basis once more
     monkeypatch.setattr(lp_module, "REFACTOR", 16)
     rebuilds = []
     inv = np.linalg.inv
@@ -500,7 +497,7 @@ def test_long_program_matches_reference(monkeypatch):
     prog, obj = pinned_program(14, 40, 30, "cardinality")
     assert prog.row_coeffs.shape == (71, 771)
     assert_matches_reference((obj, prog.row_coeffs, prog.row_bounds))
-    assert len(rebuilds) == 4
+    assert len(rebuilds) == 4 + 1
 
 
 # Beale (1955): max 3/4 x0 - 150 x1 + 1/50 x2 - 6 x3 over two rows with zero

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from stochsubmax import constraints
+from stochsubmax.errors import InvalidInputError
 from stochsubmax.generators import random_instance
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.model import (
@@ -181,13 +182,12 @@ def test_json_uses_one_based_ids(partition_instance):
 
 
 def test_json_round_trip_explicit_outer():
-    inst = build(
-        [ItemModel(probs=(1.0,), costs=(1,))] * 3,
-        outer=constraints.explicit(3, [[0, 1], [2]]),
-    )
-    doc = json.loads(instance_to_json(inst))
-    assert doc["outer"]["maximal"] == [[1, 2], [3]]
-    assert instance_from_json(instance_to_json(inst)) == inst
+    # the oracle-only explicit kind is gone: its documents fail the load by name
+    doc = _pair_doc()
+    doc["outer"] = {"kind": "explicit", "maximal": [[1], [2]]}
+    with pytest.raises(InvalidInputError,
+                       match="outer.kind must be cardinality or partition, got 'explicit'"):
+        instance_from_json(json.dumps(doc))
 
 
 def test_slot_counts(pair_instance):
@@ -199,12 +199,11 @@ def test_slot_counts(pair_instance):
 def test_random_instances_serialize_for_every_outer_kind():
     # constructors must normalize array-backed ids into plain ints
     seen = set()
-    seed = 0
-    while seen != {"cardinality", "partition", "explicit"}:
+    for seed in range(20):
         inst = random_instance(seed)
         seen.add(inst.outer.kind)
         assert instance_from_json(instance_to_json(inst)) == inst
-        seed += 1
+    assert seen == {"cardinality", "partition"}
 
 
 def _pair_doc():
@@ -239,7 +238,6 @@ def test_from_json_rejects_non_integral_values(path, value, field):
 @pytest.mark.parametrize("outer,field", [
     ({"kind": "partition", "blocks": [[1, 2.5]], "caps": [1]}, r"outer\.blocks\[0\]\[1\]"),
     ({"kind": "partition", "blocks": [[1, 2]], "caps": [1.5]}, r"outer\.caps\[0\]"),
-    ({"kind": "explicit", "maximal": [[1], [2.0001]]}, r"outer\.maximal\[1\]\[0\]"),
 ])
 def test_from_json_rejects_non_integral_outer_entries(outer, field):
     doc = _pair_doc()
@@ -290,8 +288,7 @@ def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
     document that loads and validates clean, fails the test.
     """
     rng = np.random.default_rng(seed)
-    kinds = ("partition", "explicit") if mutation == "outer id" else (
-        "cardinality", "partition", "explicit")
+    kinds = ("partition",) if mutation == "outer id" else ("cardinality", "partition")
     inst = random_instance(seed, n_max=6, kinds=kinds)
     doc = json.loads(instance_to_json(inst))
     i, s = int(rng.integers(inst.n)), int(rng.integers(inst.B))
@@ -323,16 +320,16 @@ def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
     elif mutation == "B mismatch":
         doc["B"] = inst.B + 1 if inst.B == 1 or rng.random() < 0.5 else inst.B - 1
     elif mutation == "outer kind":
-        doc["outer"]["kind"] = str(rng.choice(["matroid", "Cardinality", ""]))
+        doc["outer"]["kind"] = str(rng.choice(["matroid", "Cardinality", "", "explicit"]))
         field = "outer.kind"
     else:
-        key = "blocks" if inst.outer.kind == "partition" else "maximal"
-        groups = [r for r, group in enumerate(doc["outer"][key]) if group]
+        blocks = doc["outer"]["blocks"]
+        groups = [r for r, group in enumerate(blocks) if group]
         assume(groups)
         r = int(rng.choice(groups))
-        j = int(rng.integers(len(doc["outer"][key][r])))
-        doc["outer"][key][r][j] = int(rng.choice([0, -1, inst.n + 1]))
-        field = f"outer.{key}[{r}][{j}]"
+        j = int(rng.integers(len(blocks[r])))
+        blocks[r][j] = int(rng.choice([0, -1, inst.n + 1]))
+        field = f"outer.blocks[{r}][{j}]"
     try:
         loaded = instance_from_json(json.dumps(doc))
     except ValueError as exc:
@@ -434,14 +431,14 @@ def test_sweeps_equal_the_item_by_item_reference(seed, mutations):
             doc["B"] += int(rng.choice([-1, 1]))
         elif mutation == "budget below 1":
             doc["budget"] = int(rng.choice([0, -2]))
-        elif doc["outer"]["kind"] in ("partition", "explicit"):
-            key = "blocks" if doc["outer"]["kind"] == "partition" else "maximal"
-            groups = [g for g in doc["outer"][key] if g]
+        elif doc["outer"]["kind"] == "partition":
+            blocks = doc["outer"]["blocks"]
+            groups = [g for g in blocks if g]
             if not groups:
                 continue
             group = groups[int(rng.integers(len(groups)))]
             if mutation == "outer id repeated":
-                doc["outer"][key][int(rng.integers(len(doc["outer"][key])))].append(group[0])
+                blocks[int(rng.integers(len(blocks)))].append(group[0])
             elif mutation == "outer id out of range":
                 group[int(rng.integers(len(group)))] = int(rng.choice([0, -1, inst.n + 1]))
             else:

@@ -22,13 +22,12 @@ from stochsubmax.rounding import (
     estimate_set_keep_rate,
     estimate_state_keep_rates,
     gamma_table_csv,
-    greedy_keep,
     min_rate,
     schedule_keep_batch,
     state_keep_batch,
 )
 from stochsubmax.seeds import derive_rng
-from tests.reference import exact_set_keep_rate
+from tests.reference import exact_set_keep_rate, greedy_keep
 
 
 def flat_solution(instance, marginals):
