@@ -143,10 +143,10 @@ def check_solution_shape(instance: Instance, sol: SlotSolution):
     """
     if sol.n != instance.n or sol.budget != instance.budget:
         raise ValueError("solution does not match the instance dimensions")
-    slots = instance.slot_counts
+    slots = instance.slot_counts.tolist()
     for i, t, v in sol.entries:
-        if not 1 <= t <= int(slots[i]):
-            raise ValueError(f"item {i + 1} has slot {t}, out of slot range 1..{int(slots[i])}")
+        if not 1 <= t <= slots[i]:
+            raise ValueError(f"item {i + 1} has slot {t}, out of slot range 1..{slots[i]}")
         if not -MARGINAL_TOL <= v <= 1 + MARGINAL_TOL:
             raise ValueError(f"item {i + 1} has marginal {v!r}; marginals must lie in [0, 1]")
 

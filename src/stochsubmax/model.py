@@ -76,6 +76,13 @@ class Instance:
         return out
 
     @cached_array
+    def float_costs(self) -> np.ndarray:
+        """Read-only ``padded_costs`` as floats, for the schedule map's float product."""
+        out = np.zeros((self.n, self.B + 1))
+        out[:, 1:] = self.cost_matrix
+        return out
+
+    @cached_array
     def prob_matrix(self) -> np.ndarray:
         return np.array([it.probs for it in self.items], dtype=float)
 
@@ -83,6 +90,14 @@ class Instance:
     def state_cum_probs(self) -> np.ndarray:
         """(n, B) cumulative state probabilities, for inverse-CDF sampling."""
         return np.cumsum(self.prob_matrix, axis=1)
+
+    @cached_array
+    def state_tails(self) -> np.ndarray:
+        """(B, n) tail probabilities: row s - 1 is P(state >= s), the sum of the
+        probabilities of states s..B taken from the top down; row 0 is exactly 1."""
+        out = np.cumsum(self.prob_matrix[:, ::-1], axis=1).T[::-1]
+        out[0] = 1.0
+        return out
 
     @cached_array
     def truncated_costs(self) -> np.ndarray:

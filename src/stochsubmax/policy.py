@@ -12,7 +12,10 @@ States of unselected items are never read; every run carries the mask of
 states read so tests can audit that boundary.
 
 Every run goes through one kernel, :func:`run_policy_batch`, which resolves a
-whole block of runs on the draws of :func:`rounding.draw_block`. Simulation and
+whole block of runs on the thinned state block of :func:`rounding.draw_block`:
+the realized state of each sampled item, 0 elsewhere, from one uniform per
+cell. A run reads the state of a sampled item only, so nothing else is drawn
+but the priorities, and those only where a row is over a cap. Simulation and
 the coupled dominance check call it on blocks of many runs; :func:`execute` is
 one run of it against a given realization, returned as a :class:`PolicyTrace`.
 Each of the three first checks that the solution fits the instance
@@ -33,10 +36,11 @@ precedence matrix are cached on the solution
 instance and the hull on the constraint. Block b of a simulation or a
 dominance check draws from ``seeds.block_rng(seed, label, b)``
 (:func:`parallel.run_blocks`), its priorities only if they are read; the
-``simulate`` and ``dominance`` streams moved when the blocks left
-``seeds.derive_rng``. :func:`execute` still draws ``random((2, n))`` from
-``seeds.derive_rng(seed, "policy")`` and takes the support columns, so its
-traces did not move and do not depend on the support's width.
+``simulate`` and ``dominance`` streams moved when the blocks went to one
+uniform per cell. :func:`execute` still draws ``random((2, n))`` from
+``seeds.derive_rng(seed, "policy")``, takes the support columns and thins the
+given realization with the first row, so its traces did not move and do not
+depend on the support's width.
 The solution fixes every item's slot, so the gate scan visits the support
 columns in one order for all rows (:func:`gate_scan_batch`).
 """
@@ -132,12 +136,12 @@ class BlockRun:
 
 
 def run_policy_batch(instance, f, outer, crs, sol, draws: BlockDraws) -> BlockRun:
-    """The policy on every row of ``draws`` (drawn for ``sol.support``): sample,
-    resolve, gate scan."""
+    """The policy on every row of ``draws`` (drawn for ``sol.support``): resolve the
+    sampled set, the nonzero cells of the thinned block, then gate scan it."""
     support = sol.support
-    sampled = draws.u_sample < sol.marginals[support]
+    sampled = draws.thinned > 0
     kept = crs_keep_batch(crs, outer, sampled, lambda: draws.priorities, support)
-    selected, reads, revealed, spent = gate_scan_batch(instance, draws.states, kept, sol)
+    selected, reads, revealed, spent = gate_scan_batch(instance, draws.thinned, kept, sol)
     utility = np.asarray(f.value_batch_at(revealed, support), dtype=float)
     return BlockRun(sampled, kept, selected, reads, revealed, spent, utility)
 
@@ -155,8 +159,10 @@ def execute(
 
     The run's sample uniforms and priorities are the support columns of the
     two rows of ``derive_rng(seed, "policy").random((2, n))``, so a run does
-    not depend on the support's width. The solution must fit the instance
-    (:func:`greedy.check_solution_shape`); certifying it is the caller's step.
+    not depend on the support's width; its thinned row is the realization
+    where the uniform falls below the item's marginal, 0 elsewhere. The
+    solution must fit the instance (:func:`greedy.check_solution_shape`);
+    certifying it is the caller's step.
     The realization gives each item an integral state in 1..B: 2.0 reads as
     2, and 1.7 or ``True`` raises :class:`~errors.InvalidInputError`.
     """
@@ -168,8 +174,9 @@ def execute(
     if np.any(states < 1) or np.any(states > instance.B):
         raise ValueError("realization must assign each item a state in 1..B")
     support = sol.support
-    u = derive_rng(seed, "policy").random((2, instance.n))[:, None, support]
-    run = run_policy_batch(instance, f, outer, crs, sol, BlockDraws(states[None, support], *u))
+    u_sample, priorities = derive_rng(seed, "policy").random((2, instance.n))[:, None, support]
+    thinned = np.where(u_sample < sol.marginals[support], states[support], 0)
+    run = run_policy_batch(instance, f, outer, crs, sol, BlockDraws(thinned, priorities))
     scan = sol.scan_order
 
     def items(mask, order=slice(None)):
@@ -221,8 +228,7 @@ def simulate_batch(
     check_solution_shape(instance, sol)
 
     def block(rng, start, size):
-        d = draw_block(instance, rng, size, sol.support)
-        run = run_policy_batch(instance, f, outer, crs, sol, d)
+        run = run_policy_batch(instance, f, outer, crs, sol, draw_block(instance, sol, rng, size))
         return (
             size,
             float(run.utility.sum()),
@@ -264,8 +270,10 @@ def coupled_dominance_check(
     scheme outcome between (a) a policy run and (b) the combined pruning of
     the thinned state vector; both read the solution's start slots. The policy's
     selection must cover the pruned support coordinatewise, hence its utility
-    must be at least the pruned vector's utility. Raises ``ValueError`` for
-    ``trials < 1`` (:func:`parallel.run_blocks`).
+    must be at least the pruned vector's utility. A violation reports the
+    thinned realization: 0 marks an item the trial did not sample, as well as
+    an item off the support, whose state is never drawn. Raises
+    ``ValueError`` for ``trials < 1`` (:func:`parallel.run_blocks`).
     """
     instance.require_valid()
     check_solution_shape(instance, sol)
@@ -275,18 +283,19 @@ def coupled_dominance_check(
         return [int(i) + 1 for i in support[row]]
 
     def block(rng, start, size):
-        d = draw_block(instance, rng, size, support)
+        d = draw_block(instance, sol, rng, size)
         run = run_policy_batch(instance, f, outer, crs, sol, d)
         v, sched = state_keep_batch("schedule", instance, outer, crs, sol, d)
-        pruned = np.where(run.kept & sched, v, 0)
+        # int64 like the policy's revealed states: the utility never reads the draw's small dtype
+        pruned = np.where(run.kept & sched, v, 0).astype(np.int64)
         pruned_utility = np.asarray(f.value_batch_at(pruned, support), dtype=float)
         covered = np.all((pruned == 0) | (run.revealed == pruned), axis=1)
         bad = ~covered | (run.utility < pruned_utility - 1e-12)
         violations = []
         for r in np.flatnonzero(bad):
-            # width n; 0 marks an item outside the support, whose state is never drawn
+            # width n; 0 marks an item not sampled or off the support
             realization, policy_vector, pruned_vector = scatter_columns(
-                np.stack([d.states[r], run.revealed[r], pruned[r]]), support, n
+                np.stack([v[r], run.revealed[r], pruned[r]]), support, n
             ).tolist()
             violations.append(
                 {

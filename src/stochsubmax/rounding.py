@@ -24,33 +24,39 @@ or per (item, state) pair (state level) with binomial standard errors.
 
 Each map exists once, in batched form: :func:`crs_keep_batch` and
 :func:`schedule_keep_batch` resolve a block of R trials at a time on the
-(R, n_s) arrays drawn by :func:`draw_block`. Their columns are the solution's
-support, the n_s items of positive marginal in increasing id order: an item
-of marginal 0 is never sampled, so it is never drawn for. The estimators
-here and the policy in :mod:`policy` both run them. The keep-rate count
-tables and rows are built for the support items only; every other item's
-rows read "insufficient", and they come from one cached tuple of blank rows
-per (mapping, n, width). Nothing here goes back to width n: the utility of a
-block is read at the support width too
-(:meth:`lattice.UtilityOracle.value_batch_at`).
+(R, n_s) thinned state block of :func:`draw_block`. Its columns are the
+solution's support, the n_s items of positive marginal in increasing id
+order: an item of marginal 0 is never sampled, so it is never drawn for. A
+row only ever reads the state of an item it sampled, so each cell draws one
+uniform u, which gives the thinned state directly: 0 iff u >= x_i, else the
+item's state by the inverse CDF of u / x_i, read from the top
+(:func:`draw_block`). The estimators here and the
+policy in :mod:`policy` both run them. The keep-rate count tables are built
+for the support items only, sampled and kept cells in one ``bincount``; the
+rows start as a copy of one cached tuple of blank "insufficient" rows per
+(mapping, n, width), and only the cells with a sampled event are written.
+Nothing here goes back to width n: the utility of a block is read at the
+support width too (:meth:`lattice.UtilityOracle.value_batch_at`).
 The constants of the maps are cached where they belong: the precedence
-matrix on the solution (:attr:`~greedy.SlotSolution.precedence`), the
-zero-padded cost table on the instance (:attr:`~model.Instance.padded_costs`)
+matrix on the solution (:attr:`~greedy.SlotSolution.precedence`), the state
+tail probabilities and the zero-padded cost table as floats on the instance
+(:attr:`~model.Instance.state_tails`, :attr:`~model.Instance.float_costs`)
 and the hull on the constraint (:attr:`~constraints.OuterConstraint.hull`).
 
 Block b of an estimator draws from ``seeds.block_rng(seed, label, b)``
-(:func:`parallel.run_blocks`), labelled ``keep-rate`` or ``keep-<mapping>``;
-these streams moved when the blocks left ``seeds.derive_rng``. A block draws
-the states, the sample uniforms and the priorities in that order, the last
-only if the scheme reads them (:func:`crs_keep_batch`), which the identity
-scheme and the ``schedule`` mapping never do; drawn, they are the bits of
-one ``random((2, R, n_s))`` draw after the states.
+(:func:`parallel.run_blocks`), labelled ``keep-rate`` or ``keep-<mapping>``.
+A state block draws one uniform per cell as an (n_s, R) array, one contiguous
+row per support column, then the (R, n_s) priorities, the latter only if the
+scheme reads them (:func:`crs_keep_batch`), which the identity scheme and the
+``schedule`` mapping never do. The set keep rate draws its (R, n_s) sample
+uniforms, then the priorities, as before, so its ``keep-rate`` stream did not
+move when the state blocks went to one uniform per cell; the
+``keep-<mapping>`` streams did.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -61,7 +67,7 @@ import numpy as np
 from .constraints import (OuterConstraint, in_scaled_polytope, independent_rows,  # noqa: F401
                           is_independent)
 from .greedy import SlotSolution, check_solution_shape
-from .model import Instance, sample_states
+from .model import Instance
 # map_blocks stays a module name: bench/tracing.py counts calls through it
 from .parallel import map_blocks, run_blocks  # noqa: F401
 
@@ -144,48 +150,64 @@ def schedule_keep_batch(instance: Instance, v, sol: SlotSolution) -> np.ndarray:
     ``v`` is an (R, n_s) state matrix, 0 off the row's sampled items. Row r
     keeps such an item i iff the realized costs of all its other such items
     starting no later than i fit within i's slot: with c the realized costs
-    (``instance.padded_costs``, 0 at state 0), iff
-    (c @ M)[r, i] - c[r, i] <= slots[i], where M is ``sol.precedence``,
-    M[j, i] = [slots[j] <= slots[i]]. The costs are integers, so the float
-    product is exact.
+    (``instance.float_costs``, 0 at state 0, gathered by one flat take from
+    the support's rows), iff (c @ M)[r, i] - c[r, i] <= slots[i], where M is
+    ``sol.precedence``, M[j, i] = [slots[j] <= slots[i]]. The costs are
+    integers held as floats, so the product casts nothing and is exact. It runs
+    on the (n_s, R) transposes, which are contiguous for a block of
+    :func:`draw_block`.
     """
-    v = np.asarray(v)
-    cost = instance.padded_costs[sol.support, v]
-    return (v > 0) & (cost @ sol.precedence - cost <= sol.slots)
+    v = np.asarray(v).T
+    cost = instance.float_costs.take(v + (sol.support * (instance.B + 1))[:, None])
+    return ((v > 0) & (sol.precedence.T @ cost - cost <= sol.slots[:, None])).T
 
 
 class BlockDraws:
-    """The random (R, n_s) arrays of one block of R trials, drawn in field order.
+    """The random (R, n_s) arrays of one block of R trials.
 
     Column c belongs to item ``support[c]`` of the support the block was drawn
-    for. The priorities are an array, or the generator that drew the other two
-    arrays, which draws them on first read.
+    for. ``thinned`` is the thinned state block: the realized state 1..B of a
+    sampled item, 0 elsewhere, so the sampled mask is ``thinned > 0``. The
+    priorities are an array, or the generator that drew ``thinned``, which
+    draws them on first read.
     """
 
-    def __init__(self, states, u_sample, priorities):
-        self.states = states  # realized states 1..B
-        self.u_sample = u_sample  # item i is sampled iff u_sample[:, i] < its marginal
+    def __init__(self, thinned, priorities):
+        self.thinned = thinned
         self._priorities = priorities
 
     @property
     def priorities(self) -> np.ndarray:
         """The priority-scheme priorities, drawn on first read from a generator."""
         if isinstance(self._priorities, np.random.Generator):
-            self._priorities = self._priorities.random(self.u_sample.shape)
+            self._priorities = self._priorities.random(self.thinned.shape)
         return self._priorities
 
 
-def draw_block(
-    instance: Instance, rng: np.random.Generator, size: int, support=slice(None)
-) -> BlockDraws:
-    """States, sample uniforms and priorities of ``size`` trials, in that order.
+def draw_block(instance: Instance, sol: SlotSolution, rng: np.random.Generator,
+               size: int) -> BlockDraws:
+    """The thinned states of ``size`` trials on the support of ``sol``, from one
+    ``random((n_s, size))`` draw read transposed; the priorities are drawn from
+    ``rng`` on first read.
 
-    The priorities are drawn from ``rng`` on first read, so nothing may draw
-    from it before then. Only the ``support`` items (every item by default)
-    are drawn for, so the draws for a support of all n items are the same.
+    Cell (r, c), item i = ``sol.support[c]`` of marginal x_i, reads its uniform
+    u = ``random((n_s, size))[c, r]`` as the number of states s in 1..B with
+    u < x_i P(state >= s): 0 iff u >= x_i (the sampled mask is ``u < x_i``,
+    bit for bit), and given u < x_i, u / x_i is uniform, so the count is the
+    inverse CDF of the item's state read from the top. It is counted in int8
+    (int32 past B = 127), one support column per contiguous row, and returned
+    as the (size, n_s) transpose. Nothing may draw from ``rng`` before the
+    priorities are read.
     """
-    states = sample_states(instance.state_cum_probs[support], rng, size)
-    return BlockDraws(states, rng.random(states.shape), rng)
+    support = sol.support
+    # row s - 1: x_i P(state >= s); row 0 is x_i itself
+    above = instance.state_tails.take(support, axis=1) * sol.marginals.take(support)
+    below = (rng.random((len(support), size)) < above[:, :, None]).view(np.int8)
+    # counted in place in the first row; B - 1 adds of whole rows beat one reduction over B
+    thinned = below[0] if instance.B <= 127 else below[0].astype(np.int32)
+    for row in below[1:]:
+        thinned += row
+    return BlockDraws(thinned.T, rng)
 
 
 class CrsEstimate(NamedTuple):
@@ -208,52 +230,38 @@ class CrsEstimate(NamedTuple):
 _as_estimate = functools.partial(tuple.__new__, CrsEstimate)
 
 
-def _support_rows(mapping, items, cond, kept, states: bool) -> list[CrsEstimate]:
-    """Rows of the (m, width) kept / sampled count tables of the m ``items``, in item order.
-
-    A cell with no sampled event reads NaN with status "insufficient".
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = kept / cond
-        se = np.sqrt(np.maximum(value * (1 - value), 0.0) / cond)
-    width = cond.shape[1]
-    events = cond.ravel().tolist()
-    # rows are zipped from whole columns of Python values
-    columns = (
-        np.repeat(items, width).tolist(),  # each item once per column
-        list(range(1, width + 1)) * len(items) if states else [None] * len(items),
-        itertools.repeat(mapping),
-        value.ravel().tolist(),
-        se.ravel().tolist(),
-        events,
-        ["ok" if c else "insufficient" for c in events],
-    )
-    return list(map(_as_estimate, zip(*columns)))
-
-
 @functools.lru_cache(maxsize=64)
 def _blank_rows(mapping, n: int, width: int, states: bool) -> tuple[CrsEstimate, ...]:
     """The rows of n items none of which was ever sampled, all "insufficient"."""
-    zeros = np.zeros((n, width), dtype=np.int64)
-    return tuple(_support_rows(mapping, np.arange(n), zeros, zeros, states))
+    nan = math.nan
+    return tuple(
+        _as_estimate((i, s if states else None, mapping, nan, nan, 0, "insufficient"))
+        for i in range(n) for s in range(1, width + 1)
+    )
 
 
 def _binomial_rows(mapping, cond, kept, support, n: int, states: bool) -> list[CrsEstimate]:
     """Rows of all n items: per item, or per (item, state 1..B).
 
-    ``cond`` and ``kept`` are the kept / sampled count tables of the n_s
+    ``cond`` and ``kept`` are the sampled / kept count tables of the n_s
     ``support`` items (increasing ids): (n_s, 1) tables, or (n_s, B + 1)
-    ones indexed by state whose column 0 is unused. The rows of the support
-    items are built from them; every other item was never sampled, and its
-    rows come from the cached blank rows (:func:`_blank_rows`).
+    ones indexed by state whose column 0 is unused. The rows start as a copy
+    of the cached blank rows (:func:`_blank_rows`), and only the cells with a
+    sampled event are written: value p = kept / sampled and standard error
+    sqrt(p (1 - p) / sampled), in Python floats, which round as numpy's
+    float64 arrays do, bit for bit.
     """
-    if states:
-        cond, kept = cond[:, 1:], kept[:, 1:]
-    width = cond.shape[1]
-    rows = _support_rows(mapping, support, cond, kept, states)
+    first = int(states)  # the first counted column
+    width = cond.shape[1] - first
     out = list(_blank_rows(mapping, n, width, states))
-    for c, i in enumerate(np.asarray(support).tolist()):
-        out[i * width:(i + 1) * width] = rows[c * width:(c + 1) * width]
+    for i, sampled, kept_row in zip(np.asarray(support).tolist(), cond.tolist(), kept.tolist()):
+        at = i * width - first
+        for s in range(first, width + first):
+            events = sampled[s]
+            if events:
+                p = kept_row[s] / events
+                out[at + s] = _as_estimate((i, s if states else None, mapping, p,
+                                            math.sqrt(p * (1 - p) / events), events, "ok"))
     return out
 
 
@@ -279,10 +287,10 @@ def estimate_set_keep_rate(
     support = np.flatnonzero(y > 0)
 
     def block(rng, start, size):
-        d = BlockDraws(None, rng.random((size, len(support))), rng)  # no states
-        sampled = d.u_sample < y[support]
-        kept = crs_keep_batch(crs, outer, sampled, lambda: d.priorities, support)
-        return sampled.sum(axis=0)[:, None], kept.sum(axis=0)[:, None]
+        # the sampled mask is the thinned block of a single state
+        d = BlockDraws(rng.random((size, len(support))) < y[support], rng)
+        kept = crs_keep_batch(crs, outer, d.thinned, lambda: d.priorities, support)
+        return d.thinned.sum(axis=0)[:, None], kept.sum(axis=0)[:, None]
 
     cond, kept = run_blocks("keep-rate", seed, trials, block)
     return _binomial_rows("set", cond, kept, support, outer.n, states=False)
@@ -291,11 +299,12 @@ def estimate_set_keep_rate(
 def state_keep_batch(mapping: str, instance: Instance, outer, crs, sol: SlotSolution, draws):
     """The thinned states and the kept mask of a block's (R, n_s) ``draws`` under ``mapping``.
 
-    The thinned vector is the realized state where the item is sampled, else 0.
+    The thinned block is ``draws.thinned``: the realized state where the item
+    is sampled, else 0.
     """
     if mapping not in MAPPINGS:
         raise ValueError(f"mapping must be one of {MAPPINGS}")
-    v = np.where(draws.u_sample < sol.marginals[sol.support], draws.states, 0)
+    v = draws.thinned
     if mapping == "schedule":
         return v, schedule_keep_batch(instance, v, sol)
     keep = crs_keep_batch(crs, outer, v > 0, lambda: draws.priorities, sol.support)
@@ -320,16 +329,20 @@ def estimate_state_keep_rates(
     """
     check_solution_shape(instance, sol)
     n, width = len(sol.support), instance.B + 1
-    cells = np.arange(n) * width
+    cells = np.arange(n) * width  # cell (column, state) of a count table
+    kept_at = n * width  # a kept cell is counted this far on, past the table of the others
 
     def block(rng, start, size):
-        d = draw_block(instance, rng, size, sol.support)
-        v, keep = state_keep_batch(mapping, instance, outer, crs, sol, d)
-        # sampled and kept counts per (item, state); column 0 takes the uncounted cells
-        return tuple(np.bincount((cells + u).ravel(), minlength=n * width) for u in (v, v * keep))
+        v, keep = state_keep_batch(mapping, instance, outer, crs, sol,
+                                   draw_block(instance, sol, rng, size))
+        at = cells + v
+        at += kept_at * keep
+        # one count; column 0 of the first table takes the unsampled cells
+        return (np.bincount(at.ravel("K"), minlength=2 * kept_at),)
 
-    cond, kept = (c.reshape(n, width) for c in run_blocks(f"keep-{mapping}", seed, trials, block))
-    return _binomial_rows(mapping, cond, kept, sol.support, instance.n, states=True)
+    (counts,) = run_blocks(f"keep-{mapping}", seed, trials, block)
+    dropped, kept = counts.reshape(2, n, width)
+    return _binomial_rows(mapping, dropped + kept, kept, sol.support, instance.n, states=True)
 
 
 def _table_csv(header: str, rows: list[CrsEstimate], key) -> str:

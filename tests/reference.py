@@ -210,15 +210,16 @@ def _gate_scan(instance, kept, times: dict, reveal: RevealLog):
     return tuple(order), tuple(records), tuple(spent_history), tuple(selected)
 
 
-def _run_policy(instance, f, outer, crs, sol, states, u_sample, priorities):
-    """One traced run on explicit width-n draws, one entry per item.
+def _run_policy(instance, f, outer, crs, sol, thinned, priorities):
+    """One traced run on an explicit width-n thinned state row and priorities.
 
-    This is the scalar reference for ``policy.run_policy_batch`` on identical draws:
-    the kernel's support-width draws of ``rounding.draw_block`` put in their
-    items' entries (an item of marginal 0 is never sampled, whatever its draws).
+    This is the scalar reference for ``policy.run_policy_batch`` on identical
+    draws: ``thinned`` holds the realized state of each sampled item and 0
+    elsewhere (the kernel's support-width block of ``rounding.draw_block`` put
+    in its items' entries), and the sampled set is its nonzero entries.
     """
-    reveal = RevealLog(states)
-    sampled = [int(i) for i in np.nonzero(u_sample < sol.marginals)[0]]
+    reveal = RevealLog(thinned)
+    sampled = [int(i) for i in np.flatnonzero(thinned)]
     kept = sorted(keep(crs, outer, sampled, priorities))
     times = {i: slot_at(sol, i) for i in kept}
     order, records, spent_history, selected = _gate_scan(instance, kept, times, reveal)

@@ -89,24 +89,22 @@ def policy_cases(draw):
 
 
 def reference_draws(inst, sol, d):
-    """The support-width draws ``d`` at width n, 0 off the support: the draws the
-    scalar reference reads (it never samples an item of marginal 0)."""
-    return [scatter_columns(a, sol.support, inst.n)
-            for a in (d.states, d.u_sample, d.priorities)]
+    """The support-width thinned block and priorities of ``d`` at width n, 0 off
+    the support: the draws the scalar reference reads (an item of marginal 0 is
+    never sampled)."""
+    return [scatter_columns(a, sol.support, inst.n) for a in (d.thinned, d.priorities)]
 
 
 def assert_batch_is_reference_run(inst, sol, crs, rows, seed):
     """``run_policy_batch`` on a block of ``rows`` draws against the scalar reference
     row by row, and the block's outer tally against the oracle on each selected set."""
     f, outer = inst.utility, inst.outer
-    d = draw_block(inst, np.random.default_rng(seed), rows, sol.support)
-    states, u_sample, priorities = reference_draws(inst, sol, d)
+    d = draw_block(inst, sol, np.random.default_rng(seed), rows)
+    thinned, priorities = reference_draws(inst, sol, d)
     traces = []
     for r in range(rows):
         try:
-            traces.append(_run_policy(
-                inst, f, outer, crs, sol, states[r], u_sample[r], priorities[r]
-            ))
+            traces.append(_run_policy(inst, f, outer, crs, sol, thinned[r], priorities[r]))
         except ValueError as exc:  # the identity scheme refuses a set outside the family
             assert crs.kind == "identity", exc
             with pytest.raises(ValueError, match="outside the outer family"):
@@ -189,11 +187,13 @@ def test_wide_supports_match_scalar_policy(case):
 
 
 def assert_execute_is_reference_run(inst, sol, crs, states, seed):
-    """``execute`` against the reference run on its draws: the rows of one "policy" stream."""
+    """``execute`` against the reference run on its draws: the rows of one "policy"
+    stream, the first thinning the realization ``states`` by the marginals."""
     f, outer = inst.utility, inst.outer
     u_sample, priorities = derive_rng(seed, "policy").random((2, inst.n))
+    thinned = np.where(u_sample < sol.marginals, states, 0)
     try:
-        ref = _run_policy(inst, f, outer, crs, sol, states, u_sample, priorities)
+        ref = _run_policy(inst, f, outer, crs, sol, thinned, priorities)
     except ValueError as exc:
         assert crs.kind == "identity", exc
         with pytest.raises(ValueError, match="outside the outer family"):
@@ -211,7 +211,7 @@ def assert_execute_is_reference_run(inst, sol, crs, states, seed):
 @given(policy_cases())
 def test_execute_is_the_reference_run_on_the_policy_draws(case):
     inst, sol, crs, _, seed = case
-    states = draw_block(inst, np.random.default_rng(seed), 1).states[0]
+    states = sample_states(inst.state_cum_probs, np.random.default_rng(seed), 1)[0]
     assert_execute_is_reference_run(inst, sol, crs, states, seed)
 
 
@@ -223,9 +223,9 @@ def test_execute_is_the_reference_run_on_a_fixed_case(partition_instance):
     sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, stop_scale=0.25,
                        steps=1, grad_samples=1, seed=0)
     crs = BalancedCrs(kind="priority", scale=0.25)
-    d = draw_block(inst, np.random.default_rng(3), 40)
+    states = sample_states(inst.state_cum_probs, np.random.default_rng(3), 40)
     for seed in range(40):
-        assert_execute_is_reference_run(inst, sol, crs, d.states[seed], seed)
+        assert_execute_is_reference_run(inst, sol, crs, states[seed], seed)
 
 
 def test_batch_edge_cases_match_scalar():
@@ -244,12 +244,11 @@ def test_batch_edge_cases_match_scalar():
         inst = Instance(n=3, B=1, budget=3, items=items, outer=outer,
                         utility=WeightedModular(weights=(1.0, 2.0, 3.0)))
         crs = BalancedCrs(kind="priority", scale=0.25)
-        d = draw_block(inst, np.random.default_rng(5), 64, sol.support)
+        d = draw_block(inst, sol, np.random.default_rng(5), 64)
         run = run_policy_batch(inst, inst.utility, outer, crs, sol, d)
-        states, u_sample, priorities = reference_draws(inst, sol, d)
+        thinned, priorities = reference_draws(inst, sol, d)
         for r in range(64):
-            tr = _run_policy(inst, inst.utility, outer, crs, sol, states[r],
-                             u_sample[r], priorities[r])
+            tr = _run_policy(inst, inst.utility, outer, crs, sol, thinned[r], priorities[r])
             assert tuple(sol.support[run.selected[r]]) == tuple(sorted(tr.selected))
             assert int(run.spent[r]) == tr.total_cost
         if outer.k == 0:
@@ -550,26 +549,23 @@ def outcome(fn, draws):
 @settings(max_examples=examples(150))
 @given(lazy_cases())
 def test_lazy_priorities_move_no_bit(case):
-    """Every kernel gives on lazily drawn priorities what it gives on one eager
-    ``random((2, R, n_s))`` draw after the states; the generator draws the
-    priorities exactly where a row needs them."""
+    """Every kernel gives on lazily drawn priorities what it gives on the second
+    half of one eager ``random((2, R, n_s))`` draw, whose first half the thinned
+    block reads as ``(n_s, R)``; the generator draws the priorities exactly where
+    a row needs them."""
     inst, sol, crs, rows, seed = case
     f, outer, support = inst.utility, inst.outer, sol.support
 
-    def eager():
-        rng = np.random.default_rng(seed)
-        states = sample_states(inst.state_cum_probs[support], rng, rows)
-        return BlockDraws(states, *rng.random((2, rows, len(support)))), rng
-
     def lazy():
         rng = np.random.default_rng(seed)
-        return draw_block(inst, rng, rows, support), rng
+        return draw_block(inst, sol, rng, rows), rng
 
-    e, after_all = eager()
+    after_all = np.random.default_rng(seed)
+    priorities = after_all.random((2, rows, len(support)))[1]
+    e = BlockDraws(lazy()[0].thinned, priorities)
     after_uniforms = np.random.default_rng(seed)
-    sample_states(inst.state_cum_probs[support], after_uniforms, rows)
     after_uniforms.random((rows, len(support)))
-    sampled = e.u_sample < sol.marginals[support]
+    sampled = e.thinned > 0
     needed = reads_priorities(crs, outer, sampled, support)
     consumers = {
         "crs": (lambda d: [crs_keep_batch(crs, outer, sampled, lambda: d.priorities, support)],

@@ -3,13 +3,12 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stochsubmax import constraints
 from stochsubmax.errors import InvalidInputError
 from stochsubmax.generators import random_instance, single_item_instance
 from stochsubmax.greedy import SlotSolution, certify_solution, run_continuous_greedy
-from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
+from stochsubmax.lattice import WeightedModular
 from stochsubmax.model import Instance, ItemModel, sample_realization
 from stochsubmax.policy import (
     PolicyTrace,
@@ -24,7 +23,7 @@ from stochsubmax.rounding import (
     estimate_set_keep_rate,
     estimate_state_keep_rates,
 )
-from tests.conftest import examples
+from tests.conftest import edge_instances, examples
 
 
 def full_mass_solution(instance, marginals):
@@ -185,45 +184,6 @@ def test_simulation_counts_no_violations(pair_instance):
     assert 0.0 < summary.mean_utility < 3.0
 
 
-@st.composite
-def edge_instances(draw):
-    """A cardinality k = 0 or a B = 1 partition instance over n = 1..5 items under one
-    of the three families, with a hand-built solution whose support may be empty."""
-    n = draw(st.integers(1, 5))
-    edge = draw(st.sampled_from(["k=0", "B=1"]))
-    B = 1 if edge == "B=1" else draw(st.integers(2, 3))
-    budget = draw(st.integers(2, 8))
-    items = []
-    for _ in range(n):
-        odds = draw(st.lists(st.integers(1, 4), min_size=B, max_size=B))
-        # an item whose top cost is the budget has no slot
-        costs = sorted(draw(st.lists(st.integers(1, budget), min_size=B, max_size=B)))
-        items.append(ItemModel(probs=tuple(w / sum(odds) for w in odds), costs=tuple(costs)))
-    if edge == "k=0":
-        outer = constraints.cardinality(n, 0)
-    else:
-        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
-        outer = constraints.partition(n, blocks, [draw(st.integers(0, len(b))) for b in blocks])
-    weights = tuple(float(w) for w in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    utility = draw(st.sampled_from([
-        WeightedModular(weights=weights),
-        ConcaveOverModular(weights=weights, curve="sqrt"),
-        ThresholdCoverage(rates=tuple(int(w) for w in weights), element_weights=(1.0, 0.5)),
-    ]))
-    inst = Instance(n=n, B=B, budget=budget, items=tuple(items), outer=outer, utility=utility)
-    inst.require_valid()
-    share = draw(st.sampled_from([0.0, 0.5, 1.0]))  # 0.0 leaves the support empty
-    entries = tuple(
-        (i, draw(st.integers(1, int(slots))), draw(st.floats(0.05, 1.0)))
-        for i, slots in enumerate(inst.slot_counts.tolist())
-        if slots > 0 and draw(st.floats(0, 1)) < share
-    )
-    sol = SlotSolution(n=n, budget=budget, entries=entries, stop_scale=0.25, steps=1,
-                       grad_samples=1, seed=0)
-    return inst, sol, draw(st.integers(0, 2**32 - 1))
-
-
 @settings(max_examples=examples(100))
 @given(edge_instances())
 def test_simulation_and_dominance_on_edge_instances(case):
@@ -253,7 +213,7 @@ def test_simulation_pinned(pair_instance):
 
     one = summary(3)
     assert (one.runs, one.mean_utility.hex(), one.se.hex()) == (
-        9000, "0x1.7a4fa4fa4fa50p-1", "0x1.4e64d79143effp-7"
+        9000, "0x1.86a7ef9db22d1p-1", "0x1.591191f32be7ep-7"
     )
     assert (one.inner_violations, one.outer_violations, one.adaptivity_violations) == (0, 0, 0)
     assert summary(4) != one
@@ -371,12 +331,12 @@ def test_full_support_summaries_are_pinned(partition_instance, pair_instance):
     inst = partition_instance
     sol = one_slot_solution(inst, {0: (1, 0.6), 1: (3, 0.6), 2: (2, 0.6)})
     simulate, dominance, counts, trace = stream_pins(inst, sol, [1, 2, 1], 1)
-    assert simulate == (5000, "0x1.7ab321f62bcc1p+0", "0x1.e5b568597c2d1p-8", 0, 0, 0)
-    assert dominance == (3000, 0, 1085)
+    assert simulate == (5000, "0x1.7dfaf35c3c5f2p+0", "0x1.d92f571ba784ep-8", 0, 0, 0)
+    assert dominance == (3000, 0, 1077)
     assert counts == {
-        "outer": ([1223, 1161, 609, 1794, 1852, 632], [862, 819, 415, 1270, 1852, 632]),
-        "schedule": ([1187, 1169, 594, 1775, 1795, 608], [1187, 1169, 470, 1463, 1795, 608]),
-        "combined": ([1279, 1187, 605, 1790, 1804, 569], [887, 835, 375, 1071, 1804, 569]),
+        "outer": ([1181, 1187, 593, 1763, 1780, 617], [810, 856, 411, 1247, 1780, 617]),
+        "schedule": ([1192, 1197, 618, 1820, 1822, 615], [1192, 1197, 495, 1482, 1822, 615]),
+        "combined": ([1211, 1199, 597, 1768, 1836, 605], [863, 856, 357, 1052, 1836, 605]),
     }
     assert trace == PolicyTrace(sampled=(0, 1, 2), kept=(1, 2), start_times={1: 3, 2: 2},
                                 selected=(2, 1), reads=(2, 1), utility=2.0, spent=5)
@@ -385,7 +345,7 @@ def test_full_support_summaries_are_pinned(partition_instance, pair_instance):
     assert pair.support.tolist() == [0, 1]
     summary = simulate_batch(pair_instance, pair_instance.utility, pair_instance.outer, crs,
                              pair, runs=5000, seed=11)
-    assert (summary.mean_utility, summary.se) == (0.774, 0.014019418990163762)
+    assert (summary.mean_utility, summary.se) == (0.7454, 0.013879275732507508)
 
 
 def test_partial_support_summaries_are_pinned():
@@ -395,16 +355,16 @@ def test_partial_support_summaries_are_pinned():
     sol = one_slot_solution(inst, {0: (2, 0.5), 2: (5, 0.4), 3: (1, 0.7), 5: (3, 0.3)})
     assert sol.support.tolist() == [0, 2, 3, 5]
     simulate, dominance, counts, trace = stream_pins(inst, sol, [1, 2, 3, 1, 2, 3], 0)
-    assert simulate == (5000, "0x1.6f710f65c7ec5p+0", "0x1.05673ad593841p-7", 0, 0, 0)
-    assert dominance == (3000, 0, 142)
+    assert simulate == (5000, "0x1.6db73946ac25fp+0", "0x1.03512b36f464dp-7", 0, 0, 0)
+    assert dominance == (3000, 0, 124)
     zeros = [0, 0, 0]
     assert counts == {
-        "outer": ([1004, 863, 154, *zeros, 378, 445, 807, 1226, 966, 612, *zeros, 941, 212, 108],
-                  [976, 845, 149, *zeros, 362, 433, 785, 1204, 945, 605, *zeros, 909, 206, 105]),
-        "schedule": ([1000, 910, 149, *zeros, 391, 416, 833, 1218, 950, 572, *zeros, 877, 237, 98],
-                     [324, 272, 56, *zeros, 313, 327, 652, 1218, 950, 572, *zeros, 402, 124, 40]),
-        "combined": ([965, 880, 136, *zeros, 426, 414, 768, 1235, 984, 594, *zeros, 865, 203, 113],
-                     [276, 257, 38, *zeros, 336, 316, 601, 1213, 973, 585, *zeros, 390, 99, 40]),
+        "outer": ([983, 827, 156, *zeros, 394, 406, 762, 1229, 974, 622, *zeros, 825, 221, 125],
+                  [963, 813, 153, *zeros, 386, 396, 742, 1208, 961, 610, *zeros, 801, 214, 123]),
+        "schedule": ([985, 877, 133, *zeros, 397, 438, 795, 1257, 972, 621, *zeros, 862, 210, 106],
+                     [282, 253, 30, *zeros, 318, 346, 609, 1257, 972, 621, *zeros, 368, 90, 43]),
+        "combined": ([996, 869, 159, *zeros, 388, 443, 745, 1210, 1012, 611, *zeros, 885, 228, 121],
+                     [307, 242, 54, *zeros, 292, 345, 552, 1192, 996, 605, *zeros, 426, 107, 52]),
     }
     assert trace == PolicyTrace(sampled=(0, 3), kept=(0, 3), start_times={0: 2, 3: 1},
                                 selected=(3,), reads=(3,), utility=0.9305912099305473, spent=3)

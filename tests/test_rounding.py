@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from stochsubmax import constraints
+from stochsubmax.constraints import in_scaled_polytope
 from stochsubmax.generators import symmetric_pair_instance
 from stochsubmax.greedy import SlotSolution, run_continuous_greedy
 from stochsubmax.lattice import WeightedModular
@@ -15,6 +17,7 @@ from stochsubmax.rounding import (
     BalancedCrs,
     CrsEstimate,
     _binomial_rows,
+    _blank_rows,
     alpha_table_csv,
     closed_form_keep_rate,
     crs_keep_batch,
@@ -27,6 +30,7 @@ from stochsubmax.rounding import (
     state_keep_batch,
 )
 from stochsubmax.seeds import derive_rng
+from tests.conftest import edge_instances, examples
 from tests.reference import exact_set_keep_rate, greedy_keep
 
 
@@ -213,9 +217,9 @@ def test_prune_maps_support_condition(pair_instance):
     sol = flat_solution(pair_instance, [0.5, 0.5])
     crs = BalancedCrs(kind="priority", scale=0.5)
     support = sol.support
-    d = draw_block(pair_instance, derive_rng(0, "support"), 100, support)
-    sampled = d.u_sample < sol.marginals[support]
-    v = np.where(sampled, d.states, 0)
+    d = draw_block(pair_instance, sol, derive_rng(0, "support"), 100)
+    v = d.thinned
+    sampled = v > 0
     outer = crs_keep_batch(crs, pair_instance.outer, sampled, d.priorities, support)
     schedule = schedule_keep_batch(pair_instance, v, sol)
     for keep in (outer, schedule, outer & schedule):
@@ -413,7 +417,7 @@ def test_keep_rate_estimators_pinned():
         return estimate_set_keep_rate(crs, inst.outer, sol.marginals, 9000, seed)
 
     assert rows_digest(state_rows(5)) == (
-        "c88c7456ad0de6998e2266823286c6e555974706ec10128efabf8339aac97294"
+        "f5df7dd02a148223cf5e1de7e5c74fbb49e92e1add2d7ab89d78e9b6bba3a48d"
     )
     assert rows_digest(set_rows(5)) == (
         "6f9cce88800a9bae45ebc4fec22cf2dd9c6494c5514de5179d1b80464931997c"
@@ -445,8 +449,9 @@ def wide_instance_solution():
 
 def test_keep_rates_and_simulation_pinned_on_a_partial_support():
     # 5000 trials span two seeded blocks; 29 of the 40 items carry no mass, so
-    # their rows hold no data. The pins were re-recorded when the blocks moved
-    # to seeds.block_rng; the kernels' own bits did not move
+    # their rows hold no data. The state keep-rate and simulation pins were
+    # re-recorded when a block went to one uniform per cell; the set keep
+    # rate's pin did not move
     inst, sol = wide_instance_solution()
     assert sol.support.tolist() == [2, 3, 4, 7, 11, 18, 20, 25, 26, 30, 34]
     crs = BalancedCrs(kind="priority", scale=0.25)
@@ -455,9 +460,9 @@ def test_keep_rates_and_simulation_pinned_on_a_partial_support():
         "eb878f84228e048dc38386c421c002303ce110889b56fef9725eea4e706e94c4"
     )
     pins = {
-        "outer": "4cf37ae3d4fbccdbb7d7723a832ec31090a35dbbf26499fc89f5460352ad77a9",
-        "schedule": "10244709ef3872724750e363f915ec43920994be7c3d4d1c484171b4e2dd82ca",
-        "combined": "d7693294cb29715792aaf064152699b806e80d4654a0cbe80ccafa7abeaddbb7",
+        "outer": "acb4debefb9865b06c06a98bd7e2713ed07d7536651f47940a4e0e363ca2a73f",
+        "schedule": "0faa4623bbc193b6270ba407e6ee5d1c368b09821a78591f121dd43719ea0a08",
+        "combined": "bd2b5d15b3680d712e8bd3ef4f3f98aa7223e51c6f47f4763bee97756c3b2a8e",
     }
     off = set(range(inst.n)) - set(sol.support.tolist())
     for mapping in MAPPINGS:
@@ -469,14 +474,14 @@ def test_keep_rates_and_simulation_pinned_on_a_partial_support():
         assert all(r.status == "insufficient" for r in rows if r.item in off)
     s = simulate_batch(inst, inst.utility, inst.outer, crs, sol, 5000, 7)
     assert (s.runs, s.mean_utility.hex(), s.se.hex(), s.inner_violations, s.outer_violations,
-            s.adaptivity_violations) == (5000, "0x1.0fb855b1e33c7p+3", "0x1.1914acb28eb57p-4",
+            s.adaptivity_violations) == (5000, "0x1.0d12890420204p+3", "0x1.1a78a696539bdp-4",
                                          0, 0, 0)
 
 
 def test_state_keep_rates_reject_an_unknown_mapping(pair_instance):
     sol = flat_solution(pair_instance, [0.5, 0.2])
     crs = BalancedCrs(kind="priority", scale=0.25)
-    d = draw_block(pair_instance, np.random.default_rng(0), 4, sol.support)
+    d = draw_block(pair_instance, sol, np.random.default_rng(0), 4)
     with pytest.raises(ValueError, match="mapping must be one of"):
         state_keep_batch("set", pair_instance, pair_instance.outer, crs, sol, d)
     with pytest.raises(ValueError, match="mapping must be one of"):
@@ -488,3 +493,118 @@ def test_state_keep_rates_reject_bad_marginals(pair_instance):
     crs = BalancedCrs(kind="priority", scale=0.25)
     with pytest.raises(ValueError, match="marginals"):
         estimate_state_keep_rates("outer", pair_instance, pair_instance.outer, crs, bad, 10, 0)
+
+
+def test_one_uniform_draw_has_the_thinned_law():
+    """``draw_block`` at N = 10^5 rows on a fixed instance: each (item, state)
+    count lies within 5 SE of N x_i p_is and each item's zero count within 5 SE
+    of N (1 - x_i), with the binomial SE sqrt(N q (1 - q)); a count whose
+    probability q is 0 or 1 must be exact. A correct draw fails one of the 14
+    checks with q strictly between 0 and 1 with probability at most
+    14 * 2 P(Z > 5) = 8.0e-6 (normal approximation); seed 19 gives a largest
+    |z| of 2.6. The sampled mask is ``u < x_i`` bit for bit on the block's own
+    uniforms, item c's being row c of one ``random((n_s, N))`` draw.
+    """
+    items = (
+        ItemModel(probs=(0.5, 0.3, 0.2), costs=(1, 2, 3)),
+        ItemModel(probs=(0.1, 0.1, 0.8), costs=(1, 1, 2)),
+        ItemModel(probs=(0.6, 0.4, 0.0), costs=(2, 2, 2)),
+        ItemModel(probs=(0.25, 0.25, 0.5), costs=(1, 2, 2)),
+        ItemModel(probs=(0.2, 0.2, 0.6), costs=(1, 1, 1)),
+    )
+    inst = Instance(n=5, B=3, budget=10, items=items, outer=constraints.cardinality(5, 5),
+                    utility=WeightedModular(weights=(1.0,) * 5))
+    inst.require_valid()
+    # item 3 carries no mass, so it is no column; item 2 is always sampled
+    sol = SlotSolution(n=5, budget=10, entries=((0, 1, 0.3), (1, 1, 0.05), (2, 1, 1.0),
+                                                (4, 1, 0.7)),
+                       stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+    N = 100_000
+    d = draw_block(inst, sol, np.random.default_rng(19), N)
+    assert d.thinned.shape == (N, 4) and d.thinned.dtype == np.int8
+    u = np.random.default_rng(19).random((4, N)).T
+    x = sol.marginals[sol.support]
+    assert np.array_equal(d.thinned > 0, u < x)
+    probs = inst.prob_matrix[sol.support]
+    checks = 0
+    for c in range(4):
+        laws = [(0, 1 - x[c])] + [(s, x[c] * probs[c, s - 1]) for s in range(1, 4)]
+        for state, q in laws:
+            count = int(np.count_nonzero(d.thinned[:, c] == state))
+            if q in (0.0, 1.0):
+                assert count == N * q, (c, state)
+            else:
+                checks += 1
+                assert abs(count - N * q) <= 5 * math.sqrt(N * q * (1 - q)), (c, state, count)
+    assert checks == 14
+    # past B = 127 the count is int32: an item whose top state of 200 has probability
+    # 0.99 and marginal 1 reads 200 in about 99% of the rows
+    wide = Instance(n=1, B=200, budget=10,
+                    items=(ItemModel(probs=(0.01 / 199,) * 199 + (0.99,), costs=(1,) * 200),),
+                    outer=constraints.cardinality(1, 1), utility=WeightedModular(weights=(1.0,)))
+    wide.require_valid()
+    top = draw_block(wide, flat_solution(wide, [1.0]), np.random.default_rng(3), 1000).thinned
+    assert top.dtype == np.int32 and 1 <= top.min() and top.max() == 200
+    assert np.count_nonzero(top == 200) >= 950
+
+
+@pytest.mark.parametrize("outer, marginals", [
+    # the README case: a cap of 1 over all five items
+    (constraints.cardinality(5, 1), [0.2] + [0.0125] * 4),
+    # a cap-1 block over items 1-3; the cap-2 block over items 4-5 always fits
+    (constraints.partition(5, [[0, 1, 2], [3, 4]], [1, 2]), [0.3, 0.5, 0.2, 0.6, 0.4]),
+])
+def test_outer_state_rows_match_the_exact_rate(outer, marginals):
+    """Every ``outer`` row of item i, at each of its B = 2 states, lies within 4 SE
+    of the priority rule's exact set keep rate gamma_i
+    (tests/reference.py::exact_set_keep_rate) at 200000 trials: the outer map
+    drops an item whatever its state, so each state's rate is gamma_i.
+
+    The SE is the binomial one at the exact rate, sqrt(gamma (1 - gamma) / events),
+    and a rate of exactly 1 must read 1. A correct estimator fails a row with
+    probability about 2 P(Z > 4) = 6.3e-5 (normal approximation), so at most
+    1.0e-3 over the 16 rows here whose rate lies strictly between 0 and 1;
+    seed 23 gives a largest |z| of 1.9.
+    """
+    n = outer.n
+    items = (ItemModel(probs=(0.4, 0.6), costs=(1, 2)),) * n
+    inst = Instance(n=n, B=2, budget=10, items=items, outer=outer,
+                    utility=WeightedModular(weights=(1.0,) * n))
+    inst.require_valid()
+    crs = BalancedCrs(kind="priority", scale=1.0)
+    gamma = exact_set_keep_rate(outer, marginals)
+    rows = estimate_state_keep_rates("outer", inst, outer, crs, flat_solution(inst, marginals),
+                                     trials=200_000, seed=23)
+    assert [(r.item, r.state) for r in rows] == [(i, s) for i in range(n) for s in (1, 2)]
+    for r in rows:
+        g = gamma[r.item]
+        assert r.status == "ok"
+        se = math.sqrt(g * (1 - g) / r.events)
+        assert abs(r.value - g) <= 4 * se + 1e-12, (r, g)
+
+
+@settings(max_examples=examples(100))
+@given(edge_instances())
+def test_keep_rate_estimators_on_edge_instances(case):
+    """The four estimators at k = 0, B = 1, with items that have no slot and on an
+    empty support: every row is insufficient or lies in [0, 1], at k = 0 every
+    sampled ``outer`` and ``combined`` cell reads 0, and an empty support gives
+    exactly the cached blank rows. The set estimator refuses marginals outside
+    the hull, as at k = 0 with a nonempty support."""
+    inst, sol, seed = case
+    crs = BalancedCrs(kind="priority", scale=1.0)
+    tables = {m: estimate_state_keep_rates(m, inst, inst.outer, crs, sol, 300, seed)
+              for m in MAPPINGS}
+    if in_scaled_polytope(inst.outer, sol.marginals, 1.0):
+        tables["set"] = estimate_set_keep_rate(crs, inst.outer, sol.marginals, 300, seed)
+    else:
+        with pytest.raises(ValueError, match="not inside"):
+            estimate_set_keep_rate(crs, inst.outer, sol.marginals, 300, seed)
+    for mapping, rows in tables.items():
+        assert all(r.status == "insufficient" or 0.0 <= r.value <= 1.0 for r in rows), mapping
+        if inst.outer.kind == "cardinality" and mapping in ("outer", "combined"):
+            assert all(r.value == 0.0 for r in rows if r.status == "ok"), mapping
+        if not len(sol.support):
+            blank = _blank_rows(mapping, inst.n, 1 if mapping == "set" else inst.B,
+                                mapping != "set")
+            assert len(rows) == len(blank) and all(a is b for a, b in zip(rows, blank)), mapping
