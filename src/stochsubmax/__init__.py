@@ -7,10 +7,6 @@ selected set always stays in the outer family. Exact brute-force oracles and
 seeded statistical estimators certify every piece at desk scale.
 """
 
-from . import allocator
-
-allocator.fix_malloc_thresholds()
-
 from .constraints import (
     OuterConstraint,
     cardinality,

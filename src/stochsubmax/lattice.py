@@ -57,10 +57,17 @@ FAMILY_CONCAVE = "concave-over-modular"
 FAMILY_COVERAGE = "weighted-coverage-by-threshold"
 
 
+def _is_number(value) -> bool:
+    """True for an int or float, Python or numpy, and False for a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_weights(values, name: str):
-    # NaN fails every comparison, so the chained test also rejects it
-    if not all(0 <= w < math.inf for w in values):
-        raise ValueError(f"{name} must be finite and nonnegative")
+    """Reject the first entry that is not a finite nonnegative number, naming it ``name[j]``."""
+    for j, w in enumerate(values):
+        # NaN fails every comparison, so the chained test also rejects it
+        if not (_is_number(w) and 0 <= w < math.inf):
+            raise InvalidInputError(f"{name}[{j}] must be a finite nonnegative number, got {w!r}")
 
 
 def scatter_columns(block, support, n: int) -> np.ndarray:
@@ -265,9 +272,14 @@ class ConcaveOverModular(UtilityOracle):
     def __post_init__(self):
         _check_weights(self.weights, "weights")
         if self.curve not in ("cap", "sqrt"):
-            raise ValueError(f"unknown curve {self.curve!r}")
-        if self.curve == "cap" and (self.theta is None or not self.theta >= 0):
-            raise ValueError("curve 'cap' requires theta >= 0")
+            raise InvalidInputError(f"curve must be 'cap' or 'sqrt', got {self.curve!r}")
+        if self.theta is None and self.curve == "sqrt":
+            return
+        # NaN fails the comparison, so it is rejected too
+        if not (_is_number(self.theta) and self.theta >= 0):
+            raise InvalidInputError(
+                f"theta must be a number >= 0 (curve 'cap' requires it), got {self.theta!r}"
+            )
 
     @property
     def n(self) -> int:
@@ -416,7 +428,7 @@ class ThresholdCoverage(UtilityOracle):
         if any(r < 0 for r in rates):
             raise InvalidInputError(f"rates must be nonnegative, got {self.rates!r}")
         object.__setattr__(self, "rates", rates)
-        _check_weights(self.element_weights, "element weights")
+        _check_weights(self.element_weights, "element_weights")
 
     @property
     def n(self) -> int:
@@ -488,34 +500,41 @@ class ThresholdCoverage(UtilityOracle):
         return {"rates": list(self.rates), "element_weights": list(self.element_weights)}
 
 
-_FAMILIES = {
-    FAMILY_MODULAR: WeightedModular,
-    FAMILY_CONCAVE: ConcaveOverModular,
-    FAMILY_COVERAGE: ThresholdCoverage,
-}
-
-
 def make_utility(descriptor: dict, n: int) -> UtilityOracle:
-    """Build a utility oracle from its serialized {family, params} descriptor."""
+    """Build a utility oracle from its serialized {family, params} descriptor.
+
+    A value of the wrong kind raises ``InvalidInputError`` naming its field,
+    as in the rest of an instance document: ``utility.family``, or the
+    family's own message with the ``utility.params.`` prefix
+    (``utility.params.weights[0]``, ``utility.params.theta``), and the
+    per-item list with both counts when it is not over ``n`` items.
+    """
     family = descriptor.get("family")
+    families = (FAMILY_MODULAR, FAMILY_CONCAVE, FAMILY_COVERAGE)
+    if family not in families:
+        raise InvalidInputError(
+            f"utility.family must be one of {', '.join(map(repr, families))}, got {family!r}"
+        )
     params = descriptor.get("params", {})
-    if family == FAMILY_MODULAR:
-        f = WeightedModular(weights=tuple(params["weights"]))
-    elif family == FAMILY_CONCAVE:
-        f = ConcaveOverModular(
-            weights=tuple(params["weights"]),
-            curve=params.get("curve", "sqrt"),
-            theta=params.get("theta"),
-        )
-    elif family == FAMILY_COVERAGE:
-        f = ThresholdCoverage(
-            rates=tuple(params["rates"]),
-            element_weights=tuple(params["element_weights"]),
-        )
-    else:
-        raise ValueError(f"unknown utility family {family!r}")
+    try:
+        if family == FAMILY_MODULAR:
+            f = WeightedModular(weights=tuple(params["weights"]))
+        elif family == FAMILY_CONCAVE:
+            f = ConcaveOverModular(
+                weights=tuple(params["weights"]),
+                curve=params.get("curve", "sqrt"),
+                theta=params.get("theta"),
+            )
+        else:
+            f = ThresholdCoverage(
+                rates=tuple(params["rates"]),
+                element_weights=tuple(params["element_weights"]),
+            )
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"utility.params.{exc}") from None
     if f.n != n:
-        raise ValueError(f"utility is over {f.n} items, instance has {n}")
+        key = "rates" if family == FAMILY_COVERAGE else "weights"
+        raise InvalidInputError(f"utility.params.{key} is over {f.n} items, instance has {n}")
     return f
 
 

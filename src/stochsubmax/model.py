@@ -207,23 +207,19 @@ def sample_realization(instance: Instance, seed: int) -> np.ndarray:
     Bit-identical output for identical (instance, seed).
     """
     instance.require_valid()
-    return sample_states(instance.state_cum_probs, derive_rng(seed, "realization"), 1)[0]
+    return sample_realization_batch(instance, derive_rng(seed, "realization"), 1)[0]
 
 
 def sample_realization_batch(
     instance: Instance, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """(count, n) matrix of independent realizations, one per row."""
-    return sample_states(instance.state_cum_probs, rng, count)
+    """(count, n) matrix of independent realizations, one per row.
 
-
-def sample_states(cum_probs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, m) states of the m items whose rows of ``state_cum_probs`` are ``cum_probs``.
-
-    Entry (r, c) is 1 plus the number of the first B - 1 cumulative
-    probabilities of row c at or below its uniform: the inverse CDF of the
+    Entry (r, i) is 1 plus the number of the first B - 1 cumulative
+    probabilities of item i at or below its uniform: the inverse CDF of the
     item's state distribution.
     """
+    cum_probs = instance.state_cum_probs
     u = rng.random((count, len(cum_probs)))
     states = np.ones(u.shape, dtype=np.int64)
     for s in range(cum_probs.shape[1] - 1):

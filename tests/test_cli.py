@@ -257,6 +257,42 @@ def test_cli_runs_without_scipy(tmp_path):
     assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0] []", run.stdout + run.stderr
 
 
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+
+
+# Page faults of 9 rounds, after a first one, that each allocate four 2 MiB
+# arrays together and free them; argv[1] == "1" imports the package first.
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+if sys.argv[1] == "1":
+    import stochsubmax
+faults = []
+for _ in range(10):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 18) for _ in range(4)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(sum(faults[1:]))
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="glibc malloc only")
+def test_import_leaves_the_allocator_alone():
+    # by glibc's default the freed 8 MiB exceed the trim threshold and go back to
+    # the system, so every round faults its 2048 pages in afresh, whether or not
+    # the package was imported
+    env = dict(os.environ, PYTHONPATH=str(Path(stochsubmax.__file__).parents[1]))
+    for flag in ("0", "1"):
+        out = subprocess.run([sys.executable, "-c", FAULT_PROBE, flag],
+                             capture_output=True, text=True, check=True, env=env)
+        assert int(out.stdout) > 9 * 1024, (flag, out.stdout)
+
+
 def test_ratio_trivial_single_item(tmp_path, capsys):
     from stochsubmax.generators import single_item_instance
 

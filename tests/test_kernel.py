@@ -16,7 +16,7 @@ from stochsubmax.lattice import (
     WeightedModular,
     scatter_columns,
 )
-from stochsubmax.model import Instance, ItemModel, sample_states
+from stochsubmax.model import Instance, ItemModel, sample_realization_batch
 from stochsubmax.policy import coupled_dominance_check, execute, run_policy_batch, simulate_batch
 from stochsubmax.rounding import (
     MAPPINGS,
@@ -211,7 +211,7 @@ def assert_execute_is_reference_run(inst, sol, crs, states, seed):
 @given(policy_cases())
 def test_execute_is_the_reference_run_on_the_policy_draws(case):
     inst, sol, crs, _, seed = case
-    states = sample_states(inst.state_cum_probs, np.random.default_rng(seed), 1)[0]
+    states = sample_realization_batch(inst, np.random.default_rng(seed), 1)[0]
     assert_execute_is_reference_run(inst, sol, crs, states, seed)
 
 
@@ -223,7 +223,7 @@ def test_execute_is_the_reference_run_on_a_fixed_case(partition_instance):
     sol = SlotSolution(n=inst.n, budget=inst.budget, entries=entries, stop_scale=0.25,
                        steps=1, grad_samples=1, seed=0)
     crs = BalancedCrs(kind="priority", scale=0.25)
-    states = sample_states(inst.state_cum_probs, np.random.default_rng(3), 40)
+    states = sample_realization_batch(inst, np.random.default_rng(3), 40)
     for seed in range(40):
         assert_execute_is_reference_run(inst, sol, crs, states[seed], seed)
 

@@ -220,6 +220,10 @@ def _set(doc, path, value):
     return json.dumps(doc)
 
 
+_CONCAVE = {"family": "concave-over-modular"}
+_COVERAGE = {"family": "weighted-coverage-by-threshold"}
+
+
 @pytest.mark.parametrize("path,value,field", [
     (("items", 0, "costs", 0), 1.7, "items[0].costs[0]"),
     (("items", 1, "costs", 1), "2", "items[1].costs[1]"),
@@ -228,10 +232,27 @@ def _set(doc, path, value):
     (("n",), 2.5, "n"),
     (("B",), 2.2, "B"),
     (("outer", "k"), 1.5, "outer.k"),
+    (("utility", "params", "weights", 0), True, "utility.params.weights[0]"),
+    (("utility", "params", "weights", 1), "1.0", "utility.params.weights[1]"),
+    (("utility", "params", "weights", 0), float("nan"), "utility.params.weights[0]"),
+    (("utility", "params", "weights", 1), -1.0, "utility.params.weights[1]"),
+    (("utility", "params", "weights"), [1.0, 1.0, 1.0],
+     "utility.params.weights is over 3 items, instance has 2"),
+    (("utility", "family"), "modular", "utility.family"),
+    (("utility",), _CONCAVE | {"params": {"weights": [1.0, 1.0], "curve": "cap", "theta": True}},
+     "utility.params.theta"),
+    (("utility",), _CONCAVE | {"params": {"weights": [1.0, 1.0], "curve": "cap", "theta": "2"}},
+     "utility.params.theta"),
+    (("utility",), _CONCAVE | {"params": {"weights": [1.0, 1.0], "curve": "log"}},
+     "utility.params.curve"),
+    (("utility",), _COVERAGE | {"params": {"rates": [1, 2], "element_weights": [0.5, True]}},
+     "utility.params.element_weights[1]"),
+    (("utility",), _COVERAGE | {"params": {"rates": [1, 2, 1], "element_weights": [0.5]}},
+     "utility.params.rates is over 3 items, instance has 2"),
 ])
 def test_from_json_rejects_non_integral_values(path, value, field):
     text = _set(_pair_doc(), path, value)
-    with pytest.raises(ValueError, match=field.replace("[", r"\[").replace(".", r"\.")):
+    with pytest.raises(InvalidInputError, match=field.replace("[", r"\[").replace(".", r"\.")):
         instance_from_json(text)
 
 
@@ -275,7 +296,8 @@ def test_nan_probability_from_json_flagged():
 
 INSTANCE_MUTATIONS = ("cost fraction", "count fraction", "probability nan",
                       "probability negative", "cost decreasing", "item count", "B mismatch",
-                      "outer kind", "outer id")
+                      "outer kind", "outer id", "utility weight", "utility theta",
+                      "utility family", "utility count")
 
 
 @settings(max_examples=examples(100))
@@ -289,7 +311,8 @@ def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
     """
     rng = np.random.default_rng(seed)
     kinds = ("partition",) if mutation == "outer id" else ("cardinality", "partition")
-    inst = random_instance(seed, n_max=6, kinds=kinds)
+    families = ("concave",) if mutation == "utility theta" else ("modular", "concave", "coverage")
+    inst = random_instance(seed, n_max=6, kinds=kinds, families=families)
     doc = json.loads(instance_to_json(inst))
     i, s = int(rng.integers(inst.n)), int(rng.integers(inst.B))
     item, field = doc["items"][i], f"item {i + 1}:"
@@ -322,6 +345,27 @@ def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
     elif mutation == "outer kind":
         doc["outer"]["kind"] = str(rng.choice(["matroid", "Cardinality", "", "explicit"]))
         field = "outer.kind"
+    elif mutation.startswith("utility"):
+        utility, bad = doc["utility"], [True, "1.5", float("nan"), -0.5][int(rng.integers(4))]
+        params = utility["params"]
+        if mutation == "utility weight":
+            key = str(rng.choice([k for k in ("weights", "element_weights") if k in params]))
+            j = int(rng.integers(len(params[key])))
+            params[key][j] = bad
+            field = f"utility.params.{key}[{j}]"
+        elif mutation == "utility theta":
+            params["theta"] = bad
+            field = "utility.params.theta"
+        elif mutation == "utility family":
+            utility["family"] = str(rng.choice(["modular", "", "Weighted-Modular", "explicit"]))
+            field = "utility.family"
+        else:
+            key = "rates" if "rates" in params else "weights"
+            if rng.random() < 0.5:
+                params[key].pop()
+            else:
+                params[key].append(params[key][0])
+            field = f"utility.params.{key} is over {len(params[key])} items, instance has"
     else:
         blocks = doc["outer"]["blocks"]
         groups = [r for r, group in enumerate(blocks) if group]
