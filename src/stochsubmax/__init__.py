@@ -72,6 +72,7 @@ from .rounding import (
     closed_form_keep_rate,
     estimate_set_keep_rate,
     estimate_state_keep_rates,
+    exact_set_keep_rate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -215,19 +215,16 @@ def cmd_ratio(args) -> int:
         seed=args.seed,
     )
     mean, se = summary.mean_utility, summary.se
-    gamma_rows = rounding.estimate_set_keep_rate(
-        crs, instance.outer, sol.marginals, trials=args.runs, seed=args.seed + 1
-    )
-    gamma_hat, gamma_se = rounding.min_rate(gamma_rows)
-    prefactor = (1.0 - min(2.0 * args.beta, 0.5)) * (1.0 - math.exp(-scale))
-    bound = prefactor * gamma_hat
-    se_total = math.sqrt(se**2 + (prefactor * opt.value * gamma_se) ** 2)
-    passed = mean >= bound * opt.value - 3.0 * se_total
+    # the exact keep rate: only the simulated mean carries a standard error
+    gamma = rounding.exact_set_keep_rate(crs, instance.outer, sol.marginals)
+    keep_rate = float(gamma[sol.support].min(initial=1.0))
+    bound = (1.0 - min(2.0 * args.beta, 0.5)) * (1.0 - math.exp(-scale)) * keep_rate
+    passed = mean >= bound * opt.value - 3.0 * se
     ratio = mean / opt.value if opt.value > 0 else float("inf")
     print(
         f"{'PASS' if passed else 'FAIL'} mean_utility={mean:.6f} se={se:.6f} "
         f"opt={opt.value:.6f} ratio={ratio:.4f} bound={bound:.6f} "
-        f"keep_rate={gamma_hat:.4f} scale={scale:g}"
+        f"keep_rate={keep_rate:.4f} scale={scale:g}"
     )
     if not passed:
         raise DomainFailure("ratio verdict failed")

@@ -164,7 +164,10 @@ def outer_to_json(outer: OuterConstraint) -> dict:
 
 def outer_from_json(doc: dict, n: int) -> OuterConstraint:
     """Parse an outer descriptor over ``n`` items; raises ``InvalidInputError`` naming
-    the field for a non-integral entry, an item id outside 1..n or an unknown kind."""
+    the field for a descriptor that is not an object, a non-integral entry, an item
+    id outside 1..n or an unknown kind."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"outer must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "cardinality":
         return cardinality(n, as_int(doc["k"], "outer.k"))

@@ -507,8 +507,11 @@ def make_utility(descriptor: dict, n: int) -> UtilityOracle:
     as in the rest of an instance document: ``utility.family``, or the
     family's own message with the ``utility.params.`` prefix
     (``utility.params.weights[0]``, ``utility.params.theta``), and the
-    per-item list with both counts when it is not over ``n`` items.
+    per-item list with both counts when it is not over ``n`` items. A
+    descriptor or ``params`` that is not an object is rejected by name too.
     """
+    if not isinstance(descriptor, dict):
+        raise InvalidInputError(f"utility must be an object, got {descriptor!r}")
     family = descriptor.get("family")
     families = (FAMILY_MODULAR, FAMILY_CONCAVE, FAMILY_COVERAGE)
     if family not in families:
@@ -516,6 +519,8 @@ def make_utility(descriptor: dict, n: int) -> UtilityOracle:
             f"utility.family must be one of {', '.join(map(repr, families))}, got {family!r}"
         )
     params = descriptor.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidInputError(f"utility.params must be an object, got {params!r}")
     try:
         if family == FAMILY_MODULAR:
             f = WeightedModular(weights=tuple(params["weights"]))

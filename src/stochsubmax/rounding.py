@@ -20,7 +20,10 @@ zeroes coordinates (output(i) is v(i) or 0):
   * ``combined``: keep exactly the coordinates both maps keep.
 
 Empirical keep rates of all of the above are estimated per item (set level)
-or per (item, state) pair (state level) with binomial standard errors.
+or per (item, state) pair (state level) with binomial standard errors. Under
+cardinality and partitions the set level also has an exact rate per item,
+a Poisson-binomial sum (:func:`exact_set_keep_rate`), which the ``ratio``
+verdict reads.
 
 Each map exists once, in batched form: :func:`crs_keep_batch` and
 :func:`schedule_keep_batch` resolve a block of R trials at a time on the
@@ -77,8 +80,8 @@ MAPPINGS = ("outer", "schedule", "combined")
 def closed_form_keep_rate(scale: float) -> float:
     """(1 - exp(-b)) / b, a fair scheme's set-level keep rate at scale b.
 
-    The priority scheme does not guarantee it, so all accounting uses
-    measured keep rates.
+    The priority scheme does not guarantee it, so all accounting uses the
+    scheme's exact keep rates (:func:`exact_set_keep_rate`).
     """
     if scale <= 0:
         return 1.0
@@ -265,6 +268,57 @@ def _binomial_rows(mapping, cond, kept, support, n: int, states: bool) -> list[C
     return out
 
 
+def _scaled_marginals(crs: BalancedCrs, outer: OuterConstraint, marginals) -> np.ndarray:
+    """``marginals`` as floats; ``ValueError`` unless they lie inside scale * hull."""
+    y = np.asarray(marginals, dtype=float)
+    if not in_scaled_polytope(outer, y, crs.scale):
+        raise ValueError(
+            f"marginals are not inside {crs.scale} * the outer hull; "
+            "the scheme's quoted keep rate does not apply"
+        )
+    return y
+
+
+def exact_set_keep_rate(crs: BalancedCrs, outer: OuterConstraint, marginals) -> np.ndarray:
+    """Each item's exact Pr[kept | sampled] under the set-level scheme, as an (n,) array.
+
+    Items are sampled independently with their ``marginals``, which must lie
+    inside scale * hull (``ValueError`` otherwise). The identity scheme keeps
+    every sampled item, so every rate is 1 if the support is independent;
+    if it is not, a trial can sample a set outside the family, and this raises
+    ``ValueError``. Under the priority rule, item i of a hull row of cap c is
+    kept iff fewer than c of its N sampled block rivals have a smaller
+    priority; given N = m, its uniform priority ranks uniformly among the
+    m + 1, so ``gamma_i = sum_m P(N = m) * min(1, c / (m + 1))``. N is Poisson
+    binomial over the row's other positive-marginal items: the (m, m) array of
+    every such item's law is built one rival at a time, a rival leaving its
+    own row as it is. A row of at most c such items, and an item of marginal
+    0, gets 1. Reads only ``crs.kind`` and ``crs.scale``.
+    """
+    y = _scaled_marginals(crs, outer, marginals)
+    gamma = np.ones(len(y))
+    if crs.kind == "identity":
+        support = np.flatnonzero(y > 0)
+        if not independent_rows(outer, np.ones((1, len(support)), dtype=bool), support)[0]:
+            raise ValueError("identity scheme can sample a set outside the outer family")
+        return gamma
+    a, caps = outer.hull
+    for row, cap in zip(a, caps.tolist()):
+        block = np.flatnonzero((row > 0) & (y > 0))
+        m = len(block)
+        if m <= cap:
+            continue
+        law = np.zeros((m, m))  # law[i, c]: P(c of item block[i]'s rivals are sampled)
+        law[:, 0] = 1.0
+        for j, p in enumerate(y[block].tolist()):
+            q = np.full((m, 1), p)
+            q[j] = 0.0
+            law[:, 1:] = law[:, 1:] * (1.0 - q) + law[:, :-1] * q
+            law[:, :1] *= 1.0 - q
+        gamma[block] = law @ np.minimum(1.0, cap / np.arange(1, m + 1))
+    return gamma
+
+
 def estimate_set_keep_rate(
     crs: BalancedCrs,
     outer: OuterConstraint,
@@ -277,13 +331,9 @@ def estimate_set_keep_rate(
     The marginals must lie inside scale * hull for the scheme's quoted scale.
     A block draws the sample uniforms, then the priorities if they are read.
     Raises ``ValueError`` for ``trials < 1`` (:func:`parallel.run_blocks`).
+    Its exact value is :func:`exact_set_keep_rate`.
     """
-    y = np.asarray(marginals, dtype=float)
-    if not in_scaled_polytope(outer, y, crs.scale):
-        raise ValueError(
-            f"marginals are not inside {crs.scale} * the outer hull; "
-            "the scheme's quoted keep rate does not apply"
-        )
+    y = _scaled_marginals(crs, outer, marginals)
     support = np.flatnonzero(y > 0)
 
     def block(rng, start, size):

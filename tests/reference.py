@@ -13,9 +13,10 @@
   (:func:`instance_from_json_by_field`, :func:`validate_instance_by_item`),
   for tests/test_model.py to compare with ``model``'s sweeps over whole lists.
 * Code only tests call: the expected set value, exact and Monte Carlo, the
-  exact multilinear extension, the priority rule's exact set keep rate
-  (:func:`exact_set_keep_rate`), and exact evaluation and random generation of
-  decision trees for the exact oracle's tests.
+  exact multilinear extension, the set-level scheme's exact keep rate by
+  enumeration of sampled sets and priority orders (:func:`exact_set_keep_rate`,
+  for ``rounding.exact_set_keep_rate``'s tests), and exact evaluation and
+  random generation of decision trees for the exact oracle's tests.
 """
 
 from __future__ import annotations
@@ -138,28 +139,29 @@ def keep(crs, outer, members, priorities) -> set:
     return greedy_keep(outer, members, priorities)
 
 
-def exact_set_keep_rate(outer, marginals) -> np.ndarray:
-    """Each item's exact Pr[kept | sampled] under the priority rule, for cardinality
-    (one block of cap k) and partitions.
+def exact_set_keep_rate(crs, outer, marginals) -> np.ndarray:
+    """Each item's exact Pr[kept | sampled] under the set-level scheme, by brute force.
 
-    Item i is sampled with probability ``marginals[i]``, independently, and
-    kept iff fewer than its block's cap of its sampled block rivals have a
-    smaller priority. With m rivals sampled, its uniform priority ranks
-    uniformly among the m + 1, so
-    ``gamma_i = sum_m P(N = m) * min(1, cap / (m + 1))``, where the number N
-    of i's sampled rivals is Poisson binomial: its law is the product of the
-    rivals' two-point laws, built one rival at a time.
+    Goes over every set S of positive-marginal items, of probability
+    prod_{i in S} y_i prod_{j not in S} (1 - y_j), and every order of S's
+    priorities, each of probability 1 / |S|!, and resolves S by :func:`keep`.
+    An item's kept mass over its marginal is its rate; an item of marginal 0
+    is never sampled and gets 1. The identity scheme raises ``ValueError`` on
+    the first set outside the family.
     """
     y = np.asarray(marginals, dtype=float)
-    a, caps = outer.hull
+    support = np.flatnonzero(y > 0).tolist()
+    kept_mass = np.zeros(len(y))
+    for size in range(len(support) + 1):
+        for members in itertools.combinations(support, size):
+            weight = math.prod(y[i] if i in members else 1.0 - y[i] for i in support)
+            weight /= math.factorial(size)
+            for order in itertools.permutations(members):
+                priorities = dict(zip(order, range(size)))
+                for i in keep(crs, outer, members, priorities):
+                    kept_mass[i] += weight
     gamma = np.ones(len(y))
-    for row, cap in zip(a, caps):
-        block = np.flatnonzero(row)
-        for i in block:
-            law = np.array([1.0])
-            for j in block[block != i]:
-                law = np.convolve(law, [1.0 - y[j], y[j]])
-            gamma[i] = law @ np.minimum(1.0, cap / np.arange(1, len(law) + 1))
+    gamma[support] = kept_mass[support] / y[support]
     return gamma
 
 

@@ -249,6 +249,11 @@ _COVERAGE = {"family": "weighted-coverage-by-threshold"}
      "utility.params.element_weights[1]"),
     (("utility",), _COVERAGE | {"params": {"rates": [1, 2, 1], "element_weights": [0.5]}},
      "utility.params.rates is over 3 items, instance has 2"),
+    (("utility",), 3, "utility must be an object, got 3"),
+    (("utility", "params"), 3, "utility.params must be an object, got 3"),
+    (("utility", "params"), [1.0, 1.0], "utility.params must be an object"),
+    (("outer",), 3, "outer must be an object, got 3"),
+    (("outer",), None, "outer must be an object, got None"),
 ])
 def test_from_json_rejects_non_integral_values(path, value, field):
     text = _set(_pair_doc(), path, value)
@@ -297,7 +302,7 @@ def test_nan_probability_from_json_flagged():
 INSTANCE_MUTATIONS = ("cost fraction", "count fraction", "probability nan",
                       "probability negative", "cost decreasing", "item count", "B mismatch",
                       "outer kind", "outer id", "utility weight", "utility theta",
-                      "utility family", "utility count")
+                      "utility family", "utility count", "not an object")
 
 
 @settings(max_examples=examples(100))
@@ -342,6 +347,10 @@ def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
         field = f"expected {inst.n} items"
     elif mutation == "B mismatch":
         doc["B"] = inst.B + 1 if inst.B == 1 or rng.random() < 0.5 else inst.B - 1
+    elif mutation == "not an object":
+        field = str(rng.choice(["utility", "utility.params", "outer"]))
+        owner, key = (doc["utility"], "params") if field == "utility.params" else (doc, field)
+        owner[key] = [3, "3", [], None, True][int(rng.integers(5))]
     elif mutation == "outer kind":
         doc["outer"]["kind"] = str(rng.choice(["matroid", "Cardinality", "", "explicit"]))
         field = "outer.kind"

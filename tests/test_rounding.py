@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochsubmax import constraints
 from stochsubmax.constraints import in_scaled_polytope
@@ -24,6 +25,7 @@ from stochsubmax.rounding import (
     draw_block,
     estimate_set_keep_rate,
     estimate_state_keep_rates,
+    exact_set_keep_rate,
     gamma_table_csv,
     min_rate,
     schedule_keep_batch,
@@ -31,7 +33,7 @@ from stochsubmax.rounding import (
 )
 from stochsubmax.seeds import derive_rng
 from tests.conftest import edge_instances, examples
-from tests.reference import exact_set_keep_rate, greedy_keep
+from tests.reference import exact_set_keep_rate as enumerated_keep_rate, greedy_keep
 
 
 def flat_solution(instance, marginals):
@@ -113,10 +115,61 @@ def test_set_keep_rate_meets_closed_form_target():
 
 def test_exact_keep_rate_of_the_readme_case():
     """At k = 1 and y = (0.2, 0.0125 x 4), each small item is kept with
-    probability 0.88388 given that it is sampled, below the fair scheme's 0.88480."""
-    gamma = exact_set_keep_rate(constraints.cardinality(5, 1), [0.2] + [0.0125] * 4)
-    assert gamma[1:] == pytest.approx([0.88388] * 4, abs=5e-6)
+    probability 0.88388 given that it is sampled, below the fair scheme's 0.88480,
+    and the large one with probability 0.97531: by the Poisson-binomial sum and by
+    enumeration."""
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    outer, y = constraints.cardinality(5, 1), [0.2] + [0.0125] * 4
+    for gamma in (exact_set_keep_rate(crs, outer, y), enumerated_keep_rate(crs, outer, y)):
+        assert gamma == pytest.approx([0.97531] + [0.88388] * 4, abs=5e-6)
     assert closed_form_keep_rate(0.25) == pytest.approx(0.88480, abs=5e-6)
+
+
+@st.composite
+def keep_rate_cases(draw):
+    """A cardinality or partition constraint over n = 1..6 items, caps 0..|block|,
+    with marginals inside its hull, some of them 0 (a cap-0 block's total at most
+    1e-10, within the hull's tolerance)."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        blocks = [list(range(n))]
+        outer = constraints.cardinality(n, draw(st.integers(0, n)))
+        caps = [outer.k]
+    else:
+        home = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        blocks = [[i for i in range(n) if home[i] == r] for r in sorted(set(home))]
+        caps = [draw(st.integers(0, len(b))) for b in blocks]
+        outer = constraints.partition(n, blocks, caps)
+    # no marginal below 1e-3 but 0: the enumeration's products must not underflow
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]) | st.floats(1e-3, 1),
+                               min_size=n, max_size=n)))
+    for block, cap in zip(blocks, caps):
+        total, room = y[block].sum(), cap if cap else 1e-10
+        if total > room:
+            y[block] *= room / total
+    return outer, y
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(keep_rate_cases())
+def test_exact_keep_rate_matches_enumeration(case):
+    """``rounding.exact_set_keep_rate`` against the enumeration of every sampled
+    set and every priority order (tests/reference.py) within 1e-12, every item."""
+    outer, y = case
+    crs = BalancedCrs(kind="priority", scale=1.0)
+    np.testing.assert_allclose(exact_set_keep_rate(crs, outer, y),
+                               enumerated_keep_rate(crs, outer, y), rtol=0, atol=1e-12)
+
+
+def test_exact_keep_rate_under_identity():
+    """The identity scheme keeps at rate 1 on an independent support, with items of
+    marginal 0 outside it, and refuses a support that can sample a dependent set."""
+    crs = BalancedCrs(kind="identity", scale=1.0)
+    outer = constraints.partition(4, [[0, 1], [2, 3]], [1, 1])
+    for rates in (exact_set_keep_rate, enumerated_keep_rate):
+        assert rates(crs, outer, [0.5, 0.0, 0.0, 0.8]).tolist() == [1.0] * 4
+        with pytest.raises(ValueError, match="outside the outer family"):
+            rates(crs, outer, [0.5, 0.25, 0.0, 0.8])
 
 
 @pytest.mark.parametrize("outer, marginals", [
@@ -128,7 +181,7 @@ def test_exact_keep_rate_of_the_readme_case():
 ])
 def test_set_keep_rate_matches_the_exact_rate(outer, marginals):
     """Every row with data lies within 4 SE of the priority rule's exact keep rate
-    (tests/reference.py::exact_set_keep_rate) at 200000 trials.
+    (``rounding.exact_set_keep_rate``) at 200000 trials.
 
     The SE is the binomial one at the exact rate, sqrt(gamma (1 - gamma) / events),
     so a row whose estimate reads 0 or 1 is still tested, and a rate of exactly 1
@@ -138,7 +191,7 @@ def test_set_keep_rate_matches_the_exact_rate(outer, marginals):
     |z| of 2.3.
     """
     crs = BalancedCrs(kind="priority", scale=1.0)
-    gamma = exact_set_keep_rate(outer, marginals)
+    gamma = exact_set_keep_rate(crs, outer, marginals)
     rows = estimate_set_keep_rate(crs, outer, marginals, trials=200_000, seed=11)
     with_data = [r for r in rows if r.status == "ok"]
     assert [r.item for r in with_data] == np.flatnonzero(marginals).tolist()
@@ -161,6 +214,8 @@ def test_set_keep_rate_rejects_outside_scale():
     crs = BalancedCrs(kind="priority", scale=0.25)
     with pytest.raises(ValueError):
         estimate_set_keep_rate(crs, outer, [0.5, 0.5], trials=100, seed=0)
+    with pytest.raises(ValueError, match="not inside 0.25"):
+        exact_set_keep_rate(crs, outer, [0.5, 0.5])
 
 
 def test_prune_by_outer_cases(pair_instance):
@@ -557,7 +612,7 @@ def test_one_uniform_draw_has_the_thinned_law():
 def test_outer_state_rows_match_the_exact_rate(outer, marginals):
     """Every ``outer`` row of item i, at each of its B = 2 states, lies within 4 SE
     of the priority rule's exact set keep rate gamma_i
-    (tests/reference.py::exact_set_keep_rate) at 200000 trials: the outer map
+    (``rounding.exact_set_keep_rate``) at 200000 trials: the outer map
     drops an item whatever its state, so each state's rate is gamma_i.
 
     The SE is the binomial one at the exact rate, sqrt(gamma (1 - gamma) / events),
@@ -572,7 +627,7 @@ def test_outer_state_rows_match_the_exact_rate(outer, marginals):
                     utility=WeightedModular(weights=(1.0,) * n))
     inst.require_valid()
     crs = BalancedCrs(kind="priority", scale=1.0)
-    gamma = exact_set_keep_rate(outer, marginals)
+    gamma = exact_set_keep_rate(crs, outer, marginals)
     rows = estimate_state_keep_rates("outer", inst, outer, crs, flat_solution(inst, marginals),
                                      trials=200_000, seed=23)
     assert [(r.item, r.state) for r in rows] == [(i, s) for i in range(n) for s in (1, 2)]
