@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, as_int, as_ints
+from .errors import InvalidInputError, as_int, as_ints, required
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -165,16 +165,17 @@ def outer_to_json(outer: OuterConstraint) -> dict:
 def outer_from_json(doc: dict, n: int) -> OuterConstraint:
     """Parse an outer descriptor over ``n`` items; raises ``InvalidInputError`` naming
     the field for a descriptor that is not an object, a non-integral entry, an item
-    id outside 1..n or an unknown kind."""
+    id outside 1..n or an unknown kind, and ``MissingFieldError`` naming a missing
+    one (``outer.caps``)."""
     if not isinstance(doc, dict):
         raise InvalidInputError(f"outer must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "cardinality":
-        return cardinality(n, as_int(doc["k"], "outer.k"))
+        return cardinality(n, as_int(required(doc, "k", "outer.k"), "outer.k"))
 
     def ids(key):
         out = []
-        for r, group in enumerate(doc[key]):
+        for r, group in enumerate(required(doc, key, f"outer.{key}")):
             # one type and range sweep; a group that fails is read id by id
             if set(map(type, group)) <= {int} and min(group, default=1) >= 1 and max(
                     group, default=n) <= n:
@@ -191,6 +192,7 @@ def outer_from_json(doc: dict, n: int) -> OuterConstraint:
 
     if kind == "partition":
         blocks = ids("blocks")
-        caps = [as_int(c, f"outer.caps[{r}]") for r, c in enumerate(doc["caps"])]
+        caps = [as_int(c, f"outer.caps[{r}]")
+                for r, c in enumerate(required(doc, "caps", "outer.caps"))]
         return partition(n, blocks, caps)
     raise InvalidInputError(f"outer.kind must be cardinality or partition, got {kind!r}")

@@ -1,5 +1,6 @@
-"""Shared exception types, the field checks that raise :class:`InvalidInputError`,
-and the read-only cache of derived arrays (:func:`cached_array`)."""
+"""Shared exception types, the field checks that raise :class:`InvalidInputError`
+or :class:`MissingFieldError`, and the read-only cache of derived arrays
+(:func:`cached_array`)."""
 
 from functools import cached_property, wraps
 
@@ -56,6 +57,23 @@ class InvalidInputError(ValueError):
     Such values are rejected rather than coerced: a cost of 1.7 is an error,
     never a cost of 1.
     """
+
+
+class MissingFieldError(KeyError):
+    """Raised when an input document lacks a required field; the message names its
+    path (``utility.params.weights is missing``). It stays a ``KeyError``, the mark of
+    a malformed document rather than of a wrong value."""
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} is missing"
+
+
+def required(doc, key: str, field: str):
+    """``doc[key]``; a missing key raises :class:`MissingFieldError` naming ``field``."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise MissingFieldError(field) from None
 
 
 def as_int(value, field: str) -> int:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, InvalidInputError, as_ints, cached_array
+from .errors import EnumerationLimitError, InvalidInputError, as_ints, cached_array, required
 from .parallel import BLOCK_SIZE
 
 ENUM_GUARD = 10**6
@@ -508,7 +508,9 @@ def make_utility(descriptor: dict, n: int) -> UtilityOracle:
     family's own message with the ``utility.params.`` prefix
     (``utility.params.weights[0]``, ``utility.params.theta``), and the
     per-item list with both counts when it is not over ``n`` items. A
-    descriptor or ``params`` that is not an object is rejected by name too.
+    descriptor or ``params`` that is not an object is rejected by name too,
+    and a missing list raises ``MissingFieldError`` naming it
+    (``utility.params.weights``).
     """
     if not isinstance(descriptor, dict):
         raise InvalidInputError(f"utility must be an object, got {descriptor!r}")
@@ -521,19 +523,23 @@ def make_utility(descriptor: dict, n: int) -> UtilityOracle:
     params = descriptor.get("params", {})
     if not isinstance(params, dict):
         raise InvalidInputError(f"utility.params must be an object, got {params!r}")
+
+    def listed(key):
+        return tuple(required(params, key, f"utility.params.{key}"))
+
     try:
         if family == FAMILY_MODULAR:
-            f = WeightedModular(weights=tuple(params["weights"]))
+            f = WeightedModular(weights=listed("weights"))
         elif family == FAMILY_CONCAVE:
             f = ConcaveOverModular(
-                weights=tuple(params["weights"]),
+                weights=listed("weights"),
                 curve=params.get("curve", "sqrt"),
                 theta=params.get("theta"),
             )
         else:
             f = ThresholdCoverage(
-                rates=tuple(params["rates"]),
-                element_weights=tuple(params["element_weights"]),
+                rates=listed("rates"),
+                element_weights=listed("element_weights"),
             )
     except InvalidInputError as exc:
         raise InvalidInputError(f"utility.params.{exc}") from None

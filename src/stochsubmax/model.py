@@ -34,7 +34,7 @@ import numpy as np
 
 from . import lattice
 from .constraints import OuterConstraint, outer_from_json, outer_to_json, validate_outer
-from .errors import as_int, cached_array, json_number
+from .errors import as_int, cached_array, json_number, required
 from .lattice import UtilityOracle
 from .seeds import derive_rng
 
@@ -251,15 +251,15 @@ def instance_to_json(instance: Instance) -> str:
 def instance_from_json(text: str) -> Instance:
     """Parse an instance document; non-integral counts, costs or ids raise ``InvalidInputError``."""
     doc = json.loads(text)
-    items = _items_from_json(doc["items"])
-    n = as_int(doc["n"], "n")
+    items = _items_from_json(required(doc, "items", "items"))
+    n = as_int(required(doc, "n", "n"), "n")
     return Instance(
         n=n,
-        B=as_int(doc["B"], "B"),
-        budget=as_int(doc["budget"], "budget"),
+        B=as_int(required(doc, "B", "B"), "B"),
+        budget=as_int(required(doc, "budget", "budget"), "budget"),
         items=items,
-        outer=outer_from_json(doc["outer"], n),
-        utility=lattice.make_utility(doc["utility"], n),
+        outer=outer_from_json(required(doc, "outer", "outer"), n),
+        utility=lattice.make_utility(required(doc, "utility", "utility"), n),
     )
 
 
@@ -285,10 +285,12 @@ def _items_from_json(docs) -> tuple[ItemModel, ...]:
     return tuple(
         ItemModel(
             probs=tuple(
-                json_number(p, f"items[{i}].probs[{s}]") for s, p in enumerate(it["probs"])
+                json_number(p, f"items[{i}].probs[{s}]")
+                for s, p in enumerate(required(it, "probs", f"items[{i}].probs"))
             ),
             costs=tuple(
-                as_int(c, f"items[{i}].costs[{s}]") for s, c in enumerate(it["costs"])
+                as_int(c, f"items[{i}].costs[{s}]")
+                for s, c in enumerate(required(it, "costs", f"items[{i}].costs"))
             ),
         )
         for i, it in enumerate(docs)

@@ -15,8 +15,11 @@
 * Code only tests call: the expected set value, exact and Monte Carlo, the
   exact multilinear extension, the set-level scheme's exact keep rate by
   enumeration of sampled sets and priority orders (:func:`exact_set_keep_rate`,
-  for ``rounding.exact_set_keep_rate``'s tests), and exact evaluation and
-  random generation of decision trees for the exact oracle's tests.
+  for ``rounding.exact_set_keep_rate``'s tests), and, for the exact oracle's
+  tests, the optimal policy by recursion over decision states
+  (:func:`optimal_policy_by_recursion`, the reference that
+  ``oracle.optimal_policy_value``'s table is held to) and exact evaluation and
+  random generation of decision trees.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ import numpy as np
 
 from stochsubmax import lattice
 from stochsubmax.constraints import OuterConstraint, is_independent, outer_from_json, validate_outer
-from stochsubmax.errors import EnumerationLimitError, LpCertificateError, as_int, json_number
+from stochsubmax.errors import (EnumerationLimitError, LpCertificateError, as_int, json_number,
+                                required)
 from stochsubmax.extensions import check_marginals
 from stochsubmax.greedy import estimate_marginal_gains
 from stochsubmax.lp import build_slot_program, certify_optimal, solve_lp
 from stochsubmax.model import PROB_TOL, Instance, ItemModel, sample_realization_batch
-from stochsubmax.oracle import _assignment_vector, _guard, _support_max_costs
+from stochsubmax.oracle import ORACLE_GUARD
 from stochsubmax.parallel import mean_se, run_blocks
 from stochsubmax.seeds import derive_rng
 
@@ -250,22 +254,24 @@ def instance_from_json_by_field(text: str) -> Instance:
     items = tuple(
         ItemModel(
             probs=tuple(
-                json_number(p, f"items[{i}].probs[{s}]") for s, p in enumerate(it["probs"])
+                json_number(p, f"items[{i}].probs[{s}]")
+                for s, p in enumerate(required(it, "probs", f"items[{i}].probs"))
             ),
             costs=tuple(
-                as_int(c, f"items[{i}].costs[{s}]") for s, c in enumerate(it["costs"])
+                as_int(c, f"items[{i}].costs[{s}]")
+                for s, c in enumerate(required(it, "costs", f"items[{i}].costs"))
             ),
         )
-        for i, it in enumerate(doc["items"])
+        for i, it in enumerate(required(doc, "items", "items"))
     )
-    n = as_int(doc["n"], "n")
+    n = as_int(required(doc, "n", "n"), "n")
     return Instance(
         n=n,
-        B=as_int(doc["B"], "B"),
-        budget=as_int(doc["budget"], "budget"),
+        B=as_int(required(doc, "B", "B"), "B"),
+        budget=as_int(required(doc, "budget", "budget"), "budget"),
         items=items,
-        outer=outer_from_json(doc["outer"], n),
-        utility=lattice.make_utility(doc["utility"], n),
+        outer=outer_from_json(required(doc, "outer", "outer"), n),
+        utility=lattice.make_utility(required(doc, "utility", "utility"), n),
     )
 
 
@@ -377,6 +383,100 @@ def multilinear_exact(instance: Instance, f, marginals) -> float:
         members = [i for i, inc in enumerate(subset) if inc]
         total += weight * expected_set_value_exact(instance, f, members)
     return total
+
+
+def _guard(instance: Instance):
+    """The exact oracle's refusal, so that the recursion reaches what the table does."""
+    if (instance.B + 1) ** instance.n > ORACLE_GUARD:
+        raise EnumerationLimitError(
+            f"(B+1)^n = {(instance.B + 1) ** instance.n} exceeds the exact oracle's state "
+            f"guard {ORACLE_GUARD}"
+        )
+
+
+def _support_max_costs(instance: Instance) -> list[int]:
+    out = []
+    for item in instance.items:
+        costs = [c for p, c in zip(item.probs, item.costs) if p > 0]
+        out.append(max(costs) if costs else 0)
+    return out
+
+
+def _assignment_vector(instance: Instance, assignment) -> np.ndarray:
+    vec = np.zeros(instance.n, dtype=np.int64)
+    for i, s in assignment:
+        vec[i] = s
+    return vec
+
+
+@dataclass(frozen=True)
+class RecursionResult:
+    """The optimum by recursion: its value, first action (0-based, None to stop), tree,
+    and the root's choices, ``{None: f(empty), i: expected value of selecting i}``
+    over the admissible items i."""
+
+    value: float
+    first_action: int | None
+    tree: dict
+    root_values: dict
+
+
+def optimal_policy_by_recursion(
+    instance: Instance, f, outer: OuterConstraint
+) -> RecursionResult:
+    """The best feasible adaptive policy by memoised recursion over decision states,
+    each a frozenset of (item, observed state) pairs, for ``oracle.optimal_policy_value``'s
+    tests: one ``f.value`` call, one ``is_independent`` call per item and a Python cost
+    sum per state, the items scanned in order and a later one taken only if strictly
+    better, stopping kept on ties."""
+    instance.require_valid()
+    _guard(instance)
+    worst = _support_max_costs(instance)
+    memo: dict = {}
+
+    def choices(assignment: frozenset) -> dict:
+        selected = {i for i, _ in assignment}
+        spent = sum(instance.cost_matrix[i, s - 1] for i, s in assignment)
+        remaining = instance.budget - spent
+        out = {None: float(f.value(_assignment_vector(instance, assignment)))}
+        for i in range(instance.n):
+            if i in selected or worst[i] > remaining:
+                continue
+            if not is_independent(outer, selected | {i}):
+                continue
+            value = 0.0
+            for s in range(1, instance.B + 1):
+                p = instance.items[i].probs[s - 1]
+                if p == 0:
+                    continue
+                value += p * solve(assignment | {(i, s)})[0]
+            out[i] = value
+        return out
+
+    def solve(assignment: frozenset) -> tuple[float, int | None]:
+        hit = memo.get(assignment)
+        if hit is not None:
+            return hit
+        best, action = None, None
+        for i, value in choices(assignment).items():
+            if best is None or value > best:
+                best, action = value, i
+        memo[assignment] = (best, action)
+        return best, action
+
+    def build(assignment: frozenset) -> dict:
+        _, action = solve(assignment)
+        if action is None:
+            return {"action": None}
+        branches = {
+            str(s): build(assignment | {(action, s)})
+            for s in range(1, instance.B + 1)
+            if instance.items[action].probs[s - 1] > 0
+        }
+        return {"action": action + 1, "branches": branches}
+
+    value, first = solve(frozenset())
+    return RecursionResult(value, first, build(frozenset()), choices(frozenset()))
 
 
 def policy_tree_value(instance: Instance, f, outer: OuterConstraint, tree: dict) -> float:

@@ -306,15 +306,28 @@ def test_ratio_trivial_single_item(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS")
 
 
-def test_ratio_refuses_oversized(tmp_path):
-    inst = random_instance(1, n_max=8, B_max=3, budget_max=10,
-                           kinds=("cardinality",))
-    while inst.n <= 5:
-        inst = random_instance(inst.n + 100, n_max=8, B_max=3, budget_max=10,
-                               kinds=("cardinality",))
+def test_ratio_refuses_oversized(tmp_path, capsys):
+    """n = 9 at B = 3 is over the exact oracle's state guard: ``ratio`` exits 1
+    naming (B+1)^n and the guard; n = 6 and 7 at B = 3 are in reach and solve."""
+    seed = 1
+    inst = random_instance(seed, n_max=9, B_max=3, budget_max=10, kinds=("cardinality",))
+    while (inst.n, inst.B) != (9, 3):
+        seed += 1
+        inst = random_instance(seed, n_max=9, B_max=3, budget_max=10, kinds=("cardinality",))
     path = tmp_path / "big.json"
     save_instance(inst, path)
     assert main(["ratio", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"(B+1)^n = {4**9}" in err and str(4**8) in err, err
+    for n in (6, 7):
+        while (inst.n, inst.B) != (n, 3):
+            seed += 1
+            inst = random_instance(seed, n_max=9, B_max=3, budget_max=10,
+                                   kinds=("cardinality",))
+        save_instance(inst, path)
+        assert main(["ratio", "--instance", str(path), "--steps", "10",
+                     "--grad-samples", "200", "--runs", "1000"]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
 
 
 def test_bad_config_values_fail_cleanly(pair_file):

@@ -9,7 +9,7 @@ from numpy.testing import assert_array_equal
 from stochsubmax import constraints
 from stochsubmax.errors import InvalidInputError
 from stochsubmax.generators import random_instance
-from stochsubmax.lattice import WeightedModular
+from stochsubmax.lattice import FAMILY_COVERAGE, WeightedModular
 from stochsubmax.model import (
     Instance,
     ItemModel,
@@ -302,7 +302,8 @@ def test_nan_probability_from_json_flagged():
 INSTANCE_MUTATIONS = ("cost fraction", "count fraction", "probability nan",
                       "probability negative", "cost decreasing", "item count", "B mismatch",
                       "outer kind", "outer id", "utility weight", "utility theta",
-                      "utility family", "utility count", "not an object")
+                      "utility family", "utility count", "not an object", "missing params",
+                      "missing caps", "missing costs", "missing budget")
 
 
 @settings(max_examples=examples(100))
@@ -311,11 +312,14 @@ def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
     """A mutated ``instance_to_json`` document fails its load or its validation.
 
     The load's ``ValueError`` starts with the mutated field, or a violation
-    starts with it or with the mutated item; any other exception, or a
-    document that loads and validates clean, fails the test.
+    starts with it or with the mutated item. A document that lacks a required
+    key fails its load with a ``KeyError`` (a malformed file) whose message
+    starts with the key's path. Any other exception, or a document that loads
+    and validates clean, fails the test.
     """
     rng = np.random.default_rng(seed)
-    kinds = ("partition",) if mutation == "outer id" else ("cardinality", "partition")
+    partition_only = mutation in ("outer id", "missing caps")
+    kinds = ("partition",) if partition_only else ("cardinality", "partition")
     families = ("concave",) if mutation == "utility theta" else ("modular", "concave", "coverage")
     inst = random_instance(seed, n_max=6, kinds=kinds, families=families)
     doc = json.loads(instance_to_json(inst))
@@ -351,6 +355,19 @@ def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
         field = str(rng.choice(["utility", "utility.params", "outer"]))
         owner, key = (doc["utility"], "params") if field == "utility.params" else (doc, field)
         owner[key] = [3, "3", [], None, True][int(rng.integers(5))]
+    elif mutation == "missing params":
+        del doc["utility"]["params"]
+        field = "utility.params." + ("rates" if inst.utility.family == FAMILY_COVERAGE
+                                     else "weights")
+    elif mutation == "missing caps":
+        del doc["outer"]["caps"]
+        field = "outer.caps"
+    elif mutation == "missing costs":
+        del item["costs"]
+        field = f"items[{i}].costs"
+    elif mutation == "missing budget":
+        del doc["budget"]
+        field = "budget"
     elif mutation == "outer kind":
         doc["outer"]["kind"] = str(rng.choice(["matroid", "Cardinality", "", "explicit"]))
         field = "outer.kind"
@@ -385,7 +402,8 @@ def test_mutated_instance_documents_are_rejected_by_name(seed, mutation):
         field = f"outer.blocks[{r}][{j}]"
     try:
         loaded = instance_from_json(json.dumps(doc))
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
+        assert isinstance(exc, KeyError) == mutation.startswith("missing"), repr(exc)
         assert str(exc).startswith(field + " "), str(exc)
         return
     violations = validate_instance(loaded)
