@@ -22,9 +22,6 @@ from .errors import EnumerationLimitError, InvalidInputError, LpStallError
 from .lp import build_slot_program, program_dump
 from .model import Instance, load_instance, validate_instance
 
-CHECKER_WORK_BUDGET = 2 * 10**6
-
-
 class IoFailure(Exception):
     pass
 
@@ -33,16 +30,22 @@ class DomainFailure(Exception):
     pass
 
 
+def _read(load, path: str, noun: str):
+    """``load(path)``: an unreadable file is an I/O failure, an invalid one a domain
+    failure, and a malformed one an I/O failure, each message naming the ``noun`` file."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {noun} file: {exc}") from exc
+    except InvalidInputError as exc:
+        raise DomainFailure(f"invalid {noun} file: {exc}") from exc
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise IoFailure(f"malformed {noun} file: {exc}") from exc
+
+
 def _load(path: str, validated: bool = True) -> Instance:
     """The instance at ``path``; if ``validated``, every violation is a domain failure."""
-    try:
-        instance = load_instance(path)
-    except OSError as exc:
-        raise IoFailure(f"cannot read instance file: {exc}") from exc
-    except InvalidInputError as exc:
-        raise DomainFailure(f"invalid instance file: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise IoFailure(f"malformed instance file: {exc}") from exc
+    instance = _read(load_instance, path, "instance")
     if validated and instance.violations:
         raise DomainFailure("invalid instance: " + "; ".join(instance.violations))
     return instance
@@ -62,27 +65,23 @@ def _check_config(args):
             raise DomainFailure(f"{name} must be at least {least}, got {value}")
 
 
-def _checker_work(n: int, B: int) -> int:
-    pairs = ((B + 1) * (B + 2) // 2) ** n
-    return pairs * (B + 1) * n
-
-
 def cmd_validate(args) -> int:
     instance = _load(args.instance, validated=False)
     violations = list(validate_instance(instance))
-    if not violations and _checker_work(instance.n, instance.B) <= CHECKER_WORK_BUDGET:
-        ok, witness = lattice.check_monotone(instance.utility, instance.n, instance.B)
-        if not ok:
-            violations.append(f"utility is not monotone, witness pair {witness}")
-        ok, witness = lattice.check_lattice_submodular(
-            instance.utility, instance.n, instance.B
-        )
-        if not ok:
-            violations.append(
-                f"utility lacks diminishing returns, witness {witness}"
-            )
-    elif not violations:
-        print("note: utility checkers skipped (instance beyond desk-scale budget)")
+    if not violations:
+        f, n, B = instance.utility, instance.n, instance.B
+        try:
+            monotone, pair = lattice.check_monotone(f, n, B)
+            submodular, witness = lattice.check_lattice_submodular(f, n, B)
+        except EnumerationLimitError as exc:
+            print(f"note: utility checks skipped: {exc}")
+        else:
+            print(f"checked monotonicity and diminishing returns over {(B + 1) ** n} "
+                  "state vectors")
+            if not monotone:
+                violations.append(f"utility is not monotone, witness pair {pair}")
+            if not submodular:
+                violations.append(f"utility lacks diminishing returns, witness {witness}")
     for msg in violations:
         print(f"violation: {msg}")
     if violations:
@@ -131,14 +130,7 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     instance = _load(args.instance)
-    try:
-        sol = greedy.load_solution(args.solution)
-    except OSError as exc:
-        raise IoFailure(f"cannot read solution file: {exc}") from exc
-    except InvalidInputError as exc:
-        raise DomainFailure(f"invalid solution file: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise IoFailure(f"malformed solution file: {exc}") from exc
+    sol = _read(greedy.load_solution, args.solution, "solution")
     try:
         greedy.check_solution_shape(instance, sol)
     except ValueError as exc:
@@ -196,10 +188,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ratio(args) -> int:
     instance = _load(args.instance)
-    try:
-        opt = oracle.optimal_policy_value(instance, instance.utility, instance.outer)
-    except EnumerationLimitError as exc:
-        raise DomainFailure(str(exc)) from exc
+    opt = oracle.optimal_policy_value(instance, instance.utility, instance.outer)
     sol, report = _solve(instance, args)
     if not report.passed:
         raise DomainFailure("solution failed certification")
@@ -292,7 +281,7 @@ def main(argv=None) -> int:
     except IoFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainFailure, ValueError, LpStallError) as exc:
+    except (DomainFailure, EnumerationLimitError, ValueError, LpStallError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
 

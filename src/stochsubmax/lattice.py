@@ -1,10 +1,11 @@
-"""Built-in utility families on integer-lattice state vectors, and exhaustive checkers.
+"""Built-in utility families on state vectors, the lattice's table, and exhaustive checkers.
 
 A state vector assigns each item an integer level in {0, ..., B}; level 0 means
 "not selected". Utilities map state vectors to nonnegative reals and are expected
-to be monotone and to have diminishing returns along coordinates (checked
-exhaustively at desk scale by :func:`check_monotone` and
-:func:`check_lattice_submodular`).
+to be monotone and to have diminishing returns along coordinates, which
+:func:`check_monotone` and :func:`check_lattice_submodular` verify over adjacent
+state vectors of :func:`state_table`, the one enumeration of {0, ..., B}^n. Its
+``STATE_GUARD`` bounds every exhaustive computation, the exact oracle's too.
 
 A rounding block holds only the states of the solution's support items.
 ``value_batch_at(states, columns)`` evaluates such a block, every other item
@@ -33,7 +34,7 @@ first row's do not.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +43,8 @@ import numpy as np
 from .errors import EnumerationLimitError, InvalidInputError, as_ints, cached_array, required
 from .parallel import BLOCK_SIZE
 
-ENUM_GUARD = 10**6
+# most state vectors (B+1)^n any exhaustive computation enumerates: n <= 8 at B = 3
+STATE_GUARD = 4**8
 # row length from which _sums_without adds whole rows in a loop rather than
 # accumulating along the strided item axis
 _LOOP_ROWS = 128
@@ -553,57 +555,72 @@ def utility_descriptor(f: UtilityOracle) -> dict:
     return {"family": f.family, "params": f.params()}
 
 
-def _guard(n: int, max_level: int):
-    if (max_level + 1) ** n > ENUM_GUARD:
+@functools.lru_cache(maxsize=16)
+def state_table(n: int, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (S, n) state vectors, S = (B+1)^n, in lexicographic order, and
+    the (n,) row strides (B+1)^(n-1-i): u + e_i is row u + strides[i]. Refused
+    past ``STATE_GUARD``."""
+    if (B + 1) ** n > STATE_GUARD:
         raise EnumerationLimitError(
-            f"(B+1)^n = {(max_level + 1) ** n} exceeds the enumeration guard {ENUM_GUARD}"
-        )
+            f"(B+1)^n = {(B + 1) ** n} exceeds the state guard {STATE_GUARD}")
+    strides = (B + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    states = np.arange((B + 1) ** n)[:, None] // strides % (B + 1)
+    states.flags.writeable = strides.flags.writeable = False
+    return states, strides
 
 
-def _grid(n: int, max_level: int):
-    return itertools.product(range(max_level + 1), repeat=n)
+def _adjacent(f: UtilityOracle, n: int, B: int):
+    """The state table, f(u + e_i) - f(u) at every (S, n) state and item (0 where
+    u_i = B) from one ``value_batch`` call, the rows of u + e_i (u where u_i = B),
+    and the round-off allowance 12 n eps max|f|: each value errs by at most
+    2 n eps max|f| (:class:`UtilityOracle`), so round-off moves no step, nor any
+    second difference of four values and three subtractions, past it."""
+    states, strides = state_table(n, B)
+    values = np.asarray(f.value_batch(states), dtype=float)
+    rows = np.arange(len(states))[:, None]
+    up = np.where(states < B, rows + strides, rows)
+    noise = 12 * n * np.finfo(float).eps * np.abs(values).max()
+    return states, values[up] - values[:, None], up, noise
 
 
 def check_monotone(f: UtilityOracle, n: int, max_level: int):
-    """Exhaustively verify f(u) <= f(v) for all comparable u <= v.
-
-    Returns (True, None) or (False, (u, v)) with the first violating pair in
-    lexicographic (u, v) order. Refuses when (B+1)^n exceeds the guard.
-    """
-    _guard(n, max_level)
-    values = {u: f.value(np.array(u)) for u in _grid(n, max_level)}
-    for u in _grid(n, max_level):
-        fu = values[u]
-        for v in _grid(n, max_level):
-            if all(a <= b for a, b in zip(u, v)) and fu > values[v] + 1e-9:
-                return False, (np.array(u), np.array(v))
-    return True, None
+    """Verify f(u + e_i) >= f(u) wherever u_i < B, each step within 1e-9 / (n B)
+    plus the round-off allowance of ``_adjacent``: a chain from u to v >= u takes at
+    most n B steps, so on exact values f(u) <= f(v) + 1e-9 on every comparable
+    pair. Returns (True, None) or (False, (u, u + e_i)), the first violating pair
+    in lexicographic (u, v) order."""
+    states, gains, up, noise = _adjacent(f, n, max_level)
+    bad = gains < -(1e-9 / (n * max_level) + noise)
+    if not bad.any():
+        return True, None
+    u = bad.any(axis=1).argmax()
+    i = n - 1 - bad[u, ::-1].argmax()  # the largest i gives the smallest u + e_i
+    return False, (states[u].copy(), states[up[u, i]].copy())
 
 
 def check_lattice_submodular(f: UtilityOracle, n: int, max_level: int):
-    """Exhaustively verify diminishing returns along coordinates.
+    """Verify diminishing returns: f(u v s e_i) - f(u) >= f(v v s e_i) - f(v) for
+    every comparable pair u <= v, level s and coordinate i.
 
-    Checks f(u v s*1_i) - f(u) >= f(v v s*1_i) - f(v) for every comparable pair
-    u <= v, level s, and coordinate i, with 1e-9 slack for float round-off.
-    Returns (True, None) or (False, (u, v, s, i)) with the first violation in
-    lexicographic (u, v, s, i) order.
+    That holds iff f is monotone and every cross second difference
+    f(u + e_i + e_j) - f(u + e_j) - f(u + e_i) + f(u), i != j, is at most 0
+    (Topkis 1978), which this checks, each step within 1e-9 / (n B^2) plus the
+    round-off allowance of ``_adjacent``: a pair's gains telescope into at most B
+    steps along i and (n - 1) B^2 second differences, so on exact values the
+    pairwise inequality holds within 1e-9. Returns (True, None) or
+    (False, (u, v, s, i)), the first violation in lexicographic order among
+    v = u + e_j: (u, u + e_i, u_i + 1, i) for a fall along i, else (u, u + e_j, u_i + 1, i).
     """
-    _guard(n, max_level)
-    values = {u: f.value(np.array(u)) for u in _grid(n, max_level)}
-
-    def bumped(u, i, s):
-        w = list(u)
-        w[i] = max(w[i], s)
-        return tuple(w)
-
-    for u in _grid(n, max_level):
-        for v in _grid(n, max_level):
-            if not all(a <= b for a, b in zip(u, v)):
-                continue
-            for s in range(max_level + 1):
-                for i in range(n):
-                    gain_u = values[bumped(u, i, s)] - values[u]
-                    gain_v = values[bumped(v, i, s)] - values[v]
-                    if gain_u < gain_v - 1e-9:
-                        return False, (np.array(u), np.array(v), s, i)
-    return True, None
+    states, gains, up, noise = _adjacent(f, n, max_level)
+    slack = 1e-9 / (n * max_level**2) + noise
+    # bad[u, j, i]: the step along i gains more at u + e_j than at u, or f falls
+    # from u to u + e_i where j = i
+    bad = np.stack([gains[up[:, j]] - gains > slack for j in range(n)], axis=1)
+    bad[:, range(n), range(n)] = gains < -slack
+    hit = bad[:, ::-1].any(axis=2)  # the largest j gives the smallest v = u + e_j
+    if not hit.any():
+        return True, None
+    u, j = divmod(int(hit.argmax()), n)
+    row = bad[u, n - 1 - j]
+    i = int(np.flatnonzero(row)[np.argmin(states[u, row])])  # the smallest (u_i + 1, i)
+    return False, (states[u].copy(), states[up[u, n - 1 - j]].copy(), int(states[u, i]) + 1, i)

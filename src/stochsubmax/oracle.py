@@ -9,23 +9,24 @@ best value from u is
 
     V[u] = max(f(u), max over admissible i of sum_s p_is V[u + s e_i]),
 
-and V[0] is the optimum. :func:`optimal_policy_value` fills V over all
-(B+1)^n state vectors at once: one ``value_batch`` call over the lattice,
-the budget left at every state from ``Instance.padded_costs``, and the
-admissible (state, item) pairs from the worst costs and the rows of
-``OuterConstraint.hull``, all as array calls over per-(n, B) lattice tables
-that are built once. Sweeps then apply the right side to every admissible
-pair at once and raise each state's entry to its pairs' maximum. A selection
-only adds items, so a sweep makes one more layer of states final, the
-deepest first: with L the most items selected at a state with an admissible
-item (L < n), L + 1 sweeps leave every value final. Each pair value adds its
-states' terms in the order s = 1, ..., B. The best action at a state is the
-first admissible item, in item order, whose value is the state's best, and
-stopping where no item beats it.
+and V[0] is the optimum. :func:`optimal_policy_value` fills V over all (B+1)^n
+state vectors of ``lattice.state_table`` at once: one ``value_batch`` call
+over them, the budget left at every state from ``Instance.padded_costs``, and
+the admissible (state, item) pairs from the worst costs and the rows of
+``OuterConstraint.hull``, all as array calls over per-(n, B) tables that are
+built once. Sweeps then apply the right side to every admissible pair at once
+and raise each state's entry to its pairs' maximum. A selection only adds
+items, so a sweep makes one more layer of states final, the deepest first:
+with L the most items selected at a state with an admissible item (L < n),
+L + 1 sweeps leave every value final. Each pair value adds its states' terms
+in the order s = 1, ..., B. The best action at a state is the first admissible
+item, in item order, whose value is the state's best, and stopping where no
+item beats it.
 
-Instances over ``ORACLE_GUARD`` state vectors are refused
-(``EnumerationLimitError``). The decision tree is read off the table only
-when ``OracleResult.tree`` is asked for.
+Instances over ``lattice.STATE_GUARD`` state vectors are refused
+(``EnumerationLimitError``), the one guard of every exhaustive computation.
+The decision tree is read off the table only when ``OracleResult.tree`` is
+asked for.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import lattice
 # is_independent stays a module name: bench/tracing.py counts calls through it
 from .constraints import OuterConstraint, is_independent  # noqa: F401
-from .errors import EnumerationLimitError
 from .model import Instance
-
-# most state vectors (B+1)^n the table holds: n = 8 at B = 3
-ORACLE_GUARD = 4**8
 
 
 class _Table(NamedTuple):
@@ -97,22 +95,19 @@ class OracleResult:
 
 
 @functools.lru_cache(maxsize=16)
-def _lattice(n: int, B: int) -> tuple[np.ndarray, ...]:
-    """Read-only tables of the S = (B+1)^n state vectors of {0, ..., B}^n, in
-    lexicographic order, so that u + s e_i is row u + s (B+1)^(n-1-i): the (S, n)
-    vectors; their (n, S) cells ``i (B+1) + u_i`` of a flattened (n, B+1) table;
-    the (n, S) masks of u_i = 0 (booleans) and of u_i > 0 (floats, for the hull
-    rows' product); the (S,) count of items selected; and the (B, n) row steps
-    s (B+1)^(n-1-i)."""
-    strides = (B + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    states = np.arange((B + 1) ** n, dtype=np.int64)[:, None] // strides % (B + 1)
+def _tables(n: int, B: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of ``lattice.state_table(n, B)``: its (S, n) state vectors;
+    their (n, S) cells ``i (B+1) + u_i`` of a flattened (n, B+1) table; the (n, S)
+    masks of u_i = 0 (booleans) and of u_i > 0 (floats, for the hull rows' product);
+    the (S,) count of items selected; and the (B, n) row steps from u to u + s e_i."""
+    states, strides = lattice.state_table(n, B)
     cells = states.T + (B + 1) * np.arange(n, dtype=np.int64)[:, None]
     free = states.T == 0
     selected = (~free).astype(float)
     levels = np.count_nonzero(states, axis=1)
     steps = np.arange(1, B + 1, dtype=np.int64)[:, None] * strides
     tables = (states, cells, free, selected, levels, steps)
-    for a in tables:
+    for a in tables[1:]:
         a.flags.writeable = False
     return tables
 
@@ -121,11 +116,7 @@ def optimal_policy_value(instance: Instance, f, outer: OuterConstraint) -> Oracl
     """Value and decision tree of the best feasible adaptive policy."""
     instance.require_valid()
     n, B = instance.n, instance.B
-    if (B + 1) ** n > ORACLE_GUARD:
-        raise EnumerationLimitError(
-            f"(B+1)^n = {(B + 1) ** n} exceeds the exact oracle's state guard {ORACLE_GUARD}"
-        )
-    states, cells, free, selected, levels, steps = _lattice(n, B)
+    states, cells, free, selected, levels, steps = _tables(n, B)
     probs = instance.prob_matrix
     stop = np.asarray(f.value_batch(states), dtype=float)
     left = instance.budget - instance.padded_costs.take(cells).sum(axis=0)

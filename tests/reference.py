@@ -20,6 +20,11 @@
   (:func:`optimal_policy_by_recursion`, the reference that
   ``oracle.optimal_policy_value``'s table is held to) and exact evaluation and
   random generation of decision trees.
+* The pairwise utility checkers (:func:`check_monotone_pairwise`,
+  :func:`check_lattice_submodular_pairwise`), a Python loop over every comparable
+  pair of state vectors, the reference that ``lattice.check_monotone`` and
+  ``lattice.check_lattice_submodular``, which compare adjacent vectors only, are
+  held to.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from stochsubmax.extensions import check_marginals
 from stochsubmax.greedy import estimate_marginal_gains
 from stochsubmax.lp import build_slot_program, certify_optimal, solve_lp
 from stochsubmax.model import PROB_TOL, Instance, ItemModel, sample_realization_batch
-from stochsubmax.oracle import ORACLE_GUARD
 from stochsubmax.parallel import mean_se, run_blocks
 from stochsubmax.seeds import derive_rng
 
@@ -385,15 +389,6 @@ def multilinear_exact(instance: Instance, f, marginals) -> float:
     return total
 
 
-def _guard(instance: Instance):
-    """The exact oracle's refusal, so that the recursion reaches what the table does."""
-    if (instance.B + 1) ** instance.n > ORACLE_GUARD:
-        raise EnumerationLimitError(
-            f"(B+1)^n = {(instance.B + 1) ** instance.n} exceeds the exact oracle's state "
-            f"guard {ORACLE_GUARD}"
-        )
-
-
 def _support_max_costs(instance: Instance) -> list[int]:
     out = []
     for item in instance.items:
@@ -430,7 +425,7 @@ def optimal_policy_by_recursion(
     sum per state, the items scanned in order and a later one taken only if strictly
     better, stopping kept on ties."""
     instance.require_valid()
-    _guard(instance)
+    lattice.state_table(instance.n, instance.B)  # the state guard
     worst = _support_max_costs(instance)
     memo: dict = {}
 
@@ -482,7 +477,7 @@ def optimal_policy_by_recursion(
 def policy_tree_value(instance: Instance, f, outer: OuterConstraint, tree: dict) -> float:
     """Exact expected utility of a decision tree; rejects infeasible actions."""
     instance.require_valid()
-    _guard(instance)
+    lattice.state_table(instance.n, instance.B)  # the state guard
     worst = _support_max_costs(instance)
 
     def walk(node: dict, assignment: frozenset) -> float:
@@ -518,7 +513,7 @@ def random_feasible_tree(
 ) -> dict:
     """A random decision tree that only ever takes admissible actions."""
     instance.require_valid()
-    _guard(instance)
+    lattice.state_table(instance.n, instance.B)  # the state guard
     worst = _support_max_costs(instance)
     rng = derive_rng(seed, "random-tree")
 
@@ -543,3 +538,52 @@ def random_feasible_tree(
         return {"action": i + 1, "branches": branches}
 
     return build(frozenset())
+
+
+def _grid(n: int, max_level: int):
+    return itertools.product(range(max_level + 1), repeat=n)
+
+
+def check_monotone_pairwise(f, n: int, max_level: int):
+    """Exhaustively verify f(u) <= f(v) for all comparable u <= v.
+
+    Returns (True, None) or (False, (u, v)) with the first violating pair in
+    lexicographic (u, v) order. Refuses past the state guard.
+    """
+    lattice.state_table(n, max_level)
+    values = {u: f.value(np.array(u)) for u in _grid(n, max_level)}
+    for u in _grid(n, max_level):
+        fu = values[u]
+        for v in _grid(n, max_level):
+            if all(a <= b for a, b in zip(u, v)) and fu > values[v] + 1e-9:
+                return False, (np.array(u), np.array(v))
+    return True, None
+
+
+def check_lattice_submodular_pairwise(f, n: int, max_level: int):
+    """Exhaustively verify diminishing returns along coordinates.
+
+    Checks f(u v s*1_i) - f(u) >= f(v v s*1_i) - f(v) for every comparable pair
+    u <= v, level s, and coordinate i, with 1e-9 slack for float round-off.
+    Returns (True, None) or (False, (u, v, s, i)) with the first violation in
+    lexicographic (u, v, s, i) order. Refuses past the state guard.
+    """
+    lattice.state_table(n, max_level)
+    values = {u: f.value(np.array(u)) for u in _grid(n, max_level)}
+
+    def bumped(u, i, s):
+        w = list(u)
+        w[i] = max(w[i], s)
+        return tuple(w)
+
+    for u in _grid(n, max_level):
+        for v in _grid(n, max_level):
+            if not all(a <= b for a, b in zip(u, v)):
+                continue
+            for s in range(max_level + 1):
+                for i in range(n):
+                    gain_u = values[bumped(u, i, s)] - values[u]
+                    gain_v = values[bumped(v, i, s)] - values[v]
+                    if gain_u < gain_v - 1e-9:
+                        return False, (np.array(u), np.array(v), s, i)
+    return True, None

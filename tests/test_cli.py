@@ -49,12 +49,44 @@ def test_validate_flags_decreasing_costs(tmp_path, capsys):
 
 
 def test_validate_runs_utility_checkers_quietly(tmp_path, capsys):
-    # built-in families always pass the desk-scale checkers; validate must run
+    # built-in families always pass the utility checkers; validate must run
     # them without emitting the skip note on a small instance
     path = tmp_path / "ok.json"
     save_instance(symmetric_pair_instance(), path)
     assert main(["validate", "--instance", str(path)]) == 0
     assert "skipped" not in capsys.readouterr().out
+
+
+def test_validate_says_what_it_checked(tmp_path, capsys):
+    """validate checks every instance within the state guard, n = 8 at B = 3 too,
+    and past it notes the skip in the words of ratio's refusal."""
+    path = tmp_path / "random-1.json"
+    save_instance(random_instance(1), path)
+    assert main(["validate", "--instance", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "checked monotonicity and diminishing returns over 65536 state vectors" in out
+    items = tuple([ItemModel(probs=(0.5, 0.25, 0.25), costs=(1, 2, 3))] * 9)
+    big = Instance(n=9, B=3, budget=4, items=items, outer=constraints.cardinality(9, 2),
+                   utility=WeightedModular(weights=tuple([1.0] * 9)))
+    save_instance(big, path)
+    refusal = "(B+1)^n = 262144 exceeds the state guard 65536"
+    assert main(["validate", "--instance", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"note: utility checks skipped: {refusal}" in out and "checked" not in out
+    assert main(["ratio", "--instance", str(path)]) == 1
+    assert f"failed: {refusal}" in capsys.readouterr().err
+
+
+def test_validate_accepts_large_modular_weights(tmp_path, capsys):
+    """Round-off in the values of a valid utility is not reported as a violation."""
+    items = tuple([ItemModel(probs=(0.5, 0.25, 0.25), costs=(1, 2, 3))] * 5)
+    weights = (16821.77, 14618.72, 13245.84, 13099.17, 17879.62)
+    inst = Instance(n=5, B=3, budget=4, items=items, outer=constraints.cardinality(5, 2),
+                    utility=WeightedModular(weights=weights))
+    path = tmp_path / "large.json"
+    save_instance(inst, path)
+    assert main(["validate", "--instance", str(path)]) == 0
+    assert "checked monotonicity and diminishing returns over 1024" in capsys.readouterr().out
 
 
 def test_validate_truncated_json(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,8 @@ from stochsubmax.lattice import (
 )
 from stochsubmax.model import Instance, ItemModel
 from tests.conftest import FormulaUtility, examples
-from tests.reference import multilinear_exact
+from tests.reference import (check_lattice_submodular_pairwise, check_monotone_pairwise,
+                             multilinear_exact)
 
 
 def test_modular_is_monotone_and_submodular():
@@ -76,6 +78,74 @@ def test_coverage_family_passes_checks():
     assert ok, witness
     ok, witness = check_lattice_submodular(f, 3, 3)
     assert ok, witness
+
+
+@st.composite
+def checked_utilities(draw):
+    """(f, n, B) for n <= 4, B <= 3: one of the three families with random parameters
+    at scales up to 10^3, where round-off passes the checks' 1e-9 slack per step,
+    or an integer formula that may break monotonicity (negation, max less a
+    coordinate) or diminishing returns (product, squared sum)."""
+    n, B = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    small = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    scale = 10.0 ** draw(st.integers(0, 3))
+    weights = tuple(scale * w for w in draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(
+        ["modular", "sqrt", "cap", "coverage", "negation", "product", "squared", "max"]))
+    if kind == "modular":
+        f = WeightedModular(weights=weights)
+    elif kind == "sqrt":
+        f = ConcaveOverModular(weights=weights, curve="sqrt")
+    elif kind == "cap":
+        f = ConcaveOverModular(weights=weights, curve="cap",
+                               theta=scale * draw(st.floats(0.0, 10.0)))
+    elif kind == "coverage":
+        m = draw(st.integers(0, 8))
+        f = ThresholdCoverage(rates=tuple(draw(small)), element_weights=tuple(
+            scale * w for w in draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))))
+    else:
+        a = np.array(draw(small))
+        k = draw(st.integers(0, n - 1))
+        f = FormulaUtility({
+            "negation": lambda u: -int(a @ u),
+            "product": lambda u: int(np.prod(u[a > 0])),
+            "squared": lambda u: int(a @ u) ** 2,
+            "max": lambda u: int((a * u).max()) - int(a[k] > 1) * int(u[k]),
+        }[kind], n)
+    return f, n, B
+
+
+@given(checked_utilities())
+@settings(max_examples=examples(60))
+def test_adjacent_checks_match_pairwise_reference(case):
+    """Both verdicts are the pairwise reference's, and each witness breaks the
+    pairwise inequality."""
+    f, n, B = case
+    ok, witness = check_monotone(f, n, B)
+    assert ok == check_monotone_pairwise(f, n, B)[0]
+    if not ok:
+        u, v = witness
+        assert np.all(u <= v) and f.value(u) > f.value(v) + 1e-9
+    ok, witness = check_lattice_submodular(f, n, B)
+    assert ok == check_lattice_submodular_pairwise(f, n, B)[0]
+    if not ok:
+        u, v, s, i = witness
+        assert np.all(u <= v) and 0 <= s <= B
+
+        def gain(w):
+            return f.value(np.where(np.arange(n) == i, np.maximum(w, s), w)) - f.value(w)
+
+        assert gain(u) < gain(v) - 1e-9
+
+
+def test_checks_allow_round_off_of_large_values():
+    """A modular utility with weights near 1.5e4 at n = 5, B = 3 passes both checks:
+    its cross second differences are 0 but round to about 1e-10 in floats, past a
+    slack of 1e-9 / (n B^2) without the round-off allowance."""
+    f = WeightedModular(weights=(16821.77, 14618.72, 13245.84, 13099.17, 17879.62))
+    assert check_monotone(f, 5, 3) == (True, None)
+    assert check_lattice_submodular(f, 5, 3) == (True, None)
 
 
 def test_coverage_hand_values():
@@ -643,12 +713,25 @@ def test_exact_coverage_gains_agree_with_sampled_kernel():
     assert np.all(np.abs(sampled - exact) <= bound), np.abs(sampled - exact) / bound
 
 
+def test_checks_complete_at_the_guard():
+    """n = 16 at B = 1 and n = 8 at B = 3 hold exactly STATE_GUARD state vectors:
+    both checks run over all of them, and a concave utility passes."""
+    for n, B in ((16, 1), (8, 3)):
+        assert (B + 1) ** n == lattice.STATE_GUARD
+        f = ConcaveOverModular(weights=tuple(np.linspace(0.5, 2.0, n)), curve="sqrt")
+        assert check_monotone(f, n, B) == (True, None)
+        assert check_lattice_submodular(f, n, B) == (True, None)
+
+
 def test_enumeration_guard_refuses():
-    f = WeightedModular(weights=tuple([1.0] * 21))
-    with pytest.raises(EnumerationLimitError):
-        check_monotone(f, 21, 1)
-    with pytest.raises(EnumerationLimitError):
-        check_lattice_submodular(f, 21, 1)
+    """One item more, n = 17 at B = 1 or n = 9 at B = 3, is refused, naming (B+1)^n
+    and the guard."""
+    for n, B in ((17, 1), (9, 3)):
+        f = WeightedModular(weights=tuple([1.0] * n))
+        message = f"(B+1)^n = {(B + 1) ** n} exceeds the state guard {lattice.STATE_GUARD}"
+        for check in (check_monotone, check_lattice_submodular):
+            with pytest.raises(EnumerationLimitError, match=re.escape(message)):
+                check(f, n, B)
 
 
 def test_descriptor_round_trip():

@@ -10,9 +10,9 @@ from stochsubmax.generators import (
     random_oracle_sized_instance,
     symmetric_pair_instance,
 )
-from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
+from stochsubmax.lattice import STATE_GUARD, ConcaveOverModular, ThresholdCoverage, WeightedModular
 from stochsubmax.model import Instance, ItemModel
-from stochsubmax.oracle import ORACLE_GUARD, optimal_policy_value
+from stochsubmax.oracle import optimal_policy_value
 from tests.conftest import examples
 from tests.reference import optimal_policy_by_recursion, policy_tree_value, random_feasible_tree
 
@@ -104,7 +104,7 @@ def test_dropping_outer_constraint_never_hurts():
 
 
 def test_guard_refusal():
-    """Past ORACLE_GUARD state vectors the table and the tree evaluation refuse;
+    """Past STATE_GUARD state vectors the table and the tree evaluation refuse;
     n = 6 at B = 1 (64 state vectors) is in reach and solves as the reference."""
     items = tuple([ItemModel(probs=(0.5, 0.25, 0.25), costs=(1, 2, 3))] * 9)
     big = Instance(
@@ -112,7 +112,7 @@ def test_guard_refusal():
         outer=constraints.cardinality(9, 2),
         utility=WeightedModular(weights=tuple([1.0] * 9)),
     )
-    message = rf"\(B\+1\)\^n = {4**9} exceeds .* {ORACLE_GUARD}"
+    message = rf"\(B\+1\)\^n = {4**9} exceeds .* {STATE_GUARD}"
     with pytest.raises(EnumerationLimitError, match=message):
         optimal_policy_value(big, big.utility, big.outer)
     with pytest.raises(EnumerationLimitError, match=message):
