@@ -5,7 +5,8 @@ A state vector assigns each item an integer level in {0, ..., B}; level 0 means
 to be monotone and to have diminishing returns along coordinates, which
 :func:`check_monotone` and :func:`check_lattice_submodular` verify over adjacent
 state vectors of :func:`state_table`, the one enumeration of {0, ..., B}^n. Its
-``STATE_GUARD`` bounds every exhaustive computation, the exact oracle's too.
+``STATE_GUARD`` bounds every exhaustive computation, the exact oracle's too;
+``policy.simulate_batch`` runs the policy on its rows at desk scale.
 
 A rounding block holds only the states of the solution's support items.
 ``value_batch_at(states, columns)`` evaluates such a block, every other item
@@ -385,9 +386,12 @@ class ConcaveOverModular(UtilityOracle):
         # (B, n, 1): item i's own weighted level s and its probability, s = 1..B
         own = weights * np.arange(1, B + 1)[:, None, None]
         chance = probs.T[:, :, None]
+        # the mixed-radix digits of state_table, with item j's own count as its radix
+        radix = np.array(counts)[:, None]
+        strides = np.cumprod([1, *counts[:0:-1]])[::-1, None]
         for lo in range(0, count, BLOCK_SIZE):
             # (n, R) digits of atoms lo, lo + 1, ..., the last item's turning fastest
-            flat = np.stack(np.unravel_index(np.arange(lo, min(lo + BLOCK_SIZE, count)), counts))
+            flat = np.arange(lo, min(lo + BLOCK_SIZE, count)) // strides % radix
             flat += offsets
             without = _sums_without(shares.take(flat))
             level_gains = self._g(without + own)

@@ -18,6 +18,11 @@ cell. A run reads the state of a sampled item only, so nothing else is drawn
 but the priorities, and those only where a row is over a cap. Simulation and
 the coupled dominance check call it on blocks of many runs; :func:`execute` is
 one run of it against a given realization, returned as a :class:`PolicyTrace`.
+A simulation whose (B+1)^n_s kept-state rows fit in one block, over more runs
+than one block holds, draws and keeps each block through the same kernel
+functions but runs the gate scan and the utility once per kept-state row, and
+each run reads its row's result (:func:`simulate_batch`): a desk instance has
+at most a thousand such rows against thousands of runs.
 Each of the three first checks that the solution fits the instance
 (:func:`greedy.check_solution_shape`); none certifies it, which the CLI and
 the benchmark do before they run the policy.
@@ -55,10 +60,10 @@ import numpy as np
 from .constraints import OuterConstraint, independent_rows, is_independent  # noqa: F401
 from .errors import as_ints
 from .greedy import SlotSolution, check_solution_shape
-from .lattice import scatter_columns
+from .lattice import scatter_columns, state_table
 from .model import Instance
 # map_blocks stays a module name: bench/tracing.py counts calls through it
-from .parallel import map_blocks, mean_se, run_blocks  # noqa: F401
+from .parallel import BLOCK_SIZE, map_blocks, mean_se, run_blocks  # noqa: F401
 from .rounding import (
     BalancedCrs,
     BlockDraws,
@@ -221,26 +226,85 @@ def simulate_batch(
     marks a read only where it gathers a state, so the last tally reads 0 unless
     that gather moves; tests/test_kernel.py checks the read mask against a
     scalar reference's read log on identical draws.
+
+    A run's gate scan, reads, spend and utility depend only on its kept-state
+    row ``thinned * kept``: an unkept item is never read, and a kept one only
+    if it is selected. Where the (B+1)^n_s such rows fit in one block and the
+    runs fill more than one, ``(B+1)**n_s <= BLOCK_SIZE < runs``, the policy
+    runs once on every row of ``lattice.state_table(n_s, B)`` and each run
+    looks its row up (:func:`_table_block`); every other call runs the policy
+    on each run's row. Both give the same bits. The table costs one pass over
+    (B+1)^n_s rows per call. Measured on a 2-core x86 machine on one BLAS
+    thread: 5000 runs on the bench's seed-1 desk solutions (n_s <= 3) took a
+    mean 228 us against 342 us row by row; at 4096 rows (n_s = 6, B = 3) the
+    table was 8% faster over 5000 runs and 24% over 10^4, but a lone 500-run
+    block took twice as long through it, so a single block keeps the row path.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs")
     instance.require_valid()
     check_solution_shape(instance, sol)
-
-    def block(rng, start, size):
-        run = run_policy_batch(instance, f, outer, crs, sol, draw_block(instance, sol, rng, size))
-        return (
-            size,
-            float(run.utility.sum()),
-            float(run.utility @ run.utility),
-            int(np.count_nonzero(run.spent > instance.budget)),
-            int(np.count_nonzero(~independent_rows(outer, run.selected, sol.support))),
-            int(np.count_nonzero(np.any(run.reads != run.selected, axis=1))),
-        )
+    support = sol.support
+    if (instance.B + 1) ** len(support) <= BLOCK_SIZE < runs:
+        block = _table_block(instance, f, outer, crs, sol)
+    else:
+        def block(rng, start, size):
+            run = run_policy_batch(instance, f, outer, crs, sol, draw_block(instance, sol, rng, size))
+            return (
+                size,
+                float(run.utility.sum()),
+                float(run.utility @ run.utility),
+                int(np.count_nonzero(run.spent > instance.budget)),
+                int(np.count_nonzero(~independent_rows(outer, run.selected, support))),
+                int(np.count_nonzero(np.any(run.reads != run.selected, axis=1))),
+            )
 
     count, total, sumsq, inner, outside, adaptive = run_blocks("simulate", seed, runs, block)
     mean, se = mean_se(count, total, sumsq)
     return SimulationSummary(count, mean, se, inner, outside, adaptive)
+
+
+def _table_block(instance: Instance, f, outer, crs, sol: SlotSolution):
+    """:func:`simulate_batch`'s block function over the kept-state table.
+
+    The gate scan and the utility run once on the (S, n_s) rows of
+    ``state_table(n_s, B)``, S = (B+1)^n_s, each row kept where it is nonzero,
+    for each row's utility and violation flags. A block draws and keeps as the
+    row path does, so its streams and priority reads are the same, then codes
+    each run's kept-state row as its table row, ``sum_c strides[c]
+    kept_state[r, c]`` with the table's strides (B+1)^(n_s-1-c). One ``take``
+    gives the runs' utilities, reduced in run order as on the row path, and one
+    ``bincount`` weights each row's flags by its run count.
+    """
+    support = sol.support
+    states, _ = state_table(len(support), instance.B)
+    radix = instance.B + 1
+    selected, reads, revealed, spent = gate_scan_batch(instance, states, states > 0, sol)
+    utilities = np.asarray(f.value_batch_at(revealed, support), dtype=float)
+    # (3, S) inner-budget, outer-family and adaptivity violations of each row
+    flags = np.stack([
+        spent > instance.budget,
+        ~independent_rows(outer, selected, support),
+        np.any(reads != selected, axis=1),
+    ]).astype(np.int64)
+
+    def block(rng, start, size):
+        d = draw_block(instance, sol, rng, size)
+        kept = crs_keep_batch(crs, outer, d.thinned > 0, lambda: d.priorities, support)
+        # Horner's rule over the support columns in int64, never in the thinned block's int8
+        codes = np.zeros(size, dtype=np.int64)
+        for column in (d.thinned * kept).T:
+            codes *= radix
+            codes += column
+        utility = utilities.take(codes)
+        return (
+            size,
+            float(utility.sum()),
+            float(utility @ utility),
+            *(flags @ np.bincount(codes, minlength=len(states))).tolist(),
+        )
+
+    return block
 
 
 @dataclass(frozen=True)

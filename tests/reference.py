@@ -9,6 +9,10 @@
   (``policy.run_policy_batch``), for tests/test_kernel.py to compare on
   identical draws; its priority scheme is :func:`greedy_keep`, a scan
   against the independence oracle.
+* :func:`simulate_by_rows`, the policy simulation run by run: the batched
+  kernel on every drawn row, the reference that ``policy.simulate_batch``,
+  which reads desk-scale runs off a table of kept-state rows, is held to bit
+  for bit.
 * The instance parser and validator one field and one item at a time
   (:func:`instance_from_json_by_field`, :func:`validate_instance_by_item`),
   for tests/test_model.py to compare with ``model``'s sweeps over whole lists.
@@ -37,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stochsubmax import lattice
-from stochsubmax.constraints import OuterConstraint, is_independent, outer_from_json, validate_outer
+from stochsubmax import lattice, policy
+from stochsubmax.constraints import (OuterConstraint, independent_rows, is_independent,
+                                     outer_from_json, validate_outer)
 from stochsubmax.errors import (EnumerationLimitError, LpCertificateError, as_int, json_number,
                                 required)
 from stochsubmax.extensions import check_marginals
@@ -46,6 +51,7 @@ from stochsubmax.greedy import estimate_marginal_gains
 from stochsubmax.lp import build_slot_program, certify_optimal, solve_lp
 from stochsubmax.model import PROB_TOL, Instance, ItemModel, sample_realization_batch
 from stochsubmax.parallel import mean_se, run_blocks
+from stochsubmax.rounding import draw_block
 from stochsubmax.seeds import derive_rng
 
 SET_ENUM_GUARD = 10**6
@@ -249,6 +255,31 @@ def _run_policy(instance, f, outer, crs, sol, thinned, priorities):
         utility=utility,
         reads=tuple(reveal.reads),
     )
+
+
+def simulate_by_rows(instance, f, outer, crs, sol, runs: int, seed: int) -> policy.SimulationSummary:
+    """``policy.simulate_batch`` with the policy run on every run's own row.
+
+    Each block of the ``simulate`` stream goes through ``policy.run_policy_batch``
+    (which reads ``policy.gate_scan_batch`` at call time, so a test can wrap it)
+    and tallies its utilities and violations run by run.
+    """
+
+    def block(rng, start, size):
+        run = policy.run_policy_batch(instance, f, outer, crs, sol,
+                                      draw_block(instance, sol, rng, size))
+        return (
+            size,
+            float(run.utility.sum()),
+            float(run.utility @ run.utility),
+            int(np.count_nonzero(run.spent > instance.budget)),
+            int(np.count_nonzero(~independent_rows(outer, run.selected, sol.support))),
+            int(np.count_nonzero(np.any(run.reads != run.selected, axis=1))),
+        )
+
+    count, total, sumsq, inner, outside, adaptive = run_blocks("simulate", seed, runs, block)
+    mean, se = mean_se(count, total, sumsq)
+    return policy.SimulationSummary(count, mean, se, inner, outside, adaptive)
 
 
 def instance_from_json_by_field(text: str) -> Instance:

@@ -3,13 +3,15 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stochsubmax import constraints
+from stochsubmax import constraints, policy
 from stochsubmax.errors import InvalidInputError
 from stochsubmax.generators import random_instance, single_item_instance
 from stochsubmax.greedy import SlotSolution, certify_solution, run_continuous_greedy
-from stochsubmax.lattice import WeightedModular
+from stochsubmax.lattice import ConcaveOverModular, ThresholdCoverage, WeightedModular
 from stochsubmax.model import Instance, ItemModel, sample_realization
+from stochsubmax.parallel import BLOCK_SIZE
 from stochsubmax.policy import (
     PolicyTrace,
     coupled_dominance_check,
@@ -24,6 +26,7 @@ from stochsubmax.rounding import (
     estimate_state_keep_rates,
 )
 from tests.conftest import edge_instances, examples
+from tests.reference import simulate_by_rows
 
 
 def full_mass_solution(instance, marginals):
@@ -217,6 +220,103 @@ def test_simulation_pinned(pair_instance):
     )
     assert (one.inner_violations, one.outer_violations, one.adaptivity_violations) == (0, 0, 0)
     assert summary(4) != one
+
+
+@st.composite
+def table_cases(draw):
+    """An instance of n <= 6 items at B <= 3 under one of the three families and a
+    cardinality or partition family whose caps bind, fit or are 0, a hand-built
+    solution whose support may be empty, and a run count of more than one block:
+    every (B+1)^n_s kept-state row fits in one block, so the runs read the table."""
+    n = draw(st.integers(1, 6))
+    B = draw(st.integers(1, 3))
+    budget = draw(st.integers(2, 10))
+    items = []
+    for _ in range(n):
+        odds = draw(st.lists(st.integers(1, 4), min_size=B, max_size=B))
+        costs = sorted(draw(st.lists(st.integers(1, budget), min_size=B, max_size=B)))
+        items.append(ItemModel(probs=tuple(w / sum(odds) for w in odds), costs=tuple(costs)))
+    if draw(st.booleans()):
+        outer = constraints.cardinality(n, draw(st.integers(0, n)))
+    else:
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+        outer = constraints.partition(n, blocks, [draw(st.integers(0, len(b))) for b in blocks])
+    weights = tuple(draw(st.lists(st.floats(0, 3), min_size=n, max_size=n)))
+    utility = draw(st.sampled_from([
+        WeightedModular(weights=weights),
+        ConcaveOverModular(weights=weights, curve="sqrt"),
+        ConcaveOverModular(weights=weights, curve="cap", theta=2.5),
+        ThresholdCoverage(rates=tuple(int(w) for w in weights), element_weights=(1.0, 0.3, 0.7)),
+    ]))
+    inst = Instance(n=n, B=B, budget=budget, items=tuple(items), outer=outer, utility=utility)
+    inst.require_valid()
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))  # 0.0 leaves the support empty
+    entries = tuple(
+        (i, draw(st.integers(1, int(slots))), draw(st.floats(0.05, 1.0)))
+        for i, slots in enumerate(inst.slot_counts.tolist())
+        if slots > 0 and draw(st.floats(0, 1)) < share
+    )
+    sol = SlotSolution(n=n, budget=budget, entries=entries, stop_scale=0.25, steps=1,
+                       grad_samples=1, seed=0)
+    runs = draw(st.sampled_from([BLOCK_SIZE + 1, 5000, 9000]))
+    return inst, sol, runs, draw(st.integers(0, 2**32 - 1))
+
+
+def summary_bits(s):
+    return (s.runs, s.mean_utility.hex(), s.se.hex(), s.inner_violations, s.outer_violations,
+            s.adaptivity_violations)
+
+
+@settings(max_examples=examples(60))
+@given(table_cases())
+def test_table_simulation_equals_the_row_reference(case):
+    """Runs read off the kept-state table give the row-by-row reference's summary,
+    mean and se to the bit."""
+    inst, sol, runs, seed = case
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    args = (inst, inst.utility, inst.outer, crs, sol)
+    assert summary_bits(simulate_batch(*args, runs=runs, seed=seed)) == \
+        summary_bits(simulate_by_rows(*args, runs=runs, seed=seed))
+
+
+def test_table_tallies_count_runs_not_rows(partition_instance, monkeypatch):
+    """A gate scan that marks an extra read on one kept-state row makes every run
+    with that row an adaptivity violation: the table path weights the row by its
+    run count, as the row reference counts it on the same draws. At BLOCK_SIZE
+    runs the one block is scanned row by row."""
+    inst = partition_instance
+    sol = one_slot_solution(inst, {0: (1, 0.6), 1: (3, 0.6), 2: (2, 0.6)})
+    crs = BalancedCrs(kind="priority", scale=0.25)
+    args = (inst, inst.utility, inst.outer, crs, sol)
+    target = np.array([0, 0, 2])  # only item 3 kept, at state 2
+    scan, scanned, hits = policy.gate_scan_batch, [], []
+
+    def marked(instance, states, kept, s):
+        selected, reads, revealed, spent = scan(instance, states, kept, s)
+        hit = (np.where(kept, states, 0) == target).all(axis=1)
+        reads = reads.copy()
+        reads[hit, 2] = ~reads[hit, 2]
+        scanned.append(len(hit))
+        hits.append(int(hit.sum()))
+        return selected, reads, revealed, spent
+
+    assert simulate_batch(*args, runs=9000, seed=5).adaptivity_violations == 0
+    monkeypatch.setattr(policy, "gate_scan_batch", marked)
+    table = simulate_batch(*args, runs=9000, seed=5)
+    assert scanned == [(inst.B + 1) ** 3] and hits == [1]  # one scan of the table, one marked row
+    scanned.clear()
+    hits.clear()
+    rows = simulate_by_rows(*args, runs=9000, seed=5)
+    assert len(scanned) == 3  # one scan per block of runs
+    assert table.adaptivity_violations == sum(hits) > 1  # the marked row's run count
+    assert summary_bits(table) == summary_bits(rows)
+    scanned.clear()
+    hits.clear()
+    one_block = simulate_batch(*args, runs=BLOCK_SIZE, seed=5)
+    assert scanned == [BLOCK_SIZE]
+    assert one_block.adaptivity_violations == sum(hits) > 1
+    assert summary_bits(one_block) == summary_bits(simulate_by_rows(*args, runs=BLOCK_SIZE, seed=5))
 
 
 def test_dominance_single_item_equality(single_item):
