@@ -9,7 +9,6 @@ exact rate guarantees times the brute-force optimum.
 """
 
 import argparse
-import math
 import sys
 
 from stochsubmax import (
@@ -19,10 +18,11 @@ from stochsubmax import (
     coupled_dominance_check,
     estimate_set_keep_rate,
     estimate_state_keep_rates,
-    exact_set_keep_rate,
     optimal_policy_value,
+    ratio_guarantee,
     run_continuous_greedy,
     simulate_batch,
+    stop_scale,
 )
 from stochsubmax.generators import random_oracle_sized_instance, symmetric_pair_instance
 from stochsubmax.rounding import MAPPINGS, min_rate
@@ -48,7 +48,7 @@ def main() -> int:
     print(f"  n={instance.n} B={instance.B} budget={instance.budget} "
           f"outer={instance.outer.kind} utility={instance.utility.family}")
 
-    scale = min(args.beta, 0.25)
+    scale = stop_scale(args.beta)
     sol = run_continuous_greedy(
         instance, instance.utility, instance.outer,
         stop_scale=scale, steps=args.steps, grad_samples=args.grad_samples,
@@ -67,8 +67,7 @@ def main() -> int:
         crs, instance.outer, sol.marginals, trials=args.runs, seed=args.seed + 1
     )
     gamma_hat, gamma_se = min_rate(gamma_rows)
-    keep_rate = exact_set_keep_rate(crs, instance.outer, sol.marginals)[sol.support].min(
-        initial=1.0)
+    keep_rate, bound = ratio_guarantee(crs, instance.outer, sol, args.beta)
     print(f"set-level keep rate: min {gamma_hat:.4f} (se {gamma_se:.4f}), "
           f"exact {keep_rate:.4f}, fair scheme's closed form {closed_form_keep_rate(scale):.4f}")
     for mapping in MAPPINGS:
@@ -93,8 +92,6 @@ def main() -> int:
     print(f"coupled dominance: {'ok' if dom.passed else 'VIOLATED'} over {dom.trials} trials")
 
     opt = optimal_policy_value(instance, instance.utility, instance.outer)
-    prefactor = (1 - min(2 * args.beta, 0.5)) * (1 - math.exp(-scale))
-    bound = prefactor * keep_rate
     print(f"exact optimum: {opt.value:.4f}; guaranteed bound {bound:.4f} * opt "
           f"= {bound * opt.value:.4f}")
     ok = summary.mean_utility >= bound * opt.value - 3 * summary.se

@@ -13,7 +13,6 @@ from .constraints import (
     in_scaled_polytope,
     is_independent,
     partition,
-    polytope_inequalities,
 )
 from .errors import (
     EnumerationLimitError,
@@ -73,6 +72,8 @@ from .rounding import (
     estimate_set_keep_rate,
     estimate_state_keep_rates,
     exact_set_keep_rate,
+    ratio_guarantee,
+    stop_scale,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

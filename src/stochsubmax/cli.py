@@ -3,6 +3,9 @@
 Subcommands: ``validate`` an instance file, ``solve`` the continuous phase and
 certify it, ``simulate`` the policy on a solved instance (CSV reports), and
 ``ratio`` for the end-to-end comparison against the exact-oracle optimum.
+``simulate`` and ``ratio`` round with the one set-level scheme, ``priority``,
+and run nothing on a solution that fails certification, whose row tolerance
+is the one the scheme's scaled-hull check reads.
 
 Exit codes: 0 success, 1 domain failure (violations, failed certification,
 failed verdict, size guards), 2 I/O failure (unreadable or malformed files).
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -49,10 +51,6 @@ def _load(path: str, validated: bool = True) -> Instance:
     if validated and instance.violations:
         raise DomainFailure("invalid instance: " + "; ".join(instance.violations))
     return instance
-
-
-def _stop_scale(beta: float) -> float:
-    return min(beta, 0.25)
 
 
 def _check_config(args):
@@ -91,7 +89,7 @@ def cmd_validate(args) -> int:
 
 
 def _solve(instance: Instance, args):
-    scale = _stop_scale(args.beta)
+    scale = rounding.stop_scale(args.beta)
     sol = greedy.run_continuous_greedy(
         instance,
         instance.utility,
@@ -138,7 +136,7 @@ def cmd_simulate(args) -> int:
     report = greedy.certify_solution(instance, instance.outer, sol, sol.stop_scale)
     if not report.passed:
         raise DomainFailure("solution failed certification; refusing to simulate")
-    crs = rounding.BalancedCrs(kind=args.crs, scale=sol.stop_scale)
+    crs = rounding.BalancedCrs(kind="priority", scale=sol.stop_scale)
     summary = policy.simulate_batch(
         instance,
         instance.utility,
@@ -193,7 +191,7 @@ def cmd_ratio(args) -> int:
     if not report.passed:
         raise DomainFailure("solution failed certification")
     scale = sol.stop_scale
-    crs = rounding.BalancedCrs(kind=args.crs, scale=scale)
+    crs = rounding.BalancedCrs(kind="priority", scale=scale)
     summary = policy.simulate_batch(
         instance,
         instance.utility,
@@ -204,10 +202,7 @@ def cmd_ratio(args) -> int:
         seed=args.seed,
     )
     mean, se = summary.mean_utility, summary.se
-    # the exact keep rate: only the simulated mean carries a standard error
-    gamma = rounding.exact_set_keep_rate(crs, instance.outer, sol.marginals)
-    keep_rate = float(gamma[sol.support].min(initial=1.0))
-    bound = (1.0 - min(2.0 * args.beta, 0.5)) * (1.0 - math.exp(-scale)) * keep_rate
+    keep_rate, bound = rounding.ratio_guarantee(crs, instance.outer, sol, args.beta)
     passed = mean >= bound * opt.value - 3.0 * se
     ratio = mean / opt.value if opt.value > 0 else float("inf")
     print(
@@ -239,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "joint levels outnumber it; must be at least 1")
         if runs:
             p.add_argument("--runs", type=int, default=10**4, help="must be at least 2")
-            p.add_argument("--crs", choices=["identity", "priority"], default="priority")
 
     p = sub.add_parser("validate", help="check an instance file")
     common(p)

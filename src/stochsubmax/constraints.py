@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import InvalidInputError, as_int, as_ints, required
 
-MEMBERSHIP_TOL = 1e-9
+# the one feasibility tolerance of a row or the [0, 1] box: the LP's answers, the
+# greedy's marginals, its certificate and the scheme's scaled hull all read it
+ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -131,23 +133,25 @@ def independent_rows(outer: OuterConstraint, mask, columns=slice(None)) -> np.nd
     return np.all(a[:, columns] @ mask.T <= bounds[:, None], axis=0)
 
 
-def polytope_inequalities(outer: OuterConstraint) -> list[tuple[np.ndarray, float]]:
-    """The rows (a, b) of :attr:`OuterConstraint.hull`: with 0 <= x <= 1, the
-    inequalities a.x <= b describe the hull exactly."""
-    a, bounds = outer.hull
-    return list(zip(a, bounds.tolist()))
-
-
 def in_scaled_polytope(outer: OuterConstraint, x, scale: float) -> bool:
-    """Is the fractional vector x inside scale * conv{indicator vectors of the family}?"""
+    """Is the fractional vector x inside scale * conv{indicator vectors of the family},
+    to within ``ROW_TOL`` on each hull row and the box?"""
     x = np.asarray(x, dtype=float)
     if x.shape != (outer.n,):
         raise ValueError(f"expected a vector of length {outer.n}")
     # NaN fails both comparisons; an empty vector reads as 0
-    if not (x.min(initial=0.0) >= -MEMBERSHIP_TOL and x.max(initial=0.0) <= 1 + MEMBERSHIP_TOL):
+    if not (x.min(initial=0.0) >= -ROW_TOL and x.max(initial=0.0) <= 1 + ROW_TOL):
         return False
     a, b = outer.hull
-    return bool(np.all(a @ x <= scale * b + MEMBERSHIP_TOL))
+    return bool(np.all(row_sums(a, x) <= scale * b + ROW_TOL))
+
+
+def row_sums(coeffs, values) -> np.ndarray:
+    """``coeffs @ values``, each row's terms added in column order one at a time: the
+    certificate and :func:`in_scaled_polytope` both sum here, so they agree to the bit."""
+    if not len(values):
+        return np.zeros(len(coeffs))
+    return np.add.accumulate(coeffs.T * values[:, None])[-1]
 
 
 def outer_to_json(outer: OuterConstraint) -> dict:

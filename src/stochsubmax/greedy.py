@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import OuterConstraint, polytope_inequalities
+from .constraints import ROW_TOL, OuterConstraint, row_sums
 from .errors import InvalidInputError, LpCertificateError, as_int, cached_array, json_number
 from .extensions import check_marginals
 from .lp import build_slot_program, certify_optimal, slot_rows, solve_lp
@@ -67,8 +67,6 @@ from .model import Instance, sample_realization_batch
 from .parallel import map_blocks, mean_se, run_blocks  # noqa: F401
 from .seeds import stream_entropy
 
-MARGINAL_TOL = 1e-9
-CERT_TOL = 1e-7
 # LP values at or below this are float dust on basic variables that are 0 in
 # exact arithmetic; they are dropped from solutions
 ENTRY_TOL = 1e-12
@@ -139,7 +137,7 @@ def check_solution_shape(instance: Instance, sol: SlotSolution):
 
     The solution must have the instance's n and budget, each entry's slot
     must lie in 1..s_i, its item's slot count, and each value must lie in
-    [0, 1] to within ``MARGINAL_TOL``, the one value tolerance (NaN fails).
+    [0, 1] to within ``constraints.ROW_TOL`` (NaN fails).
     """
     if sol.n != instance.n or sol.budget != instance.budget:
         raise ValueError("solution does not match the instance dimensions")
@@ -147,7 +145,7 @@ def check_solution_shape(instance: Instance, sol: SlotSolution):
     for i, t, v in sol.entries:
         if not 1 <= t <= slots[i]:
             raise ValueError(f"item {i + 1} has slot {t}, out of slot range 1..{slots[i]}")
-        if not -MARGINAL_TOL <= v <= 1 + MARGINAL_TOL:
+        if not -ROW_TOL <= v <= 1 + ROW_TOL:
             raise ValueError(f"item {i + 1} has marginal {v!r}; marginals must lie in [0, 1]")
 
 
@@ -280,7 +278,7 @@ def run_continuous_greedy(
             path[0] = x
             path[1:] = delta * answer.values
             np.add.accumulate(path, axis=0, out=path)  # np.cumsum without its wrapper
-        # every answer holds the box to within lp.ROW_TOL, and its float dust is
+        # every answer holds the box to within ROW_TOL, and its float dust is
         # clipped here: estimate_marginal_gains rejects marginals further out
         rows = marginals_of(path[: steps - k])
         np.minimum(np.maximum(rows, 0.0, out=rows), 1.0, out=rows)
@@ -312,7 +310,7 @@ def run_continuous_greedy(
     marginals = marginals_of(x)
     # float dust above 1 is renormalized away; anything larger is a solver bug
     for i in np.nonzero(marginals > 1.0)[0]:
-        if marginals[i] > 1.0 + MARGINAL_TOL:
+        if marginals[i] > 1.0 + ROW_TOL:
             raise AssertionError(f"marginal of item {i} exceeds 1: {marginals[i]!r}")
         x[items == i] /= marginals[i]
         marginals[i] = 1.0
@@ -331,19 +329,22 @@ def run_continuous_greedy(
 def certify_solution(
     instance: Instance, outer: OuterConstraint, sol: SlotSolution, scale: float
 ) -> CertificationReport:
-    """Check every solution invariant at the given scale, with CERT_TOL slack.
+    """Check every solution invariant at the given scale, with ``constraints.ROW_TOL`` slack.
 
     The first row, ``entries-in-range``, is :func:`check_solution_shape`; a
     solution that fails it does not fit the instance, and the report holds
     that row alone. That row already holds each item's one value, its mass,
-    to at most 1 + ``MARGINAL_TOL`` at any scale, so there is no per-item
+    to at most 1 + ``ROW_TOL`` at any scale, so there is no per-item
     cap row. Outer rows must hold at scale * bound and time rows at
     scale * 2t, built by :func:`lp.slot_rows` over the solution's own items
     and slots. Report-only: never raises for a failing row.
 
     Each row's lhs sums its coefficient times the item's value over the
-    items in increasing order, one at a time, so a time row equals a
-    slot-by-slot accumulation in item order bit for bit.
+    items in increasing order, one at a time (:func:`constraints.row_sums`),
+    so a time row equals a slot-by-slot accumulation in item order bit for
+    bit. The scheme's scaled-hull check (:func:`constraints.in_scaled_polytope`)
+    sums the outer rows the same way against the same tolerance, so the
+    rounding accepts every solution that passes here at this scale.
     """
     try:
         check_solution_shape(instance, sol)
@@ -351,14 +352,12 @@ def certify_solution(
         return CertificationReport(scale=scale, rows=(("entries-in-range", 0.0, 1.0, False),),
                                    passed=False)
     rows: list[tuple[str, float, float, bool]] = [("entries-in-range", 1.0, 1.0, True)]
-    labels, coeffs, bounds = slot_rows(instance, polytope_inequalities(outer), sol.support,
-                                       sol.slots)
-    # one C-contiguous row per item: the sum along axis 0 adds the items in order
-    terms = np.ascontiguousarray(coeffs.T) * sol.marginals[sol.support, None]
-    for (kind, r), lhs, bound in zip(labels, terms.sum(axis=0).tolist(), bounds.tolist()):
+    labels, coeffs, bounds = slot_rows(instance, outer.hull, sol.support, sol.slots)
+    lhs_all = row_sums(coeffs, sol.marginals[sol.support])
+    for (kind, r), lhs, bound in zip(labels, lhs_all.tolist(), bounds.tolist()):
         bound *= scale
         label = f"outer[{r}]" if kind == "outer" else f"time[{r}]"
-        rows.append((label, lhs, bound, bool(lhs <= bound + CERT_TOL)))
+        rows.append((label, lhs, bound, bool(lhs <= bound + ROW_TOL)))
 
     passed = all(r[3] for r in rows)
     return CertificationReport(scale=scale, rows=tuple(rows), passed=passed)

@@ -97,11 +97,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import OuterConstraint, polytope_inequalities
+from .constraints import ROW_TOL, OuterConstraint
 from .errors import LpCertificateError, LpStallError
 from .model import Instance
 
-ROW_TOL = 1e-9
 PIVOT_TOL = 1e-9
 CERT_TOL = 1e-9
 # basis changes between two rebuilds of the basis inverse from the basis itself
@@ -134,22 +133,20 @@ class LpSolution:
     basis: np.ndarray
 
 
-def slot_rows(instance: Instance, ineqs, items, slots):
+def slot_rows(instance: Instance, hull, items, slots):
     """The outer and time rows over one column per item: column j is ``items[j]`` at ``slots[j]``.
 
-    ``ineqs`` are the outer inequalities (a, b) of
-    :func:`constraints.polytope_inequalities`. Returns the row labels, the
-    (rows, columns) coefficients and the bounds: outer row r is ``a`` on the
-    items against b, and time row t in 1..budget is each item's truncated cost
-    at t (``instance.truncated_costs``) where its slot is at most t, else 0,
-    against 2t.
+    ``hull`` is the outer family's (A, b) (:attr:`constraints.OuterConstraint.hull`).
+    Returns the row labels, the (rows, columns) coefficients and the bounds:
+    outer row r is ``A[r]`` on the items against b[r], and time row t in
+    1..budget is each item's truncated cost at t (``instance.truncated_costs``)
+    where its slot is at most t, else 0, against 2t.
     """
+    a, b = hull
     times = np.arange(1, instance.budget + 1)
-    outer_rows = np.array([a[items] for a, _ in ineqs]).reshape(len(ineqs), len(items))
     time_rows = np.where(slots <= times[:, None], instance.truncated_costs[items].T, 0.0)
-    labels = [("outer", r) for r in range(len(ineqs))] + [("time", int(t)) for t in times]
-    bounds = np.concatenate([[float(b) for _, b in ineqs], 2.0 * times])
-    return labels, np.vstack([outer_rows, time_rows]), bounds
+    labels = [("outer", r) for r in range(len(b))] + [("time", int(t)) for t in times]
+    return labels, np.vstack([a[:, items], time_rows]), np.concatenate([b, 2.0 * times])
 
 
 def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgram:
@@ -164,10 +161,9 @@ def build_slot_program(instance: Instance, outer: OuterConstraint) -> SlotProgra
     feasible start slot get no variables.
     """
     instance.require_valid()
-    ineqs = polytope_inequalities(outer)
     slots = instance.slot_counts
     scheduled = np.flatnonzero(slots > 0)
-    labels, rows, bounds = slot_rows(instance, ineqs, scheduled, slots[scheduled])
+    labels, rows, bounds = slot_rows(instance, outer.hull, scheduled, slots[scheduled])
     binds = np.flatnonzero(np.maximum(rows, 0.0).sum(axis=1) > bounds)
     return SlotProgram(
         variables=tuple(zip(scheduled.tolist(), slots[scheduled].tolist())),
@@ -224,7 +220,7 @@ def certify_optimal(obj, A, b, x, basis, variables=None, row_labels=None):
     reduced costs d = obj - A^T y, gives the upper bound
     ``b.y + sum_j max(d_j, 0)`` on every feasible point, so no error in the
     simplex arithmetic, and no choice of basis, can make a wrong ``x`` pass.
-    Checks, in order: the rows (within ``ROW_TOL``) and the box, the basis
+    Checks, in order: the rows and the box (within ``constraints.ROW_TOL``), the basis
     (its shape, integer indices in range, not singular), the dual signs
     (``y >= -CERT_TOL``) and the gap (``<= CERT_TOL * max(1, |obj.x|)``).
     A NaN fails every check.

@@ -1,11 +1,10 @@
-"""Contention resolution: set-level pruning schemes and state-level pruning maps.
+"""Contention resolution: the set-level pruning scheme and state-level pruning maps.
 
 The set-level scheme trims a random item set down to a member of the outer
-family while keeping each sampled item with high conditional probability. Two
-schemes ship: ``identity`` (for constraints the sampled set can never violate)
-and ``priority`` (greedy by independent uniform priorities against the
-independence oracle; monotone, as keeping an item only gets harder as the
-sampled set grows). Under cardinality (one block of cap k) and partitions it
+family while keeping each sampled item with high conditional probability. One
+scheme ships, ``priority``: greedy by independent uniform priorities against
+the independence oracle, monotone, as keeping an item only gets harder as the
+sampled set grows. Under cardinality (one block of cap k) and partitions it
 is one rule: keep a sampled item iff fewer than its block's cap of sampled
 rivals have a smaller (priority, index), read only for rows over a cap.
 
@@ -50,8 +49,8 @@ Block b of an estimator draws from ``seeds.block_rng(seed, label, b)``
 (:func:`parallel.run_blocks`), labelled ``keep-rate`` or ``keep-<mapping>``.
 A state block draws one uniform per cell as an (n_s, R) array, one contiguous
 row per support column, then the (R, n_s) priorities, the latter only if the
-scheme reads them (:func:`crs_keep_batch`), which the identity scheme and the
-``schedule`` mapping never do. The set keep rate draws its (R, n_s) sample
+scheme reads them (:func:`crs_keep_batch`), which the ``schedule`` mapping
+never does. The set keep rate draws its (R, n_s) sample
 uniforms, then the priorities, as before, so its ``keep-rate`` stream did not
 move when the state blocks went to one uniform per cell; the
 ``keep-<mapping>`` streams did.
@@ -90,14 +89,15 @@ def closed_form_keep_rate(scale: float) -> float:
 
 @dataclass(frozen=True)
 class BalancedCrs:
-    """Set-level scheme descriptor: kind and the scale its keep rate is quoted at."""
+    """Set-level scheme descriptor: kind (only ``priority``) and the scale its keep rate
+    is quoted at."""
 
     kind: str
     scale: float = 0.25
 
     def __post_init__(self):
-        if self.kind not in ("identity", "priority"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
+        if self.kind != "priority":
+            raise ValueError(f"unknown scheme kind {self.kind!r}; the one kind is 'priority'")
         if not 0 < self.scale <= 1:
             raise ValueError("scale must lie in (0, 1]")
 
@@ -119,10 +119,6 @@ def crs_keep_batch(
     """
     sampled = np.asarray(sampled, dtype=bool)
     support = np.asarray(support)
-    if crs.kind == "identity":
-        if not np.all(independent_rows(outer, sampled, support)):
-            raise ValueError("identity scheme got a set outside the outer family")
-        return sampled.copy()
     read = priorities if callable(priorities) else (lambda: priorities)
     a, caps = outer.hull
     if outer.kind == "cardinality":
@@ -283,25 +279,18 @@ def exact_set_keep_rate(crs: BalancedCrs, outer: OuterConstraint, marginals) -> 
     """Each item's exact Pr[kept | sampled] under the set-level scheme, as an (n,) array.
 
     Items are sampled independently with their ``marginals``, which must lie
-    inside scale * hull (``ValueError`` otherwise). The identity scheme keeps
-    every sampled item, so every rate is 1 if the support is independent;
-    if it is not, a trial can sample a set outside the family, and this raises
-    ``ValueError``. Under the priority rule, item i of a hull row of cap c is
-    kept iff fewer than c of its N sampled block rivals have a smaller
-    priority; given N = m, its uniform priority ranks uniformly among the
-    m + 1, so ``gamma_i = sum_m P(N = m) * min(1, c / (m + 1))``. N is Poisson
-    binomial over the row's other positive-marginal items: the (m, m) array of
-    every such item's law is built one rival at a time, a rival leaving its
-    own row as it is. A row of at most c such items, and an item of marginal
-    0, gets 1. Reads only ``crs.kind`` and ``crs.scale``.
+    inside scale * hull (``ValueError`` otherwise). Under the priority rule,
+    item i of a hull row of cap c is kept iff fewer than c of its N sampled
+    block rivals have a smaller priority; given N = m, its uniform priority
+    ranks uniformly among the m + 1, so
+    ``gamma_i = sum_m P(N = m) * min(1, c / (m + 1))``. N is Poisson binomial
+    over the row's other positive-marginal items: the (m, m) array of every
+    such item's law is built one rival at a time, a rival leaving its own row
+    as it is. A row of at most c such items, and an item of marginal 0, gets
+    1. Reads only ``crs.scale``.
     """
     y = _scaled_marginals(crs, outer, marginals)
     gamma = np.ones(len(y))
-    if crs.kind == "identity":
-        support = np.flatnonzero(y > 0)
-        if not independent_rows(outer, np.ones((1, len(support)), dtype=bool), support)[0]:
-            raise ValueError("identity scheme can sample a set outside the outer family")
-        return gamma
     a, caps = outer.hull
     for row, cap in zip(a, caps.tolist()):
         block = np.flatnonzero((row > 0) & (y > 0))
@@ -317,6 +306,21 @@ def exact_set_keep_rate(crs: BalancedCrs, outer: OuterConstraint, marginals) -> 
             law[:, :1] *= 1.0 - q
         gamma[block] = law @ np.minimum(1.0, cap / np.arange(1, m + 1))
     return gamma
+
+
+def stop_scale(beta: float) -> float:
+    """The continuous greedy's stopping scale l = min(beta, 1/4) for the slack beta."""
+    return min(beta, 0.25)
+
+
+def ratio_guarantee(crs: BalancedCrs, outer: OuterConstraint, sol: SlotSolution,
+                    beta: float) -> tuple[float, float]:
+    """The keep rate gamma, the least exact set keep rate over the support (1 on an
+    empty one), and the guaranteed fraction (1 - min(2 beta, 1/2)) (1 - e^-l) gamma
+    of the optimum at l = ``sol.stop_scale``: only the simulated mean carries an error."""
+    gamma = exact_set_keep_rate(crs, outer, sol.marginals)
+    keep_rate = float(gamma[sol.support].min(initial=1.0))
+    return keep_rate, (1.0 - min(2.0 * beta, 0.5)) * (1.0 - math.exp(-sol.stop_scale)) * keep_rate
 
 
 def estimate_set_keep_rate(

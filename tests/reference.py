@@ -143,25 +143,16 @@ def greedy_keep(outer: OuterConstraint, members, priorities) -> set:
     return kept
 
 
-def keep(crs, outer, members, priorities) -> set:
-    """Resolve a sampled set with explicit per-item priorities (deterministic)."""
-    members = set(members)
-    if crs.kind == "identity":
-        if not is_independent(outer, members):
-            raise ValueError("identity scheme got a set outside the outer family")
-        return members
-    return greedy_keep(outer, members, priorities)
-
-
 def exact_set_keep_rate(crs, outer, marginals) -> np.ndarray:
     """Each item's exact Pr[kept | sampled] under the set-level scheme, by brute force.
 
     Goes over every set S of positive-marginal items, of probability
     prod_{i in S} y_i prod_{j not in S} (1 - y_j), and every order of S's
-    priorities, each of probability 1 / |S|!, and resolves S by :func:`keep`.
-    An item's kept mass over its marginal is its rate; an item of marginal 0
-    is never sampled and gets 1. The identity scheme raises ``ValueError`` on
-    the first set outside the family.
+    priorities, each of probability 1 / |S|!, and resolves S by
+    :func:`greedy_keep`. An item's kept mass over its marginal is its rate; an
+    item of marginal 0 is never sampled and gets 1. ``crs`` is unread: it
+    mirrors ``rounding.exact_set_keep_rate``'s signature, and there is one
+    scheme.
     """
     y = np.asarray(marginals, dtype=float)
     support = np.flatnonzero(y > 0).tolist()
@@ -172,7 +163,7 @@ def exact_set_keep_rate(crs, outer, marginals) -> np.ndarray:
             weight /= math.factorial(size)
             for order in itertools.permutations(members):
                 priorities = dict(zip(order, range(size)))
-                for i in keep(crs, outer, members, priorities):
+                for i in greedy_keep(outer, members, priorities):
                     kept_mass[i] += weight
     gamma = np.ones(len(y))
     gamma[support] = kept_mass[support] / y[support]
@@ -226,7 +217,7 @@ def _gate_scan(instance, kept, times: dict, reveal: RevealLog):
     return tuple(order), tuple(records), tuple(spent_history), tuple(selected)
 
 
-def _run_policy(instance, f, outer, crs, sol, thinned, priorities):
+def _run_policy(instance, f, outer, sol, thinned, priorities):
     """One traced run on an explicit width-n thinned state row and priorities.
 
     This is the scalar reference for ``policy.run_policy_batch`` on identical
@@ -236,7 +227,7 @@ def _run_policy(instance, f, outer, crs, sol, thinned, priorities):
     """
     reveal = RevealLog(thinned)
     sampled = [int(i) for i in np.flatnonzero(thinned)]
-    kept = sorted(keep(crs, outer, sampled, priorities))
+    kept = sorted(greedy_keep(outer, sampled, priorities))
     times = {i: slot_at(sol, i) for i in kept}
     order, records, spent_history, selected = _gate_scan(instance, kept, times, reveal)
     final = np.zeros(instance.n, dtype=np.int64)

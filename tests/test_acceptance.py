@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 Statistical criteria use fixed seeds and the stated trial counts; every
 assertion carries its stated tolerance (3 standard errors for Monte Carlo
-quantities, 1e-7 for certification rows, 1e-12 for exact oracle values).
+quantities, 1e-9 for certification rows, the one row tolerance
+``constraints.ROW_TOL`` that the rounding's scaled-hull check also reads,
+1e-12 for exact oracle values).
 """
 
 import math

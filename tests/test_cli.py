@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochsubmax
-from stochsubmax import cli, constraints, greedy, lp
+from stochsubmax import cli, constraints, greedy, lp, policy, rounding
 from stochsubmax.cli import main
 from stochsubmax.generators import (
     partition_demo_instance,
@@ -380,6 +380,15 @@ def test_workers_flag_is_a_usage_error(pair_file, capsys, command):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate", "--solution", "solution.json"], ["ratio"]])
+def test_crs_flag_is_a_usage_error(pair_file, capsys, command):
+    # one set-level scheme, so there is no scheme to choose
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--instance", str(pair_file), "--crs", "priority"])
+    assert exc.value.code == 2
+    assert "--crs" in capsys.readouterr().err
+
+
 def test_partition_instance_pipeline(tmp_path):
     path = tmp_path / "partition.json"
     save_instance(partition_demo_instance(), path)
@@ -521,6 +530,46 @@ def test_simulate_rejects_non_integral_meta_with_exit_1(solved_pair, tmp_path, c
     assert main(["simulate", "--instance", str(pair_file), "--solution", str(bad),
                  "--runs", "100", "--out", str(tmp_path / "sim")]) == 1
     assert "meta.n must be an integer" in capsys.readouterr().err
+
+
+def test_simulate_refuses_at_certification_what_the_scheme_would_refuse(
+    pair_file, tmp_path, capsys, monkeypatch
+):
+    """Certification and the scheme's scaled-hull check read one row tolerance.
+
+    The pair's solved values sum to the outer bound 0.25 * 2; each raised by
+    4e-8 puts outer[0] 8e-8 past it, beyond ``constraints.ROW_TOL``. The
+    certificate fails that row, so ``simulate`` exits 1 at certification,
+    before it simulates, where it once certified the solution, simulated it,
+    and then refused it at the keep-rate step. A solution exactly at the bound
+    passes the certificate and the scheme's check alike.
+    """
+    out = tmp_path / "solved"
+    assert main(["solve", "--instance", str(pair_file), "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads((out / "solution.json").read_text())
+    for entry in doc["x"]:
+        entry["value"] += 4e-8
+    bumped = tmp_path / "bumped.json"
+    bumped.write_text(json.dumps(doc), encoding="utf-8")
+    inst = symmetric_pair_instance()
+    report = greedy.certify_solution(inst, inst.outer, greedy.load_solution(bumped), 0.25)
+    [(label, lhs, bound, ok)] = report.failures()
+    assert (label, bound) == ("outer[0]", 0.5) and lhs == pytest.approx(0.50000008, abs=1e-15)
+    simulated = []
+    monkeypatch.setattr(policy, "simulate_batch", lambda *a, **k: simulated.append(1))
+    capsys.readouterr()
+    assert main(["simulate", "--instance", str(pair_file), "--solution", str(bumped),
+                 "--runs", "100", "--out", str(tmp_path / "sim")]) == 1
+    assert "failed certification" in capsys.readouterr().err
+    assert not simulated and not (tmp_path / "sim").exists()
+
+    # 0.1 + 0.4 is 0.5 in floats: exactly at the scaled bound
+    at_bound = greedy.SlotSolution(n=2, budget=5, entries=((0, 3, 0.1), (1, 3, 0.4)),
+                                   stop_scale=0.25, steps=1, grad_samples=1, seed=0)
+    report = greedy.certify_solution(inst, inst.outer, at_bound, 0.25)
+    assert report.passed and report.rows[1] == ("outer[0]", 0.5, 0.5, True)
+    crs = rounding.BalancedCrs(kind="priority", scale=0.25)
+    assert rounding.exact_set_keep_rate(crs, inst.outer, at_bound.marginals).tolist() == [1.0, 1.0]
 
 
 def test_simulate_malformed_or_missing_solution_exits_2(solved_pair, tmp_path):

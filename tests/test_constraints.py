@@ -15,7 +15,6 @@ from stochsubmax.constraints import (
     outer_from_json,
     outer_to_json,
     partition,
-    polytope_inequalities,
     validate_outer,
 )
 from stochsubmax.errors import InvalidInputError
@@ -45,20 +44,18 @@ def test_explicit_membership():
 
 
 def test_cardinality_polytope():
-    rows = polytope_inequalities(cardinality(3, 2))
-    assert len(rows) == 1
-    a, b = rows[0]
-    assert list(a) == [1, 1, 1] and b == 2
+    a, b = cardinality(3, 2).hull
+    assert a.tolist() == [[1, 1, 1]] and b.tolist() == [2]
 
 
 def test_partition_polytope():
-    rows = polytope_inequalities(partition(3, [[0, 1], [2]], [1, 1]))
-    assert [(list(a), b) for a, b in rows] == [([1, 1, 0], 1.0), ([0, 0, 1], 1.0)]
+    a, b = partition(3, [[0, 1], [2]], [1, 1]).hull
+    assert a.tolist() == [[1, 1, 0], [0, 0, 1]] and b.tolist() == [1.0, 1.0]
 
 
 def test_vacuous_cardinality_polytope():
-    rows = polytope_inequalities(cardinality(4, 4))
-    assert [(list(a), b) for a, b in rows] == [([1, 1, 1, 1], 4.0)]
+    a, b = cardinality(4, 4).hull
+    assert a.tolist() == [[1, 1, 1, 1]] and b.tolist() == [4.0]
 
 
 @pytest.mark.parametrize("outer, message", [
@@ -80,9 +77,8 @@ def test_invalid_partition_has_no_hull(outer, message):
 
 
 def test_explicit_polytope_refused():
-    for build in (lambda: EXPLICIT.hull, lambda: polytope_inequalities(EXPLICIT)):
-        with pytest.raises(InvalidInputError, match="unknown outer constraint kind 'explicit'"):
-            build()
+    with pytest.raises(InvalidInputError, match="unknown outer constraint kind 'explicit'"):
+        EXPLICIT.hull
     with pytest.raises(InvalidInputError, match="must be cardinality or partition, got 'explicit'"):
         outer_from_json({"kind": "explicit", "maximal": [[1, 2], [3]]}, 3)
 

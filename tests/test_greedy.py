@@ -116,7 +116,7 @@ def test_certify_flags_violated_time_row(pair_instance):
 
 
 def test_certificate_rows_are_the_fit_outer_and_time_rows(pair_instance):
-    # entries-in-range holds every value to 1 + MARGINAL_TOL, so no item-cap row
+    # entries-in-range holds every value to 1 + ROW_TOL, so no item-cap row
     # repeats it; a value past that fails the fit row alone
     sol = SlotSolution(n=2, budget=5, entries=((0, 1, 0.25), (1, 2, 0.125)),
                        stop_scale=0.25, steps=1, grad_samples=1, seed=0)
@@ -128,6 +128,46 @@ def test_certificate_rows_are_the_fit_outer_and_time_rows(pair_instance):
                         stop_scale=0.25, steps=1, grad_samples=1, seed=0)
     report = certify_solution(pair_instance, pair_instance.outer, over, 1.0)
     assert report.rows == (("entries-in-range", 0.0, 1.0, False),) and not report.passed
+
+
+def _least_scale_admitting(lhs: float, bound: float) -> float:
+    """The least float scale in (0, 1] with scale * bound + ROW_TOL >= lhs, by
+    bisection over the bit patterns of positive floats, which order as the floats."""
+    lo, hi = 1, int(np.float64(1.0).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(np.int64(mid).view(np.float64)) * bound + constraints.ROW_TOL >= lhs:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(np.int64(hi).view(np.float64))
+
+
+def test_certificate_and_scheme_hull_agree_at_the_boundary():
+    """At the least scale whose outer rows admit a solution, the certificate and the
+    scheme's scaled-hull check (``constraints.in_scaled_polytope``) both accept its
+    marginals, and one float below it both refuse them: the two add a row's terms
+    in the same order against the same tolerance, so no certified solution is
+    refused by the rounding. A sum in another order (``A @ x``) differs in the last
+    bit on about a quarter of these vectors."""
+    rng = np.random.default_rng(32)
+    item = ItemModel(probs=(1.0,), costs=(1,))
+    for _ in range(300):
+        n, k = int(rng.integers(2, 41)), int(rng.choice([1, 2, 4, 8]))
+        outer = constraints.cardinality(n, k)
+        inst = Instance(n=n, B=1, budget=2, items=(item,) * n, outer=outer,
+                        utility=WeightedModular(weights=(1.0,) * n))
+        values = rng.random(n) * min(1.0, k / n)
+        sol = SlotSolution(n=n, budget=2, entries=tuple(
+            (i, 1, float(v)) for i, v in enumerate(values) if v > 0),
+            stop_scale=1.0, steps=1, grad_samples=1, seed=0)
+        (lhs,) = [r[1] for r in certify_solution(inst, outer, sol, 1.0).rows if r[0] == "outer[0]"]
+        scale = _least_scale_admitting(lhs, k)
+        below = float(np.nextafter(scale, 0.0))
+        for at, admitted in ((scale, True), (below, False)):
+            rows = dict((r[0], r[3]) for r in certify_solution(inst, outer, sol, at).rows)
+            assert rows["outer[0]"] is admitted
+            assert constraints.in_scaled_polytope(outer, sol.marginals, at) is admitted
 
 
 def test_certify_zero_solution(pair_instance):
@@ -775,7 +815,7 @@ def test_time_rows_match_slot_by_slot_accumulation():
             got, bound, ok = rows[f"time[{t}]"]
             assert bound == 0.25 * 2.0 * t
             assert got == lhs
-            assert ok == bool(lhs <= bound + greedy.CERT_TOL)
+            assert ok == bool(lhs <= bound + constraints.ROW_TOL)
 
 
 def test_warm_pivots_pinned_on_desk_instance(monkeypatch):

@@ -31,7 +31,7 @@ from stochsubmax.rounding import (
 )
 from stochsubmax.seeds import derive_rng
 from tests.conftest import examples
-from tests.reference import _run_policy, greedy_keep, keep, schedule_keep_set
+from tests.reference import _run_policy, greedy_keep, schedule_keep_set
 
 
 def _outer(draw, n):
@@ -83,7 +83,7 @@ def policy_cases(draw):
         n=n, budget=budget, entries=tuple(entries),
         stop_scale=0.25, steps=1, grad_samples=1, seed=0,
     )
-    crs = BalancedCrs(kind=draw(st.sampled_from(["priority", "identity"])), scale=0.25)
+    crs = BalancedCrs(kind="priority", scale=0.25)
     rows = draw(st.sampled_from([1, 2, 7]))
     return inst, sol, crs, rows, seed
 
@@ -101,15 +101,7 @@ def assert_batch_is_reference_run(inst, sol, crs, rows, seed):
     f, outer = inst.utility, inst.outer
     d = draw_block(inst, sol, np.random.default_rng(seed), rows)
     thinned, priorities = reference_draws(inst, sol, d)
-    traces = []
-    for r in range(rows):
-        try:
-            traces.append(_run_policy(inst, f, outer, crs, sol, thinned[r], priorities[r]))
-        except ValueError as exc:  # the identity scheme refuses a set outside the family
-            assert crs.kind == "identity", exc
-            with pytest.raises(ValueError, match="outside the outer family"):
-                run_policy_batch(inst, f, outer, crs, sol, d)
-            return
+    traces = [_run_policy(inst, f, outer, sol, thinned[r], priorities[r]) for r in range(rows)]
     run = run_policy_batch(inst, f, outer, crs, sol, d)
     support = sol.support
     tally = constraints.independent_rows(outer, run.selected, support)
@@ -174,7 +166,7 @@ def wide_policy_cases(draw):
     sol = SlotSolution(n=n, budget=budget, entries=entries, stop_scale=0.25, steps=1,
                        grad_samples=1, seed=0)
     assert len(sol.support) >= 10
-    crs = BalancedCrs(kind=draw(st.sampled_from(["priority", "identity"])), scale=0.25)
+    crs = BalancedCrs(kind="priority", scale=0.25)
     return inst, sol, crs, draw(st.sampled_from([1, 7, 64])), seed
 
 
@@ -192,13 +184,7 @@ def assert_execute_is_reference_run(inst, sol, crs, states, seed):
     f, outer = inst.utility, inst.outer
     u_sample, priorities = derive_rng(seed, "policy").random((2, inst.n))
     thinned = np.where(u_sample < sol.marginals, states, 0)
-    try:
-        ref = _run_policy(inst, f, outer, crs, sol, thinned, priorities)
-    except ValueError as exc:
-        assert crs.kind == "identity", exc
-        with pytest.raises(ValueError, match="outside the outer family"):
-            execute(inst, f, outer, crs, sol, states, seed)
-        return
+    ref = _run_policy(inst, f, outer, sol, thinned, priorities)
     trace = execute(inst, f, outer, crs, sol, states, seed)
     assert (trace.sampled, trace.kept) == (ref.sampled, ref.kept)
     assert trace.start_times == ref.start_times
@@ -248,7 +234,7 @@ def test_batch_edge_cases_match_scalar():
         run = run_policy_batch(inst, inst.utility, outer, crs, sol, d)
         thinned, priorities = reference_draws(inst, sol, d)
         for r in range(64):
-            tr = _run_policy(inst, inst.utility, outer, crs, sol, thinned[r], priorities[r])
+            tr = _run_policy(inst, inst.utility, outer, sol, thinned[r], priorities[r])
             assert tuple(sol.support[run.selected[r]]) == tuple(sorted(tr.selected))
             assert int(run.spent[r]) == tr.total_cost
         if outer.k == 0:
@@ -477,14 +463,12 @@ def lazy_cases(draw):
     )
     sol = SlotSolution(n=n, budget=budget, entries=entries, stop_scale=0.25, steps=1,
                        grad_samples=1, seed=0)
-    crs = BalancedCrs(kind=draw(st.sampled_from(["priority", "identity"])), scale=0.25)
+    crs = BalancedCrs(kind="priority", scale=0.25)
     return inst, sol, crs, draw(st.sampled_from([1, 5, 40])), seed
 
 
-def reads_priorities(crs, outer, sampled, support) -> bool:
+def reads_priorities(outer, sampled, support) -> bool:
     """Does the scheme read priorities on this block: a row over k or over a block's cap?"""
-    if crs.kind == "identity":
-        return False
     if outer.kind == "cardinality":
         return bool(np.any(sampled.sum(axis=1) > outer.k))
     return any(np.any(sampled[:, np.isin(support, block)].sum(axis=1) > cap)
@@ -525,25 +509,22 @@ def one_rule_cases(draw):
 @given(one_rule_cases())
 def test_one_priority_rule_matches_reference(case):
     """The priority rule keeps, row by row on the item ids, what
-    tests/reference.py::keep keeps, and reads the priorities iff a row is over
+    tests/reference.py::greedy_keep keeps, and reads the priorities iff a row is over
     some cap (:func:`reads_priorities`)."""
     outer, support, sampled, priorities = case
     crs = BalancedCrs(kind="priority", scale=0.25)
     reads = []
     kept = crs_keep_batch(crs, outer, sampled, lambda: reads.append(1) or priorities, support)
-    assert bool(reads) == reads_priorities(crs, outer, sampled, support)
+    assert bool(reads) == reads_priorities(outer, sampled, support)
     for r in range(len(sampled)):
         by_item = dict(zip(support.tolist(), priorities[r].tolist()))
-        expected = keep(crs, outer, support[sampled[r]].tolist(), by_item)
+        expected = greedy_keep(outer, support[sampled[r]].tolist(), by_item)
         assert set(support[kept[r]].tolist()) == expected, r
 
 
 def outcome(fn, draws):
-    """The arrays ``fn(draws)`` returns, as lists, or the message of its ``ValueError``."""
-    try:
-        return [np.asarray(a).tolist() for a in fn(draws)]
-    except ValueError as exc:  # the identity scheme refuses a set outside the family
-        return str(exc)
+    """The arrays ``fn(draws)`` returns, as lists."""
+    return [np.asarray(a).tolist() for a in fn(draws)]
 
 
 @settings(max_examples=examples(150))
@@ -566,7 +547,7 @@ def test_lazy_priorities_move_no_bit(case):
     after_uniforms = np.random.default_rng(seed)
     after_uniforms.random((rows, len(support)))
     sampled = e.thinned > 0
-    needed = reads_priorities(crs, outer, sampled, support)
+    needed = reads_priorities(outer, sampled, support)
     consumers = {
         "crs": (lambda d: [crs_keep_batch(crs, outer, sampled, lambda: d.priorities, support)],
                 needed),

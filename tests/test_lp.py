@@ -25,7 +25,6 @@ from stochsubmax.greedy import (
 from stochsubmax.lattice import WeightedModular
 from stochsubmax.lp import (
     CERT_TOL,
-    ROW_TOL,
     LpSolution,
     SlotProgram,
     build_slot_program,
@@ -45,20 +44,20 @@ def full_slot_program(instance, outer):
     solver tests."""
     slots = instance.slot_counts
     variables = tuple((i, t) for i in range(instance.n) for t in range(1, int(slots[i]) + 1))
-    ineqs = constraints.polytope_inequalities(outer)
+    hull_rows, hull_bounds = outer.hull
     rows, labels = [], []
     for i in range(instance.n):
         if slots[i]:
             rows.append([1.0 if vi == i else 0.0 for vi, _ in variables])
             labels.append(("item-cap", i))
-    for r, (a, _) in enumerate(ineqs):
+    for r, a in enumerate(hull_rows):
         rows.append([float(a[i]) for i, _ in variables])
         labels.append(("outer", r))
     for t in range(1, instance.budget + 1):
         rows.append([expected_truncated_cost(instance.items[i], t) if tp <= t else 0.0
                      for i, tp in variables])
         labels.append(("time", t))
-    bounds = [1.0] * int(np.count_nonzero(slots)) + [float(b) for _, b in ineqs]
+    bounds = [1.0] * int(np.count_nonzero(slots)) + hull_bounds.tolist()
     bounds += [2.0 * t for t in range(1, instance.budget + 1)]
     return SlotProgram(
         variables=variables,
@@ -851,8 +850,9 @@ def test_latest_slot_program_keeps_the_full_optimum(kind, case, data):
     mass = np.zeros(inst.n)
     np.add.at(mass, full_items, best.values)
     moved = mass[reduced_items]
-    assert np.all(reduced.row_coeffs @ moved <= reduced.row_bounds + ROW_TOL)
-    assert np.all(moved >= -ROW_TOL) and np.all(moved <= 1.0 + ROW_TOL)
+    tol = constraints.ROW_TOL
+    assert np.all(reduced.row_coeffs @ moved <= reduced.row_bounds + tol)
+    assert np.all(moved >= -tol) and np.all(moved <= 1.0 + tol)
     assert abs(float(gains[reduced_items] @ moved) - best.objective) <= 1e-9 * max(
         1.0, abs(best.objective))
     sol = SlotSolution(n=inst.n, budget=inst.budget,

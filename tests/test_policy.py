@@ -46,7 +46,7 @@ def solved(instance, seed=21, scale=0.25, steps=15, grad_samples=800):
 
 def test_single_item_always_selected(single_item):
     sol = full_mass_solution(single_item, [1.0])
-    crs = BalancedCrs(kind="identity", scale=1.0)
+    crs = BalancedCrs(kind="priority", scale=1.0)
     trace = execute(
         single_item, single_item.utility, single_item.outer, crs, sol,
         realization=[1], seed=0,
@@ -59,7 +59,7 @@ def test_single_item_always_selected(single_item):
 
 def test_zero_marginals_empty_trace(single_item):
     sol = full_mass_solution(single_item, [0.0])
-    crs = BalancedCrs(kind="identity", scale=1.0)
+    crs = BalancedCrs(kind="priority", scale=1.0)
     trace = execute(
         single_item, single_item.utility, single_item.outer, crs, sol,
         realization=[1], seed=0,
@@ -84,7 +84,7 @@ def test_forced_times_hand_trace(pair_instance):
 
 
 def test_estimate_value_degenerate_cases(single_item):
-    crs = BalancedCrs(kind="identity", scale=1.0)
+    crs = BalancedCrs(kind="priority", scale=1.0)
     summary = simulate_batch(
         single_item, single_item.utility, single_item.outer, crs,
         full_mass_solution(single_item, [1.0]), runs=200, seed=1,
@@ -104,7 +104,7 @@ def test_solution_shape_checked(pair_instance):
     )
     # every user of a solution makes the one fit check: item 1 starts at slot 9,
     # past its slot count 3
-    inst, crs = pair_instance, BalancedCrs(kind="identity", scale=1.0)
+    inst, crs = pair_instance, BalancedCrs(kind="priority", scale=1.0)
     fit = re.escape("item 1 has slot 9, out of slot range 1..3")
     with pytest.raises(ValueError, match=fit):
         execute(inst, inst.utility, inst.outer, crs, bad, realization=[1, 1], seed=0)
@@ -321,7 +321,7 @@ def test_table_tallies_count_runs_not_rows(partition_instance, monkeypatch):
 
 def test_dominance_single_item_equality(single_item):
     sol = full_mass_solution(single_item, [1.0])
-    crs = BalancedCrs(kind="identity", scale=1.0)
+    crs = BalancedCrs(kind="priority", scale=1.0)
     report = coupled_dominance_check(
         single_item, single_item.utility, single_item.outer, crs, sol,
         trials=300, seed=0,

@@ -47,15 +47,21 @@ def flat_solution(instance, marginals):
     )
 
 
-def test_identity_scheme_returns_independent_sets():
+def test_priority_scheme_keeps_a_fitting_set_whole():
+    # a support that fits every cap is kept as sampled, with no priority read
     outer = constraints.cardinality(3, 3)
-    crs = BalancedCrs(kind="identity", scale=0.5)
-    members, priorities = np.array([[True, False, True]]), np.zeros((1, 3))
+    crs = BalancedCrs(kind="priority", scale=0.5)
+    members, reads = np.array([[True, False, True]]), []
     items = np.arange(3)
-    assert crs_keep_batch(crs, outer, members, priorities, items).tolist() == [[True, False, True]]
-    binding = constraints.cardinality(3, 1)
-    with pytest.raises(ValueError, match="outside the outer family"):
-        crs_keep_batch(crs, binding, members, priorities, items)
+    kept = crs_keep_batch(crs, outer, members, lambda: reads.append(1), items)
+    assert kept.tolist() == [[True, False, True]] and not reads
+
+
+def test_only_the_priority_kind_exists():
+    assert BalancedCrs(kind="priority").kind == "priority"
+    for kind in ("identity", "fair", ""):
+        with pytest.raises(ValueError, match=f"unknown scheme kind {kind!r}"):
+            BalancedCrs(kind=kind)
 
 
 def test_priority_scheme_symmetry():
@@ -94,8 +100,9 @@ def test_greedy_keep_output_always_independent():
         assert constraints.is_independent(outer, kept)
 
 
-def test_set_keep_rate_identity(pair_instance):
-    crs = BalancedCrs(kind="identity", scale=0.25)
+def test_set_keep_rate_of_a_fitting_support(pair_instance):
+    # every sampled set fits k = 2, so every sampled item is kept
+    crs = BalancedCrs(kind="priority", scale=0.25)
     rows = estimate_set_keep_rate(
         crs, pair_instance.outer, [0.25, 0.25], trials=2000, seed=0
     )
@@ -161,15 +168,13 @@ def test_exact_keep_rate_matches_enumeration(case):
                                enumerated_keep_rate(crs, outer, y), rtol=0, atol=1e-12)
 
 
-def test_exact_keep_rate_under_identity():
-    """The identity scheme keeps at rate 1 on an independent support, with items of
-    marginal 0 outside it, and refuses a support that can sample a dependent set."""
-    crs = BalancedCrs(kind="identity", scale=1.0)
+def test_exact_keep_rate_of_a_fitting_support():
+    """The priority rule keeps at rate 1 on a support that fits every cap, with
+    items of marginal 0 outside it."""
+    crs = BalancedCrs(kind="priority", scale=1.0)
     outer = constraints.partition(4, [[0, 1], [2, 3]], [1, 1])
     for rates in (exact_set_keep_rate, enumerated_keep_rate):
         assert rates(crs, outer, [0.5, 0.0, 0.0, 0.8]).tolist() == [1.0] * 4
-        with pytest.raises(ValueError, match="outside the outer family"):
-            rates(crs, outer, [0.5, 0.25, 0.0, 0.8])
 
 
 @pytest.mark.parametrize("outer, marginals", [
@@ -220,11 +225,10 @@ def test_set_keep_rate_rejects_outside_scale():
 
 def test_prune_by_outer_cases(pair_instance):
     # the outer map keeps the items the set-level scheme keeps of the support
-    crs_id = BalancedCrs(kind="identity", scale=0.25)
-    on = np.array([[True, True], [False, False]])
-    kept = crs_keep_batch(crs_id, pair_instance.outer, on, np.zeros((2, 2)), [0, 1])
-    assert kept.tolist() == on.tolist()
     crs = BalancedCrs(kind="priority", scale=0.5)
+    on = np.array([[True, True], [False, False]])
+    kept = crs_keep_batch(crs, pair_instance.outer, on, np.zeros((2, 2)), [0, 1])
+    assert kept.tolist() == on.tolist()
     priorities = derive_rng(0, "outer").random((50, 2))
     kept = crs_keep_batch(
         crs, constraints.cardinality(2, 1), np.ones((50, 2), bool), priorities, [0, 1]
@@ -290,9 +294,10 @@ def certified_pair_solution():
     return inst, sol
 
 
-def test_state_keep_rates_outer_identity():
+def test_state_keep_rates_outer_on_a_fitting_support():
+    # the pair's support fits k = 2, so the outer map keeps every sampled cell
     inst, sol = certified_pair_solution()
-    crs = BalancedCrs(kind="identity", scale=0.25)
+    crs = BalancedCrs(kind="priority", scale=0.25)
     rows = estimate_state_keep_rates(
         "outer", inst, inst.outer, crs, sol, trials=3000, seed=0
     )
